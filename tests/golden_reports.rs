@@ -1,12 +1,13 @@
 //! Golden report snapshots.
 //!
-//! A small set of tiny-scale reports is committed under `tests/golden/`
-//! and byte-compared on every test run: the whole pipeline — simulator,
-//! faulted campaigns, assembly, analysis, rendering — must replay exactly,
-//! across thread counts, cache states, and refactors. `outage_sweep` is in
-//! the set deliberately: it pins the fault-injection replay (schedules,
-//! degraded-report flags, starved-pair accounting), not just the benign
-//! paper path.
+//! Every paper experiment's tiny-scale report is committed under
+//! `tests/golden/` and byte-compared on every test run: the whole pipeline
+//! — simulator, faulted campaigns, assembly, analysis, rendering — must
+//! replay exactly, across thread counts, cache states, and refactors.
+//! `outage_sweep` is in the set deliberately: it pins the fault-injection
+//! replay (schedules, degraded-report flags, starved-pair accounting), not
+//! just the benign paper path. `asymmetry` pins the modal AS paths, which
+//! no paper figure prints directly.
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -20,12 +21,12 @@
 use std::path::PathBuf;
 
 use detour::datasets::Scale;
-use detour_bench::experiments;
+use detour_bench::{experiments, extras};
 use detour_bench::{Bundle, Study};
 
-/// The snapshotted experiments: one cheap table, one headline figure, and
-/// the fault sweep.
-const GOLDEN: &[&str] = &["table1", "fig1", "outage_sweep"];
+/// The snapshotted experiments beyond the paper set: the fault sweep and
+/// the routing-asymmetry census.
+const EXTRA: &[&str] = &["outage_sweep", "asymmetry"];
 
 fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,9 +38,10 @@ fn golden_path(id: &str) -> PathBuf {
 fn reports_match_committed_golden_snapshots() {
     let bless = std::env::var_os("DETOUR_BLESS").is_some();
     let study = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
-    for id in GOLDEN {
-        let report =
-            experiments::run(id, &study).unwrap_or_else(|| panic!("{id} not in the registry"));
+    for id in experiments::ALL_EXPERIMENTS.iter().chain(EXTRA) {
+        let report = experiments::run(id, &study)
+            .or_else(|| extras::run(id, &study))
+            .unwrap_or_else(|| panic!("{id} not in the registry"));
         let path = golden_path(id);
         if bless {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
