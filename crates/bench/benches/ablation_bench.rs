@@ -9,9 +9,10 @@
 
 use detour_bench::Bench;
 use detour_core::analysis::cdf::{compare_graph, compare_graph_bandwidth, improvement_cdf};
-use detour_core::{LossComposition, MeasurementGraph, Rtt, SearchDepth};
+use detour_core::{LossComposition, Rtt, SearchDepth};
 use detour_datasets::uw3;
 use detour_datasets::{generate_on, Scale};
+use detour_measure::PairTable;
 use detour_netsim::{Era, Network, NetworkConfig, RoutingMode};
 
 const SCALE_HOSTS: usize = 12;
@@ -26,8 +27,7 @@ fn dataset_for_mode(mode: RoutingMode) -> detour_measure::Dataset {
 }
 
 fn improved_fraction(ds: &detour_measure::Dataset) -> f64 {
-    let g = MeasurementGraph::from_dataset(ds);
-    let cs = compare_graph(&g, &Rtt, SearchDepth::Unrestricted);
+    let cs = compare_graph(&PairTable::build(ds), &Rtt, SearchDepth::Unrestricted);
     if cs.is_empty() {
         return 0.0;
     }
@@ -61,7 +61,7 @@ fn bench_routing_modes(b: &mut Bench) {
 
 fn bench_loss_composition(b: &mut Bench) {
     let (n2, _) = detour_datasets::n2::generate_with_na(Scale::reduced(10, 16));
-    let g = MeasurementGraph::from_dataset(&n2);
+    let g = PairTable::build(&n2);
     for mode in [LossComposition::Optimistic, LossComposition::Pessimistic] {
         b.bench(
             &format!("ablation_loss_composition/{}", mode.label()),
@@ -75,7 +75,7 @@ fn bench_loss_composition(b: &mut Bench) {
 
 fn bench_search_depth(b: &mut Bench) {
     let ds = dataset_for_mode(RoutingMode::PolicyHotPotato);
-    let g = MeasurementGraph::from_dataset(&ds);
+    let g = PairTable::build(&ds);
     for (label, depth) in [
         ("unrestricted", SearchDepth::Unrestricted),
         ("one_hop", SearchDepth::OneHop),

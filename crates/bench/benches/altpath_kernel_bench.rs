@@ -8,8 +8,8 @@
 //! * the all-pairs unrestricted sweep — matrix build + scratch-reusing
 //!   kernel against per-pair edge-walk Dijkstra with fresh allocations;
 //! * the one-hop sweep the same way;
-//! * the Figure-12 greedy host removal — masked matrix views against
-//!   clone-plus-`without_host`-rebuild per candidate.
+//! * the Figure-12 greedy host removal — masked matrix views against a
+//!   pair-table rebuild per candidate.
 //!
 //! JSON lines go wherever `DETOUR_BENCH_JSON` points, via the in-tree
 //! harness.
@@ -17,15 +17,16 @@
 use detour_bench::{reference, Bench};
 use detour_core::analysis::cdf::compare_graph;
 use detour_core::analysis::hostremoval::greedy_removal;
-use detour_core::{kernel, AnalysisContext, MeasurementGraph, Rtt, SearchDepth, WeightMatrix};
+use detour_core::{kernel, AnalysisContext, Rtt, SearchDepth, WeightMatrix};
 use detour_datasets::{DatasetId, Scale};
+use detour_measure::PairTable;
 
 fn main() {
     let mut b = Bench::new();
     b.sample_size(10);
 
     let ds = DatasetId::Uw3.generate(Scale::reduced(14, 16));
-    let g = MeasurementGraph::from_dataset(&ds);
+    let g = PairTable::build(&ds);
 
     b.bench("altpath/edge_walk_sweep", || {
         reference::edge_walk_sweep(&g, &Rtt).len()
@@ -45,7 +46,7 @@ fn main() {
     });
 
     b.bench("fig12/clone_rebuild_greedy", || {
-        reference::clone_rebuild_greedy(&g, &Rtt, 3).removed.len()
+        reference::clone_rebuild_greedy(&ds, &Rtt, 3).removed.len()
     });
     // A fresh context per iteration keeps the timing honest: the greedy
     // loop's matrix build is part of what the clone-rebuild loop pays too.

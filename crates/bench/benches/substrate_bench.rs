@@ -3,8 +3,10 @@
 //! statistical kernels (Dijkstra alternates, convolution).
 
 use detour_bench::Bench;
-use detour_core::{best_alternate, MeasurementGraph, Rtt};
+use detour_core::analysis::cdf::compare_graph;
+use detour_core::{Rtt, SearchDepth};
 use detour_datasets::{DatasetId, Scale};
+use detour_measure::PairTable;
 use detour_netsim::routing::path::Resolver;
 use detour_netsim::sim::clock::SimTime;
 use detour_netsim::topology::generator::{generate, TopologyConfig};
@@ -59,15 +61,9 @@ fn bench_probing(b: &mut Bench) {
 
 fn bench_analysis_kernels(b: &mut Bench) {
     let ds = DatasetId::Uw3.generate(Scale::reduced(14, 16));
-    let g = MeasurementGraph::from_dataset(&ds);
+    let t = PairTable::build(&ds);
     b.bench("core/best_alternate_all_pairs", || {
-        let mut n = 0;
-        for pair in g.pairs() {
-            if best_alternate(&g, pair, &Rtt).is_some() {
-                n += 1;
-            }
-        }
-        n
+        compare_graph(&t, &Rtt, SearchDepth::Unrestricted).len()
     });
     let mut rng = Xoshiro256pp::seed_from_u64(3);
     let xs: Vec<f64> = (0..500).map(|_| rng.gen_range(20.0..120.0)).collect();

@@ -43,13 +43,13 @@
 //!
 //! The JSON also records the cache hit/miss counters of every run
 //! (`cache/hits`, `cache/misses`) and the per-run artifact build count —
-//! the sum of the `context/*_builds` counters: eight tables, eight
-//! graphs, and one weight matrix per (dataset, metric-family) actually
-//! used — which proves each artifact was built exactly once no matter how
-//! many experiments shared it.
+//! the sum of the `context/*_builds` counters: eight tables and one
+//! weight matrix per (dataset, metric-family) actually used — which proves
+//! each artifact was built exactly once no matter how many experiments
+//! shared it.
 //!
 //! A separate `fig12_greedy` entry times the Figure-12 greedy host
-//! removal both ways — the pre-change clone-plus-rebuild loop
+//! removal both ways — the rebuild-per-candidate reference loop
 //! ([`detour_bench::reference::clone_rebuild_greedy`]) against the
 //! mask-based flat-kernel loop — on the same graph, recording both costs
 //! and their ratio in the same JSON file.
@@ -127,12 +127,11 @@ impl Stages {
 }
 
 /// Sum of the `context/*_builds` counters in a report delta — the number
-/// of shared artifacts (pair tables, graphs, weight matrices, bandwidth
-/// matrices) constructed during that window.
+/// of shared artifacts (pair tables, weight matrices, bandwidth matrices)
+/// constructed during that window.
 fn artifact_builds(d: &RunReport) -> u64 {
     [
         "context/table_builds",
-        "context/graph_builds",
         "context/weights_rtt_builds",
         "context/weights_loss_builds",
         "context/weights_prop_builds",
@@ -194,7 +193,7 @@ fn time_fig12_greedy(rec: &Recorder) -> (f64, f64) {
         greedy_removal(&cx, &Rtt, k)
     });
     let (refr, reference_secs) = rec.time("baseline/fig12_clone_rebuild", || {
-        reference::clone_rebuild_greedy(cx.graph(), &Rtt, k)
+        reference::clone_rebuild_greedy(&ds, &Rtt, k)
     });
 
     // The speedup claim is only meaningful if both loops computed the same

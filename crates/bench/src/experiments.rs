@@ -141,7 +141,7 @@ pub const REGISTRY: &[Experiment] = &[
         run: table3,
     },
     // Figures 9-10 slice the dataset by time of day and rebuild throwaway
-    // per-slice graphs; they use no whole-dataset artifacts.
+    // per-slice tables; they use no whole-dataset artifacts.
     Experiment {
         id: "fig9",
         needs: &[],
@@ -956,7 +956,6 @@ mod tests {
     fn total_builds(rec: &detour_obs::Recorder) -> u64 {
         [
             "context/table_builds",
-            "context/graph_builds",
             "context/weights_rtt_builds",
             "context/weights_loss_builds",
             "context/weights_prop_builds",
@@ -972,22 +971,16 @@ mod tests {
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
         let s = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
-        // Eight contexts eagerly build table + graph each.
-        assert_eq!(
-            (
-                rec.counter("context/table_builds"),
-                rec.counter("context/graph_builds")
-            ),
-            (8, 8)
-        );
-        assert_eq!(total_builds(&rec), 16);
+        // Eight contexts eagerly build one table each.
+        assert_eq!(rec.counter("context/table_builds"), 8);
+        assert_eq!(total_builds(&rec), 8);
         let reports = run_all(&s, &["fig1", "fig2"]);
         assert_eq!(reports.len(), 2);
         // fig1 + fig2 share the same four RTT matrices; nothing builds twice.
         assert_eq!(rec.counter("context/weights_rtt_builds"), 4);
-        assert_eq!(total_builds(&rec), 20);
+        assert_eq!(total_builds(&rec), 12);
         run_all(&s, &["fig1"]);
-        assert_eq!(total_builds(&rec), 20, "warm rerun builds nothing");
+        assert_eq!(total_builds(&rec), 12, "warm rerun builds nothing");
     }
 
     #[test]

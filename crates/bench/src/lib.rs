@@ -8,9 +8,8 @@
 //! * [`cache`] — the on-disk trace cache: generated datasets round-trip
 //!   through the v1 tracefile format under `results/cache/`, keyed by
 //!   (spec, seed, scale), so warm runs skip the simulator entirely;
-//! * [`study`] — one shared `AnalysisContext` per dataset: pair tables,
-//!   graphs, and weight matrices build once and every experiment borrows
-//!   them;
+//! * [`study`] — one shared `AnalysisContext` per dataset: pair tables
+//!   and weight matrices build once and every experiment borrows them;
 //! * [`render`] — plain-text rendering of CDFs, tables, and scatters;
 //! * [`experiments`] — the declarative registry: one [`Experiment`] per
 //!   paper artifact stating the derived artifacts it needs; the engine

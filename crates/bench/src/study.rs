@@ -2,7 +2,7 @@
 //!
 //! A [`Study`] is the bench-side face of the artifact store. Where the
 //! [`crate::Bundle`] owns raw datasets, the study owns the eight analysis
-//! contexts built from them — pair tables and measurement graphs eagerly,
+//! contexts built from them — pair tables (the measurement graphs) eagerly,
 //! weight matrices lazily on first use — so every experiment in a run
 //! borrows the same artifacts instead of rebuilding its own. Experiments
 //! address datasets by [`DataKey`], which is also the vocabulary the
@@ -107,7 +107,7 @@ impl Study {
     }
 
     /// A sibling study over the same datasets with *empty* artifact caches
-    /// — the datasets stay `Arc`-shared, but tables, graphs, and matrices
+    /// — the datasets stay `Arc`-shared, but tables and matrices
     /// rebuild from scratch. The reference engine uses one of these per
     /// experiment to reproduce the pre-refactor rebuild-per-experiment
     /// behaviour.
@@ -162,7 +162,6 @@ mod tests {
             fresh.ctx(DataKey::Uw3).dataset() as *const _,
         ));
         assert_eq!(rec.counter("context/table_builds"), 8);
-        assert_eq!(rec.counter("context/graph_builds"), 8);
         assert_eq!(
             rec.counter("context/weights_rtt_builds"),
             0,

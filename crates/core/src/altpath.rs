@@ -1,24 +1,34 @@
-//! Best-alternate-path search.
+//! Best-alternate-path comparisons.
 //!
 //! Paper §4.1: "for each pair of hosts, A and B, we remove the edge
 //! connecting them and perform a shortest-path computation between A and B
 //! using the remaining edges. The result is the best alternate path between
 //! A and B using other Internet paths as constituent 'hops'."
 //!
-//! Three searches:
-//! * [`best_alternate`] — unrestricted Dijkstra on a metric's additive
-//!   weights (the default for RTT/loss figures);
-//! * [`best_alternate_one_hop`] — detours through exactly one intermediate
-//!   host (used where the paper limits itself "to keep the computational
-//!   costs reasonable": medians, Figure 6);
-//! * [`best_alternate_bandwidth`] — the N2 bandwidth search, one-hop only,
-//!   composing transfer RTT/loss through the Mathis model.
+//! This module holds the vocabulary of that question: the directed
+//! [`Pair`], the [`SearchDepth`], and the resulting [`PathComparison`]. The
+//! searches run on the flat [`crate::kernel`] matrices:
+//! * unrestricted Dijkstra on a metric's additive weights (the default for
+//!   RTT/loss figures);
+//! * detours through exactly one intermediate host (used where the paper
+//!   limits itself "to keep the computational costs reasonable": medians,
+//!   Figure 6);
+//! * the N2 bandwidth search, one-hop only, composing transfer RTT/loss
+//!   through the Mathis model.
+//!
+//! [`crate::analysis::cdf::compare_all_pairs`] runs them over every pair of
+//! a dataset.
 
-use crate::compose::LossComposition;
-use crate::graph::{MeasurementGraph, Pair};
-use crate::kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
-use crate::metric::Metric;
 use detour_measure::HostId;
+
+/// A directed host pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Pair {
+    /// Source host.
+    pub src: HostId,
+    /// Destination host.
+    pub dst: HostId,
+}
 
 /// How far alternate paths may detour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,70 +84,21 @@ impl PathComparison {
     pub fn alternate_wins(&self) -> bool {
         self.improvement() > 0.0
     }
-}
 
-/// Unrestricted best alternate for an additive metric: Dijkstra from
-/// `pair.src` to `pair.dst` with the direct edge removed.
-///
-/// Returns `None` when the pair has no measured direct edge (nothing to
-/// compare against) or no alternate route exists.
-///
-/// Convenience single-pair entry point: builds a one-shot
-/// [`WeightMatrix`] and runs the flat kernel search
-/// ([`crate::kernel::best_alternate_masked`]). All-pairs loops should
-/// build the matrix once and call the kernel directly — the sweeps in
-/// [`crate::analysis`] do.
-pub fn best_alternate(
-    graph: &MeasurementGraph,
-    pair: Pair,
-    metric: &impl Metric,
-) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let m = WeightMatrix::build(graph, metric);
-    crate::kernel::best_alternate_masked(
-        &m,
-        &m.no_mask(),
-        s,
-        d,
-        metric,
-        &mut DijkstraScratch::new(),
-    )
-}
-
-/// Best alternate through exactly one intermediate host. Single-pair
-/// convenience wrapper over [`crate::kernel::best_alternate_one_hop_masked`].
-pub fn best_alternate_one_hop(
-    graph: &MeasurementGraph,
-    pair: Pair,
-    metric: &impl Metric,
-) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let m = WeightMatrix::build(graph, metric);
-    crate::kernel::best_alternate_one_hop_masked(&m, &m.no_mask(), s, d, metric)
-}
-
-/// The N2 bandwidth search (paper §5): one-hop alternates whose bandwidth
-/// is derived from constituent transfer RTTs and losses via the Mathis
-/// model; the default path's value is its *measured* bandwidth.
-/// Single-pair convenience wrapper over
-/// [`crate::kernel::best_alternate_bandwidth_masked`].
-pub fn best_alternate_bandwidth(
-    graph: &MeasurementGraph,
-    pair: Pair,
-    mode: LossComposition,
-) -> Option<PathComparison> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let bm = BandwidthMatrix::build(graph);
-    crate::kernel::best_alternate_bandwidth_masked(&bm, &bm.no_mask(), s, d, mode)
+    /// The alternate's hosts in path order, endpoints included.
+    pub fn hops(&self) -> impl Iterator<Item = HostId> + '_ {
+        std::iter::once(self.pair.src)
+            .chain(self.via.iter().copied())
+            .chain(std::iter::once(self.pair.dst))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{Loss, Rtt};
+    use crate::context::AnalysisContext;
+    use crate::kernel::{self, DijkstraScratch};
+    use crate::metric::{Loss, Metric, Rtt};
     use detour_measure::record::HostMeta;
     use detour_measure::{Dataset, ProbeSample};
 
@@ -185,7 +146,28 @@ mod tests {
         }
     }
 
+    /// The best alternate for host `s` → host `d` (host ids equal dense
+    /// indices here) on the dataset's context matrix.
+    fn search(
+        ds: &Dataset,
+        s: usize,
+        d: usize,
+        metric: &impl Metric,
+        depth: SearchDepth,
+    ) -> Option<PathComparison> {
+        let cx = AnalysisContext::from_dataset(ds);
+        let m = cx.weights(metric);
+        let mask = m.no_mask();
+        match depth {
+            SearchDepth::Unrestricted => {
+                kernel::best_alternate_masked(m, &mask, s, d, metric, &mut DijkstraScratch::new())
+            }
+            SearchDepth::OneHop => kernel::best_alternate_one_hop_masked(m, &mask, s, d, metric),
+        }
+    }
+
     const X: f64 = f64::NAN;
+    const ANY: SearchDepth = SearchDepth::Unrestricted;
 
     #[test]
     fn finds_the_obvious_detour() {
@@ -194,16 +176,14 @@ mod tests {
             &[&[0.0, 10.0, 100.0], &[10.0, 0.0, 20.0], &[100.0, 20.0, 0.0]],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
-        let cmp = best_alternate(
-            &g,
+        let cmp = search(&ds, 0, 2, &Rtt, ANY).unwrap();
+        assert_eq!(
+            cmp.pair,
             Pair {
                 src: HostId(0),
-                dst: HostId(2),
-            },
-            &Rtt,
-        )
-        .unwrap();
+                dst: HostId(2)
+            }
+        );
         assert_eq!(cmp.default_value, 100.0);
         assert_eq!(cmp.alternate_value, 30.0);
         assert_eq!(cmp.via, vec![HostId(1)]);
@@ -212,10 +192,9 @@ mod tests {
         assert!((cmp.ratio() - 100.0 / 30.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn multi_hop_detours_are_found() {
-        // Chain 0→1→2→3 each 10; direct 0→3 = 100.
-        let ds = dataset_from_rtt_matrix(
+    /// Chain 0→1→2→3 each 10; direct 0→3 = 100.
+    fn chain() -> Dataset {
+        dataset_from_rtt_matrix(
             &[
                 &[0.0, 10.0, X, 100.0],
                 &[X, 0.0, 10.0, X],
@@ -223,17 +202,12 @@ mod tests {
                 &[X, X, X, 0.0],
             ],
             3,
-        );
-        let g = MeasurementGraph::from_dataset(&ds);
-        let cmp = best_alternate(
-            &g,
-            Pair {
-                src: HostId(0),
-                dst: HostId(3),
-            },
-            &Rtt,
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn multi_hop_detours_are_found() {
+        let cmp = search(&chain(), 0, 3, &Rtt, ANY).unwrap();
         assert_eq!(cmp.alternate_value, 30.0);
         assert_eq!(cmp.via, vec![HostId(1), HostId(2)]);
     }
@@ -242,16 +216,7 @@ mod tests {
     fn direct_edge_is_excluded_from_the_search() {
         // Only the direct edge exists: no alternate.
         let ds = dataset_from_rtt_matrix(&[&[0.0, 10.0], &[10.0, 0.0]], 3);
-        let g = MeasurementGraph::from_dataset(&ds);
-        assert!(best_alternate(
-            &g,
-            Pair {
-                src: HostId(0),
-                dst: HostId(1)
-            },
-            &Rtt
-        )
-        .is_none());
+        assert!(search(&ds, 0, 1, &Rtt, ANY).is_none());
     }
 
     #[test]
@@ -261,16 +226,7 @@ mod tests {
             &[&[0.0, 20.0, 10.0], &[20.0, 0.0, 20.0], &[10.0, 20.0, 0.0]],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
-        let cmp = best_alternate(
-            &g,
-            Pair {
-                src: HostId(0),
-                dst: HostId(2),
-            },
-            &Rtt,
-        )
-        .unwrap();
+        let cmp = search(&ds, 0, 2, &Rtt, ANY).unwrap();
         assert!(!cmp.alternate_wins());
         assert!(cmp.improvement() < 0.0);
         assert!(cmp.ratio() < 1.0);
@@ -282,13 +238,8 @@ mod tests {
             &[&[0.0, 15.0, 90.0], &[15.0, 0.0, 25.0], &[90.0, 25.0, 0.0]],
             3,
         );
-        let g = MeasurementGraph::from_dataset(&ds);
-        let pair = Pair {
-            src: HostId(0),
-            dst: HostId(2),
-        };
-        let a = best_alternate(&g, pair, &Rtt).unwrap();
-        let b = best_alternate_one_hop(&g, pair, &Rtt).unwrap();
+        let a = search(&ds, 0, 2, &Rtt, ANY).unwrap();
+        let b = search(&ds, 0, 2, &Rtt, SearchDepth::OneHop).unwrap();
         assert_eq!(a.alternate_value, b.alternate_value);
         assert_eq!(a.via, b.via);
     }
@@ -296,106 +247,9 @@ mod tests {
     #[test]
     fn one_hop_search_cannot_chain() {
         // The only improvement needs two intermediate hosts.
-        let ds = dataset_from_rtt_matrix(
-            &[
-                &[0.0, 10.0, X, 100.0],
-                &[X, 0.0, 10.0, X],
-                &[X, X, 0.0, 10.0],
-                &[X, X, X, 0.0],
-            ],
-            3,
-        );
-        let g = MeasurementGraph::from_dataset(&ds);
-        let pair = Pair {
-            src: HostId(0),
-            dst: HostId(3),
-        };
-        assert!(best_alternate_one_hop(&g, pair, &Rtt).is_none());
-        assert!(best_alternate(&g, pair, &Rtt).is_some());
-    }
-
-    #[test]
-    fn dijkstra_matches_brute_force_on_random_graphs() {
-        use detour_prng::Rng;
-        use detour_prng::Xoshiro256pp;
-        let mut rng = Xoshiro256pp::seed_from_u64(33);
-        for _ in 0..20 {
-            let n = rng.gen_range(4..7);
-            let rows: Vec<Vec<f64>> = (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| {
-                            if i == j || rng.gen_bool(0.2) {
-                                f64::NAN
-                            } else {
-                                rng.gen_range(1.0..100.0f64).round()
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let ds = dataset_from_rtt_matrix(&refs, 2);
-            let g = MeasurementGraph::from_dataset(&ds);
-            for pair in g.pairs() {
-                let got = best_alternate(&g, pair, &Rtt);
-                let expect = brute_force_best(&g, pair);
-                match (got, expect) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert!((a.alternate_value - b).abs() < 1e-9, "pair {pair:?}")
-                    }
-                    (a, b) => panic!("mismatch for {pair:?}: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    /// Exhaustive shortest alternate by permutation search (n ≤ 7).
-    fn brute_force_best(g: &MeasurementGraph, pair: Pair) -> Option<f64> {
-        let s = g.host_index(pair.src)?;
-        let d = g.host_index(pair.dst)?;
-        g.edge_by_index(s, d)?;
-        let n = g.len();
-        let mut best: Option<f64> = None;
-        // DFS over simple paths.
-        #[allow(clippy::too_many_arguments)]
-        fn dfs(
-            g: &MeasurementGraph,
-            cur: usize,
-            d: usize,
-            s: usize,
-            cost: f64,
-            visited: &mut Vec<bool>,
-            best: &mut Option<f64>,
-            first_step: bool,
-        ) {
-            if cur == d {
-                if best.is_none_or(|b| cost < b) {
-                    *best = Some(cost);
-                }
-                return;
-            }
-            for v in 0..g.len() {
-                if visited[v] {
-                    continue;
-                }
-                if first_step && cur == s && v == d {
-                    continue; // excluded direct edge
-                }
-                if let Some(e) = g.edge_by_index(cur, v) {
-                    if let Some(m) = e.rtt {
-                        visited[v] = true;
-                        dfs(g, v, d, s, cost + m.mean, visited, best, false);
-                        visited[v] = false;
-                    }
-                }
-            }
-        }
-        let mut visited = vec![false; n];
-        visited[s] = true;
-        dfs(g, s, d, s, 0.0, &mut visited, &mut best, true);
-        best
+        let ds = chain();
+        assert!(search(&ds, 0, 3, &Rtt, SearchDepth::OneHop).is_none());
+        assert!(search(&ds, 0, 3, &Rtt, ANY).is_some());
     }
 
     #[test]
@@ -415,16 +269,7 @@ mod tests {
                 }
             }
         }
-        let g = MeasurementGraph::from_dataset(&ds);
-        let cmp = best_alternate(
-            &g,
-            Pair {
-                src: HostId(0),
-                dst: HostId(2),
-            },
-            &Loss,
-        )
-        .unwrap();
+        let cmp = search(&ds, 0, 2, &Loss, ANY).unwrap();
         assert!((cmp.default_value - 0.2).abs() < 1e-9);
         assert_eq!(cmp.alternate_value, 0.0);
         assert!(cmp.alternate_wins());

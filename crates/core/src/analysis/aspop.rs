@@ -29,16 +29,15 @@ pub struct AsPoint {
 
 /// Computes the Figure-14 scatter for `metric`-selected alternates.
 pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> Vec<AsPoint> {
-    let graph = cx.graph();
+    let t = cx.table();
     let mut default_counts: HashMap<u16, usize> = HashMap::new();
     let mut alternate_counts: HashMap<u16, usize> = HashMap::new();
 
     // Default paths: every measured pair contributes its modal AS path —
-    // including pairs with no usable `metric` value, so this stays on
-    // `graph.pairs()` rather than the metric's measured-pair set.
-    for pair in graph.pairs() {
-        let edge = graph.edge(pair.src, pair.dst).expect("pair has an edge");
-        for &asn in edge.modal_as_path.iter().collect::<HashSet<_>>() {
+    // including pairs with no usable `metric` value, so this stays on the
+    // table's measured pairs rather than the metric's.
+    for (i, j) in t.measured_pairs() {
+        for &asn in cx.modal_as_path(i, j).iter().collect::<HashSet<_>>() {
             *default_counts.entry(asn).or_default() += 1;
         }
     }
@@ -46,14 +45,10 @@ pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> Vec<AsPoint> {
     // union of their constituent edges' AS paths.
     for cmp in compare_all_pairs(cx, metric, SearchDepth::Unrestricted) {
         if cmp.alternate_wins() {
-            let mut hops = vec![cmp.pair.src];
-            hops.extend(cmp.via.iter().copied());
-            hops.push(cmp.pair.dst);
+            let hops: Vec<usize> = cmp.hops().filter_map(|h| t.host_index(h)).collect();
             let mut ases: HashSet<u16> = HashSet::new();
             for w in hops.windows(2) {
-                if let Some(e) = graph.edge(w[0], w[1]) {
-                    ases.extend(e.modal_as_path.iter().copied());
-                }
+                ases.extend(cx.modal_as_path(w[0], w[1]).iter().copied());
             }
             for asn in ases {
                 *alternate_counts.entry(asn).or_default() += 1;

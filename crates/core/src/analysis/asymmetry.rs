@@ -8,8 +8,6 @@
 //! directions, does the reverse direction's (modal) AS path retrace the
 //! forward one?
 
-use std::collections::HashSet;
-
 use crate::context::AnalysisContext;
 use detour_measure::HostId;
 
@@ -37,30 +35,28 @@ impl AsymmetryReport {
     }
 }
 
-/// Computes the asymmetry census from the graph's modal AS paths.
+/// Computes the asymmetry census from the table's modal AS paths.
 pub fn analyze(cx: &AnalysisContext) -> AsymmetryReport {
-    let graph = cx.graph();
+    let t = cx.table();
+    let hosts = t.hosts();
     let mut report = AsymmetryReport::default();
-    let mut seen: HashSet<(HostId, HostId)> = HashSet::new();
-    for pair in graph.pairs() {
-        let key = if pair.src < pair.dst {
-            (pair.src, pair.dst)
+    // Each unordered pair once, at its upper-triangle cell, and only when
+    // both directions were measured.
+    for (i, j) in t.measured_pairs() {
+        if i > j || !t.measured(j, i) {
+            continue;
+        }
+        let (fwd, rev) = (cx.modal_as_path(i, j), cx.modal_as_path(j, i));
+        if fwd.is_empty() || rev.is_empty() {
+            continue;
+        }
+        let key = if hosts[i] < hosts[j] {
+            (hosts[i], hosts[j])
         } else {
-            (pair.dst, pair.src)
+            (hosts[j], hosts[i])
         };
-        if !seen.insert(key) {
-            continue;
-        }
-        let (Some(fwd), Some(rev)) = (graph.edge(key.0, key.1), graph.edge(key.1, key.0)) else {
-            continue;
-        };
-        if fwd.modal_as_path.is_empty() || rev.modal_as_path.is_empty() {
-            continue;
-        }
         report.pairs_bidirectional += 1;
-        let mut rev_reversed = rev.modal_as_path.clone();
-        rev_reversed.reverse();
-        if fwd.modal_as_path == rev_reversed {
+        if fwd.iter().eq(rev.iter().rev()) {
             report.symmetric += 1;
         } else {
             report.asymmetric += 1;

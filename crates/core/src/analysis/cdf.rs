@@ -9,9 +9,9 @@
 use crate::altpath::{PathComparison, SearchDepth};
 use crate::compose::LossComposition;
 use crate::context::AnalysisContext;
-use crate::graph::MeasurementGraph;
 use crate::kernel::{self, BandwidthMatrix, WeightMatrix};
 use crate::metric::Metric;
+use detour_measure::PairTable;
 use detour_stats::Cdf;
 
 /// Per-pair comparisons for a whole dataset under an additive metric.
@@ -32,16 +32,16 @@ pub fn compare_all_pairs(
     kernel::sweep(m, &m.no_mask(), metric, depth)
 }
 
-/// Per-pair comparisons for an ad-hoc graph (a time-of-day slice, an
-/// episode, a what-if reconstruction) that has no backing context. Builds
-/// a throwaway [`WeightMatrix`]; prefer [`compare_all_pairs`] whenever a
-/// context exists.
+/// Per-pair comparisons for an ad-hoc table (a time-of-day slice or an
+/// episode from [`PairTable::build_filtered`], a host-restricted what-if)
+/// that has no backing context. Builds a throwaway [`WeightMatrix`];
+/// prefer [`compare_all_pairs`] whenever a context exists.
 pub fn compare_graph(
-    graph: &MeasurementGraph,
+    table: &PairTable,
     metric: &impl Metric,
     depth: SearchDepth,
 ) -> Vec<PathComparison> {
-    let m = WeightMatrix::build(graph, metric);
+    let m = WeightMatrix::build(table, metric);
     kernel::sweep(&m, &m.no_mask(), metric, depth)
 }
 
@@ -56,12 +56,9 @@ pub fn compare_all_pairs_bandwidth(
     kernel::sweep_bandwidth(bm, &bm.no_mask(), mode)
 }
 
-/// Bandwidth comparisons for an ad-hoc graph without a backing context.
-pub fn compare_graph_bandwidth(
-    graph: &MeasurementGraph,
-    mode: LossComposition,
-) -> Vec<PathComparison> {
-    let bm = BandwidthMatrix::build(graph);
+/// Bandwidth comparisons for an ad-hoc table without a backing context.
+pub fn compare_graph_bandwidth(table: &PairTable, mode: LossComposition) -> Vec<PathComparison> {
+    let bm = BandwidthMatrix::build(table);
     kernel::sweep_bandwidth(&bm, &bm.no_mask(), mode)
 }
 
@@ -108,7 +105,7 @@ pub fn summarize(comparisons: &[PathComparison], significant: f64) -> Improvemen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Pair;
+    use crate::altpath::Pair;
     use detour_measure::HostId;
 
     fn cmp(default: f64, alt: f64, lower: bool) -> PathComparison {

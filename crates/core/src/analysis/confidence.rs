@@ -18,8 +18,8 @@
 use crate::altpath::{PathComparison, SearchDepth};
 use crate::analysis::cdf::compare_all_pairs;
 use crate::context::AnalysisContext;
-use crate::graph::MeasurementGraph;
 use crate::metric::Metric;
+use detour_measure::PairTable;
 use detour_stats::ci::MeanEstimate;
 use detour_stats::ttest::{welch_classify, TTestVerdict, VerdictCounts};
 
@@ -37,23 +37,20 @@ pub struct PairInterval {
 /// Builds the composed [`MeanEstimate`] of an already-found best alternate
 /// (`cmp`), together with the default path's estimate.
 fn pair_estimates(
-    graph: &MeasurementGraph,
+    t: &PairTable,
     cmp: &PathComparison,
     metric: &impl Metric,
 ) -> Option<(MeanEstimate, MeanEstimate)> {
-    let pair = cmp.pair;
-    let default_est = MeanEstimate::from_summary(&metric.summary(graph.edge(pair.src, pair.dst)?)?);
+    let hops: Vec<usize> = cmp.hops().map(|h| t.host_index(h)).collect::<Option<_>>()?;
+    let (s, d) = (hops[0], hops[hops.len() - 1]);
+    let default_est = MeanEstimate::from_summary(&metric.summary(t, s, d)?);
 
     // Walk the alternate's hops and sum the per-edge estimates.
-    let mut hops = vec![pair.src];
-    hops.extend(cmp.via.iter().copied());
-    hops.push(pair.dst);
     let parts: Option<Vec<MeanEstimate>> = hops
         .windows(2)
         .map(|w| {
-            graph
-                .edge(w[0], w[1])
-                .and_then(|e| metric.summary(e))
+            metric
+                .summary(t, w[0], w[1])
                 .map(|s| MeanEstimate::from_summary(&s))
         })
         .collect();
@@ -64,7 +61,7 @@ fn pair_estimates(
     Some((default_est, alt_est))
 }
 
-/// Per-pair intervals for a whole graph at the given confidence level.
+/// Per-pair intervals for a whole dataset at the given confidence level.
 ///
 /// The best-alternate searches run as one kernel sweep
 /// ([`compare_all_pairs`]); only the surviving comparisons pay for the
@@ -73,7 +70,7 @@ pub fn pair_intervals(cx: &AnalysisContext, metric: &impl Metric, level: f64) ->
     compare_all_pairs(cx, metric, SearchDepth::Unrestricted)
         .iter()
         .filter_map(|cmp| {
-            let (default_est, alt_est) = pair_estimates(cx.graph(), cmp, metric)?;
+            let (default_est, alt_est) = pair_estimates(cx.table(), cmp, metric)?;
             let ci = default_est.diff(&alt_est).ci(level);
             Some(PairInterval {
                 improvement: ci.center,

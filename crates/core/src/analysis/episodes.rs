@@ -17,9 +17,8 @@ use std::collections::HashMap;
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::graph::MeasurementGraph;
 use crate::metric::Metric;
-use detour_measure::{Dataset, HostId};
+use detour_measure::{Dataset, HostId, PairTable};
 use detour_stats::Cdf;
 
 /// The three Figure-11 curves.
@@ -58,12 +57,13 @@ pub fn analyze(
     ));
 
     // Curves 2 and 3: per-episode best alternates on UW4-A. Episode
-    // slices are ad-hoc graphs, deliberately outside the artifact cache.
-    let ids = episode_ids(episodic.dataset());
+    // slices are ad-hoc tables, deliberately outside the artifact cache.
+    let ds = episodic.dataset();
+    let ids = episode_ids(ds);
     let mut per_pair: HashMap<(HostId, HostId), Vec<f64>> = HashMap::new();
     for &ep in &ids {
-        let g = MeasurementGraph::from_episode(episodic.dataset(), ep);
-        for cmp in compare_graph(&g, metric, SearchDepth::Unrestricted) {
+        let t = PairTable::build_filtered(ds, |p| p.episode == Some(ep));
+        for cmp in compare_graph(&t, metric, SearchDepth::Unrestricted) {
             per_pair
                 .entry((cmp.pair.src, cmp.pair.dst))
                 .or_default()

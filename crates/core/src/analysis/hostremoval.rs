@@ -71,12 +71,12 @@ fn masked_position(
 
 /// Runs the greedy experiment, removing `k` hosts.
 ///
-/// The matrix comes from the context's artifact cache; each candidate removal is evaluated through a
-/// zero-copy mask over it rather than the old clone-plus-rebuild via
-/// `without_host` — masked sweeps are value-identical to rebuilt-graph
-/// sweeps (relative vertex order is preserved, so every tie-break
-/// matches), which the kernel property tests pin down. On top of that,
-/// candidate evaluation is incremental ([`masked_position`]): removing `h`
+/// The matrix comes from the context's artifact cache; each candidate
+/// removal is evaluated through a zero-copy mask over it rather than a
+/// table rebuilt without the candidate — masked sweeps are value-identical
+/// to rebuilt-table sweeps (relative vertex order is preserved, so every
+/// tie-break matches), which the kernel property tests pin down. On top of
+/// that, candidate evaluation is incremental ([`masked_position`]): removing `h`
 /// can only affect pairs whose best alternate routes through `h`, so the
 /// per-candidate cost drops from a full sweep to a handful of re-searches.
 /// Even weight-tied alternates keep the reuse exact for the in-tree
@@ -141,7 +141,7 @@ mod tests {
     use detour_measure::HostId;
     use detour_measure::{Dataset, ProbeSample};
 
-    /// A graph where host `magic` is the sole source of all improvements:
+    /// A dataset where host `magic` is the sole source of all improvements:
     /// every other pair is direct-optimal, but routing through `magic`
     /// halves every RTT.
     fn magic_host_dataset(n: u32) -> Dataset {

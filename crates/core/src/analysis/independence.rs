@@ -54,7 +54,9 @@ pub fn analyze(cx: &AnalysisContext) -> IndependenceReport {
         if samples.len() < 8 {
             continue;
         }
-        samples.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        // `total_cmp`: a NaN timestamp from an untrusted trace sorts last
+        // instead of panicking; finite timestamps order as before.
+        samples.sort_by(|a, b| a.0.total_cmp(&b.0));
         let xs: Vec<f64> = samples.into_iter().map(|(_, r)| r).collect();
         if let Some(r1) = autocorrelation(&xs, 1) {
             lag1.insert(pair, r1);
@@ -137,6 +139,15 @@ mod tests {
             50.0, 51.0, 52.0,
         ])));
         assert!(r.lag1.is_empty());
+    }
+
+    #[test]
+    fn nan_timestamps_do_not_panic() {
+        let rtts: Vec<f64> = (0..50).map(|i| 50.0 + i as f64).collect();
+        let mut ds = dataset(&rtts);
+        ds.probes[7].t_s = f64::NAN;
+        let r = analyze(&AnalysisContext::from_dataset(&ds));
+        assert!(r.lag1[&(HostId(0), HostId(1))] > 0.5);
     }
 
     #[test]

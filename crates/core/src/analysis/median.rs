@@ -11,8 +11,8 @@
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::graph::MeasurementGraph;
 use crate::metric::Rtt;
+use detour_measure::PairTable;
 use detour_stats::convolve::SampleDist;
 use detour_stats::quantile::median;
 use detour_stats::Cdf;
@@ -30,25 +30,20 @@ pub struct MeanMedianComparison {
     pub median_based: Cdf,
 }
 
-/// Best one-hop alternate judged by median (via convolution); returns the
-/// improvement `default_median − best_alternate_median`.
-fn median_improvement(graph: &MeasurementGraph, pair: crate::graph::Pair) -> Option<f64> {
-    let s = graph.host_index(pair.src)?;
-    let d = graph.host_index(pair.dst)?;
-    let default_edge = graph.edge_by_index(s, d)?;
-    let default_median = median(&default_edge.rtt_samples)?;
+/// Best one-hop alternate for `s → d` judged by median (via convolution);
+/// returns the improvement `default_median − best_alternate_median`.
+/// Unmeasured legs have no samples and drop out.
+fn median_improvement(t: &PairTable, s: usize, d: usize) -> Option<f64> {
+    let default_median = median(t.rtt_samples(s, d))?;
 
     let mut best: Option<f64> = None;
-    for m in 0..graph.len() {
+    for m in 0..t.len() {
         if m == s || m == d {
             continue;
         }
-        let (Some(e1), Some(e2)) = (graph.edge_by_index(s, m), graph.edge_by_index(m, d)) else {
-            continue;
-        };
         let (Some(d1), Some(d2)) = (
-            SampleDist::from_samples(&e1.rtt_samples, CONVOLUTION_BIN_MS),
-            SampleDist::from_samples(&e2.rtt_samples, CONVOLUTION_BIN_MS),
+            SampleDist::from_samples(t.rtt_samples(s, m), CONVOLUTION_BIN_MS),
+            SampleDist::from_samples(t.rtt_samples(m, d), CONVOLUTION_BIN_MS),
         ) else {
             continue;
         };
@@ -63,12 +58,10 @@ fn median_improvement(graph: &MeasurementGraph, pair: crate::graph::Pair) -> Opt
 /// Runs the Figure-6 analysis over a dataset's context.
 pub fn analyze(cx: &AnalysisContext) -> MeanMedianComparison {
     let mean_based = improvement_cdf(&compare_all_pairs(cx, &Rtt, SearchDepth::OneHop));
-    let graph = cx.graph();
+    let t = cx.table();
     let median_based = Cdf::from_samples(
-        graph
-            .pairs()
-            .into_iter()
-            .filter_map(|p| median_improvement(graph, p)),
+        t.measured_pairs()
+            .filter_map(|(s, d)| median_improvement(t, s, d)),
     );
     MeanMedianComparison {
         mean_based,

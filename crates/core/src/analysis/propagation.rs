@@ -93,23 +93,23 @@ pub struct Decomposition {
 /// into propagation and queuing differences. The RTT searches run as one
 /// kernel sweep; only surviving comparisons pay for the propagation walk.
 pub fn decompose(cx: &AnalysisContext) -> Decomposition {
-    let graph = cx.graph();
+    let t = cx.table();
     let mut points = Vec::new();
     for cmp in compare_all_pairs(cx, &Rtt, SearchDepth::Unrestricted) {
-        let pair = cmp.pair;
-        // Propagation of the default path and of the *same* alternate path.
-        let Some(default_prop) = graph
-            .edge(pair.src, pair.dst)
-            .and_then(|e| PropDelay.value(e))
+        let Some(hops) = cmp
+            .hops()
+            .map(|h| t.host_index(h))
+            .collect::<Option<Vec<_>>>()
         else {
             continue;
         };
-        let mut hops = vec![pair.src];
-        hops.extend(cmp.via.iter().copied());
-        hops.push(pair.dst);
+        // Propagation of the default path and of the *same* alternate path.
+        let Some(default_prop) = PropDelay.value(t, hops[0], hops[hops.len() - 1]) else {
+            continue;
+        };
         let alt_prop: Option<f64> = hops
             .windows(2)
-            .map(|w| graph.edge(w[0], w[1]).and_then(|e| PropDelay.value(e)))
+            .map(|w| PropDelay.value(t, w[0], w[1]))
             .sum();
         let Some(alt_prop) = alt_prop else { continue };
         points.push(DecompositionPoint {

@@ -7,8 +7,8 @@
 //! does it route through a different host? This analysis answers with the
 //! k-best machinery.
 
+use crate::altpath::Pair;
 use crate::context::AnalysisContext;
-use crate::graph::Pair;
 use crate::kbest::k_best_alternates_in;
 use crate::metric::Metric;
 use crate::pool;

@@ -10,8 +10,8 @@
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::graph::MeasurementGraph;
 use crate::metric::Metric;
+use detour_measure::PairTable;
 use detour_stats::Cdf;
 
 /// PST offset from UTC, hours (the paper's clock).
@@ -86,10 +86,8 @@ pub fn improvement_by_slice(
     TimeSlice::all()
         .into_iter()
         .map(|slice| {
-            let g = MeasurementGraph::from_dataset_filtered(ds, |p| {
-                TimeSlice::classify(p.t_s) == slice
-            });
-            let cs = compare_graph(&g, metric, depth);
+            let t = PairTable::build_filtered(ds, |p| TimeSlice::classify(p.t_s) == slice);
+            let cs = compare_graph(&t, metric, depth);
             (slice, improvement_cdf(&cs))
         })
         .collect()

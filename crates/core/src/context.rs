@@ -1,13 +1,13 @@
 //! The build-once artifact store shared by every analysis.
 //!
-//! The pipeline is strictly layered — dataset → per-pair aggregates
-//! ([`PairTable`]) → measurement graph → per-metric weight matrices — but
+//! The pipeline is strictly layered — dataset → measurement graph (the
+//! per-pair aggregates of a [`PairTable`]) → per-metric weight matrices — but
 //! historically every analysis entry point rebuilt the upstream layers for
 //! itself, so a 19-experiment run paid for the same matrices dozens of
 //! times. An [`AnalysisContext`] owns one immutable copy of each layer and
 //! hands out `&`-borrows:
 //!
-//! * the dataset and eagerly built table/graph are `Arc`-shared, so a
+//! * the dataset and eagerly built table are `Arc`-shared, so a
 //!   context is cheap to construct from an already-loaded dataset and a
 //!   fresh context (for reference comparisons) can reuse the same data;
 //! * weight matrices are built lazily, at most once per [`MetricKind`],
@@ -26,7 +26,6 @@ use std::sync::{Arc, OnceLock};
 
 use detour_measure::{Dataset, PairTable};
 
-use crate::graph::MeasurementGraph;
 use crate::kernel::{BandwidthMatrix, WeightMatrix};
 use crate::metric::{Metric, MetricKind};
 
@@ -45,7 +44,6 @@ pub enum ArtifactKind {
 pub struct AnalysisContext {
     dataset: Arc<Dataset>,
     table: Arc<PairTable>,
-    graph: Arc<MeasurementGraph>,
     rtt: OnceLock<WeightMatrix>,
     loss: OnceLock<WeightMatrix>,
     prop: OnceLock<WeightMatrix>,
@@ -56,25 +54,21 @@ impl std::fmt::Debug for AnalysisContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalysisContext")
             .field("dataset", &self.dataset.name)
-            .field("hosts", &self.graph.len())
+            .field("hosts", &self.table.len())
             .finish()
     }
 }
 
 impl AnalysisContext {
-    /// Builds the eager artifacts (pair table, graph) for a shared dataset,
-    /// recording `context/table_builds` and `context/graph_builds`;
-    /// matrices follow lazily on first use under their own counters.
+    /// Builds the eager artifact (the pair table) for a shared dataset,
+    /// recording `context/table_builds`; matrices follow lazily on first
+    /// use under their own counters.
     pub fn new(dataset: Arc<Dataset>) -> AnalysisContext {
-        let rec = detour_obs::current();
         let table = Arc::new(PairTable::build(&dataset));
-        rec.add("context/table_builds", 1);
-        let graph = Arc::new(MeasurementGraph::from_pair_table(&dataset, &table));
-        rec.add("context/graph_builds", 1);
+        detour_obs::current().add("context/table_builds", 1);
         AnalysisContext {
             dataset,
             table,
-            graph,
             rtt: OnceLock::new(),
             loss: OnceLock::new(),
             prop: OnceLock::new(),
@@ -99,14 +93,19 @@ impl AnalysisContext {
         Arc::clone(&self.dataset)
     }
 
-    /// The per-pair aggregate table.
+    /// The per-pair aggregate table: the measurement graph.
     pub fn table(&self) -> &PairTable {
         &self.table
     }
 
-    /// The assembled measurement graph.
-    pub fn graph(&self) -> &MeasurementGraph {
-        &self.graph
+    /// The modal AS path of the directed pair `(i, j)` (table indices).
+    /// Empty when the pair saw no probes or its pool index is out of range
+    /// for `Dataset::as_paths` — trace files are untrusted input.
+    pub fn modal_as_path(&self, i: usize, j: usize) -> &[u16] {
+        self.table
+            .modal_path_idx(i, j)
+            .and_then(|idx| self.dataset.as_paths.get(idx as usize))
+            .map_or(&[], Vec::as_slice)
     }
 
     fn slot(&self, kind: MetricKind) -> &OnceLock<WeightMatrix> {
@@ -130,7 +129,7 @@ impl AnalysisContext {
                 MetricKind::PropDelay => "context/weights_prop_builds",
             };
             detour_obs::current().add(counter, 1);
-            WeightMatrix::build(&self.graph, metric)
+            WeightMatrix::build(&self.table, metric)
         })
     }
 
@@ -139,7 +138,7 @@ impl AnalysisContext {
     pub fn bandwidth_matrix(&self) -> &BandwidthMatrix {
         self.bandwidth.get_or_init(|| {
             detour_obs::current().add("context/bandwidth_builds", 1);
-            BandwidthMatrix::build(&self.graph)
+            BandwidthMatrix::build(&self.table)
         })
     }
 
@@ -270,14 +269,7 @@ mod tests {
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
         let cx = AnalysisContext::from_dataset(&tiny_dataset());
-        assert_eq!(
-            (
-                rec.counter("context/table_builds"),
-                rec.counter("context/graph_builds")
-            ),
-            (1, 1),
-            "table + graph are eager"
-        );
+        assert_eq!(rec.counter("context/table_builds"), 1, "the table is eager");
         let a = cx.weights(&Rtt) as *const WeightMatrix;
         let b = cx.weights(&Rtt) as *const WeightMatrix;
         assert_eq!(a, b, "second request reuses the cached matrix");
@@ -313,14 +305,31 @@ mod tests {
     }
 
     #[test]
-    fn graph_matches_direct_construction() {
+    fn table_matches_direct_construction() {
         let ds = tiny_dataset();
         let cx = AnalysisContext::from_dataset(&ds);
-        let direct = MeasurementGraph::from_dataset(&ds);
-        assert_eq!(cx.graph().hosts(), direct.hosts());
-        for p in direct.pairs() {
-            assert_eq!(cx.graph().edge(p.src, p.dst), direct.edge(p.src, p.dst));
+        assert_eq!(cx.table(), &PairTable::build(&ds));
+        assert_eq!(cx.modal_as_path(0, 1), &[0, 9, 1]);
+        assert!(cx.modal_as_path(1, 0).is_empty(), "unmeasured pair");
+    }
+
+    #[test]
+    fn out_of_range_path_index_gives_empty_modal_paths() {
+        // Both directions measured, but every probe names a path past the
+        // end of the pool: the AS analyses must see empty paths, not panic.
+        let mut ds = tiny_dataset();
+        let mut back = ds.probes[0];
+        (back.src, back.dst) = (back.dst, back.src);
+        ds.probes.push(back);
+        for p in &mut ds.probes {
+            p.path_idx = 7;
         }
+        let cx = AnalysisContext::from_dataset(&ds);
+        assert_eq!(cx.table().modal_path_idx(0, 1), Some(7));
+        assert!(cx.modal_as_path(0, 1).is_empty());
+        assert!(crate::analysis::aspop::analyze(&cx, &Rtt).is_empty());
+        let census = crate::analysis::asymmetry::analyze(&cx);
+        assert_eq!(census.pairs_bidirectional, 0, "{census:?}");
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The flat weight-matrix analysis kernel.
 //!
 //! Every alternate-path sweep reduces to the same inner loop: visit the
-//! edges of the measurement graph, ask a [`Metric`] for each edge's search
-//! weight, relax. The naive form pays for that with an `Option<EdgeStats>`
-//! pointer chase plus an `Option<Summary>` unwrap *per relaxation* — for an
-//! all-pairs sweep that re-derives the same `n²` weights `O(n²)` times
-//! each. The paper itself retreated to one-hop detours in places "to keep
-//! the computational costs reasonable" (§4.1, §6.1); this module is why the
-//! reproduction does not have to.
+//! edges of the measurement graph (the cells of a [`PairTable`]), ask a
+//! [`Metric`] for each edge's search weight, relax. The naive form pays for
+//! that with a metric call (an `Option<Summary>` unwrap, or a percentile
+//! over the raw samples) *per relaxation* — for an all-pairs sweep that
+//! re-derives the same `n²` weights `O(n²)` times each. The paper itself
+//! retreated to one-hop detours in places "to keep the computational costs
+//! reasonable" (§4.1, §6.1); this module is why the reproduction does not
+//! have to.
 //!
 //! Four pieces:
 //!
 //! * [`WeightMatrix`] — one contiguous row-major `n × n` `Vec<f64>` of
 //!   search weights (missing edge = `+∞`) and one of figure-facing metric
-//!   values (missing = `NaN`), precomputed **once per (graph, metric)** by
+//!   values (missing = `NaN`), precomputed **once per (table, metric)** by
 //!   calling [`Metric::weight`]/[`Metric::value`] exactly once per edge.
 //!   [`BandwidthMatrix`] is the analogue for the N2 Mathis-model search.
 //! * **The source-batched sweep** ([`sweep_into`]) — the paper's
@@ -37,10 +38,11 @@
 //!   vertices per iteration.
 //! * **Masked views** — every kernel entry point takes a `removed: &[bool]`
 //!   host mask. Masking a host is equivalent, value-for-value, to
-//!   rebuilding the graph with [`crate::MeasurementGraph::without_host`]
-//!   (relative vertex order is preserved, so tie-breaks resolve
-//!   identically) but costs nothing — which turns the Figure-12 greedy
-//!   removal loop from clone-plus-rebuild per candidate into a pure sweep.
+//!   rebuilding the table from the dataset restricted to the other hosts
+//!   (`Dataset::restrict_to_hosts`; relative vertex order is preserved, so
+//!   tie-breaks resolve identically) but costs nothing — which turns the
+//!   Figure-12 greedy removal loop from rebuild-per-candidate into a pure
+//!   sweep.
 //!
 //! **The invariant: same arithmetic, same bytes.** The kernel changes
 //! memory layout and search *strategy*, never arithmetic: weights and
@@ -53,14 +55,13 @@
 //! equivalence suite (`tests/batched_kernel.rs` against the retained
 //! `detour_bench::reference::per_pair_sweep`).
 
-use crate::altpath::{PathComparison, SearchDepth};
+use crate::altpath::{Pair, PathComparison, SearchDepth};
 use crate::compose::{synthetic_bandwidth_kbps, LossComposition};
-use crate::graph::{MeasurementGraph, Pair};
 use crate::metric::Metric;
 use crate::pool;
-use detour_measure::HostId;
+use detour_measure::{HostId, PairTable};
 
-/// Precomputed flat edge weights and values for one `(graph, metric)`.
+/// Precomputed flat edge weights and values for one `(table, metric)`.
 #[derive(Debug, Clone)]
 pub struct WeightMatrix {
     n: usize,
@@ -78,26 +79,19 @@ pub struct WeightMatrix {
 impl WeightMatrix {
     /// Builds the matrix, calling `metric.weight` and `metric.value`
     /// exactly once per measured edge.
-    pub fn build(graph: &MeasurementGraph, metric: &impl Metric) -> WeightMatrix {
-        let n = graph.len();
+    pub fn build(table: &PairTable, metric: &impl Metric) -> WeightMatrix {
+        let n = table.len();
         let mut weights = vec![f64::INFINITY; n * n];
         let mut values = vec![f64::NAN; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                if let Some(e) = graph.edge_by_index(i, j) {
-                    if let Some(v) = metric.value(e) {
-                        values[i * n + j] = v;
-                    }
-                    if let Some(w) = metric.weight(e) {
-                        weights[i * n + j] = w;
-                    }
-                }
+        for (i, j) in table.measured_pairs() {
+            if let Some(v) = metric.value(table, i, j) {
+                values[i * n + j] = v;
+            }
+            if let Some(w) = metric.weight(table, i, j) {
+                weights[i * n + j] = w;
             }
         }
-        let hosts = graph.hosts().to_vec();
+        let hosts = table.hosts().to_vec();
         let index_of = hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
         WeightMatrix {
             n,
@@ -118,7 +112,7 @@ impl WeightMatrix {
         self.n == 0
     }
 
-    /// The hosts, in the graph's dense-index order.
+    /// The hosts, in the table's dense-index order.
     pub fn hosts(&self) -> &[HostId] {
         &self.hosts
     }
@@ -146,7 +140,7 @@ impl WeightMatrix {
     }
 
     /// A removal mask with `host` masked out — the zero-copy analogue of
-    /// [`MeasurementGraph::without_host`]. Unknown hosts yield [`no_mask`].
+    /// rebuilding the table without it. Unknown hosts yield [`no_mask`].
     ///
     /// [`no_mask`]: WeightMatrix::no_mask
     pub fn masked(&self, host: HostId) -> Vec<bool> {
@@ -158,8 +152,8 @@ impl WeightMatrix {
     }
 
     /// Directed index pairs with a measured metric value, in the same
-    /// deterministic `(i, j)` order as [`MeasurementGraph::pairs`], with
-    /// masked hosts excluded.
+    /// row-major order as [`PairTable::measured_pairs`], with masked hosts
+    /// excluded.
     ///
     /// Pairs whose edge exists but lacks this metric's value are omitted:
     /// the search returns `None` for them anyway (nothing to compare
@@ -205,32 +199,25 @@ pub struct BandwidthMatrix {
 
 impl BandwidthMatrix {
     /// Builds the matrix, reading each edge's summaries exactly once.
-    pub fn build(graph: &MeasurementGraph) -> BandwidthMatrix {
-        let n = graph.len();
+    pub fn build(table: &PairTable) -> BandwidthMatrix {
+        let n = table.len();
         let mut bw = vec![f64::NAN; n * n];
         let mut t_rtt = vec![f64::NAN; n * n];
         let mut t_loss = vec![f64::NAN; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                if let Some(e) = graph.edge_by_index(i, j) {
-                    if let Some(b) = e.bandwidth {
-                        bw[i * n + j] = b.mean;
-                    }
-                    if let Some(r) = e.transfer_rtt {
-                        t_rtt[i * n + j] = r.mean;
-                    }
-                    if let Some(p) = e.transfer_loss {
-                        t_loss[i * n + j] = p.mean;
-                    }
-                }
+        for (i, j) in table.measured_pairs() {
+            if let Some(b) = table.bandwidth(i, j) {
+                bw[i * n + j] = b.mean;
+            }
+            if let Some(r) = table.transfer_rtt(i, j) {
+                t_rtt[i * n + j] = r.mean;
+            }
+            if let Some(p) = table.transfer_loss(i, j) {
+                t_loss[i * n + j] = p.mean;
             }
         }
         BandwidthMatrix {
             n,
-            hosts: graph.hosts().to_vec(),
+            hosts: table.hosts().to_vec(),
             bw,
             t_rtt,
             t_loss,
@@ -382,9 +369,8 @@ impl DijkstraScratch {
 /// Unrestricted best alternate on the matrix: Dijkstra from `s` to `d`
 /// with the direct edge removed and `removed` hosts masked out.
 ///
-/// Identical, comparison for comparison, to running
-/// [`crate::altpath::best_alternate`] on a graph with the masked hosts
-/// dropped: masked vertices keep infinite distance (nothing relaxes into
+/// Identical, comparison for comparison, to the same search on a table
+/// rebuilt without the masked hosts: masked vertices keep infinite distance (nothing relaxes into
 /// them), relative vertex order is unchanged, so the extraction tie-breaks
 /// and every `dist[u] + w` sum match the rebuild bit-for-bit.
 pub fn best_alternate_masked(
@@ -811,7 +797,6 @@ pub fn sweep_bandwidth(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::altpath::best_alternate;
     use crate::metric::Rtt;
     use detour_measure::record::HostMeta;
     use detour_measure::{Dataset, ProbeSample};
@@ -860,13 +845,17 @@ mod tests {
 
     const X: f64 = f64::NAN;
 
-    fn diamond() -> MeasurementGraph {
-        MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&[
+    fn diamond_dataset() -> Dataset {
+        dataset_from_rtt_matrix(&[
             &[0.0, 10.0, 30.0, 100.0],
             &[X, 0.0, 5.0, 20.0],
             &[X, X, 0.0, 25.0],
             &[X, X, X, 0.0],
-        ]))
+        ])
+    }
+
+    fn diamond() -> PairTable {
+        PairTable::build(&diamond_dataset())
     }
 
     #[test]
@@ -882,18 +871,13 @@ mod tests {
     }
 
     #[test]
-    fn measured_pairs_match_graph_pairs() {
+    fn measured_pairs_match_table_pairs() {
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
-        let from_matrix: Vec<Pair> = m
-            .measured_pairs(&m.no_mask())
-            .into_iter()
-            .map(|(i, j)| Pair {
-                src: m.hosts()[i],
-                dst: m.hosts()[j],
-            })
-            .collect();
-        assert_eq!(from_matrix, g.pairs());
+        assert_eq!(
+            m.measured_pairs(&m.no_mask()),
+            g.measured_pairs().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -941,12 +925,17 @@ mod tests {
 
     #[test]
     fn masking_equals_rebuilding_without_the_host() {
-        let g = diamond();
+        let ds = diamond_dataset();
+        let g = PairTable::build(&ds);
         let m = WeightMatrix::build(&g, &Rtt);
         for victim in 0..g.len() {
             let mut mask = m.no_mask();
             mask[victim] = true;
-            let rebuilt = g.without_host(g.host_at(victim));
+            let others: Vec<HostId> = (0..g.len())
+                .filter(|&i| i != victim)
+                .map(|i| g.hosts()[i])
+                .collect();
+            let rebuilt = PairTable::build(&ds.restrict_to_hosts(&others));
             let masked = sweep(&m, &mask, &Rtt, SearchDepth::Unrestricted);
             let reference =
                 crate::analysis::cdf::compare_graph(&rebuilt, &Rtt, SearchDepth::Unrestricted);
@@ -957,7 +946,7 @@ mod tests {
     /// Hand-built 5-host hub fixture, every ordered pair measured: legs
     /// to/from hub 0 cost 10 ms, everything else 100 ms — except the tied
     /// edges 1↔2 at 20 ms, exactly the cost of detouring via the hub.
-    fn hub_five() -> MeasurementGraph {
+    fn hub_five() -> PairTable {
         let mut rows = vec![vec![100.0f64; 5]; 5];
         rows[0] = vec![X, 10.0, 10.0, 10.0, 10.0];
         for (i, row) in rows.iter_mut().enumerate().skip(1) {
@@ -967,7 +956,7 @@ mod tests {
         rows[1][2] = 20.0;
         rows[2][1] = 20.0;
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&refs))
+        PairTable::build(&dataset_from_rtt_matrix(&refs))
     }
 
     #[test]
@@ -1048,7 +1037,7 @@ mod tests {
     #[test]
     fn scratch_is_reusable_across_sizes() {
         let small = diamond();
-        let big = MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&[
+        let big = PairTable::build(&dataset_from_rtt_matrix(&[
             &[0.0, 10.0, 30.0, 100.0, 7.0],
             &[X, 0.0, 5.0, 20.0, X],
             &[X, X, 0.0, 25.0, 9.0],
@@ -1060,21 +1049,17 @@ mod tests {
             let m = WeightMatrix::build(g, &Rtt);
             let mask = m.no_mask();
             for (s, d) in m.measured_pairs(&mask) {
-                let pair = Pair {
-                    src: m.hosts()[s],
-                    dst: m.hosts()[d],
-                };
                 assert_eq!(
                     best_alternate_masked(&m, &mask, s, d, &Rtt, &mut scratch),
-                    best_alternate(g, pair, &Rtt),
+                    best_alternate_masked(&m, &mask, s, d, &Rtt, &mut DijkstraScratch::new()),
                 );
             }
         }
     }
 
     #[test]
-    fn empty_graph_is_fine() {
-        let g = MeasurementGraph::from_dataset(&dataset_from_rtt_matrix(&[]));
+    fn empty_table_is_fine() {
+        let g = PairTable::build(&dataset_from_rtt_matrix(&[]));
         let m = WeightMatrix::build(&g, &Rtt);
         assert!(m.is_empty());
         assert!(m.measured_pairs(&m.no_mask()).is_empty());

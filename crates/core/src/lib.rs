@@ -8,8 +8,9 @@
 //!
 //! Pipeline:
 //!
-//! 1. build a [`MeasurementGraph`] from a `detour_measure::Dataset`
-//!    (vertices = hosts, directed edges = long-term path statistics);
+//! 1. build the measurement graph — a `detour_measure::PairTable`, one
+//!    directed edge of long-term path statistics per measured host pair —
+//!    once per `detour_measure::Dataset`, inside an [`AnalysisContext`];
 //! 2. pick a [`metric`] — mean RTT, loss rate (independent-loss
 //!    composition), propagation delay (10th percentile), or Mathis-model
 //!    bandwidth;
@@ -34,7 +35,6 @@ pub mod altpath;
 pub mod analysis;
 pub mod compose;
 pub mod context;
-pub mod graph;
 pub mod kbest;
 pub mod kernel;
 pub mod metric;
@@ -44,13 +44,10 @@ pub mod metric;
 /// working unchanged.
 pub use detour_pool as pool;
 
-pub use altpath::{
-    best_alternate, best_alternate_bandwidth, best_alternate_one_hop, PathComparison, SearchDepth,
-};
+pub use altpath::{Pair, PathComparison, SearchDepth};
 pub use compose::mathis_bandwidth_kbps;
 pub use compose::LossComposition;
 pub use context::{AnalysisContext, ArtifactKind, Degradation};
-pub use graph::{EdgeStats, MeasurementGraph, Pair};
 pub use kbest::{k_best_alternates, k_best_alternates_in};
 pub use kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
 pub use metric::{Loss, Metric, MetricKind, PropDelay, Rtt};

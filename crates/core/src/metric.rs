@@ -14,7 +14,7 @@
 //! * **bandwidth** (Figures 4, 5) — not additive at all; handled by the
 //!   dedicated one-hop search in [`crate::altpath`] using the Mathis model.
 
-use crate::graph::EdgeStats;
+use detour_measure::PairTable;
 use detour_stats::quantile::percentile;
 use detour_stats::Summary;
 
@@ -32,7 +32,8 @@ pub enum MetricKind {
     PropDelay,
 }
 
-/// A metric over measured edges that composes along synthetic paths.
+/// A metric over the measurement graph's directed edges — the cells
+/// `(i, j)` of a [`PairTable`] — that composes along synthetic paths.
 ///
 /// `Sync` is a supertrait because the per-pair sweeps share one metric
 /// across the [`crate::pool`] workers; metrics are stateless unit structs,
@@ -46,15 +47,15 @@ pub trait Metric: Sync {
     /// artifact store shares one matrix per kind.
     fn kind(&self) -> MetricKind;
 
-    /// The figure-facing value of an edge (e.g. mean RTT in ms), or `None`
-    /// when the edge lacks the needed measurements.
-    fn value(&self, e: &EdgeStats) -> Option<f64>;
+    /// The figure-facing value of edge `i → j` (e.g. mean RTT in ms), or
+    /// `None` when the edge lacks the needed measurements.
+    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64>;
 
-    /// The additive shortest-path weight of an edge. Must be a monotone
-    /// transform of `value` so that minimizing summed weights minimizes the
-    /// composed value.
-    fn weight(&self, e: &EdgeStats) -> Option<f64> {
-        self.value(e)
+    /// The additive shortest-path weight of edge `i → j`. Must be a
+    /// monotone transform of `value` so that minimizing summed weights
+    /// minimizes the composed value.
+    fn weight(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
+        self.value(t, i, j)
     }
 
     /// Composes edge values along a path into the path's value.
@@ -63,8 +64,8 @@ pub trait Metric: Sync {
     /// The full sample summary behind `value`, where the metric has one —
     /// the confidence-interval analyses (Figures 7–8, Tables 2–3) need
     /// variances and sample counts, not just means.
-    fn summary(&self, e: &EdgeStats) -> Option<Summary> {
-        let _ = e;
+    fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
+        let _ = (t, i, j);
         None
     }
 }
@@ -82,16 +83,16 @@ impl Metric for Rtt {
         MetricKind::Rtt
     }
 
-    fn value(&self, e: &EdgeStats) -> Option<f64> {
-        e.rtt.map(|s| s.mean)
+    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
+        t.rtt(i, j).map(|s| s.mean)
     }
 
     fn compose(&self, values: &[f64]) -> f64 {
         values.iter().sum()
     }
 
-    fn summary(&self, e: &EdgeStats) -> Option<Summary> {
-        e.rtt
+    fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
+        t.rtt(i, j)
     }
 }
 
@@ -108,14 +109,14 @@ impl Metric for Loss {
         MetricKind::Loss
     }
 
-    fn value(&self, e: &EdgeStats) -> Option<f64> {
-        e.loss.map(|s| s.mean)
+    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
+        t.loss(i, j).map(|s| s.mean)
     }
 
-    fn weight(&self, e: &EdgeStats) -> Option<f64> {
+    fn weight(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
         // −ln(1−p) is additive where survival probabilities multiply; clamp
         // p away from 1 so a fully black edge stays finite but terrible.
-        let p = self.value(e)?.min(0.999_999);
+        let p = self.value(t, i, j)?.min(0.999_999);
         Some(-(1.0 - p).ln())
     }
 
@@ -123,8 +124,8 @@ impl Metric for Loss {
         1.0 - values.iter().map(|p| 1.0 - p).product::<f64>()
     }
 
-    fn summary(&self, e: &EdgeStats) -> Option<Summary> {
-        e.loss
+    fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
+        t.loss(i, j)
     }
 }
 
@@ -142,8 +143,8 @@ impl Metric for PropDelay {
         MetricKind::PropDelay
     }
 
-    fn value(&self, e: &EdgeStats) -> Option<f64> {
-        percentile(&e.rtt_samples, 10.0)
+    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
+        percentile(t.rtt_samples(i, j), 10.0)
     }
 
     fn compose(&self, values: &[f64]) -> f64 {
@@ -154,39 +155,67 @@ impl Metric for PropDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detour_stats::Summary;
+    use detour_measure::record::HostMeta;
+    use detour_measure::{Dataset, HostId, ProbeSample};
 
-    fn edge(rtt_samples: &[f64], loss_rate: Option<(f64, u64)>) -> EdgeStats {
-        EdgeStats {
-            rtt: Summary::from_slice(rtt_samples),
-            rtt_samples: rtt_samples.to_vec(),
-            loss: loss_rate.map(|(p, n)| Summary {
-                n,
-                mean: p,
-                variance: 0.0,
-                min: 0.0,
-                max: 1.0,
-            }),
-            bandwidth: None,
-            transfer_rtt: None,
-            transfer_loss: None,
-            modal_as_path: vec![],
-        }
+    /// A two-host table whose only edge, 0 → 1, saw one probe per outcome
+    /// (`Some(rtt)` returned, `None` lost).
+    fn edge(outcomes: &[Option<f64>]) -> PairTable {
+        let probes = outcomes
+            .iter()
+            .enumerate()
+            .map(|(k, &rtt_ms)| ProbeSample {
+                src: HostId(0),
+                dst: HostId(1),
+                t_s: k as f64,
+                probe_index: 0,
+                rtt_ms,
+                loss_eligible: true,
+                episode: None,
+                path_idx: 0,
+            })
+            .collect();
+        PairTable::build(&Dataset {
+            name: "E".into(),
+            hosts: (0..2)
+                .map(|id| HostMeta {
+                    id: HostId(id),
+                    name: format!("h{id}"),
+                    asn: id as u16,
+                    truly_rate_limited: false,
+                })
+                .collect(),
+            probes,
+            transfers: vec![],
+            as_paths: vec![vec![0]],
+            duration_s: 10.0,
+            detected_rate_limited: vec![],
+            starved_pairs: 0,
+        })
+    }
+
+    /// An edge with `lost` of `total` probes lost (loss rate `lost/total`).
+    fn lossy(lost: usize, total: usize) -> PairTable {
+        let outcomes: Vec<Option<f64>> = (0..total).map(|k| (k >= lost).then_some(50.0)).collect();
+        edge(&outcomes)
     }
 
     #[test]
     fn rtt_value_is_mean_and_composes_by_sum() {
-        let e = edge(&[10.0, 20.0, 30.0], None);
-        assert_eq!(Rtt.value(&e), Some(20.0));
+        let t = edge(&[Some(10.0), Some(20.0), Some(30.0)]);
+        assert_eq!(Rtt.value(&t, 0, 1), Some(20.0));
         assert_eq!(Rtt.compose(&[20.0, 35.0]), 55.0);
     }
 
     #[test]
     fn missing_measurements_yield_none() {
-        let e = edge(&[], None);
-        assert!(Rtt.value(&e).is_none());
-        assert!(Loss.value(&e).is_none());
-        assert!(PropDelay.value(&e).is_none());
+        let t = edge(&[Some(10.0)]);
+        assert!(Rtt.value(&t, 1, 0).is_none());
+        assert!(Loss.value(&t, 1, 0).is_none());
+        assert!(PropDelay.value(&t, 1, 0).is_none());
+        let black = edge(&[None, None]);
+        assert!(Rtt.value(&black, 0, 1).is_none(), "no returned probe");
+        assert!(PropDelay.value(&black, 0, 1).is_none());
     }
 
     #[test]
@@ -199,40 +228,41 @@ mod tests {
 
     #[test]
     fn loss_weight_is_monotone_transform() {
-        let lo = edge(&[], Some((0.01, 10)));
-        let hi = edge(&[], Some((0.10, 10)));
-        assert!(Loss.weight(&lo).unwrap() < Loss.weight(&hi).unwrap());
+        let (lo, hi) = (lossy(1, 100), lossy(10, 100));
+        assert!(Loss.weight(&lo, 0, 1).unwrap() < Loss.weight(&hi, 0, 1).unwrap());
         // Zero loss → zero weight (identity of the additive domain).
-        let zero = edge(&[], Some((0.0, 10)));
-        assert_eq!(Loss.weight(&zero), Some(0.0));
+        assert_eq!(Loss.weight(&lossy(0, 10), 0, 1), Some(0.0));
     }
 
     #[test]
     fn loss_weight_additivity_matches_composition() {
         // w(p1) + w(p2) == w(compose(p1, p2)) — the transform's whole point.
-        let (p1, p2) = (0.05, 0.15);
-        let e1 = edge(&[], Some((p1, 10)));
-        let e2 = edge(&[], Some((p2, 10)));
-        let sum = Loss.weight(&e1).unwrap() + Loss.weight(&e2).unwrap();
-        let composed = Loss.compose(&[p1, p2]);
+        let (e1, e2) = (lossy(1, 20), lossy(3, 20));
+        let sum = Loss.weight(&e1, 0, 1).unwrap() + Loss.weight(&e2, 0, 1).unwrap();
+        let composed = Loss.compose(&[
+            Loss.value(&e1, 0, 1).unwrap(),
+            Loss.value(&e2, 0, 1).unwrap(),
+        ]);
         let direct = -(1.0f64 - composed).ln();
         assert!((sum - direct).abs() < 1e-12);
     }
 
     #[test]
     fn total_loss_stays_finite() {
-        let black = edge(&[], Some((1.0, 5)));
-        let w = Loss.weight(&black).unwrap();
+        let w = Loss.weight(&lossy(5, 5), 0, 1).unwrap();
         assert!(w.is_finite());
         assert!(w > 10.0, "a black hole must be strongly avoided");
     }
 
     #[test]
     fn prop_delay_is_tenth_percentile() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let e = edge(&samples, None);
-        let v = PropDelay.value(&e).unwrap();
+        let samples: Vec<Option<f64>> = (1..=100).map(|i| Some(i as f64)).collect();
+        let t = edge(&samples);
+        let v = PropDelay.value(&t, 0, 1).unwrap();
         assert!((v - 10.9).abs() < 0.2, "got {v}");
-        assert!(v < Rtt.value(&e).unwrap(), "prop delay below the mean");
+        assert!(
+            v < Rtt.value(&t, 0, 1).unwrap(),
+            "prop delay below the mean"
+        );
     }
 }

@@ -8,15 +8,16 @@
 //!   brute-force search over simple paths on random graphs — an oracle
 //!   that shares no code with the kernel.
 //! * **Mask = rebuild**: sweeping with `masked(host)` must equal sweeping
-//!   a graph rebuilt by `without_host`, value for value — the invariant
-//!   that lets the Figure-12 greedy loop drop its clone-per-candidate.
+//!   a table rebuilt from the dataset without that host, value for value —
+//!   the invariant that lets the Figure-12 greedy loop drop its
+//!   rebuild-per-candidate.
 
 use detour_core::analysis::cdf::compare_graph;
 use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
 use detour_core::metric::{Metric, Rtt};
-use detour_core::{MeasurementGraph, SearchDepth};
+use detour_core::SearchDepth;
 use detour_measure::record::HostMeta;
-use detour_measure::{Dataset, HostId, ProbeSample};
+use detour_measure::{Dataset, HostId, PairTable, ProbeSample};
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 
@@ -65,13 +66,26 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
     }
 }
 
+/// The table rebuilt from `ds` without host `victim`.
+fn without(ds: &Dataset, victim: HostId) -> PairTable {
+    let others: Vec<HostId> = ds
+        .hosts
+        .iter()
+        .map(|h| h.id)
+        .filter(|&h| h != victim)
+        .collect();
+    PairTable::build(&ds.restrict_to_hosts(&others))
+}
+
 /// Exhaustive best alternate (cheapest simple path, direct edge excluded)
-/// by DFS over the *graph* — shares nothing with the kernel's matrix or
+/// by DFS over the *table* — shares nothing with the kernel's matrix or
 /// Dijkstra.
-fn brute_force_best(g: &MeasurementGraph, s: usize, d: usize) -> Option<f64> {
-    g.edge_by_index(s, d)?;
+fn brute_force_best(g: &PairTable, s: usize, d: usize) -> Option<f64> {
+    if !g.measured(s, d) {
+        return None;
+    }
     fn dfs(
-        g: &MeasurementGraph,
+        g: &PairTable,
         cur: usize,
         d: usize,
         s: usize,
@@ -89,12 +103,10 @@ fn brute_force_best(g: &MeasurementGraph, s: usize, d: usize) -> Option<f64> {
             if visited[v] || (cur == s && v == d) {
                 continue;
             }
-            if let Some(e) = g.edge_by_index(cur, v) {
-                if let Some(m) = e.rtt {
-                    visited[v] = true;
-                    dfs(g, v, d, s, cost + m.mean, visited, best);
-                    visited[v] = false;
-                }
+            if let Some(m) = g.rtt(cur, v) {
+                visited[v] = true;
+                dfs(g, v, d, s, cost + m.mean, visited, best);
+                visited[v] = false;
             }
         }
     }
@@ -108,7 +120,7 @@ fn brute_force_best(g: &MeasurementGraph, s: usize, d: usize) -> Option<f64> {
 #[test]
 fn kernel_best_alternate_matches_brute_force_oracle() {
     check("kernel matches brute force", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         let mut scratch = DijkstraScratch::new();
@@ -134,22 +146,18 @@ fn kernel_best_alternate_matches_brute_force_oracle() {
 #[test]
 fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
     check("one-hop matches midpoint scan", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         for (s, d) in m.measured_pairs(&mask) {
             let got = kernel::best_alternate_one_hop_masked(&m, &mask, s, d, &Rtt);
-            // Oracle: scan midpoints on the graph directly.
+            // Oracle: scan midpoints on the table directly.
             let mut best: Option<f64> = None;
             for mid in 0..g.len() {
                 if mid == s || mid == d {
                     continue;
                 }
-                let (Some(e1), Some(e2)) = (g.edge_by_index(s, mid), g.edge_by_index(mid, d))
-                else {
-                    continue;
-                };
-                let (Some(v1), Some(v2)) = (Rtt.value(e1), Rtt.value(e2)) else {
+                let (Some(v1), Some(v2)) = (Rtt.value(&g, s, mid), Rtt.value(&g, mid, d)) else {
                     continue;
                 };
                 let c = Rtt.compose(&[v1, v2]);
@@ -167,13 +175,13 @@ fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
 }
 
 #[test]
-fn masked_sweep_equals_without_host_sweep() {
-    check("masked sweep equals without_host", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
-        let m = WeightMatrix::build(&g, &Rtt);
-        let victim = HostId(rng.gen_range(0..g.len() as u32));
+fn masked_sweep_equals_rebuilt_table_sweep() {
+    check("masked sweep equals rebuilt table", |rng| {
+        let ds = random_dataset(rng);
+        let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
+        let victim = HostId(rng.gen_range(0..m.len() as u32));
         let masked = kernel::sweep(&m, &m.masked(victim), &Rtt, SearchDepth::Unrestricted);
-        let rebuilt = compare_graph(&g.without_host(victim), &Rtt, SearchDepth::Unrestricted);
+        let rebuilt = compare_graph(&without(&ds, victim), &Rtt, SearchDepth::Unrestricted);
         // Full structural equality: same pairs in the same order, same
         // values bit for bit, same detour hosts (tie-breaks included).
         assert_eq!(masked, rebuilt);
@@ -181,13 +189,13 @@ fn masked_sweep_equals_without_host_sweep() {
 }
 
 #[test]
-fn masked_one_hop_sweep_equals_without_host_sweep() {
-    check("masked one-hop equals without_host", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
-        let m = WeightMatrix::build(&g, &Rtt);
-        let victim = HostId(rng.gen_range(0..g.len() as u32));
+fn masked_one_hop_sweep_equals_rebuilt_table_sweep() {
+    check("masked one-hop equals rebuilt table", |rng| {
+        let ds = random_dataset(rng);
+        let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
+        let victim = HostId(rng.gen_range(0..m.len() as u32));
         let masked = kernel::sweep(&m, &m.masked(victim), &Rtt, SearchDepth::OneHop);
-        let rebuilt = compare_graph(&g.without_host(victim), &Rtt, SearchDepth::OneHop);
+        let rebuilt = compare_graph(&without(&ds, victim), &Rtt, SearchDepth::OneHop);
         assert_eq!(masked, rebuilt);
     });
 }
@@ -195,8 +203,7 @@ fn masked_one_hop_sweep_equals_without_host_sweep() {
 #[test]
 fn k_best_first_entry_matches_kernel_best() {
     check("k-best head equals best", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
-        let m = WeightMatrix::build(&g, &Rtt);
+        let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
         let mask = m.no_mask();
         let mut scratch = DijkstraScratch::new();
         for (s, d) in m.measured_pairs(&mask) {

@@ -1,24 +1,25 @@
-//! Columnar per-pair aggregates: the dataset's build-once artifact.
+//! Columnar per-pair aggregates: the paper's measurement graph.
 //!
-//! The analysis pipeline is strictly layered — traces → per-pair aggregates
-//! → weighted graph → alternate-path searches — yet the per-pair layer used
-//! to be recomputed inside every consumer. A [`PairTable`] materializes it
-//! exactly once per [`Dataset`]: for every directed host pair, the finished
-//! RTT/loss/bandwidth summaries, the raw RTT samples (the median and
-//! 10th-percentile analyses need the distribution, not just moments), and
-//! the modal AS-path pool index.
+//! Paper §4.1 builds "a weighted graph in which each host is represented by
+//! a vertex and each path is represented by a corresponding edge", weighted
+//! by "the long term time average of the measurements … taken along that
+//! path". A [`PairTable`] is exactly that graph, materialized once per
+//! [`Dataset`] (or probe subset): for every directed host pair, the
+//! finished RTT/loss/bandwidth summaries, the raw RTT samples (the median
+//! and 10th-percentile analyses need the distribution, not just moments),
+//! and the modal AS-path pool index. Edges are directed — measurements are
+//! directional and Internet routing is asymmetric.
 //!
 //! Layout is columnar (one dense row-major `n × n` vector per statistic)
 //! rather than row-wise structs: consumers scan one statistic across all
 //! pairs at a time, and equality/round-trip checks compare column by
 //! column.
 //!
-//! Determinism contract: the table stores the *finished* summaries from the
-//! same incremental [`OnlineStats`] pushes, in probe order, that the
-//! downstream measurement graph historically performed. Welford means are
-//! floating-point push-order-dependent, so preserving the push order makes
-//! a graph assembled from this table bit-identical to one built directly
-//! from the dataset.
+//! Determinism contract: every summary comes from incremental
+//! [`OnlineStats`] pushes in probe order. Welford means are floating-point
+//! push-order-dependent, so a table built from a host-restricted copy of a
+//! dataset ([`Dataset::restrict_to_hosts`]) is bit-identical, cell for
+//! cell, to the corresponding cells of the full table.
 
 use std::collections::HashMap;
 
@@ -32,6 +33,8 @@ use crate::record::ProbeSample;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairTable {
     hosts: Vec<HostId>,
+    /// Dense index of each host, the inverse of `hosts`.
+    index: HashMap<HostId, usize>,
     /// RTT summary over returned probes, per `i * n + j` cell.
     rtt: Vec<Option<Summary>>,
     /// Loss-indicator summary over loss-eligible probes.
@@ -135,6 +138,7 @@ impl PairTable {
 
         let mut table = PairTable {
             hosts,
+            index,
             rtt: Vec::with_capacity(n * n),
             loss: Vec::with_capacity(n * n),
             bandwidth: Vec::with_capacity(n * n),
@@ -145,8 +149,8 @@ impl PairTable {
             rtt_samples,
         };
         for cell in accs {
-            // A cell counts as measured only when at least one summary
-            // materialized — mirrors the downstream graph's edge filter.
+            // A cell counts as measured (an edge of the graph) only when at
+            // least one summary materialized.
             let keep = cell.as_ref().is_some_and(|a| {
                 a.rtt.summary().is_some() || a.loss.summary().is_some() || a.bw.summary().is_some()
             });
@@ -182,6 +186,11 @@ impl PairTable {
         &self.hosts
     }
 
+    /// Dense index of a host, or `None` when the table does not cover it.
+    pub fn host_index(&self, h: HostId) -> Option<usize> {
+        self.index.get(&h).copied()
+    }
+
     /// Number of hosts (the table is `n × n`).
     pub fn len(&self) -> usize {
         self.hosts.len()
@@ -200,6 +209,14 @@ impl PairTable {
     pub fn measured(&self, i: usize, j: usize) -> bool {
         let c = self.cell(i, j);
         self.rtt[c].is_some() || self.loss[c].is_some() || self.bandwidth[c].is_some()
+    }
+
+    /// Measured directed pairs `(i, j)`, `i != j`, in row-major order.
+    pub fn measured_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.hosts.len();
+        (0..n)
+            .flat_map(move |i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j && self.measured(i, j))
     }
 
     /// Number of measured directed pairs.
@@ -342,6 +359,44 @@ mod tests {
         assert!(!t.measured(1, 0));
         assert_eq!(t.measured_count(), 3);
         assert!(t.rtt_samples(2, 0).is_empty());
+    }
+
+    #[test]
+    fn measured_pairs_enumerate_edges_row_major() {
+        let t = PairTable::build(&tiny_dataset());
+        assert_eq!(
+            t.measured_pairs().collect::<Vec<_>>(),
+            vec![(0, 1), (0, 2), (1, 2)]
+        );
+        assert_eq!(t.host_index(HostId(2)), Some(2));
+        assert_eq!(t.host_index(HostId(9)), None);
+    }
+
+    #[test]
+    fn restricting_hosts_keeps_surviving_cells_bit_identical() {
+        let ds = tiny_dataset();
+        let full = PairTable::build(&ds);
+        let reduced = PairTable::build(&ds.restrict_to_hosts(&[HostId(0), HostId(2)]));
+        assert_eq!(reduced.hosts(), &[HostId(0), HostId(2)]);
+        assert_eq!(reduced.measured_pairs().collect::<Vec<_>>(), vec![(0, 1)]);
+        assert_eq!(reduced.bandwidth(0, 1), full.bandwidth(0, 2));
+        assert_eq!(reduced.transfer_rtt(0, 1), full.transfer_rtt(0, 2));
+    }
+
+    #[test]
+    fn loss_ineligible_probes_do_not_count_losses() {
+        let mut ds = tiny_dataset();
+        ds.probes.push(ProbeSample {
+            loss_eligible: false,
+            ..probe(0, 1, 3.0, Some(55.0))
+        });
+        let t = PairTable::build(&ds);
+        assert_eq!(
+            t.loss(0, 1).unwrap().n,
+            3,
+            "ineligible probe excluded from loss"
+        );
+        assert_eq!(t.rtt(0, 1).unwrap().n, 3, "but included in RTT");
     }
 
     #[test]

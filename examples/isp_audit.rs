@@ -21,7 +21,7 @@ fn main() {
     println!("generating a reduced UW1 dataset (public traceroute servers)...");
     let ds = DatasetId::Uw1.generate_scaled(24, 4);
     let cx = AnalysisContext::from_dataset(&ds);
-    let graph = cx.graph();
+    let table = cx.table();
 
     let comparisons = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
     let losers: Vec<_> = comparisons.iter().filter(|c| c.alternate_wins()).collect();
@@ -36,10 +36,13 @@ fn main() {
     let mut blame_ms: HashMap<u16, f64> = HashMap::new();
     let mut appearances: HashMap<u16, usize> = HashMap::new();
     for cmp in &losers {
-        let edge = graph
-            .edge(cmp.pair.src, cmp.pair.dst)
-            .expect("compared pairs have edges");
-        let path = &edge.modal_as_path;
+        let (Some(s), Some(d)) = (
+            table.host_index(cmp.pair.src),
+            table.host_index(cmp.pair.dst),
+        ) else {
+            continue;
+        };
+        let path = cx.modal_as_path(s, d);
         if path.len() <= 2 {
             continue;
         }

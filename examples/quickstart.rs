@@ -23,7 +23,7 @@ fn main() {
         c.name, c.hosts, c.measurements, c.coverage_pct
     );
 
-    // One shared context: the pair table and graph build once here, and
+    // One shared context: the pair table (the graph) builds once here, and
     // each metric's weight matrix builds once on first use below.
     let cx = AnalysisContext::from_dataset(&ds);
 

@@ -11,7 +11,8 @@
 #   --fresh   purge the trace cache under results/cache/ first, so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, build, batched-kernel
-#             equivalence, chaos + golden suites) — the fast early signal;
+#             equivalence, chaos + golden suites, benchmark package build
+#             and unit tests) — the fast early signal;
 #             skips the full test run and the baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,6 +52,13 @@ cargo test -q --offline -p detour --test batched_kernel
 
 echo "== smoke: chaos + golden report suites =="
 cargo test -q --offline -p detour --test chaos --test golden_reports
+
+# benchmark/ is a separate Cargo workspace, so the workspace build above
+# never compiles it: a core API change it depends on would otherwise only
+# surface when the benchmark runs.
+echo "== smoke: benchmark package build + unit tests =="
+cargo build --offline --manifest-path benchmark/Cargo.toml --target-dir target --all-targets
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 if [[ "$SMOKE" == 1 ]]; then
   echo "verify: OK (smoke tier)"

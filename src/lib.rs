@@ -26,24 +26,18 @@
 //! ## Quickstart
 //!
 //! ```
+//! use detour::core::analysis::cdf::compare_all_pairs;
+//! use detour::core::{AnalysisContext, Rtt, SearchDepth};
 //! use detour::datasets::DatasetId;
-//! use detour::core::{MeasurementGraph, metric::Rtt, altpath::best_alternate};
 //!
-//! // Generate a small deterministic dataset over the simulated Internet.
+//! // Generate a small deterministic dataset over the simulated Internet,
+//! // then compare every measured pair's default path to its best alternate.
 //! let ds = DatasetId::Uw3.generate_scaled(10, 24);
-//! let graph = MeasurementGraph::from_dataset(&ds);
-//! let mut improved = 0;
-//! let mut total = 0;
-//! for pair in graph.pairs() {
-//!     if let Some(cmp) = best_alternate(&graph, pair, &Rtt) {
-//!         total += 1;
-//!         if cmp.alternate_wins() {
-//!             improved += 1;
-//!         }
-//!     }
-//! }
-//! assert!(total > 0);
-//! println!("{improved}/{total} pairs have a faster alternate path");
+//! let cx = AnalysisContext::from_dataset(&ds);
+//! let comparisons = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
+//! let improved = comparisons.iter().filter(|c| c.alternate_wins()).count();
+//! assert!(!comparisons.is_empty());
+//! println!("{improved}/{} pairs have a faster alternate path", comparisons.len());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -16,10 +16,10 @@ use detour::core::altpath::SearchDepth;
 use detour::core::kernel::{self, WeightMatrix};
 use detour::core::metric::{Loss, Metric, PropDelay, Rtt};
 use detour::core::pool;
-use detour::core::{AnalysisContext, MeasurementGraph};
+use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
 use detour::measure::record::HostMeta;
-use detour::measure::{Dataset, HostId, ProbeSample};
+use detour::measure::{Dataset, HostId, PairTable, ProbeSample};
 use detour_bench::reference;
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
@@ -127,9 +127,8 @@ fn assert_equivalent(m: &WeightMatrix, mask: &[bool], metric: &impl Metric, dept
 #[test]
 fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
     check("batched sweep equals per-pair reference", |rng| {
-        let g = MeasurementGraph::from_dataset(&random_dataset(rng));
-        let m = WeightMatrix::build(&g, &Rtt);
-        let mask = random_mask(rng, g.len());
+        let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
+        let mask = random_mask(rng, m.len());
         for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
             assert_equivalent(&m, &mask, &Rtt, depth);
         }

@@ -1,33 +1,32 @@
 //! End-to-end pipeline tests: simulated Internet → measurement campaign →
-//! dataset → measurement graph → alternate-path analysis.
+//! dataset → measurement graph (pair table) → alternate-path analysis.
 
 use detour::core::analysis::cdf::{compare_all_pairs, improvement_cdf};
-use detour::core::{best_alternate, AnalysisContext, Loss, MeasurementGraph, Rtt, SearchDepth};
+use detour::core::{AnalysisContext, Loss, Rtt, SearchDepth};
 use detour::datasets::DatasetId;
 
 #[test]
 fn pipeline_produces_analyzable_graph() {
     let ds = DatasetId::Uw3.generate_scaled(14, 24);
-    let g = MeasurementGraph::from_dataset(&ds);
-    assert!(g.len() >= 6, "enough hosts survive filtering");
-    assert!(g.edge_count() > g.len(), "dense pairwise coverage");
-    let pairs = g.pairs();
-    assert!(!pairs.is_empty());
+    let cx = AnalysisContext::from_dataset(&ds);
+    let t = cx.table();
+    assert!(t.len() >= 6, "enough hosts survive filtering");
+    assert!(t.measured_count() > t.len(), "dense pairwise coverage");
+    let cs = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
+    assert!(!cs.is_empty());
 
     // Every pair with an alternate must have consistent comparison fields.
-    for pair in &pairs {
-        if let Some(cmp) = best_alternate(&g, *pair, &Rtt) {
-            assert!(cmp.default_value > 0.0);
-            assert!(cmp.alternate_value > 0.0);
-            assert!(!cmp.via.is_empty(), "an alternate must detour somewhere");
-            assert!(!cmp.via.contains(&pair.src));
-            assert!(!cmp.via.contains(&pair.dst));
-            assert_eq!(
-                cmp.alternate_wins(),
-                cmp.improvement() > 0.0,
-                "win flag consistent with improvement sign"
-            );
-        }
+    for cmp in &cs {
+        assert!(cmp.default_value > 0.0);
+        assert!(cmp.alternate_value > 0.0);
+        assert!(!cmp.via.is_empty(), "an alternate must detour somewhere");
+        assert!(!cmp.via.contains(&cmp.pair.src));
+        assert!(!cmp.via.contains(&cmp.pair.dst));
+        assert_eq!(
+            cmp.alternate_wins(),
+            cmp.improvement() > 0.0,
+            "win flag consistent with improvement sign"
+        );
     }
 }
 

@@ -2,9 +2,13 @@
 //!
 //! Module-level property tests live in each crate; these exercise
 //! invariants that only hold across crate boundaries — dataset assembly
-//! feeding the measurement graph feeding the alternate-path search.
+//! feeding the measurement graph (the pair table) feeding the
+//! alternate-path search.
 
-use detour::core::{best_alternate, Loss, MeasurementGraph, Metric, Pair, Rtt};
+use std::collections::HashMap;
+
+use detour::core::analysis::cdf::compare_all_pairs;
+use detour::core::{AnalysisContext, Loss, Metric, Pair, PathComparison, Rtt, SearchDepth};
 use detour::measure::record::HostMeta;
 use detour::measure::{Dataset, HostId, ProbeSample};
 use detour::prng::check::check;
@@ -74,24 +78,39 @@ fn matrix(rng: &mut Xoshiro256pp) -> Vec<Vec<Option<(f64, bool)>>> {
         .collect()
 }
 
+/// Every measured pair's best unrestricted alternate under `metric`.
+fn alternates(ds: &Dataset, metric: &impl Metric) -> (AnalysisContext, Vec<PathComparison>) {
+    let cx = AnalysisContext::from_dataset(ds);
+    let cs = compare_all_pairs(&cx, metric, SearchDepth::Unrestricted);
+    (cx, cs)
+}
+
+/// The table indices of a comparison's hops, endpoints included.
+fn hop_indices(cx: &AnalysisContext, cmp: &PathComparison) -> Vec<usize> {
+    cmp.hops()
+        .map(|h| {
+            cx.table()
+                .host_index(h)
+                .expect("compared hosts are in the table")
+        })
+        .collect()
+}
+
 #[test]
 fn alternate_is_never_better_than_true_shortest_path() {
     check("alternate_is_never_better_than_true_shortest_path", |rng| {
         // The best alternate (direct edge removed) can never beat the true
         // shortest path (direct edge included) — removing an edge never
         // shortens routes.
-        let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
-        for pair in g.pairs() {
-            if let Some(cmp) = best_alternate(&g, pair, &Rtt) {
-                let direct = cmp.default_value;
-                // True shortest path <= min(direct, alternate); so the
-                // alternate must be >= shortest-with-direct, i.e. it can't
-                // undercut a *shorter* direct edge by going around.
-                assert!(cmp.alternate_value + 1e-9 >= direct.min(cmp.alternate_value));
-                // And the comparison orientation is consistent.
-                assert_eq!(cmp.alternate_wins(), cmp.improvement() > 0.0);
-            }
+        let (_, cs) = alternates(&dataset_from(&matrix(rng)), &Rtt);
+        for cmp in cs {
+            let direct = cmp.default_value;
+            // True shortest path <= min(direct, alternate); so the
+            // alternate must be >= shortest-with-direct, i.e. it can't
+            // undercut a *shorter* direct edge by going around.
+            assert!(cmp.alternate_value + 1e-9 >= direct.min(cmp.alternate_value));
+            // And the comparison orientation is consistent.
+            assert_eq!(cmp.alternate_wins(), cmp.improvement() > 0.0);
         }
     });
 }
@@ -99,29 +118,23 @@ fn alternate_is_never_better_than_true_shortest_path() {
 #[test]
 fn via_hosts_form_a_simple_path() {
     check("via_hosts_form_a_simple_path", |rng| {
-        let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
-        for pair in g.pairs() {
-            if let Some(cmp) = best_alternate(&g, pair, &Rtt) {
-                // No repeated intermediates, endpoints excluded.
-                let mut seen = std::collections::HashSet::new();
-                for &h in &cmp.via {
-                    assert!(h != pair.src && h != pair.dst);
-                    assert!(seen.insert(h), "repeated via host {h:?}");
-                }
-                // Every consecutive hop uses a measured edge, and composing
-                // the edge values reproduces alternate_value.
-                let mut hops = vec![pair.src];
-                hops.extend(cmp.via.iter().copied());
-                hops.push(pair.dst);
-                let mut sum = 0.0;
-                for w in hops.windows(2) {
-                    let e = g.edge(w[0], w[1]);
-                    assert!(e.is_some(), "missing edge {:?}->{:?}", w[0], w[1]);
-                    sum += Rtt.value(e.unwrap()).unwrap();
-                }
-                assert!((sum - cmp.alternate_value).abs() < 1e-9);
+        let (cx, cs) = alternates(&dataset_from(&matrix(rng)), &Rtt);
+        for cmp in cs {
+            // No repeated intermediates, endpoints excluded.
+            let mut seen = std::collections::HashSet::new();
+            for &h in &cmp.via {
+                assert!(h != cmp.pair.src && h != cmp.pair.dst);
+                assert!(seen.insert(h), "repeated via host {h:?}");
             }
+            // Every consecutive hop uses a measured edge, and composing
+            // the edge values reproduces alternate_value.
+            let mut sum = 0.0;
+            for w in hop_indices(&cx, &cmp).windows(2) {
+                let v = Rtt.value(cx.table(), w[0], w[1]);
+                assert!(v.is_some(), "missing edge {}->{}", w[0], w[1]);
+                sum += v.unwrap();
+            }
+            assert!((sum - cmp.alternate_value).abs() < 1e-9);
         }
     });
 }
@@ -129,22 +142,16 @@ fn via_hosts_form_a_simple_path() {
 #[test]
 fn loss_composition_is_bounded_and_monotone() {
     check("loss_composition_is_bounded_and_monotone", |rng| {
-        let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
-        for pair in g.pairs() {
-            if let Some(cmp) = best_alternate(&g, pair, &Loss) {
-                assert!((0.0..=1.0).contains(&cmp.alternate_value));
-                // Composed loss is at least the max of any constituent's
-                // loss (independence can only make things worse).
-                let mut hops = vec![pair.src];
-                hops.extend(cmp.via.iter().copied());
-                hops.push(pair.dst);
-                let max_leg = hops
-                    .windows(2)
-                    .map(|w| Loss.value(g.edge(w[0], w[1]).unwrap()).unwrap())
-                    .fold(0.0f64, f64::max);
-                assert!(cmp.alternate_value >= max_leg - 1e-9);
-            }
+        let (cx, cs) = alternates(&dataset_from(&matrix(rng)), &Loss);
+        for cmp in cs {
+            assert!((0.0..=1.0).contains(&cmp.alternate_value));
+            // Composed loss is at least the max of any constituent's
+            // loss (independence can only make things worse).
+            let max_leg = hop_indices(&cx, &cmp)
+                .windows(2)
+                .map(|w| Loss.value(cx.table(), w[0], w[1]).unwrap())
+                .fold(0.0f64, f64::max);
+            assert!(cmp.alternate_value >= max_leg - 1e-9);
         }
     });
 }
@@ -152,14 +159,8 @@ fn loss_composition_is_bounded_and_monotone() {
 #[test]
 fn improvement_cdf_is_a_distribution() {
     check("improvement_cdf_is_a_distribution", |rng| {
-        let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
-        let improvements: Vec<f64> = g
-            .pairs()
-            .into_iter()
-            .filter_map(|p| best_alternate(&g, p, &Rtt))
-            .map(|c| c.improvement())
-            .collect();
+        let (_, cs) = alternates(&dataset_from(&matrix(rng)), &Rtt);
+        let improvements: Vec<f64> = cs.iter().map(|c| c.improvement()).collect();
         let cdf = Cdf::from_samples(improvements.iter().copied());
         // Monotone, bounded, complete.
         let mut prev = 0.0;
@@ -179,17 +180,19 @@ fn removing_hosts_never_invents_better_alternates() {
         // still present, the best alternate in the reduced graph is no
         // better than in the full graph.
         let ds = dataset_from(&matrix(rng));
-        let g = MeasurementGraph::from_dataset(&ds);
-        if g.len() < 4 {
+        if ds.hosts.len() < 4 {
             return;
         }
-        let victim = g.hosts()[g.len() - 1];
-        let reduced = g.without_host(victim);
-        for pair in reduced.pairs() {
-            let full = best_alternate(&g, pair, &Rtt);
-            let red = best_alternate(&reduced, pair, &Rtt);
-            if let (Some(f), Some(r)) = (full, red) {
-                assert!(r.alternate_value + 1e-9 >= f.alternate_value);
+        let (_, full) = alternates(&ds, &Rtt);
+        let full: HashMap<Pair, f64> = full.iter().map(|c| (c.pair, c.alternate_value)).collect();
+        let survivors: Vec<HostId> = ds.hosts[..ds.hosts.len() - 1]
+            .iter()
+            .map(|h| h.id)
+            .collect();
+        let (_, reduced) = alternates(&ds.restrict_to_hosts(&survivors), &Rtt);
+        for r in reduced {
+            if let Some(&f) = full.get(&r.pair) {
+                assert!(r.alternate_value + 1e-9 >= f);
             }
         }
     });
