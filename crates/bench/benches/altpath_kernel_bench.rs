@@ -1,20 +1,15 @@
-//! Flat weight-matrix kernel vs. the pre-change edge-walk search, on a
-//! UW3-sized graph.
+//! The flat weight-matrix kernel on a UW3-sized graph.
 //!
-//! Three comparisons, all producing identical results (the reference module
-//! and the kernel property tests pin that down), so the numbers are pure
-//! cost:
+//! Absolute timings of the analysis kernel's entry points:
 //!
-//! * the all-pairs unrestricted sweep — matrix build + scratch-reusing
-//!   kernel against per-pair edge-walk Dijkstra with fresh allocations;
-//! * the one-hop sweep the same way;
-//! * the Figure-12 greedy host removal — masked matrix views against a
-//!   pair-table rebuild per candidate.
+//! * the all-pairs unrestricted sweep, with and without the matrix build;
+//! * the one-hop sweep on a prebuilt matrix;
+//! * the Figure-12 greedy host removal over masked matrix views.
 //!
 //! JSON lines go wherever `DETOUR_BENCH_JSON` points, via the in-tree
 //! harness.
 
-use detour_bench::{reference, Bench};
+use detour_bench::Bench;
 use detour_core::analysis::cdf::compare_graph;
 use detour_core::analysis::hostremoval::greedy_removal;
 use detour_core::{kernel, AnalysisContext, Rtt, SearchDepth, WeightMatrix};
@@ -28,9 +23,6 @@ fn main() {
     let ds = DatasetId::Uw3.generate(Scale::reduced(14, 16));
     let g = PairTable::build(&ds);
 
-    b.bench("altpath/edge_walk_sweep", || {
-        reference::edge_walk_sweep(&g, &Rtt).len()
-    });
     b.bench("altpath/kernel_sweep", || {
         compare_graph(&g, &Rtt, SearchDepth::Unrestricted).len()
     });
@@ -45,14 +37,10 @@ fn main() {
         kernel::sweep(&m, &mask, &Rtt, SearchDepth::OneHop).len()
     });
 
-    b.bench("fig12/clone_rebuild_greedy", || {
-        reference::clone_rebuild_greedy(&ds, &Rtt, 3).removed.len()
-    });
-    // A fresh context per iteration keeps the timing honest: the greedy
-    // loop's matrix build is part of what the clone-rebuild loop pays too.
-    let ds2 = ds.clone();
+    // A fresh context per iteration keeps the matrix build inside the
+    // timing, as it is in a cold Figure-12 run.
     b.bench("fig12/masked_kernel_greedy", || {
-        greedy_removal(&AnalysisContext::from_dataset(&ds2), &Rtt, 3)
+        greedy_removal(&AnalysisContext::from_dataset(&ds), &Rtt, 3)
             .removed
             .len()
     });

@@ -29,13 +29,11 @@
 //! `available_parallelism` workers — except on a single-core host, where
 //! only the 1-worker run executes: multi-worker rows there measure pure
 //! scheduling overhead (0.85–0.96× "speedups") and would read as
-//! regressions, so they are suppressed rather than printed. Three gates,
-//! all fatal:
+//! regressions, so they are suppressed rather than printed. Two gates,
+//! both fatal:
 //!
-//! * every report must be byte-identical across worker counts;
-//! * every report must be byte-identical to the pre-refactor
-//!   rebuild-per-experiment engine ([`reference::run_rebuild`]) at every
-//!   worker count;
+//! * every report must be byte-identical across worker counts (the
+//!   golden suite, `tests/golden_reports.rs`, pins the bytes themselves);
 //! * on a multi-core host, the 2-worker warm run must reach a 1.2×
 //!   speedup over 1 worker (experiments are the parallelism unit, and the
 //!   artifact store removes the rebuild serialization that used to eat the
@@ -49,10 +47,8 @@
 //! shared it.
 //!
 //! A separate `fig12_greedy` entry times the Figure-12 greedy host
-//! removal both ways — the rebuild-per-candidate reference loop
-//! ([`detour_bench::reference::clone_rebuild_greedy`]) against the
-//! mask-based flat-kernel loop — on the same graph, recording both costs
-//! and their ratio in the same JSON file.
+//! removal (the mask-based flat-kernel loop) at one worker, as an absolute
+//! per-layer timing.
 //!
 //! A `scale_sweep` entry times the source-batched best-alternate kernel on
 //! the 128-host SCALE dataset ([`detour_bench::scale`], generated through
@@ -60,15 +56,12 @@
 //! against the first and against the retained per-pair reference
 //! ([`reference::per_pair_sweep`]), and records the fix-up/avoided
 //! re-search counts (the `kernel/sweep_*` counters). The dataset's load
-//! path is timed three ways — `load_cold_seconds` (post-purge, so
-//! generation plus the first `.trace2` write), `load_seconds` (warm binary
-//! decode, best of three via [`Recorder::best_of`]), and
-//! `text_load_seconds` (the legacy text parser on the same dataset, best
-//! of three) — all three loads asserted equal. Three gates ride on it:
-//! the batched kernel must beat the per-pair reference ≥ 3× at one worker
-//! (always), the warm `.trace2` load must beat the text parser ≥ 3×
-//! (always), and two workers must beat one by ≥ 1.3× (multi-core hosts
-//! only).
+//! path is timed two ways — `load_cold_seconds` (post-purge, so
+//! generation plus the first `.trace2` write) and `load_seconds` (warm
+//! decode, best of three via [`Recorder::best_of`]) — both loads asserted
+//! equal. Two gates ride on it: the batched kernel must beat the per-pair
+//! reference ≥ 3× at one worker (always), and two workers must beat one by
+//! ≥ 1.3× (multi-core hosts only).
 //!
 //! Two further sections map where dataset generation itself spends its
 //! time (it is all cold-start cost now that warm runs load traces):
@@ -93,7 +86,7 @@ use detour_core::analysis::hostremoval::greedy_removal;
 use detour_core::kernel;
 use detour_core::{pool, AnalysisContext, Rtt};
 use detour_datasets::Scale;
-use detour_measure::{run_campaign, tracefile, CampaignConfig, RawMeasurements, Request, Schedule};
+use detour_measure::{run_campaign, CampaignConfig, RawMeasurements, Request, Schedule};
 use detour_netsim::Network;
 use detour_obs::{Recorder, RunReport};
 use detour_prng::Xoshiro256pp;
@@ -168,41 +161,18 @@ fn warm_run(rec: &Recorder, dir: &Path) -> (Stages, Vec<String>, (u64, u64), u64
     )
 }
 
-/// The pre-refactor engine's reports for the same study, for byte-identity.
-fn rebuild_reports(dir: &Path) -> Vec<String> {
-    let bundle = Bundle::generate_cached(scale(), dir).expect("trace cache");
-    let study = Study::from_bundle(bundle);
-    ALL_EXPERIMENTS
-        .iter()
-        .map(|id| reference::run_rebuild(id, &study).expect("known id"))
-        .collect()
-}
-
 /// Host count and removal count for the `fig12_greedy` timing.
 const FIG12_HOSTS: usize = 20;
 const FIG12_REMOVALS: usize = 5;
 
-/// Times the Figure-12 greedy both ways on one graph; returns
-/// `(reference_secs, kernel_secs)` after checking both agree.
-fn time_fig12_greedy(rec: &Recorder) -> (f64, f64) {
+/// Times the Figure-12 greedy on one graph; returns the seconds taken.
+fn time_fig12_greedy(rec: &Recorder) -> f64 {
     let ds = detour_datasets::DatasetId::Uw3.generate_scaled(FIG12_HOSTS, 16);
     let cx = AnalysisContext::from_dataset(&ds);
-    let k = FIG12_REMOVALS;
-
-    let (kern, kernel_secs) = rec.time("baseline/fig12_masked_kernel", || {
-        greedy_removal(&cx, &Rtt, k)
-    });
-    let (refr, reference_secs) = rec.time("baseline/fig12_clone_rebuild", || {
-        reference::clone_rebuild_greedy(&ds, &Rtt, k)
-    });
-
-    // The speedup claim is only meaningful if both loops computed the same
-    // experiment.
-    assert_eq!(
-        kern.removed, refr.removed,
-        "kernel and reference greedy diverged"
-    );
-    (reference_secs, kernel_secs)
+    rec.time("baseline/fig12_masked_kernel", || {
+        greedy_removal(&cx, &Rtt, FIG12_REMOVALS)
+    })
+    .1
 }
 
 /// The wall-clock split of one dataset generation, read from the
@@ -339,19 +309,6 @@ fn main() {
                 }
             }
         }
-        // Gate 2: byte identity vs the rebuild-per-experiment engine at
-        // *this* worker count.
-        let rebuilt = rebuild_reports(cache_dir);
-        if rebuilt != reports {
-            for (id, (a, b)) in ALL_EXPERIMENTS.iter().zip(reports.iter().zip(&rebuilt)) {
-                if a != b {
-                    eprintln!(
-                        "baseline: FAIL — {id} differs from the rebuild engine at {n} workers"
-                    );
-                }
-            }
-            std::process::exit(1);
-        }
         runs.push((n, stages, (hits, misses), builds));
 
         let gs = staged_generate(&rec);
@@ -380,15 +337,11 @@ fn main() {
         camp_runs.push((n, camp_secs));
     }
 
-    // Figure-12 greedy: clone-rebuild reference vs. masked kernel, single
-    // worker so the ratio measures the algorithm, not the fan-out.
+    // Figure-12 greedy on the masked kernel, single worker so the timing
+    // measures the algorithm, not the fan-out.
     pool::set_threads(1);
-    let (fig12_ref, fig12_kernel) = time_fig12_greedy(&rec);
-    let fig12_speedup = fig12_ref / fig12_kernel.max(1e-9);
-    eprintln!(
-        "baseline: fig12_greedy: clone-rebuild {fig12_ref:.3} s, masked kernel \
-         {fig12_kernel:.3} s ({fig12_speedup:.1}x)"
-    );
+    let fig12_kernel = time_fig12_greedy(&rec);
+    eprintln!("baseline: fig12_greedy: masked kernel {fig12_kernel:.3} s");
     pool::set_threads(0);
 
     // scale_sweep: the 128-host kernel workload. The batched sweep runs at
@@ -396,10 +349,8 @@ fn main() {
     // retained per-pair reference runs once at one worker for the headline
     // algorithmic speedup.
     // The initial purge wiped the SCALE entry too, so the first load pays
-    // for generation — that is the *cold* row. The *warm* row (the number
-    // the load-path optimization is gated on) times the `.trace2` decode
-    // alone, best of three, against the legacy text parser on the same
-    // dataset, also best of three.
+    // for generation — that is the *cold* row. The *warm* row times the
+    // `.trace2` decode alone, best of three.
     let ((scale_ds, scale_hit), scale_cold_secs) = rec.time("baseline/scale_load_cold", || {
         scale_workload::load_or_generate(cache_dir).expect("scale dataset")
     });
@@ -422,22 +373,7 @@ fn main() {
             "warm .trace2 load must be byte-identical"
         );
     });
-    let scale_text_path = cache::text_cache_path(
-        cache_dir,
-        scale_workload::scale_spec().name,
-        scale_workload::scale_scale(),
-    );
-    tracefile::save(&scale_ds, &scale_text_path).expect("write text trace");
-    let (_, text_load_secs) = rec.best_of("baseline/scale_load_text", 3, || {
-        let text_ds = tracefile::load(&scale_text_path).expect("text trace load");
-        assert_eq!(text_ds, scale_ds, "text load must be byte-identical");
-    });
-    let swept = cache::sweep_stale(cache_dir).expect("sweep stale text traces");
-    let load_speedup = text_load_secs / scale_load_secs.max(1e-9);
-    eprintln!(
-        "baseline: scale_sweep load: warm .trace2 {scale_load_secs:.3} s, text \
-         {text_load_secs:.3} s ({load_speedup:.1}x; swept {swept} stale text trace(s))"
-    );
+    eprintln!("baseline: scale_sweep load: warm .trace2 {scale_load_secs:.3} s");
     let scale_cx = AnalysisContext::from_dataset(&scale_ds);
     let scale_m = scale_cx.weights(&Rtt);
     let scale_mask = scale_m.no_mask();
@@ -508,7 +444,7 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"bench\": \"engine_all_experiments_shared_artifacts\",\n  \"cores\": {cores},\n  \"experiments\": {},\n  \"byte_identical_across_thread_counts\": true,\n  \"byte_identical_to_rebuild_engine\": true,\n  \"cache\": {{\"dir\": \"{CACHE_DIR}\", \"cold_seconds\": {cold_secs:.3}, \"cold_hits\": {cold_hits}, \"cold_misses\": {cold_misses}}},\n  \"runs\": [",
+        "{{\n  \"bench\": \"engine_all_experiments_shared_artifacts\",\n  \"cores\": {cores},\n  \"experiments\": {},\n  \"byte_identical_across_thread_counts\": true,\n  \"cache\": {{\"dir\": \"{CACHE_DIR}\", \"cold_seconds\": {cold_secs:.3}, \"cold_hits\": {cold_hits}, \"cold_misses\": {cold_misses}}},\n  \"runs\": [",
         ALL_EXPERIMENTS.len(),
     );
     for (i, (n, s, (hits, misses), builds)) in runs.iter().enumerate() {
@@ -555,7 +491,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "\n  ],\n  \"campaign_requests\": {},\n  \"fig12_greedy\": {{\n    \"hosts\": {FIG12_HOSTS},\n    \"removals\": {FIG12_REMOVALS},\n    \"clone_rebuild_seconds\": {fig12_ref:.3},\n    \"masked_kernel_seconds\": {fig12_kernel:.3},\n    \"speedup\": {fig12_speedup:.2}\n  }},\n  \"scale_sweep\": {{\n    \"scale_hosts\": {}, \"pairs\": {}, \"fixups\": {}, \"avoided\": {},\n    \"cache_hit\": {scale_hit}, \"load_cold_seconds\": {scale_cold_secs:.3},\n    \"load_seconds\": {scale_load_secs:.4}, \"text_load_seconds\": {text_load_secs:.4},\n    \"binary_load_speedup_vs_text\": {load_speedup:.2},\n    \"reference_seconds\": {sweep_ref_secs:.3}, \"batched_speedup_vs_reference\": {sweep_algo_speedup:.2},\n    \"runs\": [",
+        "\n  ],\n  \"campaign_requests\": {},\n  \"fig12_greedy\": {{\n    \"hosts\": {FIG12_HOSTS},\n    \"removals\": {FIG12_REMOVALS},\n    \"masked_kernel_seconds\": {fig12_kernel:.3}\n  }},\n  \"scale_sweep\": {{\n    \"scale_hosts\": {}, \"pairs\": {}, \"fixups\": {}, \"avoided\": {},\n    \"cache_hit\": {scale_hit}, \"load_cold_seconds\": {scale_cold_secs:.3},\n    \"load_seconds\": {scale_load_secs:.4},\n    \"reference_seconds\": {sweep_ref_secs:.3}, \"batched_speedup_vs_reference\": {sweep_algo_speedup:.2},\n    \"runs\": [",
         camp_reqs.len(),
         scale_ds.hosts.len(),
         sweep_stats.0,
@@ -581,9 +517,7 @@ fn main() {
     // The full observability report: headline ratios become gauges, then
     // the recorder snapshot goes to disk (stable JSON, `detour-obs-v1`)
     // and to stderr as a table.
-    rec.set_gauge("baseline/fig12_speedup", fig12_speedup);
     rec.set_gauge("baseline/batched_speedup_vs_reference", sweep_algo_speedup);
-    rec.set_gauge("baseline/binary_load_speedup_vs_text", load_speedup);
     let report = rec.snapshot();
     if let Some(dir) = Path::new(OBS_REPORT_PATH).parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
@@ -592,7 +526,7 @@ fn main() {
     eprintln!("baseline: wrote {OBS_REPORT_PATH}");
     eprint!("{}", report.to_table());
 
-    // Gate 3. Byte identity already enforced above; on a real multi-core
+    // Gate 2. Byte identity already enforced above; on a real multi-core
     // machine, two workers must beat one by a real margin end-to-end (the
     // experiments fan out whole, and artifact prebuilding parallelizes),
     // and the campaign alone — embarrassingly parallel over requests —
@@ -622,7 +556,7 @@ fn main() {
         }
     }
 
-    // Gate 4, unconditional: the batched kernel must beat the per-pair
+    // Gate 3, unconditional: the batched kernel must beat the per-pair
     // reference by an algorithmic margin at one worker — one SSSP per
     // source plus a minority of fix-up re-searches vs. one full Dijkstra
     // per pair.
@@ -630,14 +564,6 @@ fn main() {
         eprintln!(
             "baseline: FAIL — scale_sweep batched/reference speedup {sweep_algo_speedup:.2} < 3.0"
         );
-        std::process::exit(1);
-    }
-
-    // Gate 5, unconditional: the warm `.trace2` decode must beat the text
-    // parser by an algorithmic margin — fixed-stride column reads vs.
-    // per-line float parsing, on the identical dataset.
-    if load_speedup < 3.0 {
-        eprintln!("baseline: FAIL — scale_sweep binary/text load speedup {load_speedup:.2} < 3.0");
         std::process::exit(1);
     }
 }

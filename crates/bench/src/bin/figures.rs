@@ -20,7 +20,10 @@
 //! lossless, so reports are byte-identical either way). `--fresh` purges
 //! the cache first.
 //!
-//! Reports go to stdout and, per experiment, to `results/<id>.txt`.
+//! Reports go to stdout and, per experiment, to `results/<id>.txt`. A cache
+//! directory or results path the run cannot use (unreadable, or a regular
+//! file where a directory belongs) is reported with its I/O error and exits
+//! with status 1.
 
 use std::fs;
 use std::path::Path;
@@ -45,6 +48,12 @@ fn parse_flag(args: &mut Vec<String>, name: &str) -> Option<u64> {
     });
     args.drain(i..=i + 1);
     Some(v)
+}
+
+/// Reports an I/O failure on the cache or results path and exits 1.
+fn fail(what: &str, path: &Path, e: std::io::Error) -> ! {
+    eprintln!("figures: cannot {what} {}: {e}", path.display());
+    exit(1);
 }
 
 fn main() {
@@ -83,7 +92,7 @@ fn main() {
 
     let cache_dir = Path::new("results/cache");
     if fresh {
-        let removed = cache::purge(cache_dir).expect("purge trace cache");
+        let removed = cache::purge(cache_dir).unwrap_or_else(|e| fail("purge", cache_dir, e));
         eprintln!(
             "purged {removed} cached trace(s) from {}",
             cache_dir.display()
@@ -106,18 +115,14 @@ fn main() {
         } else {
             Scale::full()
         };
-        Bundle::generate_cached(scale.with_seed_offset(seed), cache_dir).expect("trace cache")
+        Bundle::generate_cached(scale.with_seed_offset(seed), cache_dir)
+            .unwrap_or_else(|e| fail("use the trace cache", cache_dir, e))
     });
     eprintln!(
-        "datasets ready in {load_secs:.1}s ({} cached, {} generated, {} migrated to .trace2)",
+        "datasets ready in {load_secs:.1}s ({} cached, {} generated)",
         rec.counter("cache/hits"),
         rec.counter("cache/misses"),
-        rec.counter("cache/migrated")
     );
-    let swept = cache::sweep_stale(cache_dir).expect("sweep stale text traces");
-    if swept > 0 {
-        eprintln!("swept {swept} stale legacy .trace file(s) superseded by .trace2");
-    }
     let study = Study::from_bundle(bundle);
 
     // The paper experiments run through the parallel engine (prebuilt
@@ -134,7 +139,7 @@ fn main() {
     );
 
     let results = Path::new("results");
-    fs::create_dir_all(results).expect("create results/");
+    fs::create_dir_all(results).unwrap_or_else(|e| fail("create", results, e));
     let mut paper_iter = paper_ids.iter().zip(paper_reports);
     for id in ids {
         let report = if ALL_EXPERIMENTS.contains(&id) {
@@ -152,6 +157,7 @@ fn main() {
             r
         };
         println!("{report}");
-        fs::write(results.join(format!("{id}.txt")), &report).expect("write results file");
+        let path = results.join(format!("{id}.txt"));
+        fs::write(&path, &report).unwrap_or_else(|e| fail("write", &path, e));
     }
 }

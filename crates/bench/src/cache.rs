@@ -13,32 +13,28 @@
 //!
 //! which covers every generation input: the dataset spec (via its name),
 //! the seed perturbation, and both scale knobs. Files live under a caller
-//! chosen directory (the binaries use `results/cache/`); a missing,
-//! unreadable, or mismatched file is simply a miss, and the family
-//! regenerates and re-saves. Loads and misses are decided per *family* —
-//! sibling datasets (D2/D2-NA, N2/N2-NA, UW4-A/UW4-B) share a simulated
-//! network, so a partial hit would split one simulation across two runs;
-//! instead, a family with any missing member regenerates whole.
+//! chosen directory (the binaries use `results/cache/`); a missing file is
+//! simply a miss, and the family regenerates and re-saves. Loads and
+//! misses are decided per *family* — sibling datasets (D2/D2-NA,
+//! N2/N2-NA, UW4-A/UW4-B) share a simulated network, so a partial hit
+//! would split one simulation across two runs; instead, a family with any
+//! missing member regenerates whole.
 //!
-//! **Back-compat:** caches written before the binary format hold
-//! `{key}.trace` text entries. When no `.trace2` exists, the probe falls
-//! back to the text loader (a hit, counted in the `cache/migrated`
-//! counter) and writes the `.trace2` next to it, so the next run takes
-//! the binary path; [`sweep_stale`] then removes text entries a `.trace2`
-//! has superseded. Corrupt files of either format are renamed
-//! `{file}.quarantined` (evidence preserved) and their family regenerated.
+//! `.trace2` is the only format the cache reads; any other file in the
+//! directory is ignored. A corrupt, truncated, or mismatched `.trace2` is
+//! renamed `{file}.quarantined` (evidence preserved) and its family
+//! regenerated.
 //!
 //! Cache accounting goes through the current `detour-obs` recorder: the
-//! `cache/hits` / `cache/misses` / `cache/quarantined` / `cache/migrated`
-//! counters (per dataset, deterministic in the on-disk state, so
-//! thread-count-invariant) and a `cache/load` span around the whole
-//! probe-or-regenerate pass.
+//! `cache/hits` / `cache/misses` / `cache/quarantined` counters (per
+//! dataset, deterministic in the on-disk state, so thread-count-invariant)
+//! and a `cache/load` span around the whole probe-or-regenerate pass.
 
 use std::path::{Path, PathBuf};
 
 use detour_core::pool;
 use detour_datasets::{trace2, Scale};
-use detour_measure::{tracefile, Dataset};
+use detour_measure::Dataset;
 
 use crate::bundle::{family_names, generate_family, Bundle, FAMILIES};
 
@@ -53,25 +49,16 @@ fn cache_stem(name: &str, scale: Scale) -> String {
     )
 }
 
-/// The binary cache file for one dataset at one scale (the preferred
-/// format: everything the cache writes is `.trace2`).
+/// The cache file for one dataset at one scale.
 pub fn cache_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
     dir.join(format!("{}.trace2", cache_stem(name, scale)))
 }
 
-/// The legacy text cache file for the same key, consulted only when no
-/// `.trace2` exists.
-pub fn text_cache_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
-    dir.join(format!("{}.trace", cache_stem(name, scale)))
-}
-
 /// What probing one cache key found.
 enum CacheProbe {
-    /// A healthy `.trace2` (binary) entry.
+    /// A healthy entry.
     Loaded(Dataset),
-    /// A healthy legacy `.trace` (text) entry; the caller migrates it.
-    LoadedText(Dataset),
-    /// No file (or unreadable): a plain miss.
+    /// No file: a plain miss.
     Missing,
     /// The file at this path exists but is truncated, unparseable, or
     /// holds the wrong dataset. The caller quarantines it rather than
@@ -79,23 +66,15 @@ enum CacheProbe {
     Corrupt(PathBuf),
 }
 
-/// Probes the cache for one dataset without touching it: binary first,
-/// text fallback.
+/// Probes the cache for one dataset without touching it.
 fn probe_cached(dir: &Path, name: &str, scale: Scale) -> CacheProbe {
-    let bin = cache_path(dir, name, scale);
-    if bin.exists() {
-        return match trace2::load(&bin) {
-            Ok(ds) if ds.name == name => CacheProbe::Loaded(ds),
-            Ok(_) | Err(_) => CacheProbe::Corrupt(bin),
-        };
-    }
-    let text = text_cache_path(dir, name, scale);
-    if !text.exists() {
+    let path = cache_path(dir, name, scale);
+    if !path.exists() {
         return CacheProbe::Missing;
     }
-    match tracefile::load(&text) {
-        Ok(ds) if ds.name == name => CacheProbe::LoadedText(ds),
-        Ok(_) | Err(_) => CacheProbe::Corrupt(text),
+    match trace2::load(&path) {
+        Ok(ds) if ds.name == name => CacheProbe::Loaded(ds),
+        Ok(_) | Err(_) => CacheProbe::Corrupt(path),
     }
 }
 
@@ -118,16 +97,14 @@ impl Bundle {
     ///
     /// Families whose members are all cached load from disk; the rest
     /// regenerate and save as `.trace2`. Both paths yield byte-identical
-    /// datasets (the binary round-trip preserves raw `f64` bits; the text
-    /// round-trip is lossless), and the per-family fan-out merges
-    /// index-ordered, so the bundle is the same at any thread count whether
-    /// it came from simulation or disk.
+    /// datasets (the binary round-trip preserves raw `f64` bits), and the
+    /// per-family fan-out merges index-ordered, so the bundle is the same
+    /// at any thread count whether it came from simulation or disk.
     ///
     /// Per-dataset accounting lands on the current `detour-obs` recorder:
-    /// `cache/hits`, `cache/misses`, `cache/quarantined` (corrupt files
-    /// renamed `.quarantined`; every quarantine is also a miss), and
-    /// `cache/migrated` (text hits re-saved as `.trace2`), all under a
-    /// `cache/load` span.
+    /// `cache/hits`, `cache/misses` and `cache/quarantined` (corrupt files
+    /// renamed `.quarantined`; every quarantine is also a miss), all under
+    /// a `cache/load` span.
     pub fn generate_cached(scale: Scale, dir: &Path) -> std::io::Result<Bundle> {
         let rec = detour_obs::current();
         let _load = rec.span("cache/load");
@@ -137,18 +114,9 @@ impl Bundle {
             let names = family_names(family);
             let mut loaded = Vec::with_capacity(names.len());
             let mut quarantined = 0;
-            let mut migrated = 0;
             for n in names {
                 match probe_cached(dir, n, scale) {
                     CacheProbe::Loaded(ds) => loaded.push(ds),
-                    CacheProbe::LoadedText(ds) => {
-                        // Upgrade in place; the stale text file stays for
-                        // `sweep_stale` so a crash mid-write cannot lose
-                        // the only good copy.
-                        trace2::save(&ds, &cache_path(dir, n, scale))?;
-                        migrated += 1;
-                        loaded.push(ds);
-                    }
                     CacheProbe::Missing => {}
                     CacheProbe::Corrupt(path) => {
                         std::fs::rename(&path, quarantined_path(&path))?;
@@ -157,35 +125,33 @@ impl Bundle {
                 }
             }
             if loaded.len() == names.len() && quarantined == 0 {
-                return Ok((loaded, names.len(), 0, 0, migrated));
+                return Ok((loaded, names.len(), 0, 0));
             }
             let dss = generate_family(family, scale);
             for ds in &dss {
                 trace2::save(ds, &cache_path(dir, &ds.name, scale))?;
             }
-            Ok((dss, 0, names.len(), quarantined, 0))
+            Ok((dss, 0, names.len(), quarantined))
         });
-        let (mut hits, mut misses, mut quarantined, mut migrated) = (0u64, 0u64, 0u64, 0u64);
+        let (mut hits, mut misses, mut quarantined) = (0u64, 0u64, 0u64);
         let mut built = Vec::with_capacity(FAMILIES);
         for outcome in outcomes {
-            let (dss, h, m, q, g): (Vec<Dataset>, usize, usize, usize, usize) = outcome?;
+            let (dss, h, m, q): (Vec<Dataset>, usize, usize, usize) = outcome?;
             hits += h as u64;
             misses += m as u64;
             quarantined += q as u64;
-            migrated += g as u64;
             built.push(dss);
         }
         rec.add("cache/hits", hits);
         rec.add("cache/misses", misses);
         rec.add("cache/quarantined", quarantined);
-        rec.add("cache/migrated", migrated);
         Ok(Bundle::from_families(built))
     }
 }
 
-/// Deletes every cache file in `dir` — live `.trace2` and legacy `.trace`
-/// entries and `.quarantined` corpses alike (the `--fresh` flag). Missing
-/// directories count as already purged.
+/// Deletes every cache file in `dir` — live `.trace2` entries and
+/// `.quarantined` corpses alike (the `--fresh` flag); other files are left
+/// alone. Missing directories count as already purged.
 pub fn purge(dir: &Path) -> std::io::Result<usize> {
     let mut removed = 0;
     let entries = match std::fs::read_dir(dir) {
@@ -197,30 +163,7 @@ pub fn purge(dir: &Path) -> std::io::Result<usize> {
         let path = entry?.path();
         if path
             .extension()
-            .is_some_and(|e| e == "trace" || e == "trace2" || e == "quarantined")
-        {
-            std::fs::remove_file(&path)?;
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
-/// Removes legacy text `.trace` entries that a sibling `.trace2` has
-/// superseded (same key, binary file present), returning how many were
-/// swept. Run after a cache pass so migrated entries do not linger at
-/// twice the disk cost; text files with no binary sibling are left as the
-/// only copy. Missing directories have nothing to sweep.
-pub fn sweep_stale(dir: &Path) -> std::io::Result<usize> {
-    let mut removed = 0;
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let path = entry?.path();
-        if path.extension().is_some_and(|e| e == "trace") && path.with_extension("trace2").exists()
+            .is_some_and(|e| e == "trace2" || e == "quarantined")
         {
             std::fs::remove_file(&path)?;
             removed += 1;
@@ -234,9 +177,9 @@ mod tests {
     use super::*;
 
     /// Runs one cached generation under a fresh scoped recorder and
-    /// returns the bundle with the `(hits, misses, quarantined, migrated)`
-    /// counter readings for that call alone.
-    fn run_cached(scale: Scale, dir: &Path) -> (Bundle, (u64, u64, u64, u64)) {
+    /// returns the bundle with the `(hits, misses, quarantined)` counter
+    /// readings for that call alone.
+    fn run_cached(scale: Scale, dir: &Path) -> (Bundle, (u64, u64, u64)) {
         let rec = detour_obs::Recorder::new();
         let _g = detour_obs::install(rec.clone());
         let bundle = Bundle::generate_cached(scale, dir).unwrap();
@@ -244,7 +187,6 @@ mod tests {
             rec.counter("cache/hits"),
             rec.counter("cache/misses"),
             rec.counter("cache/quarantined"),
-            rec.counter("cache/migrated"),
         );
         (bundle, stats)
     }
@@ -263,8 +205,7 @@ mod tests {
         let (cold, s0) = run_cached(scale, &dir);
         assert_eq!((s0.0, s0.1), (0, 8), "empty dir: all misses");
         let (warm, s1) = run_cached(scale, &dir);
-        assert_eq!((s1.0, s1.1), (8, 0), "second run: all hits");
-        assert_eq!(s1.3, 0, "binary entries need no migration");
+        assert_eq!(s1, (8, 0, 0), "second run: all hits");
         for (a, b) in cold.in_table_order().iter().zip(warm.in_table_order()) {
             assert_eq!(*a, b, "{} changed across the cache", a.name);
         }
@@ -281,57 +222,6 @@ mod tests {
             let names: Vec<&str> = dss.iter().map(|d| d.name.as_str()).collect();
             assert_eq!(names, family_names(family), "family {family}");
         }
-    }
-
-    #[test]
-    fn legacy_text_entries_hit_and_migrate_to_binary() {
-        let dir = tmp_dir("migrate");
-        let scale = Scale::reduced(8, 24);
-        let (reference, _) = run_cached(scale, &dir);
-        // Rewind the cache to the pre-binary era: text entries only.
-        for ds in reference.in_table_order() {
-            tracefile::save(ds, &text_cache_path(&dir, &ds.name, scale)).unwrap();
-            std::fs::remove_file(cache_path(&dir, &ds.name, scale)).unwrap();
-        }
-        let (bundle, stats) = run_cached(scale, &dir);
-        assert_eq!(
-            (stats.0, stats.1, stats.3),
-            (8, 0, 8),
-            "text entries are hits and all migrate"
-        );
-        for (a, b) in bundle
-            .in_table_order()
-            .iter()
-            .zip(reference.in_table_order())
-        {
-            assert_eq!(*a, b, "{} changed through the text fallback", a.name);
-        }
-        for ds in reference.in_table_order() {
-            assert!(
-                cache_path(&dir, &ds.name, scale).exists(),
-                "{}: migration must write the .trace2",
-                ds.name
-            );
-        }
-        // Migrated binaries supersede the text copies; the sweep removes
-        // them, and the next run is pure binary hits.
-        assert_eq!(sweep_stale(&dir).unwrap(), 8);
-        let (_, warm) = run_cached(scale, &dir);
-        assert_eq!((warm.0, warm.3), (8, 0));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sweep_stale_keeps_sole_text_copies() {
-        let dir = tmp_dir("sweep-sole");
-        let scale = Scale::reduced(8, 24);
-        let (bundle, _) = run_cached(scale, &dir);
-        // One text entry with no binary sibling: must survive the sweep.
-        tracefile::save(&bundle.uw3, &text_cache_path(&dir, "UW3", scale)).unwrap();
-        std::fs::remove_file(cache_path(&dir, "UW3", scale)).unwrap();
-        assert_eq!(sweep_stale(&dir).unwrap(), 0);
-        assert!(text_cache_path(&dir, "UW3", scale).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -356,28 +246,9 @@ mod tests {
         );
         let (_, warm) = run_cached(scale, &dir);
         assert_eq!(
-            (warm.0, warm.1, warm.2),
+            warm,
             (8, 0, 0),
             "the rewritten entry is healthy; the corpse is ignored"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_text_fallback_is_quarantined_too() {
-        let dir = tmp_dir("corrupt-text");
-        let scale = Scale::reduced(8, 24);
-        let (reference, _) = run_cached(scale, &dir);
-        // No binary entry, and the text fallback is damaged.
-        std::fs::remove_file(cache_path(&dir, "UW3", scale)).unwrap();
-        let text = text_cache_path(&dir, "UW3", scale);
-        std::fs::write(&text, "# detour trace v9\n").unwrap();
-        let (again, stats) = run_cached(scale, &dir);
-        assert_eq!(stats.2, 1, "the corrupt text file is quarantined");
-        assert_eq!(again.uw3, reference.uw3);
-        assert!(
-            quarantined_path(&text).exists(),
-            "text corpse keeps its own extension chain"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -417,11 +288,12 @@ mod tests {
     fn purge_empties_the_cache() {
         let dir = tmp_dir("purge");
         let scale = Scale::reduced(8, 24);
-        let (bundle, _) = run_cached(scale, &dir);
-        // A stale text entry and a quarantined corpse must go too.
-        tracefile::save(&bundle.uw3, &text_cache_path(&dir, "UW3", scale)).unwrap();
+        run_cached(scale, &dir);
+        // A quarantined corpse must go too; a foreign file stays.
         std::fs::write(quarantine_path(&dir, "UW1", scale), b"corpse").unwrap();
-        assert_eq!(purge(&dir).unwrap(), 10);
+        std::fs::write(dir.join("notes.txt"), b"not a cache entry").unwrap();
+        assert_eq!(purge(&dir).unwrap(), 9);
+        assert!(dir.join("notes.txt").exists());
         let (_, stats) = run_cached(scale, &dir);
         assert_eq!(stats.1, 8, "purged cache regenerates everything");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -7,8 +7,8 @@
 //! prebuilds those artifacts in parallel, then fans the experiments out
 //! concurrently — each borrowing the same [`detour_core::AnalysisContext`]s
 //! — and merges reports in request order, so the output is byte-identical
-//! at every thread count (and to the rebuild-per-experiment reference
-//! engine in [`crate::reference`]).
+//! at every thread count (`tests/golden_reports.rs` compares 1-, 2- and
+//! 8-worker runs with the committed snapshots).
 //!
 //! Each report places the paper's published expectation beside the
 //! measured value. The absolute numbers live on a simulated Internet and

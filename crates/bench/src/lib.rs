@@ -6,7 +6,7 @@
 //! * [`bundle`] — generates the eight Table-1 datasets, sharing simulations
 //!   between siblings (D2/D2-NA, N2/N2-NA, UW4-A/UW4-B);
 //! * [`cache`] — the on-disk trace cache: generated datasets round-trip
-//!   through the v1 tracefile format under `results/cache/`, keyed by
+//!   through the `.trace2` binary format under `results/cache/`, keyed by
 //!   (spec, seed, scale), so warm runs skip the simulator entirely;
 //! * [`study`] — one shared `AnalysisContext` per dataset: pair tables
 //!   and weight matrices build once and every experiment borrows them;
@@ -20,11 +20,9 @@
 //! * [`harness`] — the dependency-free micro-benchmark harness the
 //!   `benches/` binaries and the `baseline` binary run on (warm-up,
 //!   batched median-of-N timing, JSON-lines output);
-//! * [`reference`] — the pre-kernel edge-walk search, the clone-rebuild
-//!   greedy loop, the rebuild-per-experiment engine, and the per-pair
-//!   Dijkstra sweep, preserved so the benches and equivalence tests can
-//!   measure the shared-artifact engine and the source-batched kernel
-//!   against the exact behaviour they replaced;
+//! * [`reference`] — the per-pair Dijkstra sweep the source-batched
+//!   kernel replaced, kept as the oracle that pins the kernel's
+//!   tie-breaks bit for bit;
 //! * [`scale`] — the 128-host `scale_sweep` workload: a dataset big enough
 //!   for kernel speedups to show, generated once through the trace cache.
 

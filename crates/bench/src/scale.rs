@@ -7,7 +7,7 @@
 //! workload where the O(n³) sweep does real work: this module defines a
 //! 128-host synthetic dataset ("SCALE") generated through the same
 //! pipeline as the paper datasets and cached through the same trace cache
-//! (`results/cache/SCALE-o0-h128-t120.trace`), so only the first baseline
+//! (`results/cache/SCALE-o0-h128-t120.trace2`), so only the first baseline
 //! run pays for the simulation.
 //!
 //! The stock Y1999 topology tops out at 85 stub hosts, so the workload
@@ -22,11 +22,11 @@ use std::path::Path;
 use detour_datasets::spec::{self, DatasetSpec, Scale};
 use detour_datasets::trace2;
 use detour_faults::FaultConfig;
-use detour_measure::{tracefile, CampaignConfig, Dataset, RateLimitPolicy, Schedule};
+use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
 use detour_netsim::topology::generator::TopologyConfig;
 use detour_netsim::{Era, Network, NetworkConfig};
 
-use crate::cache::{cache_path, quarantined_path, text_cache_path};
+use crate::cache::{cache_path, quarantined_path};
 
 /// Measurement hosts in the SCALE dataset (the gate requires ≥ 120).
 pub const SCALE_HOSTS: usize = 128;
@@ -83,11 +83,10 @@ fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
 
 /// Loads the SCALE dataset from the trace cache in `dir`, or generates and
 /// saves it. Returns the dataset and whether it was a cache hit. Follows
-/// the cache's discipline: `.trace2` binary entries are preferred, a
-/// legacy `.trace` text entry is a hit that migrates to `.trace2` in
-/// place, and a corrupt or mismatched file of either format is renamed
-/// `*.quarantined` and the dataset regenerated. Reports through the same
-/// `cache/*` counters (and `cache/load` span) as the bundle cache.
+/// the cache's discipline: only the `.trace2` entry is read, and a corrupt
+/// or mismatched one is renamed `*.quarantined` and the dataset
+/// regenerated. Reports through the same `cache/*` counters (and
+/// `cache/load` span) as the bundle cache.
 pub fn load_or_generate(dir: &Path) -> std::io::Result<(Dataset, bool)> {
     let rec = detour_obs::current();
     let _load = rec.span("cache/load");
@@ -103,22 +102,6 @@ pub fn load_or_generate(dir: &Path) -> std::io::Result<(Dataset, bool)> {
             Ok(_) | Err(_) => {
                 rec.add("cache/quarantined", 1);
                 std::fs::rename(&path, quarantined_path(&path))?;
-            }
-        }
-    } else {
-        let text = text_cache_path(dir, spec.name, scale);
-        if text.exists() {
-            match tracefile::load(&text) {
-                Ok(ds) if ds.name == spec.name => {
-                    trace2::save(&ds, &path)?;
-                    rec.add("cache/hits", 1);
-                    rec.add("cache/migrated", 1);
-                    return Ok((ds, true));
-                }
-                Ok(_) | Err(_) => {
-                    rec.add("cache/quarantined", 1);
-                    std::fs::rename(&text, quarantined_path(&text))?;
-                }
             }
         }
     }
@@ -169,11 +152,6 @@ mod tests {
         trace2::save(&ds, &path).unwrap();
         let back = trace2::load(&path).unwrap();
         assert_eq!(ds, back);
-        // The text format agrees byte-for-byte with the binary round-trip,
-        // so a cache served by either format feeds identical analyses.
-        let text_path = text_cache_path(&dir, spec.name, scale);
-        tracefile::save(&ds, &text_path).unwrap();
-        assert_eq!(tracefile::load(&text_path).unwrap(), back);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

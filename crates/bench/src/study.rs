@@ -105,24 +105,6 @@ impl Study {
     pub fn in_table_order(&self) -> [&AnalysisContext; 8] {
         DataKey::ALL.map(|k| self.ctx(k))
     }
-
-    /// A sibling study over the same datasets with *empty* artifact caches
-    /// — the datasets stay `Arc`-shared, but tables and matrices
-    /// rebuild from scratch. The reference engine uses one of these per
-    /// experiment to reproduce the pre-refactor rebuild-per-experiment
-    /// behaviour.
-    pub fn rebuild_fresh(&self) -> Study {
-        Study {
-            d2: AnalysisContext::new(self.d2.dataset_arc()),
-            d2_na: AnalysisContext::new(self.d2_na.dataset_arc()),
-            n2: AnalysisContext::new(self.n2.dataset_arc()),
-            n2_na: AnalysisContext::new(self.n2_na.dataset_arc()),
-            uw1: AnalysisContext::new(self.uw1.dataset_arc()),
-            uw3: AnalysisContext::new(self.uw3.dataset_arc()),
-            uw4_a: AnalysisContext::new(self.uw4_a.dataset_arc()),
-            uw4_b: AnalysisContext::new(self.uw4_b.dataset_arc()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,27 +127,5 @@ mod tests {
             .map(|cx| cx.dataset().name.clone())
             .collect();
         assert_eq!(names, ctx_names);
-    }
-
-    #[test]
-    fn fresh_rebuild_shares_datasets_but_not_artifacts() {
-        let b = Bundle::generate(Scale::reduced(8, 24));
-        let s = Study::from_bundle(b);
-        s.ctx(DataKey::Uw3).weights(&detour_core::Rtt);
-        let rec = detour_obs::Recorder::new();
-        let _obs = detour_obs::install(rec.clone());
-        let fresh = s.rebuild_fresh();
-        // Same dataset allocation, fresh artifact caches: rebuilding the
-        // eight contexts re-records exactly their eager builds.
-        assert!(std::ptr::eq(
-            s.ctx(DataKey::Uw3).dataset() as *const _,
-            fresh.ctx(DataKey::Uw3).dataset() as *const _,
-        ));
-        assert_eq!(rec.counter("context/table_builds"), 8);
-        assert_eq!(
-            rec.counter("context/weights_rtt_builds"),
-            0,
-            "lazy artifacts rebuild on demand only"
-        );
     }
 }

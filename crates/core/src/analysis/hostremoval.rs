@@ -82,6 +82,8 @@ fn masked_position(
 /// Even weight-tied alternates keep the reuse exact for the in-tree
 /// metrics: a tied path composes to the very sum the relaxation
 /// accumulated, so equal weight-space optima mean equal composed bits.
+/// The kernel property tests also check that the incremental loop removes
+/// the hosts a full sweep per candidate would.
 pub fn greedy_removal(cx: &AnalysisContext, metric: &impl Metric, k: usize) -> RemovalAnalysis {
     let m = cx.weights(metric);
     let mut mask = m.no_mask();

@@ -8,8 +8,7 @@
 //! hands out `&`-borrows:
 //!
 //! * the dataset and eagerly built table are `Arc`-shared, so a
-//!   context is cheap to construct from an already-loaded dataset and a
-//!   fresh context (for reference comparisons) can reuse the same data;
+//!   context is cheap to construct from an already-loaded dataset;
 //! * weight matrices are built lazily, at most once per [`MetricKind`],
 //!   behind [`OnceLock`]s — concurrent experiments racing for the same
 //!   matrix block until the single winner finishes building, then share it;
@@ -85,12 +84,6 @@ impl AnalysisContext {
     /// The underlying dataset.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
-    }
-
-    /// A clone of the shared dataset handle (for building sibling contexts
-    /// without copying the data).
-    pub fn dataset_arc(&self) -> Arc<Dataset> {
-        Arc::clone(&self.dataset)
     }
 
     /// The per-pair aggregate table: the measurement graph.

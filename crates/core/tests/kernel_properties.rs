@@ -2,7 +2,7 @@
 //! deterministic harness (`detour_prng::check`; replay a failing case with
 //! `DETOUR_PROP_SEED=<seed>`).
 //!
-//! Two families of invariants:
+//! Four families of invariants:
 //!
 //! * **Correctness**: the kernel's Dijkstra agrees with an exhaustive
 //!   brute-force search over simple paths on random graphs — an oracle
@@ -11,11 +11,26 @@
 //!   a table rebuilt from the dataset without that host, value for value —
 //!   the invariant that lets the Figure-12 greedy loop drop its
 //!   rebuild-per-candidate.
+//! * **Incremental greedy = plain greedy**: `greedy_removal` reuses the
+//!   previous sweep for pairs whose best path avoids a candidate; it must
+//!   pick the hosts a full sweep per candidate picks.
+//! * **Metamorphic properties the paper's method implies** (§4.1: drop
+//!   the direct edge, take the best path through the measured graph):
+//!   scaling every RTT by a power of two scales every improvement by
+//!   exactly that factor, adding a measured edge never worsens a best
+//!   alternate, and a one-hop alternate is never better than an
+//!   unrestricted one.
+//!
+//! The random RTTs are whole milliseconds, so equal-cost paths — and with
+//! them tie-breaks — are common.
 
-use detour_core::analysis::cdf::compare_graph;
+use std::collections::HashMap;
+
+use detour_core::analysis::cdf::{compare_graph, improvement_cdf};
+use detour_core::analysis::hostremoval::greedy_removal;
 use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
 use detour_core::metric::{Metric, Rtt};
-use detour_core::SearchDepth;
+use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
 use detour_measure::record::HostMeta;
 use detour_measure::{Dataset, HostId, PairTable, ProbeSample};
 use detour_prng::check::check;
@@ -220,6 +235,158 @@ fn k_best_first_entry_matches_kernel_best() {
                 }
                 (a, b) => panic!("pair ({s},{d}): {a:?} vs {b:?}"),
             }
+        }
+    });
+}
+
+/// Mean improvement of a full sweep under `mask`: the greedy objective,
+/// computed with no reuse.
+fn mean_improvement(m: &WeightMatrix, mask: &[bool]) -> f64 {
+    let cs = kernel::sweep(m, mask, &Rtt, SearchDepth::Unrestricted);
+    if cs.is_empty() {
+        return f64::NEG_INFINITY;
+    }
+    cs.iter().map(|c| c.improvement()).sum::<f64>() / cs.len() as f64
+}
+
+#[test]
+fn greedy_removal_matches_a_full_sweep_per_candidate() {
+    check("incremental greedy equals plain greedy", |rng| {
+        let ds = random_dataset(rng);
+        let cx = AnalysisContext::from_dataset(&ds);
+        let m = cx.weights(&Rtt);
+        let k = m.len();
+        let got = greedy_removal(&cx, &Rtt, k);
+
+        // The plain greedy: score every surviving candidate by a full
+        // masked sweep; the lowest mean wins, ties go to the lowest id.
+        let mut mask = m.no_mask();
+        let mut removed = Vec::new();
+        for _ in 0..k.min(m.len().saturating_sub(3)) {
+            let mut best: Option<(f64, usize)> = None;
+            for h in (0..m.len()).filter(|&h| !mask[h]) {
+                let mut mask_h = mask.clone();
+                mask_h[h] = true;
+                let pos = mean_improvement(m, &mask_h);
+                if best.is_none_or(|(b, bh)| pos < b || (pos == b && m.hosts()[h] < m.hosts()[bh]))
+                {
+                    best = Some((pos, h));
+                }
+            }
+            let Some((_, h)) = best else { break };
+            mask[h] = true;
+            removed.push(m.hosts()[h]);
+        }
+        let reduced = improvement_cdf(&kernel::sweep(m, &mask, &Rtt, SearchDepth::Unrestricted));
+
+        assert_eq!(got.removed, removed);
+        assert_eq!(
+            got.reduced.fraction_above(0.0).to_bits(),
+            reduced.fraction_above(0.0).to_bits()
+        );
+    });
+}
+
+/// `ds` with every RTT sample multiplied by `c`.
+fn scaled(ds: &Dataset, c: f64) -> Dataset {
+    let mut out = ds.clone();
+    for p in &mut out.probes {
+        p.rtt_ms = p.rtt_ms.map(|r| r * c);
+    }
+    out
+}
+
+#[test]
+fn scaling_rtts_by_a_power_of_two_scales_improvements_exactly() {
+    check("power-of-two RTT scaling", |rng| {
+        let ds = random_dataset(rng);
+        let c = [0.25, 0.5, 2.0, 8.0][rng.gen_range(0..4usize)];
+        let (g, gc) = (PairTable::build(&ds), PairTable::build(&scaled(&ds, c)));
+        for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
+            let base = compare_graph(&g, &Rtt, depth);
+            let big = compare_graph(&gc, &Rtt, depth);
+            assert_eq!(base.len(), big.len(), "{depth:?} x{c}: pair count");
+            for (a, b) in base.iter().zip(&big) {
+                assert_eq!((a.pair, &a.via), (b.pair, &b.via), "{depth:?} x{c}");
+                assert_eq!(
+                    (a.improvement() * c).to_bits(),
+                    b.improvement().to_bits(),
+                    "{depth:?} x{c}: {:?}",
+                    a.pair
+                );
+            }
+        }
+    });
+}
+
+/// The sweep keyed by pair.
+fn by_pair(cs: Vec<PathComparison>) -> HashMap<Pair, PathComparison> {
+    cs.into_iter().map(|c| (c.pair, c)).collect()
+}
+
+#[test]
+fn adding_a_measured_edge_never_worsens_a_best_alternate() {
+    check("added edge never hurts", |rng| {
+        let mut ds = random_dataset(rng);
+        let g = PairTable::build(&ds);
+        let n = g.len();
+        let unmeasured: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| i != j && !g.measured(i, j))
+            .collect();
+        if unmeasured.is_empty() {
+            return;
+        }
+        let (i, j) = unmeasured[rng.gen_range(0..unmeasured.len())];
+        let rtt = rng.gen_range(1.0..100.0f64).round();
+        for k in 0..2 {
+            ds.probes.push(ProbeSample {
+                src: g.hosts()[i],
+                dst: g.hosts()[j],
+                t_s: k as f64,
+                probe_index: 0,
+                rtt_ms: Some(rtt),
+                loss_eligible: true,
+                episode: None,
+                path_idx: 0,
+            });
+        }
+        let g2 = PairTable::build(&ds);
+        assert!(g2.measured(i, j), "the new edge must be measured");
+        for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
+            let after = by_pair(compare_graph(&g2, &Rtt, depth));
+            for before in compare_graph(&g, &Rtt, depth) {
+                let now = after
+                    .get(&before.pair)
+                    .unwrap_or_else(|| panic!("{depth:?} {:?} lost its alternate", before.pair));
+                assert!(
+                    now.alternate_value <= before.alternate_value,
+                    "{depth:?} {:?}: {} -> {} after adding ({i},{j})",
+                    before.pair,
+                    before.alternate_value,
+                    now.alternate_value
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn one_hop_alternates_never_beat_unrestricted_ones() {
+    check("one-hop never beats unrestricted", |rng| {
+        let g = PairTable::build(&random_dataset(rng));
+        let unrestricted = by_pair(compare_graph(&g, &Rtt, SearchDepth::Unrestricted));
+        for one in compare_graph(&g, &Rtt, SearchDepth::OneHop) {
+            let any = unrestricted
+                .get(&one.pair)
+                .unwrap_or_else(|| panic!("{:?}: one-hop alternate but no path", one.pair));
+            assert!(
+                one.alternate_value >= any.alternate_value,
+                "{:?}: one-hop {} beats unrestricted {}",
+                one.pair,
+                one.alternate_value,
+                any.alternate_value
+            );
         }
     });
 }

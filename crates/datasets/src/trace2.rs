@@ -59,7 +59,7 @@
 
 use std::path::Path;
 
-use detour_measure::{tracefile, Dataset, HostMeta, ProbeSample, TransferSample};
+use detour_measure::{Dataset, HostMeta, ProbeSample, TransferSample};
 use detour_netsim::HostId;
 
 /// The 8-byte magic at offset 0.
@@ -825,13 +825,6 @@ pub fn load(path: &Path) -> Result<Dataset, LoadError> {
     Ok(from_bytes(&std::fs::read(path)?)?)
 }
 
-/// Migrates a text `.trace` file's dataset to `.trace2` bytes — the text
-/// reader feeding the binary writer. Used by the cache to upgrade legacy
-/// entries in place.
-pub fn from_text(text: &str) -> Result<Vec<u8>, tracefile::ParseError> {
-    Ok(to_bytes(&tracefile::from_str(text)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,13 +1044,5 @@ mod tests {
         save(&ds, &path).unwrap();
         assert_eq!(load(&path).unwrap(), ds);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn from_text_matches_direct_encoding() {
-        let ds = sample_dataset();
-        let text = tracefile::to_string(&ds);
-        let via_text = from_text(&text).unwrap();
-        assert_eq!(from_bytes(&via_text).unwrap(), ds);
     }
 }

@@ -119,7 +119,7 @@ fn random_datasets_roundtrip_bit_identically() {
 
 #[test]
 fn text_chain_preserves_every_field() {
-    // The migration path the cache takes for legacy entries:
+    // A dataset that reaches the binary format through the text reader:
     // text trace → Dataset → .trace2 → Dataset. Every metric, episode id,
     // starved-pair counter and rate-limit flag must come out bit-identical
     // — UW4-A carries episodes, N2 carries transfers, and the fault
@@ -134,7 +134,7 @@ fn text_chain_preserves_every_field() {
         }
         let text = tracefile::to_string(&ds);
         let via_text = tracefile::from_str(&text).expect("text parses");
-        let bytes = trace2::from_text(&text).expect("text converts");
+        let bytes = trace2::to_bytes(&via_text);
         let back = trace2::from_bytes(&bytes).expect("binary decodes");
         assert_eq!(back, via_text, "{}: binary diverged from text", ds.name);
         assert_eq!(back, ds, "{}: chain lost a field", ds.name);

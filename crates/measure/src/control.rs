@@ -26,10 +26,9 @@
 //!   arrangement. Shuffling the input list cannot change one byte of
 //!   output; the `detour_prng::check` property tests pin this down.
 //!
-//! [`run_campaign_sequential`] replays the same sorted list through the
-//! original discrete-event queue with the same per-request streams; it is
-//! the single-threaded reference the parallel path must match
-//! byte-for-byte (asserted in tests at 1, 2, and 8 workers).
+//! Together these make the output a pure function of the request set and
+//! the seeds: the tests compare 2- and 8-worker runs against the 1-worker
+//! run, with and without injected faults.
 
 use std::collections::HashMap;
 
@@ -168,11 +167,9 @@ impl CampaignFaults {
 const REQUEST_STREAM_DOMAIN: u64 = 0x6d65_6173_7572_6531; // "measure1"
 
 /// Returns `requests` in canonical execution order: simulated-time order
-/// with deterministic content-based tie-breaking. This is the FIFO order
-/// the event queue replays (schedulers emit tied requests in `(src, dst)`
-/// order) and the order that defines each request's stream index; because
-/// it sorts by request *content*, any permutation of the same request set
-/// yields the same canonical list.
+/// with deterministic content-based tie-breaking. This order defines each
+/// request's stream index; because it sorts by request *content*, any
+/// permutation of the same request set yields the same canonical list.
 fn canonical_order(requests: &[Request]) -> Vec<Request> {
     let mut sorted = requests.to_vec();
     sorted.sort_by(|a, b| {
@@ -262,7 +259,7 @@ fn execute(
 }
 
 /// Folds per-request outcomes, in canonical index order, into the raw
-/// yield — the deterministic merge shared by both execution strategies.
+/// yield.
 fn merge(outcomes: Vec<Outcome>) -> RawMeasurements {
     let mut out = RawMeasurements::default();
     for o in outcomes {
@@ -321,8 +318,8 @@ pub fn run_campaign_faulted(
     // overhead (the seed-scale campaign *lost* ground at 2 workers when
     // chunked per request). Each request keeps the stream index of its
     // canonical position — `start + k` below — so batching is invisible to
-    // the output: byte-identical to the unbatched fan-out and to the
-    // event-queue oracle at any worker count.
+    // the output: byte-identical to the unbatched fan-out at any worker
+    // count.
     let batches: Vec<(u64, &[Request])> = sorted
         .chunks(CAMPAIGN_BATCH)
         .enumerate()
@@ -347,48 +344,6 @@ pub fn run_campaign_faulted(
 /// CHUNKS_PER_WORKER` chunks still exist at seed scale (thousands of
 /// requests) for load balancing.
 const CAMPAIGN_BATCH: usize = 64;
-
-/// The single-threaded reference: replays the canonical request list
-/// through the discrete-event queue, executing each pop with the same
-/// per-request stream [`run_campaign`] uses. Kept as the oracle the
-/// parallel fan-out is tested against, and as the executor of record for
-/// anyone reading what a campaign *means*.
-pub fn run_campaign_sequential(
-    net: &Network,
-    requests: &[Request],
-    cfg: &CampaignConfig,
-    campaign_seed: u64,
-) -> RawMeasurements {
-    run_campaign_sequential_faulted(net, requests, cfg, campaign_seed, &FaultConfig::none())
-}
-
-/// The event-queue oracle for [`run_campaign_faulted`] — same faults, one
-/// thread, one queue.
-pub fn run_campaign_sequential_faulted(
-    net: &Network,
-    requests: &[Request],
-    cfg: &CampaignConfig,
-    campaign_seed: u64,
-    faults: &FaultConfig,
-) -> RawMeasurements {
-    let key = campaign_seed ^ REQUEST_STREAM_DOMAIN;
-    let fault_state = CampaignFaults::build(faults, net.horizon_s(), requests);
-    let mut queue = detour_netsim::sim::EventQueue::new();
-    for (i, req) in canonical_order(requests).into_iter().enumerate() {
-        queue.push(SimTime(req.t_s), (i as u64, req));
-    }
-    let mut outcomes = Vec::with_capacity(queue.len());
-    while let Some((_, (i, req))) = queue.pop() {
-        outcomes.push(execute(
-            net,
-            cfg,
-            &fault_state,
-            req,
-            &mut Xoshiro256pp::stream(key, i),
-        ));
-    }
-    merge(outcomes)
-}
 
 #[cfg(test)]
 mod tests {
@@ -480,24 +435,25 @@ mod tests {
         assert!(raw.timed_out > raw.invocations.len());
     }
 
-    #[test]
-    fn parallel_campaign_matches_event_queue_reference() {
-        // The core tentpole invariant: the pool fan-out at any worker count
-        // reproduces the sequential event-queue replay byte-for-byte.
-        let n = net();
-        let reqs = small_schedule(&n, 8, 120.0);
-        let reference = run_campaign_sequential(&n, &reqs, &CampaignConfig::traceroute(), 7);
+    /// Runs `campaign` at 1, 2 and 8 workers and asserts the 2- and
+    /// 8-worker outputs equal the 1-worker output.
+    fn assert_worker_count_invariant(campaign: impl Fn() -> RawMeasurements) {
+        let mut runs = Vec::new();
         for workers in [1usize, 2, 8] {
-            let prev = detour_pool::threads();
             detour_pool::set_threads(workers);
-            let got = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7);
-            detour_pool::set_threads(if prev == 0 { 0 } else { prev });
-            assert_eq!(
-                got, reference,
-                "{workers} workers diverged from the event queue"
-            );
+            runs.push(campaign());
         }
         detour_pool::set_threads(0);
+        assert!(!runs[0].invocations.is_empty());
+        assert_eq!(runs[1], runs[0], "2 workers diverged from 1");
+        assert_eq!(runs[2], runs[0], "8 workers diverged from 1");
+    }
+
+    #[test]
+    fn parallel_campaign_is_worker_count_invariant() {
+        let n = net();
+        let reqs = small_schedule(&n, 8, 120.0);
+        assert_worker_count_invariant(|| run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7));
     }
 
     #[test]
@@ -570,25 +526,19 @@ mod tests {
     }
 
     #[test]
-    fn faulted_parallel_matches_event_queue_reference() {
+    fn faulted_parallel_campaign_is_worker_count_invariant() {
         let n = net();
         let reqs = small_schedule(&n, 8, 120.0);
         let faults = FaultConfig::heavy(21);
-        let reference =
-            run_campaign_sequential_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
-        for workers in [1usize, 2, 8] {
-            detour_pool::set_threads(workers);
-            let got = run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
-            assert_eq!(got, reference, "{workers} workers diverged under faults");
-        }
-        detour_pool::set_threads(0);
+        assert_worker_count_invariant(|| {
+            run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults)
+        });
     }
 
     #[test]
     fn shuffled_requests_yield_identical_output() {
-        // Order-independence is a stated invariant now, not an accident of
-        // the event queue: the canonical sort re-derives the same stream
-        // indices from any permutation.
+        // Order-independence is a stated invariant: the canonical sort
+        // re-derives the same stream indices from any permutation.
         use detour_prng::SliceRandom;
         let n = net();
         let reqs = small_schedule(&n, 6, 200.0);

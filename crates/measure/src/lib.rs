@@ -30,10 +30,7 @@ pub mod record;
 pub mod schedule;
 pub mod tracefile;
 
-pub use control::{
-    run_campaign, run_campaign_faulted, run_campaign_sequential, run_campaign_sequential_faulted,
-    CampaignConfig, ProbeKind, RawMeasurements,
-};
+pub use control::{run_campaign, run_campaign_faulted, CampaignConfig, ProbeKind, RawMeasurements};
 pub use dataset::{Characteristics, Dataset, MIN_SAMPLES_PER_PATH};
 pub use pairtable::PairTable;
 pub use ratelimit::RateLimitPolicy;

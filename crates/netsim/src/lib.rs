@@ -21,7 +21,7 @@
 //! * the probe tools the original study drove: `ping`, `traceroute` (with
 //!   ICMP rate limiting), and bulk TCP transfers with Mathis-model
 //!   throughput — [`probe`], [`tcp`];
-//! * a simulation clock/calendar and a deterministic event queue — [`sim`].
+//! * a simulation clock and calendar — [`sim`].
 //!
 //! Everything is deterministic given a seed. The crate is synchronous and
 //! single-threaded by design: simulated time is driven by the caller, and

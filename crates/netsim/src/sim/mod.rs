@@ -1,7 +1,5 @@
-//! Simulation time and event scheduling.
+//! Simulation time.
 
 pub mod clock;
-pub mod events;
 
 pub use clock::{Calendar, DayKind, SimTime};
-pub use events::EventQueue;

@@ -54,13 +54,14 @@ fn masked_greedy_removal_is_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn campaign_and_generation_are_byte_identical_at_1_2_and_8_threads() {
-    // Pins the tentpole invariant end-to-end: both the raw measurement
-    // campaign and the full dataset-generation pipeline (network build,
-    // eager routing precompute, campaign, assembly) produce identical
-    // bytes at every worker count, and the parallel campaign reproduces
-    // the sequential event-queue reference exactly.
+    // Pins the tentpole invariant end-to-end: the raw measurement campaign
+    // (plain and under heavy injected faults) and the full
+    // dataset-generation pipeline (network build, eager routing
+    // precompute, campaign, assembly) produce at 2 and 8 workers the
+    // bytes they produce at 1.
     use detour::datasets::DatasetId;
-    use detour::measure::{run_campaign, run_campaign_sequential, CampaignConfig, Schedule};
+    use detour::faults::FaultConfig;
+    use detour::measure::{run_campaign_faulted, CampaignConfig, Schedule};
     use detour::netsim::{Era, Network, NetworkConfig};
     use detour::prng::Xoshiro256pp;
 
@@ -71,27 +72,26 @@ fn campaign_and_generation_are_byte_identical_at_1_2_and_8_threads() {
         4.0 * 3600.0,
         &mut Xoshiro256pp::seed_from_u64(21),
     );
-    let reference = run_campaign_sequential(&net, &reqs, &CampaignConfig::traceroute(), 21);
-    assert!(!reference.invocations.is_empty());
+    let fault_cases = [FaultConfig::none(), FaultConfig::heavy(21)];
 
-    let mut datasets = Vec::new();
+    let mut runs = Vec::new();
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let raw = run_campaign(&net, &reqs, &CampaignConfig::traceroute(), 21);
-        assert_eq!(
-            raw, reference,
-            "{threads}-thread campaign diverged from event queue"
-        );
-        datasets.push(DatasetId::Uw3.generate_scaled(8, 24));
+        let campaigns: Vec<_> = fault_cases
+            .iter()
+            .map(|f| run_campaign_faulted(&net, &reqs, &CampaignConfig::traceroute(), 21, f))
+            .collect();
+        runs.push((campaigns, DatasetId::Uw3.generate_scaled(8, 24)));
     }
     pool::set_threads(0);
-    for (i, ds) in datasets.iter().enumerate().skip(1) {
-        assert_eq!(ds.probes, datasets[0].probes, "run {i} probes diverged");
-        assert_eq!(ds.hosts, datasets[0].hosts, "run {i} hosts diverged");
-        assert_eq!(
-            ds.as_paths, datasets[0].as_paths,
-            "run {i} AS paths diverged"
-        );
+    let (campaigns, ds) = &runs[0];
+    assert!(!campaigns[0].invocations.is_empty());
+    assert_ne!(campaigns[0], campaigns[1], "heavy faults changed nothing");
+    for (i, (c, d)) in runs.iter().enumerate().skip(1) {
+        assert_eq!(c, campaigns, "run {i} campaigns diverged from 1 worker");
+        assert_eq!(d.probes, ds.probes, "run {i} probes diverged");
+        assert_eq!(d.hosts, ds.hosts, "run {i} hosts diverged");
+        assert_eq!(d.as_paths, ds.as_paths, "run {i} AS paths diverged");
     }
 }
 
