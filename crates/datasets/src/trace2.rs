@@ -617,6 +617,7 @@ fn decode_probes(sec: &[u8]) -> Result<Vec<ProbeSample>, Trace2Error> {
     let probe_index = cur.column(n, 1)?;
     let flags_off = cur.pos;
     let flags = cur.column(n, 1)?;
+    let rtt_off = cur.pos;
     let rtt = cur.column(n, 8)?;
     let episode = cur.column(n, 4)?;
     let path_idx = cur.column(n, 4)?;
@@ -630,6 +631,16 @@ fn decode_probes(sec: &[u8]) -> Result<Vec<ProbeSample>, Trace2Error> {
         return Err(Trace2Error::BadValue {
             id: SEC_PROBES,
             offset: flags_off + bad,
+        });
+    }
+    // A present RTT must be finite: the analysis sorts RTTs and cannot
+    // order a NaN.
+    if let Some(bad) =
+        (0..n).find(|&i| flags[i] & FLAG_RTT_PRESENT != 0 && !col_f64(rtt, i).is_finite())
+    {
+        return Err(Trace2Error::BadValue {
+            id: SEC_PROBES,
+            offset: rtt_off + bad * 8,
         });
     }
     let ranges: Vec<(usize, usize)> = (0..n)
@@ -993,6 +1004,25 @@ mod tests {
                 offset: flags_in_sec,
             })
         );
+    }
+
+    #[test]
+    fn non_finite_probe_rtt_is_rejected() {
+        let mut ds = sample_dataset();
+        let n = ds.probes.len();
+        // The RTT column sits after count + src + dst + t_s + probe_index
+        // + flags.
+        let rtt_in_sec = 4 + n * (4 + 4 + 8 + 1 + 1);
+        for bad in [f64::NAN, f64::INFINITY] {
+            ds.probes[0].rtt_ms = Some(bad);
+            assert_eq!(
+                from_bytes(&to_bytes(&ds)),
+                Err(Trace2Error::BadValue {
+                    id: SEC_PROBES,
+                    offset: rtt_in_sec,
+                })
+            );
+        }
     }
 
     #[test]

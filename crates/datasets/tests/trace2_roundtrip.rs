@@ -15,7 +15,7 @@ use detour_prng::{check, Rng, Xoshiro256pp};
 fn finite_f64(rng: &mut Xoshiro256pp) -> f64 {
     loop {
         let v = f64::from_bits(rng.next_u64());
-        if !v.is_nan() {
+        if v.is_finite() {
             return v;
         }
     }

@@ -188,8 +188,16 @@ pub fn from_str(text: &str) -> Result<Dataset, ParseError> {
             "probe" => {
                 let rtt_ms = match parts.get(5) {
                     Some(&"-") => None,
-                    _ => Some(field(&parts, 5, line_no)?),
+                    _ => Some(field::<f64>(&parts, 5, line_no)?),
                 };
+                // `f64::from_str` accepts `NaN` and `inf`; the analysis
+                // sorts RTTs and cannot order a NaN.
+                if rtt_ms.is_some_and(|r| !r.is_finite()) {
+                    return Err(ParseError {
+                        line: line_no,
+                        message: format!("non-finite probe RTT {:?}", parts[5]),
+                    });
+                }
                 let episode = match parts.get(7) {
                     Some(&"-") => None,
                     _ => Some(field(&parts, 7, line_no)?),
@@ -366,6 +374,16 @@ mod tests {
     fn bad_field_reports_line() {
         let err = from_str("dataset X\nduration_s notanumber\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn non_finite_probe_rtt_is_an_error() {
+        for rtt in ["NaN", "inf", "-inf"] {
+            let text = format!("dataset X\nprobe 1 2 0 0 {rtt} 1 - 0\n");
+            let err = from_str(&text).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("non-finite"), "{}", err.message);
+        }
     }
 
     #[test]

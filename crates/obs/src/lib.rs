@@ -43,8 +43,8 @@
 //! spans, counters, and gauges. It renders as a human table
 //! ([`RunReport::to_table`]) and as stable machine-readable JSON
 //! ([`RunReport::to_json`] — keys sorted, one entry per line, fixed
-//! number formatting) which `scripts/verify.sh` gates against a committed
-//! name manifest so renames are deliberate.
+//! number formatting). The `baseline` binary gates [`RunReport::names`]
+//! against a committed name manifest so renames are deliberate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -412,8 +412,7 @@ impl RunReport {
     }
 
     /// Renders the report as stable machine-readable JSON: sorted keys,
-    /// one entry per line, fixed formatting — so diffs are meaningful and
-    /// the name manifest gate can parse it back with [`json_names`].
+    /// one entry per line, fixed formatting — so diffs are meaningful.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"detour-obs-v1\",\n  \"spans\": {");
         for (i, (name, s)) in self.spans.iter().enumerate() {
@@ -458,51 +457,6 @@ impl RunReport {
         out.push_str("}\n");
         out
     }
-}
-
-/// Extracts the kind-prefixed names (`span x` / `counter y` / `gauge z`)
-/// from JSON produced by [`RunReport::to_json`]. Returns `None` when the
-/// text does not carry the `detour-obs-v1` schema marker. The
-/// `scripts/verify.sh` manifest gate runs on this.
-pub fn json_names(json: &str) -> Option<Vec<String>> {
-    if !json.contains("\"schema\": \"detour-obs-v1\"") {
-        return None;
-    }
-    let mut out = Vec::new();
-    let mut section: Option<&str> = None;
-    for line in json.lines() {
-        let t = line.trim();
-        let mut is_header = false;
-        for (header, kind) in [
-            ("\"spans\": {", "span"),
-            ("\"counters\": {", "counter"),
-            ("\"gauges\": {", "gauge"),
-        ] {
-            if t.starts_with(header) {
-                // `"spans": {},` on one line opens and closes the section.
-                section = (!t.contains('}')).then_some(kind);
-                is_header = true;
-            }
-        }
-        if is_header {
-            continue;
-        }
-        let Some(kind) = section else { continue };
-        if t.starts_with('}') {
-            section = None;
-            continue;
-        }
-        // Entry lines look like `"name": value` (span values nest braces,
-        // but the name is always the first quoted token on the line).
-        if let Some(rest) = t.strip_prefix('"') {
-            if let Some((name, after)) = rest.split_once('"') {
-                if after.starts_with(':') {
-                    out.push(format!("{kind} {name}"));
-                }
-            }
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -617,33 +571,28 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_parses_back_to_names() {
+    fn json_is_stable_sorted_and_fixed_format() {
         let r = Recorder::new();
-        r.add("cache/hits", 8);
         r.add("cache/misses", 0);
+        r.add("cache/hits", 8);
         r.record_seconds("net/build", 0.25);
         r.set_gauge("baseline/cores", 8.0);
-        let snap = r.snapshot();
-        let json = snap.to_json();
-        assert_eq!(json, snap.to_json(), "rendering is deterministic");
-        let names = json_names(&json).expect("schema marker present");
         assert_eq!(
-            names,
-            vec![
-                "span net/build".to_string(),
-                "counter cache/hits".to_string(),
-                "counter cache/misses".to_string(),
-                "gauge baseline/cores".to_string(),
-            ]
+            r.snapshot().to_json(),
+            "{\n  \"schema\": \"detour-obs-v1\",\n  \"spans\": {\n    \
+             \"net/build\": {\"count\": 1, \"seconds\": 0.250000}\n  },\n  \
+             \"counters\": {\n    \"cache/hits\": 8,\n    \"cache/misses\": 0\n  },\n  \
+             \"gauges\": {\n    \"baseline/cores\": 8.000000\n  }\n}\n"
         );
-        assert_eq!(json_names("{}"), None, "foreign json is rejected");
     }
 
     #[test]
     fn empty_report_renders_empty_sections() {
-        let json = RunReport::default().to_json();
-        assert!(json.contains("\"spans\": {}"));
-        assert_eq!(json_names(&json).unwrap(), Vec::<String>::new());
+        assert_eq!(
+            RunReport::default().to_json(),
+            "{\n  \"schema\": \"detour-obs-v1\",\n  \"spans\": {},\n  \
+             \"counters\": {},\n  \"gauges\": {}\n}\n"
+        );
         assert_eq!(RunReport::default().to_table(), "");
     }
 

@@ -34,7 +34,13 @@ fn main() {
         }
     };
 
-    let ds: Dataset = tracefile::load(&path).expect("readable trace file");
+    let ds: Dataset = match tracefile::load(&path) {
+        Ok(ds) => ds,
+        Err(e) => {
+            eprintln!("trace_explorer: cannot load {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    };
     let c = ds.characteristics();
     println!("\ntrace {} ({})", path.display(), ds.name);
     println!(

@@ -1,30 +1,12 @@
-//! End-to-end determinism of the parallel experiment engine: the same seed
-//! must produce byte-identical figure and table reports at any worker
+//! Determinism of the parallel pipeline: the same seed must produce
+//! byte-identical campaigns, datasets and greedy removals at any worker
 //! count, and a different seed must actually change the simulated world.
+//! The paper reports themselves are pinned at 1, 2 and 8 workers by the
+//! golden suite (`tests/golden_reports.rs`).
 
 use detour::core::pool;
 use detour::datasets::Scale;
-use detour_bench::experiments::{run_all, ALL_EXPERIMENTS};
-use detour_bench::{Bundle, Study};
-
-fn full_report(scale: Scale) -> String {
-    let study = Study::from_bundle(Bundle::generate(scale));
-    run_all(&study, ALL_EXPERIMENTS).concat()
-}
-
-#[test]
-fn reports_are_byte_identical_at_1_2_and_8_threads() {
-    let scale = Scale::reduced(8, 24);
-    let mut reports = Vec::new();
-    for threads in [1usize, 2, 8] {
-        pool::set_threads(threads);
-        reports.push(full_report(scale));
-    }
-    pool::set_threads(0);
-    assert_eq!(reports[0], reports[1], "2 threads diverged from 1");
-    assert_eq!(reports[0], reports[2], "8 threads diverged from 1");
-    assert!(reports[0].len() > 1000, "suspiciously short report");
-}
+use detour_bench::Bundle;
 
 #[test]
 fn masked_greedy_removal_is_identical_at_1_2_and_8_threads() {

@@ -4,7 +4,7 @@
 //! `tests/golden/` and byte-compared on every test run: the whole pipeline
 //! — simulator, faulted campaigns, assembly, analysis, rendering — must
 //! replay exactly, across thread counts, cache states, and refactors. The
-//! paper set runs through the shared-artifact engine
+//! paper set is generated and run through the shared-artifact engine
 //! ([`detour_bench::experiments::run_all`]) at 1, 2 and 8 workers, and
 //! every run is compared against the same snapshots.
 //! `outage_sweep` is in the set deliberately: it pins the fault-injection
@@ -65,10 +65,14 @@ fn check_or_bless(id: &str, report: &str, bless: bool, context: &str) {
 #[test]
 fn reports_match_committed_golden_snapshots() {
     let bless = std::env::var_os("DETOUR_BLESS").is_some();
-    let study = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
+    let scale = Scale::reduced(8, 24);
+    let mut study = None;
     for threads in [1usize, 2, 8] {
+        // Generation runs at each worker count too, so the snapshots pin
+        // the whole pipeline, not only the analysis, per worker count.
         pool::set_threads(threads);
-        let reports = run_all(&study, ALL_EXPERIMENTS);
+        let s = study.insert(Study::from_bundle(Bundle::generate(scale)));
+        let reports = run_all(s, ALL_EXPERIMENTS);
         assert_eq!(reports.len(), ALL_EXPERIMENTS.len());
         for (id, report) in ALL_EXPERIMENTS.iter().zip(&reports) {
             check_or_bless(id, report, bless, &format!("{threads} worker(s)"));
@@ -78,6 +82,7 @@ fn reports_match_committed_golden_snapshots() {
         }
     }
     pool::set_threads(0);
+    let study = study.expect("at least one run");
     for id in EXTRA {
         let report = extras::run(id, &study)
             .or_else(|| experiments::run(id, &study))
