@@ -7,9 +7,9 @@
 //! ```
 //!
 //! The pipeline records its own spans and counters (`net/*`, `dataset/*`,
-//! `cache/*`, `context/*`, `kernel/*`, `engine/*`, `pool/*`); this binary
-//! adds `baseline/*` spans around its phases, and `baseline/*` gauges for
-//! the values no span or counter carries. The run:
+//! `cache/*`, `context/*`, `kernel/*`, `engine/*`, `experiment/*`,
+//! `pool/*`); this binary adds `baseline/*` spans around its phases, and
+//! `baseline/*` gauges for the values no span or counter carries. The run:
 //!
 //! 1. **Cold start.** The trace cache under `results/cache/` is purged and
 //!    the eight paper datasets are generated once (0 hits, 8 misses). The

@@ -9,10 +9,14 @@
 //! cargo run -p detour-bench --release --bin figures -- --fresh --scaled all
 //! ```
 //!
+//! Ids are the entries of [`REGISTRY`]; `all` (or no id) runs
+//! every entry in registry order. Every requested id goes through one
+//! engine call ([`run_all`]).
+//!
 //! `--threads N` sets the experiment engine's worker count (0 or absent =
 //! one worker per core); output is bit-identical at any setting. `--seed S`
 //! regenerates the whole study on a different simulated Internet (S = 0 is
-//! the canonical run).
+//! the canonical run). An unknown id or flag exits with status 2.
 //!
 //! Datasets come from the trace cache under `results/cache/`: the first
 //! run at a given (seed, scale) simulates and saves, later runs load the
@@ -29,8 +33,7 @@ use std::fs;
 use std::path::Path;
 use std::process::exit;
 
-use detour_bench::experiments::{self, run_all, ALL_EXPERIMENTS, FAULT_EXPERIMENTS};
-use detour_bench::extras::{self, EXTRA_EXPERIMENTS};
+use detour_bench::experiments::{run_all, REGISTRY};
 use detour_bench::{cache, Bundle, Study};
 use detour_core::pool;
 use detour_datasets::Scale;
@@ -60,6 +63,11 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = parse_flag(&mut args, "--threads").unwrap_or(0);
     let seed = parse_flag(&mut args, "--seed").unwrap_or(0);
+    let flag_ok = |a: &&String| !a.starts_with("--") || *a == "--scaled" || *a == "--fresh";
+    if let Some(a) = args.iter().find(|a| !flag_ok(a)) {
+        eprintln!("figures: unknown flag {a:?}; known: --threads N, --seed S, --scaled, --fresh");
+        exit(2);
+    }
     let scaled = args.iter().any(|a| a == "--scaled");
     let fresh = args.iter().any(|a| a == "--fresh");
     pool::set_threads(threads as usize);
@@ -69,25 +77,15 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let ids: Vec<&str> = if ids.is_empty() || ids.contains(&"all") {
-        let mut v = ALL_EXPERIMENTS.to_vec();
-        v.extend(EXTRA_EXPERIMENTS);
-        v.extend(FAULT_EXPERIMENTS);
-        v
+    let known: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+    let ids = if ids.is_empty() || ids.contains(&"all") {
+        known.clone()
     } else {
         ids
     };
-
-    for id in &ids {
-        if !ALL_EXPERIMENTS.contains(id)
-            && !EXTRA_EXPERIMENTS.contains(id)
-            && !FAULT_EXPERIMENTS.contains(id)
-        {
-            eprintln!(
-                "unknown experiment {id:?}; known: {ALL_EXPERIMENTS:?} + {EXTRA_EXPERIMENTS:?} + {FAULT_EXPERIMENTS:?}"
-            );
-            exit(2);
-        }
+    if let Some(id) = ids.iter().find(|id| !known.contains(id)) {
+        eprintln!("unknown experiment {id:?}; known: {known:?}");
+        exit(2);
     }
 
     let cache_dir = Path::new("results/cache");
@@ -125,37 +123,14 @@ fn main() {
     );
     let study = Study::from_bundle(bundle);
 
-    // The paper experiments run through the parallel engine (prebuilt
-    // shared artifacts, request-ordered reports); extras run inline after.
-    let paper_ids: Vec<&str> = ids
-        .iter()
-        .copied()
-        .filter(|id| ALL_EXPERIMENTS.contains(id))
-        .collect();
-    let (paper_reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &paper_ids));
-    eprintln!(
-        "[{} paper experiment(s) done in {engine_secs:.1}s]",
-        paper_ids.len(),
-    );
+    // Every id runs through the parallel engine: prebuilt shared
+    // artifacts, one `experiment/<id>` span each, request-ordered reports.
+    let (reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &ids));
+    eprintln!("[{} experiment(s) done in {engine_secs:.1}s]", ids.len());
 
     let results = Path::new("results");
     fs::create_dir_all(results).unwrap_or_else(|e| fail("create", results, e));
-    let mut paper_iter = paper_ids.iter().zip(paper_reports);
-    for id in ids {
-        let report = if ALL_EXPERIMENTS.contains(&id) {
-            paper_iter.next().expect("engine report per paper id").1
-        } else {
-            // Extras and the fault experiments run inline after the engine
-            // batch (the fault sweeps generate their own datasets and touch
-            // no shared study artifact).
-            let (r, secs) = rec.time("figures/extra", || {
-                extras::run(id, &study)
-                    .or_else(|| experiments::run(id, &study))
-                    .expect("id validated above")
-            });
-            eprintln!("[{id} done in {secs:.1}s]");
-            r
-        };
+    for (id, report) in ids.iter().zip(reports) {
         println!("{report}");
         let path = results.join(format!("{id}.txt"));
         fs::write(&path, &report).unwrap_or_else(|e| fail("write", &path, e));

@@ -92,16 +92,6 @@ impl Bundle {
         }))
     }
 
-    /// Full paper scale.
-    pub fn full() -> Bundle {
-        Bundle::generate(Scale::full())
-    }
-
-    /// A fast, reduced bundle for smoke tests and the performance benches.
-    pub fn reduced() -> Bundle {
-        Bundle::generate(Scale::reduced(12, 8))
-    }
-
     /// Table-1 ordering of the probe/transfer datasets.
     pub fn in_table_order(&self) -> [&Dataset; 8] {
         [

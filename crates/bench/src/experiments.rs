@@ -1,14 +1,16 @@
 //! The declarative experiment registry.
 //!
-//! Each paper artifact is one [`Experiment`]: an id, the derived artifacts
-//! it needs (stated as [`Need`]s over the [`DataKey`]/[`MetricKind`]
-//! vocabulary), and a run function over the shared [`Study`]. The engine
-//! ([`run_all`]) resolves the union of the requested experiments' needs,
-//! prebuilds those artifacts in parallel, then fans the experiments out
-//! concurrently — each borrowing the same [`detour_core::AnalysisContext`]s
-//! — and merges reports in request order, so the output is byte-identical
-//! at every thread count (`tests/golden_reports.rs` compares 1-, 2- and
-//! 8-worker runs with the committed snapshots).
+//! Each report — paper artifact, extra or fault sweep — is one
+//! [`Experiment`]: an id, the derived artifacts it needs (stated as
+//! [`Need`]s over the [`DataKey`]/[`MetricKind`] vocabulary), and a run
+//! function over the shared [`Study`]. The engine ([`run_all`]) resolves
+//! the union of the requested experiments' needs, prebuilds those
+//! artifacts in parallel, then fans the experiments out concurrently —
+//! each borrowing the same [`detour_core::AnalysisContext`]s and timed
+//! under its own `experiment/<id>` span — and merges reports in request
+//! order, so the output is byte-identical at every thread count
+//! (`tests/golden_reports.rs` compares 1-, 2- and 8-worker runs with the
+//! committed snapshots).
 //!
 //! Each report places the paper's published expectation beside the
 //! measured value. The absolute numbers live on a simulated Internet and
@@ -25,6 +27,7 @@ use detour_core::{
 };
 use detour_stats::ttest::VerdictCounts;
 
+use crate::extras;
 use crate::render::{cdf_grid, check, header, pct};
 use crate::study::{DataKey, Study};
 
@@ -47,7 +50,7 @@ impl Need {
     }
 }
 
-/// One registered paper artifact.
+/// One registered experiment.
 pub struct Experiment {
     /// Identifier ("fig1", "table2", …).
     pub id: &'static str,
@@ -57,6 +60,12 @@ pub struct Experiment {
     pub needs: &'static [Need],
     /// The report generator.
     pub run: fn(&Study) -> String,
+}
+
+impl Experiment {
+    const fn new(id: &'static str, needs: &'static [Need], run: fn(&Study) -> String) -> Self {
+        Experiment { id, needs, run }
+    }
 }
 
 /// The four datasets of the headline RTT/loss figures, in legend order.
@@ -78,134 +87,61 @@ const HEADLINE_LOSS: &[Need] = &[
 
 const BANDWIDTH_N2: &[Need] = &[Need::Bandwidth(DataKey::N2), Need::Bandwidth(DataKey::N2Na)];
 
+const UW1_RTT: &[Need] = &[Need::Weights(DataKey::Uw1, MetricKind::Rtt)];
 const UW3_RTT: &[Need] = &[Need::Weights(DataKey::Uw3, MetricKind::Rtt)];
+const UW3_LOSS: &[Need] = &[Need::Weights(DataKey::Uw3, MetricKind::Loss)];
+const UW3_PROP_RTT: &[Need] = &[
+    Need::Weights(DataKey::Uw3, MetricKind::PropDelay),
+    Need::Weights(DataKey::Uw3, MetricKind::Rtt),
+];
+const UW4B_RTT: &[Need] = &[Need::Weights(DataKey::Uw4B, MetricKind::Rtt)];
+const D2NA_RTT: &[Need] = &[Need::Weights(DataKey::D2Na, MetricKind::Rtt)];
 
-/// Every registered experiment: the paper artifacts in paper order,
-/// followed by the fault-injection experiments (which are in the registry
-/// so `figures` can dispatch them, but outside [`ALL_EXPERIMENTS`] so the
-/// perf baseline measures only the paper set).
+/// Every registered experiment: the paper artifacts in paper order
+/// ([`ALL_EXPERIMENTS`]), then the six extras, then the fault sweep. This
+/// is the order `figures all` runs and prints.
 pub const REGISTRY: &[Experiment] = &[
-    Experiment {
-        id: "table1",
-        needs: &[],
-        run: table1,
-    },
-    Experiment {
-        id: "fig1",
-        needs: HEADLINE_RTT,
-        run: fig1,
-    },
-    Experiment {
-        id: "fig2",
-        needs: HEADLINE_RTT,
-        run: fig2,
-    },
-    Experiment {
-        id: "fig3",
-        needs: HEADLINE_LOSS,
-        run: fig3,
-    },
-    Experiment {
-        id: "fig4",
-        needs: BANDWIDTH_N2,
-        run: fig4,
-    },
-    Experiment {
-        id: "fig5",
-        needs: BANDWIDTH_N2,
-        run: fig5,
-    },
-    Experiment {
-        id: "fig6",
-        needs: &[Need::Weights(DataKey::D2Na, MetricKind::Rtt)],
-        run: fig6,
-    },
-    Experiment {
-        id: "fig7",
-        needs: UW3_RTT,
-        run: fig7,
-    },
-    Experiment {
-        id: "fig8",
-        needs: &[Need::Weights(DataKey::Uw3, MetricKind::Loss)],
-        run: fig8,
-    },
-    Experiment {
-        id: "table2",
-        needs: HEADLINE_RTT,
-        run: table2,
-    },
-    Experiment {
-        id: "table3",
-        needs: HEADLINE_LOSS,
-        run: table3,
-    },
+    Experiment::new("table1", &[], table1),
+    Experiment::new("fig1", HEADLINE_RTT, fig1),
+    Experiment::new("fig2", HEADLINE_RTT, fig2),
+    Experiment::new("fig3", HEADLINE_LOSS, fig3),
+    Experiment::new("fig4", BANDWIDTH_N2, fig4),
+    Experiment::new("fig5", BANDWIDTH_N2, fig5),
+    Experiment::new("fig6", D2NA_RTT, fig6),
+    Experiment::new("fig7", UW3_RTT, fig7),
+    Experiment::new("fig8", UW3_LOSS, fig8),
+    Experiment::new("table2", HEADLINE_RTT, table2),
+    Experiment::new("table3", HEADLINE_LOSS, table3),
     // Figures 9-10 slice the dataset by time of day and rebuild throwaway
     // per-slice tables; they use no whole-dataset artifacts.
-    Experiment {
-        id: "fig9",
-        needs: &[],
-        run: fig9,
-    },
-    Experiment {
-        id: "fig10",
-        needs: &[],
-        run: fig10,
-    },
-    Experiment {
-        id: "fig11",
-        needs: &[Need::Weights(DataKey::Uw4B, MetricKind::Rtt)],
-        run: fig11,
-    },
-    Experiment {
-        id: "fig12",
-        needs: UW3_RTT,
-        run: fig12,
-    },
-    Experiment {
-        id: "fig13",
-        needs: UW3_RTT,
-        run: fig13,
-    },
-    Experiment {
-        id: "fig14",
-        needs: &[Need::Weights(DataKey::Uw1, MetricKind::Rtt)],
-        run: fig14,
-    },
-    Experiment {
-        id: "fig15",
-        needs: &[
-            Need::Weights(DataKey::Uw3, MetricKind::PropDelay),
-            Need::Weights(DataKey::Uw3, MetricKind::Rtt),
-        ],
-        run: fig15,
-    },
-    Experiment {
-        id: "fig16",
-        needs: UW3_RTT,
-        run: fig16,
-    },
+    Experiment::new("fig9", &[], fig9),
+    Experiment::new("fig10", &[], fig10),
+    Experiment::new("fig11", UW4B_RTT, fig11),
+    Experiment::new("fig12", UW3_RTT, fig12),
+    Experiment::new("fig13", UW3_RTT, fig13),
+    Experiment::new("fig14", UW1_RTT, fig14),
+    Experiment::new("fig15", UW3_PROP_RTT, fig15),
+    Experiment::new("fig16", UW3_RTT, fig16),
+    // Beyond the paper (DESIGN.md §5/§5b): the Paxson-phenomenon checks,
+    // then the routing-policy ablation and the overlay evaluation, which
+    // build their own networks and touch no study artifact.
+    Experiment::new("asymmetry", &[], extras::asymmetry_report),
+    Experiment::new("prevalence", &[], extras::prevalence_report),
+    Experiment::new("independence", &[], extras::independence_report),
+    Experiment::new("sensitivity", UW3_RTT, extras::sensitivity_report),
+    Experiment::new("ablation", &[], extras::ablation_report),
+    Experiment::new("overlay", &[], extras::overlay_report),
     // Self-contained: generates its own tiny faulted datasets, touching no
-    // study artifact — so it declares no needs and can run after the
-    // engine batch without serializing behind it.
-    Experiment {
-        id: "outage_sweep",
-        needs: &[],
-        run: outage_sweep,
-    },
+    // study artifact.
+    Experiment::new("outage_sweep", &[], outage_sweep),
 ];
 
-/// All experiment identifiers, in paper order.
+/// The paper's 19 artifacts, in paper order: the head of [`REGISTRY`], and
+/// the set the `baseline` binary and the `benchmark/` package time.
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "table3",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
-
-/// The fault-injection experiments (DESIGN.md §6e). Registered like the
-/// paper set but listed separately: `figures` runs them, the `baseline`
-/// perf gates do not (their cost is dataset generation, which is constant
-/// across engine thread counts and would dilute the speedup gates).
-pub const FAULT_EXPERIMENTS: &[&str] = &["outage_sweep"];
 
 /// Looks an experiment up by id.
 pub fn find(id: &str) -> Option<&'static Experiment> {
@@ -241,18 +177,19 @@ pub fn prebuild(study: &Study, needs: &[Need]) {
 }
 
 /// The parallel experiment engine: prebuilds the union of artifact needs,
-/// runs the named experiments concurrently over the shared study (under
-/// an `engine/experiments` span), and returns their reports in request
-/// order.
+/// runs the named experiments concurrently over the shared study, each
+/// under its own `experiment/<id>` span, and returns their reports in
+/// request order.
 ///
 /// # Panics
 /// On an unknown experiment id (callers validate ids against
-/// [`ALL_EXPERIMENTS`] first).
+/// [`REGISTRY`] first).
 pub fn run_all(study: &Study, ids: &[&str]) -> Vec<String> {
     prebuild(study, &resolve_needs(ids));
-    let _span = detour_obs::current().span("engine/experiments");
     pool::parallel_map(ids, |id| {
-        run(id, study).unwrap_or_else(|| panic!("unknown experiment {id:?}"))
+        let e = find(id).unwrap_or_else(|| panic!("unknown experiment {id:?}"));
+        let _span = detour_obs::current().span(&format!("experiment/{id}"));
+        (e.run)(study)
     })
 }
 
@@ -909,26 +846,22 @@ mod tests {
     use detour_datasets::Scale;
 
     #[test]
-    fn registry_matches_id_list_in_order() {
+    fn registry_is_paper_ids_then_extras_then_the_sweep() {
         let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
-        let expected: Vec<&str> = ALL_EXPERIMENTS
-            .iter()
-            .chain(FAULT_EXPERIMENTS)
-            .copied()
-            .collect();
-        assert_eq!(ids, expected);
-    }
-
-    #[test]
-    fn every_experiment_runs_on_a_reduced_study() {
-        let s = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
-        for id in ALL_EXPERIMENTS {
-            let report = run(id, &s).unwrap_or_else(|| panic!("unknown id {id}"));
-            assert!(
-                report.len() > 50,
-                "{id} report suspiciously short:\n{report}"
-            );
-        }
+        let (paper, rest) = ids.split_at(ALL_EXPERIMENTS.len());
+        assert_eq!(paper, ALL_EXPERIMENTS);
+        assert_eq!(
+            rest,
+            [
+                "asymmetry",
+                "prevalence",
+                "independence",
+                "sensitivity",
+                "ablation",
+                "overlay",
+                "outage_sweep"
+            ]
+        );
     }
 
     #[test]
@@ -990,6 +923,64 @@ mod tests {
         let engine = run_all(&s, &ids);
         for (id, report) in ids.iter().zip(&engine) {
             assert_eq!(run(id, &s).as_deref(), Some(report.as_str()), "{id}");
+        }
+    }
+
+    /// Every artifact a study can hold.
+    fn every_need() -> Vec<Need> {
+        DataKey::ALL
+            .iter()
+            .flat_map(|&k| {
+                [
+                    Need::Weights(k, MetricKind::Rtt),
+                    Need::Weights(k, MetricKind::Loss),
+                    Need::Weights(k, MetricKind::PropDelay),
+                    Need::Bandwidth(k),
+                ]
+            })
+            .collect()
+    }
+
+    /// Each registry entry's `needs` name every study artifact its run
+    /// touches: on a fresh study with only those prebuilt, the run builds
+    /// nothing more. The counters cannot tell the study's builds from the
+    /// private contexts `ablation` and `outage_sweep` build, so the study
+    /// is probed after the run instead: every undeclared artifact must
+    /// still record its one build. Each run also records its
+    /// `experiment/<id>` span, which the committed manifest must list.
+    #[test]
+    fn every_entry_declares_the_study_artifacts_it_builds() {
+        const MANIFEST: &str = include_str!("../../../scripts/obs_manifest.txt");
+        let bundle = Bundle::generate(Scale::reduced(8, 24));
+        for e in REGISTRY {
+            let s = Study::new(&bundle);
+            prebuild(&s, e.needs);
+            let rec = detour_obs::Recorder::new();
+            let report = {
+                let _obs = detour_obs::install(rec.clone());
+                run_all(&s, &[e.id]).remove(0)
+            };
+            assert!(report.len() > 50, "{} report too short:\n{report}", e.id);
+            let name = format!("span experiment/{}", e.id);
+            assert!(rec.snapshot().names().contains(&name), "no {name}");
+            assert!(
+                MANIFEST.lines().any(|l| l.trim() == name),
+                "scripts/obs_manifest.txt does not list {name}"
+            );
+
+            let probe = detour_obs::Recorder::new();
+            let _obs = detour_obs::install(probe.clone());
+            let undeclared: Vec<Need> = every_need()
+                .into_iter()
+                .filter(|n| !e.needs.contains(n))
+                .collect();
+            prebuild(&s, &undeclared);
+            assert_eq!(
+                total_builds(&probe),
+                undeclared.len() as u64,
+                "{} built a study artifact it does not declare",
+                e.id
+            );
         }
     }
 }

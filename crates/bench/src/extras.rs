@@ -1,6 +1,9 @@
 //! Experiments beyond the paper's figures: the Paxson-phenomenon checks
 //! its methodology leans on, the routing-policy ablation, and the overlay
-//! evaluation (DESIGN.md §5/§5b).
+//! evaluation (DESIGN.md §5/§5b). Each is a [`crate::experiments::REGISTRY`]
+//! entry and runs through the same engine as the paper set; the ablation
+//! and the overlay evaluation build their own networks and ignore the
+//! study.
 
 use detour_core::analysis::cdf::{compare_all_pairs, improvement_cdf, ratio_cdf};
 use detour_core::analysis::{asymmetry, prevalence};
@@ -14,31 +17,8 @@ use detour_prng::Xoshiro256pp;
 use crate::render::{check, header, pct};
 use crate::study::{DataKey, Study};
 
-/// Extra experiment identifiers.
-pub const EXTRA_EXPERIMENTS: &[&str] = &[
-    "asymmetry",
-    "prevalence",
-    "independence",
-    "sensitivity",
-    "ablation",
-    "overlay",
-];
-
-/// Dispatches one extra experiment by id.
-pub fn run(id: &str, study: &Study) -> Option<String> {
-    Some(match id {
-        "asymmetry" => asymmetry_report(study),
-        "prevalence" => prevalence_report(study),
-        "independence" => independence_report(study),
-        "sensitivity" => sensitivity_report(study),
-        "ablation" => ablation_report(),
-        "overlay" => overlay_report(),
-        _ => return None,
-    })
-}
-
 /// Temporal-dependence audit of the paper's §4.1 independence assumption.
-fn independence_report(s: &Study) -> String {
+pub fn independence_report(s: &Study) -> String {
     use detour_core::analysis::independence;
     let mut out = header("Extra: sample-independence audit (paper 4.1 assumption)");
     for key in [DataKey::Uw3, DataKey::D2] {
@@ -63,7 +43,7 @@ fn independence_report(s: &Study) -> String {
 }
 
 /// Fragility of the best alternate (paper 6.4's instability, k-best view).
-fn sensitivity_report(s: &Study) -> String {
+pub fn sensitivity_report(s: &Study) -> String {
     use detour_core::analysis::sensitivity;
     let mut out = header("Extra: best-alternate sensitivity (k-best view)");
     let r = sensitivity::analyze(s.ctx(DataKey::Uw3), &Rtt);
@@ -86,7 +66,7 @@ fn sensitivity_report(s: &Study) -> String {
 }
 
 /// Routing asymmetry (Paxson 1996, cited in paper §2).
-fn asymmetry_report(s: &Study) -> String {
+pub fn asymmetry_report(s: &Study) -> String {
     let mut out = header("Extra: routing asymmetry (Paxson-96 phenomenon)");
     for key in [DataKey::Uw3, DataKey::Uw1, DataKey::D2] {
         let cx = s.ctx(key);
@@ -111,7 +91,7 @@ fn asymmetry_report(s: &Study) -> String {
 }
 
 /// Route prevalence (Paxson 1996: paths dominated by a single route).
-fn prevalence_report(s: &Study) -> String {
+pub fn prevalence_report(s: &Study) -> String {
     let mut out = header("Extra: route prevalence (Paxson-96 phenomenon)");
     for key in [DataKey::Uw3, DataKey::D2] {
         let cx = s.ctx(key);
@@ -132,7 +112,7 @@ fn prevalence_report(s: &Study) -> String {
 }
 
 /// The DESIGN.md §5 routing-policy ablation at reduced scale.
-fn ablation_report() -> String {
+pub fn ablation_report(_s: &Study) -> String {
     let mut out = header("Extra: routing-policy ablation (reduced scale)");
     out.push_str(&format!(
         "  {:<22} {:>13} {:>13} {:>15}\n",
@@ -169,7 +149,7 @@ fn ablation_report() -> String {
 }
 
 /// Overlay routing evaluated against default paths.
-fn overlay_report() -> String {
+pub fn overlay_report(_s: &Study) -> String {
     let mut out = header("Extra: Detour/RON-style overlay evaluation");
     let net = Network::generate(&NetworkConfig::for_era(Era::Y1999, 0xe41a, 2.0));
     let members: Vec<HostId> = net
@@ -244,19 +224,4 @@ fn overlay_report() -> String {
         ));
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use detour_datasets::Scale;
-
-    #[test]
-    fn extra_experiments_run() {
-        let s = Study::from_bundle(crate::Bundle::generate(Scale::reduced(8, 24)));
-        for id in EXTRA_EXPERIMENTS {
-            let r = run(id, &s).unwrap_or_else(|| panic!("unknown {id}"));
-            assert!(r.len() > 60, "{id}:\n{r}");
-        }
-    }
 }

@@ -1,7 +1,8 @@
 //! # detour-bench
 //!
 //! The benchmark crate: regenerates every table and figure of the paper
-//! (the `figures` binary) and hosts the in-tree performance benches.
+//! (the `figures` binary) and times the pipeline (the `baseline` binary,
+//! whose only output is its `detour-obs` report).
 //!
 //! * [`bundle`] — generates the eight Table-1 datasets, sharing simulations
 //!   between siblings (D2/D2-NA, N2/N2-NA, UW4-A/UW4-B);
@@ -11,15 +12,15 @@
 //! * [`study`] — one shared `AnalysisContext` per dataset: pair tables
 //!   and weight matrices build once and every experiment borrows them;
 //! * [`render`] — plain-text rendering of CDFs, tables, and scatters;
-//! * [`experiments`] — the declarative registry: one [`Experiment`] per
-//!   paper artifact stating the derived artifacts it needs; the engine
-//!   prebuilds the union and fans experiments out in parallel with
-//!   request-ordered (byte-identical) report merging;
-//! * [`extras`] — beyond-the-paper experiments: Paxson-phenomenon checks,
-//!   the routing-policy ablation, and the overlay evaluation;
-//! * [`harness`] — the dependency-free micro-benchmark harness the
-//!   `benches/` binaries and the `baseline` binary run on (warm-up,
-//!   batched median-of-N timing, JSON-lines output);
+//! * [`experiments`] — the one experiment registry: one [`Experiment`]
+//!   per report (the 19 paper artifacts, six extras and the fault sweep)
+//!   stating the derived artifacts it needs; the engine prebuilds the
+//!   union, fans experiments out in parallel, times each under an
+//!   `experiment/<id>` span, and merges reports in request order
+//!   (byte-identical at any worker count);
+//! * [`extras`] — the report functions of the beyond-the-paper registry
+//!   entries: Paxson-phenomenon checks, the routing-policy ablation, and
+//!   the overlay evaluation;
 //! * [`reference`] — the per-pair Dijkstra sweep the source-batched
 //!   kernel replaced, kept as the oracle that pins the kernel's
 //!   tie-breaks bit for bit;
@@ -34,7 +35,6 @@ pub mod bundle;
 pub mod cache;
 pub mod experiments;
 pub mod extras;
-pub mod harness;
 pub mod reference;
 pub mod render;
 pub mod scale;
@@ -42,5 +42,4 @@ pub mod study;
 
 pub use bundle::Bundle;
 pub use experiments::{Experiment, Need};
-pub use harness::Bench;
 pub use study::{DataKey, Study};

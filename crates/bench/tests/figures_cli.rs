@@ -1,29 +1,63 @@
-//! The `figures` binary treats its cache directory as untrusted input: a
-//! cache path it cannot use ends the run with the I/O error and a non-zero
-//! exit status, never a panic.
+//! The `figures` binary treats its arguments and its cache directory as
+//! untrusted input: an unknown flag or id ends the run with status 2 before
+//! any work, and a cache path it cannot use ends it with the I/O error and
+//! status 1, never a panic.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// A scratch working directory whose `results/cache` is a regular file, so
+/// any run that gets as far as the trace cache fails fast with status 1
+/// instead of generating datasets.
+fn poisoned_cwd(name: &str) -> PathBuf {
+    let cwd = std::env::temp_dir().join(format!("detour-figures-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(cwd.join("results")).unwrap();
+    std::fs::write(cwd.join("results/cache"), b"not a directory").unwrap();
+    cwd
+}
+
+fn figures(cwd: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let Output { status, stderr, .. } = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .unwrap();
+    (status.code(), String::from_utf8_lossy(&stderr).into_owned())
+}
 
 #[test]
 fn unusable_cache_directory_exits_nonzero_without_panicking() {
-    let cwd = std::env::temp_dir().join(format!("detour-figures-cli-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cwd);
-    std::fs::create_dir_all(cwd.join("results")).unwrap();
-    // A regular file where the cache directory belongs.
-    std::fs::write(cwd.join("results/cache"), b"not a directory").unwrap();
+    let cwd = poisoned_cwd("cache");
     for args in [
         &["--scaled", "table1"][..],
         &["--fresh", "--scaled", "table1"],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-            .args(args)
-            .current_dir(&cwd)
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let (code, stderr) = figures(&cwd, args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("results/cache"), "{args:?}: {stderr}");
     }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+#[test]
+fn unknown_flags_and_ids_exit_2_before_any_work() {
+    let cwd = poisoned_cwd("args");
+    for args in [
+        &["--sclaed", "table1"][..],
+        &["--scaled", "--thread", "2", "table1"],
+        &["--scaled", "fig99"],
+    ] {
+        let (code, stderr) = figures(&cwd, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("results/cache"), "{args:?}: {stderr}");
+    }
+    let (_, stderr) = figures(&cwd, &["--sclaed"]);
+    assert!(
+        stderr.contains("--threads N, --seed S, --scaled, --fresh"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&cwd).unwrap();
 }

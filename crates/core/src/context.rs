@@ -18,8 +18,8 @@
 //! The context never mutates after creation beyond these idempotent cache
 //! fills; analyses therefore compose without ordering constraints, and the
 //! per-artifact-kind `context/*_builds` counters on the current
-//! `detour-obs` recorder let the bench harness assert that each artifact
-//! really was built exactly once.
+//! `detour-obs` recorder let the experiment engine's tests assert that
+//! each artifact really was built exactly once.
 
 use std::sync::{Arc, OnceLock};
 
@@ -112,7 +112,7 @@ impl AnalysisContext {
     /// The weight matrix for `metric`'s family, built on first request and
     /// shared thereafter. Each actual build (cache misses only) records a
     /// `context/weights_{rtt,loss,prop}_builds` counter, which is how the
-    /// bench harness proves build-once behaviour.
+    /// experiment engine's tests prove build-once behaviour.
     pub fn weights(&self, metric: &impl Metric) -> &WeightMatrix {
         let kind = metric.kind();
         self.slot(kind).get_or_init(|| {

@@ -239,6 +239,82 @@ fn k_best_first_entry_matches_kernel_best() {
     });
 }
 
+/// Every simple-path cost from `s` to `d` (direct edge excluded, masked
+/// hosts avoided), ascending: the ranking Yen's algorithm must reproduce.
+fn all_alternate_costs(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> Vec<f64> {
+    fn dfs(m: &WeightMatrix, path: &mut Vec<usize>, d: usize, on: &mut [bool], out: &mut Vec<f64>) {
+        let cur = *path.last().expect("non-empty path");
+        if cur == d {
+            out.push(path.windows(2).map(|w| m.value(w[0], w[1])).sum());
+            return;
+        }
+        for v in 0..m.len() {
+            if on[v] || (path.len() == 1 && v == d) || m.value(cur, v).is_nan() {
+                continue;
+            }
+            on[v] = true;
+            path.push(v);
+            dfs(m, path, d, on, out);
+            path.pop();
+            on[v] = false;
+        }
+    }
+    let mut on = mask.to_vec();
+    on[s] = true;
+    let mut out = Vec::new();
+    dfs(m, &mut vec![s], d, &mut on, &mut out);
+    out.sort_by(f64::total_cmp);
+    out
+}
+
+#[test]
+fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
+    check("Yen k-best properties", |rng| {
+        let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
+        let mut mask = m.no_mask();
+        if rng.gen_bool(0.5) {
+            mask[rng.gen_range(0..m.len())] = true;
+        }
+        for (s, d) in m.measured_pairs(&mask) {
+            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, &Rtt, 6);
+            let (src, dst) = (m.hosts()[s], m.hosts()[d]);
+            for (i, a) in kb.iter().enumerate() {
+                // A detour: at least one via host, so never the direct edge.
+                assert!(!a.via.is_empty(), "({s},{d}) #{i} is the direct edge");
+                // Loop-free: no repeated host, and never an endpoint.
+                let mut hops = vec![src];
+                hops.extend(&a.via);
+                hops.push(dst);
+                let mut seen = hops.clone();
+                seen.sort();
+                seen.dedup();
+                assert_eq!(seen.len(), hops.len(), "({s},{d}) #{i} loops: {hops:?}");
+                // Masked hosts stay out.
+                assert!(a.via.iter().all(|h| !mask[m.host_index(*h).unwrap()]));
+                // Distinct from every better-ranked alternate.
+                assert!(
+                    kb[..i].iter().all(|b| b.via != a.via),
+                    "({s},{d}) #{i} repeats"
+                );
+            }
+            // Costs never decrease as k grows, and the first k are the k
+            // cheapest simple detours.
+            let costs: Vec<f64> = kb.iter().map(|a| a.alternate_value).collect();
+            assert!(
+                costs.windows(2).all(|w| w[0] <= w[1]),
+                "({s},{d}) {costs:?}"
+            );
+            let all = all_alternate_costs(&m, &mask, s, d);
+            assert_eq!(costs, all[..all.len().min(6)], "({s},{d})");
+            // A smaller k returns a prefix of the larger ranking.
+            for k in 1..kb.len() {
+                let fewer = detour_core::k_best_alternates_in(&m, &mask, s, d, &Rtt, k);
+                assert_eq!(fewer, kb[..k], "({s},{d}) k={k}");
+            }
+        }
+    });
+}
+
 /// Mean improvement of a full sweep under `mask`: the greedy objective,
 /// computed with no reuse.
 fn mean_improvement(m: &WeightMatrix, mask: &[bool]) -> f64 {

@@ -14,9 +14,9 @@
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, build, batched-kernel
-#             equivalence, chaos + golden suites, benchmark package build
-#             and unit tests) — the fast early signal;
-#             skips the full test run and the baseline
+#             equivalence, the figures CLI input checks, chaos + golden
+#             suites, benchmark package build and unit tests) — the fast
+#             early signal; skips the full test run and the baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,13 +45,17 @@ echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
 # Smoke tier: the batched-kernel equivalence suite (source-batched sweep
-# byte-identical to the retained per-pair reference) plus the tiny-scale
-# end-to-end suites — the chaos suite (every fault scenario through the
-# whole pipeline) and the golden snapshots (byte-level replay of committed
-# reports, fault sweep included). Fails fast before the full test run and
-# baseline.
+# byte-identical to the retained per-pair reference), the figures CLI
+# input checks (unknown flags and ids, an unusable cache path), plus the
+# tiny-scale end-to-end suites — the chaos suite (every fault scenario
+# through the whole pipeline) and the golden snapshots (byte-level replay
+# of every registered experiment's report, fault sweep included). Fails
+# fast before the full test run and baseline.
 echo "== smoke: batched-kernel equivalence =="
 cargo test -q --offline -p detour --test batched_kernel
+
+echo "== smoke: figures CLI input handling =="
+cargo test -q --offline -p detour-bench --test figures_cli
 
 echo "== smoke: chaos + golden report suites =="
 cargo test -q --offline -p detour --test chaos --test golden_reports

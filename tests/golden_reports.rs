@@ -1,16 +1,19 @@
 //! Golden report snapshots.
 //!
-//! Every paper experiment's tiny-scale report is committed under
+//! Every registered experiment's tiny-scale report is committed under
 //! `tests/golden/` and byte-compared on every test run: the whole pipeline
 //! — simulator, faulted campaigns, assembly, analysis, rendering — must
 //! replay exactly, across thread counts, cache states, and refactors. The
-//! paper set is generated and run through the shared-artifact engine
+//! experiments that read the study (the paper set and four extras) are
+//! generated and run through the shared-artifact engine
 //! ([`detour_bench::experiments::run_all`]) at 1, 2 and 8 workers, and
 //! every run is compared against the same snapshots.
-//! `outage_sweep` is in the set deliberately: it pins the fault-injection
-//! replay (schedules, degraded-report flags, starved-pair accounting), not
-//! just the benign paper path. `asymmetry` pins the modal AS paths, which
-//! no paper figure prints directly.
+//!
+//! The [`SELF_CONTAINED`] experiments build their own networks and ignore
+//! the study, so they run once, in their own test. `outage_sweep` pins the
+//! fault-injection replay (schedules, degraded-report flags, starved-pair
+//! accounting); `ablation` and `overlay` do not depend on scale either, so
+//! their snapshots must also equal the committed full-run `results/` files.
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -25,13 +28,16 @@ use std::path::PathBuf;
 
 use detour::core::pool;
 use detour::datasets::Scale;
-use detour_bench::experiments::{self, run_all, ALL_EXPERIMENTS};
-use detour_bench::extras;
+use detour_bench::experiments::{run_all, REGISTRY};
 use detour_bench::{Bundle, Study};
 
-/// The snapshotted experiments beyond the paper set: the fault sweep and
-/// the routing-asymmetry census.
-const EXTRA: &[&str] = &["outage_sweep", "asymmetry"];
+/// The registry entries that ignore the study.
+const SELF_CONTAINED: &[&str] = &["ablation", "overlay", "outage_sweep"];
+
+/// The scale every snapshot is taken at.
+fn scale() -> Scale {
+    Scale::reduced(8, 24)
+}
 
 fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -65,16 +71,19 @@ fn check_or_bless(id: &str, report: &str, bless: bool, context: &str) {
 #[test]
 fn reports_match_committed_golden_snapshots() {
     let bless = std::env::var_os("DETOUR_BLESS").is_some();
-    let scale = Scale::reduced(8, 24);
-    let mut study = None;
+    let ids: Vec<&str> = REGISTRY
+        .iter()
+        .map(|e| e.id)
+        .filter(|id| !SELF_CONTAINED.contains(id))
+        .collect();
     for threads in [1usize, 2, 8] {
         // Generation runs at each worker count too, so the snapshots pin
         // the whole pipeline, not only the analysis, per worker count.
         pool::set_threads(threads);
-        let s = study.insert(Study::from_bundle(Bundle::generate(scale)));
-        let reports = run_all(s, ALL_EXPERIMENTS);
-        assert_eq!(reports.len(), ALL_EXPERIMENTS.len());
-        for (id, report) in ALL_EXPERIMENTS.iter().zip(&reports) {
+        let study = Study::from_bundle(Bundle::generate(scale()));
+        let reports = run_all(&study, &ids);
+        assert_eq!(reports.len(), ids.len());
+        for (id, report) in ids.iter().zip(&reports) {
             check_or_bless(id, report, bless, &format!("{threads} worker(s)"));
         }
         if bless {
@@ -82,11 +91,23 @@ fn reports_match_committed_golden_snapshots() {
         }
     }
     pool::set_threads(0);
-    let study = study.expect("at least one run");
-    for id in EXTRA {
-        let report = extras::run(id, &study)
-            .or_else(|| experiments::run(id, &study))
-            .unwrap_or_else(|| panic!("{id} not in the registry"));
-        check_or_bless(id, &report, bless, "extra");
+}
+
+#[test]
+fn self_contained_reports_match_snapshots_and_committed_results() {
+    let bless = std::env::var_os("DETOUR_BLESS").is_some();
+    let study = Study::from_bundle(Bundle::generate(scale()));
+    let reports = run_all(&study, SELF_CONTAINED);
+    for (id, report) in SELF_CONTAINED.iter().zip(&reports) {
+        check_or_bless(id, report, bless, "self-contained");
+        let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("results")
+            .join(format!("{id}.txt"));
+        assert_eq!(
+            Some(report),
+            std::fs::read_to_string(&committed).ok().as_ref(),
+            "{id} differs from {}",
+            committed.display()
+        );
     }
 }
