@@ -16,7 +16,8 @@
 //! `--threads N` sets the experiment engine's worker count (0 or absent =
 //! one worker per core); output is bit-identical at any setting. `--seed S`
 //! regenerates the whole study on a different simulated Internet (S = 0 is
-//! the canonical run). An unknown id or flag exits with status 2.
+//! the canonical run). An unknown id or flag, or a value flag given twice,
+//! exits with status 2.
 //!
 //! Datasets come from the trace cache under `results/cache/`: the first
 //! run at a given (seed, scale) simulates and saves, later runs load the
@@ -50,6 +51,10 @@ fn parse_flag(args: &mut Vec<String>, name: &str) -> Option<u64> {
         exit(2);
     });
     args.drain(i..=i + 1);
+    if args.iter().any(|a| a == name) {
+        eprintln!("figures: {name} given more than once");
+        exit(2);
+    }
     Some(v)
 }
 

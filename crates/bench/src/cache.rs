@@ -55,26 +55,31 @@ pub fn cache_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
 }
 
 /// What probing one cache key found.
-enum CacheProbe {
+pub(crate) enum CacheProbe {
     /// A healthy entry.
     Loaded(Dataset),
     /// No file: a plain miss.
     Missing,
-    /// The file at this path exists but is truncated, unparseable, or
-    /// holds the wrong dataset. The caller quarantines it rather than
-    /// overwriting the evidence.
-    Corrupt(PathBuf),
+    /// The file was truncated, unparseable, or held the wrong dataset. It
+    /// has been renamed `{file}.quarantined` rather than overwritten, so
+    /// the evidence survives; the caller counts a quarantine and a miss.
+    Quarantined,
 }
 
-/// Probes the cache for one dataset without touching it.
-fn probe_cached(dir: &Path, name: &str, scale: Scale) -> CacheProbe {
+/// Probes the cache for one dataset, quarantining a bad entry. The one
+/// entry probe behind both [`Bundle::generate_cached`] and the SCALE
+/// workload's cache.
+pub(crate) fn probe_cached(dir: &Path, name: &str, scale: Scale) -> std::io::Result<CacheProbe> {
     let path = cache_path(dir, name, scale);
     if !path.exists() {
-        return CacheProbe::Missing;
+        return Ok(CacheProbe::Missing);
     }
     match trace2::load(&path) {
-        Ok(ds) if ds.name == name => CacheProbe::Loaded(ds),
-        Ok(_) | Err(_) => CacheProbe::Corrupt(path),
+        Ok(ds) if ds.name == name => Ok(CacheProbe::Loaded(ds)),
+        Ok(_) | Err(_) => {
+            std::fs::rename(&path, quarantined_path(&path))?;
+            Ok(CacheProbe::Quarantined)
+        }
     }
 }
 
@@ -115,13 +120,10 @@ impl Bundle {
             let mut loaded = Vec::with_capacity(names.len());
             let mut quarantined = 0;
             for n in names {
-                match probe_cached(dir, n, scale) {
+                match probe_cached(dir, n, scale)? {
                     CacheProbe::Loaded(ds) => loaded.push(ds),
                     CacheProbe::Missing => {}
-                    CacheProbe::Corrupt(path) => {
-                        std::fs::rename(&path, quarantined_path(&path))?;
-                        quarantined += 1;
-                    }
+                    CacheProbe::Quarantined => quarantined += 1,
                 }
             }
             if loaded.len() == names.len() && quarantined == 0 {

@@ -26,7 +26,7 @@ use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
 use detour_netsim::topology::generator::TopologyConfig;
 use detour_netsim::{Era, Network, NetworkConfig};
 
-use crate::cache::{cache_path, quarantined_path};
+use crate::cache::{cache_path, probe_cached, CacheProbe};
 
 /// Measurement hosts in the SCALE dataset (the gate requires ≥ 120).
 pub const SCALE_HOSTS: usize = 128;
@@ -82,34 +82,29 @@ fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
 }
 
 /// Loads the SCALE dataset from the trace cache in `dir`, or generates and
-/// saves it. Returns the dataset and whether it was a cache hit. Follows
-/// the cache's discipline: only the `.trace2` entry is read, and a corrupt
-/// or mismatched one is renamed `*.quarantined` and the dataset
-/// regenerated. Reports through the same `cache/*` counters (and
-/// `cache/load` span) as the bundle cache.
+/// saves it. Returns the dataset and whether it was a cache hit. The entry
+/// goes through the bundle cache's own probe, so a corrupt or mismatched
+/// file is renamed `*.quarantined` and the dataset regenerated. Reports
+/// through the same `cache/*` counters (and `cache/load` span) as the
+/// bundle cache.
 pub fn load_or_generate(dir: &Path) -> std::io::Result<(Dataset, bool)> {
     let rec = detour_obs::current();
     let _load = rec.span("cache/load");
     let spec = scale_spec();
     let scale = scale_scale();
-    let path = cache_path(dir, spec.name, scale);
-    if path.exists() {
-        match trace2::load(&path) {
-            Ok(ds) if ds.name == spec.name => {
-                rec.add("cache/hits", 1);
-                return Ok((ds, true));
-            }
-            Ok(_) | Err(_) => {
-                rec.add("cache/quarantined", 1);
-                std::fs::rename(&path, quarantined_path(&path))?;
-            }
+    match probe_cached(dir, spec.name, scale)? {
+        CacheProbe::Loaded(ds) => {
+            rec.add("cache/hits", 1);
+            return Ok((ds, true));
         }
+        CacheProbe::Quarantined => rec.add("cache/quarantined", 1),
+        CacheProbe::Missing => {}
     }
     rec.add("cache/misses", 1);
     std::fs::create_dir_all(dir)?;
     let net = scale_network(&spec, scale);
     let ds = spec::generate_on(&net, &spec, scale);
-    trace2::save(&ds, &path)?;
+    trace2::save(&ds, &cache_path(dir, spec.name, scale))?;
     Ok((ds, false))
 }
 

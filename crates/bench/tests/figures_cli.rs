@@ -48,6 +48,7 @@ fn unknown_flags_and_ids_exit_2_before_any_work() {
         &["--sclaed", "table1"][..],
         &["--scaled", "--thread", "2", "table1"],
         &["--scaled", "fig99"],
+        &["--threads", "2", "--threads", "3", "table1"],
     ] {
         let (code, stderr) = figures(&cwd, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -57,6 +58,11 @@ fn unknown_flags_and_ids_exit_2_before_any_work() {
     let (_, stderr) = figures(&cwd, &["--sclaed"]);
     assert!(
         stderr.contains("--threads N, --seed S, --scaled, --fresh"),
+        "{stderr}"
+    );
+    let (_, stderr) = figures(&cwd, &["--seed", "1", "--seed", "1"]);
+    assert!(
+        stderr.contains("figures: --seed given more than once"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&cwd).unwrap();

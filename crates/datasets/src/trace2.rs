@@ -1,12 +1,9 @@
 //! `.trace2` — the zero-copy binary columnar trace format.
 //!
-//! The text tracefile ([`detour_measure::tracefile`]) is the format you
-//! eyeball and diff; this is the format you *load*. A warm cache run used
-//! to spend its time in `split_whitespace` and `f64::from_str` — one
-//! `Vec<&str>` per line, one string parse per field — which made text
-//! decode the dominant cost of the whole replay pipeline. The binary
-//! format eliminates that: every column is a contiguous little-endian
-//! array, so loading is one `fs::read` into a single `Vec<u8>` followed by
+//! This is the only on-disk form of a [`Dataset`]: the trace cache, the
+//! benchmark's SCALE file and the `trace_explorer` example all save and
+//! load through it. Every column is a contiguous little-endian array, so
+//! loading is one `fs::read` into a single `Vec<u8>` followed by
 //! fixed-stride `from_le_bytes` scans over borrowed slices (no unsafe, no
 //! external crates, no per-record allocation beyond the output structs
 //! themselves), with the dominant probe section decoded in parallel on
@@ -40,9 +37,8 @@
 //! chunked parallel decode trivial).
 //!
 //! `f64` columns store raw IEEE-754 bits, so the decoded [`Dataset`] is
-//! *bit-identical* to the one that was saved — the same property the text
-//! format gets from Rust's shortest-round-trip float printing, without
-//! paying to re-parse it.
+//! *bit-identical* to the one that was saved, with no float formatting or
+//! parsing on either side.
 //!
 //! ## Versioning & integrity
 //!
@@ -919,8 +915,8 @@ mod tests {
     #[test]
     fn float_bits_survive_exactly() {
         let mut ds = sample_dataset();
-        // Values text formatting is known to round-trip only because Rust
-        // prints shortest-exact; binary must carry the raw bits.
+        // Values with no short exact decimal form: the format must carry
+        // the raw bits, not a rounded value.
         ds.probes[0].rtt_ms = Some(0.1 + 0.2);
         ds.transfers[0].loss_rate = f64::MIN_POSITIVE;
         ds.duration_s = 1.0 / 3.0;

@@ -1,11 +1,10 @@
 //! The `.trace2` binary format's round-trip properties: any dataset —
-//! random or pipeline-generated, taken through the text parser or built
-//! directly — must survive `to_bytes` → `from_bytes` bit-identically, and
-//! the binary encoding must be a fixed point (so cache re-writes never
-//! churn bytes).
+//! random or pipeline-generated — must survive `to_bytes` → `from_bytes`
+//! bit-identically, and the binary encoding must be a fixed point (so
+//! cache re-writes never churn bytes).
 
 use detour_datasets::{trace2, DatasetId};
-use detour_measure::{tracefile, Dataset, HostMeta, PairTable, ProbeSample, TransferSample};
+use detour_measure::{Dataset, HostMeta, PairTable, ProbeSample, TransferSample};
 use detour_netsim::HostId;
 use detour_prng::{check, Rng, Xoshiro256pp};
 
@@ -118,12 +117,12 @@ fn random_datasets_roundtrip_bit_identically() {
 }
 
 #[test]
-fn text_chain_preserves_every_field() {
-    // A dataset that reaches the binary format through the text reader:
-    // text trace → Dataset → .trace2 → Dataset. Every metric, episode id,
-    // starved-pair counter and rate-limit flag must come out bit-identical
-    // — UW4-A carries episodes, N2 carries transfers, and the fault
-    // counters are set explicitly since the benign pipeline leaves them 0.
+fn generated_datasets_preserve_every_field() {
+    // A pipeline-generated dataset: generated → .trace2 → Dataset. Every
+    // metric, episode id, starved-pair counter and rate-limit flag must
+    // come out bit-identical — UW4-A carries episodes, N2 carries
+    // transfers, and the fault counters are set explicitly since the
+    // benign pipeline leaves them 0.
     for mut ds in [
         DatasetId::Uw4A.generate_scaled(8, 24),
         DatasetId::N2.generate_scaled(10, 24),
@@ -132,16 +131,12 @@ fn text_chain_preserves_every_field() {
         if let Some(h) = ds.hosts.first() {
             ds.detected_rate_limited = vec![h.id];
         }
-        let text = tracefile::to_string(&ds);
-        let via_text = tracefile::from_str(&text).expect("text parses");
-        let bytes = trace2::to_bytes(&via_text);
-        let back = trace2::from_bytes(&bytes).expect("binary decodes");
-        assert_eq!(back, via_text, "{}: binary diverged from text", ds.name);
-        assert_eq!(back, ds, "{}: chain lost a field", ds.name);
+        let back = trace2::from_bytes(&trace2::to_bytes(&ds)).expect("binary decodes");
+        assert_eq!(back, ds, "{}: the trip lost a field", ds.name);
         assert_eq!(
             PairTable::build(&back),
             PairTable::build(&ds),
-            "{}: aggregates changed across the chain",
+            "{}: aggregates changed across the trip",
             ds.name
         );
         let episodes = |d: &Dataset| d.probes.iter().map(|p| p.episode).collect::<Vec<_>>();

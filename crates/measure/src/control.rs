@@ -473,25 +473,37 @@ mod tests {
 
     #[test]
     fn host_outages_are_counted_and_accounted() {
+        // Every request ends in exactly one bucket, for both campaign
+        // kinds, under host outages alone and under every fault at once.
         let n = net();
         let reqs = small_schedule(&n, 8, 60.0);
-        let mut faults = FaultConfig::host_outages(3);
-        faults.host_mtbf_s = 2.0 * 3600.0; // frequent inside the 4 h window
-        faults.host_mttr_s = 1800.0;
-        let raw = run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
-        assert!(
-            raw.host_outages > 0,
-            "cranked host outages must hit some requests"
-        );
-        assert_eq!(
-            raw.invocations.len()
-                + raw.failed_requests
-                + raw.timed_out
-                + raw.host_outages
-                + raw.truncated,
-            reqs.len(),
-            "every request must be accounted for exactly once"
-        );
+        let mut cranked = FaultConfig::host_outages(3);
+        cranked.host_mtbf_s = 2.0 * 3600.0; // frequent inside the 4 h window
+        cranked.host_mttr_s = 1800.0;
+        for (kind, cfg) in [
+            ("traceroute", CampaignConfig::traceroute()),
+            ("tcp", CampaignConfig::tcp()),
+        ] {
+            for (class, faults) in [("hosts", cranked), ("heavy", FaultConfig::heavy(21))] {
+                let raw = run_campaign_faulted(&n, &reqs, &cfg, 7, &faults);
+                if class == "hosts" {
+                    assert!(
+                        raw.host_outages > 0,
+                        "{kind}: cranked host outages must hit some requests"
+                    );
+                }
+                assert_eq!(
+                    raw.invocations.len()
+                        + raw.transfers.len()
+                        + raw.failed_requests
+                        + raw.timed_out
+                        + raw.host_outages
+                        + raw.truncated,
+                    reqs.len(),
+                    "{kind}/{class}: every request must be accounted for exactly once"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   characteristics);
 //! * [`pairtable`] — columnar per-pair aggregates, built once per dataset
 //!   and shared by every downstream analysis;
-//! * [`record`] — the sample records every downstream analysis consumes;
-//! * [`tracefile`] — a plain-text trace format so generated datasets can be
-//!   saved, inspected, and reloaded without regeneration.
+//! * [`record`] — the sample records every downstream analysis consumes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +26,6 @@ pub mod pairtable;
 pub mod ratelimit;
 pub mod record;
 pub mod schedule;
-pub mod tracefile;
 
 pub use control::{run_campaign, run_campaign_faulted, CampaignConfig, ProbeKind, RawMeasurements};
 pub use dataset::{Characteristics, Dataset, MIN_SAMPLES_PER_PATH};

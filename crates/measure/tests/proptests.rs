@@ -1,10 +1,9 @@
 //! Property-based tests for the measurement machinery, on the in-tree
-//! deterministic harness: schedulers and the trace-file format must be
-//! robust to arbitrary (valid) inputs.
+//! deterministic harness: schedulers and dataset assembly must be robust
+//! to arbitrary (valid) inputs.
 
 use detour_measure::dataset::Dataset;
 use detour_measure::record::{HostMeta, ProbeSample, TransferSample};
-use detour_measure::tracefile;
 use detour_measure::{run_campaign, CampaignConfig, HostId, Schedule};
 use detour_prng::check::{check, check_with};
 use detour_prng::{Rng, SliceRandom, Xoshiro256pp};
@@ -80,20 +79,6 @@ fn dataset(rng: &mut Xoshiro256pp) -> Dataset {
         detected_rate_limited: vec![],
         starved_pairs: 0,
     }
-}
-
-#[test]
-fn tracefile_roundtrips_any_dataset() {
-    check("tracefile_roundtrips_any_dataset", |rng| {
-        let ds = dataset(rng);
-        let text = tracefile::to_string(&ds);
-        let back = tracefile::from_str(&text).expect("roundtrip parse");
-        assert_eq!(back.hosts, ds.hosts);
-        assert_eq!(back.probes, ds.probes);
-        assert_eq!(back.transfers, ds.transfers);
-        assert_eq!(back.as_paths, ds.as_paths);
-        assert_eq!(back.duration_s, ds.duration_s);
-    });
 }
 
 #[test]

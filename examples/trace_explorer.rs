@@ -1,21 +1,21 @@
-//! Trace explorer: save a dataset to a plain-text trace file, reload it,
-//! and summarize it — the workflow of a trace-driven study.
+//! Trace explorer: save a dataset to a `.trace2` file, reload it, and
+//! summarize it — the workflow of a trace-driven study.
 //!
 //! ```text
-//! cargo run --release --example trace_explorer [path/to/file.trace]
+//! cargo run --release --example trace_explorer [path/to/file.trace2]
 //! ```
 //!
 //! With no argument it generates a reduced UW4-B dataset, writes it to a
 //! temp file, and explores that. Point it at any trace written by this
-//! workspace to explore it instead.
+//! workspace to explore it instead; a file it cannot load is reported
+//! with its typed error and exit status 1.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 use detour::core::analysis::prevalence;
 use detour::core::AnalysisContext;
-use detour::datasets::DatasetId;
-use detour::measure::tracefile;
+use detour::datasets::{trace2, DatasetId};
 use detour::measure::Dataset;
 use detour::stats::quantile::percentile;
 
@@ -23,18 +23,18 @@ fn main() {
     let path: PathBuf = match std::env::args().nth(1) {
         Some(p) => PathBuf::from(p),
         None => {
-            let p = std::env::temp_dir().join("detour-explorer-uw4b.trace");
+            let p = std::env::temp_dir().join("detour-explorer-uw4b.trace2");
             println!(
                 "no trace given; generating a reduced UW4-B to {}",
                 p.display()
             );
             let ds = DatasetId::Uw4B.generate_scaled(10, 4);
-            tracefile::save(&ds, &p).expect("write trace");
+            trace2::save(&ds, &p).expect("write trace");
             p
         }
     };
 
-    let ds: Dataset = match tracefile::load(&path) {
+    let ds: Dataset = match trace2::load(&path) {
         Ok(ds) => ds,
         Err(e) => {
             eprintln!("trace_explorer: cannot load {}: {e}", path.display());

@@ -15,8 +15,10 @@
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, build, batched-kernel
 #             equivalence, the figures CLI input checks, chaos + golden
-#             suites, benchmark package build and unit tests) — the fast
-#             early signal; skips the full test run and the baseline
+#             suites, the trace_explorer example on its own .trace2 file
+#             and on a non-trace file, benchmark package build and unit
+#             tests) — the fast early signal; skips the full test run and
+#             the baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,6 +61,18 @@ cargo test -q --offline -p detour-bench --test figures_cli
 
 echo "== smoke: chaos + golden report suites =="
 cargo test -q --offline -p detour --test chaos --test golden_reports
+
+# trace_explorer is the one tool that reads a user-supplied trace path:
+# its default run (generate, save, reload a .trace2) must exit 0, and a
+# file that is not a trace must end in its typed load error, exit 1.
+echo "== smoke: trace_explorer on a .trace2 file and on a non-trace file =="
+cargo run --release --offline -q --example trace_explorer >/dev/null
+status=0
+cargo run --release --offline -q --example trace_explorer -- Cargo.toml >/dev/null 2>&1 || status=$?
+if [[ "$status" != 1 ]]; then
+  echo "trace_explorer exited $status on a non-trace file (want 1)" >&2
+  exit 1
+fi
 
 # benchmark/ is a separate Cargo workspace, so the workspace build above
 # never compiles it: a core API change it depends on would otherwise only

@@ -11,9 +11,9 @@
 //! benign one.
 
 use detour::core::{pool, AnalysisContext, Degradation};
-use detour::datasets::{generate, DatasetSpec, Scale};
+use detour::datasets::{generate, trace2, DatasetSpec, Scale};
 use detour::faults::FaultConfig;
-use detour::measure::{tracefile, CampaignConfig, RateLimitPolicy, Schedule};
+use detour::measure::{CampaignConfig, RateLimitPolicy, Schedule};
 use detour::netsim::Era;
 use detour::prng::Xoshiro256pp;
 
@@ -120,13 +120,14 @@ fn an_emptied_campaign_degrades_without_panicking() {
 #[test]
 fn heavy_chaos_is_byte_identical_across_worker_counts() {
     let reference = generate(&chaos_spec(FaultConfig::heavy(21)), Scale::full());
-    let reference_trace = tracefile::to_string(&reference);
+    let reference_trace = trace2::to_bytes(&reference);
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
         let ds = generate(&chaos_spec(FaultConfig::heavy(21)), Scale::full());
-        assert_eq!(
-            tracefile::to_string(&ds),
-            reference_trace,
+        // Raw bytes, so a flipped float bit fails too; `assert!` keeps a
+        // failure from printing both encodings.
+        assert!(
+            trace2::to_bytes(&ds) == reference_trace,
             "heavy-fault dataset diverged at {threads} worker thread(s)"
         );
     }
@@ -137,85 +138,15 @@ fn heavy_chaos_is_byte_identical_across_worker_counts() {
 fn fault_replay_is_seed_sensitive() {
     let a = generate(&chaos_spec(FaultConfig::heavy(21)), Scale::full());
     let b = generate(&chaos_spec(FaultConfig::heavy(22)), Scale::full());
-    assert_ne!(
-        tracefile::to_string(&a),
-        tracefile::to_string(&b),
+    assert!(
+        trace2::to_bytes(&a) != trace2::to_bytes(&b),
         "different fault seeds must produce different campaigns"
     );
 }
 
 // ---------------------------------------------------------------------------
-// Infrastructure faults: the tracefile parser under a mutation corpus.
+// Infrastructure faults: the trace decoder under a mutation corpus.
 // ---------------------------------------------------------------------------
-
-/// Seeded mutations of a valid trace: truncations, byte flips, line edits.
-/// The parser must return `Ok` or a typed `ParseError` for every mutant —
-/// never panic, never abort.
-#[test]
-fn mutated_tracefiles_never_panic_the_parser() {
-    let ds = generate(&chaos_spec(FaultConfig::none()), Scale::reduced(6, 4));
-    let valid = tracefile::to_string(&ds);
-    let bytes = valid.as_bytes();
-    let mut rng = Xoshiro256pp::seed_from_u64(0x7e57_c0de);
-    let mut parsed = 0usize;
-    let mut rejected = 0usize;
-    for _ in 0..200 {
-        let mutant = match rng.next_u64() % 4 {
-            // Truncate at an arbitrary byte (respecting UTF-8 is the
-            // mutator's job only so `from_str` gets a &str at all; the
-            // trace format itself is ASCII).
-            0 => {
-                let cut = (rng.next_u64() as usize) % bytes.len();
-                String::from_utf8_lossy(&bytes[..cut]).into_owned()
-            }
-            // Flip one byte to an arbitrary printable character.
-            1 => {
-                let mut b = bytes.to_vec();
-                let at = (rng.next_u64() as usize) % b.len();
-                b[at] = 32 + (rng.next_u64() % 95) as u8;
-                String::from_utf8_lossy(&b).into_owned()
-            }
-            // Delete one whole line.
-            2 => {
-                let lines: Vec<&str> = valid.lines().collect();
-                let drop = (rng.next_u64() as usize) % lines.len();
-                let mut kept: Vec<&str> = Vec::with_capacity(lines.len() - 1);
-                kept.extend(
-                    lines
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != drop)
-                        .map(|(_, l)| *l),
-                );
-                kept.join("\n")
-            }
-            // Duplicate one line somewhere else.
-            _ => {
-                let lines: Vec<&str> = valid.lines().collect();
-                let take = (rng.next_u64() as usize) % lines.len();
-                let at = (rng.next_u64() as usize) % lines.len();
-                let mut out: Vec<&str> = Vec::with_capacity(lines.len() + 1);
-                out.extend(&lines[..at]);
-                out.push(lines[take]);
-                out.extend(&lines[at..]);
-                out.join("\n")
-            }
-        };
-        match tracefile::from_str(&mutant) {
-            Ok(_) => parsed += 1,
-            Err(e) => {
-                rejected += 1;
-                // Typed errors must locate the damage.
-                assert!(e.line >= 1, "error without a line number: {e}");
-                assert!(!e.message.is_empty(), "error without a message");
-            }
-        }
-    }
-    // The corpus must actually exercise both outcomes: some mutants stay
-    // parseable (dropped whole records), some are rejected.
-    assert!(parsed > 0, "no mutant parsed — mutator too destructive");
-    assert!(rejected > 0, "no mutant rejected — mutator too gentle");
-}
 
 /// Seeded mutations of a valid `.trace2` binary trace: truncations, byte
 /// flips, and scrambled section-table length/offset fields. The decoder
@@ -226,8 +157,6 @@ fn mutated_tracefiles_never_panic_the_parser() {
 /// only survivable mutation is one that changed nothing.
 #[test]
 fn mutated_trace2_files_never_panic_the_decoder() {
-    use detour::datasets::trace2;
-
     let ds = generate(&chaos_spec(FaultConfig::none()), Scale::reduced(6, 4));
     let valid = trace2::to_bytes(&ds);
     // Table geometry from the documented wire layout: section count at
