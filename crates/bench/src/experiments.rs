@@ -2,7 +2,7 @@
 //!
 //! Each report — paper artifact, extra or fault sweep — is one
 //! [`Experiment`]: an id, the derived artifacts it needs (stated as
-//! [`Need`]s over the [`DataKey`]/[`MetricKind`] vocabulary), and a run
+//! [`Need`]s over the [`DatasetId`]/[`MetricKind`] vocabulary), and a run
 //! function over the shared [`Study`]. The engine ([`run_all`]) resolves
 //! the union of the requested experiments' needs, prebuilds those
 //! artifacts in parallel, then fans the experiments out concurrently —
@@ -25,19 +25,20 @@ use detour_core::{
     pool, AnalysisContext, ArtifactKind, Loss, LossComposition, Metric, MetricKind, Rtt,
     SearchDepth,
 };
+use detour_datasets::DatasetId;
 use detour_stats::ttest::VerdictCounts;
 
 use crate::extras;
 use crate::render::{cdf_grid, check, header, pct};
-use crate::study::{DataKey, Study};
+use crate::study::Study;
 
 /// One derived artifact an experiment consumes, in registry declarations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Need {
     /// The weight matrix of a metric family on a dataset.
-    Weights(DataKey, MetricKind),
+    Weights(DatasetId, MetricKind),
     /// The one-hop bandwidth matrix of a dataset.
-    Bandwidth(DataKey),
+    Bandwidth(DatasetId),
 }
 
 impl Need {
@@ -69,33 +70,41 @@ impl Experiment {
 }
 
 /// The four datasets of the headline RTT/loss figures, in legend order.
-const HEADLINE: [DataKey; 4] = [DataKey::Uw1, DataKey::Uw3, DataKey::D2Na, DataKey::D2];
+const HEADLINE: [DatasetId; 4] = [
+    DatasetId::Uw1,
+    DatasetId::Uw3,
+    DatasetId::D2Na,
+    DatasetId::D2,
+];
 
 const HEADLINE_RTT: &[Need] = &[
-    Need::Weights(DataKey::Uw1, MetricKind::Rtt),
-    Need::Weights(DataKey::Uw3, MetricKind::Rtt),
-    Need::Weights(DataKey::D2Na, MetricKind::Rtt),
-    Need::Weights(DataKey::D2, MetricKind::Rtt),
+    Need::Weights(DatasetId::Uw1, MetricKind::Rtt),
+    Need::Weights(DatasetId::Uw3, MetricKind::Rtt),
+    Need::Weights(DatasetId::D2Na, MetricKind::Rtt),
+    Need::Weights(DatasetId::D2, MetricKind::Rtt),
 ];
 
 const HEADLINE_LOSS: &[Need] = &[
-    Need::Weights(DataKey::Uw1, MetricKind::Loss),
-    Need::Weights(DataKey::Uw3, MetricKind::Loss),
-    Need::Weights(DataKey::D2Na, MetricKind::Loss),
-    Need::Weights(DataKey::D2, MetricKind::Loss),
+    Need::Weights(DatasetId::Uw1, MetricKind::Loss),
+    Need::Weights(DatasetId::Uw3, MetricKind::Loss),
+    Need::Weights(DatasetId::D2Na, MetricKind::Loss),
+    Need::Weights(DatasetId::D2, MetricKind::Loss),
 ];
 
-const BANDWIDTH_N2: &[Need] = &[Need::Bandwidth(DataKey::N2), Need::Bandwidth(DataKey::N2Na)];
+const BANDWIDTH_N2: &[Need] = &[
+    Need::Bandwidth(DatasetId::N2),
+    Need::Bandwidth(DatasetId::N2Na),
+];
 
-const UW1_RTT: &[Need] = &[Need::Weights(DataKey::Uw1, MetricKind::Rtt)];
-const UW3_RTT: &[Need] = &[Need::Weights(DataKey::Uw3, MetricKind::Rtt)];
-const UW3_LOSS: &[Need] = &[Need::Weights(DataKey::Uw3, MetricKind::Loss)];
+const UW1_RTT: &[Need] = &[Need::Weights(DatasetId::Uw1, MetricKind::Rtt)];
+const UW3_RTT: &[Need] = &[Need::Weights(DatasetId::Uw3, MetricKind::Rtt)];
+const UW3_LOSS: &[Need] = &[Need::Weights(DatasetId::Uw3, MetricKind::Loss)];
 const UW3_PROP_RTT: &[Need] = &[
-    Need::Weights(DataKey::Uw3, MetricKind::PropDelay),
-    Need::Weights(DataKey::Uw3, MetricKind::Rtt),
+    Need::Weights(DatasetId::Uw3, MetricKind::PropDelay),
+    Need::Weights(DatasetId::Uw3, MetricKind::Rtt),
 ];
-const UW4B_RTT: &[Need] = &[Need::Weights(DataKey::Uw4B, MetricKind::Rtt)];
-const D2NA_RTT: &[Need] = &[Need::Weights(DataKey::D2Na, MetricKind::Rtt)];
+const UW4B_RTT: &[Need] = &[Need::Weights(DatasetId::Uw4B, MetricKind::Rtt)];
+const D2NA_RTT: &[Need] = &[Need::Weights(DatasetId::D2Na, MetricKind::Rtt)];
 
 /// Every registered experiment: the paper artifacts in paper order
 /// ([`ALL_EXPERIMENTS`]), then the six extras, then the fault sweep. This
@@ -329,7 +338,7 @@ pub fn fig3(s: &Study) -> String {
 pub fn fig4(s: &Study) -> String {
     let mut out = header("Figure 4: bandwidth improvement CDF (N2, N2-NA)");
     let mut curves = Vec::new();
-    for key in [DataKey::N2, DataKey::N2Na] {
+    for key in [DatasetId::N2, DatasetId::N2Na] {
         let cx = s.ctx(key);
         let name = &cx.dataset().name;
         for mode in [LossComposition::Pessimistic, LossComposition::Optimistic] {
@@ -353,7 +362,7 @@ pub fn fig4(s: &Study) -> String {
 pub fn fig5(s: &Study) -> String {
     let mut out = header("Figure 5: relative bandwidth improvement (N2, N2-NA)");
     let mut curves = Vec::new();
-    for key in [DataKey::N2, DataKey::N2Na] {
+    for key in [DatasetId::N2, DatasetId::N2Na] {
         let cx = s.ctx(key);
         let name = &cx.dataset().name;
         for mode in [LossComposition::Pessimistic, LossComposition::Optimistic] {
@@ -381,7 +390,7 @@ pub fn fig5(s: &Study) -> String {
 /// one-hop alternates).
 pub fn fig6(s: &Study) -> String {
     let mut out = header("Figure 6: mean vs median RTT improvement (D2-NA, one-hop)");
-    let cmp = median::analyze(s.ctx(DataKey::D2Na));
+    let cmp = median::analyze(s.ctx(DatasetId::D2Na));
     let gap = median::max_cdf_gap(&cmp, -50.0, 150.0, 200);
     // The paper's "negligible difference" is a visual judgment on a
     // ~200 ms-wide axis, so report the *horizontal* displacement between
@@ -453,7 +462,7 @@ pub fn fig7(s: &Study) -> String {
         "yes",
         "see half-widths below".to_string(),
     ));
-    out.push_str(&interval_report(s.ctx(DataKey::Uw3), &Rtt, "ms"));
+    out.push_str(&interval_report(s.ctx(DatasetId::Uw3), &Rtt, "ms"));
     out
 }
 
@@ -465,7 +474,7 @@ pub fn fig8(s: &Study) -> String {
         "yes",
         "see half-widths below".to_string(),
     ));
-    out.push_str(&interval_report(s.ctx(DataKey::Uw3), &Loss, "rate"));
+    out.push_str(&interval_report(s.ctx(DatasetId::Uw3), &Loss, "rate"));
     out
 }
 
@@ -545,7 +554,7 @@ pub fn fig9(s: &Study) -> String {
         "yes",
         "see slice medians".to_string(),
     ));
-    out.push_str(&timeofday_report(s.ctx(DataKey::Uw3), &Rtt, -50.0, 100.0));
+    out.push_str(&timeofday_report(s.ctx(DatasetId::Uw3), &Rtt, -50.0, 100.0));
     out
 }
 
@@ -557,7 +566,7 @@ pub fn fig10(s: &Study) -> String {
         "yes",
         "see slice medians".to_string(),
     ));
-    out.push_str(&timeofday_report(s.ctx(DataKey::Uw3), &Loss, -0.05, 0.15));
+    out.push_str(&timeofday_report(s.ctx(DatasetId::Uw3), &Loss, -0.05, 0.15));
     out
 }
 
@@ -568,7 +577,7 @@ pub fn fig10(s: &Study) -> String {
 /// Figure 11: UW4-B time-averaged vs UW4-A pair-averaged vs unaveraged.
 pub fn fig11(s: &Study) -> String {
     let mut out = header("Figure 11: long-term average vs simultaneous (UW4)");
-    let a = episodes::analyze(s.ctx(DataKey::Uw4A), s.ctx(DataKey::Uw4B), &Rtt);
+    let a = episodes::analyze(s.ctx(DatasetId::Uw4A), s.ctx(DatasetId::Uw4B), &Rtt);
     out.push_str(&format!("  episodes analyzed: {}\n", a.episodes));
     out.push_str(&check(
         "simultaneous finds (slightly) more improvement",
@@ -608,7 +617,7 @@ pub fn fig11(s: &Study) -> String {
 /// Figure 12: greedy removal of the "top ten" hosts (UW3, RTT).
 pub fn fig12(s: &Study) -> String {
     let mut out = header("Figure 12: removing the top-ten hosts (UW3)");
-    let a = hostremoval::greedy_removal(s.ctx(DataKey::Uw3), &Rtt, 10);
+    let a = hostremoval::greedy_removal(s.ctx(DatasetId::Uw3), &Rtt, 10);
     let (before, after) = hostremoval::improved_fractions(&a);
     out.push_str(&format!("  removed hosts: {:?}\n", a.removed));
     out.push_str(&check(
@@ -628,7 +637,7 @@ pub fn fig12(s: &Study) -> String {
 /// Figure 13: normalized per-host improvement contribution (UW3, RTT).
 pub fn fig13(s: &Study) -> String {
     let mut out = header("Figure 13: per-host improvement contribution (UW3)");
-    let a = contribution::analyze(s.ctx(DataKey::Uw3), &Rtt);
+    let a = contribution::analyze(s.ctx(DatasetId::Uw3), &Rtt);
     out.push_str(&check(
         "no heavy tail (no host with an outsized contribution)",
         "max share far below 1",
@@ -641,7 +650,7 @@ pub fn fig13(s: &Study) -> String {
 /// Figure 14: AS appearances in default vs best alternate paths (UW1, RTT).
 pub fn fig14(s: &Study) -> String {
     let mut out = header("Figure 14: AS scatter, default vs alternate (UW1)");
-    let pts = aspop::analyze(s.ctx(DataKey::Uw1), &Rtt);
+    let pts = aspop::analyze(s.ctx(DatasetId::Uw1), &Rtt);
     out.push_str(&check(
         "no AS substantially over-represented on either axis",
         "points hug the diagonal",
@@ -671,7 +680,7 @@ pub fn fig14(s: &Study) -> String {
 /// Figure 15: propagation-delay improvement CDF vs the mean-RTT CDF (UW3).
 pub fn fig15(s: &Study) -> String {
     let mut out = header("Figure 15: propagation vs mean-RTT improvement (UW3)");
-    let c = propagation::propagation_cdfs(s.ctx(DataKey::Uw3));
+    let c = propagation::propagation_cdfs(s.ctx(DatasetId::Uw3));
     out.push_str(&check(
         "superior alternates exist by propagation delay alone",
         "~50% of paths",
@@ -699,7 +708,7 @@ pub fn fig15(s: &Study) -> String {
 /// (UW3).
 pub fn fig16(s: &Study) -> String {
     let mut out = header("Figure 16: propagation/queuing decomposition (UW3)");
-    let d = propagation::decompose(s.ctx(DataKey::Uw3));
+    let d = propagation::decompose(s.ctx(DatasetId::Uw3));
     out.push_str(&format!(
         "  groups 1..6: {:?}  (n = {})\n",
         d.group_counts,
@@ -876,10 +885,10 @@ mod tests {
         assert_eq!(
             needs,
             vec![
-                Need::Weights(DataKey::Uw1, MetricKind::Rtt),
-                Need::Weights(DataKey::Uw3, MetricKind::Rtt),
-                Need::Weights(DataKey::D2Na, MetricKind::Rtt),
-                Need::Weights(DataKey::D2, MetricKind::Rtt),
+                Need::Weights(DatasetId::Uw1, MetricKind::Rtt),
+                Need::Weights(DatasetId::Uw3, MetricKind::Rtt),
+                Need::Weights(DatasetId::D2Na, MetricKind::Rtt),
+                Need::Weights(DatasetId::D2, MetricKind::Rtt),
             ]
         );
     }
@@ -928,7 +937,7 @@ mod tests {
 
     /// Every artifact a study can hold.
     fn every_need() -> Vec<Need> {
-        DataKey::ALL
+        DatasetId::all()
             .iter()
             .flat_map(|&k| {
                 [

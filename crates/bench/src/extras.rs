@@ -8,20 +8,20 @@
 use detour_core::analysis::cdf::{compare_all_pairs, improvement_cdf, ratio_cdf};
 use detour_core::analysis::{asymmetry, prevalence};
 use detour_core::{AnalysisContext, Rtt, SearchDepth};
-use detour_datasets::{generate_on, uw3, Scale};
+use detour_datasets::{generate_on, uw3, DatasetId, Scale};
 use detour_netsim::sim::clock::SimTime;
 use detour_netsim::{Era, HostId, Network, NetworkConfig, RoutingMode};
 use detour_overlay::{evaluate, EvalConfig, Overlay, OverlayConfig};
 use detour_prng::Xoshiro256pp;
 
 use crate::render::{check, header, pct};
-use crate::study::{DataKey, Study};
+use crate::study::Study;
 
 /// Temporal-dependence audit of the paper's §4.1 independence assumption.
 pub fn independence_report(s: &Study) -> String {
     use detour_core::analysis::independence;
     let mut out = header("Extra: sample-independence audit (paper 4.1 assumption)");
-    for key in [DataKey::Uw3, DataKey::D2] {
+    for key in [DatasetId::Uw3, DatasetId::D2] {
         let cx = s.ctx(key);
         let name = &cx.dataset().name;
         let r = independence::analyze(cx);
@@ -46,7 +46,7 @@ pub fn independence_report(s: &Study) -> String {
 pub fn sensitivity_report(s: &Study) -> String {
     use detour_core::analysis::sensitivity;
     let mut out = header("Extra: best-alternate sensitivity (k-best view)");
-    let r = sensitivity::analyze(s.ctx(DataKey::Uw3), &Rtt);
+    let r = sensitivity::analyze(s.ctx(DatasetId::Uw3), &Rtt);
     out.push_str(&check(
         "pairs with a second distinct alternate",
         "nearly all",
@@ -68,7 +68,7 @@ pub fn sensitivity_report(s: &Study) -> String {
 /// Routing asymmetry (Paxson 1996, cited in paper §2).
 pub fn asymmetry_report(s: &Study) -> String {
     let mut out = header("Extra: routing asymmetry (Paxson-96 phenomenon)");
-    for key in [DataKey::Uw3, DataKey::Uw1, DataKey::D2] {
+    for key in [DatasetId::Uw3, DatasetId::Uw1, DatasetId::D2] {
         let cx = s.ctx(key);
         let r = asymmetry::analyze(cx);
         out.push_str(&check(
@@ -93,7 +93,7 @@ pub fn asymmetry_report(s: &Study) -> String {
 /// Route prevalence (Paxson 1996: paths dominated by a single route).
 pub fn prevalence_report(s: &Study) -> String {
     let mut out = header("Extra: route prevalence (Paxson-96 phenomenon)");
-    for key in [DataKey::Uw3, DataKey::D2] {
+    for key in [DatasetId::Uw3, DatasetId::D2] {
         let cx = s.ctx(key);
         let name = &cx.dataset().name;
         let r = prevalence::analyze(cx);

@@ -9,8 +9,9 @@
 //! * [`cache`] — the on-disk trace cache: generated datasets round-trip
 //!   through the `.trace2` binary format under `results/cache/`, keyed by
 //!   (spec, seed, scale), so warm runs skip the simulator entirely;
-//! * [`study`] — one shared `AnalysisContext` per dataset: pair tables
-//!   and weight matrices build once and every experiment borrows them;
+//! * [`study`] — one shared `AnalysisContext` per Table-1 dataset,
+//!   addressed by `detour_datasets::DatasetId`: pair tables and weight
+//!   matrices build once and every experiment borrows them;
 //! * [`render`] — plain-text rendering of CDFs, tables, and scatters;
 //! * [`experiments`] — the one experiment registry: one [`Experiment`]
 //!   per report (the 19 paper artifacts, six extras and the fault sweep)
@@ -21,7 +22,7 @@
 //! * [`extras`] — the report functions of the beyond-the-paper registry
 //!   entries: Paxson-phenomenon checks, the routing-policy ablation, and
 //!   the overlay evaluation;
-//! * [`reference`] — the per-pair Dijkstra sweep the source-batched
+//! * [`mod@reference`] — the per-pair Dijkstra sweep the source-batched
 //!   kernel replaced, kept as the oracle that pins the kernel's
 //!   tie-breaks bit for bit;
 //! * [`scale`] — the 128-host `scale_sweep` workload: a dataset big enough
@@ -42,4 +43,4 @@ pub mod study;
 
 pub use bundle::Bundle;
 pub use experiments::{Experiment, Need};
-pub use study::{DataKey, Study};
+pub use study::Study;

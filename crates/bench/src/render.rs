@@ -28,26 +28,6 @@ pub fn cdf_grid(series: &[(&str, &Cdf)], lo: f64, hi: f64, rows: usize) -> Strin
     out
 }
 
-/// Renders the same grid as [`cdf_grid`] in CSV, for plotting tools:
-/// header `x,<label>,...`, one row per grid point.
-pub fn cdf_csv(series: &[(&str, &Cdf)], lo: f64, hi: f64, rows: usize) -> String {
-    let mut out = String::from("x");
-    for (label, _) in series {
-        out.push(',');
-        out.push_str(&label.replace(',', ";"));
-    }
-    out.push('\n');
-    for i in 0..=rows {
-        let x = lo + (hi - lo) * i as f64 / rows as f64;
-        out.push_str(&format!("{x}"));
-        for (_, cdf) in series {
-            out.push_str(&format!(",{}", cdf.eval(x)));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// One "paper vs measured" line for EXPERIMENTS.md-style reports.
 pub fn check(label: &str, paper: &str, measured: String) -> String {
     format!("  {label:<52} paper: {paper:<22} measured: {measured}\n")
@@ -79,23 +59,6 @@ mod tests {
         assert!(lines[0].contains('a') && lines[0].contains('b'));
         // Final row at x=4 must read 1.0 for both curves.
         assert!(lines[5].matches("1.0000").count() == 2);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let c = Cdf::from_samples([1.0, 2.0]);
-        let s = cdf_csv(&[("uw3", &c)], 0.0, 2.0, 2);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0], "x,uw3");
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[3], "2,1");
-    }
-
-    #[test]
-    fn csv_escapes_commas_in_labels() {
-        let c = Cdf::from_samples([1.0]);
-        let s = cdf_csv(&[("a,b", &c)], 0.0, 1.0, 1);
-        assert!(s.starts_with("x,a;b\n"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::altpath::{PathComparison, SearchDepth};
 use crate::compose::LossComposition;
 use crate::context::AnalysisContext;
-use crate::kernel::{self, BandwidthMatrix, WeightMatrix};
+use crate::kernel::{self, WeightMatrix};
 use crate::metric::Metric;
 use detour_measure::PairTable;
 use detour_stats::Cdf;
@@ -46,7 +46,7 @@ pub fn compare_graph(
 }
 
 /// Per-pair comparisons for the bandwidth metric (one-hop, Mathis model),
-/// using the context's cached [`BandwidthMatrix`]. Parallel and
+/// using the context's cached [`kernel::BandwidthMatrix`]. Parallel and
 /// order-deterministic like [`compare_all_pairs`].
 pub fn compare_all_pairs_bandwidth(
     cx: &AnalysisContext,
@@ -54,12 +54,6 @@ pub fn compare_all_pairs_bandwidth(
 ) -> Vec<PathComparison> {
     let bm = cx.bandwidth_matrix();
     kernel::sweep_bandwidth(bm, &bm.no_mask(), mode)
-}
-
-/// Bandwidth comparisons for an ad-hoc table without a backing context.
-pub fn compare_graph_bandwidth(table: &PairTable, mode: LossComposition) -> Vec<PathComparison> {
-    let bm = BandwidthMatrix::build(table);
-    kernel::sweep_bandwidth(&bm, &bm.no_mask(), mode)
 }
 
 /// CDF of signed improvements (positive = alternate better): Figures 1, 3, 4.

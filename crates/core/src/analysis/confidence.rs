@@ -106,17 +106,6 @@ pub fn interval_cdf_series(
         .collect()
 }
 
-/// Sanity link between the CDF view and the interval view: both must agree
-/// on how many pairs improved (point-estimate-wise). Exposed for tests and
-/// the figures harness.
-pub fn improved_fraction(cx: &AnalysisContext, metric: &impl Metric) -> f64 {
-    let cs = compare_all_pairs(cx, metric, SearchDepth::Unrestricted);
-    if cs.is_empty() {
-        return 0.0;
-    }
-    cs.iter().filter(|c| c.alternate_wins()).count() as f64 / cs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,11 +196,5 @@ mod tests {
         let cx = AnalysisContext::from_dataset(&noisy_dataset(5.0, 40));
         let table = verdict_table(&cx, &Loss, 0.95);
         assert_eq!(table.zero, 1, "{table:?}");
-    }
-
-    #[test]
-    fn improved_fraction_matches_point_estimates() {
-        let cx = AnalysisContext::from_dataset(&noisy_dataset(5.0, 30));
-        assert!((improved_fraction(&cx, &Rtt) - 1.0).abs() < 1e-12);
     }
 }

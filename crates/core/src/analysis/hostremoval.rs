@@ -76,7 +76,7 @@ fn masked_position(
 /// table rebuilt without the candidate — masked sweeps are value-identical
 /// to rebuilt-table sweeps (relative vertex order is preserved, so every
 /// tie-break matches), which the kernel property tests pin down. On top of
-/// that, candidate evaluation is incremental ([`masked_position`]): removing `h`
+/// that, candidate evaluation is incremental (`masked_position`): removing `h`
 /// can only affect pairs whose best alternate routes through `h`, so the
 /// per-candidate cost drops from a full sweep to a handful of re-searches.
 /// Even weight-tied alternates keep the reuse exact for the in-tree

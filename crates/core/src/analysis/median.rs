@@ -17,7 +17,7 @@ use detour_stats::convolve::SampleDist;
 use detour_stats::quantile::median;
 use detour_stats::Cdf;
 
-/// Histogram bin width (ms) for the convolution grid. Sub-millisecond RTT
+/// Bin width (ms) of the convolution grid. Sub-millisecond RTT
 /// structure is irrelevant at the 10–100 ms scale of the figures.
 pub const CONVOLUTION_BIN_MS: f64 = 1.0;
 

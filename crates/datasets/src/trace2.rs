@@ -23,7 +23,7 @@
 //! |----|-------------|-----------------------------------------------------------------|
 //! | 1  | meta        | duration_s f64, starved_pairs u64, name_len u32, name bytes     |
 //! | 2  | hosts       | n u32; id u32×n; asn u16×n; flags u8×n; name_off u32×(n+1); blob|
-//! | 3  | aspaths     | n u32; off u32×(n+1) (u16 units); asns u16×off[n]               |
+//! | 3  | aspaths     | n u32; off u32×(n+1) (u16 units); asns u16×off\[n\]             |
 //! | 4  | probes      | n u32; src u32×n; dst u32×n; t_s f64×n; probe_index u8×n;       |
 //! |    |             | flags u8×n; rtt f64×n; episode u32×n; path_idx u32×n            |
 //! | 5  | transfers   | n u32; src u32×n; dst u32×n; t_s f64×n; rtt f64×n;              |

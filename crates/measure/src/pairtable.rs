@@ -260,11 +260,6 @@ impl PairTable {
         &self.rtt_samples[self.rtt_off[c] as usize..self.rtt_off[c + 1] as usize]
     }
 
-    /// Number of returned-probe samples for the directed pair.
-    pub fn sample_count(&self, i: usize, j: usize) -> usize {
-        self.rtt_samples(i, j).len()
-    }
-
     /// Modal AS path of the directed pair, as an index into
     /// `Dataset::as_paths` (`None` when the pair saw no probes).
     pub fn modal_path_idx(&self, i: usize, j: usize) -> Option<u32> {

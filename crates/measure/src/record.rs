@@ -26,13 +26,6 @@ pub struct Invocation {
     pub as_path: Vec<u16>,
 }
 
-impl Invocation {
-    /// True if no probe reached the destination.
-    pub fn all_lost(&self) -> bool {
-        self.rtts.iter().all(Option::is_none)
-    }
-}
-
 /// One probe (one of the three per invocation) after filtering: the atom of
 /// RTT and loss analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,21 +91,6 @@ pub struct HostMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn invocation_all_lost() {
-        let mut inv = Invocation {
-            src: HostId(0),
-            dst: HostId(1),
-            t_s: 0.0,
-            episode: None,
-            rtts: [None, None, None],
-            as_path: vec![],
-        };
-        assert!(inv.all_lost());
-        inv.rtts[2] = Some(40.0);
-        assert!(!inv.all_lost());
-    }
 
     #[test]
     fn probe_lost_tracks_rtt() {

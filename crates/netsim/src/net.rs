@@ -283,24 +283,7 @@ impl Network {
     /// Sends one packet across `path` at time `t`, sampling queuing delay
     /// and loss on each link.
     pub fn transit(&self, path: &ResolvedPath, t: SimTime, rng: &mut impl Rng) -> TransitOutcome {
-        let mut delay = PER_HOP_PROCESSING_MS * path.routers.len() as f64;
-        // Injected outages drop the packet deterministically (no RNG
-        // draw), so the load-sampling stream below is unperturbed: a
-        // faulted run differs from the benign run only where a fault is
-        // actually active.
-        let mut lost = self.faulted_element(&path.routers, &path.links, t);
-        for &l in &path.links {
-            let link = self.topology.link(l);
-            let s = self.load.sample(l, t, rng);
-            delay += link.prop_delay_ms + s.queue_delay_ms;
-            if s.lost {
-                lost = true;
-            }
-        }
-        TransitOutcome {
-            delay_ms: delay,
-            lost,
-        }
+        self.transit_prefix(path, path.links.len(), t, rng)
     }
 
     /// Like [`Network::transit`] but over only the first `prefix_links`
@@ -315,6 +298,10 @@ impl Network {
         let n = prefix_links.min(path.links.len());
         let mut delay = PER_HOP_PROCESSING_MS * (n + 1) as f64;
         let routers = &path.routers[..(n + 1).min(path.routers.len())];
+        // Injected outages drop the packet deterministically (no RNG
+        // draw), so the load-sampling stream below is unperturbed: a
+        // faulted run differs from the benign run only where a fault is
+        // actually active.
         let mut lost = self.faulted_element(routers, &path.links[..n], t);
         for &l in &path.links[..n] {
             let link = self.topology.link(l);

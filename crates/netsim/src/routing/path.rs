@@ -51,11 +51,6 @@ impl ResolvedPath {
         }
         out
     }
-
-    /// Number of router hops.
-    pub fn hop_count(&self) -> usize {
-        self.links.len()
-    }
 }
 
 /// Path resolver: owns the per-AS IGP tables, the BGP RIB, and an index of

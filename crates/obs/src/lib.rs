@@ -251,11 +251,6 @@ impl Stopwatch {
     pub fn seconds(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
-
-    /// Nanoseconds since [`Stopwatch::start`].
-    pub fn nanos(&self) -> u128 {
-        self.start.elapsed().as_nanos()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -351,11 +346,6 @@ impl RunReport {
             counters,
             gauges: self.gauges.clone(),
         }
-    }
-
-    /// A span's total seconds (0 when absent).
-    pub fn span_seconds(&self, name: &str) -> f64 {
-        self.spans.get(name).map_or(0.0, |s| s.seconds)
     }
 
     /// A counter's value (0 when absent).

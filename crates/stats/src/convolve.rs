@@ -140,16 +140,6 @@ impl SampleDist {
     }
 }
 
-/// Convolves a sequence of distributions; `None` when the iterator is empty.
-///
-/// This is how a k-hop synthetic path's RTT distribution is assembled from
-/// its constituent measured hops.
-pub fn convolve_all<'a>(dists: impl IntoIterator<Item = &'a SampleDist>) -> Option<SampleDist> {
-    let mut it = dists.into_iter();
-    let first = it.next()?.clone();
-    Some(it.fold(first, |acc, d| acc.convolve(d)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,17 +209,6 @@ mod tests {
             (conv_median - exact).abs() <= 1.5,
             "{conv_median} vs {exact}"
         );
-    }
-
-    #[test]
-    fn convolve_all_handles_chain() {
-        let hops: Vec<SampleDist> = (0..4)
-            .map(|i| SampleDist::point(10.0 * (i + 1) as f64, 1.0))
-            .collect();
-        let total = convolve_all(hops.iter()).unwrap();
-        // 10 + 20 + 30 + 40 = 100, within grid slack.
-        assert!((total.median() - 100.0).abs() <= 2.0);
-        assert!(convolve_all(std::iter::empty()).is_none());
     }
 
     #[test]

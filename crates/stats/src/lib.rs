@@ -19,9 +19,7 @@
 //! * **empirical CDFs** — every figure in the paper is a CDF across host
 //!   pairs — [`edf`];
 //! * the **10th percentile** of round-trip samples as a propagation-delay
-//!   estimator (§7.2) — [`mod@quantile`];
-//! * a **two-sample Kolmogorov–Smirnov test** to make the paper's informal
-//!   whole-CDF comparisons quantitative — [`ks`].
+//!   estimator (§7.2) — [`mod@quantile`].
 //!
 //! Everything here is dependency-free, deterministic, and `f64`-based.
 
@@ -33,8 +31,6 @@ pub mod autocorr;
 pub mod ci;
 pub mod convolve;
 pub mod edf;
-pub mod histogram;
-pub mod ks;
 pub mod quantile;
 pub mod summary;
 pub mod tdist;
@@ -44,8 +40,6 @@ pub use autocorr::{autocorrelation, effective_sample_size};
 pub use ci::ConfidenceInterval;
 pub use convolve::SampleDist;
 pub use edf::Cdf;
-pub use histogram::Histogram;
-pub use ks::{ks_two_sample, KsTest};
 pub use quantile::{percentile, quantile};
 pub use summary::{OnlineStats, Summary};
 pub use ttest::{welch_classify, TTestVerdict};

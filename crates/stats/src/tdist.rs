@@ -1,4 +1,4 @@
-//! Student-t and normal distributions.
+//! The Student-t distribution.
 //!
 //! The paper computes per-path 95 % confidence intervals as
 //! `x̄ − ȳ ± t[.975; ν] · s` following Jain \[Jai91\] (§6.2). That requires the
@@ -168,25 +168,6 @@ pub fn t_quantile(p: f64, df: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// CDF of the standard normal distribution (Abramowitz & Stegun 7.1.26-based
-/// erf approximation, |error| < 1.5e-7 — ample for classification work).
-pub fn normal_cdf(z: f64) -> f64 {
-    0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
-}
-
-/// Error function approximation (A&S 7.1.26).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,20 +255,6 @@ mod tests {
                 let t = t_quantile(p, df);
                 assert!((t_cdf(t, df) - p).abs() < 1e-9, "df={df} p={p}");
             }
-        }
-    }
-
-    #[test]
-    fn normal_cdf_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-3);
-    }
-
-    #[test]
-    fn erf_is_odd() {
-        for &x in &[0.1, 0.7, 1.5, 3.0] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-12);
         }
     }
 }

@@ -5,7 +5,6 @@ use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 use detour_stats::ci::MeanEstimate;
 use detour_stats::convolve::SampleDist;
-use detour_stats::ks::{ks_statistic, ks_two_sample};
 use detour_stats::quantile::{median, quantile};
 use detour_stats::tdist::{t_cdf, t_quantile};
 use detour_stats::{Cdf, OnlineStats, Summary};
@@ -153,21 +152,6 @@ fn ci_widens_with_level() {
         let wide = est.ci(0.99);
         assert!(wide.half_width >= narrow.half_width);
         assert!((narrow.center - est.mean).abs() < 1e-12);
-    });
-}
-
-#[test]
-fn ks_statistic_is_bounded_and_symmetric() {
-    check("ks_statistic_is_bounded_and_symmetric", |rng| {
-        let a = Cdf::from_samples(samples(rng));
-        let b = Cdf::from_samples(samples(rng));
-        let d1 = ks_statistic(&a, &b);
-        let d2 = ks_statistic(&b, &a);
-        assert!((0.0..=1.0).contains(&d1));
-        assert!((d1 - d2).abs() < 1e-12);
-        if let Some(t) = ks_two_sample(&a, &b) {
-            assert!((0.0..=1.0).contains(&t.p_value));
-        }
     });
 }
 

@@ -13,12 +13,12 @@
 #   --fresh   purge the trace cache under results/cache/ first (the
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
-#   --smoke   stop after the smoke tier (fmt, lint, build, batched-kernel
-#             equivalence, the figures CLI input checks, chaos + golden
-#             suites, the trace_explorer example on its own .trace2 file
-#             and on a non-trace file, benchmark package build and unit
-#             tests) — the fast early signal; skips the full test run and
-#             the baseline
+#   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
+#             batched-kernel equivalence, the figures CLI input checks,
+#             chaos + golden suites, the trace_explorer example on its
+#             own .trace2 file and on a non-trace file, benchmark package
+#             build and unit tests) — the fast early signal; skips the
+#             full test run and the baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +42,11 @@ cargo fmt --check
 
 echo "== cargo clippy --offline (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Broken or ambiguous intra-doc links, and public docs linking private
+# items, fail the docs build.
+echo "== cargo doc --offline (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
