@@ -99,52 +99,8 @@ mod tests {
     use crate::context::AnalysisContext;
     use crate::kernel::{self, DijkstraScratch};
     use crate::metric::{Loss, Metric, Rtt};
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, ProbeSample};
-
-    /// Builds a dataset whose mean RTTs are exactly the provided matrix
-    /// (NaN = unmeasured), with `reps` identical probes per edge.
-    fn dataset_from_rtt_matrix(matrix: &[&[f64]], reps: usize) -> Dataset {
-        let n = matrix.len();
-        let hosts = (0..n as u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut probes = Vec::new();
-        for (i, row) in matrix.iter().enumerate() {
-            for (j, &rtt) in row.iter().enumerate() {
-                if i == j || rtt.is_nan() {
-                    continue;
-                }
-                for k in 0..reps {
-                    probes.push(ProbeSample {
-                        src: HostId(i as u32),
-                        dst: HostId(j as u32),
-                        t_s: k as f64,
-                        probe_index: 0,
-                        rtt_ms: Some(rtt),
-                        loss_eligible: true,
-                        episode: None,
-                        path_idx: 0,
-                    });
-                }
-            }
-        }
-        Dataset {
-            name: "M".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 100.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
-    }
+    use crate::testkit::rtt_matrix_dataset;
+    use detour_measure::Dataset;
 
     /// The best alternate for host `s` → host `d` (host ids equal dense
     /// indices here) on the dataset's context matrix.
@@ -172,7 +128,7 @@ mod tests {
     #[test]
     fn finds_the_obvious_detour() {
         // 0→2 direct costs 100; 0→1→2 costs 30.
-        let ds = dataset_from_rtt_matrix(
+        let ds = rtt_matrix_dataset(
             &[&[0.0, 10.0, 100.0], &[10.0, 0.0, 20.0], &[100.0, 20.0, 0.0]],
             3,
         );
@@ -194,7 +150,7 @@ mod tests {
 
     /// Chain 0→1→2→3 each 10; direct 0→3 = 100.
     fn chain() -> Dataset {
-        dataset_from_rtt_matrix(
+        rtt_matrix_dataset(
             &[
                 &[0.0, 10.0, X, 100.0],
                 &[X, 0.0, 10.0, X],
@@ -215,14 +171,14 @@ mod tests {
     #[test]
     fn direct_edge_is_excluded_from_the_search() {
         // Only the direct edge exists: no alternate.
-        let ds = dataset_from_rtt_matrix(&[&[0.0, 10.0], &[10.0, 0.0]], 3);
+        let ds = rtt_matrix_dataset(&[&[0.0, 10.0], &[10.0, 0.0]], 3);
         assert!(search(&ds, 0, 1, &Rtt, ANY).is_none());
     }
 
     #[test]
     fn alternates_can_be_worse() {
         // Direct 0→2 = 10; detour costs 40.
-        let ds = dataset_from_rtt_matrix(
+        let ds = rtt_matrix_dataset(
             &[&[0.0, 20.0, 10.0], &[20.0, 0.0, 20.0], &[10.0, 20.0, 0.0]],
             3,
         );
@@ -234,7 +190,7 @@ mod tests {
 
     #[test]
     fn one_hop_search_agrees_with_dijkstra_on_triangles() {
-        let ds = dataset_from_rtt_matrix(
+        let ds = rtt_matrix_dataset(
             &[&[0.0, 15.0, 90.0], &[15.0, 0.0, 25.0], &[90.0, 25.0, 0.0]],
             3,
         );
@@ -255,7 +211,7 @@ mod tests {
     #[test]
     fn loss_search_picks_the_cleanest_detour() {
         // Direct 0→2 has 20 % loss; detour via 1 has 1 % per hop.
-        let mut ds = dataset_from_rtt_matrix(
+        let mut ds = rtt_matrix_dataset(
             &[&[0.0, 50.0, 50.0], &[50.0, 0.0, 50.0], &[50.0, 50.0, 0.0]],
             100,
         );

@@ -20,7 +20,8 @@ use detour_stats::Cdf;
 /// metric family) and rides the source-batched sweep: one SSSP tree per
 /// source fanned out over [`crate::pool`] (one reusable scratch per
 /// worker), with exclusion re-searches only for pairs whose tree path
-/// starts on the direct edge. Results merge in pair order, so the result
+/// starts on the direct edge; the trees and the re-searches run the
+/// kernel's one Dijkstra loop. Results merge in pair order, so the result
 /// is identical at every thread count — and bit-identical to the per-pair
 /// reference kept in `detour_bench::reference`.
 pub fn compare_all_pairs(

@@ -90,55 +90,27 @@ pub fn max_share(a: &ContributionAnalysis) -> f64 {
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, ProbeSample};
+    use crate::testkit::rtt_matrix_dataset;
+    use detour_measure::Dataset;
 
-    fn uniform_mesh(n: u32, direct: f64, via: f64) -> Dataset {
-        let hosts = (0..n)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
+    /// Full mesh where every edge costs `via`, except a slow clique where
+    /// both ends are odd ids: those direct edges cost `direct`.
+    fn uniform_mesh(n: usize, direct: f64, via: f64) -> Dataset {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|s| {
+                (0..n)
+                    .map(|d| {
+                        if s % 2 == 1 && d % 2 == 1 {
+                            direct
+                        } else {
+                            via
+                        }
+                    })
+                    .collect()
             })
             .collect();
-        let mut probes = Vec::new();
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                // All edges cost `via`, except a slow clique where both ends
-                // are odd ids: those direct edges cost `direct`.
-                let rtt = if s % 2 == 1 && d % 2 == 1 {
-                    direct
-                } else {
-                    via
-                };
-                for k in 0..2 {
-                    probes.push(ProbeSample {
-                        src: HostId(s),
-                        dst: HostId(d),
-                        t_s: k as f64,
-                        probe_index: 0,
-                        rtt_ms: Some(rtt),
-                        loss_eligible: true,
-                        episode: None,
-                        path_idx: 0,
-                    });
-                }
-            }
-        }
-        Dataset {
-            name: "C".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        rtt_matrix_dataset(&refs, 2)
     }
 
     #[test]

@@ -87,12 +87,7 @@ fn masked_position(
 pub fn greedy_removal(cx: &AnalysisContext, metric: &impl Metric, k: usize) -> RemovalAnalysis {
     let m = cx.weights(metric);
     let mut mask = m.no_mask();
-    // One pair buffer serves every sweep in the greedy loop: the batched
-    // kernel refills it in place instead of allocating a fresh Vec per
-    // removal step.
-    let mut pairs_buf = Vec::new();
-    let mut current =
-        kernel::sweep_into(m, &mask, metric, SearchDepth::Unrestricted, &mut pairs_buf);
+    let mut current = kernel::sweep(m, &mask, metric, SearchDepth::Unrestricted);
     let full = improvement_cdf(&current);
     let mut removed = Vec::new();
     for _ in 0..k.min(m.len().saturating_sub(3)) {
@@ -119,7 +114,7 @@ pub fn greedy_removal(cx: &AnalysisContext, metric: &impl Metric, k: usize) -> R
         let Some((_, h)) = best else { break };
         mask[h] = true;
         removed.push(m.hosts()[h]);
-        current = kernel::sweep_into(m, &mask, metric, SearchDepth::Unrestricted, &mut pairs_buf);
+        current = kernel::sweep(m, &mask, metric, SearchDepth::Unrestricted);
     }
     let reduced = improvement_cdf(&current);
     RemovalAnalysis {
@@ -139,59 +134,24 @@ pub fn improved_fractions(a: &RemovalAnalysis) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use detour_measure::record::HostMeta;
-    use detour_measure::HostId;
-    use detour_measure::{Dataset, ProbeSample};
+    use crate::testkit::rtt_matrix_dataset;
+    use detour_measure::{Dataset, HostId};
 
     /// A dataset where host `magic` is the sole source of all improvements:
     /// every other pair is direct-optimal, but routing through `magic`
     /// halves every RTT.
-    fn magic_host_dataset(n: u32) -> Dataset {
-        let hosts = (0..n)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
+    fn magic_host_dataset(n: usize) -> Dataset {
+        // Legs to/from the magic host are cheap; everyone else has slow
+        // direct paths.
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|s| {
+                (0..n)
+                    .map(|d| if s == 0 || d == 0 { 20.0 } else { 100.0 })
+                    .collect()
             })
             .collect();
-        let mut probes = Vec::new();
-        let mut push = |s: u32, d: u32, rtt: f64| {
-            for k in 0..3 {
-                probes.push(ProbeSample {
-                    src: HostId(s),
-                    dst: HostId(d),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
-            }
-        };
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                if s == 0 || d == 0 {
-                    push(s, d, 20.0); // legs to/from the magic host: cheap
-                } else {
-                    push(s, d, 100.0); // everyone else: slow direct paths
-                }
-            }
-        }
-        Dataset {
-            name: "G".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        rtt_matrix_dataset(&refs, 3)
     }
 
     #[test]

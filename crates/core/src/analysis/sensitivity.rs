@@ -98,48 +98,8 @@ pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> SensitivityReport 
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, HostId, ProbeSample};
-
-    fn dataset_from_rtt_matrix(matrix: &[&[f64]]) -> Dataset {
-        let n = matrix.len();
-        let hosts = (0..n as u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut probes = Vec::new();
-        for (i, row) in matrix.iter().enumerate() {
-            for (j, &rtt) in row.iter().enumerate() {
-                if i == j || rtt.is_nan() {
-                    continue;
-                }
-                probes.push(ProbeSample {
-                    src: HostId(i as u32),
-                    dst: HostId(j as u32),
-                    t_s: 0.0,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
-            }
-        }
-        Dataset {
-            name: "S".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 1.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
-    }
+    use crate::testkit::rtt_matrix_dataset;
+    use detour_measure::HostId;
 
     const X: f64 = f64::NAN;
 
@@ -147,12 +107,15 @@ mod tests {
     fn two_parallel_relays_give_disjoint_backup() {
         // 0→3 direct 100; via 1: 30; via 2: 36 — disjoint runner-up 20%
         // worse.
-        let cx = AnalysisContext::from_dataset(&dataset_from_rtt_matrix(&[
-            &[0.0, 15.0, 18.0, 100.0],
-            &[X, 0.0, X, 15.0],
-            &[X, X, 0.0, 18.0],
-            &[X, X, X, 0.0],
-        ]));
+        let cx = AnalysisContext::from_dataset(&rtt_matrix_dataset(
+            &[
+                &[0.0, 15.0, 18.0, 100.0],
+                &[X, 0.0, X, 15.0],
+                &[X, X, 0.0, 18.0],
+                &[X, X, X, 0.0],
+            ],
+            1,
+        ));
         let r = analyze(&cx, &Rtt);
         let pair = r
             .pairs
@@ -174,11 +137,10 @@ mod tests {
     #[test]
     fn single_alternate_pairs_are_excluded() {
         // Triangle: each pair has exactly one alternate (the third vertex).
-        let cx = AnalysisContext::from_dataset(&dataset_from_rtt_matrix(&[
-            &[0.0, 10.0, 20.0],
-            &[10.0, 0.0, 10.0],
-            &[20.0, 10.0, 0.0],
-        ]));
+        let cx = AnalysisContext::from_dataset(&rtt_matrix_dataset(
+            &[&[0.0, 10.0, 20.0], &[10.0, 0.0, 10.0], &[20.0, 10.0, 0.0]],
+            1,
+        ));
         let r = analyze(&cx, &Rtt);
         assert!(r.pairs.is_empty(), "triangles have no runner-up alternates");
         assert_eq!(r.disjoint_fraction, 0.0);
@@ -186,13 +148,16 @@ mod tests {
 
     #[test]
     fn gap_is_nonnegative_and_second_dominates_best() {
-        let cx = AnalysisContext::from_dataset(&dataset_from_rtt_matrix(&[
-            &[0.0, 15.0, 18.0, 100.0, 25.0],
-            &[X, 0.0, 5.0, 15.0, X],
-            &[X, 5.0, 0.0, 18.0, X],
-            &[X, X, X, 0.0, 30.0],
-            &[X, X, X, 30.0, 0.0],
-        ]));
+        let cx = AnalysisContext::from_dataset(&rtt_matrix_dataset(
+            &[
+                &[0.0, 15.0, 18.0, 100.0, 25.0],
+                &[X, 0.0, 5.0, 15.0, X],
+                &[X, 5.0, 0.0, 18.0, X],
+                &[X, X, X, 0.0, 30.0],
+                &[X, X, X, 30.0, 0.0],
+            ],
+            1,
+        ));
         let r = analyze(&cx, &Rtt);
         assert!(!r.pairs.is_empty());
         for p in &r.pairs {

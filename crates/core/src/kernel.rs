@@ -17,7 +17,7 @@
 //!   values (missing = `NaN`), precomputed **once per (table, metric)** by
 //!   calling [`Metric::weight`]/[`Metric::value`] exactly once per edge.
 //!   [`BandwidthMatrix`] is the analogue for the N2 Mathis-model search.
-//! * **The source-batched sweep** ([`sweep_into`]) — the paper's
+//! * **The source-batched sweep** ([`sweep`]) — the paper's
 //!   all-pairs question ("best alternate with the direct edge excluded")
 //!   does not need one Dijkstra per *pair*. For each source `s` the sweep
 //!   runs **one** full SSSP tree over the masked matrix (no exclusions)
@@ -29,7 +29,9 @@
 //!   to the per-pair search; the `kernel/sweep_*` counters on the current
 //!   `detour-obs` recorder report how many re-searches that avoided. An
 //!   all-pairs sweep drops from `O(n⁴)` to `O(n³ + fixups·n²)`.
-//! * [`DijkstraScratch`] — reusable per-worker search state (threaded
+//! * [`DijkstraScratch`] — reusable per-worker state for the module's one
+//!   Dijkstra loop, which serves the sweep's trees, its fix-up
+//!   re-searches and Yen's spur searches alike (threaded
 //!   through [`crate::pool::parallel_map_init`]; the fan-out unit is a
 //!   *source*, so each task is `O(n²)` of real work). Generation-stamped
 //!   `dist`/`prev` buffers make starting a search `O(1)` instead of three
@@ -159,31 +161,27 @@ impl WeightMatrix {
     /// the search returns `None` for them anyway (nothing to compare
     /// against), so the surviving comparison stream is identical.
     pub fn measured_pairs(&self, removed: &[bool]) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.measured_pairs_into(removed, &mut out);
-        out
+        measured_cells(&self.values, removed)
     }
+}
 
-    /// [`measured_pairs`] into a caller-owned buffer (cleared first), so
-    /// loops that sweep repeatedly — the Figure-12 greedy removal re-sweeps
-    /// after every removal — reuse one allocation instead of building a
-    /// fresh `Vec` per call.
-    ///
-    /// [`measured_pairs`]: WeightMatrix::measured_pairs
-    pub fn measured_pairs_into(&self, removed: &[bool], out: &mut Vec<(usize, usize)>) {
-        debug_assert_eq!(removed.len(), self.n);
-        out.clear();
-        for i in 0..self.n {
-            if removed[i] {
-                continue;
-            }
-            for (j, &gone) in removed.iter().enumerate() {
-                if i != j && !gone && !self.values[i * self.n + j].is_nan() {
-                    out.push((i, j));
-                }
+/// Directed index pairs `(i, j)`, `i != j`, neither host masked, whose cell
+/// in the row-major `n × n` column `col` is not `NaN` — in row-major order.
+fn measured_cells(col: &[f64], removed: &[bool]) -> Vec<(usize, usize)> {
+    let n = removed.len();
+    debug_assert_eq!(col.len(), n * n);
+    let mut out = Vec::new();
+    for i in 0..n {
+        if removed[i] {
+            continue;
+        }
+        for (j, &gone) in removed.iter().enumerate() {
+            if i != j && !gone && !col[i * n + j].is_nan() {
+                out.push((i, j));
             }
         }
     }
+    out
 }
 
 /// Precomputed flat per-edge bandwidth inputs for the N2 search (§5):
@@ -242,19 +240,7 @@ impl BandwidthMatrix {
     /// Directed index pairs with a measured bandwidth, `(i, j)` order,
     /// masked hosts excluded.
     pub fn measured_pairs(&self, removed: &[bool]) -> Vec<(usize, usize)> {
-        debug_assert_eq!(removed.len(), self.n);
-        let mut out = Vec::new();
-        for i in 0..self.n {
-            if removed[i] {
-                continue;
-            }
-            for (j, &gone) in removed.iter().enumerate() {
-                if i != j && !gone && !self.bw[i * self.n + j].is_nan() {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
+        measured_cells(&self.bw, removed)
     }
 }
 
@@ -330,13 +316,6 @@ impl DijkstraScratch {
         self.stamp[v] = self.gen;
     }
 
-    /// Fills the unvisited frontier with every unmasked vertex.
-    fn fill_unvisited(&mut self, n: usize, removed: &[bool]) {
-        self.unvisited.clear();
-        self.unvisited
-            .extend((0..n as u32).filter(|&v| !removed[v as usize]));
-    }
-
     /// Extracts the unvisited vertex minimizing `(dist, index)`, removing
     /// it from the frontier; `None` once no unvisited vertex is reachable.
     /// Identical selection to the old `(0..n).filter(...).min_by(...)`
@@ -364,6 +343,100 @@ impl DijkstraScratch {
         self.unvisited.swap_remove(best_pos);
         Some((best_v, best_d))
     }
+
+    /// Walks the current generation's `prev` chain back from `d`, leaving
+    /// the path `s → … → d` in `self.path`.
+    fn trace_path(&mut self, s: usize, d: usize) {
+        self.path.clear();
+        self.path.push(d);
+        let mut cur = d;
+        while cur != s {
+            cur = self.prev[cur];
+            self.path.push(cur);
+        }
+        self.path.reverse();
+    }
+}
+
+/// The one Dijkstra loop behind every search on the matrix — the sweep's
+/// full SSSP tree, the per-pair exclusion search and Yen's spur searches —
+/// so all of them relax, extract and break ties identically.
+///
+/// Searches from `s` over the vertices `open` admits (callers keep `s`
+/// open: the source is exempt from any vertex ban) and skips every edge
+/// with `banned(u, v)`. With `target = Some(d)` it stops as soon as `d`
+/// settles and returns its distance, `None` when `d` is unreachable; with
+/// `target = None` it runs to frontier exhaustion, leaving the full tree
+/// in `dist`/`prev`, and returns `None`.
+fn dijkstra(
+    m: &WeightMatrix,
+    s: usize,
+    target: Option<usize>,
+    open: impl Fn(usize) -> bool,
+    banned: impl Fn(usize, usize) -> bool,
+    scratch: &mut DijkstraScratch,
+) -> Option<f64> {
+    let n = m.n;
+    scratch.begin(n);
+    scratch.unvisited.clear();
+    scratch
+        .unvisited
+        .extend((0..n as u32).filter(|&v| open(v as usize)));
+    scratch.relax_to(s, 0.0, usize::MAX);
+    while let Some((u, du)) = scratch.extract_min() {
+        if target == Some(u) {
+            return Some(du);
+        }
+        let row = u * n;
+        // Relax over the shrinking unvisited list only — settled vertices
+        // cannot improve (weights are non-negative), and the per-vertex
+        // updates within one extraction are independent, so visiting the
+        // survivors in list order leaves dist/prev exactly as a full
+        // `0..n` pass does.
+        for pos in 0..scratch.unvisited.len() {
+            let v = scratch.unvisited[pos] as usize;
+            let w = m.weights[row + v];
+            if w == f64::INFINITY || banned(u, v) {
+                continue;
+            }
+            let nd = du + w;
+            if nd < scratch.dist_at(v) {
+                scratch.relax_to(v, nd, u);
+            }
+        }
+    }
+    None
+}
+
+/// The comparison for the alternate `path` (`s → … → d`, at least one
+/// intermediate): composes the true metric values edge by edge into
+/// `vals` and reads the default from the direct edge `(s, d)`.
+pub(crate) fn comparison_along(
+    m: &WeightMatrix,
+    path: &[usize],
+    metric: &impl Metric,
+    vals: &mut Vec<f64>,
+) -> PathComparison {
+    let (s, d) = (path[0], path[path.len() - 1]);
+    vals.clear();
+    for w in path.windows(2) {
+        let v = m.value(w[0], w[1]);
+        debug_assert!(!v.is_nan(), "path edge must have a metric value");
+        vals.push(v);
+    }
+    PathComparison {
+        pair: Pair {
+            src: m.hosts[s],
+            dst: m.hosts[d],
+        },
+        default_value: m.value(s, d),
+        alternate_value: metric.compose(vals),
+        via: path[1..path.len() - 1]
+            .iter()
+            .map(|&i| m.hosts[i])
+            .collect(),
+        lower_is_better: true,
+    }
 }
 
 /// Unrestricted best alternate on the matrix: Dijkstra from `s` to `d`
@@ -381,122 +454,32 @@ pub fn best_alternate_masked(
     metric: &impl Metric,
     scratch: &mut DijkstraScratch,
 ) -> Option<PathComparison> {
-    let n = m.n;
-    debug_assert_eq!(removed.len(), n);
+    debug_assert_eq!(removed.len(), m.n);
     debug_assert!(!removed[s] && !removed[d]);
-    let default_value = m.value(s, d);
-    if default_value.is_nan() {
+    if m.value(s, d).is_nan() {
         return None;
     }
-
-    scratch.begin(n);
-    scratch.fill_unvisited(n, removed);
-    scratch.relax_to(s, 0.0, usize::MAX);
-    loop {
-        // `None` = frontier exhausted before reaching `d`: no alternate.
-        let (u, du) = scratch.extract_min()?;
-        if u == d {
-            break;
-        }
-        let row = u * n;
-        // Relax over the shrinking unvisited list only — settled vertices
-        // cannot improve (weights are non-negative), and the per-vertex
-        // updates within one extraction are independent, so visiting the
-        // survivors in list order leaves dist/prev exactly as the old
-        // full `0..n` pass did.
-        for pos in 0..scratch.unvisited.len() {
-            let v = scratch.unvisited[pos] as usize;
-            // The excluded direct edge.
-            if u == s && v == d {
-                continue;
-            }
-            let w = m.weights[row + v];
-            if w == f64::INFINITY {
-                continue;
-            }
-            let nd = du + w;
-            if nd < scratch.dist_at(v) {
-                scratch.relax_to(v, nd, u);
-            }
-        }
-    }
-    Some(compose_comparison(m, scratch, s, d, default_value, metric))
-}
-
-/// Recovers the `prev`-chain path `s → … → d` from the scratch's current
-/// generation and composes the true metric values edge by edge — the
-/// shared tail of the per-pair search and the batched tree read-off.
-fn compose_comparison(
-    m: &WeightMatrix,
-    scratch: &mut DijkstraScratch,
-    s: usize,
-    d: usize,
-    default_value: f64,
-    metric: &impl Metric,
-) -> PathComparison {
-    scratch.path.clear();
-    scratch.path.push(d);
-    let mut cur = d;
-    while cur != s {
-        cur = scratch.prev[cur];
-        scratch.path.push(cur);
-    }
-    scratch.path.reverse();
-    scratch.vals.clear();
-    for w in scratch.path.windows(2) {
-        let v = m.value(w[0], w[1]);
-        debug_assert!(!v.is_nan(), "path edge must have a metric value");
-        scratch.vals.push(v);
-    }
-    PathComparison {
-        pair: Pair {
-            src: m.hosts[s],
-            dst: m.hosts[d],
-        },
-        default_value,
-        alternate_value: metric.compose(&scratch.vals),
-        via: scratch.path[1..scratch.path.len() - 1]
-            .iter()
-            .map(|&i| m.hosts[i])
-            .collect(),
-        lower_is_better: true,
-    }
-}
-
-/// One full single-source shortest-path tree from `s` over the masked
-/// matrix — **no** edge exclusions, run to frontier exhaustion. The
-/// batched sweep answers every `(s, d)` pair from this tree; a pair needs
-/// its own exclusion re-search only when `prev[d] == s`, i.e. when the
-/// tree reaches `d` through the very edge the comparison must exclude.
-fn sssp_masked(m: &WeightMatrix, removed: &[bool], s: usize, scratch: &mut DijkstraScratch) {
-    let n = m.n;
-    debug_assert!(!removed[s]);
-    scratch.begin(n);
-    scratch.fill_unvisited(n, removed);
-    scratch.relax_to(s, 0.0, usize::MAX);
-    while let Some((u, du)) = scratch.extract_min() {
-        let row = u * n;
-        for pos in 0..scratch.unvisited.len() {
-            let v = scratch.unvisited[pos] as usize;
-            let w = m.weights[row + v];
-            if w == f64::INFINITY {
-                continue;
-            }
-            let nd = du + w;
-            if nd < scratch.dist_at(v) {
-                scratch.relax_to(v, nd, u);
-            }
-        }
-    }
+    dijkstra(
+        m,
+        s,
+        Some(d),
+        |v| !removed[v],
+        |u, v| u == s && v == d,
+        scratch,
+    )?;
+    scratch.trace_path(s, d);
+    Some(comparison_along(
+        m,
+        &scratch.path,
+        metric,
+        &mut scratch.vals,
+    ))
 }
 
 /// Shortest path `s → d` with banned vertices and banned edges — the
-/// restricted search behind Yen's algorithm ([`crate::kbest`]), rewired
-/// onto the generation-stamped scratch so spur searches stop allocating
-/// (and stop paying `O(n)` resets) per call. Returns the vertex sequence
-/// and the total search weight. `s` itself is exempt from the vertex ban,
-/// matching the old implementation (which seeded `dist[s] = 0` before any
-/// ban could apply).
+/// restricted search behind Yen's algorithm ([`crate::kbest`]). Returns
+/// the vertex sequence and the total search weight. `s` itself is exempt
+/// from the vertex ban.
 pub fn shortest_path_restricted(
     m: &WeightMatrix,
     s: usize,
@@ -505,42 +488,57 @@ pub fn shortest_path_restricted(
     banned_edges: &std::collections::HashSet<(usize, usize)>,
     scratch: &mut DijkstraScratch,
 ) -> Option<(Vec<usize>, f64)> {
-    let n = m.n;
-    scratch.begin(n);
-    scratch.unvisited.clear();
-    scratch
-        .unvisited
-        .extend((0..n as u32).filter(|&v| v as usize == s || !banned_vertices[v as usize]));
-    scratch.relax_to(s, 0.0, usize::MAX);
-    let total = loop {
-        let (u, du) = scratch.extract_min()?;
-        if u == d {
-            break du;
-        }
-        let row = u * n;
-        for pos in 0..scratch.unvisited.len() {
-            let v = scratch.unvisited[pos] as usize;
-            if banned_edges.contains(&(u, v)) {
-                continue;
-            }
-            let w = m.weights[row + v];
-            if w == f64::INFINITY {
-                continue;
-            }
-            let nd = du + w;
-            if nd < scratch.dist_at(v) {
-                scratch.relax_to(v, nd, u);
-            }
-        }
-    };
-    let mut path = vec![d];
-    let mut cur = d;
-    while cur != s {
-        cur = scratch.prev[cur];
-        path.push(cur);
+    let total = dijkstra(
+        m,
+        s,
+        Some(d),
+        |v| v == s || !banned_vertices[v],
+        |u, v| banned_edges.contains(&(u, v)),
+        scratch,
+    )?;
+    scratch.trace_path(s, d);
+    Some((scratch.path.clone(), total))
+}
+
+/// The one relay scan behind both one-hop searches: every unmasked relay
+/// `mid` for which `via(mid)` composes a two-leg value competes, and the
+/// first strictly better one wins (`<` when `lower_is_better`, else `>`),
+/// so equal values resolve to the lowest-index relay. `None` when the
+/// direct edge is unmeasured (`default_value` is `NaN`) or no relay has
+/// both legs.
+fn best_relay(
+    hosts: &[HostId],
+    removed: &[bool],
+    s: usize,
+    d: usize,
+    default_value: f64,
+    lower_is_better: bool,
+    via: impl Fn(usize) -> Option<f64>,
+) -> Option<PathComparison> {
+    if default_value.is_nan() {
+        return None;
     }
-    path.reverse();
-    Some((path, total))
+    let mut best: Option<(f64, usize)> = None;
+    for (mid, &gone) in removed.iter().enumerate() {
+        if mid == s || mid == d || gone {
+            continue;
+        }
+        let Some(v) = via(mid) else { continue };
+        if best.is_none_or(|(b, _)| if lower_is_better { v < b } else { v > b }) {
+            best = Some((v, mid));
+        }
+    }
+    let (alternate_value, mid) = best?;
+    Some(PathComparison {
+        pair: Pair {
+            src: hosts[s],
+            dst: hosts[d],
+        },
+        default_value,
+        alternate_value,
+        via: vec![hosts[mid]],
+        lower_is_better,
+    })
 }
 
 /// Best alternate through exactly one unmasked intermediate host.
@@ -551,37 +549,10 @@ pub fn best_alternate_one_hop_masked(
     d: usize,
     metric: &impl Metric,
 ) -> Option<PathComparison> {
-    let n = m.n;
-    debug_assert_eq!(removed.len(), n);
-    let default_value = m.value(s, d);
-    if default_value.is_nan() {
-        return None;
-    }
-
-    let mut best: Option<(f64, usize)> = None;
-    for (mid, &gone) in removed.iter().enumerate() {
-        if mid == s || mid == d || gone {
-            continue;
-        }
+    debug_assert_eq!(removed.len(), m.n);
+    best_relay(&m.hosts, removed, s, d, m.value(s, d), true, |mid| {
         let (v1, v2) = (m.value(s, mid), m.value(mid, d));
-        if v1.is_nan() || v2.is_nan() {
-            continue;
-        }
-        let composed = metric.compose(&[v1, v2]);
-        if best.is_none_or(|(b, _)| composed < b) {
-            best = Some((composed, mid));
-        }
-    }
-    let (alternate_value, mid) = best?;
-    Some(PathComparison {
-        pair: Pair {
-            src: m.hosts[s],
-            dst: m.hosts[d],
-        },
-        default_value,
-        alternate_value,
-        via: vec![m.hosts[mid]],
-        lower_is_better: true,
+        (!v1.is_nan() && !v2.is_nan()).then(|| metric.compose(&[v1, v2]))
     })
 }
 
@@ -596,36 +567,11 @@ pub fn best_alternate_bandwidth_masked(
 ) -> Option<PathComparison> {
     let n = bm.n;
     debug_assert_eq!(removed.len(), n);
-    let default_value = bm.bw[s * n + d];
-    if default_value.is_nan() {
-        return None;
-    }
-
-    let mut best: Option<(f64, usize)> = None;
-    for (mid, &gone) in removed.iter().enumerate() {
-        if mid == s || mid == d || gone {
-            continue;
-        }
+    best_relay(&bm.hosts, removed, s, d, bm.bw[s * n + d], false, |mid| {
         let (r1, r2) = (bm.t_rtt[s * n + mid], bm.t_rtt[mid * n + d]);
         let (p1, p2) = (bm.t_loss[s * n + mid], bm.t_loss[mid * n + d]);
-        if r1.is_nan() || r2.is_nan() || p1.is_nan() || p2.is_nan() {
-            continue;
-        }
-        let bw = synthetic_bandwidth_kbps(&[r1, r2], &[p1, p2], mode);
-        if best.is_none_or(|(b, _)| bw > b) {
-            best = Some((bw, mid));
-        }
-    }
-    let (alternate_value, mid) = best?;
-    Some(PathComparison {
-        pair: Pair {
-            src: bm.hosts[s],
-            dst: bm.hosts[d],
-        },
-        default_value,
-        alternate_value,
-        via: vec![bm.hosts[mid]],
-        lower_is_better: false,
+        let complete = !(r1.is_nan() || r2.is_nan() || p1.is_nan() || p2.is_nan());
+        complete.then(|| synthetic_bandwidth_kbps(&[r1, r2], &[p1, p2], mode))
     })
 }
 
@@ -644,6 +590,21 @@ fn group_by_source(pairs: &[(usize, usize)]) -> Vec<(usize, usize, usize)> {
     groups
 }
 
+/// Answers every pair with the per-pair `search`, fanned out over
+/// [`crate::pool`] one source group per task and merged in pair order —
+/// the fan-out of both one-hop sweeps.
+fn per_pair_sweep(
+    pairs: &[(usize, usize)],
+    search: impl Fn(usize, usize) -> Option<PathComparison> + Sync,
+) -> Vec<PathComparison> {
+    pool::parallel_flat_map(&group_by_source(pairs), |&(_, a, b)| {
+        pairs[a..b]
+            .iter()
+            .filter_map(|&(s, d)| search(s, d))
+            .collect()
+    })
+}
+
 /// Answers one source's pairs from a single SSSP tree, deferring the
 /// fix-up re-searches (which reuse — and clobber — the same scratch) until
 /// every tree answer has been composed. Returns the per-pair results in
@@ -656,7 +617,7 @@ fn sweep_source(
     group: &[(usize, usize)],
     scratch: &mut DijkstraScratch,
 ) -> (Vec<Option<PathComparison>>, usize) {
-    sssp_masked(m, removed, s, scratch);
+    dijkstra(m, s, None, |v| !removed[v], |_, _| false, scratch);
     let mut out: Vec<Option<PathComparison>> = Vec::with_capacity(group.len());
     let mut fixup_idx: Vec<usize> = Vec::new();
     for (k, &(src, d)) in group.iter().enumerate() {
@@ -675,14 +636,12 @@ fn sweep_source(
             // The tree path avoids the direct edge — edge (s, d) can only
             // ever appear as the terminal path [s, d] — so it *is* the
             // exclusion search's answer, tie-breaks and sums included.
-            let default_value = m.value(s, d);
-            out.push(Some(compose_comparison(
+            scratch.trace_path(s, d);
+            out.push(Some(comparison_along(
                 m,
-                scratch,
-                s,
-                d,
-                default_value,
+                &scratch.path,
                 metric,
+                &mut scratch.vals,
             )));
         }
     }
@@ -696,27 +655,18 @@ fn sweep_source(
 
 /// All-pairs sweep on the matrix with a host mask: the parallel engine
 /// behind [`crate::analysis::cdf::compare_all_pairs`] and the Figure-12
-/// greedy loop. [`sweep_into`] with a per-call staging buffer.
-pub fn sweep(
-    m: &WeightMatrix,
-    removed: &[bool],
-    metric: &impl Metric,
-    depth: SearchDepth,
-) -> Vec<PathComparison> {
-    let mut pairs = Vec::new();
-    sweep_into(m, removed, metric, depth, &mut pairs)
-}
-
-/// The batched sweep engine. For [`SearchDepth::Unrestricted`] it runs
-/// **one** dense Dijkstra per source — not per pair — producing the full
-/// SSSP tree over the masked matrix, answers every `(s, d)` from that
-/// tree, and re-searches only the pairs whose tree path *is* the excluded
-/// direct edge (`prev[d] == s`). Fan-out over [`crate::pool`] is by
-/// source with one [`DijkstraScratch`] per worker; per-source results
-/// concatenate in source order (pairs are `(i, j)`-sorted within), so the
-/// output is bit-identical at every thread count — and bit-identical to
-/// the retained per-pair reference (`detour_bench::reference`), which the
-/// equivalence property tests and the `scale_sweep` baseline gate enforce.
+/// greedy loop.
+///
+/// For [`SearchDepth::Unrestricted`] it runs **one** dense Dijkstra per
+/// source — not per pair — producing the full SSSP tree over the masked
+/// matrix, answers every `(s, d)` from that tree, and re-searches only the
+/// pairs whose tree path *is* the excluded direct edge (`prev[d] == s`).
+/// Fan-out over [`crate::pool`] is by source with one [`DijkstraScratch`]
+/// per worker; per-source results concatenate in source order (pairs are
+/// `(i, j)`-sorted within), so the output is bit-identical at every thread
+/// count — and bit-identical to the retained per-pair reference
+/// (`detour_bench::reference`), which the equivalence property tests and
+/// the `scale_sweep` baseline gate enforce.
 ///
 /// The re-search accounting — how much work the one-SSSP-per-source
 /// strategy saved — goes to the current `detour-obs` recorder:
@@ -727,29 +677,22 @@ pub fn sweep(
 /// split is a pure function of the matrix + mask, so the counters are
 /// thread-count-invariant; the one-hop scan has no tree to read from, so
 /// it contributes pairs with 0 fixups/avoided.
-///
-/// `pairs_buf` is a caller-owned staging buffer for the measured-pair
-/// list ([`WeightMatrix::measured_pairs_into`]); repeated sweeps — the
-/// greedy removal loop — pass the same buffer to skip the per-call
-/// allocation.
-pub fn sweep_into(
+pub fn sweep(
     m: &WeightMatrix,
     removed: &[bool],
     metric: &impl Metric,
     depth: SearchDepth,
-    pairs_buf: &mut Vec<(usize, usize)>,
 ) -> Vec<PathComparison> {
-    m.measured_pairs_into(removed, pairs_buf);
-    let pairs: &[(usize, usize)] = pairs_buf;
-    let groups = group_by_source(pairs);
+    let pairs = m.measured_pairs(removed);
     let rec = detour_obs::current();
     rec.add("kernel/sweep_pairs", pairs.len() as u64);
     match depth {
         SearchDepth::Unrestricted => {
-            let per_source =
-                pool::parallel_map_init(&groups, DijkstraScratch::new, |scratch, &(s, a, b)| {
-                    sweep_source(m, removed, metric, s, &pairs[a..b], scratch)
-                });
+            let per_source = pool::parallel_map_init(
+                &group_by_source(&pairs),
+                DijkstraScratch::new,
+                |scratch, &(s, a, b)| sweep_source(m, removed, metric, s, &pairs[a..b], scratch),
+            );
             let mut out = Vec::new();
             let mut fixups = 0u64;
             for (cmps, f) in per_source {
@@ -760,15 +703,9 @@ pub fn sweep_into(
             rec.add("kernel/sweep_avoided", pairs.len() as u64 - fixups);
             out
         }
-        SearchDepth::OneHop => {
-            let per_source = pool::parallel_map(&groups, |&(_, a, b)| {
-                pairs[a..b]
-                    .iter()
-                    .map(|&(s, d)| best_alternate_one_hop_masked(m, removed, s, d, metric))
-                    .collect::<Vec<_>>()
-            });
-            per_source.into_iter().flatten().flatten().collect()
-        }
+        SearchDepth::OneHop => per_pair_sweep(&pairs, |s, d| {
+            best_alternate_one_hop_masked(m, removed, s, d, metric)
+        }),
     }
 }
 
@@ -780,78 +717,30 @@ pub fn sweep_bandwidth(
     removed: &[bool],
     mode: LossComposition,
 ) -> Vec<PathComparison> {
-    let pairs = bm.measured_pairs(removed);
-    let groups = group_by_source(&pairs);
-    pool::parallel_map(&groups, |&(_, a, b)| {
-        pairs[a..b]
-            .iter()
-            .map(|&(s, d)| best_alternate_bandwidth_masked(bm, removed, s, d, mode))
-            .collect::<Vec<_>>()
+    per_pair_sweep(&bm.measured_pairs(removed), |s, d| {
+        best_alternate_bandwidth_masked(bm, removed, s, d, mode)
     })
-    .into_iter()
-    .flatten()
-    .flatten()
-    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, ProbeSample};
-
-    fn dataset_from_rtt_matrix(matrix: &[&[f64]]) -> Dataset {
-        let n = matrix.len();
-        let hosts = (0..n as u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut probes = Vec::new();
-        for (i, row) in matrix.iter().enumerate() {
-            for (j, &rtt) in row.iter().enumerate() {
-                if i == j || rtt.is_nan() {
-                    continue;
-                }
-                for k in 0..2 {
-                    probes.push(ProbeSample {
-                        src: HostId(i as u32),
-                        dst: HostId(j as u32),
-                        t_s: k as f64,
-                        probe_index: 0,
-                        rtt_ms: Some(rtt),
-                        loss_eligible: true,
-                        episode: None,
-                        path_idx: 0,
-                    });
-                }
-            }
-        }
-        Dataset {
-            name: "W".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
-    }
+    use crate::testkit::rtt_matrix_dataset;
+    use detour_measure::{Dataset, TransferSample};
 
     const X: f64 = f64::NAN;
 
     fn diamond_dataset() -> Dataset {
-        dataset_from_rtt_matrix(&[
-            &[0.0, 10.0, 30.0, 100.0],
-            &[X, 0.0, 5.0, 20.0],
-            &[X, X, 0.0, 25.0],
-            &[X, X, X, 0.0],
-        ])
+        rtt_matrix_dataset(
+            &[
+                &[0.0, 10.0, 30.0, 100.0],
+                &[X, 0.0, 5.0, 20.0],
+                &[X, X, 0.0, 25.0],
+                &[X, X, X, 0.0],
+            ],
+            2,
+        )
     }
 
     fn diamond() -> PairTable {
@@ -956,7 +845,7 @@ mod tests {
         rows[1][2] = 20.0;
         rows[2][1] = 20.0;
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        PairTable::build(&dataset_from_rtt_matrix(&refs))
+        PairTable::build(&rtt_matrix_dataset(&refs, 2))
     }
 
     #[test]
@@ -1023,27 +912,65 @@ mod tests {
     }
 
     #[test]
-    fn measured_pairs_into_reuses_the_buffer() {
-        let g = diamond();
-        let m = WeightMatrix::build(&g, &Rtt);
-        let mut buf = vec![(9usize, 9usize); 3]; // stale contents must go
-        m.measured_pairs_into(&m.no_mask(), &mut buf);
-        assert_eq!(buf, m.measured_pairs(&m.no_mask()));
-        let mask = m.masked(HostId(1));
-        m.measured_pairs_into(&mask, &mut buf);
-        assert_eq!(buf, m.measured_pairs(&mask));
+    fn bandwidth_scan_picks_the_first_best_unmasked_complete_relay() {
+        // 0→3 direct at 50 kB/s; relays 1 and 2 have identical transfer
+        // legs (20 ms, 1 % loss), so their synthetic bandwidths are equal.
+        let row: &[f64] = &[X; 4];
+        let mut ds = rtt_matrix_dataset(&[row; 4], 1);
+        let transfer = |s: u32, d: u32, bandwidth_kbps: f64| TransferSample {
+            src: HostId(s),
+            dst: HostId(d),
+            t_s: 0.0,
+            rtt_ms: 20.0,
+            loss_rate: 0.01,
+            bandwidth_kbps,
+        };
+        ds.transfers = vec![
+            transfer(0, 3, 50.0),
+            transfer(0, 1, 80.0),
+            transfer(1, 3, 80.0),
+            transfer(0, 2, 80.0),
+            transfer(2, 3, 80.0),
+        ];
+        let bm = BandwidthMatrix::build(&PairTable::build(&ds));
+        let mode = LossComposition::Optimistic;
+        let search = |bm: &BandwidthMatrix, mask: &[bool]| {
+            best_alternate_bandwidth_masked(bm, mask, 0, 3, mode).map(|c| c.via)
+        };
+
+        let c = best_alternate_bandwidth_masked(&bm, &bm.no_mask(), 0, 3, mode).unwrap();
+        assert!(!c.lower_is_better);
+        assert_eq!(c.default_value, 50.0);
+        let legs = synthetic_bandwidth_kbps(&[20.0, 20.0], &[0.01, 0.01], mode);
+        assert_eq!(c.alternate_value, legs);
+        assert_eq!(c.via, vec![HostId(1)], "a tie goes to the lower index");
+
+        let mut mask = bm.no_mask();
+        mask[1] = true;
+        assert_eq!(search(&bm, &mask), Some(vec![HostId(2)]), "masked relay");
+
+        let mut lossless = bm.clone();
+        lossless.t_loss[1] = f64::NAN; // relay 1's 0→1 transfer-loss leg
+        assert_eq!(search(&lossless, &bm.no_mask()), Some(vec![HostId(2)]));
+
+        let mut no_direct = bm.clone();
+        no_direct.bw[3] = f64::NAN; // the direct edge 0→3
+        assert_eq!(search(&no_direct, &bm.no_mask()), None);
     }
 
     #[test]
     fn scratch_is_reusable_across_sizes() {
         let small = diamond();
-        let big = PairTable::build(&dataset_from_rtt_matrix(&[
-            &[0.0, 10.0, 30.0, 100.0, 7.0],
-            &[X, 0.0, 5.0, 20.0, X],
-            &[X, X, 0.0, 25.0, 9.0],
-            &[X, X, X, 0.0, X],
-            &[4.0, X, X, 11.0, 0.0],
-        ]));
+        let big = PairTable::build(&rtt_matrix_dataset(
+            &[
+                &[0.0, 10.0, 30.0, 100.0, 7.0],
+                &[X, 0.0, 5.0, 20.0, X],
+                &[X, X, 0.0, 25.0, 9.0],
+                &[X, X, X, 0.0, X],
+                &[4.0, X, X, 11.0, 0.0],
+            ],
+            2,
+        ));
         let mut scratch = DijkstraScratch::new();
         for g in [&big, &small, &big] {
             let m = WeightMatrix::build(g, &Rtt);
@@ -1059,7 +986,7 @@ mod tests {
 
     #[test]
     fn empty_table_is_fine() {
-        let g = PairTable::build(&dataset_from_rtt_matrix(&[]));
+        let g = PairTable::build(&rtt_matrix_dataset(&[], 2));
         let m = WeightMatrix::build(&g, &Rtt);
         assert!(m.is_empty());
         assert!(m.measured_pairs(&m.no_mask()).is_empty());

@@ -38,6 +38,8 @@ pub mod context;
 pub mod kbest;
 pub mod kernel;
 pub mod metric;
+#[cfg(test)]
+mod testkit;
 /// The scoped thread-pool executor, now its own bottom-of-stack crate
 /// (`detour-pool`) so the simulator and measurement engine can share it;
 /// re-exported here to keep every existing `detour_core::pool` call site
@@ -48,6 +50,6 @@ pub use altpath::{Pair, PathComparison, SearchDepth};
 pub use compose::mathis_bandwidth_kbps;
 pub use compose::LossComposition;
 pub use context::{AnalysisContext, ArtifactKind, Degradation};
-pub use kbest::{k_best_alternates, k_best_alternates_in};
+pub use kbest::k_best_alternates_in;
 pub use kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
 pub use metric::{Loss, Metric, MetricKind, PropDelay, Rtt};

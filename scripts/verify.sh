@@ -14,7 +14,8 @@
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
-#             batched-kernel equivalence, the figures CLI input checks,
+#             batched-kernel equivalence, the kernel property tests,
+#             the figures CLI input checks,
 #             chaos + golden suites, the trace_explorer example on its
 #             own .trace2 file and on a non-trace file, benchmark package
 #             build and unit tests) — the fast early signal; skips the
@@ -52,14 +53,19 @@ echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
 # Smoke tier: the batched-kernel equivalence suite (source-batched sweep
-# byte-identical to the retained per-pair reference), the figures CLI
-# input checks (unknown flags and ids, an unusable cache path), plus the
-# tiny-scale end-to-end suites — the chaos suite (every fault scenario
-# through the whole pipeline) and the golden snapshots (byte-level replay
-# of every registered experiment's report, fault sweep included). Fails
-# fast before the full test run and baseline.
+# byte-identical to the retained per-pair reference), the kernel property
+# tests (brute-force DFS oracle, masked == rebuilt, the Yen ranking and its
+# head == the best alternate, incremental greedy == full-sweep greedy),
+# the figures CLI input checks (unknown flags and ids, an unusable cache
+# path), plus the tiny-scale end-to-end suites — the chaos suite (every
+# fault scenario through the whole pipeline) and the golden snapshots
+# (byte-level replay of every registered experiment's report, fault sweep
+# included). Fails fast before the full test run and baseline.
 echo "== smoke: batched-kernel equivalence =="
 cargo test -q --offline -p detour --test batched_kernel
+
+echo "== smoke: kernel property tests =="
+cargo test -q --offline -p detour-core --test kernel_properties
 
 echo "== smoke: figures CLI input handling =="
 cargo test -q --offline -p detour-bench --test figures_cli
