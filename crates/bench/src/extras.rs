@@ -188,8 +188,8 @@ pub fn overlay_report(_s: &Study) -> String {
     // was, so even old estimates route around it (the paper's long-term
     // averages work for the same reason).
     let mut outage_cfg = NetworkConfig::for_era(Era::Y1999, 0xe41a, 2.0);
-    outage_cfg.load.outages_per_day = 2.0;
-    outage_cfg.load.outage_duration_s = 10.0 * 60.0;
+    outage_cfg.load.outages.mtbf_s = 86_400.0 / 2.0; // two a day
+    outage_cfg.load.outages.mttr_s = 10.0 * 60.0;
     let flaky = Network::generate(&outage_cfg);
     let members: Vec<HostId> = flaky
         .hosts()

@@ -35,6 +35,8 @@
 //! are written as zero and ignored on read, so `Option` round-trips
 //! exactly and every column keeps a fixed stride (which is what makes the
 //! chunked parallel decode trivial).
+//! A present probe rtt must be finite and every transfer rtt finite and
+//! positive; a cell that breaks either is a [`Trace2Error::BadValue`].
 //!
 //! `f64` columns store raw IEEE-754 bits, so the decoded [`Dataset`] is
 //! *bit-identical* to the one that was saved, with no float formatting or
@@ -760,10 +762,22 @@ pub fn from_bytes(buf: &[u8]) -> Result<Dataset, Trace2Error> {
     let src = cur.column(n, 4)?;
     let dst = cur.column(n, 4)?;
     let t_s = cur.column(n, 8)?;
+    let rtt_off = cur.pos;
     let rtt = cur.column(n, 8)?;
     let loss = cur.column(n, 8)?;
     let bw = cur.column(n, 8)?;
     cur.done()?;
+    // A transfer RTT must be finite and positive: the bandwidth figures
+    // divide by it (the Mathis model).
+    if let Some(bad) = (0..n).find(|&i| {
+        let v = col_f64(rtt, i);
+        !(v.is_finite() && v > 0.0)
+    }) {
+        return Err(Trace2Error::BadValue {
+            id: SEC_TRANSFERS,
+            offset: rtt_off + bad * 8,
+        });
+    }
     let transfers: Vec<TransferSample> = (0..n)
         .map(|i| TransferSample {
             src: HostId(col_u32(src, i)),
@@ -1015,6 +1029,24 @@ mod tests {
                 from_bytes(&to_bytes(&ds)),
                 Err(Trace2Error::BadValue {
                     id: SEC_PROBES,
+                    offset: rtt_in_sec,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn non_positive_transfer_rtt_is_rejected() {
+        let mut ds = sample_dataset();
+        let n = ds.transfers.len();
+        // The RTT column sits after count + src + dst + t_s.
+        let rtt_in_sec = 4 + n * (4 + 4 + 8);
+        for bad in [0.0, -0.0, -12.5, f64::NAN, f64::INFINITY] {
+            ds.transfers[0].rtt_ms = bad;
+            assert_eq!(
+                from_bytes(&to_bytes(&ds)),
+                Err(Trace2Error::BadValue {
+                    id: SEC_TRANSFERS,
                     offset: rtt_in_sec,
                 })
             );

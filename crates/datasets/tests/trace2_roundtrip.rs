@@ -20,6 +20,17 @@ fn finite_f64(rng: &mut Xoshiro256pp) -> f64 {
     }
 }
 
+/// Any finite, strictly positive f64 bit pattern (subnormals included) —
+/// the domain the decoder accepts for a transfer RTT.
+fn positive_f64(rng: &mut Xoshiro256pp) -> f64 {
+    loop {
+        let v = finite_f64(rng);
+        if v > 0.0 {
+            return v;
+        }
+    }
+}
+
 /// A structurally arbitrary dataset: host counts down to zero, empty
 /// names, absent RTTs, episodic and non-episodic probes, empty AS paths,
 /// rate-limit metadata and starved-pair counters all drawn at random.
@@ -69,7 +80,7 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
                 src: hosts[rng.gen_range(0..hosts.len())].id,
                 dst: hosts[rng.gen_range(0..hosts.len())].id,
                 t_s: finite_f64(rng),
-                rtt_ms: finite_f64(rng),
+                rtt_ms: positive_f64(rng),
                 loss_rate: finite_f64(rng),
                 bandwidth_kbps: finite_f64(rng),
             })

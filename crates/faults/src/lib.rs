@@ -1,33 +1,35 @@
 //! # detour-faults
 //!
-//! Deterministic fault injection for the simulate→measure→analyze
-//! pipeline.
+//! Every seeded on/off process of the simulate→measure→analyze pipeline.
 //!
-//! The paper stresses (§4.2, §7) that its datasets *under-represent* bad
+//! The paper names route flaps as a source of path variation (§6.2) and
+//! stresses (§4.2, §7) that its datasets *under-represent* bad
 //! connectivity: failed measurements drop out of the traces, hosts go
-//! down mid-campaign, and routes are withdrawn while BGP converges. To
-//! study how the detour result degrades under exactly those conditions,
-//! this crate provides a seeded, replayable fault model:
+//! down mid-campaign, and routes are withdrawn while BGP converges. Each
+//! of these is one alternating up/down renewal process, owned here:
 //!
-//! * [`FaultConfig`] — the declarative knobs: link/router failure rates,
-//!   BGP withdrawal/convergence transients, measurement-host outages,
-//!   probe-timeout storms, and campaign truncation.
+//! * [`Renewal`] — exponential up- and down-times and the only renewal
+//!   loop, [`Renewal::schedule`]. netsim's route flaps and load-model link
+//!   outages draw from it, as do the injected fault classes below.
+//! * [`FaultConfig`] — the declarative fault-injection knobs: link/router
+//!   failures, BGP withdrawal/convergence transients, measurement-host
+//!   outages, probe-timeout storms, and campaign truncation.
 //! * [`FaultPlan`] — a config bound to a time horizon. Every schedule it
 //!   hands out is derived *purely* from `(seed, domain, entity-code)`
 //!   via [`detour_prng::Xoshiro256pp::stream`] counter streams, so the
 //!   same seed replays the same faults regardless of thread count,
 //!   query order, or which subset of entities a consumer asks about.
-//! * [`OutageSchedule`] — alternating up/down renewal process for one
-//!   entity (a link, a router, a measurement host, or the global storm
-//!   process).
+//! * [`OutageSchedule`] — the sorted down-time episodes of one entity (a
+//!   link, a router, a measurement host, an AS pair's flaps, or the global
+//!   storm process).
 //! * [`WithdrawalSchedule`] — per ordered-AS-pair route withdrawals with
 //!   a convergence tail: while withdrawn the route is gone entirely;
 //!   while converging the source AS uses its second-choice route.
 //!
 //! Consumers precompute per-entity tables at build time (netsim's
-//! `Network`, measure's campaign runner); nothing in this crate draws
-//! from a shared RNG, so precomputation parallelizes freely without
-//! affecting the schedules.
+//! `Network`, measure's campaign runner); [`FaultPlan`] never draws from
+//! a shared RNG, so precomputation parallelizes freely without affecting
+//! the schedules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,43 +54,99 @@ mod domain {
     pub const STORM: u64 = 0x6661_756c_7374_6f72;
 }
 
+/// An alternating up/down renewal process: exponential up-times with mean
+/// `mtbf_s`, then exponential down-times with mean `mttr_s`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Renewal {
+    /// Mean up-time between the end of one episode and the start of the
+    /// next, seconds. Infinite = the process never fires.
+    pub mtbf_s: f64,
+    /// Mean episode (down-time) duration, seconds.
+    pub mttr_s: f64,
+}
+
+impl Renewal {
+    /// A process that never fires.
+    pub const NEVER: Renewal = Renewal {
+        mtbf_s: f64::INFINITY,
+        mttr_s: 0.0,
+    };
+
+    /// True when the process can fire (finite MTBF).
+    pub fn active(&self) -> bool {
+        self.mtbf_s.is_finite()
+    }
+
+    /// Draws the episodes over `[0, horizon_s)` from `rng`: the first
+    /// up-time, then per episode a duration floored at `min_down_s` whose
+    /// end is clamped to the horizon, and the next start at `end` plus a
+    /// fresh up-time.
+    pub fn schedule(&self, rng: &mut impl Rng, min_down_s: f64, horizon_s: f64) -> OutageSchedule {
+        let mut episodes = Vec::new();
+        let mut t = rng.exponential(self.mtbf_s);
+        while t < horizon_s {
+            let end = (t + rng.exponential(self.mttr_s).max(min_down_s)).min(horizon_s);
+            episodes.push((t, end));
+            t = end + rng.exponential(self.mtbf_s);
+        }
+        OutageSchedule { episodes }
+    }
+}
+
+// Each class's defaults, named once; the constructors below describe them.
+const LINK: Renewal = Renewal {
+    mtbf_s: 86_400.0,
+    mttr_s: 1_200.0,
+};
+const ROUTER: Renewal = Renewal {
+    mtbf_s: 4.0 * 86_400.0,
+    mttr_s: 2_700.0,
+};
+const WITHDRAW: Renewal = Renewal {
+    mtbf_s: 2.0 * 86_400.0,
+    mttr_s: 180.0,
+};
+const CONVERGENCE_S: f64 = 300.0;
+const HOST: Renewal = Renewal {
+    mtbf_s: 86_400.0,
+    mttr_s: 7_200.0,
+};
+const STORM: Renewal = Renewal {
+    mtbf_s: 2.0 * 86_400.0,
+    mttr_s: 3_600.0,
+};
+// `with_intensity`'s storms, rarer and shorter than `STORM`.
+const SWEEP_STORM: Renewal = Renewal {
+    mtbf_s: 4.0 * 86_400.0,
+    mttr_s: 1_800.0,
+};
+const STORM_SLOWDOWN: f64 = 50.0;
+
 /// Declarative fault-injection knobs.
 ///
-/// Every fault class is an alternating renewal process parameterized by a
-/// mean time between failures (`*_mtbf_s`) and a mean time to repair
-/// (`*_mttr_s`). An infinite MTBF disables the class — the schedules it
-/// would generate are empty, and consumers can skip building tables
-/// entirely (see [`FaultConfig::network_faults`] /
-/// [`FaultConfig::campaign_faults`]).
+/// Every fault class is an alternating [`Renewal`] process. An infinite
+/// MTBF ([`Renewal::NEVER`]) disables the class — the schedules it would
+/// generate are empty, and consumers can skip building tables entirely
+/// (see [`FaultConfig::network_faults`] / [`FaultConfig::campaign_faults`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed for every fault stream (independent of the network and
     /// campaign seeds, so faults replay across both).
     pub seed: u64,
-    /// Mean up-time between failures of one physical link, seconds.
-    pub link_mtbf_s: f64,
-    /// Mean repair time of a failed link, seconds.
-    pub link_mttr_s: f64,
-    /// Mean up-time between failures of one router, seconds.
-    pub router_mtbf_s: f64,
-    /// Mean repair time of a failed router, seconds.
-    pub router_mttr_s: f64,
-    /// Mean time between BGP withdrawals of one ordered AS-pair route,
-    /// seconds.
-    pub withdraw_mtbf_s: f64,
-    /// Mean duration of the withdrawn (blackhole) phase, seconds.
-    pub withdraw_mttr_s: f64,
+    /// Outages of one physical link.
+    pub link: Renewal,
+    /// Outages of one router.
+    pub router: Renewal,
+    /// BGP withdrawals of one ordered AS-pair route; the down-time is the
+    /// withdrawn (blackhole) phase.
+    pub withdraw: Renewal,
     /// Fixed convergence tail after each withdrawal during which the
     /// source AS uses its second-choice route, seconds.
     pub convergence_s: f64,
-    /// Mean up-time of one measurement host, seconds.
-    pub host_mtbf_s: f64,
-    /// Mean outage duration of a measurement host, seconds.
-    pub host_mttr_s: f64,
-    /// Mean time between global probe-timeout storms, seconds.
-    pub storm_mtbf_s: f64,
-    /// Mean storm duration, seconds.
-    pub storm_mttr_s: f64,
+    /// Outages of one measurement host.
+    pub host: Renewal,
+    /// Global probe-timeout storms.
+    pub storm: Renewal,
     /// Multiplier applied to probe elapsed time during a storm (pushes
     /// probes past the campaign timeout). `1.0` = no slowdown.
     pub storm_slowdown: f64,
@@ -98,23 +156,18 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// No faults at all: every MTBF infinite, no truncation. This is the
-    /// default threaded through every existing dataset spec; with it the
-    /// pipeline is byte-identical to the pre-fault code paths.
+    /// No faults at all: every class [`Renewal::NEVER`], no truncation.
+    /// This is the default threaded through every existing dataset spec;
+    /// with it the pipeline is byte-identical to the pre-fault code paths.
     pub fn none() -> FaultConfig {
         FaultConfig {
             seed: 0,
-            link_mtbf_s: f64::INFINITY,
-            link_mttr_s: 0.0,
-            router_mtbf_s: f64::INFINITY,
-            router_mttr_s: 0.0,
-            withdraw_mtbf_s: f64::INFINITY,
-            withdraw_mttr_s: 0.0,
+            link: Renewal::NEVER,
+            router: Renewal::NEVER,
+            withdraw: Renewal::NEVER,
             convergence_s: 0.0,
-            host_mtbf_s: f64::INFINITY,
-            host_mttr_s: 0.0,
-            storm_mtbf_s: f64::INFINITY,
-            storm_mttr_s: 0.0,
+            host: Renewal::NEVER,
+            storm: Renewal::NEVER,
             storm_slowdown: 1.0,
             truncate_frac: 1.0,
         }
@@ -125,8 +178,7 @@ impl FaultConfig {
     pub fn link_failures(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            link_mtbf_s: 86_400.0,
-            link_mttr_s: 1_200.0,
+            link: LINK,
             ..FaultConfig::none()
         }
     }
@@ -136,8 +188,7 @@ impl FaultConfig {
     pub fn router_failures(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            router_mtbf_s: 4.0 * 86_400.0,
-            router_mttr_s: 2_700.0,
+            router: ROUTER,
             ..FaultConfig::none()
         }
     }
@@ -149,9 +200,8 @@ impl FaultConfig {
     pub fn withdrawals(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            withdraw_mtbf_s: 2.0 * 86_400.0,
-            withdraw_mttr_s: 180.0,
-            convergence_s: 300.0,
+            withdraw: WITHDRAW,
+            convergence_s: CONVERGENCE_S,
             ..FaultConfig::none()
         }
     }
@@ -162,8 +212,7 @@ impl FaultConfig {
     pub fn host_outages(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            host_mtbf_s: 86_400.0,
-            host_mttr_s: 7_200.0,
+            host: HOST,
             ..FaultConfig::none()
         }
     }
@@ -174,9 +223,8 @@ impl FaultConfig {
     pub fn timeout_storms(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            storm_mtbf_s: 2.0 * 86_400.0,
-            storm_mttr_s: 3_600.0,
-            storm_slowdown: 50.0,
+            storm: STORM,
+            storm_slowdown: STORM_SLOWDOWN,
             ..FaultConfig::none()
         }
     }
@@ -191,49 +239,47 @@ impl FaultConfig {
         }
     }
 
-    /// Everything at once — the chaos-suite worst case.
+    /// Everything at once — the chaos-suite worst case: every single-class
+    /// default above, with the campaign truncated at 85 %.
     pub fn heavy(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
-            link_mtbf_s: 86_400.0,
-            link_mttr_s: 1_200.0,
-            router_mtbf_s: 4.0 * 86_400.0,
-            router_mttr_s: 2_700.0,
-            withdraw_mtbf_s: 2.0 * 86_400.0,
-            withdraw_mttr_s: 180.0,
-            convergence_s: 300.0,
-            host_mtbf_s: 86_400.0,
-            host_mttr_s: 7_200.0,
-            storm_mtbf_s: 2.0 * 86_400.0,
-            storm_mttr_s: 3_600.0,
-            storm_slowdown: 50.0,
+            link: LINK,
+            router: ROUTER,
+            withdraw: WITHDRAW,
+            convergence_s: CONVERGENCE_S,
+            host: HOST,
+            storm: STORM,
+            storm_slowdown: STORM_SLOWDOWN,
             truncate_frac: 0.85,
         }
     }
 
     /// Scales every failure *rate* by `intensity` (repair times and the
     /// convergence tail stay fixed; truncation is not part of the sweep).
-    /// `intensity = 0` is [`FaultConfig::none`]; `intensity = 1` matches
-    /// the per-class defaults above; `intensity = 2` fails twice as
-    /// often. This is the knob the `outage_sweep` experiment turns.
+    /// `intensity = 0` is [`FaultConfig::none`]. At `intensity = 1` the
+    /// link, router, withdrawal and host classes match the single-class
+    /// defaults above, but storms come every ~4 days and last ~30 minutes
+    /// (rarer and shorter than [`FaultConfig::timeout_storms`]'
+    /// 2 days / 1 hour). `intensity = 2` fails twice as often. This is the
+    /// knob the `outage_sweep` experiment turns.
     pub fn with_intensity(seed: u64, intensity: f64) -> FaultConfig {
         if intensity <= 0.0 {
             return FaultConfig::none();
         }
+        let scaled = |r: Renewal| Renewal {
+            mtbf_s: r.mtbf_s / intensity,
+            ..r
+        };
         FaultConfig {
             seed,
-            link_mtbf_s: 86_400.0 / intensity,
-            link_mttr_s: 1_200.0,
-            router_mtbf_s: 4.0 * 86_400.0 / intensity,
-            router_mttr_s: 2_700.0,
-            withdraw_mtbf_s: 2.0 * 86_400.0 / intensity,
-            withdraw_mttr_s: 180.0,
-            convergence_s: 300.0,
-            host_mtbf_s: 86_400.0 / intensity,
-            host_mttr_s: 7_200.0,
-            storm_mtbf_s: 4.0 * 86_400.0 / intensity,
-            storm_mttr_s: 1_800.0,
-            storm_slowdown: 50.0,
+            link: scaled(LINK),
+            router: scaled(ROUTER),
+            withdraw: scaled(WITHDRAW),
+            convergence_s: CONVERGENCE_S,
+            host: scaled(HOST),
+            storm: scaled(SWEEP_STORM),
+            storm_slowdown: STORM_SLOWDOWN,
             truncate_frac: 1.0,
         }
     }
@@ -246,25 +292,14 @@ impl FaultConfig {
     /// True when link, router, or withdrawal faults are active — the
     /// classes netsim must build tables for.
     pub fn network_faults(&self) -> bool {
-        self.link_mtbf_s.is_finite()
-            || self.router_mtbf_s.is_finite()
-            || self.withdraw_mtbf_s.is_finite()
+        self.link.active() || self.router.active() || self.withdraw.active()
     }
 
     /// True when host outages, storms, or truncation are active — the
     /// classes the measurement campaign must handle.
     pub fn campaign_faults(&self) -> bool {
-        self.host_mtbf_s.is_finite() || self.storm_mtbf_s.is_finite() || self.truncate_frac < 1.0
+        self.host.active() || self.storm.active() || self.truncate_frac < 1.0
     }
-}
-
-/// Folds one materialized schedule's episode count into the calling
-/// thread's `detour-obs` recorder. Schedules are pure functions of
-/// `(seed, domain, code)`, so these counters are deterministic in the
-/// plan — thread-count-invariant even when consumers build their fault
-/// tables on the pool.
-fn record_episodes(counter: &str, episodes: usize) {
-    detour_obs::current().add(counter, episodes as u64);
 }
 
 /// A [`FaultConfig`] bound to a time horizon: the factory every consumer
@@ -286,79 +321,75 @@ impl FaultPlan {
         FaultPlan { cfg, horizon_s }
     }
 
+    /// Draws one entity's schedule from its dedicated counter stream
+    /// `(seed, domain_key, code)`, so no other entity's schedule shifts
+    /// it, and folds its episode count into the calling thread's
+    /// `detour-obs` `counter` (deterministic in the plan, so
+    /// thread-count-invariant even when consumers build their tables on
+    /// the pool). A disabled or degenerate process yields no episodes.
+    fn draw(&self, process: Renewal, domain_key: u64, code: u64, counter: &str) -> OutageSchedule {
+        let sched = if !process.active()
+            || process.mtbf_s <= 0.0
+            || process.mttr_s <= 0.0
+            || self.horizon_s <= 0.0
+        {
+            OutageSchedule::empty()
+        } else {
+            let mut rng = Xoshiro256pp::stream(self.cfg.seed ^ domain_key, code);
+            process.schedule(&mut rng, 1.0, self.horizon_s)
+        };
+        detour_obs::current().add(counter, sched.episode_count() as u64);
+        sched
+    }
+
     /// Outage schedule for physical link `link_code`.
     pub fn link_schedule(&self, link_code: u64) -> OutageSchedule {
-        let sched = OutageSchedule::generate(
-            self.cfg.seed,
+        self.draw(
+            self.cfg.link,
             domain::LINK,
             link_code,
-            self.cfg.link_mtbf_s,
-            self.cfg.link_mttr_s,
-            self.horizon_s,
-        );
-        record_episodes("faults/link_episodes", sched.episode_count());
-        sched
+            "faults/link_episodes",
+        )
     }
 
     /// Outage schedule for router `router_code`.
     pub fn router_schedule(&self, router_code: u64) -> OutageSchedule {
-        let sched = OutageSchedule::generate(
-            self.cfg.seed,
+        self.draw(
+            self.cfg.router,
             domain::ROUTER,
             router_code,
-            self.cfg.router_mtbf_s,
-            self.cfg.router_mttr_s,
-            self.horizon_s,
-        );
-        record_episodes("faults/router_episodes", sched.episode_count());
-        sched
+            "faults/router_episodes",
+        )
     }
 
     /// Withdrawal schedule for the ordered AS pair `(src, dst)` (ids
     /// packed by the caller; direction-sensitive like route flaps).
     pub fn withdrawal_schedule(&self, src: u16, dst: u16) -> WithdrawalSchedule {
         let code = ((src as u64) << 16) | dst as u64;
-        let episodes = OutageSchedule::generate(
-            self.cfg.seed,
-            domain::WITHDRAW,
-            code,
-            self.cfg.withdraw_mtbf_s,
-            self.cfg.withdraw_mttr_s,
-            self.horizon_s,
-        );
-        record_episodes("faults/withdrawal_episodes", episodes.episode_count());
         WithdrawalSchedule {
-            episodes,
+            episodes: self.draw(
+                self.cfg.withdraw,
+                domain::WITHDRAW,
+                code,
+                "faults/withdrawal_episodes",
+            ),
             convergence_s: self.cfg.convergence_s,
         }
     }
 
     /// Outage schedule for measurement host `host_code`.
     pub fn host_schedule(&self, host_code: u64) -> OutageSchedule {
-        let sched = OutageSchedule::generate(
-            self.cfg.seed,
+        self.draw(
+            self.cfg.host,
             domain::HOST,
             host_code,
-            self.cfg.host_mtbf_s,
-            self.cfg.host_mttr_s,
-            self.horizon_s,
-        );
-        record_episodes("faults/host_episodes", sched.episode_count());
-        sched
+            "faults/host_episodes",
+        )
     }
 
     /// The single global probe-timeout storm schedule.
     pub fn storm_schedule(&self) -> OutageSchedule {
-        let sched = OutageSchedule::generate(
-            self.cfg.seed,
-            domain::STORM,
-            0,
-            self.cfg.storm_mtbf_s,
-            self.cfg.storm_mttr_s,
-            self.horizon_s,
-        );
-        record_episodes("faults/storm_episodes", sched.episode_count());
-        sched
+        self.draw(self.cfg.storm, domain::STORM, 0, "faults/storm_episodes")
     }
 
     /// Time after which the campaign is truncated, or `None` when it
@@ -369,8 +400,7 @@ impl FaultPlan {
 }
 
 /// Sorted, non-overlapping `(start, end)` down-time episodes for one
-/// entity over `[0, horizon)`, generated by an alternating exponential
-/// up/down renewal process.
+/// entity over `[0, horizon)`, drawn by [`Renewal::schedule`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutageSchedule {
     episodes: Vec<(f64, f64)>,
@@ -384,36 +414,15 @@ impl OutageSchedule {
         }
     }
 
-    /// Generates the schedule for one entity. Deterministic in
-    /// `(seed, domain_key, code)` alone: the RNG is a dedicated counter
-    /// stream, so no other entity's schedule shifts this one.
-    pub fn generate(
-        seed: u64,
-        domain_key: u64,
-        code: u64,
-        mtbf_s: f64,
-        mttr_s: f64,
-        horizon_s: f64,
-    ) -> OutageSchedule {
-        if !mtbf_s.is_finite() || mtbf_s <= 0.0 || mttr_s <= 0.0 || horizon_s <= 0.0 {
-            return OutageSchedule::empty();
-        }
-        let mut rng = Xoshiro256pp::stream(seed ^ domain_key, code);
-        let mut episodes = Vec::new();
-        let mut t = exponential(&mut rng, mtbf_s);
-        while t < horizon_s {
-            let dur = exponential(&mut rng, mttr_s).max(1.0);
-            let end = (t + dur).min(horizon_s);
-            episodes.push((t, end));
-            t = end + exponential(&mut rng, mtbf_s);
-        }
-        OutageSchedule { episodes }
+    /// The latest episode starting at or before `t`, if any.
+    fn last_started(&self, t: f64) -> Option<(f64, f64)> {
+        let i = self.episodes.partition_point(|&(start, _)| start <= t);
+        i.checked_sub(1).map(|i| self.episodes[i])
     }
 
     /// True when the entity is down at time `t` (seconds).
     pub fn down_at(&self, t: f64) -> bool {
-        let i = self.episodes.partition_point(|&(start, _)| start <= t);
-        i > 0 && t < self.episodes[i - 1].1
+        self.last_started(t).is_some_and(|(_, end)| t < end)
     }
 
     /// Number of down-time episodes in the horizon.
@@ -454,28 +463,12 @@ pub struct WithdrawalSchedule {
 }
 
 impl WithdrawalSchedule {
-    /// A never-withdrawn schedule.
-    pub fn empty() -> WithdrawalSchedule {
-        WithdrawalSchedule {
-            episodes: OutageSchedule::empty(),
-            convergence_s: 0.0,
-        }
-    }
-
     /// Routing phase at time `t` (seconds).
     pub fn phase_at(&self, t: f64) -> RoutePhase {
-        let eps = &self.episodes.episodes;
-        let i = eps.partition_point(|&(start, _)| start <= t);
-        if i == 0 {
-            return RoutePhase::Stable;
-        }
-        let (_, end) = eps[i - 1];
-        if t < end {
-            RoutePhase::Withdrawn
-        } else if t < end + self.convergence_s {
-            RoutePhase::Converging
-        } else {
-            RoutePhase::Stable
+        match self.episodes.last_started(t) {
+            Some((_, end)) if t < end => RoutePhase::Withdrawn,
+            Some((_, end)) if t < end + self.convergence_s => RoutePhase::Converging,
+            _ => RoutePhase::Stable,
         }
     }
 
@@ -483,13 +476,6 @@ impl WithdrawalSchedule {
     pub fn episode_count(&self) -> usize {
         self.episodes.episode_count()
     }
-}
-
-/// Exponential deviate with the given mean (same transform as the flap
-/// scheduler's).
-fn exponential(rng: &mut impl Rng, mean: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    -mean * u.ln()
 }
 
 #[cfg(test)]
@@ -508,6 +494,26 @@ mod tests {
         assert_eq!(plan.storm_schedule().episode_count(), 0);
         assert_eq!(plan.withdrawal_schedule(1, 2).episode_count(), 0);
         assert_eq!(plan.truncation_cutoff_s(), None);
+    }
+
+    #[test]
+    fn link_schedule_draw_order_is_pinned() {
+        // Exact bits of the first episodes: a reordered draw or sum in the
+        // renewal loop changes them even where the golden reports do not.
+        let s = FaultPlan::new(FaultConfig::link_failures(7), 7.0 * DAY).link_schedule(0);
+        let bits: Vec<(u64, u64)> = s.episodes()[..3]
+            .iter()
+            .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                (0x4101_46b4_ab79_002b, 0x4101_822a_4573_0002),
+                (0x4101_ca70_5575_ec39, 0x4101_fe64_25a8_d719),
+                (0x4107_068c_c9ba_44e1, 0x4107_11d1_9da5_bc78),
+            ]
+        );
+        assert_eq!(s.episode_count(), 6);
     }
 
     #[test]

@@ -478,8 +478,8 @@ mod tests {
         let n = net();
         let reqs = small_schedule(&n, 8, 60.0);
         let mut cranked = FaultConfig::host_outages(3);
-        cranked.host_mtbf_s = 2.0 * 3600.0; // frequent inside the 4 h window
-        cranked.host_mttr_s = 1800.0;
+        cranked.host.mtbf_s = 2.0 * 3600.0; // frequent inside the 4 h window
+        cranked.host.mttr_s = 1800.0;
         for (kind, cfg) in [
             ("traceroute", CampaignConfig::traceroute()),
             ("tcp", CampaignConfig::tcp()),
@@ -524,8 +524,8 @@ mod tests {
         let n = net();
         let reqs = small_schedule(&n, 8, 60.0);
         let mut faults = FaultConfig::timeout_storms(5);
-        faults.storm_mtbf_s = 3600.0; // storms all over the 4 h window
-        faults.storm_mttr_s = 1800.0;
+        faults.storm.mtbf_s = 3600.0; // storms all over the 4 h window
+        faults.storm.mttr_s = 1800.0;
         faults.storm_slowdown = 1.0e6; // nothing survives a storm
         let calm = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7);
         let stormy = run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);

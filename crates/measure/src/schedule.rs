@@ -61,11 +61,6 @@ pub enum Schedule {
     },
 }
 
-/// Exponential deviate with the given mean.
-fn exp_sample(rng: &mut impl Rng, mean: f64) -> f64 {
-    -mean * rng.gen_range(f64::MIN_POSITIVE..1.0f64).ln()
-}
-
 impl Schedule {
     /// Generates the full request sequence for `hosts` over
     /// `[0, duration_s)`, sorted by time.
@@ -92,8 +87,10 @@ impl Schedule {
                 }
                 out.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap());
             }
-            Schedule::PairwiseExponential { mean_s } => {
-                let mut t = exp_sample(rng, mean_s);
+            Schedule::PairwiseExponential { mean_s }
+            | Schedule::PairwiseExponentialPaired { mean_s } => {
+                let paired = matches!(self, Schedule::PairwiseExponentialPaired { .. });
+                let mut t = rng.exponential(mean_s);
                 while t < duration_s {
                     let src = hosts[rng.gen_range(0..hosts.len())];
                     let mut dst = hosts[rng.gen_range(0..hosts.len())];
@@ -106,34 +103,19 @@ impl Schedule {
                         dst,
                         episode: None,
                     });
-                    t += exp_sample(rng, mean_s);
-                }
-            }
-            Schedule::PairwiseExponentialPaired { mean_s } => {
-                let mut t = exp_sample(rng, mean_s);
-                while t < duration_s {
-                    let src = hosts[rng.gen_range(0..hosts.len())];
-                    let mut dst = hosts[rng.gen_range(0..hosts.len())];
-                    while dst == src {
-                        dst = hosts[rng.gen_range(0..hosts.len())];
+                    if paired {
+                        out.push(Request {
+                            t_s: t,
+                            src: dst,
+                            dst: src,
+                            episode: None,
+                        });
                     }
-                    out.push(Request {
-                        t_s: t,
-                        src,
-                        dst,
-                        episode: None,
-                    });
-                    out.push(Request {
-                        t_s: t,
-                        src: dst,
-                        dst: src,
-                        episode: None,
-                    });
-                    t += exp_sample(rng, mean_s);
+                    t += rng.exponential(mean_s);
                 }
             }
             Schedule::Episodes { mean_gap_s } => {
-                let mut t = exp_sample(rng, mean_gap_s);
+                let mut t = rng.exponential(mean_gap_s);
                 let mut episode = 0u32;
                 while t < duration_s {
                     for &src in hosts {
@@ -149,7 +131,7 @@ impl Schedule {
                         }
                     }
                     episode += 1;
-                    t += exp_sample(rng, mean_gap_s);
+                    t += rng.exponential(mean_gap_s);
                 }
             }
         }

@@ -19,10 +19,12 @@
 
 use std::sync::Arc;
 
-use detour_faults::{FaultConfig, FaultPlan, OutageSchedule, RoutePhase, WithdrawalSchedule};
+use detour_faults::{
+    FaultConfig, FaultPlan, OutageSchedule, Renewal, RoutePhase, WithdrawalSchedule,
+};
 use detour_prng::Rng;
 
-use crate::routing::flaps::{FlapConfig, FlapSchedule};
+use crate::routing::flaps;
 use crate::routing::path::{ResolvedPath, Resolver};
 use crate::routing::RoutingMode;
 use crate::sim::clock::SimTime;
@@ -40,8 +42,8 @@ pub struct NetworkConfig {
     pub topology: TopologyConfig,
     /// Load process tuning.
     pub load: LoadConfig,
-    /// Route-flap process tuning.
-    pub flaps: FlapConfig,
+    /// Route-flap process of each ordered AS pair.
+    pub flaps: Renewal,
     /// Path-selection mode (the ablation knob).
     pub mode: RoutingMode,
     /// Master seed; every stochastic component derives from it.
@@ -59,7 +61,7 @@ impl NetworkConfig {
         NetworkConfig {
             topology: TopologyConfig::for_era(era),
             load: LoadConfig::for_era(era),
-            flaps: FlapConfig::default(),
+            flaps: flaps::DEFAULT,
             mode: RoutingMode::PolicyHotPotato,
             seed,
             horizon_s: horizon_days * 86_400.0,
@@ -104,7 +106,7 @@ pub struct Network {
     /// cache's `Rc`s — but now across threads.
     paths: Vec<Option<Arc<ResolvedPath>>>,
     /// Flat per-ordered-AS-pair flap schedules: `src_as * n_as + dst_as`.
-    flap_table: Vec<FlapSchedule>,
+    flap_table: Vec<OutageSchedule>,
     n_as: usize,
     /// Injected-fault tables; `None` when the config has no network
     /// faults, keeping the benign path untouched.
@@ -149,7 +151,9 @@ impl Network {
 
         let routing_span = rec.span("net/routing");
         let n_as = topology.as_count();
-        let flap_table = precompute_flaps(&cfg.flaps, cfg.seed, n_as, cfg.horizon_s);
+        let flap_table = per_as_pair(n_as, |src, dst| {
+            flaps::flap_schedule(&cfg.flaps, cfg.seed, AsId(src), AsId(dst), cfg.horizon_s)
+        });
 
         // Host-attachment routers define the measurement-relevant slot
         // space; every forward path a probe can ever ask for starts and
@@ -222,7 +226,7 @@ impl Network {
     }
 
     /// The precomputed flap schedule for an ordered AS pair.
-    pub fn flap_schedule(&self, src: AsId, dst: AsId) -> &FlapSchedule {
+    pub fn flap_schedule(&self, src: AsId, dst: AsId) -> &OutageSchedule {
         &self.flap_table[src.0 as usize * self.n_as + dst.0 as usize]
     }
 
@@ -264,7 +268,7 @@ impl Network {
         let sh = self.topology.host(src);
         let dh = self.topology.host(dst);
         let mut flapped = self.mode != RoutingMode::GlobalShortestDelay
-            && self.flap_schedule(sh.asn, dh.asn).active_at(t.0);
+            && self.flap_schedule(sh.asn, dh.asn).down_at(t.0);
         if self.mode != RoutingMode::GlobalShortestDelay {
             if let Some(f) = &self.faults {
                 match f.withdrawals[sh.asn.0 as usize * self.n_as + dh.asn.0 as usize].phase_at(t.0)
@@ -347,35 +351,22 @@ fn precompute_faults(
     let plan = FaultPlan::new(*cfg, horizon_s);
     let link_ids: Vec<u64> = (0..topo.links.len() as u64).collect();
     let router_ids: Vec<u64> = (0..topo.routers.len() as u64).collect();
-    let sources: Vec<u16> = (0..n_as as u16).collect();
     NetworkFaultTables {
         link_down: detour_pool::parallel_map(&link_ids, |&l| plan.link_schedule(l)),
         router_down: detour_pool::parallel_map(&router_ids, |&r| plan.router_schedule(r)),
-        withdrawals: detour_pool::parallel_map(&sources, |&src| {
-            (0..n_as as u16)
-                .map(|dst| plan.withdrawal_schedule(src, dst))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
+        withdrawals: per_as_pair(n_as, |src, dst| plan.withdrawal_schedule(src, dst)),
     }
 }
 
-/// Generates the flap schedule of every ordered AS pair, in parallel per
-/// source AS. Each schedule depends only on `(seed, src, dst)` — exactly
-/// the derivation the old lazy cache used — so the table is bit-identical
-/// to what lazy generation would have produced, at every thread count.
-fn precompute_flaps(cfg: &FlapConfig, seed: u64, n_as: usize, horizon_s: f64) -> Vec<FlapSchedule> {
+/// Builds a flat per-ordered-AS-pair table (`src_as * n_as + dst_as`), in
+/// parallel per source AS. The flap and withdrawal schedules it holds
+/// depend only on their seed and `(src, dst)`, so the table is identical
+/// at every thread count.
+fn per_as_pair<T: Send>(n_as: usize, f: impl Fn(u16, u16) -> T + Sync) -> Vec<T> {
     let sources: Vec<u16> = (0..n_as as u16).collect();
-    detour_pool::parallel_map(&sources, |&src| {
-        (0..n_as as u16)
-            .map(|dst| FlapSchedule::generate(cfg, seed, AsId(src), AsId(dst), horizon_s))
-            .collect::<Vec<_>>()
+    detour_pool::parallel_flat_map(&sources, |&src| {
+        (0..n_as as u16).map(|dst| f(src, dst)).collect()
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Resolves the full (host-router × host-router × flapped) path table, in
@@ -395,7 +386,7 @@ fn precompute_flaps(cfg: &FlapConfig, seed: u64, n_as: usize, horizon_s: f64) ->
 fn precompute_paths(
     topo: &Topology,
     resolver: &Resolver,
-    flap_table: &[FlapSchedule],
+    flap_table: &[OutageSchedule],
     withdrawals: Option<&[WithdrawalSchedule]>,
     n_as: usize,
     slots: &[RouterId],
@@ -551,10 +542,8 @@ mod tests {
         // the 2-day horizon reliably contains flapped measurement times for
         // some pair, then observe forward_path switching routes.
         let mut cfg = NetworkConfig::for_era(Era::Y1999, 515, 2.0);
-        cfg.flaps = crate::routing::flaps::FlapConfig {
-            mean_interval_s: 2.0 * 3600.0,
-            mean_duration_s: 30.0 * 60.0,
-        };
+        cfg.flaps.mtbf_s = 2.0 * 3600.0;
+        cfg.flaps.mttr_s = 30.0 * 60.0;
         let n = Network::generate(&cfg);
         let hosts: Vec<HostId> = n.hosts().iter().map(|h| h.id).collect();
         let mut saw_change = false;
@@ -584,10 +573,8 @@ mod tests {
     #[test]
     fn global_mode_ignores_flaps() {
         let mut cfg = NetworkConfig::for_era(Era::Y1999, 515, 2.0);
-        cfg.flaps = crate::routing::flaps::FlapConfig {
-            mean_interval_s: 3600.0,
-            mean_duration_s: 1800.0,
-        };
+        cfg.flaps.mtbf_s = 3600.0;
+        cfg.flaps.mttr_s = 1800.0;
         cfg.mode = RoutingMode::GlobalShortestDelay;
         let n = Network::generate(&cfg);
         let (s, d) = (n.hosts()[0].id, n.hosts()[9].id);
@@ -688,8 +675,8 @@ mod tests {
         let mut cfg = NetworkConfig::for_era(Era::Y1999, 77, 7.0);
         // Crank link failures so episodes are plentiful inside a week.
         cfg.faults = detour_faults::FaultConfig::link_failures(5);
-        cfg.faults.link_mtbf_s = 6.0 * 3600.0;
-        cfg.faults.link_mttr_s = 3600.0;
+        cfg.faults.link.mtbf_s = 6.0 * 3600.0;
+        cfg.faults.link.mttr_s = 3600.0;
         let n = Network::generate(&cfg);
         let (l, r, w) = n.fault_episode_counts();
         assert!(l > 0, "high link failure rate must produce episodes");
@@ -727,8 +714,8 @@ mod tests {
     fn withdrawals_blackhole_then_route_second_choice() {
         let mut cfg = NetworkConfig::for_era(Era::Y1999, 515, 7.0);
         cfg.faults = detour_faults::FaultConfig::withdrawals(9);
-        cfg.faults.withdraw_mtbf_s = 12.0 * 3600.0;
-        cfg.faults.withdraw_mttr_s = 1800.0;
+        cfg.faults.withdraw.mtbf_s = 12.0 * 3600.0;
+        cfg.faults.withdraw.mttr_s = 1800.0;
         let n = Network::generate(&cfg);
         let (_, _, w) = n.fault_episode_counts();
         assert!(w > 0);

@@ -19,6 +19,7 @@
 //! probability that turns up sharply past a knee — idle links barely drop,
 //! saturated ones drop several percent, as in \[Bol93\]/\[Pax97a\].
 
+use detour_faults::{OutageSchedule, Renewal};
 use detour_prng::Rng;
 use detour_prng::Xoshiro256pp;
 
@@ -65,12 +66,11 @@ pub struct LoadConfig {
     pub event_duration_s: f64,
     /// Congestion-event magnitude range (added utilization).
     pub event_magnitude: (f64, f64),
-    /// Mean full-outage events per link per day (fiber cuts, router
-    /// crashes, misconfigurations — the failures RON-style overlays route
-    /// around). Rare: most links never fail during a trace.
-    pub outages_per_day: f64,
-    /// Mean outage duration, seconds.
-    pub outage_duration_s: f64,
+    /// Full-outage process of each link (fiber cuts, router crashes,
+    /// misconfigurations — the failures RON-style overlays route around).
+    /// Rare: most links never fail during a trace. An outage lasts at
+    /// least 30 s.
+    pub outages: Renewal,
     /// Fraction of internal/private links that are chronic hotspots.
     ///
     /// Congestion on the real Internet is concentrated: a few
@@ -110,8 +110,10 @@ impl LoadConfig {
                 events_per_day_public: 0.9,
                 event_duration_s: 45.0 * 60.0,
                 event_magnitude: (0.2, 0.55),
-                outages_per_day: 0.03,
-                outage_duration_s: 12.0 * 60.0,
+                outages: Renewal {
+                    mtbf_s: 86_400.0 / 0.03,
+                    mttr_s: 12.0 * 60.0,
+                },
                 hot_fraction: 0.25,
                 base_hot: (0.60, 0.92),
             },
@@ -132,8 +134,10 @@ impl LoadConfig {
                 events_per_day_public: 0.8,
                 event_duration_s: 30.0 * 60.0,
                 event_magnitude: (0.15, 0.5),
-                outages_per_day: 0.02,
-                outage_duration_s: 10.0 * 60.0,
+                outages: Renewal {
+                    mtbf_s: 86_400.0 / 0.02,
+                    mttr_s: 10.0 * 60.0,
+                },
                 hot_fraction: 0.20,
                 base_hot: (0.55, 0.88),
             },
@@ -149,8 +153,8 @@ struct LinkLoad {
     wander: [(f64, f64); 2],
     /// Sorted congestion events `(start_s, end_s, magnitude)`.
     events: Vec<(f64, f64, f64)>,
-    /// Sorted full-outage windows `(start_s, end_s)`.
-    outages: Vec<(f64, f64)>,
+    /// Full-outage windows.
+    outages: OutageSchedule,
     queue_scale_ms: f64,
     /// Per-link baseline loss: links are *not* equally lossy — a flaky
     /// trans-oceanic circuit and a clean campus uplink differ by orders of
@@ -178,6 +182,9 @@ pub struct LoadModel {
     cal: Calendar,
     links: Vec<LinkLoad>,
 }
+
+/// Shortest full-outage window, seconds.
+const MIN_OUTAGE_S: f64 = 30.0;
 
 /// Wander periods (seconds): ~3.1 h and ~13.9 h, incommensurate with each
 /// other and with the 24 h diurnal cycle.
@@ -247,25 +254,15 @@ impl LoadModel {
                 // Poisson congestion events over the horizon.
                 let mut events = Vec::new();
                 let mean_gap = 86_400.0 / ev_rate.max(1e-9);
-                let mut t = -(rng.gen_range(f64::MIN_POSITIVE..1.0f64)).ln() * mean_gap;
+                let mut t = rng.exponential(mean_gap);
                 while t < horizon_s {
-                    let dur =
-                        -(rng.gen_range(f64::MIN_POSITIVE..1.0f64)).ln() * cfg.event_duration_s;
+                    let dur = rng.exponential(cfg.event_duration_s);
                     let mag = rng.gen_range(cfg.event_magnitude.0..cfg.event_magnitude.1);
                     events.push((t, t + dur.max(60.0), mag));
-                    t += dur + -(rng.gen_range(f64::MIN_POSITIVE..1.0f64)).ln() * mean_gap;
+                    t += dur + rng.exponential(mean_gap);
                 }
-                // Rare full outages, Poisson over the horizon.
-                let mut outages = Vec::new();
-                let outage_gap = 86_400.0 / cfg.outages_per_day.max(1e-9);
-                let mut ot = -(rng.gen_range(f64::MIN_POSITIVE..1.0f64)).ln() * outage_gap;
-                while ot < horizon_s {
-                    let dur = (-(rng.gen_range(f64::MIN_POSITIVE..1.0f64)).ln()
-                        * cfg.outage_duration_s)
-                        .max(30.0);
-                    outages.push((ot, ot + dur));
-                    ot += dur + -(rng.gen_range(f64::MIN_POSITIVE..1.0f64)).ln() * outage_gap;
-                }
+                // Rare full outages over the horizon.
+                let outages = cfg.outages.schedule(&mut rng, MIN_OUTAGE_S, horizon_s);
                 let tz = CITIES[topo.router(l.from).city].utc_offset_hours;
                 LinkLoad {
                     base,
@@ -308,9 +305,7 @@ impl LoadModel {
 
     /// True when `link` is in a full-outage window at `t`.
     pub fn is_down(&self, link: LinkId, t: SimTime) -> bool {
-        let ll = &self.links[link.0 as usize];
-        let i = ll.outages.partition_point(|&(s, _)| s <= t.0);
-        i > 0 && t.0 < ll.outages[i - 1].1
+        self.links[link.0 as usize].outages.down_at(t.0)
     }
 
     /// Mean queuing delay (ms) at utilization `rho` for `link`.
@@ -356,8 +351,7 @@ impl LoadModel {
             .sum();
         let mut queue_delay_ms = (-mean_q / 4.0 * ln_prod).min(self.cfg.queue_cap_ms * 4.0);
         if rng.gen_bool(Self::SPIKE_PROB) {
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            queue_delay_ms += -Self::SPIKE_MEAN_MS * u.ln();
+            queue_delay_ms += rng.exponential(Self::SPIKE_MEAN_MS);
         }
         let lost = rng.gen_bool(self.loss_probability(link, rho));
         LinkSample {
@@ -493,7 +487,7 @@ mod tests {
         let mut found = false;
         for l in &topo.links {
             let ll = &lm.links[l.id.0 as usize];
-            if let Some(&(start, end)) = ll.outages.first() {
+            if let Some(&(start, end)) = ll.outages.episodes().first() {
                 if end > start + 60.0 && end < 14.0 * 86_400.0 {
                     found = true;
                     let mid = SimTime((start + end) / 2.0);
@@ -520,13 +514,7 @@ mod tests {
         let total_down: f64 = topo
             .links
             .iter()
-            .map(|l| {
-                lm.links[l.id.0 as usize]
-                    .outages
-                    .iter()
-                    .map(|&(s, e)| (e.min(horizon) - s).max(0.0))
-                    .sum::<f64>()
-            })
+            .map(|l| lm.links[l.id.0 as usize].outages.total_down_s())
             .sum();
         let frac = total_down / (horizon * topo.links.len() as f64);
         assert!(frac < 0.005, "links down {frac} of the time");

@@ -3,7 +3,7 @@
 //! *every* seed, not just the ones the datasets use.
 
 use detour_netsim::geo::GeoPoint;
-use detour_netsim::routing::flaps::{FlapConfig, FlapSchedule};
+use detour_netsim::routing::flaps::{self, flap_schedule};
 use detour_netsim::routing::path::Resolver;
 use detour_netsim::routing::RoutingMode;
 use detour_netsim::sim::clock::SimTime;
@@ -111,15 +111,14 @@ fn flap_schedules_are_disjoint_sorted_and_deterministic() {
         |rng| {
             let seed = rng.gen_range(0..1000u64);
             let (a, b) = (rng.gen_range(0..200u16), rng.gen_range(0..200u16));
-            let cfg = FlapConfig::default();
             let horizon = 14.0 * 86_400.0;
-            let s1 = FlapSchedule::generate(&cfg, seed, AsId(a), AsId(b), horizon);
-            let s2 = FlapSchedule::generate(&cfg, seed, AsId(a), AsId(b), horizon);
-            assert_eq!(s1.episode_count(), s2.episode_count());
-            assert!(s1.total_flapped_s() <= horizon);
+            let s1 = flap_schedule(&flaps::DEFAULT, seed, AsId(a), AsId(b), horizon);
+            let s2 = flap_schedule(&flaps::DEFAULT, seed, AsId(a), AsId(b), horizon);
+            assert_eq!(s1, s2);
+            assert!(s1.total_down_s() <= horizon);
             // Activity queries never panic and are false outside the horizon.
-            assert!(!s1.active_at(-1.0));
-            assert!(!s1.active_at(horizon + 1.0));
+            assert!(!s1.down_at(-1.0));
+            assert!(!s1.down_at(horizon + 1.0));
         },
     );
 }

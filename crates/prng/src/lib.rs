@@ -12,7 +12,7 @@
 //!   workhorse generator: 256 bits of state, period 2²⁵⁶ − 1, passes
 //!   BigCrush, and is trivially cheap per draw.
 //! * [`Rng`] — the minimal trait the workspace needs: `next_u64`, `f64`,
-//!   `gen_range`, `gen_bool`, `shuffle`, `choose`.
+//!   `gen_range`, `gen_bool`, `exponential`, `shuffle`, `choose`.
 //! * [`SliceRandom`] — slice-side `shuffle`/`choose`, mirroring the call
 //!   style the codebase already uses (`hosts.shuffle(&mut rng)`).
 //! * [`check`] — the deterministic property-test harness that replaces
@@ -159,6 +159,16 @@ pub trait Rng {
     /// `true` with probability `p` (clamped to `[0, 1]`).
     fn gen_bool(&mut self, p: f64) -> bool {
         self.f64() < p
+    }
+
+    /// Exponential deviate with the given mean: `-mean · ln u`, `u` drawn
+    /// from `[f64::MIN_POSITIVE, 1)` so the logarithm stays finite. One
+    /// draw; an infinite mean yields `+∞` (a process that never fires).
+    fn exponential(&mut self, mean: f64) -> f64
+    where
+        Self: Sized,
+    {
+        -mean * self.gen_range(f64::MIN_POSITIVE..1.0f64).ln()
     }
 
     /// Fisher–Yates shuffle in place.

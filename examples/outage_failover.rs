@@ -18,8 +18,8 @@ fn main() {
     // A rough decade on the simulated Internet: outages every ~8 hours per
     // link instead of every ~50 days, each lasting ~10 minutes.
     let mut cfg = NetworkConfig::for_era(Era::Y1999, 0xdead_111c, 1.0);
-    cfg.load.outages_per_day = 3.0;
-    cfg.load.outage_duration_s = 10.0 * 60.0;
+    cfg.load.outages.mtbf_s = 86_400.0 / 3.0; // three a day
+    cfg.load.outages.mttr_s = 10.0 * 60.0;
     let net = Network::generate(&cfg);
 
     let members: Vec<HostId> = net

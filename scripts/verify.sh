@@ -15,6 +15,7 @@
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
 #             batched-kernel equivalence, the kernel property tests,
+#             the fault-schedule unit tests, the netsim property tests,
 #             the figures CLI input checks,
 #             chaos + golden suites, the trace_explorer example on its
 #             own .trace2 file and on a non-trace file, benchmark package
@@ -56,7 +57,9 @@ cargo build --release --offline --workspace --all-targets
 # byte-identical to the retained per-pair reference), the kernel property
 # tests (brute-force DFS oracle, masked == rebuilt, the Yen ranking and its
 # head == the best alternate, incremental greedy == full-sweep greedy),
-# the figures CLI input checks (unknown flags and ids, an unusable cache
+# the renewal-process tests (detour-faults' unit tests pin the episode
+# draw order; netsim's property tests cover flap schedules, routing and
+# load), the figures CLI input checks (unknown flags and ids, an unusable cache
 # path), plus the tiny-scale end-to-end suites — the chaos suite (every
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
@@ -66,6 +69,10 @@ cargo test -q --offline -p detour --test batched_kernel
 
 echo "== smoke: kernel property tests =="
 cargo test -q --offline -p detour-core --test kernel_properties
+
+echo "== smoke: renewal schedules (detour-faults) + netsim property tests =="
+cargo test -q --offline -p detour-faults
+cargo test -q --offline -p detour-netsim --test proptests
 
 echo "== smoke: figures CLI input handling =="
 cargo test -q --offline -p detour-bench --test figures_cli
