@@ -145,7 +145,7 @@ fn pass(dir: &Path, (net, requests): &(Network, Vec<Request>), m: &WeightMatrix)
     });
     let before = rec.snapshot();
     let (sweep, sweep_secs) = rec.time("baseline/scale_sweep", || {
-        kernel::sweep(m, &m.no_mask(), &Rtt, SearchDepth::Unrestricted)
+        kernel::sweep(m, &m.no_mask(), SearchDepth::Unrestricted)
     });
     let d = rec.snapshot().delta_since(&before);
     Pass {
@@ -213,7 +213,7 @@ fn main() {
     rec.set_gauge("baseline/scale_sweep_fixups", one.sweep_counts.0 as f64);
     rec.set_gauge("baseline/scale_sweep_avoided", one.sweep_counts.1 as f64);
     let (per_pair, ref_secs) = rec.time("baseline/scale_sweep_reference", || {
-        reference::per_pair_sweep(scale_m, &scale_m.no_mask(), &Rtt, SearchDepth::Unrestricted)
+        reference::per_pair_sweep(scale_m, &scale_m.no_mask(), SearchDepth::Unrestricted)
     });
     if per_pair != one.sweep {
         fail("scale_sweep batched kernel differs from per-pair reference");

@@ -2,7 +2,7 @@
 //!
 //! Each report — paper artifact, extra or fault sweep — is one
 //! [`Experiment`]: an id, the derived artifacts it needs (stated as
-//! [`Need`]s over the [`DatasetId`]/[`MetricKind`] vocabulary), and a run
+//! [`Need`]s: a [`DatasetId`] and core's [`ArtifactKind`]), and a run
 //! function over the shared [`Study`]. The engine ([`run_all`]) resolves
 //! the union of the requested experiments' needs, prebuilds those
 //! artifacts in parallel, then fans the experiments out concurrently —
@@ -21,9 +21,9 @@
 use detour_core::analysis::{
     aspop, cdf, confidence, contribution, episodes, hostremoval, median, propagation, timeofday,
 };
+use detour_core::ArtifactKind::{self, Bandwidth, Weights};
 use detour_core::{
-    pool, AnalysisContext, ArtifactKind, Loss, LossComposition, Metric, MetricKind, Rtt,
-    SearchDepth,
+    pool, AnalysisContext, Loss, LossComposition, MetricKind, PropDelay, Rtt, SearchDepth,
 };
 use detour_datasets::DatasetId;
 use detour_stats::ttest::VerdictCounts;
@@ -32,22 +32,15 @@ use crate::extras;
 use crate::render::{cdf_grid, check, header, pct};
 use crate::study::Study;
 
-/// One derived artifact an experiment consumes, in registry declarations.
+/// One derived artifact an experiment consumes, in registry declarations:
+/// which dataset's context, and which of its artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Need {
-    /// The weight matrix of a metric family on a dataset.
-    Weights(DatasetId, MetricKind),
-    /// The one-hop bandwidth matrix of a dataset.
-    Bandwidth(DatasetId),
-}
+pub struct Need(pub DatasetId, pub ArtifactKind);
 
 impl Need {
     /// Builds the named artifact in the study (idempotent).
     pub fn build(&self, study: &Study) {
-        match *self {
-            Need::Weights(key, kind) => study.ctx(key).ensure(ArtifactKind::Weights(kind)),
-            Need::Bandwidth(key) => study.ctx(key).ensure(ArtifactKind::Bandwidth),
-        }
+        study.ctx(self.0).ensure(self.1);
     }
 }
 
@@ -78,33 +71,33 @@ const HEADLINE: [DatasetId; 4] = [
 ];
 
 const HEADLINE_RTT: &[Need] = &[
-    Need::Weights(DatasetId::Uw1, MetricKind::Rtt),
-    Need::Weights(DatasetId::Uw3, MetricKind::Rtt),
-    Need::Weights(DatasetId::D2Na, MetricKind::Rtt),
-    Need::Weights(DatasetId::D2, MetricKind::Rtt),
+    Need(DatasetId::Uw1, Weights(Rtt)),
+    Need(DatasetId::Uw3, Weights(Rtt)),
+    Need(DatasetId::D2Na, Weights(Rtt)),
+    Need(DatasetId::D2, Weights(Rtt)),
 ];
 
 const HEADLINE_LOSS: &[Need] = &[
-    Need::Weights(DatasetId::Uw1, MetricKind::Loss),
-    Need::Weights(DatasetId::Uw3, MetricKind::Loss),
-    Need::Weights(DatasetId::D2Na, MetricKind::Loss),
-    Need::Weights(DatasetId::D2, MetricKind::Loss),
+    Need(DatasetId::Uw1, Weights(Loss)),
+    Need(DatasetId::Uw3, Weights(Loss)),
+    Need(DatasetId::D2Na, Weights(Loss)),
+    Need(DatasetId::D2, Weights(Loss)),
 ];
 
 const BANDWIDTH_N2: &[Need] = &[
-    Need::Bandwidth(DatasetId::N2),
-    Need::Bandwidth(DatasetId::N2Na),
+    Need(DatasetId::N2, Bandwidth),
+    Need(DatasetId::N2Na, Bandwidth),
 ];
 
-const UW1_RTT: &[Need] = &[Need::Weights(DatasetId::Uw1, MetricKind::Rtt)];
-const UW3_RTT: &[Need] = &[Need::Weights(DatasetId::Uw3, MetricKind::Rtt)];
-const UW3_LOSS: &[Need] = &[Need::Weights(DatasetId::Uw3, MetricKind::Loss)];
+const UW1_RTT: &[Need] = &[Need(DatasetId::Uw1, Weights(Rtt))];
+const UW3_RTT: &[Need] = &[Need(DatasetId::Uw3, Weights(Rtt))];
+const UW3_LOSS: &[Need] = &[Need(DatasetId::Uw3, Weights(Loss))];
 const UW3_PROP_RTT: &[Need] = &[
-    Need::Weights(DatasetId::Uw3, MetricKind::PropDelay),
-    Need::Weights(DatasetId::Uw3, MetricKind::Rtt),
+    Need(DatasetId::Uw3, Weights(PropDelay)),
+    Need(DatasetId::Uw3, Weights(Rtt)),
 ];
-const UW4B_RTT: &[Need] = &[Need::Weights(DatasetId::Uw4B, MetricKind::Rtt)];
-const D2NA_RTT: &[Need] = &[Need::Weights(DatasetId::D2Na, MetricKind::Rtt)];
+const UW4B_RTT: &[Need] = &[Need(DatasetId::Uw4B, Weights(Rtt))];
+const D2NA_RTT: &[Need] = &[Need(DatasetId::D2Na, Weights(Rtt))];
 
 /// Every registered experiment: the paper artifacts in paper order
 /// ([`ALL_EXPERIMENTS`]), then the six extras, then the fault sweep. This
@@ -439,7 +432,7 @@ pub fn fig6(s: &Study) -> String {
 // Figures 7-8 and Tables 2-3 — confidence intervals
 // ---------------------------------------------------------------------------
 
-fn interval_report(cx: &AnalysisContext, metric: &impl Metric, unit: &str) -> String {
+fn interval_report(cx: &AnalysisContext, metric: &MetricKind, unit: &str) -> String {
     let series = confidence::interval_cdf_series(cx, metric, 0.95);
     let mut out = String::new();
     out.push_str(&format!(
@@ -528,7 +521,7 @@ pub fn table3(s: &Study) -> String {
 // Figures 9-10 — time of day
 // ---------------------------------------------------------------------------
 
-fn timeofday_report(cx: &AnalysisContext, metric: &impl Metric, lo: f64, hi: f64) -> String {
+fn timeofday_report(cx: &AnalysisContext, metric: &MetricKind, lo: f64, hi: f64) -> String {
     let slices = timeofday::improvement_by_slice(cx, metric, SearchDepth::Unrestricted);
     let mut out = String::new();
     for (slice, cdf) in &slices {
@@ -885,10 +878,10 @@ mod tests {
         assert_eq!(
             needs,
             vec![
-                Need::Weights(DatasetId::Uw1, MetricKind::Rtt),
-                Need::Weights(DatasetId::Uw3, MetricKind::Rtt),
-                Need::Weights(DatasetId::D2Na, MetricKind::Rtt),
-                Need::Weights(DatasetId::D2, MetricKind::Rtt),
+                Need(DatasetId::Uw1, Weights(Rtt)),
+                Need(DatasetId::Uw3, Weights(Rtt)),
+                Need(DatasetId::D2Na, Weights(Rtt)),
+                Need(DatasetId::D2, Weights(Rtt)),
             ]
         );
     }
@@ -941,10 +934,10 @@ mod tests {
             .iter()
             .flat_map(|&k| {
                 [
-                    Need::Weights(k, MetricKind::Rtt),
-                    Need::Weights(k, MetricKind::Loss),
-                    Need::Weights(k, MetricKind::PropDelay),
-                    Need::Bandwidth(k),
+                    Need(k, Weights(Rtt)),
+                    Need(k, Weights(Loss)),
+                    Need(k, Weights(PropDelay)),
+                    Need(k, Bandwidth),
                 ]
             })
             .collect()

@@ -12,7 +12,6 @@
 //! times it on the 128-host SCALE dataset.
 
 use detour_core::altpath::SearchDepth;
-use detour_core::metric::Metric;
 use detour_core::{pool, Pair, PathComparison, WeightMatrix};
 
 /// The pre-batching per-pair scratch, preserved verbatim: full `O(n)`
@@ -56,7 +55,6 @@ pub fn per_pair_best_alternate_masked(
     removed: &[bool],
     s: usize,
     d: usize,
-    metric: &impl Metric,
     scratch: &mut PerPairScratch,
 ) -> Option<PathComparison> {
     let n = m.len();
@@ -122,7 +120,7 @@ pub fn per_pair_best_alternate_masked(
             dst: m.hosts()[d],
         },
         default_value,
-        alternate_value: metric.compose(&scratch.vals),
+        alternate_value: m.metric().compose(&scratch.vals),
         via: scratch.path[1..scratch.path.len() - 1]
             .iter()
             .map(|&i| m.hosts()[i])
@@ -137,7 +135,6 @@ pub fn per_pair_one_hop_masked(
     removed: &[bool],
     s: usize,
     d: usize,
-    metric: &impl Metric,
 ) -> Option<PathComparison> {
     let n = m.len();
     debug_assert_eq!(removed.len(), n);
@@ -155,7 +152,7 @@ pub fn per_pair_one_hop_masked(
         if v1.is_nan() || v2.is_nan() {
             continue;
         }
-        let composed = metric.compose(&[v1, v2]);
+        let composed = m.metric().compose(&[v1, v2]);
         if best.is_none_or(|(b, _)| composed < b) {
             best = Some((composed, mid));
         }
@@ -180,7 +177,6 @@ pub fn per_pair_one_hop_masked(
 pub fn per_pair_sweep(
     m: &WeightMatrix,
     removed: &[bool],
-    metric: &impl Metric,
     depth: SearchDepth,
 ) -> Vec<PathComparison> {
     let pairs = m.measured_pairs(removed);
@@ -188,10 +184,8 @@ pub fn per_pair_sweep(
         &pairs,
         PerPairScratch::new,
         |scratch, &(s, d)| match depth {
-            SearchDepth::Unrestricted => {
-                per_pair_best_alternate_masked(m, removed, s, d, metric, scratch)
-            }
-            SearchDepth::OneHop => per_pair_one_hop_masked(m, removed, s, d, metric),
+            SearchDepth::Unrestricted => per_pair_best_alternate_masked(m, removed, s, d, scratch),
+            SearchDepth::OneHop => per_pair_one_hop_masked(m, removed, s, d),
         },
     )
     .into_iter()

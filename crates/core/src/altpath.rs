@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::context::AnalysisContext;
     use crate::kernel::{self, DijkstraScratch};
-    use crate::metric::{Loss, Metric, Rtt};
+    use crate::metric::{Loss, MetricKind, Rtt};
     use crate::testkit::rtt_matrix_dataset;
     use detour_measure::Dataset;
 
@@ -108,7 +108,7 @@ mod tests {
         ds: &Dataset,
         s: usize,
         d: usize,
-        metric: &impl Metric,
+        metric: &MetricKind,
         depth: SearchDepth,
     ) -> Option<PathComparison> {
         let cx = AnalysisContext::from_dataset(ds);
@@ -116,9 +116,9 @@ mod tests {
         let mask = m.no_mask();
         match depth {
             SearchDepth::Unrestricted => {
-                kernel::best_alternate_masked(m, &mask, s, d, metric, &mut DijkstraScratch::new())
+                kernel::best_alternate_masked(m, &mask, s, d, &mut DijkstraScratch::new())
             }
-            SearchDepth::OneHop => kernel::best_alternate_one_hop_masked(m, &mask, s, d, metric),
+            SearchDepth::OneHop => kernel::best_alternate_one_hop_masked(m, &mask, s, d),
         }
     }
 

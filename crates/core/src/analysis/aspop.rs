@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::compare_all_pairs;
 use crate::context::AnalysisContext;
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 
 /// One scatter point: an AS's appearance counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct AsPoint {
 }
 
 /// Computes the Figure-14 scatter for `metric`-selected alternates.
-pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> Vec<AsPoint> {
+pub fn analyze(cx: &AnalysisContext, metric: &MetricKind) -> Vec<AsPoint> {
     let t = cx.table();
     let mut default_counts: HashMap<u16, usize> = HashMap::new();
     let mut alternate_counts: HashMap<u16, usize> = HashMap::new();

@@ -10,7 +10,7 @@ use crate::altpath::{PathComparison, SearchDepth};
 use crate::compose::LossComposition;
 use crate::context::AnalysisContext;
 use crate::kernel::{self, WeightMatrix};
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use detour_measure::PairTable;
 use detour_stats::Cdf;
 
@@ -26,11 +26,11 @@ use detour_stats::Cdf;
 /// reference kept in `detour_bench::reference`.
 pub fn compare_all_pairs(
     cx: &AnalysisContext,
-    metric: &impl Metric,
+    metric: &MetricKind,
     depth: SearchDepth,
 ) -> Vec<PathComparison> {
     let m = cx.weights(metric);
-    kernel::sweep(m, &m.no_mask(), metric, depth)
+    kernel::sweep(m, &m.no_mask(), depth)
 }
 
 /// Per-pair comparisons for an ad-hoc table (a time-of-day slice or an
@@ -39,11 +39,11 @@ pub fn compare_all_pairs(
 /// prefer [`compare_all_pairs`] whenever a context exists.
 pub fn compare_graph(
     table: &PairTable,
-    metric: &impl Metric,
+    metric: &MetricKind,
     depth: SearchDepth,
 ) -> Vec<PathComparison> {
     let m = WeightMatrix::build(table, metric);
-    kernel::sweep(&m, &m.no_mask(), metric, depth)
+    kernel::sweep(&m, &m.no_mask(), depth)
 }
 
 /// Per-pair comparisons for the bandwidth metric (one-hop, Mathis model),

@@ -18,7 +18,7 @@
 use crate::altpath::{PathComparison, SearchDepth};
 use crate::analysis::cdf::compare_all_pairs;
 use crate::context::AnalysisContext;
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use detour_measure::PairTable;
 use detour_stats::ci::MeanEstimate;
 use detour_stats::ttest::{welch_classify, TTestVerdict, VerdictCounts};
@@ -39,7 +39,7 @@ pub struct PairInterval {
 fn pair_estimates(
     t: &PairTable,
     cmp: &PathComparison,
-    metric: &impl Metric,
+    metric: &MetricKind,
 ) -> Option<(MeanEstimate, MeanEstimate)> {
     let hops: Vec<usize> = cmp.hops().map(|h| t.host_index(h)).collect::<Option<_>>()?;
     let (s, d) = (hops[0], hops[hops.len() - 1]);
@@ -66,7 +66,7 @@ fn pair_estimates(
 /// The best-alternate searches run as one kernel sweep
 /// ([`compare_all_pairs`]); only the surviving comparisons pay for the
 /// per-edge summary walks.
-pub fn pair_intervals(cx: &AnalysisContext, metric: &impl Metric, level: f64) -> Vec<PairInterval> {
+pub fn pair_intervals(cx: &AnalysisContext, metric: &MetricKind, level: f64) -> Vec<PairInterval> {
     compare_all_pairs(cx, metric, SearchDepth::Unrestricted)
         .iter()
         .filter_map(|cmp| {
@@ -75,14 +75,14 @@ pub fn pair_intervals(cx: &AnalysisContext, metric: &impl Metric, level: f64) ->
             Some(PairInterval {
                 improvement: ci.center,
                 half_width: ci.half_width,
-                verdict: welch_classify(&default_est, &alt_est, level),
+                verdict: welch_classify(&default_est, &alt_est, &ci),
             })
         })
         .collect()
 }
 
 /// One Table-2/3 row: verdict percentages for a dataset.
-pub fn verdict_table(cx: &AnalysisContext, metric: &impl Metric, level: f64) -> VerdictCounts {
+pub fn verdict_table(cx: &AnalysisContext, metric: &MetricKind, level: f64) -> VerdictCounts {
     let mut counts = VerdictCounts::default();
     for pi in pair_intervals(cx, metric, level) {
         counts.record(pi.verdict);
@@ -94,7 +94,7 @@ pub fn verdict_table(cx: &AnalysisContext, metric: &impl Metric, level: f64) -> 
 /// fraction and interval half-width, `(improvement, fraction, half_width)`.
 pub fn interval_cdf_series(
     cx: &AnalysisContext,
-    metric: &impl Metric,
+    metric: &MetricKind,
     level: f64,
 ) -> Vec<(f64, f64, f64)> {
     let mut pis = pair_intervals(cx, metric, level);

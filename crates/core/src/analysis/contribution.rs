@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use crate::context::AnalysisContext;
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use detour_measure::HostId;
 use detour_stats::Cdf;
 
@@ -35,7 +35,7 @@ pub struct ContributionAnalysis {
 /// The triple loop runs on the context's cached weight matrix of
 /// precomputed metric values — `O(n³)` lookups but each metric value
 /// derived only once per run.
-pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> ContributionAnalysis {
+pub fn analyze(cx: &AnalysisContext, metric: &MetricKind) -> ContributionAnalysis {
     let w = cx.weights(metric);
     let mut raw: HashMap<HostId, f64> = w.hosts().iter().map(|&h| (h, 0.0)).collect();
     let n = w.len();

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use detour_measure::{Dataset, HostId, PairTable};
 use detour_stats::Cdf;
 
@@ -47,7 +47,7 @@ pub fn episode_ids(ds: &Dataset) -> Vec<u32> {
 pub fn analyze(
     episodic: &AnalysisContext,
     averaged: &AnalysisContext,
-    metric: &impl Metric,
+    metric: &MetricKind,
 ) -> EpisodeAnalysis {
     // Curve 1: plain time-averaged comparison on UW4-B (cached matrix).
     let time_averaged = improvement_cdf(&compare_all_pairs(

@@ -11,7 +11,7 @@ use crate::altpath::{PathComparison, SearchDepth};
 use crate::analysis::cdf::improvement_cdf;
 use crate::context::AnalysisContext;
 use crate::kernel::{self, DijkstraScratch, WeightMatrix};
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use crate::pool;
 use detour_measure::HostId;
 use detour_stats::Cdf;
@@ -38,7 +38,6 @@ pub struct RemovalAnalysis {
 fn masked_position(
     m: &WeightMatrix,
     mask_with_h: &[bool],
-    metric: &impl Metric,
     current: &[PathComparison],
     h: usize,
     scratch: &mut DijkstraScratch,
@@ -53,7 +52,7 @@ fn masked_position(
         let improvement = if c.via.contains(&hid) {
             let s = m.host_index(c.pair.src).expect("pair host");
             let d = m.host_index(c.pair.dst).expect("pair host");
-            match kernel::best_alternate_masked(m, mask_with_h, s, d, metric, scratch) {
+            match kernel::best_alternate_masked(m, mask_with_h, s, d, scratch) {
                 Some(r) => r.improvement(),
                 None => continue,
             }
@@ -84,10 +83,10 @@ fn masked_position(
 /// accumulated, so equal weight-space optima mean equal composed bits.
 /// The kernel property tests also check that the incremental loop removes
 /// the hosts a full sweep per candidate would.
-pub fn greedy_removal(cx: &AnalysisContext, metric: &impl Metric, k: usize) -> RemovalAnalysis {
+pub fn greedy_removal(cx: &AnalysisContext, metric: &MetricKind, k: usize) -> RemovalAnalysis {
     let m = cx.weights(metric);
     let mut mask = m.no_mask();
-    let mut current = kernel::sweep(m, &mask, metric, SearchDepth::Unrestricted);
+    let mut current = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
     let full = improvement_cdf(&current);
     let mut removed = Vec::new();
     for _ in 0..k.min(m.len().saturating_sub(3)) {
@@ -100,7 +99,7 @@ pub fn greedy_removal(cx: &AnalysisContext, metric: &impl Metric, k: usize) -> R
             move |scratch, &h| {
                 let mut mask_h = mask.to_vec();
                 mask_h[h] = true;
-                masked_position(m, &mask_h, metric, current, h, scratch)
+                masked_position(m, &mask_h, current, h, scratch)
             }
         });
         let mut best: Option<(f64, usize)> = None;
@@ -114,7 +113,7 @@ pub fn greedy_removal(cx: &AnalysisContext, metric: &impl Metric, k: usize) -> R
         let Some((_, h)) = best else { break };
         mask[h] = true;
         removed.push(m.hosts()[h]);
-        current = kernel::sweep(m, &mask, metric, SearchDepth::Unrestricted);
+        current = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
     }
     let reduced = improvement_cdf(&current);
     RemovalAnalysis {

@@ -19,7 +19,7 @@
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::metric::{Metric, PropDelay, Rtt};
+use crate::metric::{PropDelay, Rtt};
 use detour_stats::Cdf;
 
 /// The Figure-15 curves.

@@ -10,7 +10,7 @@
 use crate::altpath::Pair;
 use crate::context::AnalysisContext;
 use crate::kbest::k_best_alternates_in;
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use crate::pool;
 use detour_stats::Cdf;
 
@@ -57,12 +57,12 @@ pub struct SensitivityReport {
 /// Borrows the context's cached weight matrix and fans the per-pair Yen
 /// searches out over [`crate::pool`]; results merge in pair order, so the
 /// report is identical at every thread count.
-pub fn analyze(cx: &AnalysisContext, metric: &impl Metric) -> SensitivityReport {
+pub fn analyze(cx: &AnalysisContext, metric: &MetricKind) -> SensitivityReport {
     let m = cx.weights(metric);
     let mask = m.no_mask();
     let idx_pairs = m.measured_pairs(&mask);
     let pairs: Vec<PairSensitivity> = pool::parallel_map(&idx_pairs, |&(s, d)| {
-        let kb = k_best_alternates_in(m, &mask, s, d, metric, 2);
+        let kb = k_best_alternates_in(m, &mask, s, d, 2);
         if kb.len() < 2 {
             return None;
         }

@@ -10,7 +10,7 @@
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use detour_measure::PairTable;
 use detour_stats::Cdf;
 
@@ -79,7 +79,7 @@ impl TimeSlice {
 /// reduces the number of samples per path").
 pub fn improvement_by_slice(
     cx: &AnalysisContext,
-    metric: &impl Metric,
+    metric: &MetricKind,
     depth: SearchDepth,
 ) -> Vec<(TimeSlice, Cdf)> {
     let ds = cx.dataset();

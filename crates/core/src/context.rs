@@ -10,8 +10,10 @@
 //! * the dataset and eagerly built table are `Arc`-shared, so a
 //!   context is cheap to construct from an already-loaded dataset;
 //! * weight matrices are built lazily, at most once per [`MetricKind`],
-//!   behind [`OnceLock`]s — concurrent experiments racing for the same
-//!   matrix block until the single winner finishes building, then share it;
+//!   behind one [`OnceLock`] slot per metric (an array indexed by the
+//!   enum) — concurrent experiments racing for the same matrix block until
+//!   the single winner finishes building, then share it; each matrix
+//!   carries its metric, so callers pass the matrix alone;
 //! * everything handed out is immutable, so a `&AnalysisContext` is freely
 //!   shareable across the thread pool (the type is `Sync` by construction).
 //!
@@ -26,7 +28,7 @@ use std::sync::{Arc, OnceLock};
 use detour_measure::{Dataset, PairTable};
 
 use crate::kernel::{BandwidthMatrix, WeightMatrix};
-use crate::metric::{Metric, MetricKind};
+use crate::metric::MetricKind;
 
 /// Names one derived artifact, for declarative prebuilding: the experiment
 /// registry states which artifacts an experiment touches, and the engine
@@ -43,9 +45,8 @@ pub enum ArtifactKind {
 pub struct AnalysisContext {
     dataset: Arc<Dataset>,
     table: Arc<PairTable>,
-    rtt: OnceLock<WeightMatrix>,
-    loss: OnceLock<WeightMatrix>,
-    prop: OnceLock<WeightMatrix>,
+    /// One slot per metric, indexed by `MetricKind as usize`.
+    weights: [OnceLock<WeightMatrix>; 3],
     bandwidth: OnceLock<BandwidthMatrix>,
 }
 
@@ -68,9 +69,7 @@ impl AnalysisContext {
         AnalysisContext {
             dataset,
             table,
-            rtt: OnceLock::new(),
-            loss: OnceLock::new(),
-            prop: OnceLock::new(),
+            weights: Default::default(),
             bandwidth: OnceLock::new(),
         }
     }
@@ -101,22 +100,13 @@ impl AnalysisContext {
             .map_or(&[], Vec::as_slice)
     }
 
-    fn slot(&self, kind: MetricKind) -> &OnceLock<WeightMatrix> {
-        match kind {
-            MetricKind::Rtt => &self.rtt,
-            MetricKind::Loss => &self.loss,
-            MetricKind::PropDelay => &self.prop,
-        }
-    }
-
-    /// The weight matrix for `metric`'s family, built on first request and
-    /// shared thereafter. Each actual build (cache misses only) records a
+    /// The weight matrix for `metric`, built on first request and shared
+    /// thereafter. Each actual build (cache misses only) records a
     /// `context/weights_{rtt,loss,prop}_builds` counter, which is how the
     /// experiment engine's tests prove build-once behaviour.
-    pub fn weights(&self, metric: &impl Metric) -> &WeightMatrix {
-        let kind = metric.kind();
-        self.slot(kind).get_or_init(|| {
-            let counter = match kind {
+    pub fn weights(&self, metric: &MetricKind) -> &WeightMatrix {
+        self.weights[*metric as usize].get_or_init(|| {
+            let counter = match metric {
                 MetricKind::Rtt => "context/weights_rtt_builds",
                 MetricKind::Loss => "context/weights_loss_builds",
                 MetricKind::PropDelay => "context/weights_prop_builds",
@@ -138,14 +128,8 @@ impl AnalysisContext {
     /// Forces an artifact into the cache (the engine's prebuild step).
     pub fn ensure(&self, kind: ArtifactKind) {
         match kind {
-            ArtifactKind::Weights(MetricKind::Rtt) => {
-                self.weights(&crate::metric::Rtt);
-            }
-            ArtifactKind::Weights(MetricKind::Loss) => {
-                self.weights(&crate::metric::Loss);
-            }
-            ArtifactKind::Weights(MetricKind::PropDelay) => {
-                self.weights(&crate::metric::PropDelay);
+            ArtifactKind::Weights(metric) => {
+                self.weights(&metric);
             }
             ArtifactKind::Bandwidth => {
                 self.bandwidth_matrix();
@@ -219,7 +203,7 @@ impl Degradation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{Loss, Rtt};
+    use crate::metric::{Loss, PropDelay, Rtt};
     use detour_measure::record::HostMeta;
     use detour_measure::{HostId, ProbeSample};
 
@@ -284,17 +268,23 @@ mod tests {
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
         let cx = AnalysisContext::from_dataset(&tiny_dataset());
-        cx.ensure(ArtifactKind::Weights(MetricKind::Rtt));
-        cx.ensure(ArtifactKind::Weights(MetricKind::Rtt));
+        for (m, counter) in [
+            (Rtt, "context/weights_rtt_builds"),
+            (Loss, "context/weights_loss_builds"),
+            (PropDelay, "context/weights_prop_builds"),
+        ] {
+            cx.ensure(ArtifactKind::Weights(m));
+            cx.ensure(ArtifactKind::Weights(m));
+            assert_eq!(rec.counter(counter), 1, "{m:?}");
+            assert_eq!(
+                cx.weights(&m).metric(),
+                m,
+                "{m:?} slot holds its own matrix"
+            );
+            assert_eq!(rec.counter(counter), 1, "{m:?}: later use hits the cache");
+        }
         cx.ensure(ArtifactKind::Bandwidth);
-        assert_eq!(rec.counter("context/weights_rtt_builds"), 1);
         assert_eq!(rec.counter("context/bandwidth_builds"), 1);
-        cx.weights(&Rtt);
-        assert_eq!(
-            rec.counter("context/weights_rtt_builds"),
-            1,
-            "later use hits the cache"
-        );
     }
 
     #[test]

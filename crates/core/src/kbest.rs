@@ -12,7 +12,6 @@
 
 use crate::altpath::PathComparison;
 use crate::kernel::{self, DijkstraScratch, WeightMatrix};
-use crate::metric::Metric;
 
 /// The `k` best loopless alternate paths for the dense pair `s → d` on a
 /// prebuilt [`WeightMatrix`] with a host-removal mask (`removed[i]` = host
@@ -27,7 +26,6 @@ pub fn k_best_alternates_in(
     removed: &[bool],
     s: usize,
     d: usize,
-    metric: &impl Metric,
     k: usize,
 ) -> Vec<PathComparison> {
     if m.value(s, d).is_nan() {
@@ -94,7 +92,7 @@ pub fn k_best_alternates_in(
     let mut vals = Vec::new();
     accepted
         .into_iter()
-        .map(|(path, _)| kernel::comparison_along(m, &path, metric, &mut vals))
+        .map(|(path, _)| kernel::comparison_along(m, &path, &mut vals))
         .collect()
 }
 
@@ -126,7 +124,7 @@ mod tests {
     /// context's unmasked matrix.
     fn ranked(cx: &AnalysisContext, s: usize, d: usize, k: usize) -> Vec<PathComparison> {
         let m = cx.weights(&Rtt);
-        k_best_alternates_in(m, &m.no_mask(), s, d, &Rtt, k)
+        k_best_alternates_in(m, &m.no_mask(), s, d, k)
     }
 
     #[test]
@@ -135,7 +133,7 @@ mod tests {
         let kb = ranked(&g, 0, 3, 3);
         let m = g.weights(&Rtt);
         let best =
-            kernel::best_alternate_masked(m, &m.no_mask(), 0, 3, &Rtt, &mut DijkstraScratch::new())
+            kernel::best_alternate_masked(m, &m.no_mask(), 0, 3, &mut DijkstraScratch::new())
                 .unwrap();
         assert_eq!(kb[0].alternate_value, best.alternate_value);
         assert_eq!(kb[0].via, best.via);

@@ -2,21 +2,25 @@
 //!
 //! Every alternate-path sweep reduces to the same inner loop: visit the
 //! edges of the measurement graph (the cells of a [`PairTable`]), ask a
-//! [`Metric`] for each edge's search weight, relax. The naive form pays for
-//! that with a metric call (an `Option<Summary>` unwrap, or a percentile
-//! over the raw samples) *per relaxation* — for an all-pairs sweep that
-//! re-derives the same `n²` weights `O(n²)` times each. The paper itself
-//! retreated to one-hop detours in places "to keep the computational costs
-//! reasonable" (§4.1, §6.1); this module is why the reproduction does not
-//! have to.
+//! [`MetricKind`] for each edge's search weight, relax. The naive form pays
+//! for that with a metric call (an `Option<Summary>` unwrap, or a
+//! percentile over the raw samples) *per relaxation* — for an all-pairs
+//! sweep that re-derives the same `n²` weights `O(n²)` times each. The
+//! paper itself retreated to one-hop detours in places "to keep the
+//! computational costs reasonable" (§4.1, §6.1); this module is why the
+//! reproduction does not have to.
 //!
 //! Four pieces:
 //!
 //! * [`WeightMatrix`] — one contiguous row-major `n × n` `Vec<f64>` of
 //!   search weights (missing edge = `+∞`) and one of figure-facing metric
 //!   values (missing = `NaN`), precomputed **once per (table, metric)** by
-//!   calling [`Metric::weight`]/[`Metric::value`] exactly once per edge.
-//!   [`BandwidthMatrix`] is the analogue for the N2 Mathis-model search.
+//!   calling [`MetricKind::weight`]/[`MetricKind::value`] exactly once per
+//!   edge. The matrix keeps the metric it was built from
+//!   ([`WeightMatrix::metric`]), so no entry point takes a second metric
+//!   argument that could disagree with it — a loss matrix can only ever be
+//!   composed by the loss law. [`BandwidthMatrix`] is the analogue for the
+//!   N2 Mathis-model search.
 //! * **The source-batched sweep** ([`sweep`]) — the paper's
 //!   all-pairs question ("best alternate with the direct edge excluded")
 //!   does not need one Dijkstra per *pair*. For each source `s` the sweep
@@ -50,7 +54,7 @@
 //! memory layout and search *strategy*, never arithmetic: weights and
 //! values are the identical `f64`s the metric produced, relaxed with the
 //! same `dist[u] + w` sums and the same strict `<`, extracted with the
-//! same lowest-index tie-break, composed by the same [`Metric::compose`]
+//! same lowest-index tie-break, composed by the same [`MetricKind::compose`]
 //! calls. Every report downstream is byte-identical to the pre-kernel
 //! implementation, a property pinned by the determinism integration
 //! tests, the kernel property tests, and the batched-vs-per-pair
@@ -59,13 +63,14 @@
 
 use crate::altpath::{Pair, PathComparison, SearchDepth};
 use crate::compose::{synthetic_bandwidth_kbps, LossComposition};
-use crate::metric::Metric;
+use crate::metric::MetricKind;
 use crate::pool;
 use detour_measure::{HostId, PairTable};
 
 /// Precomputed flat edge weights and values for one `(table, metric)`.
 #[derive(Debug, Clone)]
 pub struct WeightMatrix {
+    metric: MetricKind,
     n: usize,
     hosts: Vec<HostId>,
     /// Dense index of each host, inverted from `hosts` once at build time
@@ -81,7 +86,7 @@ pub struct WeightMatrix {
 impl WeightMatrix {
     /// Builds the matrix, calling `metric.weight` and `metric.value`
     /// exactly once per measured edge.
-    pub fn build(table: &PairTable, metric: &impl Metric) -> WeightMatrix {
+    pub fn build(table: &PairTable, metric: &MetricKind) -> WeightMatrix {
         let n = table.len();
         let mut weights = vec![f64::INFINITY; n * n];
         let mut values = vec![f64::NAN; n * n];
@@ -96,12 +101,19 @@ impl WeightMatrix {
         let hosts = table.hosts().to_vec();
         let index_of = hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
         WeightMatrix {
+            metric: *metric,
             n,
             hosts,
             index_of,
             weights,
             values,
         }
+    }
+
+    /// The metric the matrix was built from; every search on the matrix
+    /// composes alternates by its law.
+    pub fn metric(&self) -> MetricKind {
+        self.metric
     }
 
     /// Number of vertices.
@@ -410,11 +422,11 @@ fn dijkstra(
 
 /// The comparison for the alternate `path` (`s → … → d`, at least one
 /// intermediate): composes the true metric values edge by edge into
-/// `vals` and reads the default from the direct edge `(s, d)`.
+/// `vals` by the matrix's metric and reads the default from the direct
+/// edge `(s, d)`.
 pub(crate) fn comparison_along(
     m: &WeightMatrix,
     path: &[usize],
-    metric: &impl Metric,
     vals: &mut Vec<f64>,
 ) -> PathComparison {
     let (s, d) = (path[0], path[path.len() - 1]);
@@ -430,7 +442,7 @@ pub(crate) fn comparison_along(
             dst: m.hosts[d],
         },
         default_value: m.value(s, d),
-        alternate_value: metric.compose(vals),
+        alternate_value: m.metric.compose(vals),
         via: path[1..path.len() - 1]
             .iter()
             .map(|&i| m.hosts[i])
@@ -451,7 +463,6 @@ pub fn best_alternate_masked(
     removed: &[bool],
     s: usize,
     d: usize,
-    metric: &impl Metric,
     scratch: &mut DijkstraScratch,
 ) -> Option<PathComparison> {
     debug_assert_eq!(removed.len(), m.n);
@@ -468,12 +479,7 @@ pub fn best_alternate_masked(
         scratch,
     )?;
     scratch.trace_path(s, d);
-    Some(comparison_along(
-        m,
-        &scratch.path,
-        metric,
-        &mut scratch.vals,
-    ))
+    Some(comparison_along(m, &scratch.path, &mut scratch.vals))
 }
 
 /// Shortest path `s → d` with banned vertices and banned edges — the
@@ -547,12 +553,11 @@ pub fn best_alternate_one_hop_masked(
     removed: &[bool],
     s: usize,
     d: usize,
-    metric: &impl Metric,
 ) -> Option<PathComparison> {
     debug_assert_eq!(removed.len(), m.n);
     best_relay(&m.hosts, removed, s, d, m.value(s, d), true, |mid| {
         let (v1, v2) = (m.value(s, mid), m.value(mid, d));
-        (!v1.is_nan() && !v2.is_nan()).then(|| metric.compose(&[v1, v2]))
+        (!v1.is_nan() && !v2.is_nan()).then(|| m.metric.compose(&[v1, v2]))
     })
 }
 
@@ -612,7 +617,6 @@ fn per_pair_sweep(
 fn sweep_source(
     m: &WeightMatrix,
     removed: &[bool],
-    metric: &impl Metric,
     s: usize,
     group: &[(usize, usize)],
     scratch: &mut DijkstraScratch,
@@ -637,18 +641,13 @@ fn sweep_source(
             // ever appear as the terminal path [s, d] — so it *is* the
             // exclusion search's answer, tie-breaks and sums included.
             scratch.trace_path(s, d);
-            out.push(Some(comparison_along(
-                m,
-                &scratch.path,
-                metric,
-                &mut scratch.vals,
-            )));
+            out.push(Some(comparison_along(m, &scratch.path, &mut scratch.vals)));
         }
     }
     let fixups = fixup_idx.len();
     for k in fixup_idx {
         let (src, d) = group[k];
-        out[k] = best_alternate_masked(m, removed, src, d, metric, scratch);
+        out[k] = best_alternate_masked(m, removed, src, d, scratch);
     }
     (out, fixups)
 }
@@ -677,12 +676,7 @@ fn sweep_source(
 /// split is a pure function of the matrix + mask, so the counters are
 /// thread-count-invariant; the one-hop scan has no tree to read from, so
 /// it contributes pairs with 0 fixups/avoided.
-pub fn sweep(
-    m: &WeightMatrix,
-    removed: &[bool],
-    metric: &impl Metric,
-    depth: SearchDepth,
-) -> Vec<PathComparison> {
+pub fn sweep(m: &WeightMatrix, removed: &[bool], depth: SearchDepth) -> Vec<PathComparison> {
     let pairs = m.measured_pairs(removed);
     let rec = detour_obs::current();
     rec.add("kernel/sweep_pairs", pairs.len() as u64);
@@ -691,7 +685,7 @@ pub fn sweep(
             let per_source = pool::parallel_map_init(
                 &group_by_source(&pairs),
                 DijkstraScratch::new,
-                |scratch, &(s, a, b)| sweep_source(m, removed, metric, s, &pairs[a..b], scratch),
+                |scratch, &(s, a, b)| sweep_source(m, removed, s, &pairs[a..b], scratch),
             );
             let mut out = Vec::new();
             let mut fixups = 0u64;
@@ -704,7 +698,7 @@ pub fn sweep(
             out
         }
         SearchDepth::OneHop => per_pair_sweep(&pairs, |s, d| {
-            best_alternate_one_hop_masked(m, removed, s, d, metric)
+            best_alternate_one_hop_masked(m, removed, s, d)
         }),
     }
 }
@@ -780,21 +774,21 @@ mod tests {
         let mask = m.no_mask();
         let mut scratch = DijkstraScratch::new();
 
-        let c = best_alternate_masked(&m, &mask, 0, 3, &Rtt, &mut scratch).unwrap();
+        let c = best_alternate_masked(&m, &mask, 0, 3, &mut scratch).unwrap();
         assert_eq!(c.default_value, 100.0);
         assert_eq!(c.alternate_value, 30.0);
         assert_eq!(c.via, vec![HostId(1)]);
-        let oh = best_alternate_one_hop_masked(&m, &mask, 0, 3, &Rtt).unwrap();
+        let oh = best_alternate_one_hop_masked(&m, &mask, 0, 3).unwrap();
         assert_eq!(oh.alternate_value, 30.0);
         assert_eq!(oh.via, vec![HostId(1)]);
 
-        let c = best_alternate_masked(&m, &mask, 0, 2, &Rtt, &mut scratch).unwrap();
+        let c = best_alternate_masked(&m, &mask, 0, 2, &mut scratch).unwrap();
         assert_eq!((c.default_value, c.alternate_value), (30.0, 15.0));
-        let c = best_alternate_masked(&m, &mask, 1, 3, &Rtt, &mut scratch).unwrap();
+        let c = best_alternate_masked(&m, &mask, 1, 3, &mut scratch).unwrap();
         assert_eq!((c.default_value, c.alternate_value), (20.0, 30.0));
         assert!(!c.alternate_wins());
         for (s, d) in [(0, 1), (1, 2), (2, 3)] {
-            assert!(best_alternate_masked(&m, &mask, s, d, &Rtt, &mut scratch).is_none());
+            assert!(best_alternate_masked(&m, &mask, s, d, &mut scratch).is_none());
         }
     }
 
@@ -805,11 +799,11 @@ mod tests {
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.masked(HostId(1));
         let mut scratch = DijkstraScratch::new();
-        let c = best_alternate_masked(&m, &mask, 0, 3, &Rtt, &mut scratch).unwrap();
+        let c = best_alternate_masked(&m, &mask, 0, 3, &mut scratch).unwrap();
         assert_eq!(c.alternate_value, 55.0);
         assert_eq!(c.via, vec![HostId(2)]);
         // And 0→2 loses its only detour entirely.
-        assert!(best_alternate_masked(&m, &mask, 0, 2, &Rtt, &mut scratch).is_none());
+        assert!(best_alternate_masked(&m, &mask, 0, 2, &mut scratch).is_none());
     }
 
     #[test]
@@ -825,7 +819,7 @@ mod tests {
                 .map(|i| g.hosts()[i])
                 .collect();
             let rebuilt = PairTable::build(&ds.restrict_to_hosts(&others));
-            let masked = sweep(&m, &mask, &Rtt, SearchDepth::Unrestricted);
+            let masked = sweep(&m, &mask, SearchDepth::Unrestricted);
             let reference =
                 crate::analysis::cdf::compare_graph(&rebuilt, &Rtt, SearchDepth::Unrestricted);
             assert_eq!(masked, reference, "victim {victim}");
@@ -855,7 +849,7 @@ mod tests {
         let mask = m.no_mask();
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
-        let cmps = sweep(&m, &mask, &Rtt, SearchDepth::Unrestricted);
+        let cmps = sweep(&m, &mask, SearchDepth::Unrestricted);
         let (pairs, fixups, avoided) = (
             rec.counter("kernel/sweep_pairs"),
             rec.counter("kernel/sweep_fixups"),
@@ -874,7 +868,7 @@ mod tests {
         let per_pair: Vec<_> = m
             .measured_pairs(&mask)
             .into_iter()
-            .filter_map(|(s, d)| best_alternate_masked(&m, &mask, s, d, &Rtt, &mut scratch))
+            .filter_map(|(s, d)| best_alternate_masked(&m, &mask, s, d, &mut scratch))
             .collect();
         assert_eq!(cmps, per_pair);
         // The tie resolves to the equal-cost hub detour, found by fix-up.
@@ -902,7 +896,7 @@ mod tests {
         let m = WeightMatrix::build(&g, &Rtt);
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
-        let cmps = sweep(&m, &m.no_mask(), &Rtt, SearchDepth::OneHop);
+        let cmps = sweep(&m, &m.no_mask(), SearchDepth::OneHop);
         assert_eq!(rec.counter("kernel/sweep_pairs"), 20);
         // The one-hop scan has no SSSP tree, so it contributes neither
         // fix-ups nor avoided re-searches.
@@ -977,8 +971,8 @@ mod tests {
             let mask = m.no_mask();
             for (s, d) in m.measured_pairs(&mask) {
                 assert_eq!(
-                    best_alternate_masked(&m, &mask, s, d, &Rtt, &mut scratch),
-                    best_alternate_masked(&m, &mask, s, d, &Rtt, &mut DijkstraScratch::new()),
+                    best_alternate_masked(&m, &mask, s, d, &mut scratch),
+                    best_alternate_masked(&m, &mask, s, d, &mut DijkstraScratch::new()),
                 );
             }
         }
@@ -990,6 +984,6 @@ mod tests {
         let m = WeightMatrix::build(&g, &Rtt);
         assert!(m.is_empty());
         assert!(m.measured_pairs(&m.no_mask()).is_empty());
-        assert!(sweep(&m, &m.no_mask(), &Rtt, SearchDepth::Unrestricted).is_empty());
+        assert!(sweep(&m, &m.no_mask(), SearchDepth::Unrestricted).is_empty());
     }
 }

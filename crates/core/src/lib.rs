@@ -52,4 +52,4 @@ pub use compose::LossComposition;
 pub use context::{AnalysisContext, ArtifactKind, Degradation};
 pub use kbest::k_best_alternates_in;
 pub use kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
-pub use metric::{Loss, Metric, MetricKind, PropDelay, Rtt};
+pub use metric::{Loss, MetricKind, PropDelay, Rtt};

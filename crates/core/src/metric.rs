@@ -13,142 +13,80 @@
 //!   percentile of a path's RTT samples (§7.2), composed by addition;
 //! * **bandwidth** (Figures 4, 5) — not additive at all; handled by the
 //!   dedicated one-hop search in [`crate::altpath`] using the Mathis model.
+//!
+//! The three additive metrics are the variants of one enum,
+//! [`MetricKind`]; each law (edge value, search weight, composition,
+//! sample summary) is one `match` over it.
 
 use detour_measure::PairTable;
 use detour_stats::quantile::percentile;
 use detour_stats::Summary;
 
-/// Identifies a metric family for artifact caching: an
-/// [`crate::context::AnalysisContext`] keys its lazily built weight
-/// matrices by the metric's kind, and the experiment registry declares its
-/// needs in these terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MetricKind {
-    /// Mean round-trip time ([`Rtt`]).
-    Rtt,
-    /// Mean loss rate ([`Loss`]).
-    Loss,
-    /// Propagation-delay estimate ([`PropDelay`]).
-    PropDelay,
-}
-
 /// A metric over the measurement graph's directed edges — the cells
 /// `(i, j)` of a [`PairTable`] — that composes along synthetic paths.
 ///
-/// `Sync` is a supertrait because the per-pair sweeps share one metric
-/// across the [`crate::pool`] workers; metrics are stateless unit structs,
-/// so this costs implementors nothing.
-pub trait Metric: Sync {
-    /// Short name for reports ("rtt", "loss", …).
-    fn name(&self) -> &'static str;
+/// The enum is the whole metric: an
+/// [`crate::context::AnalysisContext`] keys its lazily built weight
+/// matrices by it, each [`crate::WeightMatrix`] carries the one it was
+/// built from, and the experiment registry declares its needs in its
+/// terms. Its variants are re-exported, so `&Rtt` names the metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MetricKind {
+    /// Mean round-trip time, milliseconds.
+    Rtt,
+    /// Mean loss rate, assuming independent losses per hop.
+    Loss,
+    /// Propagation-delay estimate: the 10th percentile of RTT samples
+    /// (§7.2) — low enough to shed queuing, robust to route-change minima.
+    PropDelay,
+}
 
-    /// Which cached-artifact family this metric belongs to. Two metrics of
-    /// the same kind must produce identical weight matrices, since the
-    /// artifact store shares one matrix per kind.
-    fn kind(&self) -> MetricKind;
+pub use MetricKind::{Loss, PropDelay, Rtt};
 
+impl MetricKind {
     /// The figure-facing value of edge `i → j` (e.g. mean RTT in ms), or
     /// `None` when the edge lacks the needed measurements.
-    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64>;
+    pub fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
+        match self {
+            Rtt => t.rtt(i, j).map(|s| s.mean),
+            Loss => t.loss(i, j).map(|s| s.mean),
+            PropDelay => percentile(t.rtt_samples(i, j), 10.0),
+        }
+    }
 
-    /// The additive shortest-path weight of edge `i → j`. Must be a
-    /// monotone transform of `value` so that minimizing summed weights
-    /// minimizes the composed value.
-    fn weight(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
-        self.value(t, i, j)
+    /// The additive shortest-path weight of edge `i → j`: a monotone
+    /// transform of `value`, so that minimizing summed weights minimizes
+    /// the composed value.
+    pub fn weight(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
+        match self {
+            // −ln(1−p) is additive where survival probabilities multiply;
+            // clamp p away from 1 so a fully black edge stays finite but
+            // terrible.
+            Loss => {
+                let p = self.value(t, i, j)?.min(0.999_999);
+                Some(-(1.0 - p).ln())
+            }
+            Rtt | PropDelay => self.value(t, i, j),
+        }
     }
 
     /// Composes edge values along a path into the path's value.
-    fn compose(&self, values: &[f64]) -> f64;
+    pub fn compose(&self, values: &[f64]) -> f64 {
+        match self {
+            Loss => 1.0 - values.iter().map(|p| 1.0 - p).product::<f64>(),
+            Rtt | PropDelay => values.iter().sum(),
+        }
+    }
 
     /// The full sample summary behind `value`, where the metric has one —
     /// the confidence-interval analyses (Figures 7–8, Tables 2–3) need
     /// variances and sample counts, not just means.
-    fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
-        let _ = (t, i, j);
-        None
-    }
-}
-
-/// Mean round-trip time, milliseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rtt;
-
-impl Metric for Rtt {
-    fn name(&self) -> &'static str {
-        "rtt"
-    }
-
-    fn kind(&self) -> MetricKind {
-        MetricKind::Rtt
-    }
-
-    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
-        t.rtt(i, j).map(|s| s.mean)
-    }
-
-    fn compose(&self, values: &[f64]) -> f64 {
-        values.iter().sum()
-    }
-
-    fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
-        t.rtt(i, j)
-    }
-}
-
-/// Mean loss rate, assuming independent losses per hop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Loss;
-
-impl Metric for Loss {
-    fn name(&self) -> &'static str {
-        "loss"
-    }
-
-    fn kind(&self) -> MetricKind {
-        MetricKind::Loss
-    }
-
-    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
-        t.loss(i, j).map(|s| s.mean)
-    }
-
-    fn weight(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
-        // −ln(1−p) is additive where survival probabilities multiply; clamp
-        // p away from 1 so a fully black edge stays finite but terrible.
-        let p = self.value(t, i, j)?.min(0.999_999);
-        Some(-(1.0 - p).ln())
-    }
-
-    fn compose(&self, values: &[f64]) -> f64 {
-        1.0 - values.iter().map(|p| 1.0 - p).product::<f64>()
-    }
-
-    fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
-        t.loss(i, j)
-    }
-}
-
-/// Propagation-delay estimate: the 10th percentile of RTT samples (§7.2) —
-/// low enough to shed queuing, robust to route-change minima.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PropDelay;
-
-impl Metric for PropDelay {
-    fn name(&self) -> &'static str {
-        "propagation"
-    }
-
-    fn kind(&self) -> MetricKind {
-        MetricKind::PropDelay
-    }
-
-    fn value(&self, t: &PairTable, i: usize, j: usize) -> Option<f64> {
-        percentile(t.rtt_samples(i, j), 10.0)
-    }
-
-    fn compose(&self, values: &[f64]) -> f64 {
-        values.iter().sum()
+    pub fn summary(&self, t: &PairTable, i: usize, j: usize) -> Option<Summary> {
+        match self {
+            Rtt => t.rtt(i, j),
+            Loss => t.loss(i, j),
+            PropDelay => None,
+        }
     }
 }
 

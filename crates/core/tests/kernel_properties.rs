@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use detour_core::analysis::cdf::{compare_graph, improvement_cdf};
 use detour_core::analysis::hostremoval::greedy_removal;
 use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
-use detour_core::metric::{Metric, Rtt};
+use detour_core::metric::Rtt;
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
 use detour_measure::record::HostMeta;
 use detour_measure::{Dataset, HostId, PairTable, ProbeSample};
@@ -140,7 +140,7 @@ fn kernel_best_alternate_matches_brute_force_oracle() {
         let mask = m.no_mask();
         let mut scratch = DijkstraScratch::new();
         for (s, d) in m.measured_pairs(&mask) {
-            let got = kernel::best_alternate_masked(&m, &mask, s, d, &Rtt, &mut scratch);
+            let got = kernel::best_alternate_masked(&m, &mask, s, d, &mut scratch);
             let expect = brute_force_best(&g, s, d);
             match (got, expect) {
                 (None, None) => {}
@@ -165,7 +165,7 @@ fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         for (s, d) in m.measured_pairs(&mask) {
-            let got = kernel::best_alternate_one_hop_masked(&m, &mask, s, d, &Rtt);
+            let got = kernel::best_alternate_one_hop_masked(&m, &mask, s, d);
             // Oracle: scan midpoints on the table directly.
             let mut best: Option<f64> = None;
             for mid in 0..g.len() {
@@ -195,7 +195,7 @@ fn masked_sweep_equals_rebuilt_table_sweep() {
         let ds = random_dataset(rng);
         let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
         let victim = HostId(rng.gen_range(0..m.len() as u32));
-        let masked = kernel::sweep(&m, &m.masked(victim), &Rtt, SearchDepth::Unrestricted);
+        let masked = kernel::sweep(&m, &m.masked(victim), SearchDepth::Unrestricted);
         let rebuilt = compare_graph(&without(&ds, victim), &Rtt, SearchDepth::Unrestricted);
         // Full structural equality: same pairs in the same order, same
         // values bit for bit, same detour hosts (tie-breaks included).
@@ -209,7 +209,7 @@ fn masked_one_hop_sweep_equals_rebuilt_table_sweep() {
         let ds = random_dataset(rng);
         let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
         let victim = HostId(rng.gen_range(0..m.len() as u32));
-        let masked = kernel::sweep(&m, &m.masked(victim), &Rtt, SearchDepth::OneHop);
+        let masked = kernel::sweep(&m, &m.masked(victim), SearchDepth::OneHop);
         let rebuilt = compare_graph(&without(&ds, victim), &Rtt, SearchDepth::OneHop);
         assert_eq!(masked, rebuilt);
     });
@@ -222,8 +222,8 @@ fn k_best_first_entry_matches_kernel_best() {
         let mask: Vec<bool> = (0..m.len()).map(|_| rng.gen_bool(0.25)).collect();
         let mut scratch = DijkstraScratch::new();
         for (s, d) in m.measured_pairs(&mask) {
-            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, &Rtt, 3);
-            let best = kernel::best_alternate_masked(&m, &mask, s, d, &Rtt, &mut scratch);
+            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, 3);
+            let best = kernel::best_alternate_masked(&m, &mask, s, d, &mut scratch);
             // Both searches run the kernel's one Dijkstra loop: the head of
             // the ranking is the best alternate itself — same detour hosts,
             // same bits, tie-breaks included.
@@ -273,7 +273,7 @@ fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
             mask[rng.gen_range(0..m.len())] = true;
         }
         for (s, d) in m.measured_pairs(&mask) {
-            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, &Rtt, 6);
+            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, 6);
             let (src, dst) = (m.hosts()[s], m.hosts()[d]);
             for (i, a) in kb.iter().enumerate() {
                 // A detour: at least one via host, so never the direct edge.
@@ -305,7 +305,7 @@ fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
             assert_eq!(costs, all[..all.len().min(6)], "({s},{d})");
             // A smaller k returns a prefix of the larger ranking.
             for k in 1..kb.len() {
-                let fewer = detour_core::k_best_alternates_in(&m, &mask, s, d, &Rtt, k);
+                let fewer = detour_core::k_best_alternates_in(&m, &mask, s, d, k);
                 assert_eq!(fewer, kb[..k], "({s},{d}) k={k}");
             }
         }
@@ -315,7 +315,7 @@ fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
 /// Mean improvement of a full sweep under `mask`: the greedy objective,
 /// computed with no reuse.
 fn mean_improvement(m: &WeightMatrix, mask: &[bool]) -> f64 {
-    let cs = kernel::sweep(m, mask, &Rtt, SearchDepth::Unrestricted);
+    let cs = kernel::sweep(m, mask, SearchDepth::Unrestricted);
     if cs.is_empty() {
         return f64::NEG_INFINITY;
     }
@@ -350,7 +350,7 @@ fn greedy_removal_matches_a_full_sweep_per_candidate() {
             mask[h] = true;
             removed.push(m.hosts()[h]);
         }
-        let reduced = improvement_cdf(&kernel::sweep(m, &mask, &Rtt, SearchDepth::Unrestricted));
+        let reduced = improvement_cdf(&kernel::sweep(m, &mask, SearchDepth::Unrestricted));
 
         assert_eq!(got.removed, removed);
         assert_eq!(

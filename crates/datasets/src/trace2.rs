@@ -35,8 +35,8 @@
 //! are written as zero and ignored on read, so `Option` round-trips
 //! exactly and every column keeps a fixed stride (which is what makes the
 //! chunked parallel decode trivial).
-//! A present probe rtt must be finite and every transfer rtt finite and
-//! positive; a cell that breaks either is a [`Trace2Error::BadValue`].
+//! A present probe rtt and every transfer rtt must be finite and positive;
+//! a cell that breaks either is a [`Trace2Error::BadValue`].
 //!
 //! `f64` columns store raw IEEE-754 bits, so the decoded [`Dataset`] is
 //! *bit-identical* to the one that was saved, with no float formatting or
@@ -631,11 +631,14 @@ fn decode_probes(sec: &[u8]) -> Result<Vec<ProbeSample>, Trace2Error> {
             offset: flags_off + bad,
         });
     }
-    // A present RTT must be finite: the analysis sorts RTTs and cannot
-    // order a NaN.
-    if let Some(bad) =
-        (0..n).find(|&i| flags[i] & FLAG_RTT_PRESENT != 0 && !col_f64(rtt, i).is_finite())
-    {
+    // A present RTT must be finite and positive: the analysis sorts RTTs
+    // and cannot order a NaN, and RTTs become shortest-path weights, which
+    // Dijkstra needs non-negative (the simulator never returns less than
+    // twice its 0.05 ms link-delay floor).
+    if let Some(bad) = (0..n).find(|&i| {
+        let v = col_f64(rtt, i);
+        flags[i] & FLAG_RTT_PRESENT != 0 && !(v.is_finite() && v > 0.0)
+    }) {
         return Err(Trace2Error::BadValue {
             id: SEC_PROBES,
             offset: rtt_off + bad * 8,
@@ -1023,7 +1026,7 @@ mod tests {
         // The RTT column sits after count + src + dst + t_s + probe_index
         // + flags.
         let rtt_in_sec = 4 + n * (4 + 4 + 8 + 1 + 1);
-        for bad in [f64::NAN, f64::INFINITY] {
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -0.0, -1.0] {
             ds.probes[0].rtt_ms = Some(bad);
             assert_eq!(
                 from_bytes(&to_bytes(&ds)),

@@ -21,7 +21,7 @@ fn finite_f64(rng: &mut Xoshiro256pp) -> f64 {
 }
 
 /// Any finite, strictly positive f64 bit pattern (subnormals included) —
-/// the domain the decoder accepts for a transfer RTT.
+/// the domain the decoder accepts for a probe or transfer RTT.
 fn positive_f64(rng: &mut Xoshiro256pp) -> f64 {
     loop {
         let v = finite_f64(rng);
@@ -65,7 +65,7 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
                 dst: hosts[rng.gen_range(0..hosts.len())].id,
                 t_s: finite_f64(rng),
                 probe_index: rng.gen_range(0..3u32) as u8,
-                rtt_ms: rng.gen_bool(0.8).then(|| finite_f64(rng)),
+                rtt_ms: rng.gen_bool(0.8).then(|| positive_f64(rng)),
                 loss_eligible: rng.gen_bool(0.9),
                 episode: rng.gen_bool(0.4).then(|| rng.next_u64() as u32),
                 path_idx: rng.gen_range(0..(n_paths.max(1) as u32)),

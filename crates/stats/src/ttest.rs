@@ -7,7 +7,7 @@
 //! Table 3 adds a fourth bucket, "zero", for pairs with no measured losses
 //! on either path.
 
-use crate::ci::MeanEstimate;
+use crate::ci::{ConfidenceInterval, MeanEstimate};
 
 /// Outcome of comparing the default path against its best alternate at a
 /// given confidence level.
@@ -27,11 +27,13 @@ pub enum TTestVerdict {
 
 /// Classifies `default − alternate` for a **lower-is-better** metric
 /// (round-trip time, loss rate): a positive significant difference means the
-/// alternate wins.
+/// alternate wins. `ci` is the caller's interval on that difference,
+/// `default.diff(alternate).ci(level)` — callers that report the interval
+/// too compute it once and pass it here.
 pub fn welch_classify(
     default: &MeanEstimate,
     alternate: &MeanEstimate,
-    level: f64,
+    ci: &ConfidenceInterval,
 ) -> TTestVerdict {
     if default.mean == 0.0
         && alternate.mean == 0.0
@@ -40,7 +42,6 @@ pub fn welch_classify(
     {
         return TTestVerdict::Zero;
     }
-    let ci = default.diff(alternate).ci(level);
     if ci.above_zero() {
         TTestVerdict::Better
     } else if ci.below_zero() {
@@ -108,34 +109,39 @@ mod tests {
         }
     }
 
+    /// Classifies at `level` with the interval built the way callers do.
+    fn classify(default: &MeanEstimate, alternate: &MeanEstimate, level: f64) -> TTestVerdict {
+        welch_classify(default, alternate, &default.diff(alternate).ci(level))
+    }
+
     #[test]
     fn clear_separation_is_better() {
         // Default RTT 100 ms, alternate 50 ms, tight variances.
-        let v = welch_classify(&est(100.0, 1.0, 30.0), &est(50.0, 1.0, 30.0), 0.95);
+        let v = classify(&est(100.0, 1.0, 30.0), &est(50.0, 1.0, 30.0), 0.95);
         assert_eq!(v, TTestVerdict::Better);
     }
 
     #[test]
     fn reversed_separation_is_worse() {
-        let v = welch_classify(&est(50.0, 1.0, 30.0), &est(100.0, 1.0, 30.0), 0.95);
+        let v = classify(&est(50.0, 1.0, 30.0), &est(100.0, 1.0, 30.0), 0.95);
         assert_eq!(v, TTestVerdict::Worse);
     }
 
     #[test]
     fn overlapping_intervals_are_indeterminate() {
-        let v = welch_classify(&est(100.0, 400.0, 5.0), &est(95.0, 400.0, 5.0), 0.95);
+        let v = classify(&est(100.0, 400.0, 5.0), &est(95.0, 400.0, 5.0), 0.95);
         assert_eq!(v, TTestVerdict::Indeterminate);
     }
 
     #[test]
     fn zero_loss_on_both_paths_is_zero() {
-        let v = welch_classify(&est(0.0, 0.0, 1.0), &est(0.0, 0.0, 1.0), 0.95);
+        let v = classify(&est(0.0, 0.0, 1.0), &est(0.0, 0.0, 1.0), 0.95);
         assert_eq!(v, TTestVerdict::Zero);
     }
 
     #[test]
     fn zero_means_with_variance_are_not_zero_verdict() {
-        let v = welch_classify(&est(0.0, 1.0, 10.0), &est(0.0, 1.0, 10.0), 0.95);
+        let v = classify(&est(0.0, 1.0, 10.0), &est(0.0, 1.0, 10.0), 0.95);
         assert_eq!(v, TTestVerdict::Indeterminate);
     }
 
@@ -144,8 +150,8 @@ mod tests {
         // A borderline case: significant at 60 %, not at 99.9 %.
         let d = est(10.0, 16.0, 10.0);
         let a = est(5.0, 16.0, 10.0);
-        assert_eq!(welch_classify(&d, &a, 0.60), TTestVerdict::Better);
-        assert_eq!(welch_classify(&d, &a, 0.999), TTestVerdict::Indeterminate);
+        assert_eq!(classify(&d, &a, 0.60), TTestVerdict::Better);
+        assert_eq!(classify(&d, &a, 0.999), TTestVerdict::Indeterminate);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
-#             batched-kernel equivalence, the kernel property tests,
+#             the detour-core unit tests, batched-kernel equivalence,
+#             the kernel property tests, the paper-shape envelopes,
 #             the fault-schedule unit tests, the netsim property tests,
 #             the figures CLI input checks,
 #             chaos + golden suites, the trace_explorer example on its
@@ -53,22 +54,31 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
-# Smoke tier: the batched-kernel equivalence suite (source-batched sweep
+# Smoke tier: the detour-core unit tests (metric laws, the context's
+# build-once artifact slots, confidence intervals, hand-worked kernel
+# cases), the batched-kernel equivalence suite (source-batched sweep
 # byte-identical to the retained per-pair reference), the kernel property
 # tests (brute-force DFS oracle, masked == rebuilt, the Yen ranking and its
 # head == the best alternate, incremental greedy == full-sweep greedy),
-# the renewal-process tests (detour-faults' unit tests pin the episode
+# the paper-shape envelopes (each qualitative finding of the paper on
+# reduced datasets), the renewal-process tests (detour-faults' unit tests pin the episode
 # draw order; netsim's property tests cover flap schedules, routing and
 # load), the figures CLI input checks (unknown flags and ids, an unusable cache
 # path), plus the tiny-scale end-to-end suites — the chaos suite (every
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
 # included). Fails fast before the full test run and baseline.
+echo "== smoke: detour-core unit tests =="
+cargo test -q --offline -p detour-core --lib
+
 echo "== smoke: batched-kernel equivalence =="
 cargo test -q --offline -p detour --test batched_kernel
 
 echo "== smoke: kernel property tests =="
 cargo test -q --offline -p detour-core --test kernel_properties
+
+echo "== smoke: paper-shape envelopes =="
+cargo test -q --offline -p detour --test paper_shapes
 
 echo "== smoke: renewal schedules (detour-faults) + netsim property tests =="
 cargo test -q --offline -p detour-faults

@@ -14,7 +14,7 @@
 
 use detour::core::altpath::SearchDepth;
 use detour::core::kernel::{self, WeightMatrix};
-use detour::core::metric::{Loss, Metric, PropDelay, Rtt};
+use detour::core::metric::{Loss, PropDelay, Rtt};
 use detour::core::pool;
 use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
@@ -82,12 +82,11 @@ fn random_mask(rng: &mut Xoshiro256pp, n: usize) -> Vec<bool> {
 fn sweep_with_counters(
     m: &WeightMatrix,
     mask: &[bool],
-    metric: &impl Metric,
     depth: SearchDepth,
 ) -> (Vec<detour::core::altpath::PathComparison>, (u64, u64, u64)) {
     let rec = detour_obs::Recorder::new();
     let _g = detour_obs::install(rec.clone());
-    let got = kernel::sweep(m, mask, metric, depth);
+    let got = kernel::sweep(m, mask, depth);
     let counts = (
         rec.counter("kernel/sweep_pairs"),
         rec.counter("kernel/sweep_fixups"),
@@ -96,14 +95,14 @@ fn sweep_with_counters(
     (got, counts)
 }
 
-/// Asserts batched == per-pair on one (matrix, mask, metric, depth) cell
-/// at 1, 2, and 8 threads, plus the counter bookkeeping invariant.
-fn assert_equivalent(m: &WeightMatrix, mask: &[bool], metric: &impl Metric, depth: SearchDepth) {
+/// Asserts batched == per-pair on one (matrix, mask, depth) cell at 1, 2,
+/// and 8 threads, plus the counter bookkeeping invariant.
+fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) {
     pool::set_threads(1);
-    let expect = reference::per_pair_sweep(m, mask, metric, depth);
+    let expect = reference::per_pair_sweep(m, mask, depth);
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let (got, (pairs, fixups, avoided)) = sweep_with_counters(m, mask, metric, depth);
+        let (got, (pairs, fixups, avoided)) = sweep_with_counters(m, mask, depth);
         assert_eq!(got, expect, "threads={threads}");
         // Pairs whose destination is unreachable under the mask return no
         // comparison but still count in `pairs` (as avoided re-searches).
@@ -130,7 +129,7 @@ fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
         let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
         let mask = random_mask(rng, m.len());
         for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
-            assert_equivalent(&m, &mask, &Rtt, depth);
+            assert_equivalent(&m, &mask, depth);
         }
     });
 }
@@ -147,10 +146,10 @@ fn batched_sweep_matches_reference_on_a_generated_dataset_for_every_metric() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xba7c4ed);
     let mask = random_mask(&mut rng, no_mask.len());
     for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
-        assert_equivalent(cx.weights(&Rtt), &no_mask, &Rtt, depth);
-        assert_equivalent(cx.weights(&Rtt), &mask, &Rtt, depth);
-        assert_equivalent(cx.weights(&Loss), &no_mask, &Loss, depth);
-        assert_equivalent(cx.weights(&PropDelay), &mask, &PropDelay, depth);
+        assert_equivalent(cx.weights(&Rtt), &no_mask, depth);
+        assert_equivalent(cx.weights(&Rtt), &mask, depth);
+        assert_equivalent(cx.weights(&Loss), &no_mask, depth);
+        assert_equivalent(cx.weights(&PropDelay), &mask, depth);
     }
 }
 
@@ -163,7 +162,7 @@ fn fixup_counting_is_thread_count_invariant() {
     let mut baseline: Option<(u64, u64, u64)> = None;
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let (_, counts) = sweep_with_counters(m, &mask, &Rtt, SearchDepth::Unrestricted);
+        let (_, counts) = sweep_with_counters(m, &mask, SearchDepth::Unrestricted);
         assert!(counts.0 > 0, "the scaled dataset must have measured pairs");
         match &baseline {
             None => baseline = Some(counts),

@@ -30,7 +30,7 @@ fn counters_at(threads: usize) -> BTreeMap<String, u64> {
     let cx = AnalysisContext::from_dataset(&ds);
     let m = cx.weights(&Rtt);
     let mask = m.no_mask();
-    let swept = kernel::sweep(m, &mask, &Rtt, SearchDepth::Unrestricted);
+    let swept = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
     assert!(!swept.is_empty(), "workload must do real kernel work");
 
     pool::set_threads(0);

@@ -9,28 +9,20 @@ use detour::core::analysis::cdf::{
     compare_all_pairs, compare_all_pairs_bandwidth, improvement_cdf,
 };
 use detour::core::analysis::propagation;
-use detour::core::{AnalysisContext, Loss, LossComposition, Rtt, SearchDepth};
+use detour::core::{AnalysisContext, Loss, LossComposition, MetricKind, Rtt, SearchDepth};
 use detour::datasets::{d2, n2, uw3, DatasetId, Scale};
 
 fn frac_better(ds: &detour::measure::Dataset, metric: MetricKind) -> f64 {
     let g = AnalysisContext::from_dataset(ds);
-    let cs = match metric {
-        MetricKind::Rtt => compare_all_pairs(&g, &Rtt, SearchDepth::Unrestricted),
-        MetricKind::Loss => compare_all_pairs(&g, &Loss, SearchDepth::Unrestricted),
-    };
+    let cs = compare_all_pairs(&g, &metric, SearchDepth::Unrestricted);
     improvement_cdf(&cs).fraction_above(0.0)
-}
-
-enum MetricKind {
-    Rtt,
-    Loss,
 }
 
 #[test]
 fn headline_a_significant_fraction_of_pairs_has_faster_alternates() {
     // Paper: 30-55 % across datasets. Reduced scale: demand 20-75 %.
     let ds = DatasetId::Uw3.generate_scaled(16, 8);
-    let f = frac_better(&ds, MetricKind::Rtt);
+    let f = frac_better(&ds, Rtt);
     assert!((0.20..=0.75).contains(&f), "UW3 fraction better = {f}");
 }
 
@@ -41,8 +33,8 @@ fn loss_alternates_are_common() {
     // sample counts shrink, so demand a looser bound and rough parity with
     // the RTT fraction.
     let ds = DatasetId::Uw3.generate_scaled(16, 8);
-    let rtt = frac_better(&ds, MetricKind::Rtt);
-    let loss = frac_better(&ds, MetricKind::Loss);
+    let rtt = frac_better(&ds, Rtt);
+    let loss = frac_better(&ds, Loss);
     assert!(loss > 0.30, "loss fraction {loss}");
     assert!(loss > rtt - 0.20, "loss {loss} far below rtt {rtt}");
 }

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use detour::core::analysis::cdf::compare_all_pairs;
-use detour::core::{AnalysisContext, Loss, Metric, Pair, PathComparison, Rtt, SearchDepth};
+use detour::core::{AnalysisContext, Loss, MetricKind, Pair, PathComparison, Rtt, SearchDepth};
 use detour::measure::record::HostMeta;
 use detour::measure::{Dataset, HostId, ProbeSample};
 use detour::prng::check::check;
@@ -79,7 +79,7 @@ fn matrix(rng: &mut Xoshiro256pp) -> Vec<Vec<Option<(f64, bool)>>> {
 }
 
 /// Every measured pair's best unrestricted alternate under `metric`.
-fn alternates(ds: &Dataset, metric: &impl Metric) -> (AnalysisContext, Vec<PathComparison>) {
+fn alternates(ds: &Dataset, metric: &MetricKind) -> (AnalysisContext, Vec<PathComparison>) {
     let cx = AnalysisContext::from_dataset(ds);
     let cs = compare_all_pairs(&cx, metric, SearchDepth::Unrestricted);
     (cx, cs)
