@@ -21,7 +21,7 @@
 use detour_core::analysis::{
     aspop, cdf, confidence, contribution, episodes, hostremoval, median, propagation, timeofday,
 };
-use detour_core::ArtifactKind::{self, Bandwidth, Weights};
+use detour_core::ArtifactKind::{self, Bandwidth, Intervals, Weights};
 use detour_core::{
     pool, AnalysisContext, Loss, LossComposition, MetricKind, PropDelay, Rtt, SearchDepth,
 };
@@ -84,6 +84,30 @@ const HEADLINE_LOSS: &[Need] = &[
     Need(DatasetId::D2, Weights(Loss)),
 ];
 
+/// Tables 2-3 read each headline dataset's pair intervals, which are built
+/// from the same metric's weight matrix.
+const HEADLINE_RTT_INTERVALS: &[Need] = &[
+    Need(DatasetId::Uw1, Weights(Rtt)),
+    Need(DatasetId::Uw3, Weights(Rtt)),
+    Need(DatasetId::D2Na, Weights(Rtt)),
+    Need(DatasetId::D2, Weights(Rtt)),
+    Need(DatasetId::Uw1, Intervals(Rtt)),
+    Need(DatasetId::Uw3, Intervals(Rtt)),
+    Need(DatasetId::D2Na, Intervals(Rtt)),
+    Need(DatasetId::D2, Intervals(Rtt)),
+];
+
+const HEADLINE_LOSS_INTERVALS: &[Need] = &[
+    Need(DatasetId::Uw1, Weights(Loss)),
+    Need(DatasetId::Uw3, Weights(Loss)),
+    Need(DatasetId::D2Na, Weights(Loss)),
+    Need(DatasetId::D2, Weights(Loss)),
+    Need(DatasetId::Uw1, Intervals(Loss)),
+    Need(DatasetId::Uw3, Intervals(Loss)),
+    Need(DatasetId::D2Na, Intervals(Loss)),
+    Need(DatasetId::D2, Intervals(Loss)),
+];
+
 const BANDWIDTH_N2: &[Need] = &[
     Need(DatasetId::N2, Bandwidth),
     Need(DatasetId::N2Na, Bandwidth),
@@ -91,7 +115,14 @@ const BANDWIDTH_N2: &[Need] = &[
 
 const UW1_RTT: &[Need] = &[Need(DatasetId::Uw1, Weights(Rtt))];
 const UW3_RTT: &[Need] = &[Need(DatasetId::Uw3, Weights(Rtt))];
-const UW3_LOSS: &[Need] = &[Need(DatasetId::Uw3, Weights(Loss))];
+const UW3_RTT_INTERVALS: &[Need] = &[
+    Need(DatasetId::Uw3, Weights(Rtt)),
+    Need(DatasetId::Uw3, Intervals(Rtt)),
+];
+const UW3_LOSS_INTERVALS: &[Need] = &[
+    Need(DatasetId::Uw3, Weights(Loss)),
+    Need(DatasetId::Uw3, Intervals(Loss)),
+];
 const UW3_PROP_RTT: &[Need] = &[
     Need(DatasetId::Uw3, Weights(PropDelay)),
     Need(DatasetId::Uw3, Weights(Rtt)),
@@ -110,10 +141,10 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment::new("fig4", BANDWIDTH_N2, fig4),
     Experiment::new("fig5", BANDWIDTH_N2, fig5),
     Experiment::new("fig6", D2NA_RTT, fig6),
-    Experiment::new("fig7", UW3_RTT, fig7),
-    Experiment::new("fig8", UW3_LOSS, fig8),
-    Experiment::new("table2", HEADLINE_RTT, table2),
-    Experiment::new("table3", HEADLINE_LOSS, table3),
+    Experiment::new("fig7", UW3_RTT_INTERVALS, fig7),
+    Experiment::new("fig8", UW3_LOSS_INTERVALS, fig8),
+    Experiment::new("table2", HEADLINE_RTT_INTERVALS, table2),
+    Experiment::new("table3", HEADLINE_LOSS_INTERVALS, table3),
     // Figures 9-10 slice the dataset by time of day and rebuild throwaway
     // per-slice tables; they use no whole-dataset artifacts.
     Experiment::new("fig9", &[], fig9),
@@ -433,7 +464,7 @@ pub fn fig6(s: &Study) -> String {
 // ---------------------------------------------------------------------------
 
 fn interval_report(cx: &AnalysisContext, metric: &MetricKind, unit: &str) -> String {
-    let series = confidence::interval_cdf_series(cx, metric, 0.95);
+    let series = confidence::interval_cdf_series(cx.intervals(metric));
     let mut out = String::new();
     out.push_str(&format!(
         "{:>12} {:>10} {:>12}   ({} improvement, every 8th path)\n",
@@ -492,11 +523,10 @@ pub fn table2(s: &Study) -> String {
         "{:<8} {:>9} {:>15} {:>8}\n",
         "dataset", "better", "indeterminate", "worse"
     ));
-    let counts = pool::parallel_map(&HEADLINE, |&key| {
-        confidence::verdict_table(s.ctx(key), &Rtt, 0.95)
-    });
-    for (&key, c) in HEADLINE.iter().zip(&counts) {
-        out.push_str(&verdict_row(&s.ctx(key).dataset().name, c, false));
+    for key in HEADLINE {
+        let cx = s.ctx(key);
+        let counts = confidence::verdict_table(cx.intervals(&Rtt));
+        out.push_str(&verdict_row(&cx.dataset().name, &counts, false));
     }
     out
 }
@@ -508,11 +538,10 @@ pub fn table3(s: &Study) -> String {
         "{:<8} {:>9} {:>15} {:>8} {:>7}\n",
         "dataset", "better", "indeterminate", "worse", "zero"
     ));
-    let counts = pool::parallel_map(&HEADLINE, |&key| {
-        confidence::verdict_table(s.ctx(key), &Loss, 0.95)
-    });
-    for (&key, c) in HEADLINE.iter().zip(&counts) {
-        out.push_str(&verdict_row(&s.ctx(key).dataset().name, c, true));
+    for key in HEADLINE {
+        let cx = s.ctx(key);
+        let counts = confidence::verdict_table(cx.intervals(&Loss));
+        out.push_str(&verdict_row(&cx.dataset().name, &counts, true));
     }
     out
 }
@@ -895,6 +924,7 @@ mod tests {
             "context/weights_loss_builds",
             "context/weights_prop_builds",
             "context/bandwidth_builds",
+            "context/interval_builds",
         ]
         .iter()
         .map(|c| rec.counter(c))
@@ -937,6 +967,9 @@ mod tests {
                     Need(k, Weights(Rtt)),
                     Need(k, Weights(Loss)),
                     Need(k, Weights(PropDelay)),
+                    Need(k, Intervals(Rtt)),
+                    Need(k, Intervals(Loss)),
+                    Need(k, Intervals(PropDelay)),
                     Need(k, Bandwidth),
                 ]
             })

@@ -34,8 +34,8 @@ pub fn compare_all_pairs(
 }
 
 /// Per-pair comparisons for an ad-hoc table (a time-of-day slice or an
-/// episode from [`PairTable::build_filtered`], a host-restricted what-if)
-/// that has no backing context. Builds a throwaway [`WeightMatrix`];
+/// episode from [`PairTable::build_partitioned`], a host-restricted
+/// what-if) that has no backing context. Builds a throwaway [`WeightMatrix`];
 /// prefer [`compare_all_pairs`] whenever a context exists.
 pub fn compare_graph(
     table: &PairTable,

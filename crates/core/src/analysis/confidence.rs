@@ -23,6 +23,10 @@ use detour_measure::PairTable;
 use detour_stats::ci::MeanEstimate;
 use detour_stats::ttest::{welch_classify, TTestVerdict, VerdictCounts};
 
+/// The paper's confidence level (§6.2), the level of the context's
+/// [`AnalysisContext::intervals`] artifact.
+pub const PAPER_LEVEL: f64 = 0.95;
+
 /// One pair's interval data: the Figure-7/8 plotting record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairInterval {
@@ -81,10 +85,10 @@ pub fn pair_intervals(cx: &AnalysisContext, metric: &MetricKind, level: f64) -> 
         .collect()
 }
 
-/// One Table-2/3 row: verdict percentages for a dataset.
-pub fn verdict_table(cx: &AnalysisContext, metric: &MetricKind, level: f64) -> VerdictCounts {
+/// One Table-2/3 row: verdict counts over a dataset's pair intervals.
+pub fn verdict_table(intervals: &[PairInterval]) -> VerdictCounts {
     let mut counts = VerdictCounts::default();
-    for pi in pair_intervals(cx, metric, level) {
+    for pi in intervals {
         counts.record(pi.verdict);
     }
     counts
@@ -92,12 +96,8 @@ pub fn verdict_table(cx: &AnalysisContext, metric: &MetricKind, level: f64) -> V
 
 /// The Figure-7/8 series: improvements sorted ascending with their CDF
 /// fraction and interval half-width, `(improvement, fraction, half_width)`.
-pub fn interval_cdf_series(
-    cx: &AnalysisContext,
-    metric: &MetricKind,
-    level: f64,
-) -> Vec<(f64, f64, f64)> {
-    let mut pis = pair_intervals(cx, metric, level);
+pub fn interval_cdf_series(intervals: &[PairInterval]) -> Vec<(f64, f64, f64)> {
+    let mut pis = intervals.to_vec();
     pis.sort_by(|a, b| a.improvement.partial_cmp(&b.improvement).unwrap());
     let n = pis.len() as f64;
     pis.iter()
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn clear_improvement_is_classified_better() {
         let cx = AnalysisContext::from_dataset(&noisy_dataset(5.0, 50));
-        let table = verdict_table(&cx, &Rtt, 0.95);
+        let table = verdict_table(cx.intervals(&Rtt));
         // Only 0→2 has an alternate (other pairs lack detours with both
         // edges); that one is decisively better.
         assert_eq!(table.better, 1);
@@ -171,14 +171,14 @@ mod tests {
     fn huge_noise_turns_indeterminate() {
         // Noise swamping the 60 ms gap with only a handful of samples.
         let cx = AnalysisContext::from_dataset(&noisy_dataset(400.0, 4));
-        let table = verdict_table(&cx, &Rtt, 0.95);
+        let table = verdict_table(cx.intervals(&Rtt));
         assert_eq!(table.indeterminate, 1, "{table:?}");
     }
 
     #[test]
     fn interval_series_is_sorted_and_fractions_reach_one() {
         let cx = AnalysisContext::from_dataset(&noisy_dataset(5.0, 30));
-        let series = interval_cdf_series(&cx, &Rtt, 0.95);
+        let series = interval_cdf_series(cx.intervals(&Rtt));
         assert!(!series.is_empty());
         for w in series.windows(2) {
             assert!(w[0].0 <= w[1].0);
@@ -194,7 +194,7 @@ mod tests {
     fn lossless_pairs_classify_as_zero() {
         // All probes return: loss 0 everywhere → Zero verdict.
         let cx = AnalysisContext::from_dataset(&noisy_dataset(5.0, 40));
-        let table = verdict_table(&cx, &Loss, 0.95);
+        let table = verdict_table(cx.intervals(&Loss));
         assert_eq!(table.zero, 1, "{table:?}");
     }
 }

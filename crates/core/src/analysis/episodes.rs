@@ -12,13 +12,11 @@
 //!   "huge amount of variability in the performance of the best alternate
 //!   paths".
 
-use std::collections::HashMap;
-
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
 use crate::metric::MetricKind;
-use detour_measure::{Dataset, HostId, PairTable};
+use detour_measure::{Dataset, PairTable, ProbeSample};
 use detour_stats::Cdf;
 
 /// The three Figure-11 curves.
@@ -57,23 +55,26 @@ pub fn analyze(
     ));
 
     // Curves 2 and 3: per-episode best alternates on UW4-A. Episode
-    // slices are ad-hoc tables, deliberately outside the artifact cache.
+    // slices are ad-hoc tables, deliberately outside the artifact cache;
+    // one partitioned build splits the probes by episode, and each
+    // episode's table is dropped once compared, so one is alive at a time.
     let ds = episodic.dataset();
     let ids = episode_ids(ds);
-    let mut per_pair: HashMap<(HostId, HostId), Vec<f64>> = HashMap::new();
-    for &ep in &ids {
-        let t = PairTable::build_filtered(ds, |p| p.episode == Some(ep));
+    let n = episodic.table().len();
+    // Each pair's improvements, in episode order, per `i * n + j` cell.
+    let mut per_pair: Vec<Vec<f64>> = vec![Vec::new(); n * n];
+    let part = |p: &ProbeSample| ids.binary_search(&p.episode?).ok();
+    for t in PairTable::build_partitioned(ds, ids.len(), part) {
         for cmp in compare_graph(&t, metric, SearchDepth::Unrestricted) {
-            per_pair
-                .entry((cmp.pair.src, cmp.pair.dst))
-                .or_default()
-                .push(cmp.improvement());
+            let i = t.host_index(cmp.pair.src).expect("pair host");
+            let j = t.host_index(cmp.pair.dst).expect("pair host");
+            per_pair[i * n + j].push(cmp.improvement());
         }
     }
-    let unaveraged = Cdf::from_samples(per_pair.values().flatten().copied());
+    let unaveraged = Cdf::from_samples(per_pair.iter().flatten().copied());
     let pair_averaged = Cdf::from_samples(
         per_pair
-            .values()
+            .iter()
             .filter(|v| !v.is_empty())
             .map(|v| v.iter().sum::<f64>() / v.len() as f64),
     );
@@ -90,7 +91,7 @@ mod tests {
     use super::*;
     use crate::metric::Rtt;
     use detour_measure::record::HostMeta;
-    use detour_measure::ProbeSample;
+    use detour_measure::HostId;
 
     /// Builds an episodic dataset over a triangle whose detour quality
     /// swings episode to episode, plus a matching averaged dataset.
@@ -204,5 +205,25 @@ mod tests {
         // Only pair (0,2) has an alternate; 40 episodes → 40 points.
         assert_eq!(a.unaveraged.len(), 40);
         assert_eq!(a.pair_averaged.len(), 1);
+    }
+
+    #[test]
+    fn episode_tables_read_the_probes_a_constant_number_of_times() {
+        // 40 episodes of 3 probes: a build per episode over the whole
+        // dataset would read 2 × 120 × 40 = 9,600 probes; the partitioned
+        // build reads each probe at least once and at most four times.
+        let (episodic, averaged) = swing_datasets();
+        let (episodic, averaged) = (
+            AnalysisContext::from_dataset(&episodic),
+            AnalysisContext::from_dataset(&averaged),
+        );
+        let rec = detour_obs::Recorder::new();
+        let _obs = detour_obs::install(rec.clone());
+        analyze(&episodic, &averaged, &Rtt);
+        let visits = rec.counter("pairtable/probe_visits");
+        assert!(
+            (120..=4 * 120).contains(&visits),
+            "{visits} probe visits for 120 probes"
+        );
     }
 }

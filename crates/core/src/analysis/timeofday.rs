@@ -11,7 +11,7 @@ use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
 use crate::metric::MetricKind;
-use detour_measure::PairTable;
+use detour_measure::{PairTable, ProbeSample};
 use detour_stats::Cdf;
 
 /// PST offset from UTC, hours (the paper's clock).
@@ -76,20 +76,26 @@ impl TimeSlice {
 /// Builds the per-slice improvement CDFs for `metric`, recomputing edge
 /// means from only the probes falling in each slice (exactly what dividing
 /// the dataset does — including its documented cost: "dividing the dataset
-/// reduces the number of samples per path").
+/// reduces the number of samples per path"). One partitioned build
+/// classifies each probe once.
 pub fn improvement_by_slice(
     cx: &AnalysisContext,
     metric: &MetricKind,
     depth: SearchDepth,
 ) -> Vec<(TimeSlice, Cdf)> {
-    let ds = cx.dataset();
-    TimeSlice::all()
+    let slices = TimeSlice::all();
+    let slice_of = |p: &ProbeSample| {
+        let slice = TimeSlice::classify(p.t_s);
+        slices.iter().position(|&s| s == slice)
+    };
+    slices
         .into_iter()
-        .map(|slice| {
-            let t = PairTable::build_filtered(ds, |p| TimeSlice::classify(p.t_s) == slice);
-            let cs = compare_graph(&t, metric, depth);
-            (slice, improvement_cdf(&cs))
-        })
+        .zip(PairTable::build_partitioned(
+            cx.dataset(),
+            slices.len(),
+            slice_of,
+        ))
+        .map(|(slice, t)| (slice, improvement_cdf(&compare_graph(&t, metric, depth))))
         .collect()
 }
 

@@ -14,6 +14,9 @@
 //!   enum) — concurrent experiments racing for the same matrix block until
 //!   the single winner finishes building, then share it; each matrix
 //!   carries its metric, so callers pass the matrix alone;
+//! * the per-pair 95 % confidence intervals (Figures 7–8, Tables 2–3) are
+//!   built the same way, one slot per metric, so the figure and the table
+//!   of one metric share one sweep;
 //! * everything handed out is immutable, so a `&AnalysisContext` is freely
 //!   shareable across the thread pool (the type is `Sync` by construction).
 //!
@@ -27,6 +30,7 @@ use std::sync::{Arc, OnceLock};
 
 use detour_measure::{Dataset, PairTable};
 
+use crate::analysis::confidence::{self, PairInterval};
 use crate::kernel::{BandwidthMatrix, WeightMatrix};
 use crate::metric::MetricKind;
 
@@ -37,6 +41,9 @@ use crate::metric::MetricKind;
 pub enum ArtifactKind {
     /// The additive weight matrix of a metric family.
     Weights(MetricKind),
+    /// The per-pair confidence intervals of a metric at the paper's level
+    /// (built from, so requiring, the same metric's weight matrix).
+    Intervals(MetricKind),
     /// The one-hop bandwidth matrix (N2 datasets).
     Bandwidth,
 }
@@ -47,6 +54,8 @@ pub struct AnalysisContext {
     table: Arc<PairTable>,
     /// One slot per metric, indexed by `MetricKind as usize`.
     weights: [OnceLock<WeightMatrix>; 3],
+    /// One slot per metric, like `weights`.
+    intervals: [OnceLock<Vec<PairInterval>>; 3],
     bandwidth: OnceLock<BandwidthMatrix>,
 }
 
@@ -70,6 +79,7 @@ impl AnalysisContext {
             dataset,
             table,
             weights: Default::default(),
+            intervals: Default::default(),
             bandwidth: OnceLock::new(),
         }
     }
@@ -116,6 +126,16 @@ impl AnalysisContext {
         })
     }
 
+    /// The per-pair intervals of `metric` at [`confidence::PAPER_LEVEL`],
+    /// built on first request and shared thereafter (actual builds record
+    /// `context/interval_builds`).
+    pub fn intervals(&self, metric: &MetricKind) -> &[PairInterval] {
+        self.intervals[*metric as usize].get_or_init(|| {
+            detour_obs::current().add("context/interval_builds", 1);
+            confidence::pair_intervals(self, metric, confidence::PAPER_LEVEL)
+        })
+    }
+
     /// The bandwidth matrix, built on first request and shared thereafter
     /// (actual builds record `context/bandwidth_builds`).
     pub fn bandwidth_matrix(&self) -> &BandwidthMatrix {
@@ -130,6 +150,9 @@ impl AnalysisContext {
         match kind {
             ArtifactKind::Weights(metric) => {
                 self.weights(&metric);
+            }
+            ArtifactKind::Intervals(metric) => {
+                self.intervals(&metric);
             }
             ArtifactKind::Bandwidth => {
                 self.bandwidth_matrix();
@@ -285,6 +308,24 @@ mod tests {
         }
         cx.ensure(ArtifactKind::Bandwidth);
         assert_eq!(rec.counter("context/bandwidth_builds"), 1);
+    }
+
+    #[test]
+    fn intervals_build_once_per_metric_at_the_paper_level() {
+        let rec = detour_obs::Recorder::new();
+        let _obs = detour_obs::install(rec.clone());
+        let cx = AnalysisContext::from_dataset(&tiny_dataset());
+        cx.ensure(ArtifactKind::Intervals(Rtt));
+        let a = cx.intervals(&Rtt).as_ptr();
+        assert_eq!(cx.intervals(&Rtt).as_ptr(), a, "second request is cached");
+        assert_eq!(rec.counter("context/interval_builds"), 1);
+        assert_eq!(rec.counter("context/weights_rtt_builds"), 1);
+        assert_eq!(
+            cx.intervals(&Rtt),
+            confidence::pair_intervals(&cx, &Rtt, 0.95).as_slice()
+        );
+        cx.intervals(&Loss);
+        assert_eq!(rec.counter("context/interval_builds"), 2);
     }
 
     #[test]

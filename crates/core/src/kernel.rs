@@ -65,18 +65,15 @@ use crate::altpath::{Pair, PathComparison, SearchDepth};
 use crate::compose::{synthetic_bandwidth_kbps, LossComposition};
 use crate::metric::MetricKind;
 use crate::pool;
-use detour_measure::{HostId, PairTable};
+use detour_measure::{HostId, HostIndex, PairTable};
 
 /// Precomputed flat edge weights and values for one `(table, metric)`.
 #[derive(Debug, Clone)]
 pub struct WeightMatrix {
     metric: MetricKind,
     n: usize,
-    hosts: Vec<HostId>,
-    /// Dense index of each host, inverted from `hosts` once at build time
-    /// so [`WeightMatrix::host_index`] is O(1) — it sits inside the
-    /// Figure-12 greedy loop, which calls it once per candidate per round.
-    index_of: std::collections::HashMap<HostId, usize>,
+    /// The table's hosts and their dense index.
+    index: HostIndex,
     /// Row-major additive search weights; missing/unusable edge = `+∞`.
     weights: Vec<f64>,
     /// Row-major figure-facing metric values; missing = `NaN`.
@@ -98,13 +95,10 @@ impl WeightMatrix {
                 weights[i * n + j] = w;
             }
         }
-        let hosts = table.hosts().to_vec();
-        let index_of = hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
         WeightMatrix {
             metric: *metric,
             n,
-            hosts,
-            index_of,
+            index: table.index().clone(),
             weights,
             values,
         }
@@ -128,12 +122,12 @@ impl WeightMatrix {
 
     /// The hosts, in the table's dense-index order.
     pub fn hosts(&self) -> &[HostId] {
-        &self.hosts
+        self.index.hosts()
     }
 
     /// Dense index of a host.
     pub fn host_index(&self, h: HostId) -> Option<usize> {
-        self.index_of.get(&h).copied()
+        self.index.get(h)
     }
 
     /// The search weight of edge `i → j` (`+∞` when missing).
@@ -438,14 +432,14 @@ pub(crate) fn comparison_along(
     }
     PathComparison {
         pair: Pair {
-            src: m.hosts[s],
-            dst: m.hosts[d],
+            src: m.hosts()[s],
+            dst: m.hosts()[d],
         },
         default_value: m.value(s, d),
         alternate_value: m.metric.compose(vals),
         via: path[1..path.len() - 1]
             .iter()
-            .map(|&i| m.hosts[i])
+            .map(|&i| m.hosts()[i])
             .collect(),
         lower_is_better: true,
     }
@@ -555,7 +549,7 @@ pub fn best_alternate_one_hop_masked(
     d: usize,
 ) -> Option<PathComparison> {
     debug_assert_eq!(removed.len(), m.n);
-    best_relay(&m.hosts, removed, s, d, m.value(s, d), true, |mid| {
+    best_relay(m.hosts(), removed, s, d, m.value(s, d), true, |mid| {
         let (v1, v2) = (m.value(s, mid), m.value(mid, d));
         (!v1.is_nan() && !v2.is_nan()).then(|| m.metric.compose(&[v1, v2]))
     })

@@ -158,6 +158,35 @@ fn generated_datasets_preserve_every_field() {
 }
 
 #[test]
+fn a_trace_naming_the_largest_host_id_loads_and_indexes() {
+    // Host ids are arbitrary u32s; the pair table's index is sized by the
+    // host count, so `HostId(u32::MAX)` costs no more than `HostId(0)`.
+    let mut ds = DatasetId::Uw4A.generate_scaled(8, 24);
+    let last = ds.hosts.len() - 1;
+    let old = ds.hosts[last].id;
+    let rename = |h: &mut HostId| {
+        if *h == old {
+            *h = HostId(u32::MAX);
+        }
+    };
+    ds.hosts[last].id = HostId(u32::MAX);
+    for p in &mut ds.probes {
+        rename(&mut p.src);
+        rename(&mut p.dst);
+    }
+    ds.detected_rate_limited.iter_mut().for_each(rename);
+    let back = trace2::from_bytes(&trace2::to_bytes(&ds)).expect("binary decodes");
+    assert_eq!(back, ds);
+    let table = PairTable::build(&back);
+    assert_eq!(table.host_index(HostId(u32::MAX)), Some(last));
+    assert_eq!(table.host_index(old), None);
+    assert!(
+        (0..last).any(|i| table.measured(i, last)),
+        "the renamed host keeps its measurements"
+    );
+}
+
+#[test]
 fn file_roundtrip_and_unknown_versions_fail_loudly() {
     let dir = std::env::temp_dir().join(format!("detour-trace2-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

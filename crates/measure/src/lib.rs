@@ -29,7 +29,7 @@ pub mod schedule;
 
 pub use control::{run_campaign, run_campaign_faulted, CampaignConfig, ProbeKind, RawMeasurements};
 pub use dataset::{Characteristics, Dataset, MIN_SAMPLES_PER_PATH};
-pub use pairtable::PairTable;
+pub use pairtable::{HostIndex, PairTable};
 pub use ratelimit::RateLimitPolicy;
 pub use record::{HostMeta, Invocation, ProbeSample, TransferSample};
 pub use schedule::{Request, Schedule};

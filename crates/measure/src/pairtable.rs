@@ -19,9 +19,13 @@
 //! [`OnlineStats`] pushes in probe order. Welford means are floating-point
 //! push-order-dependent, so a table built from a host-restricted copy of a
 //! dataset ([`Dataset::restrict_to_hosts`]) is bit-identical, cell for
-//! cell, to the corresponding cells of the full table.
-
-use std::collections::HashMap;
+//! cell, to the corresponding cells of the full table — and each part of
+//! [`PairTable::build_partitioned`] is bit-identical to the table of a
+//! dataset holding only that part's probes.
+//!
+//! Every build records the probes it reads on the `pairtable/probe_visits`
+//! counter of the current `detour-obs` recorder (one `add` per build), so a
+//! run shows whether a per-part analysis stays linear in the probe count.
 
 use detour_netsim::HostId;
 use detour_stats::{OnlineStats, Summary};
@@ -29,12 +33,56 @@ use detour_stats::{OnlineStats, Summary};
 use crate::dataset::Dataset;
 use crate::record::ProbeSample;
 
+/// Dense index of a dataset's hosts: the hosts in `Dataset::hosts` order
+/// (the tables' dense axis) plus `(id, index)` pairs sorted by id, so a
+/// lookup is a binary search and the index's size follows the host count,
+/// whatever values the ids take. A repeated id resolves to its last
+/// position.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostIndex {
+    hosts: Vec<HostId>,
+    sorted: Vec<(HostId, u32)>,
+}
+
+impl HostIndex {
+    /// Indexes `hosts` by position.
+    pub(crate) fn new(hosts: Vec<HostId>) -> HostIndex {
+        let mut sorted: Vec<(HostId, u32)> = hosts
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (h, i as u32))
+            .collect();
+        sorted.sort_unstable();
+        // `dedup_by` hands (later, kept): keep the last position per id.
+        sorted.dedup_by(|later, kept| {
+            let dup = later.0 == kept.0;
+            if dup {
+                kept.1 = later.1;
+            }
+            dup
+        });
+        HostIndex { hosts, sorted }
+    }
+
+    /// The hosts, in dense-index order.
+    pub fn hosts(&self) -> &[HostId] {
+        &self.hosts
+    }
+
+    /// Dense index of a host, or `None` when it is not indexed.
+    #[inline]
+    pub fn get(&self, h: HostId) -> Option<usize> {
+        self.sorted
+            .binary_search_by_key(&h, |&(id, _)| id)
+            .ok()
+            .map(|k| self.sorted[k].1 as usize)
+    }
+}
+
 /// Per-pair aggregate columns over one dataset (or probe subset).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairTable {
-    hosts: Vec<HostId>,
-    /// Dense index of each host, the inverse of `hosts`.
-    index: HashMap<HostId, usize>,
+    index: HostIndex,
     /// RTT summary over returned probes, per `i * n + j` cell.
     rtt: Vec<Option<Summary>>,
     /// Loss-indicator summary over loss-eligible probes.
@@ -64,25 +112,89 @@ struct CellAcc {
     bw: OnlineStats,
     t_rtt: OnlineStats,
     t_loss: OnlineStats,
-    path_votes: HashMap<u32, usize>,
+    /// `(path index, votes)`, in first-seen order: a pair sees only a
+    /// handful of distinct routes, so a linear scan beats hashing.
+    path_votes: Vec<(u32, u32)>,
 }
 
 impl PairTable {
     /// Builds the table from every sample in `ds`.
     pub fn build(ds: &Dataset) -> PairTable {
-        Self::build_filtered(ds, |_| true)
+        let index = HostIndex::new(ds.hosts.iter().map(|h| h.id).collect());
+        Self::build_from(ds, index, ds.probes.iter())
     }
 
-    /// Builds the table from the probes satisfying `keep` (all transfers
-    /// are always included — the time-of-day and episode analyses only
-    /// slice probe datasets). `keep` is evaluated twice per probe: a
-    /// counting pre-pass sizes the shared RTT-sample blob exactly, so
-    /// the build never grows a per-cell sample vector.
-    pub fn build_filtered(ds: &Dataset, keep: impl Fn(&ProbeSample) -> bool) -> PairTable {
-        let hosts: Vec<HostId> = ds.hosts.iter().map(|h| h.id).collect();
-        let index: HashMap<HostId, usize> =
-            hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-        let n = hosts.len();
+    /// Splits `ds`'s probes into `parts` disjoint subsets by `key` and
+    /// yields one table per part, in part order, each built when the
+    /// iterator reaches it — so only one part's table need be alive at a
+    /// time. A probe keyed `None` belongs to no part. Every table covers
+    /// all of `ds`'s hosts and all of its transfers (the time-of-day and
+    /// episode analyses only slice probes), and equals
+    /// [`PairTable::build`] of a copy of `ds` holding only that part's
+    /// probes.
+    ///
+    /// `key` runs once per probe: a counting pass sizes one shared
+    /// index array (each part's probe indices, in probe order), and a
+    /// scatter pass fills it. The split reads each probe once and each
+    /// part's build reads its own probes twice, so the whole partition
+    /// reads at most three probes per probe of `ds`, however many parts
+    /// there are.
+    ///
+    /// # Panics
+    /// When `key` returns a part `>= parts`.
+    pub fn build_partitioned<'a>(
+        ds: &'a Dataset,
+        parts: usize,
+        key: impl Fn(&ProbeSample) -> Option<usize>,
+    ) -> impl ExactSizeIterator<Item = PairTable> + 'a {
+        const NONE: u32 = u32::MAX;
+        let mut keys: Vec<u32> = Vec::with_capacity(ds.probes.len());
+        let mut off: Vec<u32> = vec![0; parts + 1];
+        for p in &ds.probes {
+            let k = match key(p) {
+                Some(k) => {
+                    assert!(k < parts, "probe keyed to part {k} of {parts}");
+                    off[k + 1] += 1;
+                    k as u32
+                }
+                None => NONE,
+            };
+            keys.push(k);
+        }
+        for k in 0..parts {
+            off[k + 1] += off[k];
+        }
+        let mut members: Vec<u32> = vec![0; off[parts] as usize];
+        let mut cursor: Vec<u32> = off[..parts].to_vec();
+        for (i, &k) in keys.iter().enumerate() {
+            if k != NONE {
+                members[cursor[k as usize] as usize] = i as u32;
+                cursor[k as usize] += 1;
+            }
+        }
+        drop(keys);
+        detour_obs::current().add("pairtable/probe_visits", ds.probes.len() as u64);
+
+        let index = HostIndex::new(ds.hosts.iter().map(|h| h.id).collect());
+        (0..parts).map(move |k| {
+            let part = &members[off[k] as usize..off[k + 1] as usize];
+            let probes = part.iter().map(|&i| &ds.probes[i as usize]);
+            Self::build_from(ds, index.clone(), probes)
+        })
+    }
+
+    /// The shared build: `probes` (a subset of `ds.probes`, in probe order)
+    /// plus every transfer of `ds`, over the hosts of `index`. Two passes
+    /// over `probes`: a counting pre-pass sizes the shared RTT-sample blob
+    /// exactly, so the build never grows a per-cell sample vector.
+    fn build_from<'p>(
+        ds: &Dataset,
+        index: HostIndex,
+        probes: impl Iterator<Item = &'p ProbeSample> + Clone,
+    ) -> PairTable {
+        let n = index.hosts.len();
+        let cell = |src: HostId, dst: HostId| Some(index.get(src)? * n + index.get(dst)?);
+        let mut visits = 0u64; // probes read by pass 1, and again by pass 2
 
         // Pass 1: count returned probes per cell, then prefix-sum the
         // counts in place into the blob offsets. A cell with any RTT
@@ -90,12 +202,13 @@ impl PairTable {
         // always kept below, so these offsets are exactly the kept-cell
         // cumulative lengths the old grow-and-append build produced.
         let mut rtt_off: Vec<u32> = vec![0; n * n + 1];
-        for p in ds.probes.iter().filter(|p| keep(p)) {
-            let (Some(&i), Some(&j)) = (index.get(&p.src), index.get(&p.dst)) else {
+        for p in probes.clone() {
+            visits += 1;
+            let Some(c) = cell(p.src, p.dst) else {
                 continue;
             };
             if p.rtt_ms.is_some() {
-                rtt_off[i * n + j + 1] += 1;
+                rtt_off[c + 1] += 1;
             }
         }
         for c in 0..n * n {
@@ -109,11 +222,10 @@ impl PairTable {
         // is preserved within each cell, so the Welford summaries and the
         // sample slices stay bit-identical to the per-cell-vector build.
         let mut accs: Vec<Option<CellAcc>> = (0..n * n).map(|_| None).collect();
-        for p in ds.probes.iter().filter(|p| keep(p)) {
-            let (Some(&i), Some(&j)) = (index.get(&p.src), index.get(&p.dst)) else {
+        for p in probes {
+            let Some(c) = cell(p.src, p.dst) else {
                 continue;
             };
-            let c = i * n + j;
             let acc = accs[c].get_or_insert_with(CellAcc::default);
             if let Some(rtt) = p.rtt_ms {
                 acc.rtt.push(rtt);
@@ -123,21 +235,28 @@ impl PairTable {
             if p.loss_eligible {
                 acc.loss.push(if p.lost() { 1.0 } else { 0.0 });
             }
-            *acc.path_votes.entry(p.path_idx).or_default() += 1;
+            match acc
+                .path_votes
+                .iter_mut()
+                .find(|(idx, _)| *idx == p.path_idx)
+            {
+                Some((_, votes)) => *votes += 1,
+                None => acc.path_votes.push((p.path_idx, 1)),
+            }
         }
         debug_assert_eq!(&cursor[..], &rtt_off[1..], "blob regions exactly filled");
+        detour_obs::current().add("pairtable/probe_visits", 2 * visits);
         for t in &ds.transfers {
-            let (Some(&i), Some(&j)) = (index.get(&t.src), index.get(&t.dst)) else {
+            let Some(c) = cell(t.src, t.dst) else {
                 continue;
             };
-            let acc = accs[i * n + j].get_or_insert_with(CellAcc::default);
+            let acc = accs[c].get_or_insert_with(CellAcc::default);
             acc.bw.push(t.bandwidth_kbps);
             acc.t_rtt.push(t.rtt_ms);
             acc.t_loss.push(t.loss_rate);
         }
 
         let mut table = PairTable {
-            hosts,
             index,
             rtt: Vec::with_capacity(n * n),
             loss: Vec::with_capacity(n * n),
@@ -164,8 +283,8 @@ impl PairTable {
                     table.modal_path.push(
                         a.path_votes
                             .iter()
-                            .max_by_key(|&(&idx, &c)| (c, std::cmp::Reverse(idx)))
-                            .map(|(&idx, _)| idx),
+                            .max_by_key(|&&(idx, c)| (c, std::cmp::Reverse(idx)))
+                            .map(|&(idx, _)| idx),
                     );
                 }
                 _ => {
@@ -183,26 +302,31 @@ impl PairTable {
 
     /// Hosts covered, in `Dataset::hosts` order (the table's dense axis).
     pub fn hosts(&self) -> &[HostId] {
-        &self.hosts
+        self.index.hosts()
+    }
+
+    /// The table's dense host index.
+    pub fn index(&self) -> &HostIndex {
+        &self.index
     }
 
     /// Dense index of a host, or `None` when the table does not cover it.
     pub fn host_index(&self, h: HostId) -> Option<usize> {
-        self.index.get(&h).copied()
+        self.index.get(h)
     }
 
     /// Number of hosts (the table is `n × n`).
     pub fn len(&self) -> usize {
-        self.hosts.len()
+        self.hosts().len()
     }
 
     /// True when the table covers no hosts.
     pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
+        self.hosts().is_empty()
     }
 
     fn cell(&self, i: usize, j: usize) -> usize {
-        i * self.hosts.len() + j
+        i * self.len() + j
     }
 
     /// True when the directed pair `(i, j)` has any aggregate.
@@ -213,7 +337,7 @@ impl PairTable {
 
     /// Measured directed pairs `(i, j)`, `i != j`, in row-major order.
     pub fn measured_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let n = self.hosts.len();
+        let n = self.len();
         (0..n)
             .flat_map(move |i| (0..n).map(move |j| (i, j)))
             .filter(|&(i, j)| i != j && self.measured(i, j))
@@ -221,7 +345,7 @@ impl PairTable {
 
     /// Number of measured directed pairs.
     pub fn measured_count(&self) -> usize {
-        let n = self.hosts.len();
+        let n = self.len();
         (0..n * n)
             .filter(|&c| {
                 self.rtt[c].is_some() || self.loss[c].is_some() || self.bandwidth[c].is_some()
@@ -395,13 +519,141 @@ mod tests {
     }
 
     #[test]
-    fn filtering_subsets_probes() {
-        let ds = tiny_dataset();
-        let t = PairTable::build_filtered(&ds, |p| p.t_s < 0.5);
-        let rtt = t.rtt(0, 1).unwrap();
-        assert_eq!(rtt.n, 1);
-        assert!((rtt.mean - 50.0).abs() < 1e-12);
-        assert_eq!(t.rtt_samples(0, 1), &[50.0]);
+    fn host_ids_of_any_value_index_by_position() {
+        // The index grows with the host count, not with the largest id: a
+        // host named `u32::MAX` sits beside small ids.
+        let mut ds = tiny_dataset();
+        ds.hosts[2].id = HostId(u32::MAX);
+        for p in &mut ds.probes {
+            if p.dst == HostId(2) {
+                p.dst = HostId(u32::MAX);
+            }
+        }
+        ds.transfers[0].dst = HostId(u32::MAX);
+        let t = PairTable::build(&ds);
+        assert_eq!(t.host_index(HostId(u32::MAX)), Some(2));
+        assert_eq!(t.host_index(HostId(2)), None);
+        assert_eq!(t.rtt_samples(1, 2), &[30.0, 40.0]);
+        assert!((t.bandwidth(0, 2).unwrap().mean - 200.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn repeated_host_id_resolves_to_its_last_position() {
+        let index = HostIndex::new(vec![HostId(7), HostId(3), HostId(7)]);
+        assert_eq!(index.get(HostId(7)), Some(2));
+        assert_eq!(index.get(HostId(3)), Some(1));
+        assert_eq!(index.get(HostId(4)), None);
+        assert_eq!(index.hosts().len(), 3);
+    }
+
+    /// A random dataset: up to six hosts with arbitrary ids, probes between
+    /// listed and unlisted hosts (the build skips the latter), each keyed to
+    /// one of `parts` parts through its `episode` or to none, and a few
+    /// transfers.
+    fn random_dataset(rng: &mut detour_prng::Xoshiro256pp, parts: u32) -> Dataset {
+        use detour_prng::Rng;
+        let n = rng.gen_range(1..=6usize);
+        let mut ids: Vec<u32> = (0..n)
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 => u32::MAX - rng.gen_range(0..3u32),
+                _ => rng.gen_range(0..20u32),
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let hosts: Vec<HostMeta> = ids.iter().map(|&id| meta(id)).collect();
+        // One id in eight is not a listed host.
+        let host = |rng: &mut detour_prng::Xoshiro256pp| match rng.gen_range(0..8u32) {
+            0 => HostId(1000),
+            _ => HostId(ids[rng.gen_range(0..ids.len())]),
+        };
+        let probes = (0..rng.gen_range(0..80usize))
+            .map(|k| ProbeSample {
+                src: host(rng),
+                dst: host(rng),
+                t_s: k as f64,
+                probe_index: 0,
+                rtt_ms: rng.gen_bool(0.8).then(|| rng.gen_range(1.0..200.0)),
+                loss_eligible: rng.gen_bool(0.9),
+                episode: rng.gen_bool(0.8).then(|| rng.gen_range(0..parts)),
+                path_idx: rng.gen_range(0..3u32),
+            })
+            .collect();
+        let transfers = (0..rng.gen_range(0..6usize))
+            .map(|k| TransferSample {
+                src: host(rng),
+                dst: host(rng),
+                t_s: k as f64,
+                rtt_ms: rng.gen_range(1.0..200.0),
+                loss_rate: rng.gen_range(0.0..0.1),
+                bandwidth_kbps: rng.gen_range(1.0..500.0),
+            })
+            .collect();
+        Dataset {
+            name: "R".into(),
+            hosts,
+            probes,
+            transfers,
+            as_paths: vec![vec![1], vec![2], vec![3]],
+            duration_s: 100.0,
+            detected_rate_limited: vec![],
+            starved_pairs: 0,
+        }
+    }
+
+    #[test]
+    fn partitioned_build_equals_per_part_datasets() {
+        detour_prng::check::check("partitioned pair tables", |rng| {
+            use detour_prng::Rng;
+            let parts = rng.gen_range(1..5u32);
+            let ds = random_dataset(rng, parts);
+            let full = PairTable::build(&ds);
+            let tables: Vec<PairTable> = PairTable::build_partitioned(&ds, parts as usize, |p| {
+                p.episode.map(|e| e as usize)
+            })
+            .collect();
+            assert_eq!(tables.len(), parts as usize);
+            for (k, table) in tables.iter().enumerate() {
+                let mut only = ds.clone();
+                only.probes.retain(|p| p.episode == Some(k as u32));
+                assert_eq!(table, &PairTable::build(&only), "part {k}");
+            }
+            // The parts cover every keyed probe exactly once, cell by cell.
+            let n = full.len();
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                let unkeyed = ds
+                    .probes
+                    .iter()
+                    .filter(|p| p.episode.is_none() && p.rtt_ms.is_some())
+                    .filter(|p| {
+                        full.host_index(p.src) == Some(i) && full.host_index(p.dst) == Some(j)
+                    })
+                    .count();
+                let parts_sum: usize = tables.iter().map(|t| t.rtt_samples(i, j).len()).sum();
+                assert_eq!(
+                    parts_sum + unkeyed,
+                    full.rtt_samples(i, j).len(),
+                    "cell ({i}, {j})"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn partitioned_build_reads_each_probe_three_times() {
+        let rec = detour_obs::Recorder::new();
+        let _obs = detour_obs::install(rec.clone());
+        let mut ds = tiny_dataset();
+        ds.probes[0].episode = Some(1);
+        ds.probes[3].episode = Some(0);
+        let tables: Vec<PairTable> =
+            PairTable::build_partitioned(&ds, 2, |p| p.episode.map(|e| e as usize)).collect();
+        // One keying pass over all five probes, then two passes over each
+        // part's one probe.
+        assert_eq!(rec.counter("pairtable/probe_visits"), 5 + 2 * 2);
+        assert_eq!(tables[0].rtt_samples(1, 2), &[30.0]);
+        assert_eq!(tables[1].rtt_samples(0, 1), &[50.0]);
+        assert!(tables[1].rtt(1, 2).is_none());
     }
 
     #[test]

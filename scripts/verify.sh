@@ -14,7 +14,8 @@
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
-#             the detour-core unit tests, batched-kernel equivalence,
+#             the detour-measure tests, the detour-core unit tests,
+#             batched-kernel equivalence,
 #             the kernel property tests, the paper-shape envelopes,
 #             the fault-schedule unit tests, the netsim property tests,
 #             the figures CLI input checks,
@@ -54,9 +55,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
-# Smoke tier: the detour-core unit tests (metric laws, the context's
-# build-once artifact slots, confidence intervals, hand-worked kernel
-# cases), the batched-kernel equivalence suite (source-batched sweep
+# Smoke tier: the detour-measure tests (pair-table aggregates, the host
+# index, and the partition property: each part of a partitioned build
+# equals the table of a dataset holding only that part's probes), the
+# detour-core unit tests (metric laws, the context's build-once artifact
+# slots, confidence intervals, hand-worked kernel cases, the Figure-11
+# probe-visit bound), the batched-kernel equivalence suite (source-batched sweep
 # byte-identical to the retained per-pair reference), the kernel property
 # tests (brute-force DFS oracle, masked == rebuilt, the Yen ranking and its
 # head == the best alternate, incremental greedy == full-sweep greedy),
@@ -68,6 +72,9 @@ cargo build --release --offline --workspace --all-targets
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
 # included). Fails fast before the full test run and baseline.
+echo "== smoke: detour-measure tests (pair tables, partition property) =="
+cargo test -q --offline -p detour-measure
+
 echo "== smoke: detour-core unit tests =="
 cargo test -q --offline -p detour-core --lib
 

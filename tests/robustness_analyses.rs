@@ -10,10 +10,10 @@ use detour::stats::ttest::TTestVerdict;
 fn ttest_buckets_partition_all_pairs() {
     let ds = DatasetId::Uw3.generate_scaled(12, 16);
     let cx = AnalysisContext::from_dataset(&ds);
-    let intervals = confidence::pair_intervals(&cx, &Rtt, 0.95);
-    let counts = confidence::verdict_table(&cx, &Rtt, 0.95);
+    let intervals = cx.intervals(&Rtt);
+    let counts = confidence::verdict_table(intervals);
     assert_eq!(counts.total(), intervals.len());
-    for pi in &intervals {
+    for pi in intervals {
         assert!(pi.half_width >= 0.0);
         // The verdict must be consistent with the interval geometry.
         match pi.verdict {
@@ -31,8 +31,8 @@ fn ttest_buckets_partition_all_pairs() {
 fn stricter_confidence_is_more_conservative() {
     let ds = DatasetId::Uw3.generate_scaled(12, 16);
     let cx = AnalysisContext::from_dataset(&ds);
-    let at95 = confidence::verdict_table(&cx, &Rtt, 0.95);
-    let at999 = confidence::verdict_table(&cx, &Rtt, 0.999);
+    let at95 = confidence::verdict_table(cx.intervals(&Rtt));
+    let at999 = confidence::verdict_table(&confidence::pair_intervals(&cx, &Rtt, 0.999));
     assert!(at999.indeterminate >= at95.indeterminate);
     assert!(at999.better <= at95.better);
 }
