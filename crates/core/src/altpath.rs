@@ -211,20 +211,16 @@ mod tests {
     #[test]
     fn loss_search_picks_the_cleanest_detour() {
         // Direct 0→2 has 20 % loss; detour via 1 has 1 % per hop.
-        let mut ds = rtt_matrix_dataset(
-            &[&[0.0, 50.0, 50.0], &[50.0, 0.0, 50.0], &[50.0, 50.0, 0.0]],
-            100,
-        );
-        // Overwrite losses: make 0→2 lossy by marking 20 % of its probes lost.
-        let mut count = 0;
-        for p in ds.probes.iter_mut() {
-            if p.src == HostId(0) && p.dst == HostId(2) {
-                count += 1;
-                if count % 5 == 0 {
-                    p.rtt_ms = None;
-                }
+        let mut b = Dataset::builder("T");
+        b.hosts(3);
+        for (s, d) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            for k in 0..100 {
+                // 0→2 loses every fifth probe: 20 % loss.
+                let lost = (s, d) == (0, 2) && k % 5 == 4;
+                b.probe(s, d, k as f64, (!lost).then_some(50.0));
             }
         }
+        let ds = b.build().unwrap();
         let cmp = search(&ds, 0, 2, &Loss, ANY).unwrap();
         assert!((cmp.default_value - 0.2).abs() < 1e-9);
         assert_eq!(cmp.alternate_value, 0.0);

@@ -104,55 +104,23 @@ pub fn log_correlation(points: &[AsPoint]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, HostId, ProbeSample};
+    use detour_measure::Dataset;
 
     /// Triangle where every edge's AS path is its endpoints plus a shared
     /// transit AS 99; direct 0→2 is slow.
     fn dataset() -> Dataset {
-        let hosts = (0..3u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        // Edge (s,d) uses as_path index s*3+d reduced to pool below.
-        let as_paths = vec![
+        let mut b = Dataset::builder("A");
+        b.hosts(3).as_paths(vec![
             vec![0, 99, 1], // 0→1
             vec![1, 99, 2], // 1→2
             vec![0, 99, 2], // 0→2
-        ];
-        let mut probes = Vec::new();
-        for (s, d, rtt, idx) in [
-            (0u32, 1u32, 20.0f64, 0u32),
-            (1, 2, 20.0, 1),
-            (0, 2, 100.0, 2),
-        ] {
+        ]);
+        for (s, d, rtt, idx) in [(0, 1, 20.0, 0), (1, 2, 20.0, 1), (0, 2, 100.0, 2)] {
             for k in 0..3 {
-                probes.push(ProbeSample {
-                    src: HostId(s),
-                    dst: HostId(d),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: idx,
-                });
+                b.probe_with(s, d, k as f64, Some(rtt), |p| p.path_idx = idx);
             }
         }
-        Dataset {
-            name: "A".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths,
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        b.build().unwrap()
     }
 
     #[test]

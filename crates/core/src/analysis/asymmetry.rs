@@ -69,47 +69,21 @@ pub fn analyze(cx: &AnalysisContext) -> AsymmetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, ProbeSample};
+    use detour_measure::Dataset;
 
+    /// Three probes per `(src, dst, AS path)` edge, each edge its own
+    /// pool entry.
     fn dataset(paths: &[(u32, u32, Vec<u16>)]) -> Dataset {
         let max_host = paths.iter().map(|&(s, d, _)| s.max(d)).max().unwrap() + 1;
-        let hosts = (0..max_host)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut as_paths = Vec::new();
-        let mut probes = Vec::new();
-        for (s, d, p) in paths {
-            let idx = as_paths.len() as u32;
-            as_paths.push(p.clone());
+        let mut b = Dataset::builder("A");
+        b.hosts(max_host)
+            .as_paths(paths.iter().map(|(_, _, p)| p.clone()).collect());
+        for (idx, (s, d, _)) in paths.iter().enumerate() {
             for k in 0..3 {
-                probes.push(ProbeSample {
-                    src: HostId(*s),
-                    dst: HostId(*d),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(10.0),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: idx,
-                });
+                b.probe_with(*s, *d, k as f64, Some(10.0), |p| p.path_idx = idx as u32);
             }
         }
-        Dataset {
-            name: "A".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths,
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        b.build().unwrap()
     }
 
     #[test]

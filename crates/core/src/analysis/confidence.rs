@@ -111,50 +111,23 @@ mod tests {
     use super::*;
     use crate::context::AnalysisContext;
     use crate::metric::{Loss, Rtt};
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, HostId, ProbeSample};
+    use detour_measure::Dataset;
     use detour_prng::Rng;
     use detour_prng::Xoshiro256pp;
 
-    /// Dataset with noisy RTTs: direct 0→2 slow, detour via 1 fast.
+    /// Dataset with noisy RTTs: direct 0→2 slow, detour via 1 fast. Each
+    /// sample adds up to `noise` ms of queuing to its path's base, so RTTs
+    /// stay positive however large the noise.
     fn noisy_dataset(noise: f64, n_probes: usize) -> Dataset {
         let mut rng = Xoshiro256pp::seed_from_u64(17);
-        let hosts = (0..3u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut probes = Vec::new();
-        let mut push = |src: u32, dst: u32, base: f64, rng: &mut Xoshiro256pp| {
+        let mut b = Dataset::builder("N");
+        b.hosts(3);
+        for (src, dst, base) in [(0, 2, 100.0), (0, 1, 20.0), (1, 2, 20.0)] {
             for k in 0..n_probes {
-                probes.push(ProbeSample {
-                    src: HostId(src),
-                    dst: HostId(dst),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(base + rng.gen_range(-noise..noise)),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
+                b.probe(src, dst, k as f64, Some(base + rng.gen_range(0.0..noise)));
             }
-        };
-        push(0, 2, 100.0, &mut rng);
-        push(0, 1, 20.0, &mut rng);
-        push(1, 2, 20.0, &mut rng);
-        Dataset {
-            name: "N".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 100.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
         }
+        b.build().unwrap()
     }
 
     #[test]

@@ -90,65 +90,24 @@ pub fn analyze(
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use detour_measure::record::HostMeta;
-    use detour_measure::HostId;
 
     /// Builds an episodic dataset over a triangle whose detour quality
     /// swings episode to episode, plus a matching averaged dataset.
     fn swing_datasets() -> (Dataset, Dataset) {
-        let hosts: Vec<HostMeta> = (0..3u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut episodic = Vec::new();
+        let (mut episodic, mut averaged) = (Dataset::builder("E"), Dataset::builder("E"));
+        episodic.hosts(3).duration(40_000.0);
+        averaged.hosts(3).duration(40_000.0);
         for ep in 0..40u32 {
             // Direct 0→2 is 100 ms. The detour swings: even episodes 40 ms
             // total, odd episodes 160 ms total.
             let leg = if ep % 2 == 0 { 20.0 } else { 80.0 };
             for (s, d, rtt) in [(0, 2, 100.0), (0, 1, leg), (1, 2, leg)] {
-                episodic.push(ProbeSample {
-                    src: HostId(s),
-                    dst: HostId(d),
-                    t_s: ep as f64 * 1000.0,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: Some(ep),
-                    path_idx: 0,
-                });
+                let t = ep as f64 * 1000.0;
+                episodic.probe_with(s, d, t, Some(rtt), |p| p.episode = Some(ep));
+                averaged.probe(s, d, ep as f64 * 997.0, Some(rtt));
             }
         }
-        let mut averaged = Vec::new();
-        for k in 0..40u32 {
-            let leg = if k % 2 == 0 { 20.0 } else { 80.0 };
-            for (s, d, rtt) in [(0, 2, 100.0), (0, 1, leg), (1, 2, leg)] {
-                averaged.push(ProbeSample {
-                    src: HostId(s),
-                    dst: HostId(d),
-                    t_s: k as f64 * 997.0,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
-            }
-        }
-        let make = |probes: Vec<ProbeSample>| Dataset {
-            name: "E".into(),
-            hosts: hosts.clone(),
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 40_000.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        };
-        (make(episodic), make(averaged))
+        (episodic.build().unwrap(), averaged.build().unwrap())
     }
 
     #[test]

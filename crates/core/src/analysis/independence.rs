@@ -54,8 +54,8 @@ pub fn analyze(cx: &AnalysisContext) -> IndependenceReport {
         if samples.len() < 8 {
             continue;
         }
-        // `total_cmp`: a NaN timestamp from an untrusted trace sorts last
-        // instead of panicking; finite timestamps order as before.
+        // Timestamps are finite (`Dataset::new` checks them); `total_cmp`
+        // orders them without an `unwrap`.
         samples.sort_by(|a, b| a.0.total_cmp(&b.0));
         let xs: Vec<f64> = samples.into_iter().map(|(_, r)| r).collect();
         if let Some(r1) = autocorrelation(&xs, 1) {
@@ -74,43 +74,20 @@ pub fn analyze(cx: &AnalysisContext) -> IndependenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detour_measure::record::HostMeta;
     use detour_measure::Dataset;
-    use detour_measure::ProbeSample;
+
+    /// One path, 0→1, with the given RTTs at `t = 0, 1, …`, in `order`.
+    fn dataset_in(rtts: &[f64], order: impl Iterator<Item = usize>) -> Dataset {
+        let mut b = Dataset::builder("I");
+        b.hosts(2);
+        for k in order {
+            b.probe(0, 1, k as f64, Some(rtts[k]));
+        }
+        b.build().unwrap()
+    }
 
     fn dataset(rtts: &[f64]) -> Dataset {
-        let hosts = (0..2u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let probes = rtts
-            .iter()
-            .enumerate()
-            .map(|(k, &r)| ProbeSample {
-                src: HostId(0),
-                dst: HostId(1),
-                t_s: k as f64,
-                probe_index: 0,
-                rtt_ms: Some(r),
-                loss_eligible: true,
-                episode: None,
-                path_idx: 0,
-            })
-            .collect();
-        Dataset {
-            name: "I".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 100.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        dataset_in(rtts, 0..rtts.len())
     }
 
     #[test]
@@ -142,31 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn nan_timestamps_do_not_panic() {
-        let rtts: Vec<f64> = (0..50).map(|i| 50.0 + i as f64).collect();
-        let mut ds = dataset(&rtts);
-        ds.probes[7].t_s = f64::NAN;
-        let r = analyze(&AnalysisContext::from_dataset(&ds));
-        assert!(r.lag1[&(HostId(0), HostId(1))] > 0.5);
-    }
-
-    #[test]
     fn samples_are_ordered_by_time_not_insertion() {
-        // Shuffle insertion order; a ramp must still register as dependent.
-        let mut ds = dataset(&[]);
-        let n = 100;
-        for k in (0..n).rev() {
-            ds.probes.push(ProbeSample {
-                src: HostId(0),
-                dst: HostId(1),
-                t_s: k as f64,
-                probe_index: 0,
-                rtt_ms: Some(50.0 + k as f64),
-                loss_eligible: true,
-                episode: None,
-                path_idx: 0,
-            });
-        }
+        // Reverse insertion order; a ramp must still register as dependent.
+        let rtts: Vec<f64> = (0..100).map(|k| 50.0 + k as f64).collect();
+        let ds = dataset_in(&rtts, (0..rtts.len()).rev());
         let r = analyze(&AnalysisContext::from_dataset(&ds));
         assert!(r.lag1[&(HostId(0), HostId(1))] > 0.9);
     }

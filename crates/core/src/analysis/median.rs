@@ -84,24 +84,16 @@ pub fn max_cdf_gap(cmp: &MeanMedianComparison, lo: f64, hi: f64, grid: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, HostId, ProbeSample};
+    use detour_measure::Dataset;
     use detour_prng::Rng;
     use detour_prng::Xoshiro256pp;
 
     /// Triangle dataset with symmetric RTT noise around the given bases.
     fn dataset(skewed: bool) -> Dataset {
         let mut rng = Xoshiro256pp::seed_from_u64(4);
-        let hosts = (0..3u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let mut probes = Vec::new();
-        for (s, d, base) in [(0u32, 2u32, 100.0f64), (0, 1, 25.0), (1, 2, 25.0)] {
+        let mut b = Dataset::builder("M");
+        b.hosts(3);
+        for (s, d, base) in [(0, 2, 100.0f64), (0, 1, 25.0), (1, 2, 25.0)] {
             for k in 0..200 {
                 // Symmetric noise, plus (optionally) rare huge outliers that
                 // drag the mean but not the median.
@@ -109,28 +101,10 @@ mod tests {
                 if skewed && k % 25 == 0 {
                     rtt += 500.0;
                 }
-                probes.push(ProbeSample {
-                    src: HostId(s),
-                    dst: HostId(d),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
+                b.probe(s, d, k as f64, Some(rtt));
             }
         }
-        Dataset {
-            name: "M".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 100.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        b.build().unwrap()
     }
 
     #[test]

@@ -76,43 +76,21 @@ pub fn analyze(cx: &AnalysisContext) -> PrevalenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detour_measure::record::HostMeta;
-    use detour_measure::Dataset;
-    use detour_measure::ProbeSample;
+    use detour_measure::{Dataset, DatasetBuilder};
+
+    /// Four hosts and one first probe per `(src, dst, path)` observation.
+    fn builder(observations: &[(u32, u32, u32)]) -> DatasetBuilder {
+        let mut b = Dataset::builder("P");
+        b.hosts(4)
+            .as_paths(vec![vec![0, 1], vec![0, 2, 1], vec![0, 3, 1]]);
+        for (k, &(s, d, path)) in observations.iter().enumerate() {
+            b.probe_with(s, d, k as f64, Some(10.0), |p| p.path_idx = path);
+        }
+        b
+    }
 
     fn dataset(observations: &[(u32, u32, u32)]) -> Dataset {
-        let hosts = (0..4u32)
-            .map(|id| HostMeta {
-                id: HostId(id),
-                name: format!("h{id}"),
-                asn: id as u16,
-                truly_rate_limited: false,
-            })
-            .collect();
-        let probes = observations
-            .iter()
-            .enumerate()
-            .map(|(k, &(s, d, path))| ProbeSample {
-                src: HostId(s),
-                dst: HostId(d),
-                t_s: k as f64,
-                probe_index: 0,
-                rtt_ms: Some(10.0),
-                loss_eligible: true,
-                episode: None,
-                path_idx: path,
-            })
-            .collect();
-        Dataset {
-            name: "P".into(),
-            hosts,
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0, 1], vec![0, 2, 1], vec![0, 3, 1]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        builder(observations).build().unwrap()
     }
 
     #[test]
@@ -144,17 +122,13 @@ mod tests {
         // One invocation = 3 probes sharing a timestamp & path; only probe
         // index 0 should vote. Fake it: add probe_index 1/2 rows on a
         // different path; they must be ignored.
-        let mut ds = dataset(&[(0, 1, 0), (0, 1, 0)]);
-        ds.probes.push(ProbeSample {
-            src: HostId(0),
-            dst: HostId(1),
-            t_s: 99.0,
-            probe_index: 1,
-            rtt_ms: Some(10.0),
-            loss_eligible: true,
-            episode: None,
-            path_idx: 1,
-        });
+        let ds = builder(&[(0, 1, 0), (0, 1, 0)])
+            .probe_with(0, 1, 99.0, Some(10.0), |p| {
+                p.probe_index = 1;
+                p.path_idx = 1;
+            })
+            .build()
+            .unwrap();
         let r = analyze(&AnalysisContext::from_dataset(&ds));
         assert_eq!(r.dominance[&(HostId(0), HostId(1))], 1.0);
     }

@@ -175,53 +175,25 @@ mod tests {
 
     mod end_to_end {
         use super::super::*;
-        use detour_measure::record::HostMeta;
-        use detour_measure::{Dataset, HostId, ProbeSample};
+        use detour_measure::Dataset;
 
         /// Triangle: direct path has low propagation but terrible queuing;
         /// the detour has more propagation, far less queuing → group 6.
         fn congested_direct() -> Dataset {
-            let hosts = (0..3u32)
-                .map(|id| HostMeta {
-                    id: HostId(id),
-                    name: format!("h{id}"),
-                    asn: id as u16,
-                    truly_rate_limited: false,
-                })
-                .collect();
-            let mut probes = Vec::new();
-            let mut push = |s: u32, d: u32, samples: &[f64]| {
-                for (k, &rtt) in samples.iter().enumerate() {
-                    probes.push(ProbeSample {
-                        src: HostId(s),
-                        dst: HostId(d),
-                        t_s: k as f64,
-                        probe_index: 0,
-                        rtt_ms: Some(rtt),
-                        loss_eligible: true,
-                        episode: None,
-                        path_idx: 0,
-                    });
-                }
-            };
+            let mut b = Dataset::builder("P");
+            b.hosts(3);
             // Direct 0→2: floor 21 ms (20 % of samples) but usually queued
             // to ~150 ms — keeping the 10th percentile at the floor.
-            let direct: Vec<f64> = (0..50).map(|i| if i < 10 { 21.0 } else { 150.0 }).collect();
-            push(0, 2, &direct);
-            // Legs: floor 25 ms each, negligible queuing.
-            let leg: Vec<f64> = (0..50).map(|i| 25.0 + (i % 3) as f64).collect();
-            push(0, 1, &leg);
-            push(1, 2, &leg);
-            Dataset {
-                name: "P".into(),
-                hosts,
-                probes,
-                transfers: vec![],
-                as_paths: vec![vec![0]],
-                duration_s: 100.0,
-                detected_rate_limited: vec![],
-                starved_pairs: 0,
+            for k in 0..50 {
+                b.probe(0, 2, k as f64, Some(if k < 10 { 21.0 } else { 150.0 }));
             }
+            // Legs: floor 25 ms each, negligible queuing.
+            for (s, d) in [(0, 1), (1, 2)] {
+                for k in 0..50 {
+                    b.probe(s, d, k as f64, Some(25.0 + (k % 3) as f64));
+                }
+            }
+            b.build().unwrap()
         }
 
         #[test]

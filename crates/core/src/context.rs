@@ -101,13 +101,13 @@ impl AnalysisContext {
     }
 
     /// The modal AS path of the directed pair `(i, j)` (table indices).
-    /// Empty when the pair saw no probes or its pool index is out of range
-    /// for `Dataset::as_paths` — trace files are untrusted input.
+    /// Empty when the pair saw no probes; [`Dataset::new`] keeps every
+    /// probe's pool index inside `Dataset::as_paths`.
     pub fn modal_as_path(&self, i: usize, j: usize) -> &[u16] {
-        self.table
-            .modal_path_idx(i, j)
-            .and_then(|idx| self.dataset.as_paths.get(idx as usize))
-            .map_or(&[], Vec::as_slice)
+        self.table.modal_path_idx(i, j).map_or(&[], |idx| {
+            debug_assert!((idx as usize) < self.dataset.as_paths.len());
+            &self.dataset.as_paths[idx as usize]
+        })
     }
 
     /// The weight matrix for `metric`, built on first request and shared
@@ -227,41 +227,21 @@ impl Degradation {
 mod tests {
     use super::*;
     use crate::metric::{Loss, PropDelay, Rtt};
-    use detour_measure::record::HostMeta;
-    use detour_measure::{HostId, ProbeSample};
+    use detour_measure::DatasetBuilder;
+
+    fn tiny() -> DatasetBuilder {
+        let mut b = Dataset::builder("T");
+        b.hosts(3)
+            .probe(0, 1, 0.0, Some(50.0))
+            .probe(1, 2, 0.0, Some(30.0))
+            .probe(0, 2, 0.0, Some(120.0))
+            .as_paths(vec![vec![0, 9, 1]])
+            .duration(10.0);
+        b
+    }
 
     fn tiny_dataset() -> Dataset {
-        let probe = |src: u32, dst: u32, t: f64, rtt: f64| ProbeSample {
-            src: HostId(src),
-            dst: HostId(dst),
-            t_s: t,
-            probe_index: 0,
-            rtt_ms: Some(rtt),
-            loss_eligible: true,
-            episode: None,
-            path_idx: 0,
-        };
-        Dataset {
-            name: "T".into(),
-            hosts: (0..3)
-                .map(|id| HostMeta {
-                    id: HostId(id),
-                    name: format!("h{id}"),
-                    asn: id as u16,
-                    truly_rate_limited: false,
-                })
-                .collect(),
-            probes: vec![
-                probe(0, 1, 0.0, 50.0),
-                probe(1, 2, 0.0, 30.0),
-                probe(0, 2, 0.0, 120.0),
-            ],
-            transfers: vec![],
-            as_paths: vec![vec![0, 9, 1]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        tiny().build().unwrap()
     }
 
     #[test]
@@ -338,25 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_path_index_gives_empty_modal_paths() {
-        // Both directions measured, but every probe names a path past the
-        // end of the pool: the AS analyses must see empty paths, not panic.
-        let mut ds = tiny_dataset();
-        let mut back = ds.probes[0];
-        (back.src, back.dst) = (back.dst, back.src);
-        ds.probes.push(back);
-        for p in &mut ds.probes {
-            p.path_idx = 7;
-        }
-        let cx = AnalysisContext::from_dataset(&ds);
-        assert_eq!(cx.table().modal_path_idx(0, 1), Some(7));
-        assert!(cx.modal_as_path(0, 1).is_empty());
-        assert!(crate::analysis::aspop::analyze(&cx, &Rtt).is_empty());
-        let census = crate::analysis::asymmetry::analyze(&cx);
-        assert_eq!(census.pairs_bidirectional, 0, "{census:?}");
-    }
-
-    #[test]
     fn context_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<AnalysisContext>();
@@ -375,15 +336,9 @@ mod tests {
 
     #[test]
     fn starved_and_isolated_hosts_flag_degradation() {
-        let mut ds = tiny_dataset();
-        ds.starved_pairs = 4;
         // Add a host with no measurements at all.
-        ds.hosts.push(HostMeta {
-            id: HostId(9),
-            name: "h9".into(),
-            asn: 9,
-            truly_rate_limited: false,
-        });
+        let mut ds = tiny().host(9).build().unwrap();
+        ds.starved_pairs = 4;
         let cx = AnalysisContext::from_dataset(&ds);
         let d = cx.degradation();
         assert!(d.is_degraded());
@@ -395,8 +350,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_degrades_gracefully() {
-        let mut ds = tiny_dataset();
-        ds.probes.clear();
+        let ds = Dataset::builder("T").hosts(3).build().unwrap();
         // Building every artifact on an empty dataset must not panic.
         let cx = AnalysisContext::from_dataset(&ds);
         cx.ensure(ArtifactKind::Weights(MetricKind::Rtt));

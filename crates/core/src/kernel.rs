@@ -715,7 +715,7 @@ mod tests {
     use super::*;
     use crate::metric::Rtt;
     use crate::testkit::rtt_matrix_dataset;
-    use detour_measure::{Dataset, TransferSample};
+    use detour_measure::Dataset;
 
     const X: f64 = f64::NAN;
 
@@ -903,23 +903,18 @@ mod tests {
     fn bandwidth_scan_picks_the_first_best_unmasked_complete_relay() {
         // 0→3 direct at 50 kB/s; relays 1 and 2 have identical transfer
         // legs (20 ms, 1 % loss), so their synthetic bandwidths are equal.
-        let row: &[f64] = &[X; 4];
-        let mut ds = rtt_matrix_dataset(&[row; 4], 1);
-        let transfer = |s: u32, d: u32, bandwidth_kbps: f64| TransferSample {
-            src: HostId(s),
-            dst: HostId(d),
-            t_s: 0.0,
-            rtt_ms: 20.0,
-            loss_rate: 0.01,
-            bandwidth_kbps,
-        };
-        ds.transfers = vec![
-            transfer(0, 3, 50.0),
-            transfer(0, 1, 80.0),
-            transfer(1, 3, 80.0),
-            transfer(0, 2, 80.0),
-            transfer(2, 3, 80.0),
-        ];
+        let mut b = Dataset::builder("T");
+        b.hosts(4);
+        for (s, d, bandwidth_kbps) in [
+            (0, 3, 50.0),
+            (0, 1, 80.0),
+            (1, 3, 80.0),
+            (0, 2, 80.0),
+            (2, 3, 80.0),
+        ] {
+            b.transfer(s, d, 0.0, 20.0, 0.01, bandwidth_kbps);
+        }
+        let ds = b.build().unwrap();
         let bm = BandwidthMatrix::build(&PairTable::build(&ds));
         let mode = LossComposition::Optimistic;
         let search = |bm: &BandwidthMatrix, mask: &[bool]| {

@@ -93,43 +93,17 @@ impl MetricKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use detour_measure::record::HostMeta;
-    use detour_measure::{Dataset, HostId, ProbeSample};
+    use detour_measure::Dataset;
 
     /// A two-host table whose only edge, 0 → 1, saw one probe per outcome
     /// (`Some(rtt)` returned, `None` lost).
     fn edge(outcomes: &[Option<f64>]) -> PairTable {
-        let probes = outcomes
-            .iter()
-            .enumerate()
-            .map(|(k, &rtt_ms)| ProbeSample {
-                src: HostId(0),
-                dst: HostId(1),
-                t_s: k as f64,
-                probe_index: 0,
-                rtt_ms,
-                loss_eligible: true,
-                episode: None,
-                path_idx: 0,
-            })
-            .collect();
-        PairTable::build(&Dataset {
-            name: "E".into(),
-            hosts: (0..2)
-                .map(|id| HostMeta {
-                    id: HostId(id),
-                    name: format!("h{id}"),
-                    asn: id as u16,
-                    truly_rate_limited: false,
-                })
-                .collect(),
-            probes,
-            transfers: vec![],
-            as_paths: vec![vec![0]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        })
+        let mut b = Dataset::builder("E");
+        b.hosts(2);
+        for (k, &rtt_ms) in outcomes.iter().enumerate() {
+            b.probe(0, 1, k as f64, rtt_ms);
+        }
+        PairTable::build(&b.build().unwrap())
     }
 
     /// An edge with `lost` of `total` probes lost (loss rate `lost/total`).

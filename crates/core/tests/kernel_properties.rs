@@ -31,54 +31,30 @@ use detour_core::analysis::hostremoval::greedy_removal;
 use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
 use detour_core::metric::Rtt;
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
-use detour_measure::record::HostMeta;
-use detour_measure::{Dataset, HostId, PairTable, ProbeSample};
+use detour_measure::{Dataset, DatasetBuilder, HostId, PairTable};
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 
 /// Random sparse RTT matrix → dataset (NaN = unmeasured edge).
-fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
+fn random_builder(rng: &mut Xoshiro256pp) -> DatasetBuilder {
     let n = rng.gen_range(4..9usize);
     let missing = rng.gen_range(0.1..0.5f64);
-    let hosts = (0..n as u32)
-        .map(|id| HostMeta {
-            id: HostId(id),
-            name: format!("h{id}"),
-            asn: id as u16,
-            truly_rate_limited: false,
-        })
-        .collect();
-    let mut probes = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
+    let mut b = Dataset::builder("P");
+    b.hosts(n as u32);
+    for i in 0..n as u32 {
+        for j in 0..n as u32 {
             if i == j || rng.gen_bool(missing) {
                 continue;
             }
             let rtt = rng.gen_range(1.0..100.0f64).round();
-            for k in 0..2 {
-                probes.push(ProbeSample {
-                    src: HostId(i as u32),
-                    dst: HostId(j as u32),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
-            }
+            b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
         }
     }
-    Dataset {
-        name: "P".into(),
-        hosts,
-        probes,
-        transfers: vec![],
-        as_paths: vec![vec![0]],
-        duration_s: 10.0,
-        detected_rate_limited: vec![],
-        starved_pairs: 0,
-    }
+    b
+}
+
+fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
+    random_builder(rng).build().unwrap()
 }
 
 /// The table rebuilt from `ds` without host `victim`.
@@ -400,8 +376,8 @@ fn by_pair(cs: Vec<PathComparison>) -> HashMap<Pair, PathComparison> {
 #[test]
 fn adding_a_measured_edge_never_worsens_a_best_alternate() {
     check("added edge never hurts", |rng| {
-        let mut ds = random_dataset(rng);
-        let g = PairTable::build(&ds);
+        let mut b = random_builder(rng);
+        let g = PairTable::build(&b.build().unwrap());
         let n = g.len();
         let unmeasured: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| (0..n).map(move |j| (i, j)))
@@ -412,19 +388,10 @@ fn adding_a_measured_edge_never_worsens_a_best_alternate() {
         }
         let (i, j) = unmeasured[rng.gen_range(0..unmeasured.len())];
         let rtt = rng.gen_range(1.0..100.0f64).round();
-        for k in 0..2 {
-            ds.probes.push(ProbeSample {
-                src: g.hosts()[i],
-                dst: g.hosts()[j],
-                t_s: k as f64,
-                probe_index: 0,
-                rtt_ms: Some(rtt),
-                loss_eligible: true,
-                episode: None,
-                path_idx: 0,
-            });
-        }
-        let g2 = PairTable::build(&ds);
+        // Host ids equal the table's dense indices.
+        let (s, d) = (i as u32, j as u32);
+        b.probe(s, d, 0.0, Some(rtt)).probe(s, d, 1.0, Some(rtt));
+        let g2 = PairTable::build(&b.build().unwrap());
         assert!(g2.measured(i, j), "the new edge must be measured");
         for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
             let after = by_pair(compare_graph(&g2, &Rtt, depth));

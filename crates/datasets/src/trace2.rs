@@ -35,8 +35,14 @@
 //! are written as zero and ignored on read, so `Option` round-trips
 //! exactly and every column keeps a fixed stride (which is what makes the
 //! chunked parallel decode trivial).
-//! A present probe rtt and every transfer rtt must be finite and positive;
-//! a cell that breaks either is a [`Trace2Error::BadValue`].
+//!
+//! The decoder checks structure only: section extents, counts, offsets,
+//! flag bits and UTF-8 names, each fault a [`Trace2Error::BadValue`] or
+//! one of the other structural variants. The values themselves (unique
+//! hosts, listed endpoints, sample times inside the trace, positive RTTs,
+//! loss rates in `[0, 1]`, AS-path indices inside the pool, …) are
+//! [`Dataset::new`]'s rules: the decoded columns go through it, and a
+//! broken rule is a [`Trace2Error::Dataset`] naming the field and row.
 //!
 //! `f64` columns store raw IEEE-754 bits, so the decoded [`Dataset`] is
 //! *bit-identical* to the one that was saved, with no float formatting or
@@ -57,7 +63,7 @@
 
 use std::path::Path;
 
-use detour_measure::{Dataset, HostMeta, ProbeSample, TransferSample};
+use detour_measure::{Dataset, DatasetError, HostMeta, ProbeSample, TransferSample};
 use detour_netsim::HostId;
 
 /// The 8-byte magic at offset 0.
@@ -171,6 +177,8 @@ pub enum Trace2Error {
         /// Byte offset within the section of the offending value.
         offset: usize,
     },
+    /// The file decodes, but its columns break a [`Dataset::new`] rule.
+    Dataset(DatasetError),
 }
 
 impl std::fmt::Display for Trace2Error {
@@ -213,6 +221,7 @@ impl std::fmt::Display for Trace2Error {
             Trace2Error::BadValue { id, offset } => {
                 write!(f, "trace2 section {id} holds an invalid value at byte {offset}")
             }
+            Trace2Error::Dataset(e) => write!(f, "trace2 file holds an invalid dataset: {e}"),
         }
     }
 }
@@ -615,7 +624,6 @@ fn decode_probes(sec: &[u8]) -> Result<Vec<ProbeSample>, Trace2Error> {
     let probe_index = cur.column(n, 1)?;
     let flags_off = cur.pos;
     let flags = cur.column(n, 1)?;
-    let rtt_off = cur.pos;
     let rtt = cur.column(n, 8)?;
     let episode = cur.column(n, 4)?;
     let path_idx = cur.column(n, 4)?;
@@ -629,19 +637,6 @@ fn decode_probes(sec: &[u8]) -> Result<Vec<ProbeSample>, Trace2Error> {
         return Err(Trace2Error::BadValue {
             id: SEC_PROBES,
             offset: flags_off + bad,
-        });
-    }
-    // A present RTT must be finite and positive: the analysis sorts RTTs
-    // and cannot order a NaN, and RTTs become shortest-path weights, which
-    // Dijkstra needs non-negative (the simulator never returns less than
-    // twice its 0.05 ms link-delay floor).
-    if let Some(bad) = (0..n).find(|&i| {
-        let v = col_f64(rtt, i);
-        flags[i] & FLAG_RTT_PRESENT != 0 && !(v.is_finite() && v > 0.0)
-    }) {
-        return Err(Trace2Error::BadValue {
-            id: SEC_PROBES,
-            offset: rtt_off + bad * 8,
         });
     }
     let ranges: Vec<(usize, usize)> = (0..n)
@@ -765,22 +760,10 @@ pub fn from_bytes(buf: &[u8]) -> Result<Dataset, Trace2Error> {
     let src = cur.column(n, 4)?;
     let dst = cur.column(n, 4)?;
     let t_s = cur.column(n, 8)?;
-    let rtt_off = cur.pos;
     let rtt = cur.column(n, 8)?;
     let loss = cur.column(n, 8)?;
     let bw = cur.column(n, 8)?;
     cur.done()?;
-    // A transfer RTT must be finite and positive: the bandwidth figures
-    // divide by it (the Mathis model).
-    if let Some(bad) = (0..n).find(|&i| {
-        let v = col_f64(rtt, i);
-        !(v.is_finite() && v > 0.0)
-    }) {
-        return Err(Trace2Error::BadValue {
-            id: SEC_TRANSFERS,
-            offset: rtt_off + bad * 8,
-        });
-    }
     let transfers: Vec<TransferSample> = (0..n)
         .map(|i| TransferSample {
             src: HostId(col_u32(src, i)),
@@ -799,16 +782,11 @@ pub fn from_bytes(buf: &[u8]) -> Result<Dataset, Trace2Error> {
     cur.done()?;
     let detected_rate_limited: Vec<HostId> = (0..n).map(|i| HostId(col_u32(ids, i))).collect();
 
-    Ok(Dataset {
-        name,
-        hosts: host_meta,
-        probes,
-        transfers,
-        as_paths,
-        duration_s,
-        detected_rate_limited,
-        starved_pairs: starved,
-    })
+    let mut ds = Dataset::new(name, host_meta, probes, transfers, as_paths, duration_s)
+        .map_err(Trace2Error::Dataset)?;
+    ds.detected_rate_limited = detected_rate_limited;
+    ds.starved_pairs = starved;
+    Ok(ds)
 }
 
 /// Errors arising when loading a `.trace2` file from disk.
@@ -854,57 +832,33 @@ mod tests {
     use super::*;
 
     fn sample_dataset() -> Dataset {
-        Dataset {
-            name: "TEST".into(),
-            hosts: vec![
-                HostMeta {
-                    id: HostId(3),
-                    name: "host0.as9.Seattle".into(),
-                    asn: 9,
-                    truly_rate_limited: false,
-                },
-                HostMeta {
-                    id: HostId(5),
-                    name: "host0.as11.Miami".into(),
-                    asn: 11,
-                    truly_rate_limited: true,
-                },
-            ],
-            probes: vec![
-                ProbeSample {
-                    src: HostId(3),
-                    dst: HostId(5),
-                    t_s: 12.5,
-                    probe_index: 0,
-                    rtt_ms: Some(88.25),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                },
-                ProbeSample {
-                    src: HostId(3),
-                    dst: HostId(5),
-                    t_s: 12.6,
-                    probe_index: 1,
-                    rtt_ms: None,
-                    loss_eligible: false,
-                    episode: Some(4),
-                    path_idx: 0,
-                },
-            ],
-            transfers: vec![TransferSample {
-                src: HostId(5),
-                dst: HostId(3),
-                t_s: 99.0,
-                rtt_ms: 120.5,
-                loss_rate: 0.0125,
-                bandwidth_kbps: 88.4,
-            }],
-            as_paths: vec![vec![9, 2, 11], vec![]],
-            duration_s: 86_400.0,
-            detected_rate_limited: vec![HostId(5)],
-            starved_pairs: 3,
-        }
+        let mut ds = Dataset::builder("TEST")
+            .host_meta(HostMeta {
+                id: HostId(3),
+                name: "host0.as9.Seattle".into(),
+                asn: 9,
+                truly_rate_limited: false,
+            })
+            .host_meta(HostMeta {
+                id: HostId(5),
+                name: "host0.as11.Miami".into(),
+                asn: 11,
+                truly_rate_limited: true,
+            })
+            .probe(3, 5, 12.5, Some(88.25))
+            .probe_with(3, 5, 12.6, None, |p| {
+                p.probe_index = 1;
+                p.loss_eligible = false;
+                p.episode = Some(4);
+            })
+            .transfer(5, 3, 99.0, 120.5, 0.0125, 88.4)
+            .as_paths(vec![vec![9, 2, 11], vec![]])
+            .duration(86_400.0)
+            .build()
+            .unwrap();
+        ds.detected_rate_limited = vec![HostId(5)];
+        ds.starved_pairs = 3;
+        ds
     }
 
     #[test]
@@ -916,16 +870,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_roundtrips() {
-        let ds = Dataset {
-            name: String::new(),
-            hosts: vec![],
-            probes: vec![],
-            transfers: vec![],
-            as_paths: vec![],
-            duration_s: 0.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        };
+        let ds = Dataset::builder("").as_paths(vec![]).build().unwrap();
         assert_eq!(from_bytes(&to_bytes(&ds)).unwrap(), ds);
     }
 
@@ -936,7 +881,7 @@ mod tests {
         // the raw bits, not a rounded value.
         ds.probes[0].rtt_ms = Some(0.1 + 0.2);
         ds.transfers[0].loss_rate = f64::MIN_POSITIVE;
-        ds.duration_s = 1.0 / 3.0;
+        ds.duration_s = 1000.0 / 3.0;
         let back = from_bytes(&to_bytes(&ds)).unwrap();
         assert_eq!(
             back.probes[0].rtt_ms.map(f64::to_bits),
@@ -1017,43 +962,6 @@ mod tests {
                 offset: flags_in_sec,
             })
         );
-    }
-
-    #[test]
-    fn non_finite_probe_rtt_is_rejected() {
-        let mut ds = sample_dataset();
-        let n = ds.probes.len();
-        // The RTT column sits after count + src + dst + t_s + probe_index
-        // + flags.
-        let rtt_in_sec = 4 + n * (4 + 4 + 8 + 1 + 1);
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -0.0, -1.0] {
-            ds.probes[0].rtt_ms = Some(bad);
-            assert_eq!(
-                from_bytes(&to_bytes(&ds)),
-                Err(Trace2Error::BadValue {
-                    id: SEC_PROBES,
-                    offset: rtt_in_sec,
-                })
-            );
-        }
-    }
-
-    #[test]
-    fn non_positive_transfer_rtt_is_rejected() {
-        let mut ds = sample_dataset();
-        let n = ds.transfers.len();
-        // The RTT column sits after count + src + dst + t_s.
-        let rtt_in_sec = 4 + n * (4 + 4 + 8);
-        for bad in [0.0, -0.0, -12.5, f64::NAN, f64::INFINITY] {
-            ds.transfers[0].rtt_ms = bad;
-            assert_eq!(
-                from_bytes(&to_bytes(&ds)),
-                Err(Trace2Error::BadValue {
-                    id: SEC_TRANSFERS,
-                    offset: rtt_in_sec,
-                })
-            );
-        }
     }
 
     #[test]

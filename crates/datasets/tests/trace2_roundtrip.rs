@@ -4,7 +4,7 @@
 //! cache re-writes never churn bytes).
 
 use detour_datasets::{trace2, DatasetId};
-use detour_measure::{Dataset, HostMeta, PairTable, ProbeSample, TransferSample};
+use detour_measure::{Dataset, HostMeta, PairTable};
 use detour_netsim::HostId;
 use detour_prng::{check, Rng, Xoshiro256pp};
 
@@ -21,7 +21,7 @@ fn finite_f64(rng: &mut Xoshiro256pp) -> f64 {
 }
 
 /// Any finite, strictly positive f64 bit pattern (subnormals included) —
-/// the domain the decoder accepts for a probe or transfer RTT.
+/// the domain [`Dataset::new`] accepts for a probe or transfer RTT.
 fn positive_f64(rng: &mut Xoshiro256pp) -> f64 {
     loop {
         let v = finite_f64(rng);
@@ -31,14 +31,26 @@ fn positive_f64(rng: &mut Xoshiro256pp) -> f64 {
     }
 }
 
-/// A structurally arbitrary dataset: host counts down to zero, empty
-/// names, absent RTTs, episodic and non-episodic probes, empty AS paths,
-/// rate-limit metadata and starved-pair counters all drawn at random.
+/// A finite f64 bit pattern folded into `[0, max]`: zero, subnormals,
+/// `max` itself and everything between.
+fn within(rng: &mut Xoshiro256pp, max: f64) -> f64 {
+    finite_f64(rng).abs().min(max)
+}
+
+/// A structurally arbitrary valid dataset: host counts down to zero,
+/// empty names, absent RTTs, episodic and non-episodic probes, empty AS
+/// paths, rate-limit metadata and starved-pair counters all drawn at
+/// random, with every value drawn inside [`Dataset::new`]'s rules.
 fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
-    let n_hosts = rng.gen_range(0..6usize);
-    let hosts: Vec<HostMeta> = (0..n_hosts)
-        .map(|i| HostMeta {
-            id: HostId(i as u32 * 3 + rng.gen_range(1..3u32)),
+    let duration = within(rng, f64::MAX);
+    let mut b = Dataset::builder(&format!("R{}", rng.next_u64() % 100));
+    let n_hosts = rng.gen_range(0..6u32);
+    let ids: Vec<u32> = (0..n_hosts)
+        .map(|i| i * 3 + rng.gen_range(1..3u32))
+        .collect();
+    for &id in &ids {
+        b.host_meta(HostMeta {
+            id: HostId(id),
             name: if rng.gen_bool(0.1) {
                 String::new()
             } else {
@@ -46,61 +58,52 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
             },
             asn: rng.gen_range(0..u16::MAX as u32) as u16,
             truly_rate_limited: rng.gen_bool(0.3),
-        })
-        .collect();
-    let n_paths = rng.gen_range(0..4usize);
-    let as_paths: Vec<Vec<u16>> = (0..n_paths)
-        .map(|_| {
-            (0..rng.gen_range(0..5usize))
-                .map(|_| rng.gen_range(0..u16::MAX as u32) as u16)
-                .collect()
-        })
-        .collect();
-    let probes = if hosts.is_empty() {
-        Vec::new()
-    } else {
-        (0..rng.gen_range(0..40usize))
-            .map(|_| ProbeSample {
-                src: hosts[rng.gen_range(0..hosts.len())].id,
-                dst: hosts[rng.gen_range(0..hosts.len())].id,
-                t_s: finite_f64(rng),
-                probe_index: rng.gen_range(0..3u32) as u8,
-                rtt_ms: rng.gen_bool(0.8).then(|| positive_f64(rng)),
-                loss_eligible: rng.gen_bool(0.9),
-                episode: rng.gen_bool(0.4).then(|| rng.next_u64() as u32),
-                path_idx: rng.gen_range(0..(n_paths.max(1) as u32)),
+        });
+    }
+    let n_paths = rng.gen_range(0..4u32);
+    b.as_paths(
+        (0..n_paths)
+            .map(|_| {
+                (0..rng.gen_range(0..5usize))
+                    .map(|_| rng.gen_range(0..u16::MAX as u32) as u16)
+                    .collect()
             })
-            .collect()
+            .collect(),
+    )
+    .duration(duration);
+    let pair = |rng: &mut Xoshiro256pp| {
+        let s = rng.gen_range(0..ids.len());
+        (ids[s], ids[(s + rng.gen_range(1..ids.len())) % ids.len()])
     };
-    let transfers = if hosts.is_empty() {
-        Vec::new()
-    } else {
-        (0..rng.gen_range(0..10usize))
-            .map(|_| TransferSample {
-                src: hosts[rng.gen_range(0..hosts.len())].id,
-                dst: hosts[rng.gen_range(0..hosts.len())].id,
-                t_s: finite_f64(rng),
-                rtt_ms: positive_f64(rng),
-                loss_rate: finite_f64(rng),
-                bandwidth_kbps: finite_f64(rng),
-            })
-            .collect()
-    };
-    let detected_rate_limited = hosts
+    if ids.len() >= 2 && n_paths > 0 {
+        for _ in 0..rng.gen_range(0..40usize) {
+            let (s, d) = pair(rng);
+            let t = within(rng, duration);
+            let rtt = rng.gen_bool(0.8).then(|| positive_f64(rng));
+            b.probe_with(s, d, t, rtt, |p| {
+                p.probe_index = rng.gen_range(0..3u32) as u8;
+                p.loss_eligible = rng.gen_bool(0.9);
+                p.episode = rng.gen_bool(0.4).then(|| rng.next_u64() as u32);
+                p.path_idx = rng.gen_range(0..n_paths);
+            });
+        }
+    }
+    if ids.len() >= 2 {
+        for _ in 0..rng.gen_range(0..10usize) {
+            let (s, d) = pair(rng);
+            let (t, rtt) = (within(rng, duration), positive_f64(rng));
+            let (loss, bw) = (within(rng, 1.0), within(rng, f64::MAX));
+            b.transfer(s, d, t, rtt, loss, bw);
+        }
+    }
+    let mut ds = b.build().expect("every draw obeys the dataset rules");
+    ds.detected_rate_limited = ids
         .iter()
         .filter(|_| rng.gen_bool(0.2))
-        .map(|h| h.id)
+        .map(|&id| HostId(id))
         .collect();
-    Dataset {
-        name: format!("R{}", rng.next_u64() % 100),
-        hosts,
-        probes,
-        transfers,
-        as_paths,
-        duration_s: finite_f64(rng),
-        detected_rate_limited,
-        starved_pairs: rng.gen_range(0..1000usize),
-    }
+    ds.starved_pairs = rng.gen_range(0..1000usize);
+    ds
 }
 
 #[test]

@@ -22,11 +22,18 @@ use crate::record::{HostMeta, ProbeSample, TransferSample};
 pub const MIN_SAMPLES_PER_PATH: usize = 30;
 
 /// An assembled, cleaned dataset.
+///
+/// [`Dataset::new`] is the only constructor, and it checks the rules the
+/// analyses rely on (see [`DatasetError`]), so a `Dataset` built by the
+/// simulator, loaded from a trace, or written by a test fixture is one the
+/// paper's arithmetic is defined on. The fields stay public for reading;
+/// code that edits them afterwards takes on the rules itself.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct Dataset {
     /// Dataset name ("UW3", "D2-NA", …).
     pub name: String,
-    /// Hosts remaining after filtering.
+    /// Hosts remaining after filtering; no id appears twice.
     pub hosts: Vec<HostMeta>,
     /// Flattened per-probe samples (traceroute datasets).
     pub probes: Vec<ProbeSample>,
@@ -34,18 +41,95 @@ pub struct Dataset {
     pub transfers: Vec<TransferSample>,
     /// Pool of distinct AS paths; probes reference entries by index.
     pub as_paths: Vec<Vec<u16>>,
-    /// Trace duration, seconds.
+    /// Trace duration, seconds; every sample time lies in `[0, duration_s]`.
     pub duration_s: f64,
-    /// Hosts the empirical detector flagged as rate limiting.
+    /// Hosts the empirical detector flagged as rate limiting. This may
+    /// name hosts that are not in `hosts`: the `FilterHosts` policy and
+    /// [`Dataset::restrict_to_hosts`] remove hosts but keep the record of
+    /// what the detector saw. [`Dataset::new`] leaves it empty; assembly
+    /// and trace loading set it afterwards.
     pub detected_rate_limited: Vec<HostId>,
     /// Directed pairs that had *some* data but fell below the paper's
     /// ≥30-sample filter at assembly and were dropped. Nonzero means the
     /// dataset under-represents bad connectivity (outages starve exactly
     /// the paths that were failing) — reports flag it rather than let the
     /// aggregates skew silently. Restriction to a host subset keeps the
-    /// assembly-time count.
+    /// assembly-time count. [`Dataset::new`] sets it to 0.
     pub starved_pairs: usize,
 }
+
+/// The field a [`DatasetError`] points at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DatasetField {
+    /// `duration_s`: must be finite and ≥ 0.
+    Duration,
+    /// `hosts[row].id`: repeats an earlier host's id.
+    Host,
+    /// `probes[row].src`: not a listed host.
+    ProbeSrc,
+    /// `probes[row].dst`: not a listed host, or equal to `src`.
+    ProbeDst,
+    /// `probes[row].t_s`: not in `[0, duration_s]`.
+    ProbeTime,
+    /// `probes[row].rtt_ms`: present but not finite and > 0.
+    ProbeRtt,
+    /// `probes[row].path_idx`: past the end of `as_paths`.
+    ProbePath,
+    /// `transfers[row].src`: not a listed host.
+    TransferSrc,
+    /// `transfers[row].dst`: not a listed host, or equal to `src`.
+    TransferDst,
+    /// `transfers[row].t_s`: not in `[0, duration_s]`.
+    TransferTime,
+    /// `transfers[row].rtt_ms`: not finite and > 0.
+    TransferRtt,
+    /// `transfers[row].loss_rate`: not in `[0, 1]`.
+    TransferLoss,
+    /// `transfers[row].bandwidth_kbps`: not finite and ≥ 0.
+    TransferBandwidth,
+}
+
+impl DatasetField {
+    /// The field's path and the rule it broke.
+    fn describe(self) -> (&'static str, &'static str) {
+        use DatasetField::*;
+        match self {
+            Duration => ("duration_s", "is not finite and >= 0"),
+            Host => ("hosts.id", "repeats an earlier host"),
+            ProbeSrc => ("probes.src", "names an unlisted host"),
+            ProbeDst => ("probes.dst", "names an unlisted host or the source"),
+            ProbeTime => ("probes.t_s", "lies outside [0, duration_s]"),
+            ProbeRtt => ("probes.rtt_ms", "is not finite and > 0"),
+            ProbePath => ("probes.path_idx", "is past the AS-path pool"),
+            TransferSrc => ("transfers.src", "names an unlisted host"),
+            TransferDst => ("transfers.dst", "names an unlisted host or the source"),
+            TransferTime => ("transfers.t_s", "lies outside [0, duration_s]"),
+            TransferRtt => ("transfers.rtt_ms", "is not finite and > 0"),
+            TransferLoss => ("transfers.loss_rate", "lies outside [0, 1]"),
+            TransferBandwidth => ("transfers.bandwidth_kbps", "is not finite and >= 0"),
+        }
+    }
+}
+
+/// Why [`Dataset::new`] refused its parts: the first row, in field order,
+/// that breaks a rule. `Copy` and allocation-free, like the trace
+/// decoder's own errors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatasetError {
+    /// The offending field.
+    pub field: DatasetField,
+    /// Its row in `hosts`, `probes` or `transfers` (0 for `duration_s`).
+    pub row: usize,
+}
+
+impl std::fmt::Display for DatasetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (field, rule) = self.field.describe();
+        write!(f, "{field} at row {} {rule}", self.row)
+    }
+}
+
+impl std::error::Error for DatasetError {}
 
 /// Table-1 row: the dataset's summary characteristics.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +147,103 @@ pub struct Characteristics {
 }
 
 impl Dataset {
+    /// Builds a dataset from its parts, checking every rule the analyses
+    /// rely on: host ids are unique; every probe and transfer runs between
+    /// two different listed hosts; sample times are finite and lie in
+    /// `[0, duration_s]`; a present probe RTT and every transfer RTT are
+    /// finite and positive (they become shortest-path weights and Mathis
+    /// divisors); transfer loss is a probability; bandwidth is finite and
+    /// non-negative; and every `path_idx` names an entry of `as_paths`.
+    /// The first row that breaks a rule is the error.
+    ///
+    /// `detected_rate_limited` starts empty and `starved_pairs` at 0; they
+    /// carry no rule, so callers set them on the result.
+    pub fn new(
+        name: String,
+        hosts: Vec<HostMeta>,
+        probes: Vec<ProbeSample>,
+        transfers: Vec<TransferSample>,
+        as_paths: Vec<Vec<u16>>,
+        duration_s: f64,
+    ) -> Result<Dataset, DatasetError> {
+        use DatasetField::*;
+        let fail = |field, row| Err(DatasetError { field, row });
+        if !(duration_s.is_finite() && duration_s >= 0.0) {
+            return fail(Duration, 0);
+        }
+        let mut ids: Vec<(HostId, usize)> =
+            hosts.iter().enumerate().map(|(i, h)| (h.id, i)).collect();
+        ids.sort_unstable();
+        if let Some(row) = ids
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1)
+            .min()
+        {
+            return fail(Host, row);
+        }
+        let listed = |h: HostId| ids.binary_search_by_key(&h, |&(id, _)| id).is_ok();
+        let in_window = |t: f64| (0.0..=duration_s).contains(&t);
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        for (row, p) in probes.iter().enumerate() {
+            let fault = if !listed(p.src) {
+                ProbeSrc
+            } else if p.dst == p.src || !listed(p.dst) {
+                ProbeDst
+            } else if !in_window(p.t_s) {
+                ProbeTime
+            } else if p.rtt_ms.is_some_and(|v| !positive(v)) {
+                ProbeRtt
+            } else if p.path_idx as usize >= as_paths.len() {
+                ProbePath
+            } else {
+                continue;
+            };
+            return fail(fault, row);
+        }
+        for (row, t) in transfers.iter().enumerate() {
+            let fault = if !listed(t.src) {
+                TransferSrc
+            } else if t.dst == t.src || !listed(t.dst) {
+                TransferDst
+            } else if !in_window(t.t_s) {
+                TransferTime
+            } else if !positive(t.rtt_ms) {
+                TransferRtt
+            } else if !(0.0..=1.0).contains(&t.loss_rate) {
+                TransferLoss
+            } else if !(t.bandwidth_kbps.is_finite() && t.bandwidth_kbps >= 0.0) {
+                TransferBandwidth
+            } else {
+                continue;
+            };
+            return fail(fault, row);
+        }
+        Ok(Dataset {
+            name,
+            hosts,
+            probes,
+            transfers,
+            as_paths,
+            duration_s,
+            detected_rate_limited: Vec::new(),
+            starved_pairs: 0,
+        })
+    }
+
+    /// Starts a [`DatasetBuilder`]: the way fixtures and tools write a
+    /// small dataset by hand.
+    pub fn builder(name: &str) -> DatasetBuilder {
+        DatasetBuilder {
+            name: name.to_string(),
+            hosts: Vec::new(),
+            probes: Vec::new(),
+            transfers: Vec::new(),
+            as_paths: vec![vec![0]],
+            duration_s: None,
+        }
+    }
+
     /// Assembles a dataset from raw campaign output.
     ///
     /// `min_samples` is the per-directed-path probe threshold (use
@@ -187,16 +368,18 @@ impl Dataset {
                 .filter(|&&c| c < min_transfers)
                 .count();
 
-        Dataset {
-            name: name.to_string(),
+        let mut ds = Dataset::new(
+            name.to_string(),
             hosts,
             probes,
             transfers,
             as_paths,
             duration_s,
-            detected_rate_limited: detected,
-            starved_pairs,
-        }
+        )
+        .unwrap_or_else(|e| panic!("the campaign assembled an invalid dataset: {e}"));
+        ds.detected_rate_limited = detected;
+        ds.starved_pairs = starved_pairs;
+        ds
     }
 
     /// Restricts the dataset to a host subset (used to derive the `-NA`
@@ -210,26 +393,26 @@ impl Dataset {
         keep.sort_unstable();
         keep.dedup();
         let kept = |h: HostId| keep.binary_search(&h).is_ok();
-        Dataset {
-            name: self.name.clone(),
-            hosts: self.hosts.iter().filter(|h| kept(h.id)).cloned().collect(),
-            probes: self
-                .probes
+        let mut ds = Dataset::new(
+            self.name.clone(),
+            self.hosts.iter().filter(|h| kept(h.id)).cloned().collect(),
+            self.probes
                 .iter()
                 .filter(|p| kept(p.src) && kept(p.dst))
                 .copied()
                 .collect(),
-            transfers: self
-                .transfers
+            self.transfers
                 .iter()
                 .filter(|t| kept(t.src) && kept(t.dst))
                 .copied()
                 .collect(),
-            as_paths: self.as_paths.clone(),
-            duration_s: self.duration_s,
-            detected_rate_limited: self.detected_rate_limited.clone(),
-            starved_pairs: self.starved_pairs,
-        }
+            self.as_paths.clone(),
+            self.duration_s,
+        )
+        .unwrap_or_else(|e| panic!("restricting a valid dataset broke a rule: {e}"));
+        ds.detected_rate_limited = self.detected_rate_limited.clone();
+        ds.starved_pairs = self.starved_pairs;
+        ds
     }
 
     /// Directed pairs with at least one probe (or transfer) present,
@@ -266,6 +449,131 @@ impl Dataset {
             coverage_pct: 100.0 * self.measured_pairs().len() as f64 / potential as f64,
             duration_days: self.duration_s / 86_400.0,
         }
+    }
+}
+
+/// Writes a small dataset by hand and checks it through [`Dataset::new`].
+///
+/// Hosts added by [`hosts`](Self::hosts) and [`host`](Self::host) are
+/// named `h{id}` and sit in AS `id`. A probe added by
+/// [`probe`](Self::probe) is a first, loss-eligible, non-episodic probe on
+/// AS path 0. The AS-path pool starts as the single path `[0]`, and the
+/// duration defaults to the latest sample time.
+#[derive(Debug)]
+pub struct DatasetBuilder {
+    name: String,
+    hosts: Vec<HostMeta>,
+    probes: Vec<ProbeSample>,
+    transfers: Vec<TransferSample>,
+    as_paths: Vec<Vec<u16>>,
+    duration_s: Option<f64>,
+}
+
+impl DatasetBuilder {
+    /// Adds hosts `0..n`.
+    pub fn hosts(&mut self, n: u32) -> &mut Self {
+        for id in 0..n {
+            self.host(id);
+        }
+        self
+    }
+
+    /// Adds host `id`.
+    pub fn host(&mut self, id: u32) -> &mut Self {
+        self.host_meta(HostMeta {
+            id: HostId(id),
+            name: format!("h{id}"),
+            asn: id as u16,
+            truly_rate_limited: false,
+        })
+    }
+
+    /// Adds a host described in full.
+    pub fn host_meta(&mut self, meta: HostMeta) -> &mut Self {
+        self.hosts.push(meta);
+        self
+    }
+
+    /// Adds a probe from `src` to `dst` at `t_s`; `rtt_ms` is `None` when
+    /// it was lost.
+    pub fn probe(&mut self, src: u32, dst: u32, t_s: f64, rtt_ms: Option<f64>) -> &mut Self {
+        self.probe_with(src, dst, t_s, rtt_ms, |_| {})
+    }
+
+    /// Adds a probe like [`probe`](Self::probe), then lets `edit` set its
+    /// other fields (probe index, loss eligibility, episode, AS path).
+    pub fn probe_with(
+        &mut self,
+        src: u32,
+        dst: u32,
+        t_s: f64,
+        rtt_ms: Option<f64>,
+        edit: impl FnOnce(&mut ProbeSample),
+    ) -> &mut Self {
+        let mut p = ProbeSample {
+            src: HostId(src),
+            dst: HostId(dst),
+            t_s,
+            probe_index: 0,
+            rtt_ms,
+            loss_eligible: true,
+            episode: None,
+            path_idx: 0,
+        };
+        edit(&mut p);
+        self.probes.push(p);
+        self
+    }
+
+    /// Adds a TCP transfer.
+    pub fn transfer(
+        &mut self,
+        src: u32,
+        dst: u32,
+        t_s: f64,
+        rtt_ms: f64,
+        loss_rate: f64,
+        bandwidth_kbps: f64,
+    ) -> &mut Self {
+        self.transfers.push(TransferSample {
+            src: HostId(src),
+            dst: HostId(dst),
+            t_s,
+            rtt_ms,
+            loss_rate,
+            bandwidth_kbps,
+        });
+        self
+    }
+
+    /// Replaces the AS-path pool.
+    pub fn as_paths(&mut self, pool: Vec<Vec<u16>>) -> &mut Self {
+        self.as_paths = pool;
+        self
+    }
+
+    /// Sets the trace duration.
+    pub fn duration(&mut self, seconds: f64) -> &mut Self {
+        self.duration_s = Some(seconds);
+        self
+    }
+
+    /// Checks the dataset written so far through [`Dataset::new`].
+    pub fn build(&self) -> Result<Dataset, DatasetError> {
+        let latest = self
+            .probes
+            .iter()
+            .map(|p| p.t_s)
+            .chain(self.transfers.iter().map(|t| t.t_s))
+            .fold(0.0, f64::max);
+        Dataset::new(
+            self.name.clone(),
+            self.hosts.clone(),
+            self.probes.clone(),
+            self.transfers.clone(),
+            self.as_paths.clone(),
+            self.duration_s.unwrap_or(latest),
+        )
     }
 }
 
@@ -519,6 +827,56 @@ mod tests {
         assert_eq!(ds.as_paths.len(), 2);
         for p in &ds.probes {
             assert!((p.path_idx as usize) < ds.as_paths.len());
+        }
+    }
+
+    /// Two hosts, a probe 0→1 and a transfer 1→0, all valid.
+    fn valid() -> DatasetBuilder {
+        let mut b = Dataset::builder("V");
+        b.hosts(2)
+            .probe(0, 1, 1.0, Some(40.0))
+            .transfer(1, 0, 2.0, 80.0, 0.5, 10.0)
+            .duration(10.0);
+        b
+    }
+
+    #[test]
+    fn new_names_the_field_and_row_of_the_first_broken_rule() {
+        use DatasetField::*;
+        type Edit = for<'a> fn(&'a mut DatasetBuilder) -> &'a mut DatasetBuilder;
+        let cases: [(Edit, DatasetField, usize); 13] = [
+            (|b| b.duration(f64::NAN), Duration, 0),
+            (|b| b.host(1).host(1), Host, 2),
+            (|b| b.probe(7, 1, 0.0, None), ProbeSrc, 1),
+            (|b| b.probe(1, 1, 0.0, None), ProbeDst, 1),
+            (|b| b.probe(1, 0, 10.5, None), ProbeTime, 1),
+            (|b| b.probe(1, 0, 0.0, Some(0.0)), ProbeRtt, 1),
+            (
+                |b| b.probe_with(1, 0, 0.0, None, |p| p.path_idx = 1),
+                ProbePath,
+                1,
+            ),
+            (|b| b.transfer(9, 0, 0.0, 1.0, 0.0, 0.0), TransferSrc, 1),
+            (|b| b.transfer(0, 0, 0.0, 1.0, 0.0, 0.0), TransferDst, 1),
+            (|b| b.transfer(0, 1, -1.0, 1.0, 0.0, 0.0), TransferTime, 1),
+            (
+                |b| b.transfer(0, 1, 0.0, f64::INFINITY, 0.0, 0.0),
+                TransferRtt,
+                1,
+            ),
+            (|b| b.transfer(0, 1, 0.0, 1.0, 1.5, 0.0), TransferLoss, 1),
+            (
+                |b| b.transfer(0, 1, 0.0, 1.0, 0.0, -0.5),
+                TransferBandwidth,
+                1,
+            ),
+        ];
+        for (edit, field, row) in cases {
+            let mut b = valid();
+            edit(&mut b);
+            let err = b.build().expect_err("the edit breaks a rule");
+            assert_eq!(err, DatasetError { field, row });
+            assert!(err.to_string().contains(&format!("row {row}")), "{err}");
         }
     }
 }

@@ -9,9 +9,9 @@
 //!   5-minute measurement timeout;
 //! * [`ratelimit`] — empirical ICMP rate-limit detection and the three
 //!   per-dataset correction policies;
-//! * [`dataset`] — assembly into an analysis-ready [`dataset::Dataset`]
-//!   (probe flattening, ≥30-samples-per-path filtering, Table-1
-//!   characteristics);
+//! * [`dataset`] — the checked [`dataset::Dataset`] constructor and its
+//!   rules, and assembly into it (probe flattening,
+//!   ≥30-samples-per-path filtering, Table-1 characteristics);
 //! * [`pairtable`] — columnar per-pair aggregates, built once per dataset
 //!   and shared by every downstream analysis;
 //! * [`record`] — the sample records every downstream analysis consumes.
@@ -28,7 +28,9 @@ pub mod record;
 pub mod schedule;
 
 pub use control::{run_campaign, run_campaign_faulted, CampaignConfig, ProbeKind, RawMeasurements};
-pub use dataset::{Characteristics, Dataset, MIN_SAMPLES_PER_PATH};
+pub use dataset::{
+    Characteristics, Dataset, DatasetBuilder, DatasetError, DatasetField, MIN_SAMPLES_PER_PATH,
+};
 pub use pairtable::{HostIndex, PairTable};
 pub use ratelimit::RateLimitPolicy;
 pub use record::{HostMeta, Invocation, ProbeSample, TransferSample};

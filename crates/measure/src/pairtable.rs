@@ -36,8 +36,7 @@ use crate::record::ProbeSample;
 /// Dense index of a dataset's hosts: the hosts in `Dataset::hosts` order
 /// (the tables' dense axis) plus `(id, index)` pairs sorted by id, so a
 /// lookup is a binary search and the index's size follows the host count,
-/// whatever values the ids take. A repeated id resolves to its last
-/// position.
+/// whatever values the ids take.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostIndex {
     hosts: Vec<HostId>,
@@ -45,7 +44,7 @@ pub struct HostIndex {
 }
 
 impl HostIndex {
-    /// Indexes `hosts` by position.
+    /// Indexes `hosts` by position (unique, as [`Dataset::new`] checks).
     pub(crate) fn new(hosts: Vec<HostId>) -> HostIndex {
         let mut sorted: Vec<(HostId, u32)> = hosts
             .iter()
@@ -53,15 +52,22 @@ impl HostIndex {
             .map(|(i, &h)| (h, i as u32))
             .collect();
         sorted.sort_unstable();
-        // `dedup_by` hands (later, kept): keep the last position per id.
-        sorted.dedup_by(|later, kept| {
-            let dup = later.0 == kept.0;
-            if dup {
-                kept.1 = later.1;
-            }
-            dup
-        });
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0].0 != w[1].0),
+            "host ids are unique"
+        );
         HostIndex { hosts, sorted }
+    }
+
+    /// Dense index of a host the index is known to hold: every probe and
+    /// transfer endpoint of a [`Dataset`].
+    fn position(&self, h: HostId) -> usize {
+        let k = self.sorted.partition_point(|&(id, _)| id < h);
+        debug_assert!(
+            self.sorted.get(k).is_some_and(|&(id, _)| id == h),
+            "{h:?} is not a listed host"
+        );
+        self.sorted[k].1 as usize
     }
 
     /// The hosts, in dense-index order.
@@ -193,7 +199,7 @@ impl PairTable {
         probes: impl Iterator<Item = &'p ProbeSample> + Clone,
     ) -> PairTable {
         let n = index.hosts.len();
-        let cell = |src: HostId, dst: HostId| Some(index.get(src)? * n + index.get(dst)?);
+        let cell = |src: HostId, dst: HostId| index.position(src) * n + index.position(dst);
         let mut visits = 0u64; // probes read by pass 1, and again by pass 2
 
         // Pass 1: count returned probes per cell, then prefix-sum the
@@ -204,11 +210,8 @@ impl PairTable {
         let mut rtt_off: Vec<u32> = vec![0; n * n + 1];
         for p in probes.clone() {
             visits += 1;
-            let Some(c) = cell(p.src, p.dst) else {
-                continue;
-            };
             if p.rtt_ms.is_some() {
-                rtt_off[c + 1] += 1;
+                rtt_off[cell(p.src, p.dst) + 1] += 1;
             }
         }
         for c in 0..n * n {
@@ -223,9 +226,7 @@ impl PairTable {
         // sample slices stay bit-identical to the per-cell-vector build.
         let mut accs: Vec<Option<CellAcc>> = (0..n * n).map(|_| None).collect();
         for p in probes {
-            let Some(c) = cell(p.src, p.dst) else {
-                continue;
-            };
+            let c = cell(p.src, p.dst);
             let acc = accs[c].get_or_insert_with(CellAcc::default);
             if let Some(rtt) = p.rtt_ms {
                 acc.rtt.push(rtt);
@@ -247,10 +248,7 @@ impl PairTable {
         debug_assert_eq!(&cursor[..], &rtt_off[1..], "blob regions exactly filled");
         detour_obs::current().add("pairtable/probe_visits", 2 * visits);
         for t in &ds.transfers {
-            let Some(c) = cell(t.src, t.dst) else {
-                continue;
-            };
-            let acc = accs[c].get_or_insert_with(CellAcc::default);
+            let acc = accs[cell(t.src, t.dst)].get_or_insert_with(CellAcc::default);
             acc.bw.push(t.bandwidth_kbps);
             acc.t_rtt.push(t.rtt_ms);
             acc.t_loss.push(t.loss_rate);
@@ -394,54 +392,26 @@ impl PairTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{HostMeta, TransferSample};
+    use crate::dataset::DatasetBuilder;
 
-    fn meta(id: u32) -> HostMeta {
-        HostMeta {
-            id: HostId(id),
-            name: format!("h{id}"),
-            asn: id as u16,
-            truly_rate_limited: false,
-        }
-    }
-
-    fn probe(src: u32, dst: u32, t: f64, rtt: Option<f64>) -> ProbeSample {
-        ProbeSample {
-            src: HostId(src),
-            dst: HostId(dst),
-            t_s: t,
-            probe_index: 0,
-            rtt_ms: rtt,
-            loss_eligible: true,
-            episode: None,
-            path_idx: 0,
-        }
+    /// Three hosts: two returned probes and a lost one on 0→1, two on 1→2,
+    /// and one transfer on 0→2.
+    fn tiny() -> DatasetBuilder {
+        let mut b = Dataset::builder("T");
+        b.hosts(3)
+            .probe(0, 1, 0.0, Some(50.0))
+            .probe(0, 1, 1.0, Some(70.0))
+            .probe(0, 1, 2.0, None)
+            .probe(1, 2, 0.0, Some(30.0))
+            .probe(1, 2, 1.0, Some(40.0))
+            .transfer(0, 2, 0.0, 90.0, 0.01, 200.0)
+            .as_paths(vec![vec![0, 9, 1]])
+            .duration(10.0);
+        b
     }
 
     fn tiny_dataset() -> Dataset {
-        Dataset {
-            name: "T".into(),
-            hosts: (0..3).map(meta).collect(),
-            probes: vec![
-                probe(0, 1, 0.0, Some(50.0)),
-                probe(0, 1, 1.0, Some(70.0)),
-                probe(0, 1, 2.0, None),
-                probe(1, 2, 0.0, Some(30.0)),
-                probe(1, 2, 1.0, Some(40.0)),
-            ],
-            transfers: vec![TransferSample {
-                src: HostId(0),
-                dst: HostId(2),
-                t_s: 0.0,
-                rtt_ms: 90.0,
-                loss_rate: 0.01,
-                bandwidth_kbps: 200.0,
-            }],
-            as_paths: vec![vec![0, 9, 1]],
-            duration_s: 10.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
-        }
+        tiny().build().unwrap()
     }
 
     #[test]
@@ -504,11 +474,10 @@ mod tests {
 
     #[test]
     fn loss_ineligible_probes_do_not_count_losses() {
-        let mut ds = tiny_dataset();
-        ds.probes.push(ProbeSample {
-            loss_eligible: false,
-            ..probe(0, 1, 3.0, Some(55.0))
-        });
+        let ds = tiny()
+            .probe_with(0, 1, 3.0, Some(55.0), |p| p.loss_eligible = false)
+            .build()
+            .unwrap();
         let t = PairTable::build(&ds);
         assert_eq!(
             t.loss(0, 1).unwrap().n,
@@ -522,34 +491,26 @@ mod tests {
     fn host_ids_of_any_value_index_by_position() {
         // The index grows with the host count, not with the largest id: a
         // host named `u32::MAX` sits beside small ids.
-        let mut ds = tiny_dataset();
-        ds.hosts[2].id = HostId(u32::MAX);
-        for p in &mut ds.probes {
-            if p.dst == HostId(2) {
-                p.dst = HostId(u32::MAX);
-            }
-        }
-        ds.transfers[0].dst = HostId(u32::MAX);
+        const BIG: u32 = u32::MAX;
+        let ds = Dataset::builder("T")
+            .host(0)
+            .host(1)
+            .host(BIG)
+            .probe(1, BIG, 0.0, Some(30.0))
+            .probe(1, BIG, 1.0, Some(40.0))
+            .transfer(0, BIG, 0.0, 90.0, 0.01, 200.0)
+            .build()
+            .unwrap();
         let t = PairTable::build(&ds);
-        assert_eq!(t.host_index(HostId(u32::MAX)), Some(2));
+        assert_eq!(t.host_index(HostId(BIG)), Some(2));
         assert_eq!(t.host_index(HostId(2)), None);
         assert_eq!(t.rtt_samples(1, 2), &[30.0, 40.0]);
         assert!((t.bandwidth(0, 2).unwrap().mean - 200.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn repeated_host_id_resolves_to_its_last_position() {
-        let index = HostIndex::new(vec![HostId(7), HostId(3), HostId(7)]);
-        assert_eq!(index.get(HostId(7)), Some(2));
-        assert_eq!(index.get(HostId(3)), Some(1));
-        assert_eq!(index.get(HostId(4)), None);
-        assert_eq!(index.hosts().len(), 3);
-    }
-
     /// A random dataset: up to six hosts with arbitrary ids, probes between
-    /// listed and unlisted hosts (the build skips the latter), each keyed to
-    /// one of `parts` parts through its `episode` or to none, and a few
-    /// transfers.
+    /// two different hosts, each keyed to one of `parts` parts through its
+    /// `episode` or to none, and a few transfers.
     fn random_dataset(rng: &mut detour_prng::Xoshiro256pp, parts: u32) -> Dataset {
         use detour_prng::Rng;
         let n = rng.gen_range(1..=6usize);
@@ -561,44 +522,38 @@ mod tests {
             .collect();
         ids.sort_unstable();
         ids.dedup();
-        let hosts: Vec<HostMeta> = ids.iter().map(|&id| meta(id)).collect();
-        // One id in eight is not a listed host.
-        let host = |rng: &mut detour_prng::Xoshiro256pp| match rng.gen_range(0..8u32) {
-            0 => HostId(1000),
-            _ => HostId(ids[rng.gen_range(0..ids.len())]),
-        };
-        let probes = (0..rng.gen_range(0..80usize))
-            .map(|k| ProbeSample {
-                src: host(rng),
-                dst: host(rng),
-                t_s: k as f64,
-                probe_index: 0,
-                rtt_ms: rng.gen_bool(0.8).then(|| rng.gen_range(1.0..200.0)),
-                loss_eligible: rng.gen_bool(0.9),
-                episode: rng.gen_bool(0.8).then(|| rng.gen_range(0..parts)),
-                path_idx: rng.gen_range(0..3u32),
-            })
-            .collect();
-        let transfers = (0..rng.gen_range(0..6usize))
-            .map(|k| TransferSample {
-                src: host(rng),
-                dst: host(rng),
-                t_s: k as f64,
-                rtt_ms: rng.gen_range(1.0..200.0),
-                loss_rate: rng.gen_range(0.0..0.1),
-                bandwidth_kbps: rng.gen_range(1.0..500.0),
-            })
-            .collect();
-        Dataset {
-            name: "R".into(),
-            hosts,
-            probes,
-            transfers,
-            as_paths: vec![vec![1], vec![2], vec![3]],
-            duration_s: 100.0,
-            detected_rate_limited: vec![],
-            starved_pairs: 0,
+        let mut b = Dataset::builder("R");
+        for &id in &ids {
+            b.host(id);
         }
+        b.as_paths(vec![vec![1], vec![2], vec![3]]).duration(100.0);
+        if ids.len() < 2 {
+            return b.build().unwrap();
+        }
+        let pair = |rng: &mut detour_prng::Xoshiro256pp| {
+            let s = rng.gen_range(0..ids.len());
+            let d = (s + rng.gen_range(1..ids.len())) % ids.len();
+            (ids[s], ids[d])
+        };
+        for k in 0..rng.gen_range(0..80usize) {
+            let (s, d) = pair(rng);
+            let rtt = rng.gen_bool(0.8).then(|| rng.gen_range(1.0..200.0));
+            b.probe_with(s, d, k as f64, rtt, |p| {
+                p.loss_eligible = rng.gen_bool(0.9);
+                p.episode = rng.gen_bool(0.8).then(|| rng.gen_range(0..parts));
+                p.path_idx = rng.gen_range(0..3u32);
+            });
+        }
+        for k in 0..rng.gen_range(0..6usize) {
+            let (s, d) = pair(rng);
+            let (rtt, loss, bw) = (
+                rng.gen_range(1.0..200.0),
+                rng.gen_range(0.0..0.1),
+                rng.gen_range(1.0..500.0),
+            );
+            b.transfer(s, d, k as f64, rtt, loss, bw);
+        }
+        b.build().unwrap()
     }
 
     #[test]
@@ -643,9 +598,15 @@ mod tests {
     fn partitioned_build_reads_each_probe_three_times() {
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
-        let mut ds = tiny_dataset();
-        ds.probes[0].episode = Some(1);
-        ds.probes[3].episode = Some(0);
+        let ds = Dataset::builder("T")
+            .hosts(3)
+            .probe_with(0, 1, 0.0, Some(50.0), |p| p.episode = Some(1))
+            .probe(0, 1, 1.0, Some(70.0))
+            .probe(0, 1, 2.0, None)
+            .probe_with(1, 2, 0.0, Some(30.0), |p| p.episode = Some(0))
+            .probe(1, 2, 1.0, Some(40.0))
+            .build()
+            .unwrap();
         let tables: Vec<PairTable> =
             PairTable::build_partitioned(&ds, 2, |p| p.episode.map(|e| e as usize)).collect();
         // One keying pass over all five probes, then two passes over each
@@ -667,19 +628,14 @@ mod tests {
 
     #[test]
     fn modal_path_prefers_most_voted_then_lowest_index() {
-        let mut ds = tiny_dataset();
-        ds.as_paths = vec![vec![1], vec![2]];
         // Equal votes for path 0 and 1 on pair 1→2: lowest index wins.
-        ds.probes = vec![
-            ProbeSample {
-                path_idx: 1,
-                ..probe(1, 2, 0.0, Some(10.0))
-            },
-            ProbeSample {
-                path_idx: 0,
-                ..probe(1, 2, 1.0, Some(10.0))
-            },
-        ];
+        let ds = Dataset::builder("T")
+            .hosts(3)
+            .as_paths(vec![vec![1], vec![2]])
+            .probe_with(1, 2, 0.0, Some(10.0), |p| p.path_idx = 1)
+            .probe(1, 2, 1.0, Some(10.0))
+            .build()
+            .unwrap();
         let t = PairTable::build(&ds);
         assert_eq!(t.modal_path_idx(1, 2), Some(0));
     }

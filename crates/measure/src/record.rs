@@ -90,22 +90,15 @@ pub struct HostMeta {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn probe_lost_tracks_rtt() {
-        let mut p = ProbeSample {
-            src: HostId(0),
-            dst: HostId(1),
-            t_s: 1.0,
-            probe_index: 0,
-            rtt_ms: None,
-            loss_eligible: true,
-            episode: None,
-            path_idx: 0,
-        };
-        assert!(p.lost());
-        p.rtt_ms = Some(12.0);
-        assert!(!p.lost());
+        let ds = crate::Dataset::builder("T")
+            .hosts(2)
+            .probe(0, 1, 1.0, None)
+            .probe(0, 1, 2.0, Some(12.0))
+            .build()
+            .unwrap();
+        assert!(ds.probes[0].lost());
+        assert!(!ds.probes[1].lost());
     }
 }

@@ -3,7 +3,7 @@
 //! to arbitrary (valid) inputs.
 
 use detour_measure::dataset::Dataset;
-use detour_measure::record::{HostMeta, ProbeSample, TransferSample};
+use detour_measure::record::HostMeta;
 use detour_measure::{run_campaign, CampaignConfig, HostId, Schedule};
 use detour_prng::check::{check, check_with};
 use detour_prng::{Rng, SliceRandom, Xoshiro256pp};
@@ -16,69 +16,59 @@ fn host_name(rng: &mut Xoshiro256pp) -> String {
         .collect()
 }
 
-fn host_meta(rng: &mut Xoshiro256pp) -> HostMeta {
-    HostMeta {
-        id: HostId(rng.gen_range(0..50u32)),
-        asn: rng.gen_range(0..300u16),
-        truly_rate_limited: rng.gen_bool(0.5),
-        name: host_name(rng),
-    }
-}
-
-fn probe(rng: &mut Xoshiro256pp) -> ProbeSample {
-    ProbeSample {
-        src: HostId(rng.gen_range(0..50u32)),
-        dst: HostId(rng.gen_range(0..50u32)),
-        t_s: rng.gen_range(0.0..1e6f64),
-        probe_index: rng.gen_range(0..3u8),
-        rtt_ms: rng.gen_bool(0.5).then(|| rng.gen_range(0.01..5e3f64)),
-        loss_eligible: rng.gen_bool(0.5),
-        episode: rng.gen_bool(0.5).then(|| rng.gen_range(0..2000u32)),
-        path_idx: rng.gen_range(0..5u32),
-    }
-}
-
-fn transfer(rng: &mut Xoshiro256pp) -> TransferSample {
-    TransferSample {
-        src: HostId(rng.gen_range(0..50u32)),
-        dst: HostId(rng.gen_range(0..50u32)),
-        t_s: rng.gen_range(0.0..1e6f64),
-        rtt_ms: rng.gen_range(0.1..5e3f64),
-        loss_rate: rng.gen_range(0.0..1.0f64),
-        bandwidth_kbps: rng.gen_range(0.01..1e5f64),
-    }
-}
-
+/// A random valid dataset: up to eight hosts with distinct ids and random
+/// names, and probes and transfers between two different hosts.
 fn dataset(rng: &mut Xoshiro256pp) -> Dataset {
-    let hosts = (0..rng.gen_range(0..8usize))
-        .map(|_| host_meta(rng))
+    let duration = rng.gen_range(1.0..1e7f64);
+    let mut ids: Vec<u32> = (0..rng.gen_range(0..8usize))
+        .map(|_| rng.gen_range(0..50u32))
         .collect();
-    let mut probes: Vec<ProbeSample> = (0..rng.gen_range(0..40usize)).map(|_| probe(rng)).collect();
-    let transfers = (0..rng.gen_range(0..10usize))
-        .map(|_| transfer(rng))
-        .collect();
-    let as_paths: Vec<Vec<u16>> = (0..rng.gen_range(1..6usize))
-        .map(|_| {
-            (0..rng.gen_range(1..6usize))
-                .map(|_| rng.gen_range(0..300u16))
-                .collect()
-        })
-        .collect();
-    // Keep path indices in range for the generated pool.
-    let n_paths = as_paths.len() as u32;
-    for p in probes.iter_mut() {
-        p.path_idx %= n_paths;
+    ids.sort_unstable();
+    ids.dedup();
+    let mut b = Dataset::builder("prop");
+    for &id in &ids {
+        b.host_meta(HostMeta {
+            id: HostId(id),
+            asn: rng.gen_range(0..300u16),
+            truly_rate_limited: rng.gen_bool(0.5),
+            name: host_name(rng),
+        });
     }
-    Dataset {
-        name: "prop".into(),
-        hosts,
-        probes,
-        transfers,
-        as_paths,
-        duration_s: rng.gen_range(1.0..1e7f64),
-        detected_rate_limited: vec![],
-        starved_pairs: 0,
+    let n_paths = rng.gen_range(1..6usize);
+    b.as_paths(
+        (0..n_paths)
+            .map(|_| {
+                (0..rng.gen_range(1..6usize))
+                    .map(|_| rng.gen_range(0..300u16))
+                    .collect()
+            })
+            .collect(),
+    )
+    .duration(duration);
+    if ids.len() >= 2 {
+        let pair = |rng: &mut Xoshiro256pp| {
+            let s = rng.gen_range(0..ids.len());
+            (ids[s], ids[(s + rng.gen_range(1..ids.len())) % ids.len()])
+        };
+        for _ in 0..rng.gen_range(0..40usize) {
+            let (s, d) = pair(rng);
+            let t = rng.gen_range(0.0..duration);
+            let rtt = rng.gen_bool(0.5).then(|| rng.gen_range(0.01..5e3f64));
+            b.probe_with(s, d, t, rtt, |p| {
+                p.probe_index = rng.gen_range(0..3u8);
+                p.loss_eligible = rng.gen_bool(0.5);
+                p.episode = rng.gen_bool(0.5).then(|| rng.gen_range(0..2000u32));
+                p.path_idx = rng.gen_range(0..n_paths as u32);
+            });
+        }
+        for _ in 0..rng.gen_range(0..10usize) {
+            let (s, d) = pair(rng);
+            let (t, rtt) = (rng.gen_range(0.0..duration), rng.gen_range(0.1..5e3f64));
+            let (loss, bw) = (rng.gen_range(0.0..1.0f64), rng.gen_range(0.01..1e5f64));
+            b.transfer(s, d, t, rtt, loss, bw);
+        }
     }
+    b.build().expect("a valid random dataset")
 }
 
 #[test]

@@ -117,21 +117,7 @@ pub fn bulk_transfer(
         })
         .fold(f64::INFINITY, f64::min);
 
-    // Three candidate ceilings: loss-limited Mathis(p_bg), the receiver
-    // window (wnd/RTT), and available bottleneck capacity. The lowest one
-    // binds. A window- or loss-limited sender never saturates the path, so
-    // it observes only background loss; a capacity-limited sender *induces*
-    // the loss Mathis implies at that rate.
-    let loss_limited = mathis_throughput_bps(rtt_ms, background_loss);
-    let window_limited = RCV_WINDOW_BYTES / (rtt_ms / 1000.0);
-    let (throughput_bps, observed_loss) = if loss_limited <= avail_bps.min(window_limited) {
-        (loss_limited, background_loss)
-    } else if window_limited <= avail_bps {
-        (window_limited, background_loss)
-    } else {
-        let induced = (MSS_BYTES / (rtt_ms / 1000.0) * MATHIS_C / avail_bps).powi(2);
-        (avail_bps, background_loss.max(induced))
-    };
+    let (throughput_bps, observed_loss) = binding_ceiling(rtt_ms, background_loss, avail_bps);
 
     // Steady-state models flatter short transfers: a ~100 KB npd transfer
     // spends much of its life in slow start and loses whole RTTs to
@@ -145,6 +131,27 @@ pub fn bulk_transfer(
         bandwidth_kbps: throughput_bps * efficiency / 1000.0,
         samples: rtts.len(),
     })
+}
+
+/// The throughput (bytes/second) a transfer settles at and the loss rate
+/// it observes. Three candidate ceilings: loss-limited Mathis(p_bg), the
+/// receiver window (wnd/RTT), and available bottleneck capacity. The
+/// lowest one binds. A window- or loss-limited sender never saturates the
+/// path, so it observes only background loss; a capacity-limited sender
+/// *induces* the loss Mathis implies at that rate. Below one segment per
+/// RTT (times `C`) of headroom that loss exceeds 1, so the observed rate
+/// caps at 1: every packet lost.
+fn binding_ceiling(rtt_ms: f64, background_loss: f64, avail_bps: f64) -> (f64, f64) {
+    let loss_limited = mathis_throughput_bps(rtt_ms, background_loss);
+    let window_limited = RCV_WINDOW_BYTES / (rtt_ms / 1000.0);
+    if loss_limited <= avail_bps.min(window_limited) {
+        (loss_limited, background_loss)
+    } else if window_limited <= avail_bps {
+        (window_limited, background_loss)
+    } else {
+        let induced = (MSS_BYTES / (rtt_ms / 1000.0) * MATHIS_C / avail_bps).powi(2);
+        (avail_bps, background_loss.max(induced).min(1.0))
+    }
 }
 
 #[cfg(test)]
@@ -181,6 +188,22 @@ mod tests {
     #[should_panic(expected = "RTT must be positive")]
     fn mathis_rejects_zero_rtt() {
         let _ = mathis_throughput_bps(0.0, 0.01);
+    }
+
+    #[test]
+    fn capacity_limited_loss_is_a_probability() {
+        // 100 ms RTT, no background loss, a bottleneck with 1 kB/s of
+        // headroom: Mathis puts the loss at that rate near 320, and the
+        // observed rate is all packets lost.
+        let (bps, loss) = binding_ceiling(100.0, 0.0, 1_000.0);
+        assert_eq!(bps, 1_000.0, "capacity binds");
+        assert_eq!(loss, 1.0);
+        // With room to spare the induced loss is below 1 and kept exactly.
+        let (bps, loss) = binding_ceiling(100.0, 0.0, 100_000.0);
+        assert_eq!(bps, 100_000.0);
+        let induced = (MSS_BYTES / 0.1 * MATHIS_C / 100_000.0f64).powi(2);
+        assert_eq!(loss, induced);
+        assert!(loss > 0.0 && loss < 1.0);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
-#             the detour-measure tests, the detour-core unit tests,
+#             the detour-measure tests, the detour-datasets tests (the
+#             .trace2 decoder, where untrusted bytes enter the program),
+#             the detour-core unit tests,
 #             batched-kernel equivalence,
 #             the kernel property tests, the paper-shape envelopes,
 #             the fault-schedule unit tests, the netsim property tests,
@@ -55,9 +57,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
-# Smoke tier: the detour-measure tests (pair-table aggregates, the host
-# index, and the partition property: each part of a partitioned build
-# equals the table of a dataset holding only that part's probes), the
+# Smoke tier: the detour-measure tests (the dataset rules, pair-table
+# aggregates, the host index, and the partition property: each part of a
+# partitioned build equals the table of a dataset holding only that
+# part's probes), the detour-datasets tests (the .trace2 codec, its
+# round-trip property, and the hostile-value property: every value a
+# dataset rule refuses comes back as the error naming its field, and
+# every edge value loads and runs the registered experiments), the
 # detour-core unit tests (metric laws, the context's build-once artifact
 # slots, confidence intervals, hand-worked kernel cases, the Figure-11
 # probe-visit bound), the batched-kernel equivalence suite (source-batched sweep
@@ -72,8 +78,11 @@ cargo build --release --offline --workspace --all-targets
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
 # included). Fails fast before the full test run and baseline.
-echo "== smoke: detour-measure tests (pair tables, partition property) =="
+echo "== smoke: detour-measure tests (dataset rules, pair tables, partition property) =="
 cargo test -q --offline -p detour-measure
+
+echo "== smoke: detour-datasets tests (trace2 codec, round-trip + hostile-value properties) =="
+cargo test -q --offline -p detour-datasets
 
 echo "== smoke: detour-core unit tests =="
 cargo test -q --offline -p detour-core --lib

@@ -18,8 +18,7 @@ use detour::core::metric::{Loss, PropDelay, Rtt};
 use detour::core::pool;
 use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
-use detour::measure::record::HostMeta;
-use detour::measure::{Dataset, HostId, PairTable, ProbeSample};
+use detour::measure::{Dataset, PairTable};
 use detour_bench::reference;
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
@@ -29,45 +28,18 @@ use detour_prng::{Rng, Xoshiro256pp};
 fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
     let n = rng.gen_range(4..10usize);
     let missing = rng.gen_range(0.1..0.5f64);
-    let hosts = (0..n as u32)
-        .map(|id| HostMeta {
-            id: HostId(id),
-            name: format!("h{id}"),
-            asn: id as u16,
-            truly_rate_limited: false,
-        })
-        .collect();
-    let mut probes = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
+    let mut b = Dataset::builder("B");
+    b.hosts(n as u32);
+    for i in 0..n as u32 {
+        for j in 0..n as u32 {
             if i == j || rng.gen_bool(missing) {
                 continue;
             }
             let rtt = rng.gen_range(1.0..100.0f64).round();
-            for k in 0..2 {
-                probes.push(ProbeSample {
-                    src: HostId(i as u32),
-                    dst: HostId(j as u32),
-                    t_s: k as f64,
-                    probe_index: 0,
-                    rtt_ms: Some(rtt),
-                    loss_eligible: true,
-                    episode: None,
-                    path_idx: 0,
-                });
-            }
+            b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
         }
     }
-    Dataset {
-        name: "B".into(),
-        hosts,
-        probes,
-        transfers: vec![],
-        as_paths: vec![vec![0]],
-        duration_s: 10.0,
-        detected_rate_limited: vec![],
-        starved_pairs: 0,
-    }
+    b.build().unwrap()
 }
 
 /// A random host-removal mask: each host masked with probability ~1/3,

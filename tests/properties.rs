@@ -9,24 +9,15 @@ use std::collections::HashMap;
 
 use detour::core::analysis::cdf::compare_all_pairs;
 use detour::core::{AnalysisContext, Loss, MetricKind, Pair, PathComparison, Rtt, SearchDepth};
-use detour::measure::record::HostMeta;
-use detour::measure::{Dataset, HostId, ProbeSample};
+use detour::measure::{Dataset, HostId};
 use detour::prng::check::check;
 use detour::prng::{Rng, Xoshiro256pp};
 use detour::stats::Cdf;
 
 /// Builds a dataset from a generated RTT/loss matrix.
 fn dataset_from(matrix: &[Vec<Option<(f64, bool)>>]) -> Dataset {
-    let n = matrix.len();
-    let hosts = (0..n as u32)
-        .map(|id| HostMeta {
-            id: HostId(id),
-            name: format!("h{id}"),
-            asn: id as u16,
-            truly_rate_limited: false,
-        })
-        .collect();
-    let mut probes = Vec::new();
+    let mut b = Dataset::builder("prop");
+    b.hosts(matrix.len() as u32);
     for (i, row) in matrix.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
             if i == j {
@@ -36,30 +27,13 @@ fn dataset_from(matrix: &[Vec<Option<(f64, bool)>>]) -> Dataset {
                 // Three probes per edge: one lost when `lossy`.
                 for k in 0..3u8 {
                     let lost = *lossy && k == 0;
-                    probes.push(ProbeSample {
-                        src: HostId(i as u32),
-                        dst: HostId(j as u32),
-                        t_s: k as f64,
-                        probe_index: k,
-                        rtt_ms: (!lost).then_some(*rtt),
-                        loss_eligible: true,
-                        episode: None,
-                        path_idx: 0,
-                    });
+                    let rtt = (!lost).then_some(*rtt);
+                    b.probe_with(i as u32, j as u32, k as f64, rtt, |p| p.probe_index = k);
                 }
             }
         }
     }
-    Dataset {
-        name: "prop".into(),
-        hosts,
-        probes,
-        transfers: vec![],
-        as_paths: vec![vec![0]],
-        duration_s: 10.0,
-        detected_rate_limited: vec![],
-        starved_pairs: 0,
-    }
+    b.build().unwrap()
 }
 
 /// Generates a small adjacency matrix with random RTTs, some edges missing,
