@@ -27,39 +27,69 @@ pub struct RemovalAnalysis {
     pub reduced: Cdf,
 }
 
+/// The comparisons `current` holds for pairs whose recorded best path runs
+/// through host `h`, re-answered under `mask_h` (the mask `current` was
+/// computed under, plus `h`): `(position in current, new answer)`, in
+/// `current`'s order. `current` is `(src, dst)`-sorted, so each affected
+/// source costs one SSSP tree ([`kernel::best_alternates_masked`]).
+fn reroute_through(
+    m: &WeightMatrix,
+    mask_h: &[bool],
+    current: &[PathComparison],
+    h: usize,
+    scratch: &mut DijkstraScratch,
+) -> Vec<(usize, Option<PathComparison>)> {
+    let hid = m.hosts()[h];
+    let index = |id: HostId| m.host_index(id).expect("pair host");
+    let (at, pairs): (Vec<usize>, Vec<(usize, usize)>) = current
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.via.contains(&hid))
+        .map(|(k, c)| (k, (index(c.pair.src), index(c.pair.dst))))
+        .unzip();
+    let answers = kernel::best_alternates_masked(m, mask_h, &pairs, scratch);
+    at.into_iter().zip(answers).collect()
+}
+
+/// The comparisons under the mask with `h` added, derived from `current`
+/// (the comparisons without it) and `rerouted` ([`reroute_through`]'s
+/// answers): pairs touching `h` drop out, re-routed pairs take their new
+/// answer (or drop out when they lost every alternate), and every other
+/// pair keeps its comparison — its recorded best path avoids `h`, so it is
+/// still available and nothing got cheaper. The order is `current`'s.
+fn without_host<'a>(
+    current: &'a [PathComparison],
+    hid: HostId,
+    rerouted: &'a [(usize, Option<PathComparison>)],
+) -> impl Iterator<Item = &'a PathComparison> + 'a {
+    let mut rerouted = rerouted.iter().peekable();
+    current.iter().enumerate().filter_map(move |(k, c)| {
+        if c.pair.src == hid || c.pair.dst == hid {
+            return None;
+        }
+        match rerouted.next_if(|(at, _)| *at == k) {
+            Some((_, answer)) => answer.as_ref(),
+            None => Some(c),
+        }
+    })
+}
+
 /// The greedy objective for one candidate: the mean improvement with host
-/// `h` masked out — how far "left" the CDF would sit. Computed
-/// incrementally from `current`, the comparisons under the mask *without*
-/// `h`: a pair's optimal alternate value cannot change when its recorded
-/// best path avoids `h` (the path is still available and nothing got
-/// cheaper), so only pairs whose `via` contains `h` are re-searched, in
-/// place, keeping the summation order — and therefore every bit of the
-/// mean — identical to a full masked sweep.
+/// `h` masked out — how far "left" the CDF would sit — over the view
+/// [`without_host`] derives, summed in pair order like the mean of a full
+/// masked sweep, and therefore identical to it bit for bit.
 fn masked_position(
     m: &WeightMatrix,
-    mask_with_h: &[bool],
+    mask_h: &[bool],
     current: &[PathComparison],
     h: usize,
     scratch: &mut DijkstraScratch,
 ) -> f64 {
-    let hid = m.hosts()[h];
+    let rerouted = reroute_through(m, mask_h, current, h, scratch);
     let mut sum = 0.0;
     let mut count = 0usize;
-    for c in current {
-        if c.pair.src == hid || c.pair.dst == hid {
-            continue;
-        }
-        let improvement = if c.via.contains(&hid) {
-            let s = m.host_index(c.pair.src).expect("pair host");
-            let d = m.host_index(c.pair.dst).expect("pair host");
-            match kernel::best_alternate_masked(m, mask_with_h, s, d, scratch) {
-                Some(r) => r.improvement(),
-                None => continue,
-            }
-        } else {
-            c.improvement()
-        };
-        sum += improvement;
+    for c in without_host(current, m.hosts()[h], &rerouted) {
+        sum += c.improvement();
         count += 1;
     }
     if count == 0 {
@@ -74,21 +104,31 @@ fn masked_position(
 /// removal is evaluated through a zero-copy mask over it rather than a
 /// table rebuilt without the candidate — masked sweeps are value-identical
 /// to rebuilt-table sweeps (relative vertex order is preserved, so every
-/// tie-break matches), which the kernel property tests pin down. On top of
-/// that, candidate evaluation is incremental (`masked_position`): removing `h`
-/// can only affect pairs whose best alternate routes through `h`, so the
-/// per-candidate cost drops from a full sweep to a handful of re-searches.
-/// Even weight-tied alternates keep the reuse exact for the in-tree
-/// metrics: a tied path composes to the very sum the relaxation
+/// tie-break matches), which the kernel property tests pin down.
+///
+/// Only the first view is a full [`kernel::sweep`]. Removing `h` can only
+/// affect pairs whose best alternate routes through `h`, so a candidate is
+/// scored on the previous view with just those pairs re-answered
+/// (`masked_position`), one SSSP tree per affected source; and the
+/// winner's re-answered view *is* the next view, so no sweep follows a
+/// removal. Even weight-tied alternates keep the reuse exact for the
+/// in-tree metrics: a tied path composes to the very sum the relaxation
 /// accumulated, so equal weight-space optima mean equal composed bits.
-/// The kernel property tests also check that the incremental loop removes
-/// the hosts a full sweep per candidate would.
+/// The kernel property tests check, for RTT and loss, that the loop
+/// removes the hosts a full sweep per candidate would, and that its last
+/// view equals a full sweep under the final mask.
 pub fn greedy_removal(cx: &AnalysisContext, metric: &MetricKind, k: usize) -> RemovalAnalysis {
-    let m = cx.weights(metric);
+    greedy_removal_on(cx.weights(metric), k).0
+}
+
+/// [`greedy_removal`] on a matrix, also returning the comparisons under
+/// the final mask — the view the reduced CDF is built from.
+pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<PathComparison>) {
     let mut mask = m.no_mask();
     let mut current = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
     let full = improvement_cdf(&current);
     let mut removed = Vec::new();
+    let mut scratch = DijkstraScratch::new();
     for _ in 0..k.min(m.len().saturating_sub(3)) {
         // Candidates fan out over the pool (each worker reuses one
         // scratch); the argmin below runs on the in-order results, so the
@@ -113,14 +153,18 @@ pub fn greedy_removal(cx: &AnalysisContext, metric: &MetricKind, k: usize) -> Re
         let Some((_, h)) = best else { break };
         mask[h] = true;
         removed.push(m.hosts()[h]);
-        current = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
+        let rerouted = reroute_through(m, &mask, &current, h, &mut scratch);
+        current = without_host(&current, m.hosts()[h], &rerouted)
+            .cloned()
+            .collect();
     }
     let reduced = improvement_cdf(&current);
-    RemovalAnalysis {
+    let analysis = RemovalAnalysis {
         full,
         removed,
         reduced,
-    }
+    };
+    (analysis, current)
 }
 
 /// The figure's verdict quantified: fraction of pairs with a superior

@@ -27,12 +27,19 @@
 //!   runs **one** full SSSP tree over the masked matrix (no exclusions)
 //!   and answers all of `s`'s pairs from it: the tree path to `d` can only
 //!   contain the excluded edge `(s, d)` as the terminal path `[s, d]`
-//!   itself, so a pair needs its own exclusion re-search exactly when
+//!   itself, so the exclusion changes a pair's answer only when
 //!   `prev[d] == s` — the fix-up condition. Everything else (including
 //!   unreachable destinations) reads straight off the tree, bit-identical
-//!   to the per-pair search; the `kernel/sweep_*` counters on the current
-//!   `detour-obs` recorder report how many re-searches that avoided. An
-//!   all-pairs sweep drops from `O(n⁴)` to `O(n³ + fixups·n²)`.
+//!   to the per-pair search. Most fix-ups read off the tree as well: when
+//!   `d` is a *leaf* (no settled vertex's `prev`) and every relaxation
+//!   strictly increases a distance (smallest weight `w_min > 0` and
+//!   `D + w_min/2 > D` at the tree's largest distance `D`), the banned
+//!   search's answer is the first vertex `v ≠ s, d` in the tree's
+//!   extraction order that strictly minimises `dist[v] + w(v, d)` — an
+//!   `O(n)` scan. Only the other fix-ups run their own `O(n²)` exclusion
+//!   search. The `kernel/*` counters on the current `detour-obs` recorder
+//!   report how many searches that avoided. An all-pairs sweep drops from
+//!   `O(n⁴)` to `O(n³ + leaf_fixups·n + other_fixups·n²)`.
 //! * [`DijkstraScratch`] — reusable per-worker state for the module's one
 //!   Dijkstra loop, which serves the sweep's trees, its fix-up
 //!   re-searches and Yen's spur searches alike (threaded
@@ -47,8 +54,9 @@
 //!   rebuilding the table from the dataset restricted to the other hosts
 //!   (`Dataset::restrict_to_hosts`; relative vertex order is preserved, so
 //!   tie-breaks resolve identically) but costs nothing — which turns the
-//!   Figure-12 greedy removal loop from rebuild-per-candidate into a pure
-//!   sweep.
+//!   Figure-12 greedy removal loop from rebuild-per-candidate into
+//!   re-answering the affected pairs, one tree per affected source
+//!   ([`best_alternates_masked`]).
 //!
 //! **The invariant: same arithmetic, same bytes.** The kernel changes
 //! memory layout and search *strategy*, never arithmetic: weights and
@@ -78,6 +86,10 @@ pub struct WeightMatrix {
     weights: Vec<f64>,
     /// Row-major figure-facing metric values; missing = `NaN`.
     values: Vec<f64>,
+    /// The smallest finite search weight (`+∞` when there is none): the
+    /// leaf fix-up rule in [`sweep_source`] needs every relaxation to
+    /// strictly increase a distance.
+    w_min: f64,
 }
 
 impl WeightMatrix {
@@ -95,12 +107,14 @@ impl WeightMatrix {
                 weights[i * n + j] = w;
             }
         }
+        let w_min = weights.iter().fold(f64::INFINITY, |lo, &w| w.min(lo));
         WeightMatrix {
             metric: *metric,
             n,
             index: table.index().clone(),
             weights,
             values,
+            w_min,
         }
     }
 
@@ -274,7 +288,12 @@ pub struct DijkstraScratch {
     stamp: Vec<u32>,
     dist: Vec<f64>,
     prev: Vec<usize>,
+    /// `parent[v] == gen` when `v` is some settled vertex's `prev` — the
+    /// tree's inner vertices, marked by [`sweep_source`] for its leaf rule.
+    parent: Vec<u32>,
     unvisited: Vec<u32>,
+    /// The settled vertices in extraction order.
+    order: Vec<u32>,
     path: Vec<usize>,
     vals: Vec<f64>,
 }
@@ -295,10 +314,13 @@ impl DijkstraScratch {
             self.dist.resize(n, f64::INFINITY);
             self.prev.clear();
             self.prev.resize(n, usize::MAX);
+            self.parent.clear();
+            self.parent.resize(n, 0);
             self.gen = 0;
         }
         if self.gen == u32::MAX {
             self.stamp.fill(0);
+            self.parent.fill(0);
             self.gen = 0;
         }
         self.gen += 1;
@@ -389,7 +411,9 @@ fn dijkstra(
         .unvisited
         .extend((0..n as u32).filter(|&v| open(v as usize)));
     scratch.relax_to(s, 0.0, usize::MAX);
+    scratch.order.clear();
     while let Some((u, du)) = scratch.extract_min() {
+        scratch.order.push(u as u32);
         if target == Some(u) {
             return Some(du);
         }
@@ -604,22 +628,84 @@ fn per_pair_sweep(
     })
 }
 
-/// Answers one source's pairs from a single SSSP tree, deferring the
-/// fix-up re-searches (which reuse — and clobber — the same scratch) until
-/// every tree answer has been composed. Returns the per-pair results in
-/// group order plus the fix-up count.
+/// Whether the leaf rule may answer fix-ups from the tree just built:
+/// every weight is positive and, at the tree's largest settled distance
+/// `D`, still moves a sum (`D + w_min/2 > D`). Rounded addition is
+/// monotone and the unit in the last place only grows with the distance,
+/// so then `dist + w > dist` for every settled `dist` and every finite
+/// `w` — each relaxation strictly increases a distance, which makes the
+/// extraction order the `(dist, index)` order.
+fn leaf_rule_holds(m: &WeightMatrix, scratch: &DijkstraScratch) -> bool {
+    let Some(&last) = scratch.order.last() else {
+        return false;
+    };
+    // Extraction distances never decrease, so the last one is `D`.
+    let top = scratch.dist[last as usize];
+    m.w_min > 0.0 && top + m.w_min / 2.0 > top
+}
+
+/// A leaf fix-up's answer, read off the tree from `s`: the exclusion
+/// search's alternate for `(s, d)` when `d` is no settled vertex's `prev`
+/// and [`leaf_rule_holds`].
+///
+/// Banning the edge `(s, d)` then changes the distance of `d` alone — no
+/// tree path runs through a leaf — and with every relaxation strictly
+/// increasing, both searches extract the other vertices in the same
+/// `(dist, index)` order. The banned search relaxes `d` from each of them
+/// in that order and keeps the first strict minimum of `dist[v] + w(v, d)`
+/// (vertices it settles after `d` cannot beat `dist[d]`), with the very
+/// sums computed here; its path is `v`'s unchanged tree path plus `d`.
+fn leaf_alternate(
+    m: &WeightMatrix,
+    s: usize,
+    d: usize,
+    scratch: &mut DijkstraScratch,
+) -> Option<PathComparison> {
+    let mut best = (f64::INFINITY, usize::MAX);
+    for &vu in &scratch.order {
+        let v = vu as usize;
+        if v == s || v == d {
+            continue;
+        }
+        let nd = scratch.dist[v] + m.weights[v * m.n + d];
+        if nd < best.0 {
+            best = (nd, v);
+        }
+    }
+    if best.1 == usize::MAX {
+        return None;
+    }
+    scratch.trace_path(s, best.1);
+    scratch.path.push(d);
+    Some(comparison_along(m, &scratch.path, &mut scratch.vals))
+}
+
+/// Answers one source's pairs from a single SSSP tree, in group order.
+/// Leaf fix-ups are answered from the tree too ([`leaf_alternate`]); the
+/// other fix-ups run their own exclusion search, deferred until every tree
+/// answer has been composed (the search reuses — and clobbers — the same
+/// scratch). Records the group's `kernel/sweep_*` and
+/// `kernel/fixup_searches` counts on the current `detour-obs` recorder.
 fn sweep_source(
     m: &WeightMatrix,
     removed: &[bool],
     s: usize,
     group: &[(usize, usize)],
     scratch: &mut DijkstraScratch,
-) -> (Vec<Option<PathComparison>>, usize) {
+) -> Vec<Option<PathComparison>> {
     dijkstra(m, s, None, |v| !removed[v], |_, _| false, scratch);
+    let leaves = leaf_rule_holds(m, scratch);
+    if leaves {
+        for &v in &scratch.order[1..] {
+            scratch.parent[scratch.prev[v as usize]] = scratch.gen;
+        }
+    }
     let mut out: Vec<Option<PathComparison>> = Vec::with_capacity(group.len());
-    let mut fixup_idx: Vec<usize> = Vec::new();
+    let mut fixups = 0u64;
+    let mut searches: Vec<usize> = Vec::new();
     for (k, &(src, d)) in group.iter().enumerate() {
         debug_assert_eq!(src, s);
+        debug_assert!(!m.value(s, d).is_nan(), "pairs are measured");
         if scratch.stamp[d] != scratch.gen {
             // Unreachable even with every edge available — the exclusion
             // search cannot do better, so this pair is `None` for free.
@@ -627,9 +713,14 @@ fn sweep_source(
         } else if scratch.prev[d] == s {
             // The tree path is the direct edge (ties included: relaxation
             // is strict, so an equal-weight alternate never displaced it).
-            // Only here does the exclusion change the answer — re-search.
-            out.push(None); // placeholder, filled below
-            fixup_idx.push(k);
+            // Only here does the exclusion change the answer.
+            fixups += 1;
+            if leaves && scratch.parent[d] != scratch.gen {
+                out.push(leaf_alternate(m, s, d, scratch));
+            } else {
+                out.push(None); // placeholder, filled below
+                searches.push(k);
+            }
         } else {
             // The tree path avoids the direct edge — edge (s, d) can only
             // ever appear as the terminal path [s, d] — so it *is* the
@@ -638,22 +729,46 @@ fn sweep_source(
             out.push(Some(comparison_along(m, &scratch.path, &mut scratch.vals)));
         }
     }
-    let fixups = fixup_idx.len();
-    for k in fixup_idx {
+    let rec = detour_obs::current();
+    rec.add("kernel/sweep_pairs", group.len() as u64);
+    rec.add("kernel/sweep_fixups", fixups);
+    rec.add("kernel/sweep_avoided", group.len() as u64 - fixups);
+    rec.add("kernel/fixup_searches", searches.len() as u64);
+    for k in searches {
         let (src, d) = group[k];
         out[k] = best_alternate_masked(m, removed, src, d, scratch);
     }
-    (out, fixups)
+    out
+}
+
+/// The unrestricted best alternates of a `(src, dst)`-sorted list of
+/// measured pairs under a host mask, in pair order: [`sweep`]'s strategy
+/// — one SSSP tree per source — on any subset of the pairs, run on the
+/// calling thread. Each answer equals [`best_alternate_masked`]'s.
+pub fn best_alternates_masked(
+    m: &WeightMatrix,
+    removed: &[bool],
+    pairs: &[(usize, usize)],
+    scratch: &mut DijkstraScratch,
+) -> Vec<Option<PathComparison>> {
+    let mut out = Vec::with_capacity(pairs.len());
+    for (s, a, b) in group_by_source(pairs) {
+        out.extend(sweep_source(m, removed, s, &pairs[a..b], scratch));
+    }
+    out
 }
 
 /// All-pairs sweep on the matrix with a host mask: the parallel engine
-/// behind [`crate::analysis::cdf::compare_all_pairs`] and the Figure-12
-/// greedy loop.
+/// behind [`crate::analysis::cdf::compare_all_pairs`] and the first view
+/// of the Figure-12 greedy loop.
 ///
 /// For [`SearchDepth::Unrestricted`] it runs **one** dense Dijkstra per
 /// source — not per pair — producing the full SSSP tree over the masked
-/// matrix, answers every `(s, d)` from that tree, and re-searches only the
-/// pairs whose tree path *is* the excluded direct edge (`prev[d] == s`).
+/// matrix, and answers every `(s, d)` from that tree. Only a fix-up — a
+/// pair whose tree path *is* the excluded direct edge (`prev[d] == s`) —
+/// can need more: a leaf fix-up (`d` is no settled vertex's `prev`, on a
+/// matrix whose weights strictly increase every sum) is still read off
+/// the tree, and the rest run their own exclusion search.
 /// Fan-out over [`crate::pool`] is by source with one [`DijkstraScratch`]
 /// per worker; per-source results concatenate in source order (pairs are
 /// `(i, j)`-sorted within), so the output is bit-identical at every thread
@@ -664,36 +779,31 @@ fn sweep_source(
 /// The re-search accounting — how much work the one-SSSP-per-source
 /// strategy saved — goes to the current `detour-obs` recorder:
 /// `kernel/sweep_pairs` (measured pairs answered), `kernel/sweep_fixups`
-/// (pairs whose tree path begins with the excluded direct edge, the only
-/// case needing a per-pair exclusion re-search), and
-/// `kernel/sweep_avoided` (pairs answered straight off the tree). The
-/// split is a pure function of the matrix + mask, so the counters are
+/// (pairs whose tree path is the excluded direct edge),
+/// `kernel/sweep_avoided` (the other pairs, answered straight off the
+/// tree) and `kernel/fixup_searches` (the fix-ups that still ran an
+/// exclusion search). [`best_alternates_masked`] records the same four.
+/// The split is a pure function of the matrix + mask, so the counters are
 /// thread-count-invariant; the one-hop scan has no tree to read from, so
-/// it contributes pairs with 0 fixups/avoided.
+/// it contributes pairs only.
 pub fn sweep(m: &WeightMatrix, removed: &[bool], depth: SearchDepth) -> Vec<PathComparison> {
     let pairs = m.measured_pairs(removed);
-    let rec = detour_obs::current();
-    rec.add("kernel/sweep_pairs", pairs.len() as u64);
     match depth {
-        SearchDepth::Unrestricted => {
-            let per_source = pool::parallel_map_init(
-                &group_by_source(&pairs),
-                DijkstraScratch::new,
-                |scratch, &(s, a, b)| sweep_source(m, removed, s, &pairs[a..b], scratch),
-            );
-            let mut out = Vec::new();
-            let mut fixups = 0u64;
-            for (cmps, f) in per_source {
-                fixups += f as u64;
-                out.extend(cmps.into_iter().flatten());
-            }
-            rec.add("kernel/sweep_fixups", fixups);
-            rec.add("kernel/sweep_avoided", pairs.len() as u64 - fixups);
-            out
+        SearchDepth::Unrestricted => pool::parallel_map_init(
+            &group_by_source(&pairs),
+            DijkstraScratch::new,
+            |scratch, &(s, a, b)| sweep_source(m, removed, s, &pairs[a..b], scratch),
+        )
+        .into_iter()
+        .flatten()
+        .flatten()
+        .collect(),
+        SearchDepth::OneHop => {
+            detour_obs::current().add("kernel/sweep_pairs", pairs.len() as u64);
+            per_pair_sweep(&pairs, |s, d| {
+                best_alternate_one_hop_masked(m, removed, s, d)
+            })
         }
-        SearchDepth::OneHop => per_pair_sweep(&pairs, |s, d| {
-            best_alternate_one_hop_masked(m, removed, s, d)
-        }),
     }
 }
 
@@ -824,6 +934,11 @@ mod tests {
     /// to/from hub 0 cost 10 ms, everything else 100 ms — except the tied
     /// edges 1↔2 at 20 ms, exactly the cost of detouring via the hub.
     fn hub_five() -> PairTable {
+        hub_five_with(|_| {})
+    }
+
+    /// [`hub_five`] with `edit` applied to its RTT rows first.
+    fn hub_five_with(edit: impl FnOnce(&mut [Vec<f64>])) -> PairTable {
         let mut rows = vec![vec![100.0f64; 5]; 5];
         rows[0] = vec![X, 10.0, 10.0, 10.0, 10.0];
         for (i, row) in rows.iter_mut().enumerate().skip(1) {
@@ -832,8 +947,18 @@ mod tests {
         }
         rows[1][2] = 20.0;
         rows[2][1] = 20.0;
+        edit(&mut rows);
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         PairTable::build(&rtt_matrix_dataset(&refs, 2))
+    }
+
+    /// Every measured pair's answer under `mask`, one exclusion search each.
+    fn per_pair(m: &WeightMatrix, mask: &[bool]) -> Vec<PathComparison> {
+        let mut scratch = DijkstraScratch::new();
+        m.measured_pairs(mask)
+            .into_iter()
+            .filter_map(|(s, d)| best_alternate_masked(m, mask, s, d, &mut scratch))
+            .collect()
     }
 
     #[test]
@@ -857,14 +982,12 @@ mod tests {
         // fall into the re-search.
         assert_eq!((fixups, avoided), (10, 10));
         assert_eq!(pairs, fixups + avoided);
+        // Only the four fix-ups into the hub search: every tree detours
+        // through it, so it is no leaf. The six others — out of the hub,
+        // and the tied 1↔2 — are leaves, answered from the tree.
+        assert_eq!(rec.counter("kernel/fixup_searches"), 4);
         // Every answer must match the per-pair exclusion search.
-        let mut scratch = DijkstraScratch::new();
-        let per_pair: Vec<_> = m
-            .measured_pairs(&mask)
-            .into_iter()
-            .filter_map(|(s, d)| best_alternate_masked(&m, &mask, s, d, &mut scratch))
-            .collect();
-        assert_eq!(cmps, per_pair);
+        assert_eq!(cmps, per_pair(&m, &mask));
         // The tie resolves to the equal-cost hub detour, found by fix-up.
         let tied = cmps
             .iter()
@@ -882,6 +1005,23 @@ mod tests {
             (100.0, 20.0)
         );
         assert_eq!(avoided.via, vec![HostId(0)]);
+    }
+
+    #[test]
+    fn a_weight_that_a_distance_absorbs_sends_every_fixup_to_the_search() {
+        // Next to the 10 ms legs a 1e-300 ms edge does not move a sum, so
+        // the leaf rule's precondition fails and every fix-up searches,
+        // leaves included.
+        let g = hub_five_with(|rows| rows[3][4] = 1e-300);
+        let m = WeightMatrix::build(&g, &Rtt);
+        let mask = m.no_mask();
+        let rec = detour_obs::Recorder::new();
+        let _obs = detour_obs::install(rec.clone());
+        let cmps = sweep(&m, &mask, SearchDepth::Unrestricted);
+        let fixups = rec.counter("kernel/sweep_fixups");
+        assert!(fixups > 0);
+        assert_eq!(rec.counter("kernel/fixup_searches"), fixups);
+        assert_eq!(cmps, per_pair(&m, &mask));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   the invariant that lets the Figure-12 greedy loop drop its
 //!   rebuild-per-candidate.
 //! * **Incremental greedy = plain greedy**: `greedy_removal` reuses the
-//!   previous sweep for pairs whose best path avoids a candidate; it must
-//!   pick the hosts a full sweep per candidate picks.
+//!   previous view for pairs whose best path avoids a candidate; for RTT
+//!   and loss alike it must pick the hosts a full sweep per candidate
+//!   picks, reach the same reduced CDF bit for bit, and end on the view a
+//!   full sweep under the final mask gives.
 //! * **Metamorphic properties the paper's method implies** (§4.1: drop
 //!   the direct edge, take the best path through the measured graph):
 //!   scaling every RTT by a power of two scales every improvement by
@@ -27,9 +29,9 @@
 use std::collections::HashMap;
 
 use detour_core::analysis::cdf::{compare_graph, improvement_cdf};
-use detour_core::analysis::hostremoval::greedy_removal;
+use detour_core::analysis::hostremoval::greedy_removal_on;
 use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
-use detour_core::metric::Rtt;
+use detour_core::metric::{Loss, Rtt};
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
 use detour_measure::{Dataset, DatasetBuilder, HostId, PairTable};
 use detour_prng::check::check;
@@ -298,41 +300,70 @@ fn mean_improvement(m: &WeightMatrix, mask: &[bool]) -> f64 {
     cs.iter().map(|c| c.improvement()).sum::<f64>() / cs.len() as f64
 }
 
+/// Random sparse loss graph → dataset: four probes per measured edge, none
+/// to two of them lost, so loss rates are 0, 0.25 or 0.5 — zero weights
+/// and equal-cost paths are common.
+fn random_lossy_dataset(rng: &mut Xoshiro256pp) -> Dataset {
+    let n = rng.gen_range(4..9usize);
+    let missing = rng.gen_range(0.1..0.5f64);
+    let mut b = Dataset::builder("L");
+    b.hosts(n as u32);
+    for i in 0..n as u32 {
+        for j in 0..n as u32 {
+            if i == j || rng.gen_bool(missing) {
+                continue;
+            }
+            let lost = rng.gen_range(0..3usize);
+            for k in 0..4 {
+                b.probe(i, j, k as f64, (k >= lost).then_some(50.0));
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The incremental greedy loop against the plain one: the same hosts
+/// removed, the reduced CDF equal point for point, bit for bit, and the
+/// loop's last view equal to a full sweep under the final mask — detour
+/// hosts and tie-breaks included.
+fn assert_greedy_matches_full_sweeps(m: &WeightMatrix) {
+    let k = m.len();
+    let (got, view) = greedy_removal_on(m, k);
+
+    // The plain greedy: score every surviving candidate by a full
+    // masked sweep; the lowest mean wins, ties go to the lowest id.
+    let mut mask = m.no_mask();
+    let mut removed = Vec::new();
+    for _ in 0..k.min(m.len().saturating_sub(3)) {
+        let mut best: Option<(f64, usize)> = None;
+        for h in (0..m.len()).filter(|&h| !mask[h]) {
+            let mut mask_h = mask.clone();
+            mask_h[h] = true;
+            let pos = mean_improvement(m, &mask_h);
+            if best.is_none_or(|(b, bh)| pos < b || (pos == b && m.hosts()[h] < m.hosts()[bh])) {
+                best = Some((pos, h));
+            }
+        }
+        let Some((_, h)) = best else { break };
+        mask[h] = true;
+        removed.push(m.hosts()[h]);
+    }
+    let swept = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
+    let reduced = improvement_cdf(&swept);
+
+    assert_eq!(got.removed, removed);
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got.reduced.values()), bits(reduced.values()));
+    assert_eq!(view, swept);
+}
+
 #[test]
 fn greedy_removal_matches_a_full_sweep_per_candidate() {
     check("incremental greedy equals plain greedy", |rng| {
-        let ds = random_dataset(rng);
-        let cx = AnalysisContext::from_dataset(&ds);
-        let m = cx.weights(&Rtt);
-        let k = m.len();
-        let got = greedy_removal(&cx, &Rtt, k);
-
-        // The plain greedy: score every surviving candidate by a full
-        // masked sweep; the lowest mean wins, ties go to the lowest id.
-        let mut mask = m.no_mask();
-        let mut removed = Vec::new();
-        for _ in 0..k.min(m.len().saturating_sub(3)) {
-            let mut best: Option<(f64, usize)> = None;
-            for h in (0..m.len()).filter(|&h| !mask[h]) {
-                let mut mask_h = mask.clone();
-                mask_h[h] = true;
-                let pos = mean_improvement(m, &mask_h);
-                if best.is_none_or(|(b, bh)| pos < b || (pos == b && m.hosts()[h] < m.hosts()[bh]))
-                {
-                    best = Some((pos, h));
-                }
-            }
-            let Some((_, h)) = best else { break };
-            mask[h] = true;
-            removed.push(m.hosts()[h]);
-        }
-        let reduced = improvement_cdf(&kernel::sweep(m, &mask, SearchDepth::Unrestricted));
-
-        assert_eq!(got.removed, removed);
-        assert_eq!(
-            got.reduced.fraction_above(0.0).to_bits(),
-            reduced.fraction_above(0.0).to_bits()
-        );
+        let rtt = AnalysisContext::from_dataset(&random_dataset(rng));
+        assert_greedy_matches_full_sweeps(rtt.weights(&Rtt));
+        let loss = AnalysisContext::from_dataset(&random_lossy_dataset(rng));
+        assert_greedy_matches_full_sweeps(loss.weights(&Loss));
     });
 }
 

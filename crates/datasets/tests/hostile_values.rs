@@ -1,6 +1,7 @@
 //! Hostile values through the trace decoder: a `.trace2` file is untrusted
 //! input, so every field of every dataset is edited to a value the
-//! analyses have no meaning for (NaN, ±inf, negative and zero RTTs,
+//! analyses have no meaning for (NaN, ±inf, negative, zero and
+//! longer-than-any-timeout RTTs,
 //! unlisted and duplicate hosts, a probe from a host to itself, AS-path
 //! indices past the pool, loss rates outside `[0, 1]`, times outside the
 //! trace) or to a value on the edge of a rule. Each edit is re-encoded
@@ -57,6 +58,9 @@ const MENU: &[Edit] = &[
     (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(f64::INFINITY), Some(ProbeRtt)),
     (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(0.0), Some(ProbeRtt)),
     (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(-20.0), Some(ProbeRtt)),
+    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(1e300), Some(ProbeRtt)),
+    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(600_001.0), Some(ProbeRtt)),
+    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(600_000.0), None),
     (Target::Probes, |d, r| d.probes[r].rtt_ms = None, None),
     (Target::Probes, |d, r| d.probes[r].path_idx = u32::MAX, Some(ProbePath)),
     (Target::Probes, |d, r| d.probes[r].path_idx = d.as_paths.len() as u32, Some(ProbePath)),
@@ -68,6 +72,9 @@ const MENU: &[Edit] = &[
     (Target::Transfers, |d, r| d.transfers[r].rtt_ms = 0.0, Some(TransferRtt)),
     (Target::Transfers, |d, r| d.transfers[r].rtt_ms = -1.0, Some(TransferRtt)),
     (Target::Transfers, |d, r| d.transfers[r].rtt_ms = f64::NAN, Some(TransferRtt)),
+    (Target::Transfers, |d, r| d.transfers[r].rtt_ms = 1e300, Some(TransferRtt)),
+    (Target::Transfers, |d, r| d.transfers[r].rtt_ms = 600_001.0, Some(TransferRtt)),
+    (Target::Transfers, |d, r| d.transfers[r].rtt_ms = 600_000.0, None),
     (Target::Transfers, |d, r| d.transfers[r].loss_rate = -1.0, Some(TransferLoss)),
     (Target::Transfers, |d, r| d.transfers[r].loss_rate = 2.0, Some(TransferLoss)),
     (Target::Transfers, |d, r| d.transfers[r].loss_rate = f64::NAN, Some(TransferLoss)),

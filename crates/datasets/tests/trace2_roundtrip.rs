@@ -4,7 +4,7 @@
 //! cache re-writes never churn bytes).
 
 use detour_datasets::{trace2, DatasetId};
-use detour_measure::{Dataset, HostMeta, PairTable};
+use detour_measure::{Dataset, HostMeta, PairTable, MAX_RTT_MS};
 use detour_netsim::HostId;
 use detour_prng::{check, Rng, Xoshiro256pp};
 
@@ -20,21 +20,21 @@ fn finite_f64(rng: &mut Xoshiro256pp) -> f64 {
     }
 }
 
-/// Any finite, strictly positive f64 bit pattern (subnormals included) —
-/// the domain [`Dataset::new`] accepts for a probe or transfer RTT.
-fn positive_f64(rng: &mut Xoshiro256pp) -> f64 {
-    loop {
-        let v = finite_f64(rng);
-        if v > 0.0 {
-            return v;
-        }
-    }
-}
-
 /// A finite f64 bit pattern folded into `[0, max]`: zero, subnormals,
 /// `max` itself and everything between.
 fn within(rng: &mut Xoshiro256pp, max: f64) -> f64 {
     finite_f64(rng).abs().min(max)
+}
+
+/// Any f64 bit pattern in `(0, MAX_RTT_MS]` (subnormals included) — the
+/// domain [`Dataset::new`] accepts for a probe or transfer RTT.
+fn rtt_ms(rng: &mut Xoshiro256pp) -> f64 {
+    loop {
+        let v = finite_f64(rng);
+        if v > 0.0 && v <= MAX_RTT_MS {
+            return v;
+        }
+    }
 }
 
 /// A structurally arbitrary valid dataset: host counts down to zero,
@@ -79,7 +79,7 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
         for _ in 0..rng.gen_range(0..40usize) {
             let (s, d) = pair(rng);
             let t = within(rng, duration);
-            let rtt = rng.gen_bool(0.8).then(|| positive_f64(rng));
+            let rtt = rng.gen_bool(0.8).then(|| rtt_ms(rng));
             b.probe_with(s, d, t, rtt, |p| {
                 p.probe_index = rng.gen_range(0..3u32) as u8;
                 p.loss_eligible = rng.gen_bool(0.9);
@@ -91,7 +91,7 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
     if ids.len() >= 2 {
         for _ in 0..rng.gen_range(0..10usize) {
             let (s, d) = pair(rng);
-            let (t, rtt) = (within(rng, duration), positive_f64(rng));
+            let (t, rtt) = (within(rng, duration), rtt_ms(rng));
             let (loss, bw) = (within(rng, 1.0), within(rng, f64::MAX));
             b.transfer(s, d, t, rtt, loss, bw);
         }

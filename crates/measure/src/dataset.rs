@@ -21,6 +21,12 @@ use crate::record::{HostMeta, ProbeSample, TransferSample};
 /// Default minimum probe count per directed path (paper: 30).
 pub const MIN_SAMPLES_PER_PATH: usize = 30;
 
+/// The largest probe or transfer RTT a dataset may hold, in ms: the
+/// campaign's longest timeout (the TCP campaign's 600 s), so no returned
+/// request can take longer. The bound keeps RTT sums and Figure 6's
+/// sample grids finite and small.
+pub const MAX_RTT_MS: f64 = 600_000.0;
+
 /// An assembled, cleaned dataset.
 ///
 /// [`Dataset::new`] is the only constructor, and it checks the rules the
@@ -71,7 +77,7 @@ pub enum DatasetField {
     ProbeDst,
     /// `probes[row].t_s`: not in `[0, duration_s]`.
     ProbeTime,
-    /// `probes[row].rtt_ms`: present but not finite and > 0.
+    /// `probes[row].rtt_ms`: present but not in `(0, MAX_RTT_MS]`.
     ProbeRtt,
     /// `probes[row].path_idx`: past the end of `as_paths`.
     ProbePath,
@@ -81,7 +87,7 @@ pub enum DatasetField {
     TransferDst,
     /// `transfers[row].t_s`: not in `[0, duration_s]`.
     TransferTime,
-    /// `transfers[row].rtt_ms`: not finite and > 0.
+    /// `transfers[row].rtt_ms`: not in `(0, MAX_RTT_MS]`.
     TransferRtt,
     /// `transfers[row].loss_rate`: not in `[0, 1]`.
     TransferLoss,
@@ -99,12 +105,12 @@ impl DatasetField {
             ProbeSrc => ("probes.src", "names an unlisted host"),
             ProbeDst => ("probes.dst", "names an unlisted host or the source"),
             ProbeTime => ("probes.t_s", "lies outside [0, duration_s]"),
-            ProbeRtt => ("probes.rtt_ms", "is not finite and > 0"),
+            ProbeRtt => ("probes.rtt_ms", "lies outside (0, 600000] ms"),
             ProbePath => ("probes.path_idx", "is past the AS-path pool"),
             TransferSrc => ("transfers.src", "names an unlisted host"),
             TransferDst => ("transfers.dst", "names an unlisted host or the source"),
             TransferTime => ("transfers.t_s", "lies outside [0, duration_s]"),
-            TransferRtt => ("transfers.rtt_ms", "is not finite and > 0"),
+            TransferRtt => ("transfers.rtt_ms", "lies outside (0, 600000] ms"),
             TransferLoss => ("transfers.loss_rate", "lies outside [0, 1]"),
             TransferBandwidth => ("transfers.bandwidth_kbps", "is not finite and >= 0"),
         }
@@ -151,8 +157,8 @@ impl Dataset {
     /// rely on: host ids are unique; every probe and transfer runs between
     /// two different listed hosts; sample times are finite and lie in
     /// `[0, duration_s]`; a present probe RTT and every transfer RTT are
-    /// finite and positive (they become shortest-path weights and Mathis
-    /// divisors); transfer loss is a probability; bandwidth is finite and
+    /// positive and at most [`MAX_RTT_MS`] (they become shortest-path
+    /// weights, Mathis divisors and sample grids); transfer loss is a probability; bandwidth is finite and
     /// non-negative; and every `path_idx` names an entry of `as_paths`.
     /// The first row that breaks a rule is the error.
     ///
@@ -184,7 +190,7 @@ impl Dataset {
         }
         let listed = |h: HostId| ids.binary_search_by_key(&h, |&(id, _)| id).is_ok();
         let in_window = |t: f64| (0.0..=duration_s).contains(&t);
-        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let rtt_ok = |v: f64| v > 0.0 && v <= MAX_RTT_MS;
         for (row, p) in probes.iter().enumerate() {
             let fault = if !listed(p.src) {
                 ProbeSrc
@@ -192,7 +198,7 @@ impl Dataset {
                 ProbeDst
             } else if !in_window(p.t_s) {
                 ProbeTime
-            } else if p.rtt_ms.is_some_and(|v| !positive(v)) {
+            } else if p.rtt_ms.is_some_and(|v| !rtt_ok(v)) {
                 ProbeRtt
             } else if p.path_idx as usize >= as_paths.len() {
                 ProbePath
@@ -208,7 +214,7 @@ impl Dataset {
                 TransferDst
             } else if !in_window(t.t_s) {
                 TransferTime
-            } else if !positive(t.rtt_ms) {
+            } else if !rtt_ok(t.rtt_ms) {
                 TransferRtt
             } else if !(0.0..=1.0).contains(&t.loss_rate) {
                 TransferLoss
@@ -844,13 +850,14 @@ mod tests {
     fn new_names_the_field_and_row_of_the_first_broken_rule() {
         use DatasetField::*;
         type Edit = for<'a> fn(&'a mut DatasetBuilder) -> &'a mut DatasetBuilder;
-        let cases: [(Edit, DatasetField, usize); 13] = [
+        let cases: [(Edit, DatasetField, usize); 15] = [
             (|b| b.duration(f64::NAN), Duration, 0),
             (|b| b.host(1).host(1), Host, 2),
             (|b| b.probe(7, 1, 0.0, None), ProbeSrc, 1),
             (|b| b.probe(1, 1, 0.0, None), ProbeDst, 1),
             (|b| b.probe(1, 0, 10.5, None), ProbeTime, 1),
             (|b| b.probe(1, 0, 0.0, Some(0.0)), ProbeRtt, 1),
+            (|b| b.probe(1, 0, 0.0, Some(600_000.5)), ProbeRtt, 1),
             (
                 |b| b.probe_with(1, 0, 0.0, None, |p| p.path_idx = 1),
                 ProbePath,
@@ -864,6 +871,7 @@ mod tests {
                 TransferRtt,
                 1,
             ),
+            (|b| b.transfer(0, 1, 0.0, 1e300, 0.0, 0.0), TransferRtt, 1),
             (|b| b.transfer(0, 1, 0.0, 1.0, 1.5, 0.0), TransferLoss, 1),
             (
                 |b| b.transfer(0, 1, 0.0, 1.0, 0.0, -0.5),
@@ -878,5 +886,18 @@ mod tests {
             assert_eq!(err, DatasetError { field, row });
             assert!(err.to_string().contains(&format!("row {row}")), "{err}");
         }
+    }
+
+    #[test]
+    fn the_rtt_bound_is_the_longest_campaign_timeout() {
+        use crate::CampaignConfig;
+        let longest = CampaignConfig::tcp()
+            .timeout_s
+            .max(CampaignConfig::traceroute().timeout_s);
+        assert_eq!(MAX_RTT_MS, longest * 1000.0);
+        let mut b = valid();
+        b.probe(1, 0, 0.0, Some(MAX_RTT_MS))
+            .transfer(0, 1, 0.0, MAX_RTT_MS, 0.0, 0.0);
+        assert!(b.build().is_ok(), "the bound itself is a valid RTT");
     }
 }

@@ -29,7 +29,8 @@ pub mod schedule;
 
 pub use control::{run_campaign, run_campaign_faulted, CampaignConfig, ProbeKind, RawMeasurements};
 pub use dataset::{
-    Characteristics, Dataset, DatasetBuilder, DatasetError, DatasetField, MIN_SAMPLES_PER_PATH,
+    Characteristics, Dataset, DatasetBuilder, DatasetError, DatasetField, MAX_RTT_MS,
+    MIN_SAMPLES_PER_PATH,
 };
 pub use pairtable::{HostIndex, PairTable};
 pub use ratelimit::RateLimitPolicy;

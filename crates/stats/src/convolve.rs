@@ -145,6 +145,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn the_grid_spanning_every_valid_rtt_is_built_without_overflow() {
+        // The extremes a dataset may hold (`detour_measure::MAX_RTT_MS`
+        // is 600 000 ms) on Figure 6's 1 ms grid: 600 001 bins, not an
+        // overflowed count.
+        let d = SampleDist::from_samples(&[f64::MIN_POSITIVE, 600_000.0], 1.0).unwrap();
+        assert_eq!(d.bins(), 600_001);
+        assert!((d.total_mass() - 1.0).abs() < 1e-12);
+        assert_eq!(d.quantile(1.0), 600_000.5);
+    }
+
+    #[test]
     fn from_samples_conserves_mass() {
         let d = SampleDist::from_samples(&[1.0, 2.0, 3.0, 10.0], 0.5).unwrap();
         assert!((d.total_mass() - 1.0).abs() < 1e-12);

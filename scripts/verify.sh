@@ -18,7 +18,9 @@
 #             .trace2 decoder, where untrusted bytes enter the program),
 #             the detour-core unit tests,
 #             batched-kernel equivalence,
-#             the kernel property tests, the paper-shape envelopes,
+#             the kernel property tests, the determinism tests (greedy
+#             removal and campaigns at 1/2/8 workers), the paper-shape
+#             envelopes,
 #             the fault-schedule unit tests, the netsim property tests,
 #             the figures CLI input checks,
 #             chaos + golden suites, the trace_explorer example on its
@@ -92,6 +94,9 @@ cargo test -q --offline -p detour --test batched_kernel
 
 echo "== smoke: kernel property tests =="
 cargo test -q --offline -p detour-core --test kernel_properties
+
+echo "== smoke: greedy removal + campaign determinism at 1/2/8 workers =="
+cargo test -q --offline -p detour --test determinism
 
 echo "== smoke: paper-shape envelopes =="
 cargo test -q --offline -p detour --test paper_shapes

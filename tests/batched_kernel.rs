@@ -8,24 +8,35 @@
 //! random graphs and on a pipeline-generated dataset across all three
 //! additive metrics.
 //!
+//! The random graphs come in three kinds, so that both ways a fix-up is
+//! answered run: whole-millisecond RTTs, where leaf fix-ups are read off
+//! the source's tree; loss rates with lossless edges, whose zero weights
+//! send every fix-up to its own exclusion search; and RTTs spanning
+//! absorption scale (1e-300 ms beside 1e5 ms), where adding the smallest
+//! weight no longer moves the largest distance, with the same effect.
+//!
 //! Property tests run on the in-tree deterministic harness
 //! (`detour_prng::check`; replay a failing case with
 //! `DETOUR_PROP_SEED=<seed>`).
 
 use detour::core::altpath::SearchDepth;
 use detour::core::kernel::{self, WeightMatrix};
-use detour::core::metric::{Loss, PropDelay, Rtt};
+use detour::core::metric::{Loss, MetricKind, PropDelay, Rtt};
 use detour::core::pool;
 use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
-use detour::measure::{Dataset, PairTable};
+use detour::measure::{Dataset, DatasetBuilder, PairTable};
 use detour_bench::reference;
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
+use std::cell::Cell;
 
-/// Random sparse RTT matrix → dataset (NaN = unmeasured edge), the same
-/// shape the kernel property tests use in-crate.
-fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
+/// Draws the probes of one measured edge `i → j`.
+type Edge = fn(&mut Xoshiro256pp, &mut DatasetBuilder, u32, u32);
+
+/// Random sparse graph → dataset: each ordered pair is measured with
+/// probability `1 - missing`, its probes drawn by `edge`.
+fn random_dataset(rng: &mut Xoshiro256pp, edge: Edge) -> Dataset {
     let n = rng.gen_range(4..10usize);
     let missing = rng.gen_range(0.1..0.5f64);
     let mut b = Dataset::builder("B");
@@ -35,11 +46,37 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
             if i == j || rng.gen_bool(missing) {
                 continue;
             }
-            let rtt = rng.gen_range(1.0..100.0f64).round();
-            b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
+            edge(rng, &mut b, i, j);
         }
     }
     b.build().unwrap()
+}
+
+/// Whole-millisecond RTTs, the same shape the kernel property tests use
+/// in-crate: equal-cost paths, and with them tie-breaks, are common.
+fn whole_ms_edge(rng: &mut Xoshiro256pp, b: &mut DatasetBuilder, i: u32, j: u32) {
+    let rtt = rng.gen_range(1.0..100.0f64).round();
+    b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
+}
+
+/// Four probes, none to two of them lost: loss rates 0, 0.25 and 0.5, so
+/// about a third of the edges weigh exactly zero.
+fn lossy_edge(rng: &mut Xoshiro256pp, b: &mut DatasetBuilder, i: u32, j: u32) {
+    let lost = rng.gen_range(0..3usize);
+    for k in 0..4 {
+        b.probe(i, j, k as f64, (k >= lost).then_some(50.0));
+    }
+}
+
+/// RTTs of 1e-300 ms or whole multiples of 1e4 ms: every sum of a few
+/// large weights is absorbing for the tiny ones.
+fn absorbing_edge(rng: &mut Xoshiro256pp, b: &mut DatasetBuilder, i: u32, j: u32) {
+    let rtt = if rng.gen_bool(0.4) {
+        1e-300
+    } else {
+        1e4 * rng.gen_range(1.0..10.0f64).round()
+    };
+    b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
 }
 
 /// A random host-removal mask: each host masked with probability ~1/3,
@@ -48,62 +85,110 @@ fn random_mask(rng: &mut Xoshiro256pp, n: usize) -> Vec<bool> {
     (0..n).map(|_| rng.gen_bool(0.33)).collect()
 }
 
+/// The `kernel/*` counters one sweep records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    pairs: u64,
+    fixups: u64,
+    avoided: u64,
+    /// Fix-ups that ran their own exclusion search; the rest were leaf
+    /// fix-ups answered from the tree.
+    searches: u64,
+}
+
 /// Runs one batched sweep under a fresh scoped recorder and returns the
-/// comparisons plus the `kernel/sweep_*` counters it recorded:
-/// `(pairs, fixups, avoided)`.
+/// comparisons plus the `kernel/*` counters it recorded.
 fn sweep_with_counters(
     m: &WeightMatrix,
     mask: &[bool],
     depth: SearchDepth,
-) -> (Vec<detour::core::altpath::PathComparison>, (u64, u64, u64)) {
+) -> (Vec<detour::core::altpath::PathComparison>, Counts) {
     let rec = detour_obs::Recorder::new();
     let _g = detour_obs::install(rec.clone());
     let got = kernel::sweep(m, mask, depth);
-    let counts = (
-        rec.counter("kernel/sweep_pairs"),
-        rec.counter("kernel/sweep_fixups"),
-        rec.counter("kernel/sweep_avoided"),
-    );
+    let counts = Counts {
+        pairs: rec.counter("kernel/sweep_pairs"),
+        fixups: rec.counter("kernel/sweep_fixups"),
+        avoided: rec.counter("kernel/sweep_avoided"),
+        searches: rec.counter("kernel/fixup_searches"),
+    };
     (got, counts)
 }
 
 /// Asserts batched == per-pair on one (matrix, mask, depth) cell at 1, 2,
-/// and 8 threads, plus the counter bookkeeping invariant.
-fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) {
+/// and 8 threads, plus the counter bookkeeping invariant; returns the
+/// counters, which every thread count agrees on.
+fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Counts {
     pool::set_threads(1);
     let expect = reference::per_pair_sweep(m, mask, depth);
+    let mut first: Option<Counts> = None;
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let (got, (pairs, fixups, avoided)) = sweep_with_counters(m, mask, depth);
+        let (got, c) = sweep_with_counters(m, mask, depth);
         assert_eq!(got, expect, "threads={threads}");
         // Pairs whose destination is unreachable under the mask return no
         // comparison but still count in `pairs` (as avoided re-searches).
-        assert!(got.len() as u64 <= pairs, "threads={threads}");
+        assert!(got.len() as u64 <= c.pairs, "threads={threads}");
+        assert!(c.searches <= c.fixups, "threads={threads}");
         match depth {
             SearchDepth::Unrestricted => assert_eq!(
-                fixups + avoided,
-                pairs,
+                c.fixups + c.avoided,
+                c.pairs,
                 "threads={threads}: every pair is either fixed up or avoided"
             ),
             // One-hop scans never run an exclusion search, so the fix-up
             // counters stay zero by definition.
             SearchDepth::OneHop => {
-                assert_eq!((fixups, avoided), (0, 0), "one-hop never fixes up")
+                assert_eq!((c.fixups, c.avoided), (0, 0), "one-hop never fixes up")
             }
         }
+        assert_eq!(*first.get_or_insert(c), c, "threads={threads}");
     }
     pool::set_threads(0);
+    first.expect("three thread counts ran")
 }
 
 #[test]
 fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
+    // Fix-ups answered from the tree and by their own search, per kind,
+    // summed over every case.
+    let leaf = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
+    let searched = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
     check("batched sweep equals per-pair reference", |rng| {
-        let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
-        let mask = random_mask(rng, m.len());
-        for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
-            assert_equivalent(&m, &mask, depth);
+        let edges: [(Edge, MetricKind); 3] = [
+            (whole_ms_edge, Rtt),
+            (lossy_edge, Loss),
+            (absorbing_edge, Rtt),
+        ];
+        for (kind, (edge, metric)) in edges.into_iter().enumerate() {
+            let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng, edge)), &metric);
+            let mask = random_mask(rng, m.len());
+            let zero_weight = m
+                .measured_pairs(&m.no_mask())
+                .iter()
+                .any(|&(i, j)| m.weight(i, j) == 0.0);
+            for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
+                let c = assert_equivalent(&m, &mask, depth);
+                if zero_weight {
+                    assert_eq!(c.searches, c.fixups, "a zero weight rules out leaf answers");
+                }
+                leaf[kind].set(leaf[kind].get() + c.fixups - c.searches);
+                searched[kind].set(searched[kind].get() + c.searches);
+            }
         }
     });
+    let (leaf, searched) = (leaf.map(Cell::into_inner), searched.map(Cell::into_inner));
+    assert!(
+        leaf[0] > 0,
+        "whole-ms RTTs answer leaf fix-ups from the tree"
+    );
+    assert!(
+        searched.iter().all(|&n| n > 0),
+        "every kind has fix-ups that search: {searched:?}"
+    );
+    // Absorbing trees search even for leaves; only a source whose tree
+    // stays at the 1e-300 scale may read a leaf off the tree.
+    assert!(searched[2] > leaf[2], "{leaf:?} {searched:?}");
 }
 
 #[test]
@@ -131,11 +216,14 @@ fn fixup_counting_is_thread_count_invariant() {
     let cx = AnalysisContext::from_dataset(&ds);
     let m = cx.weights(&Rtt);
     let mask = m.no_mask();
-    let mut baseline: Option<(u64, u64, u64)> = None;
+    let mut baseline: Option<Counts> = None;
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
         let (_, counts) = sweep_with_counters(m, &mask, SearchDepth::Unrestricted);
-        assert!(counts.0 > 0, "the scaled dataset must have measured pairs");
+        assert!(
+            counts.pairs > 0,
+            "the scaled dataset must have measured pairs"
+        );
         match &baseline {
             None => baseline = Some(counts),
             Some(b) => assert_eq!(*b, counts, "threads={threads} changed the counters"),

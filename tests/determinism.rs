@@ -10,7 +10,7 @@ use detour_bench::Bundle;
 
 #[test]
 fn masked_greedy_removal_is_identical_at_1_2_and_8_threads() {
-    use detour::core::analysis::hostremoval::greedy_removal;
+    use detour::core::analysis::hostremoval::greedy_removal_on;
     use detour::core::{AnalysisContext, Rtt};
     use detour::datasets::DatasetId;
 
@@ -19,13 +19,15 @@ fn masked_greedy_removal_is_identical_at_1_2_and_8_threads() {
     let mut runs = Vec::new();
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let a = greedy_removal(&cx, &Rtt, 3);
-        // Bit-exact comparison: removal order plus both CDF headline
-        // fractions, as raw f64 bits.
+        let (a, view) = greedy_removal_on(cx.weights(&Rtt), 3);
+        // Bit-exact comparison: removal order, both CDF headline
+        // fractions as raw f64 bits, and the loop's derived last view
+        // (every comparison, detour hosts included).
         runs.push((
             a.removed.clone(),
             a.full.fraction_above(0.0).to_bits(),
             a.reduced.fraction_above(0.0).to_bits(),
+            view,
         ));
     }
     pool::set_threads(0);
