@@ -7,10 +7,10 @@
 //! the superior alternates, the remaining curve would collapse; the paper
 //! finds it barely moves.
 
-use crate::altpath::{PathComparison, SearchDepth};
+use crate::altpath::PathComparison;
 use crate::analysis::cdf::improvement_cdf;
 use crate::context::AnalysisContext;
-use crate::kernel::{self, DijkstraScratch, WeightMatrix};
+use crate::kernel::{self, DijkstraScratch, Tree, WeightMatrix};
 use crate::metric::MetricKind;
 use crate::pool;
 use detour_measure::HostId;
@@ -28,13 +28,13 @@ pub struct RemovalAnalysis {
 }
 
 /// The comparisons `current` holds for pairs whose recorded best path runs
-/// through host `h`, re-answered under `mask_h` (the mask `current` was
-/// computed under, plus `h`): `(position in current, new answer)`, in
+/// through host `h`, re-answered once `h` joins the mask `current` and
+/// `trees` were computed under: `(position in current, new answer)`, in
 /// `current`'s order. `current` is `(src, dst)`-sorted, so each affected
-/// source costs one SSSP tree ([`kernel::best_alternates_masked`]).
+/// source re-settles its kept tree once ([`kernel::best_alternates_without`]).
 fn reroute_through(
     m: &WeightMatrix,
-    mask_h: &[bool],
+    trees: &[Tree],
     current: &[PathComparison],
     h: usize,
     scratch: &mut DijkstraScratch,
@@ -47,7 +47,7 @@ fn reroute_through(
         .filter(|(_, c)| c.via.contains(&hid))
         .map(|(k, c)| (k, (index(c.pair.src), index(c.pair.dst))))
         .unzip();
-    let answers = kernel::best_alternates_masked(m, mask_h, &pairs, scratch);
+    let answers = kernel::best_alternates_without(m, trees, h, &pairs, scratch);
     at.into_iter().zip(answers).collect()
 }
 
@@ -80,12 +80,12 @@ fn without_host<'a>(
 /// masked sweep, and therefore identical to it bit for bit.
 fn masked_position(
     m: &WeightMatrix,
-    mask_h: &[bool],
+    trees: &[Tree],
     current: &[PathComparison],
     h: usize,
     scratch: &mut DijkstraScratch,
 ) -> f64 {
-    let rerouted = reroute_through(m, mask_h, current, h, scratch);
+    let rerouted = reroute_through(m, trees, current, h, scratch);
     let mut sum = 0.0;
     let mut count = 0usize;
     for c in without_host(current, m.hosts()[h], &rerouted) {
@@ -106,12 +106,13 @@ fn masked_position(
 /// to rebuilt-table sweeps (relative vertex order is preserved, so every
 /// tie-break matches), which the kernel property tests pin down.
 ///
-/// Only the first view is a full [`kernel::sweep`]. Removing `h` can only
-/// affect pairs whose best alternate routes through `h`, so a candidate is
-/// scored on the previous view with just those pairs re-answered
-/// (`masked_position`), one SSSP tree per affected source; and the
-/// winner's re-answered view *is* the next view, so no sweep follows a
-/// removal. Even weight-tied alternates keep the reuse exact for the
+/// Only the first view is a full [`kernel::sweep`], and it keeps every
+/// source's SSSP tree. Removing `h` can only affect pairs whose best
+/// alternate routes through `h`, so a candidate is scored on the previous
+/// view with just those pairs re-answered (`masked_position`), from each
+/// affected source's tree re-settled without `h`; and the winner's
+/// re-answered view *is* the next view, so no sweep follows a removal —
+/// the kept trees re-settle without the winner instead. Even weight-tied alternates keep the reuse exact for the
 /// in-tree metrics: a tied path composes to the very sum the relaxation
 /// accumulated, so equal weight-space optima mean equal composed bits.
 /// The kernel property tests check, for RTT and loss, that the loop
@@ -125,22 +126,19 @@ pub fn greedy_removal(cx: &AnalysisContext, metric: &MetricKind, k: usize) -> Re
 /// the final mask — the view the reduced CDF is built from.
 pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<PathComparison>) {
     let mut mask = m.no_mask();
-    let mut current = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
+    let (mut current, mut trees) = kernel::sweep_with_trees(m, &mask);
     let full = improvement_cdf(&current);
     let mut removed = Vec::new();
     let mut scratch = DijkstraScratch::new();
-    for _ in 0..k.min(m.len().saturating_sub(3)) {
+    let rounds = k.min(m.len().saturating_sub(3));
+    for round in 0..rounds {
         // Candidates fan out over the pool (each worker reuses one
         // scratch); the argmin below runs on the in-order results, so the
         // pick is identical at any thread count.
         let candidates: Vec<usize> = (0..m.len()).filter(|&h| !mask[h]).collect();
         let positions = pool::parallel_map_init(&candidates, DijkstraScratch::new, {
-            let (m, mask, current) = (m, &mask, &current);
-            move |scratch, &h| {
-                let mut mask_h = mask.to_vec();
-                mask_h[h] = true;
-                masked_position(m, &mask_h, current, h, scratch)
-            }
+            let (m, trees, current) = (m, &trees, &current);
+            move |scratch, &h| masked_position(m, trees, current, h, scratch)
         });
         let mut best: Option<(f64, usize)> = None;
         for (&h, &pos) in candidates.iter().zip(&positions) {
@@ -153,10 +151,13 @@ pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<Pa
         let Some((_, h)) = best else { break };
         mask[h] = true;
         removed.push(m.hosts()[h]);
-        let rerouted = reroute_through(m, &mask, &current, h, &mut scratch);
+        let rerouted = reroute_through(m, &trees, &current, h, &mut scratch);
         current = without_host(&current, m.hosts()[h], &rerouted)
             .cloned()
             .collect();
+        if round + 1 < rounds {
+            kernel::drop_host(m, &mut trees, h, &mut scratch);
+        }
     }
     let reduced = improvement_cdf(&current);
     let analysis = RemovalAnalysis {

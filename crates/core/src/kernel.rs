@@ -30,19 +30,18 @@
 //!   itself, so the exclusion changes a pair's answer only when
 //!   `prev[d] == s` — the fix-up condition. Everything else (including
 //!   unreachable destinations) reads straight off the tree, bit-identical
-//!   to the per-pair search. Most fix-ups read off the tree as well: when
-//!   `d` is a *leaf* (no settled vertex's `prev`) and every relaxation
-//!   strictly increases a distance (smallest weight `w_min > 0` and
-//!   `D + w_min/2 > D` at the tree's largest distance `D`), the banned
-//!   search's answer is the first vertex `v ≠ s, d` in the tree's
-//!   extraction order that strictly minimises `dist[v] + w(v, d)` — an
-//!   `O(n)` scan. Only the other fix-ups run their own `O(n²)` exclusion
-//!   search. The `kernel/*` counters on the current `detour-obs` recorder
-//!   report how many searches that avoided. An all-pairs sweep drops from
-//!   `O(n⁴)` to `O(n³ + leaf_fixups·n + other_fixups·n²)`.
+//!   to the per-pair search. A fix-up is answered from the tree as well:
+//!   banning `(s, d)` can only move the vertices whose tree path runs
+//!   through `d` — `d`'s subtree `T` — so the sweep *re-settles* just
+//!   those, merged into the unchanged extraction order of the rest, and
+//!   reads `d`'s answer off the result. That costs `O(|T|·n)`, and `T` is
+//!   usually `d` alone. An all-pairs sweep drops from `O(n⁴)` to
+//!   `O(n³ + Σ|T|·n)`. A fix-up's `d` is a child of the source, and the
+//!   children's subtrees are disjoint, so `Σ|T| ≤ n − 1` per source and
+//!   the sweep is `O(n³)`.
 //! * [`DijkstraScratch`] — reusable per-worker state for the module's one
-//!   Dijkstra loop, which serves the sweep's trees, its fix-up
-//!   re-searches and Yen's spur searches alike (threaded
+//!   Dijkstra loop, which serves the sweep's trees, the per-pair exclusion
+//!   search and Yen's spur searches alike (threaded
 //!   through [`crate::pool::parallel_map_init`]; the fan-out unit is a
 //!   *source*, so each task is `O(n²)` of real work). Generation-stamped
 //!   `dist`/`prev` buffers make starting a search `O(1)` instead of three
@@ -53,10 +52,11 @@
 //!   host mask. Masking a host is equivalent, value-for-value, to
 //!   rebuilding the table from the dataset restricted to the other hosts
 //!   (`Dataset::restrict_to_hosts`; relative vertex order is preserved, so
-//!   tie-breaks resolve identically) but costs nothing — which turns the
-//!   Figure-12 greedy removal loop from rebuild-per-candidate into
-//!   re-answering the affected pairs, one tree per affected source
-//!   ([`best_alternates_masked`]).
+//!   tie-breaks resolve identically) but costs nothing. Masking one more
+//!   host `h` is a ban like the fix-up's: the sweep's kept trees re-settle
+//!   `h`'s subtree, which turns the Figure-12 greedy removal loop from
+//!   rebuild-per-candidate into re-settling what each candidate touches
+//!   ([`crate::analysis::hostremoval`]).
 //!
 //! **The invariant: same arithmetic, same bytes.** The kernel changes
 //! memory layout and search *strategy*, never arithmetic: weights and
@@ -86,10 +86,6 @@ pub struct WeightMatrix {
     weights: Vec<f64>,
     /// Row-major figure-facing metric values; missing = `NaN`.
     values: Vec<f64>,
-    /// The smallest finite search weight (`+∞` when there is none): the
-    /// leaf fix-up rule in [`sweep_source`] needs every relaxation to
-    /// strictly increase a distance.
-    w_min: f64,
 }
 
 impl WeightMatrix {
@@ -107,14 +103,12 @@ impl WeightMatrix {
                 weights[i * n + j] = w;
             }
         }
-        let w_min = weights.iter().fold(f64::INFINITY, |lo, &w| w.min(lo));
         WeightMatrix {
             metric: *metric,
             n,
             index: table.index().clone(),
             weights,
             values,
-            w_min,
         }
     }
 
@@ -288,14 +282,56 @@ pub struct DijkstraScratch {
     stamp: Vec<u32>,
     dist: Vec<f64>,
     prev: Vec<usize>,
-    /// `parent[v] == gen` when `v` is some settled vertex's `prev` — the
-    /// tree's inner vertices, marked by [`sweep_source`] for its leaf rule.
-    parent: Vec<u32>,
     unvisited: Vec<u32>,
     /// The settled vertices in extraction order.
     order: Vec<u32>,
+    /// The source tree a group of pairs is answered from: the sweep's
+    /// freshly grown one, or a kept one re-settled without a host.
+    tree: Tree,
+    work: Work,
+}
+
+/// Reusable buffers for answering pairs from a [`Tree`].
+#[derive(Debug, Default)]
+struct Work {
+    /// A fix-up's tree: the source tree re-settled without the direct edge.
+    banned: Tree,
+    sub: Subtree,
     path: Vec<usize>,
     vals: Vec<f64>,
+}
+
+/// Reusable buffers for [`resettle`].
+#[derive(Debug, Default)]
+struct Subtree {
+    /// `inside[v]` when `v`'s tree path runs through the banned element.
+    inside: Vec<bool>,
+    /// The subtree's vertices not yet re-settled.
+    open: Vec<u32>,
+}
+
+/// One source's finished SSSP tree — what [`dijkstra`] leaves when it runs
+/// to frontier exhaustion, kept in plain (unstamped) form so that a ban can
+/// re-settle it ([`resettle`]) instead of growing a new one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tree {
+    src: usize,
+    /// `dist[v]` for settled `v`, `+∞` for every other vertex.
+    dist: Vec<f64>,
+    /// `prev[v]` for settled `v ≠ src`, `usize::MAX` for every other vertex.
+    prev: Vec<usize>,
+    /// The settled vertices in extraction order.
+    order: Vec<u32>,
+}
+
+/// What a re-settle takes out of a source's tree.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ban {
+    /// The direct edge from the source to this vertex.
+    Edge(usize),
+    /// This vertex (never the source), as if masked.
+    Vertex(usize),
 }
 
 impl DijkstraScratch {
@@ -314,13 +350,10 @@ impl DijkstraScratch {
             self.dist.resize(n, f64::INFINITY);
             self.prev.clear();
             self.prev.resize(n, usize::MAX);
-            self.parent.clear();
-            self.parent.resize(n, 0);
             self.gen = 0;
         }
         if self.gen == u32::MAX {
             self.stamp.fill(0);
-            self.parent.fill(0);
             self.gen = 0;
         }
         self.gen += 1;
@@ -373,17 +406,38 @@ impl DijkstraScratch {
     }
 
     /// Walks the current generation's `prev` chain back from `d`, leaving
-    /// the path `s → … → d` in `self.path`.
+    /// the path `s → … → d` in `self.work.path`.
     fn trace_path(&mut self, s: usize, d: usize) {
-        self.path.clear();
-        self.path.push(d);
-        let mut cur = d;
-        while cur != s {
-            cur = self.prev[cur];
-            self.path.push(cur);
-        }
-        self.path.reverse();
+        trace(&self.prev, s, d, &mut self.work.path);
     }
+
+    /// Copies the full tree the last search from `s` left into `self.tree`.
+    fn keep_tree(&mut self, s: usize) {
+        let live = |v: usize| self.stamp[v] == self.gen;
+        let n = self.stamp.len();
+        let tree = &mut self.tree;
+        tree.src = s;
+        tree.dist.clear();
+        tree.dist
+            .extend((0..n).map(|v| if live(v) { self.dist[v] } else { f64::INFINITY }));
+        tree.prev.clear();
+        tree.prev
+            .extend((0..n).map(|v| if live(v) { self.prev[v] } else { usize::MAX }));
+        tree.order.clone_from(&self.order);
+    }
+}
+
+/// Walks `prev` back from `d` to `s`, leaving the path `s → … → d` in
+/// `path`.
+fn trace(prev: &[usize], s: usize, d: usize, path: &mut Vec<usize>) {
+    path.clear();
+    path.push(d);
+    let mut cur = d;
+    while cur != s {
+        cur = prev[cur];
+        path.push(cur);
+    }
+    path.reverse();
 }
 
 /// The one Dijkstra loop behind every search on the matrix — the sweep's
@@ -497,7 +551,8 @@ pub fn best_alternate_masked(
         scratch,
     )?;
     scratch.trace_path(s, d);
-    Some(comparison_along(m, &scratch.path, &mut scratch.vals))
+    let work = &mut scratch.work;
+    Some(comparison_along(m, &work.path, &mut work.vals))
 }
 
 /// Shortest path `s → d` with banned vertices and banned edges — the
@@ -521,7 +576,7 @@ pub fn shortest_path_restricted(
         scratch,
     )?;
     scratch.trace_path(s, d);
-    Some((scratch.path.clone(), total))
+    Some((scratch.work.path.clone(), total))
 }
 
 /// The one relay scan behind both one-hop searches: every unmasked relay
@@ -628,134 +683,284 @@ fn per_pair_sweep(
     })
 }
 
-/// Whether the leaf rule may answer fix-ups from the tree just built:
-/// every weight is positive and, at the tree's largest settled distance
-/// `D`, still moves a sum (`D + w_min/2 > D`). Rounded addition is
-/// monotone and the unit in the last place only grows with the distance,
-/// so then `dist + w > dist` for every settled `dist` and every finite
-/// `w` — each relaxation strictly increases a distance, which makes the
-/// extraction order the `(dist, index)` order.
-fn leaf_rule_holds(m: &WeightMatrix, scratch: &DijkstraScratch) -> bool {
-    let Some(&last) = scratch.order.last() else {
-        return false;
-    };
-    // Extraction distances never decrease, so the last one is `D`.
-    let top = scratch.dist[last as usize];
-    m.w_min > 0.0 && top + m.w_min / 2.0 > top
-}
-
-/// A leaf fix-up's answer, read off the tree from `s`: the exclusion
-/// search's alternate for `(s, d)` when `d` is no settled vertex's `prev`
-/// and [`leaf_rule_holds`].
-///
-/// Banning the edge `(s, d)` then changes the distance of `d` alone — no
-/// tree path runs through a leaf — and with every relaxation strictly
-/// increasing, both searches extract the other vertices in the same
-/// `(dist, index)` order. The banned search relaxes `d` from each of them
-/// in that order and keeps the first strict minimum of `dist[v] + w(v, d)`
-/// (vertices it settles after `d` cannot beat `dist[d]`), with the very
-/// sums computed here; its path is `v`'s unchanged tree path plus `d`.
-fn leaf_alternate(
-    m: &WeightMatrix,
-    s: usize,
-    d: usize,
-    scratch: &mut DijkstraScratch,
-) -> Option<PathComparison> {
-    let mut best = (f64::INFINITY, usize::MAX);
-    for &vu in &scratch.order {
-        let v = vu as usize;
-        if v == s || v == d {
+/// Relaxes the unsettled vertices `open` from the settled `u` exactly as
+/// [`dijkstra`]'s loop does — the same `dist[u] + w` sums, strict `<` —
+/// except into `skip`.
+fn relax_open(m: &WeightMatrix, tree: &mut Tree, open: &[u32], u: usize, skip: usize) {
+    let du = tree.dist[u];
+    let row = &m.weights[u * m.n..(u + 1) * m.n];
+    for &t in open {
+        let t = t as usize;
+        let w = row[t];
+        if w == f64::INFINITY || t == skip {
             continue;
         }
-        let nd = scratch.dist[v] + m.weights[v * m.n + d];
-        if nd < best.0 {
-            best = (nd, v);
+        let nd = du + w;
+        if nd < tree.dist[t] {
+            tree.dist[t] = nd;
+            tree.prev[t] = u;
         }
     }
-    if best.1 == usize::MAX {
-        return None;
-    }
-    scratch.trace_path(s, best.1);
-    scratch.path.push(d);
-    Some(comparison_along(m, &scratch.path, &mut scratch.vals))
 }
 
-/// Answers one source's pairs from a single SSSP tree, in group order.
-/// Leaf fix-ups are answered from the tree too ([`leaf_alternate`]); the
-/// other fix-ups run their own exclusion search, deferred until every tree
-/// answer has been composed (the search reuses — and clobbers — the same
-/// scratch). Records the group's `kernel/sweep_*` and
-/// `kernel/fixup_searches` counts on the current `detour-obs` recorder.
-fn sweep_source(
-    m: &WeightMatrix,
-    removed: &[bool],
-    s: usize,
-    group: &[(usize, usize)],
-    scratch: &mut DijkstraScratch,
-) -> Vec<Option<PathComparison>> {
-    dijkstra(m, s, None, |v| !removed[v], |_, _| false, scratch);
-    let leaves = leaf_rule_holds(m, scratch);
-    if leaves {
-        for &v in &scratch.order[1..] {
-            scratch.parent[scratch.prev[v as usize]] = scratch.gen;
+/// Re-settles `base`, the finished tree from `base.src`, for `ban`: leaves
+/// in `out` the very tree (`dist` bits, `prev`, `order`) a fresh
+/// [`dijkstra`] with that ban grows, and returns how many vertices it
+/// unsettled.
+///
+/// Only the banned element's subtree `T` — the vertices whose `prev`
+/// chain reaches it — can move. Every other vertex keeps its tree path, and
+/// with it its distance, its `prev` and its place in the extraction order
+/// relative to the other outside vertices, zero and absorbed weights
+/// included (DESIGN.md §6f has the proof). So `T` is unsettled, relaxed
+/// from the vertices settled before it, and re-extracted merged into the
+/// outside order by [`DijkstraScratch::extract_min`]'s rule: the smaller
+/// distance first, equal distances to the lower index. That costs
+/// `O(|T|·n)` where a search costs `O(n²)`.
+fn resettle(m: &WeightMatrix, base: &Tree, ban: Ban, out: &mut Tree, sub: &mut Subtree) -> usize {
+    let s = base.src;
+    out.src = s;
+    out.dist.clone_from(&base.dist);
+    out.prev.clone_from(&base.prev);
+    out.order.clear();
+    let (Ban::Edge(root) | Ban::Vertex(root)) = ban;
+    debug_assert_ne!(root, s, "the source cannot be banned");
+    // An edge is only on a tree path that *is* the edge, and an unsettled
+    // vertex is on none: then the ban moves nothing.
+    let on_tree = !matches!(ban, Ban::Edge(d) if base.prev[d] != s);
+    let at = base.order.iter().position(|&v| v as usize == root);
+    let Some(at) = at.filter(|_| on_tree) else {
+        out.order.extend_from_slice(&base.order);
+        return 0;
+    };
+    // A vertex settles after its `prev`, so one pass over the order from
+    // the root marks every vertex whose chain reaches it.
+    let Subtree { inside, open } = sub;
+    inside.clear();
+    inside.resize(m.n, false);
+    inside[root] = true;
+    open.clear();
+    if matches!(ban, Ban::Edge(_)) {
+        open.push(root as u32);
+    }
+    for &v in &base.order[at + 1..] {
+        if inside[base.prev[v as usize]] {
+            inside[v as usize] = true;
+            open.push(v);
         }
     }
-    let mut out: Vec<Option<PathComparison>> = Vec::with_capacity(group.len());
-    let mut fixups = 0u64;
-    let mut searches: Vec<usize> = Vec::new();
-    for (k, &(src, d)) in group.iter().enumerate() {
+    out.dist[root] = f64::INFINITY;
+    out.prev[root] = usize::MAX;
+    for &t in open.iter() {
+        out.dist[t as usize] = f64::INFINITY;
+        out.prev[t as usize] = usize::MAX;
+    }
+    let unsettled = open.len() + matches!(ban, Ban::Vertex(_)) as usize;
+    // Everything settled before the root stays, and relaxes `T` in its
+    // order; only the source's relaxation skips a banned edge.
+    out.order.extend_from_slice(&base.order[..at]);
+    for &u in &base.order[..at] {
+        let skip = if u as usize == s { root } else { usize::MAX };
+        relax_open(m, out, open, u as usize, skip);
+    }
+    let mut rest = base.order[at + 1..]
+        .iter()
+        .copied()
+        .filter(|&v| !inside[v as usize])
+        .peekable();
+    while !open.is_empty() {
+        let (mut pos, mut t, mut dt) = (usize::MAX, usize::MAX, f64::INFINITY);
+        for (k, &v) in open.iter().enumerate() {
+            let v = v as usize;
+            let dv = out.dist[v];
+            if dv != f64::INFINITY && (dv < dt || (dv == dt && v < t)) {
+                (pos, t, dt) = (k, v, dv);
+            }
+        }
+        let outside = rest.peek().map(|&o| (out.dist[o as usize], o as usize));
+        let u = match outside {
+            Some((d_o, o)) if pos == usize::MAX || d_o < dt || (d_o == dt && o < t) => {
+                rest.next();
+                o
+            }
+            _ if pos != usize::MAX => {
+                open.swap_remove(pos);
+                t
+            }
+            // The outside order is done, and what is left of `T` is
+            // unreachable.
+            _ => break,
+        };
+        out.order.push(u as u32);
+        relax_open(m, out, open, u, usize::MAX);
+    }
+    out.order.extend(rest);
+    unsettled
+}
+
+impl Tree {
+    /// The alternate this tree's path to `d` gives `(src, d)`, composed
+    /// into `vals` along `path`; `None` when `d` is unreachable.
+    fn comparison(
+        &self,
+        m: &WeightMatrix,
+        d: usize,
+        path: &mut Vec<usize>,
+        vals: &mut Vec<f64>,
+    ) -> Option<PathComparison> {
+        if self.dist[d] == f64::INFINITY {
+            return None;
+        }
+        trace(&self.prev, self.src, d, path);
+        Some(comparison_along(m, path, vals))
+    }
+}
+
+/// Answers `tree.src`'s pairs `group` from `tree`, in group order, and
+/// records the group's `kernel/*` counts on the current `detour-obs`
+/// recorder.
+fn answer_from(
+    m: &WeightMatrix,
+    tree: &Tree,
+    group: &[(usize, usize)],
+    work: &mut Work,
+) -> Vec<Option<PathComparison>> {
+    let s = tree.src;
+    let mut out = Vec::with_capacity(group.len());
+    let (mut fixups, mut resettled) = (0u64, 0u64);
+    for &(src, d) in group {
         debug_assert_eq!(src, s);
         debug_assert!(!m.value(s, d).is_nan(), "pairs are measured");
-        if scratch.stamp[d] != scratch.gen {
-            // Unreachable even with every edge available — the exclusion
-            // search cannot do better, so this pair is `None` for free.
-            out.push(None);
-        } else if scratch.prev[d] == s {
+        let from = if tree.prev[d] == s {
             // The tree path is the direct edge (ties included: relaxation
             // is strict, so an equal-weight alternate never displaced it).
             // Only here does the exclusion change the answer.
             fixups += 1;
-            if leaves && scratch.parent[d] != scratch.gen {
-                out.push(leaf_alternate(m, s, d, scratch));
-            } else {
-                out.push(None); // placeholder, filled below
-                searches.push(k);
-            }
+            resettled += resettle(m, tree, Ban::Edge(d), &mut work.banned, &mut work.sub) as u64;
+            &work.banned
         } else {
             // The tree path avoids the direct edge — edge (s, d) can only
             // ever appear as the terminal path [s, d] — so it *is* the
-            // exclusion search's answer, tie-breaks and sums included.
-            scratch.trace_path(s, d);
-            out.push(Some(comparison_along(m, &scratch.path, &mut scratch.vals)));
-        }
+            // exclusion search's answer, tie-breaks and sums included; an
+            // unreachable `d` has no alternate either way.
+            tree
+        };
+        out.push(from.comparison(m, d, &mut work.path, &mut work.vals));
     }
     let rec = detour_obs::current();
     rec.add("kernel/sweep_pairs", group.len() as u64);
     rec.add("kernel/sweep_fixups", fixups);
     rec.add("kernel/sweep_avoided", group.len() as u64 - fixups);
-    rec.add("kernel/fixup_searches", searches.len() as u64);
-    for k in searches {
-        let (src, d) = group[k];
-        out[k] = best_alternate_masked(m, removed, src, d, scratch);
-    }
+    rec.add("kernel/resettled", resettled);
     out
 }
 
-/// The unrestricted best alternates of a `(src, dst)`-sorted list of
-/// measured pairs under a host mask, in pair order: [`sweep`]'s strategy
-/// — one SSSP tree per source — on any subset of the pairs, run on the
-/// calling thread. Each answer equals [`best_alternate_masked`]'s.
-pub fn best_alternates_masked(
+/// [`sweep`]'s unrestricted strategy, keeping what it grows: the answers,
+/// in pair order, and every source's SSSP tree, indexed by source (empty
+/// for a source without measured pairs) — the trees the Figure-12 greedy
+/// loop re-settles ([`best_alternates_without`], [`drop_host`]).
+pub(crate) fn sweep_with_trees(
     m: &WeightMatrix,
     removed: &[bool],
+) -> (Vec<PathComparison>, Vec<Tree>) {
+    let pairs = m.measured_pairs(removed);
+    let groups = group_by_source(&pairs);
+    let answered = pool::parallel_map_init(&groups, DijkstraScratch::new, |scratch, &(s, a, b)| {
+        dijkstra(m, s, None, |v| !removed[v], |_, _| false, scratch);
+        scratch.keep_tree(s);
+        let answers = answer_from(m, &scratch.tree, &pairs[a..b], &mut scratch.work);
+        (answers, std::mem::take(&mut scratch.tree))
+    });
+    let mut trees = vec![Tree::default(); m.n];
+    let mut out = Vec::with_capacity(pairs.len());
+    for (&(s, _, _), (answers, tree)) in groups.iter().zip(answered) {
+        out.extend(answers.into_iter().flatten());
+        trees[s] = tree;
+    }
+    (out, trees)
+}
+
+/// The best alternates of a `(src, dst)`-sorted list of measured pairs,
+/// in pair order, once host `h` joins the mask `trees` were grown under:
+/// per source, its tree re-settled without `h`, and each pair answered
+/// from that. Each answer equals [`best_alternate_masked`]'s under the
+/// larger mask. Runs on the calling thread.
+pub(crate) fn best_alternates_without(
+    m: &WeightMatrix,
+    trees: &[Tree],
+    h: usize,
     pairs: &[(usize, usize)],
     scratch: &mut DijkstraScratch,
 ) -> Vec<Option<PathComparison>> {
     let mut out = Vec::with_capacity(pairs.len());
+    let mut resettled = 0;
     for (s, a, b) in group_by_source(pairs) {
-        out.extend(sweep_source(m, removed, s, &pairs[a..b], scratch));
+        let DijkstraScratch { tree, work, .. } = scratch;
+        resettled += resettle(m, &trees[s], Ban::Vertex(h), tree, &mut work.sub) as u64;
+        out.extend(answer_from(m, tree, &pairs[a..b], work));
     }
+    detour_obs::current().add("kernel/resettled", resettled);
     out
+}
+
+/// Re-settles every tree in `trees` without host `h` and drops `h`'s own:
+/// afterwards they are the trees under the mask with `h` added.
+pub(crate) fn drop_host(
+    m: &WeightMatrix,
+    trees: &mut [Tree],
+    h: usize,
+    scratch: &mut DijkstraScratch,
+) {
+    trees[h] = Tree::default();
+    let mut resettled = 0;
+    for tree in trees.iter_mut() {
+        if tree.order.is_empty() || tree.dist[h] == f64::INFINITY {
+            continue;
+        }
+        resettled += resettle(
+            m,
+            tree,
+            Ban::Vertex(h),
+            &mut scratch.tree,
+            &mut scratch.work.sub,
+        ) as u64;
+        std::mem::swap(tree, &mut scratch.tree);
+    }
+    detour_obs::current().add("kernel/resettled", resettled);
+}
+
+/// The tree from `s` under `removed` with `ban` applied, as `(dist, prev,
+/// order)`: re-settled from the unbanned tree when `resettled`, grown by a
+/// fresh banned search otherwise. Exposed for the property test that pins
+/// the two equal.
+#[doc(hidden)]
+pub fn banned_tree(
+    m: &WeightMatrix,
+    removed: &[bool],
+    s: usize,
+    ban: Ban,
+    resettled: bool,
+) -> (Vec<f64>, Vec<usize>, Vec<u32>) {
+    let mut scratch = DijkstraScratch::new();
+    let tree = if resettled {
+        dijkstra(m, s, None, |v| !removed[v], |_, _| false, &mut scratch);
+        scratch.keep_tree(s);
+        let mut out = Tree::default();
+        resettle(m, &scratch.tree, ban, &mut out, &mut scratch.work.sub);
+        out
+    } else {
+        dijkstra(
+            m,
+            s,
+            None,
+            |v| !removed[v] && ban != Ban::Vertex(v),
+            |u, v| u == s && ban == Ban::Edge(v),
+            &mut scratch,
+        );
+        scratch.keep_tree(s);
+        scratch.tree
+    };
+    (tree.dist, tree.prev, tree.order)
 }
 
 /// All-pairs sweep on the matrix with a host mask: the parallel engine
@@ -766,9 +971,8 @@ pub fn best_alternates_masked(
 /// source — not per pair — producing the full SSSP tree over the masked
 /// matrix, and answers every `(s, d)` from that tree. Only a fix-up — a
 /// pair whose tree path *is* the excluded direct edge (`prev[d] == s`) —
-/// can need more: a leaf fix-up (`d` is no settled vertex's `prev`, on a
-/// matrix whose weights strictly increase every sum) is still read off
-/// the tree, and the rest run their own exclusion search.
+/// needs more, and it re-settles the subtree of `d` with the edge banned
+/// instead of searching again.
 /// Fan-out over [`crate::pool`] is by source with one [`DijkstraScratch`]
 /// per worker; per-source results concatenate in source order (pairs are
 /// `(i, j)`-sorted within), so the output is bit-identical at every thread
@@ -776,29 +980,21 @@ pub fn best_alternates_masked(
 /// (`detour_bench::reference`), which the equivalence property tests and
 /// the `scale_sweep` baseline gate enforce.
 ///
-/// The re-search accounting — how much work the one-SSSP-per-source
-/// strategy saved — goes to the current `detour-obs` recorder:
-/// `kernel/sweep_pairs` (measured pairs answered), `kernel/sweep_fixups`
-/// (pairs whose tree path is the excluded direct edge),
-/// `kernel/sweep_avoided` (the other pairs, answered straight off the
-/// tree) and `kernel/fixup_searches` (the fix-ups that still ran an
-/// exclusion search). [`best_alternates_masked`] records the same four.
-/// The split is a pure function of the matrix + mask, so the counters are
-/// thread-count-invariant; the one-hop scan has no tree to read from, so
-/// it contributes pairs only.
+/// The accounting — how much work the one-SSSP-per-source strategy saved
+/// — goes to the current `detour-obs` recorder: `kernel/sweep_pairs`
+/// (measured pairs answered), `kernel/sweep_fixups` (pairs whose tree path
+/// is the excluded direct edge), `kernel/sweep_avoided` (the other pairs,
+/// answered straight off the tree) and `kernel/resettled` (the vertices the
+/// fix-ups re-settled, at least one each). The Figure-12 greedy loop
+/// records the same four for the pairs it re-answers, and adds the
+/// vertices its host bans re-settle. The split is a pure function of the
+/// matrix + mask, so the counters are thread-count-invariant; the one-hop
+/// scan has no tree to read from, so it contributes pairs only.
 pub fn sweep(m: &WeightMatrix, removed: &[bool], depth: SearchDepth) -> Vec<PathComparison> {
-    let pairs = m.measured_pairs(removed);
     match depth {
-        SearchDepth::Unrestricted => pool::parallel_map_init(
-            &group_by_source(&pairs),
-            DijkstraScratch::new,
-            |scratch, &(s, a, b)| sweep_source(m, removed, s, &pairs[a..b], scratch),
-        )
-        .into_iter()
-        .flatten()
-        .flatten()
-        .collect(),
+        SearchDepth::Unrestricted => sweep_with_trees(m, removed).0,
         SearchDepth::OneHop => {
+            let pairs = m.measured_pairs(removed);
             detour_obs::current().add("kernel/sweep_pairs", pairs.len() as u64);
             per_pair_sweep(&pairs, |s, d| {
                 best_alternate_one_hop_masked(m, removed, s, d)
@@ -982,10 +1178,12 @@ mod tests {
         // fall into the re-search.
         assert_eq!((fixups, avoided), (10, 10));
         assert_eq!(pairs, fixups + avoided);
-        // Only the four fix-ups into the hub search: every tree detours
-        // through it, so it is no leaf. The six others — out of the hub,
-        // and the tied 1↔2 — are leaves, answered from the tree.
-        assert_eq!(rec.counter("kernel/fixup_searches"), 4);
+        // No fix-up searches: each re-settles the subtree of its
+        // destination. The six out of the hub and the tied 1↔2 are leaves,
+        // one vertex each. Every other tree detours through the hub, so a
+        // fix-up into it re-settles the hub and the hosts behind it: 3 for
+        // sources 1 and 2 (the tied neighbour stays direct), 4 for 3 and 4.
+        assert_eq!(rec.counter("kernel/resettled"), 6 + 2 * 3 + 2 * 4);
         // Every answer must match the per-pair exclusion search.
         assert_eq!(cmps, per_pair(&m, &mask));
         // The tie resolves to the equal-cost hub detour, found by fix-up.
@@ -1008,10 +1206,11 @@ mod tests {
     }
 
     #[test]
-    fn a_weight_that_a_distance_absorbs_sends_every_fixup_to_the_search() {
-        // Next to the 10 ms legs a 1e-300 ms edge does not move a sum, so
-        // the leaf rule's precondition fails and every fix-up searches,
-        // leaves included.
+    fn a_weight_that_a_distance_absorbs_still_resettles_every_fixup() {
+        // Next to the 10 ms legs a 1e-300 ms edge does not move a sum: from
+        // host 3, host 4 ties the hub's subtree at 20 ms through it, and
+        // the re-settle must still extract every vertex where a fresh
+        // banned search does.
         let g = hub_five_with(|rows| rows[3][4] = 1e-300);
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
@@ -1020,7 +1219,10 @@ mod tests {
         let cmps = sweep(&m, &mask, SearchDepth::Unrestricted);
         let fixups = rec.counter("kernel/sweep_fixups");
         assert!(fixups > 0);
-        assert_eq!(rec.counter("kernel/fixup_searches"), fixups);
+        assert!(
+            rec.counter("kernel/resettled") > fixups,
+            "no fix-up searches"
+        );
         assert_eq!(cmps, per_pair(&m, &mask));
     }
 

@@ -30,8 +30,8 @@ use std::collections::HashMap;
 
 use detour_core::analysis::cdf::{compare_graph, improvement_cdf};
 use detour_core::analysis::hostremoval::greedy_removal_on;
-use detour_core::kernel::{self, DijkstraScratch, WeightMatrix};
-use detour_core::metric::{Loss, Rtt};
+use detour_core::kernel::{self, Ban, DijkstraScratch, WeightMatrix};
+use detour_core::metric::{Loss, MetricKind, Rtt};
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
 use detour_measure::{Dataset, DatasetBuilder, HostId, PairTable};
 use detour_prng::check::check;
@@ -322,6 +322,67 @@ fn random_lossy_dataset(rng: &mut Xoshiro256pp) -> Dataset {
     b.build().unwrap()
 }
 
+/// Random sparse RTT graph → dataset whose weights span absorption scale:
+/// 1e-300 ms beside whole multiples of 1e4 ms, so adding a tiny weight to
+/// any large distance leaves it unchanged.
+fn random_absorbing_dataset(rng: &mut Xoshiro256pp) -> Dataset {
+    let n = rng.gen_range(4..9usize);
+    let missing = rng.gen_range(0.1..0.5f64);
+    let mut b = Dataset::builder("A");
+    b.hosts(n as u32);
+    for i in 0..n as u32 {
+        for j in 0..n as u32 {
+            if i == j || rng.gen_bool(missing) {
+                continue;
+            }
+            let rtt = if rng.gen_bool(0.4) {
+                1e-300
+            } else {
+                1e4 * rng.gen_range(1.0..10.0f64).round()
+            };
+            b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
+        }
+    }
+    b.build().unwrap()
+}
+
+/// One matrix of each graph kind the batched-kernel suite draws:
+/// whole-ms RTTs, loss with lossless (zero-weight) edges, and absorbing
+/// RTTs.
+fn three_kinds(rng: &mut Xoshiro256pp) -> [WeightMatrix; 3] {
+    let build =
+        |ds: &Dataset, metric: &MetricKind| WeightMatrix::build(&PairTable::build(ds), metric);
+    [
+        build(&random_dataset(rng), &Rtt),
+        build(&random_lossy_dataset(rng), &Loss),
+        build(&random_absorbing_dataset(rng), &Rtt),
+    ]
+}
+
+#[test]
+fn resettling_a_ban_equals_a_fresh_banned_search() {
+    check("re-settled tree equals a fresh banned tree", |rng| {
+        for m in three_kinds(rng) {
+            let n = m.len();
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+            let open = |v: usize| !mask[v];
+            for s in (0..n).filter(|&s| open(s)) {
+                let bans = (0..n)
+                    .filter(|&v| v != s && open(v))
+                    .flat_map(|v| [Ban::Edge(v), Ban::Vertex(v)]);
+                for ban in bans {
+                    let (dist, prev, order) = kernel::banned_tree(&m, &mask, s, ban, true);
+                    let fresh = kernel::banned_tree(&m, &mask, s, ban, false);
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&dist), bits(&fresh.0), "dist, s={s} {ban:?}");
+                    assert_eq!(prev, fresh.1, "prev, s={s} {ban:?}");
+                    assert_eq!(order, fresh.2, "order, s={s} {ban:?}");
+                }
+            }
+        }
+    });
+}
+
 /// The incremental greedy loop against the plain one: the same hosts
 /// removed, the reduced CDF equal point for point, bit for bit, and the
 /// loop's last view equal to a full sweep under the final mask — detour
@@ -364,6 +425,8 @@ fn greedy_removal_matches_a_full_sweep_per_candidate() {
         assert_greedy_matches_full_sweeps(rtt.weights(&Rtt));
         let loss = AnalysisContext::from_dataset(&random_lossy_dataset(rng));
         assert_greedy_matches_full_sweeps(loss.weights(&Loss));
+        let absorbing = AnalysisContext::from_dataset(&random_absorbing_dataset(rng));
+        assert_greedy_matches_full_sweeps(absorbing.weights(&Rtt));
     });
 }
 

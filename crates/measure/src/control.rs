@@ -262,6 +262,7 @@ fn execute(
 /// yield.
 fn merge(outcomes: Vec<Outcome>) -> RawMeasurements {
     let mut out = RawMeasurements::default();
+    let requests = outcomes.len() as u64;
     for o in outcomes {
         match o {
             Outcome::ContactFailed => out.failed_requests += 1,
@@ -272,10 +273,13 @@ fn merge(outcomes: Vec<Outcome>) -> RawMeasurements {
             Outcome::Transfer(ts) => out.transfers.push(ts),
         }
     }
-    // Side-channel tally of campaign-side fault casualties (outcome counts
-    // are pure functions of the request list + seeds, so these counters
-    // are thread-count-invariant).
+    // Side-channel tally of the requests and of every outcome that yields
+    // no measurement (outcome counts are pure functions of the request
+    // list + seeds, so these counters are thread-count-invariant).
     let rec = detour_obs::current();
+    rec.add("measure/requests", requests);
+    rec.add("measure/timeouts", out.timed_out as u64);
+    rec.add("measure/contact_failures", out.failed_requests as u64);
     rec.add("faults/host_down_requests", out.host_outages as u64);
     rec.add("faults/truncated_requests", out.truncated as u64);
     out
@@ -503,6 +507,43 @@ mod tests {
                     "{kind}/{class}: every request must be accounted for exactly once"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_faulted_campaign_conserves_its_requests_in_the_counters() {
+        // requests = invocations + transfers + timeouts + contact failures
+        // + host-down + truncated, read off the recorded counters.
+        // Storms and truncation are cranked up so that every term shows
+        // inside the 4 h request window.
+        let n = net();
+        let reqs = small_schedule(&n, 8, 60.0);
+        let mut faults = FaultConfig::heavy(21);
+        faults.storm.mtbf_s = 3600.0;
+        faults.storm.mttr_s = 1800.0;
+        faults.storm_slowdown = 1.0e6;
+        faults.truncate_frac = 0.05; // cutoff at 2.4 h of the 2-day horizon
+        for cfg in [CampaignConfig::traceroute(), CampaignConfig::tcp()] {
+            let rec = detour_obs::Recorder::new();
+            let _obs = detour_obs::install(rec.clone());
+            let raw = run_campaign_faulted(&n, &reqs, &cfg, 7, &faults);
+            let lost = [
+                "measure/timeouts",
+                "measure/contact_failures",
+                "faults/host_down_requests",
+                "faults/truncated_requests",
+            ]
+            .map(|name| rec.counter(name));
+            assert!(
+                lost.iter().all(|&c| c > 0),
+                "every casualty class occurs: {lost:?}"
+            );
+            let yielded = (raw.invocations.len() + raw.transfers.len()) as u64;
+            assert_eq!(rec.counter("measure/requests"), reqs.len() as u64);
+            assert_eq!(
+                rec.counter("measure/requests"),
+                yielded + lost.iter().sum::<u64>()
+            );
         }
     }
 

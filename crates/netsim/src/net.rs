@@ -307,9 +307,10 @@ impl Network {
         // faulted run differs from the benign run only where a fault is
         // actually active.
         let mut lost = self.faulted_element(routers, &path.links[..n], t);
+        let mut now = self.load.at(t);
         for &l in &path.links[..n] {
             let link = self.topology.link(l);
-            let s = self.load.sample(l, t, rng);
+            let s = self.load.sample_at(l, &mut now, rng);
             delay += link.prop_delay_ms + s.queue_delay_ms;
             if s.lost {
                 lost = true;

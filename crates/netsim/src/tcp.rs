@@ -106,13 +106,13 @@ pub fn bulk_transfer(
 
     // Available capacity at the bottleneck: the least headroom across the
     // forward path's links at the transfer midpoint.
-    let mid = t.plus_secs(duration_s / 2.0);
+    let mut mid = net.load().at(t.plus_secs(duration_s / 2.0));
     let avail_bps = fwd
         .links
         .iter()
         .map(|&l| {
             let link = net.topology.link(l);
-            let rho = net.load().utilization(l, mid);
+            let rho = net.load().utilization_at(l, &mut mid);
             (link.capacity_mbps * 1e6 / 8.0) * (1.0 - rho)
         })
         .fold(f64::INFINITY, f64::min);

@@ -183,6 +183,21 @@ pub struct LoadModel {
     links: Vec<LinkLoad>,
 }
 
+/// What every link's load shares at one instant `t`: the wander
+/// sinusoids' time arguments, and the diurnal factor of each UTC offset
+/// (`-12..=14`) once a link there asks for it. A path samples all of its
+/// links at one `t`, so [`LoadModel::at`] computes these once per
+/// traversal instead of once per link; the values are the very `f64`s the
+/// per-link form computed.
+#[derive(Debug, Clone)]
+pub struct LoadInstant {
+    t: SimTime,
+    /// `TAU · t / WANDER_PERIODS_S[i]`.
+    wander: [f64; 2],
+    /// The diurnal factor at UTC offset `k - 12`; `NaN` until first asked.
+    diurnal: [f64; 27],
+}
+
 /// Shortest full-outage window, seconds.
 const MIN_OUTAGE_S: f64 = 30.0;
 
@@ -284,13 +299,32 @@ impl LoadModel {
         }
     }
 
+    /// The per-instant state at `t`, for [`LoadModel::sample_at`] and
+    /// [`LoadModel::utilization_at`] on any number of links.
+    pub fn at(&self, t: SimTime) -> LoadInstant {
+        LoadInstant {
+            t,
+            wander: WANDER_PERIODS_S.map(|period| std::f64::consts::TAU * t.0 / period),
+            diurnal: [f64::NAN; 27],
+        }
+    }
+
     /// Instantaneous utilization of `link` at time `t`, in `[0, 0.97]`.
     pub fn utilization(&self, link: LinkId, t: SimTime) -> f64 {
+        self.utilization_at(link, &mut self.at(t))
+    }
+
+    /// [`LoadModel::utilization`] at the instant `now`.
+    pub fn utilization_at(&self, link: LinkId, now: &mut LoadInstant) -> f64 {
         let ll = &self.links[link.0 as usize];
-        let diurnal = self.profile.factor(&self.cal, t, ll.tz);
-        let mut rho = ll.base * diurnal;
-        for (i, &(phase, amp)) in ll.wander.iter().enumerate() {
-            rho += amp * (std::f64::consts::TAU * t.0 / WANDER_PERIODS_S[i] + phase).sin();
+        let t = now.t;
+        let slot = &mut now.diurnal[(ll.tz as i32 + 12) as usize];
+        if slot.is_nan() {
+            *slot = self.profile.factor(&self.cal, t, ll.tz);
+        }
+        let mut rho = ll.base * *slot;
+        for (&arg, &(phase, amp)) in now.wander.iter().zip(&ll.wander) {
+            rho += amp * (arg + phase).sin();
         }
         // Congestion events: binary-search the sorted starts, then scan the
         // handful of potentially overlapping predecessors.
@@ -335,13 +369,18 @@ impl LoadModel {
     /// queuing delay around the M/M/1 mean, a rare heavy-tail delay spike,
     /// and Bernoulli loss.
     pub fn sample(&self, link: LinkId, t: SimTime, rng: &mut impl Rng) -> LinkSample {
-        if self.is_down(link, t) {
+        self.sample_at(link, &mut self.at(t), rng)
+    }
+
+    /// [`LoadModel::sample`] at the instant `now`.
+    pub fn sample_at(&self, link: LinkId, now: &mut LoadInstant, rng: &mut impl Rng) -> LinkSample {
+        if self.is_down(link, now.t) {
             return LinkSample {
                 queue_delay_ms: 0.0,
                 lost: true,
             };
         }
-        let rho = (self.utilization(link, t) + rng.gen_range(-0.04..0.04f64)).clamp(0.0, 0.97);
+        let rho = (self.utilization_at(link, now) + rng.gen_range(-0.04..0.04f64)).clamp(0.0, 0.97);
         let mean_q = self.mean_queue_delay_ms(link, rho);
         // Gamma(k=4): the sum of four exponentials at mean/4 — right-skewed
         // like a real queue, but mild enough that path means track medians
@@ -454,6 +493,30 @@ mod tests {
         let mut r2 = Xoshiro256pp::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(lm.sample(l, t, &mut r1), lm.sample(l, t, &mut r2));
+        }
+    }
+
+    #[test]
+    fn one_shared_instant_samples_like_a_fresh_one_per_link() {
+        let (topo, lm) = model();
+        let zones: std::collections::BTreeSet<i8> = lm.links.iter().map(|ll| ll.tz).collect();
+        assert!(zones.len() >= 5, "links in many time zones: {zones:?}");
+        for h in [3.0, 44.0, 131.5, 200.25] {
+            let t = SimTime::from_hours(h);
+            let mut shared = lm.at(t);
+            let mut r1 = Xoshiro256pp::seed_from_u64(h as u64);
+            let mut r2 = r1.clone();
+            for l in &topo.links {
+                let a = lm.sample_at(l.id, &mut shared, &mut r1);
+                let b = lm.sample_at(l.id, &mut lm.at(t), &mut r2);
+                assert_eq!(a.queue_delay_ms.to_bits(), b.queue_delay_ms.to_bits());
+                assert_eq!(a.lost, b.lost);
+                assert_eq!(
+                    lm.utilization_at(l.id, &mut shared).to_bits(),
+                    lm.utilization(l.id, t).to_bits()
+                );
+            }
+            assert_eq!(r1, r2, "the same draws, in the same order");
         }
     }
 

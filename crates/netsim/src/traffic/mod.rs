@@ -12,4 +12,4 @@ pub mod diurnal;
 pub mod load;
 
 pub use diurnal::DiurnalProfile;
-pub use load::{LinkSample, LoadConfig, LoadModel};
+pub use load::{LinkSample, LoadConfig, LoadInstant, LoadModel};

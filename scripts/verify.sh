@@ -21,7 +21,8 @@
 #             the kernel property tests, the determinism tests (greedy
 #             removal and campaigns at 1/2/8 workers), the paper-shape
 #             envelopes,
-#             the fault-schedule unit tests, the netsim property tests,
+#             the fault-schedule unit tests, the netsim unit and
+#             property tests,
 #             the figures CLI input checks,
 #             chaos + golden suites, the trace_explorer example on its
 #             own .trace2 file and on a non-trace file, benchmark package
@@ -71,11 +72,13 @@ cargo build --release --offline --workspace --all-targets
 # probe-visit bound), the batched-kernel equivalence suite (source-batched sweep
 # byte-identical to the retained per-pair reference), the kernel property
 # tests (brute-force DFS oracle, masked == rebuilt, the Yen ranking and its
-# head == the best alternate, incremental greedy == full-sweep greedy),
+# head == the best alternate, a re-settled tree == a fresh banned search,
+# incremental greedy == full-sweep greedy),
 # the paper-shape envelopes (each qualitative finding of the paper on
 # reduced datasets), the renewal-process tests (detour-faults' unit tests pin the episode
-# draw order; netsim's property tests cover flap schedules, routing and
-# load), the figures CLI input checks (unknown flags and ids, an unusable cache
+# draw order; netsim's unit tests pin the load model, among them one
+# shared per-instant state sampling like a fresh one per link, and its
+# property tests cover flap schedules, routing and load), the figures CLI input checks (unknown flags and ids, an unusable cache
 # path), plus the tiny-scale end-to-end suites — the chaos suite (every
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
@@ -101,9 +104,9 @@ cargo test -q --offline -p detour --test determinism
 echo "== smoke: paper-shape envelopes =="
 cargo test -q --offline -p detour --test paper_shapes
 
-echo "== smoke: renewal schedules (detour-faults) + netsim property tests =="
+echo "== smoke: renewal schedules (detour-faults) + netsim unit and property tests =="
 cargo test -q --offline -p detour-faults
-cargo test -q --offline -p detour-netsim --test proptests
+cargo test -q --offline -p detour-netsim
 
 echo "== smoke: figures CLI input handling =="
 cargo test -q --offline -p detour-bench --test figures_cli

@@ -8,12 +8,14 @@
 //! random graphs and on a pipeline-generated dataset across all three
 //! additive metrics.
 //!
-//! The random graphs come in three kinds, so that both ways a fix-up is
-//! answered run: whole-millisecond RTTs, where leaf fix-ups are read off
-//! the source's tree; loss rates with lossless edges, whose zero weights
-//! send every fix-up to its own exclusion search; and RTTs spanning
-//! absorption scale (1e-300 ms beside 1e5 ms), where adding the smallest
-//! weight no longer moves the largest distance, with the same effect.
+//! The random graphs come in three kinds: whole-millisecond RTTs, where
+//! equal-cost paths and with them tie-breaks are common; loss rates with
+//! lossless edges, whose zero weights make a relaxation leave a distance
+//! unchanged; and RTTs spanning absorption scale (1e-300 ms beside 1e5 ms),
+//! where adding the smallest weight no longer moves the largest distance,
+//! with the same effect. Every fix-up on all three is answered by
+//! re-settling the banned edge's subtree in the source's tree, never by an
+//! exclusion search of its own.
 //!
 //! Property tests run on the in-tree deterministic harness
 //! (`detour_prng::check`; replay a failing case with
@@ -91,9 +93,9 @@ struct Counts {
     pairs: u64,
     fixups: u64,
     avoided: u64,
-    /// Fix-ups that ran their own exclusion search; the rest were leaf
-    /// fix-ups answered from the tree.
-    searches: u64,
+    /// Vertices the fix-ups re-settled: one per fix-up whose destination
+    /// is a leaf of the source's tree, its whole subtree otherwise.
+    resettled: u64,
 }
 
 /// Runs one batched sweep under a fresh scoped recorder and returns the
@@ -110,7 +112,7 @@ fn sweep_with_counters(
         pairs: rec.counter("kernel/sweep_pairs"),
         fixups: rec.counter("kernel/sweep_fixups"),
         avoided: rec.counter("kernel/sweep_avoided"),
-        searches: rec.counter("kernel/fixup_searches"),
+        resettled: rec.counter("kernel/resettled"),
     };
     (got, counts)
 }
@@ -129,7 +131,11 @@ fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Cou
         // Pairs whose destination is unreachable under the mask return no
         // comparison but still count in `pairs` (as avoided re-searches).
         assert!(got.len() as u64 <= c.pairs, "threads={threads}");
-        assert!(c.searches <= c.fixups, "threads={threads}");
+        // A fix-up answered by an exclusion search would re-settle nothing.
+        assert!(
+            c.resettled >= c.fixups,
+            "threads={threads}: every fix-up re-settles at least its destination"
+        );
         match depth {
             SearchDepth::Unrestricted => assert_eq!(
                 c.fixups + c.avoided,
@@ -150,10 +156,10 @@ fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Cou
 
 #[test]
 fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
-    // Fix-ups answered from the tree and by their own search, per kind,
-    // summed over every case.
-    let leaf = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
-    let searched = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
+    // Fix-ups and the vertices they re-settled, per kind, summed over
+    // every case.
+    let fixups = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
+    let resettled = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
     check("batched sweep equals per-pair reference", |rng| {
         let edges: [(Edge, MetricKind); 3] = [
             (whole_ms_edge, Rtt),
@@ -163,32 +169,27 @@ fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
         for (kind, (edge, metric)) in edges.into_iter().enumerate() {
             let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng, edge)), &metric);
             let mask = random_mask(rng, m.len());
-            let zero_weight = m
-                .measured_pairs(&m.no_mask())
-                .iter()
-                .any(|&(i, j)| m.weight(i, j) == 0.0);
             for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
                 let c = assert_equivalent(&m, &mask, depth);
-                if zero_weight {
-                    assert_eq!(c.searches, c.fixups, "a zero weight rules out leaf answers");
-                }
-                leaf[kind].set(leaf[kind].get() + c.fixups - c.searches);
-                searched[kind].set(searched[kind].get() + c.searches);
+                fixups[kind].set(fixups[kind].get() + c.fixups);
+                resettled[kind].set(resettled[kind].get() + c.resettled);
             }
         }
     });
-    let (leaf, searched) = (leaf.map(Cell::into_inner), searched.map(Cell::into_inner));
-    assert!(
-        leaf[0] > 0,
-        "whole-ms RTTs answer leaf fix-ups from the tree"
+    let (fixups, resettled) = (
+        fixups.map(Cell::into_inner),
+        resettled.map(Cell::into_inner),
     );
-    assert!(
-        searched.iter().all(|&n| n > 0),
-        "every kind has fix-ups that search: {searched:?}"
-    );
-    // Absorbing trees search even for leaves; only a source whose tree
-    // stays at the 1e-300 scale may read a leaf off the tree.
-    assert!(searched[2] > leaf[2], "{leaf:?} {searched:?}");
+    // Every kind — zero and absorbed weights included — answers its
+    // fix-ups by re-settling, and re-settles some subtree larger than the
+    // destination alone.
+    for kind in 0..3 {
+        assert!(fixups[kind] > 0, "kind {kind}: {fixups:?}");
+        assert!(
+            resettled[kind] > fixups[kind],
+            "kind {kind}: {fixups:?} {resettled:?}"
+        );
+    }
 }
 
 #[test]
