@@ -8,11 +8,13 @@
 //! cache key is the file name:
 //!
 //! ```text
-//! {name}-o{seed_offset}-h{hosts|full}-t{time_divisor}.trace2
+//! {name}-o{seed_offset}-h{hosts|full}-t{time_divisor}-g{GENERATOR_EPOCH}.trace2
 //! ```
 //!
 //! which covers every generation input: the dataset spec (via its name),
-//! the seed perturbation, and both scale knobs. Files live under a caller
+//! the seed perturbation, both scale knobs, and the generator's code (via
+//! [`GENERATOR_EPOCH`], so a trace simulated before a declared RNG stream
+//! break is a miss, not a stale hit). Files live under a caller
 //! chosen directory (the binaries use `results/cache/`); a missing file is
 //! simply a miss, and the family regenerates and re-saves. Loads and
 //! misses are decided per *family* — sibling datasets (D2/D2-NA,
@@ -38,13 +40,21 @@ use detour_measure::Dataset;
 
 use crate::bundle::{family_names, generate_family, Bundle, FAMILIES};
 
+/// The generation of the simulator's sampling code. Bump it with every
+/// declared RNG stream break: traces cached under an older epoch then miss
+/// and regenerate instead of loading pre-break data. Epoch 0 is every
+/// stem written before the field existed (`{name}-o…-h…-t…` with no
+/// `-g`); epoch 1 samples each traceroute's forward links once per
+/// invocation.
+pub const GENERATOR_EPOCH: u32 = 1;
+
 /// The cache key stem for one dataset at one scale (no extension).
 fn cache_stem(name: &str, scale: Scale) -> String {
     let hosts = scale
         .n_hosts
         .map_or_else(|| "full".to_string(), |n| n.to_string());
     format!(
-        "{name}-o{}-h{hosts}-t{}",
+        "{name}-o{}-h{hosts}-t{}-g{GENERATOR_EPOCH}",
         scale.seed_offset, scale.time_divisor
     )
 }
@@ -284,6 +294,35 @@ mod tests {
         let c = cache_path(dir, "UW3", Scale::reduced(8, 24).with_seed_offset(1));
         let d = cache_path(dir, "UW3", Scale::full());
         assert!(a != b && a != c && a != d && b != c && b != d && c != d);
+    }
+
+    #[test]
+    fn a_trace_cached_by_an_earlier_generator_is_a_miss() {
+        // Files saved under the pre-epoch stem and under the previous
+        // epoch's stem hold datasets from older sampling code: neither may
+        // load; the family regenerates under the current stem.
+        let dir = tmp_dir("epoch");
+        let scale = Scale::reduced(8, 24);
+        let (current, _) = run_cached(scale, &dir);
+        let stale = dir.join("stale");
+        std::fs::create_dir_all(&stale).unwrap();
+        let new_stem = cache_stem("UW3", scale);
+        let old_stem = new_stem.trim_end_matches(&format!("-g{GENERATOR_EPOCH}"));
+        for stem in [
+            old_stem.to_string(),
+            format!("{old_stem}-g{}", GENERATOR_EPOCH - 1),
+        ] {
+            std::fs::copy(
+                cache_path(&dir, "UW3", scale),
+                stale.join(format!("{stem}.trace2")),
+            )
+            .unwrap();
+        }
+        let (again, stats) = run_cached(scale, &stale);
+        assert_eq!(stats, (0, 8, 0), "no older stem loads");
+        assert_eq!(again.uw3, current.uw3, "regenerated under the current stem");
+        assert!(cache_path(&stale, "UW3", scale).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! workload where the O(n³) sweep does real work: this module defines a
 //! 128-host synthetic dataset ("SCALE") generated through the same
 //! pipeline as the paper datasets and cached through the same trace cache
-//! (`results/cache/SCALE-o0-h128-t120.trace2`), so only the first baseline
+//! (`results/cache/SCALE-o0-h128-t120-g1.trace2`), so only the first baseline
 //! run pays for the simulation.
 //!
 //! The stock Y1999 topology tops out at 85 stub hosts, so the workload

@@ -33,6 +33,7 @@
 use std::collections::HashMap;
 
 use detour_faults::{FaultConfig, FaultPlan, OutageSchedule};
+use detour_netsim::routing::path::ResolvedPath;
 use detour_netsim::sim::clock::SimTime;
 use detour_netsim::{probe, tcp, HostId, Network};
 use detour_prng::{Rng, Xoshiro256pp};
@@ -113,6 +114,16 @@ enum Outcome {
     Transfer(TransferSample),
 }
 
+/// The sampling work requests did, whatever their outcome: traceroute
+/// link samples and rate-limit-suppressed destination follow-ups. Summed
+/// per request batch and then in [`merge`], so the counters it feeds are
+/// thread-count-invariant.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    link_samples: u64,
+    rate_limited: u64,
+}
+
 /// Precomputed campaign-side fault state: per-host outage schedules for
 /// every host the request list touches, the global storm schedule, and
 /// the truncation cutoff. Built once per campaign; every schedule is a
@@ -183,7 +194,8 @@ fn canonical_order(requests: &[Request]) -> Vec<Request> {
     sorted
 }
 
-/// Executes one request at its scheduled time with its own RNG stream.
+/// Executes one request at its scheduled time with its own RNG stream,
+/// adding the sampling work it did to `tally`.
 ///
 /// Fault checks are deterministic schedule lookups that draw **no RNG**
 /// and short-circuit before any draw is made, so with no fault active the
@@ -195,6 +207,7 @@ fn execute(
     faults: &CampaignFaults,
     req: Request,
     rng: &mut impl Rng,
+    tally: &mut Tally,
 ) -> Outcome {
     let t = SimTime(req.t_s);
     if faults.cutoff_s.is_some_and(|c| req.t_s >= c) {
@@ -210,6 +223,8 @@ fn execute(
     match cfg.kind {
         ProbeKind::Traceroute => {
             let tr = probe::traceroute(net, req.src, req.dst, t, rng);
+            tally.link_samples += u64::from(tr.link_samples);
+            tally.rate_limited += u64::from(tr.rate_limited);
             // A storm inflates wall-clock probe time past the campaign
             // timeout for all but the fastest paths.
             let elapsed_s = if storming {
@@ -220,21 +235,13 @@ fn execute(
             if elapsed_s > cfg.timeout_s {
                 return Outcome::TimedOut;
             }
-            let as_path: Vec<u16> = {
-                // Observed path, prefixed with the source AS (the
-                // traceroute client knows where it is).
-                let mut p = vec![net.host(req.src).asn.0];
-                p.extend(tr.as_path().iter().map(|a| a.0));
-                p.dedup();
-                p
-            };
             Outcome::Invocation(Invocation {
                 src: req.src,
                 dst: req.dst,
                 t_s: req.t_s,
                 episode: req.episode,
-                rtts: tr.destination_samples(),
-                as_path,
+                rtts: tr.rtts,
+                as_path: observed_as_path(net, req.src, net.forward_path(req.src, req.dst, t)),
             })
         }
         ProbeKind::TcpTransfer { duration_s } => {
@@ -258,19 +265,60 @@ fn execute(
     }
 }
 
-/// Folds per-request outcomes, in canonical index order, into the raw
-/// yield.
-fn merge(outcomes: Vec<Outcome>) -> RawMeasurements {
-    let mut out = RawMeasurements::default();
-    let requests = outcomes.len() as u64;
-    for o in outcomes {
-        match o {
-            Outcome::ContactFailed => out.failed_requests += 1,
-            Outcome::TimedOut => out.timed_out += 1,
-            Outcome::HostDown => out.host_outages += 1,
-            Outcome::Truncated => out.truncated += 1,
-            Outcome::Invocation(inv) => out.invocations.push(inv),
-            Outcome::Transfer(ts) => out.transfers.push(ts),
+/// The AS path a traceroute over `fwd` observes, at exact capacity: the
+/// source host's AS (the traceroute client knows where it is), then the
+/// AS of every hop the probes reach, consecutive duplicates collapsed.
+/// Just the source AS when no forward path resolved.
+fn observed_as_path(net: &Network, src: HostId, fwd: Option<&ResolvedPath>) -> Vec<u16> {
+    let hops = fwd.map_or(&[][..], |p| p.routers.get(1..).unwrap_or_default());
+    let ases = || {
+        std::iter::once(net.host(src).asn.0)
+            .chain(hops.iter().map(|&r| net.topology.router(r).asn.0))
+    };
+    let mut runs = 0;
+    let mut last = None;
+    for a in ases() {
+        runs += usize::from(last != Some(a));
+        last = Some(a);
+    }
+    let mut path = Vec::with_capacity(runs);
+    for a in ases() {
+        if path.last() != Some(&a) {
+            path.push(a);
+        }
+    }
+    path
+}
+
+/// Folds per-request outcomes, batch by batch in canonical index order,
+/// into the raw yield, and sums the batches' tallies.
+fn merge(batches: Vec<(Vec<Outcome>, Tally)>) -> RawMeasurements {
+    let count = |keep: fn(&Outcome) -> bool| {
+        batches
+            .iter()
+            .map(|(b, _)| b.iter().filter(|o| keep(o)).count())
+            .sum()
+    };
+    let mut out = RawMeasurements {
+        invocations: Vec::with_capacity(count(|o| matches!(o, Outcome::Invocation(_)))),
+        transfers: Vec::with_capacity(count(|o| matches!(o, Outcome::Transfer(_)))),
+        ..RawMeasurements::default()
+    };
+    let mut requests = 0u64;
+    let mut sampled = Tally::default();
+    for (outcomes, tally) in batches {
+        requests += outcomes.len() as u64;
+        sampled.link_samples += tally.link_samples;
+        sampled.rate_limited += tally.rate_limited;
+        for o in outcomes {
+            match o {
+                Outcome::ContactFailed => out.failed_requests += 1,
+                Outcome::TimedOut => out.timed_out += 1,
+                Outcome::HostDown => out.host_outages += 1,
+                Outcome::Truncated => out.truncated += 1,
+                Outcome::Invocation(inv) => out.invocations.push(inv),
+                Outcome::Transfer(ts) => out.transfers.push(ts),
+            }
         }
     }
     // Side-channel tally of the requests and of every outcome that yields
@@ -282,6 +330,8 @@ fn merge(outcomes: Vec<Outcome>) -> RawMeasurements {
     rec.add("measure/contact_failures", out.failed_requests as u64);
     rec.add("faults/host_down_requests", out.host_outages as u64);
     rec.add("faults/truncated_requests", out.truncated as u64);
+    rec.add("netsim/link_samples", sampled.link_samples);
+    rec.add("probe/rate_limited", sampled.rate_limited);
     out
 }
 
@@ -329,15 +379,17 @@ pub fn run_campaign_faulted(
         .enumerate()
         .map(|(b, c)| ((b * CAMPAIGN_BATCH) as u64, c))
         .collect();
-    let outcomes = detour_pool::parallel_flat_map(&batches, |&(start, batch)| {
-        batch
+    let outcomes = detour_pool::parallel_map(&batches, |&(start, batch)| {
+        let mut tally = Tally::default();
+        let outcomes = batch
             .iter()
             .enumerate()
             .map(|(k, &req)| {
                 let mut rng = Xoshiro256pp::stream(key, start + k as u64);
-                execute(net, cfg, &fault_state, req, &mut rng)
+                execute(net, cfg, &fault_state, req, &mut rng, &mut tally)
             })
-            .collect()
+            .collect();
+        (outcomes, tally)
     });
     merge(outcomes)
 }
@@ -384,6 +436,66 @@ mod tests {
             );
             assert_eq!(inv.as_path[0], n.host(inv.src).asn.0);
             assert_eq!(*inv.as_path.last().unwrap(), n.host(inv.dst).asn.0);
+        }
+    }
+
+    #[test]
+    fn invocations_carry_the_routed_as_path_at_exact_capacity() {
+        // The source AS, then the AS of every hop on the resolved forward
+        // path, consecutive duplicates collapsed — what the traceroute's
+        // hop list showed before the campaign stopped keeping it.
+        let n = net();
+        let reqs = small_schedule(&n, 8, 120.0);
+        let raw = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 1);
+        assert!(!raw.invocations.is_empty());
+        for inv in &raw.invocations {
+            let fwd = n.forward_path(inv.src, inv.dst, SimTime(inv.t_s)).unwrap();
+            let mut expected = vec![n.host(inv.src).asn.0];
+            expected.extend(fwd.as_sequence(&n.topology).iter().map(|a| a.0));
+            expected.dedup();
+            assert_eq!(inv.as_path, expected);
+            assert_eq!(inv.as_path.capacity(), inv.as_path.len());
+        }
+    }
+
+    #[test]
+    fn sampling_counters_tally_traceroutes_only() {
+        // A traceroute over h forward and h' reverse links samples h − 1
+        // links for its intermediate hops, then h per destination probe
+        // plus h' when the probe got out: between (h − 1) + 3h and
+        // (h − 1) + 3(h + h'). With no timeouts every traceroute that ran
+        // is an invocation. A TCP campaign adds nothing to either counter.
+        let n = net();
+        let reqs = small_schedule(&n, 8, 120.0);
+        for (cfg, traceroute) in [
+            (CampaignConfig::traceroute(), true),
+            (CampaignConfig::tcp(), false),
+        ] {
+            let rec = detour_obs::Recorder::new();
+            let _obs = detour_obs::install(rec.clone());
+            let raw = run_campaign(&n, &reqs, &cfg, 7);
+            let (samples, limited) = (
+                rec.counter("netsim/link_samples"),
+                rec.counter("probe/rate_limited"),
+            );
+            if !traceroute {
+                assert_eq!((samples, limited), (0, 0));
+                continue;
+            }
+            assert_eq!(raw.timed_out, 0);
+            let (mut low, mut high) = (0, 0);
+            for inv in &raw.invocations {
+                let t = SimTime(inv.t_s);
+                let h = n.forward_path(inv.src, inv.dst, t).unwrap().links.len() as u64;
+                let h_rev = n.forward_path(inv.dst, inv.src, t).unwrap().links.len() as u64;
+                low += h - 1 + 3 * h;
+                high += h - 1 + 3 * (h + h_rev);
+            }
+            assert!(
+                (low..=high).contains(&samples),
+                "{samples} samples outside [{low}, {high}]"
+            );
+            assert!(limited <= 2 * raw.invocations.len() as u64);
         }
     }
 

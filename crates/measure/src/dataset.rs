@@ -277,12 +277,18 @@ impl Dataset {
 
         let mut as_paths: Vec<Vec<u16>> = Vec::new();
         let mut path_pool: HashMap<Vec<u16>, u32> = HashMap::new();
-        let mut intern_path = |p: Vec<u16>| -> u32 {
-            *path_pool.entry(p.clone()).or_insert_with(|| {
-                as_paths.push(p);
-                (as_paths.len() - 1) as u32
-            })
+        // Looks a path up by slice, so only a path seen for the first time
+        // is copied (once for the pool's key, once for `as_paths`).
+        let mut intern_path = |p: &[u16]| -> u32 {
+            if let Some(&i) = path_pool.get(p) {
+                return i;
+            }
+            let i = as_paths.len() as u32;
+            as_paths.push(p.to_vec());
+            path_pool.insert(p.to_vec(), i);
+            i
         };
+        let mut reversed: Vec<u16> = Vec::new();
         let mut probes = Vec::new();
         for inv in &raw.invocations {
             if !kept.contains(&inv.src) || !kept.contains(&inv.dst) {
@@ -297,11 +303,11 @@ impl Dataset {
             // direction". A clean invocation *from* a detected host doubles
             // as the mirrored path's record (with the AS path reversed).
             let mirror = policy == RateLimitPolicy::ReverseDirection && detected.contains(&inv.src);
-            let path_idx = intern_path(inv.as_path.clone());
+            let path_idx = intern_path(&inv.as_path);
             let mirror_path_idx = mirror.then(|| {
-                let mut rev = inv.as_path.clone();
-                rev.reverse();
-                intern_path(rev)
+                reversed.clear();
+                reversed.extend(inv.as_path.iter().rev());
+                intern_path(&reversed)
             });
             for (k, &rtt) in inv.rtts.iter().enumerate() {
                 let loss_eligible = match policy {

@@ -30,7 +30,7 @@ use crate::routing::RoutingMode;
 use crate::sim::clock::SimTime;
 use crate::topology::{
     generator::{self, Era, TopologyConfig},
-    RouterId,
+    LinkId, RouterId,
 };
 use crate::topology::{AsId, Host, HostId, Topology};
 use crate::traffic::load::{LoadConfig, LoadModel};
@@ -82,6 +82,26 @@ pub struct TransitOutcome {
     pub delay_ms: f64,
     /// Whether the packet was dropped on some link.
     pub lost: bool,
+}
+
+/// One-way delay and survival probability of a path prefix, each link
+/// sampled once ([`Network::extend_prefix`]): what a traceroute's probes
+/// to an intermediate router see.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Prefix {
+    /// One-way delay to the prefix's last router: propagation, queuing
+    /// and one router's processing per hop, the source's included, ms.
+    pub delay_ms: f64,
+    /// Probability that a packet crosses every link of the prefix.
+    pub survival: f64,
+}
+
+impl Prefix {
+    /// The empty prefix at the source router: its processing delay only.
+    pub const SOURCE: Prefix = Prefix {
+        delay_ms: PER_HOP_PROCESSING_MS,
+        survival: 1.0,
+    };
 }
 
 /// A generated network instance.
@@ -264,7 +284,7 @@ impl Network {
     /// Returns `None` during an injected BGP withdrawal (the route is
     /// blackholed until convergence starts); the convergence tail routes
     /// via the second-choice path, like a flap episode.
-    pub fn forward_path(&self, src: HostId, dst: HostId, t: SimTime) -> Option<Arc<ResolvedPath>> {
+    pub fn forward_path(&self, src: HostId, dst: HostId, t: SimTime) -> Option<&ResolvedPath> {
         let sh = self.topology.host(src);
         let dh = self.topology.host(dst);
         let mut flapped = self.mode != RoutingMode::GlobalShortestDelay
@@ -281,34 +301,20 @@ impl Network {
         }
         let i = self.router_slot[sh.router.0 as usize] as usize;
         let j = self.router_slot[dh.router.0 as usize] as usize;
-        self.paths[(i * self.n_slots + j) * 2 + flapped as usize].clone()
+        self.paths[(i * self.n_slots + j) * 2 + flapped as usize].as_deref()
     }
 
     /// Sends one packet across `path` at time `t`, sampling queuing delay
     /// and loss on each link.
     pub fn transit(&self, path: &ResolvedPath, t: SimTime, rng: &mut impl Rng) -> TransitOutcome {
-        self.transit_prefix(path, path.links.len(), t, rng)
-    }
-
-    /// Like [`Network::transit`] but over only the first `prefix_links`
-    /// links of `path` (traceroute probing an intermediate hop).
-    pub fn transit_prefix(
-        &self,
-        path: &ResolvedPath,
-        prefix_links: usize,
-        t: SimTime,
-        rng: &mut impl Rng,
-    ) -> TransitOutcome {
-        let n = prefix_links.min(path.links.len());
-        let mut delay = PER_HOP_PROCESSING_MS * (n + 1) as f64;
-        let routers = &path.routers[..(n + 1).min(path.routers.len())];
+        let mut delay = PER_HOP_PROCESSING_MS * path.routers.len() as f64;
         // Injected outages drop the packet deterministically (no RNG
         // draw), so the load-sampling stream below is unperturbed: a
         // faulted run differs from the benign run only where a fault is
         // actually active.
-        let mut lost = self.faulted_element(routers, &path.links[..n], t);
+        let mut lost = self.faulted_element(&path.routers, &path.links, t);
         let mut now = self.load.at(t);
-        for &l in &path.links[..n] {
+        for &l in &path.links {
             let link = self.topology.link(l);
             let s = self.load.sample_at(l, &mut now, rng);
             delay += link.prop_delay_ms + s.queue_delay_ms;
@@ -322,12 +328,37 @@ impl Network {
         }
     }
 
+    /// `prefix` extended by one more link, sampled once at `t`: the link's
+    /// propagation and queuing delay plus the next router's processing
+    /// join the one-way delay, and the link's survival probability
+    /// multiplies the prefix's. No loss is drawn and no injected fault is
+    /// consulted — a traceroute draws those per probe.
+    pub fn extend_prefix(
+        &self,
+        prefix: Prefix,
+        link: LinkId,
+        t: SimTime,
+        rng: &mut impl Rng,
+    ) -> Prefix {
+        let (queue_delay_ms, loss_prob) = self
+            .load
+            .draw_at(link, &mut self.load.at(t), rng)
+            .unwrap_or((0.0, 1.0));
+        Prefix {
+            delay_ms: prefix.delay_ms
+                + self.topology.link(link).prop_delay_ms
+                + queue_delay_ms
+                + PER_HOP_PROCESSING_MS,
+            survival: prefix.survival * (1.0 - loss_prob),
+        }
+    }
+
     /// True when any router or link on the (sub)path is inside an injected
     /// outage episode at `t`. Pure schedule lookups — no RNG.
-    fn faulted_element(
+    pub(crate) fn faulted_element(
         &self,
         routers: &[RouterId],
-        links: &[crate::topology::LinkId],
+        links: &[LinkId],
         t: SimTime,
     ) -> bool {
         let Some(f) = &self.faults else {
@@ -466,7 +497,7 @@ mod tests {
         let prop = p.prop_delay_ms(&n.topology);
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         for _ in 0..50 {
-            let out = n.transit(&p, t, &mut rng);
+            let out = n.transit(p, t, &mut rng);
             assert!(out.delay_ms > prop, "queuing must add delay");
         }
     }
@@ -479,10 +510,7 @@ mod tests {
             .unwrap();
         let mut rng = Xoshiro256pp::seed_from_u64(8);
         let avg = |t: SimTime, rng: &mut Xoshiro256pp| -> f64 {
-            (0..300)
-                .map(|_| n.transit(&p, t, rng).delay_ms)
-                .sum::<f64>()
-                / 300.0
+            (0..300).map(|_| n.transit(p, t, rng).delay_ms).sum::<f64>() / 300.0
         };
         // Tuesday 11:00 PST vs Tuesday 03:30 PST (most hosts are NA).
         let busy = avg(SimTime::from_hours(24.0 + 19.0), &mut rng);
@@ -506,7 +534,7 @@ mod tests {
                 let p = n.forward_path(s, d, t).unwrap();
                 for _ in 0..20 {
                     total += 1;
-                    if n.transit(&p, t, &mut rng).lost {
+                    if n.transit(p, t, &mut rng).lost {
                         lost += 1;
                     }
                 }
@@ -518,23 +546,49 @@ mod tests {
     }
 
     #[test]
-    fn prefix_transit_is_cheaper_than_full() {
+    fn a_whole_prefix_walk_samples_like_a_transit() {
+        // Extending the source prefix over every link draws each link's
+        // delay and survival as `transit` does, so at one instant the
+        // walk's mean delay and mean survival match the mean transit delay
+        // and the transit delivery rate, within 4 standard errors.
         let n = net();
         let t = SimTime::from_hours(16.0);
         let p = n
             .forward_path(n.hosts()[1].id, n.hosts()[13].id, t)
             .unwrap();
         assert!(p.links.len() >= 2);
+        let draws = 4_000;
         let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let prefix_avg: f64 = (0..100)
-            .map(|_| n.transit_prefix(&p, 1, t, &mut rng).delay_ms)
-            .sum::<f64>()
-            / 100.0;
-        let full_avg: f64 = (0..100)
-            .map(|_| n.transit(&p, t, &mut rng).delay_ms)
-            .sum::<f64>()
-            / 100.0;
-        assert!(prefix_avg < full_avg);
+        let (mut walk_delay, mut survival, mut transit_delay, mut delivered) =
+            (Vec::new(), 0.0, Vec::new(), 0.0);
+        for _ in 0..draws {
+            let walked = p.links.iter().fold(Prefix::SOURCE, |pre, &l| {
+                n.extend_prefix(pre, l, t, &mut rng)
+            });
+            assert!((0.0..=1.0).contains(&walked.survival));
+            walk_delay.push(walked.delay_ms);
+            survival += walked.survival;
+            let out = n.transit(p, t, &mut rng);
+            transit_delay.push(out.delay_ms);
+            delivered += f64::from(!out.lost as u8);
+        }
+        let mean_se = |v: &[f64]| {
+            let m = v.iter().sum::<f64>() / v.len() as f64;
+            let var = v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64;
+            (m, (var / v.len() as f64).sqrt())
+        };
+        let ((mw, sw), (mt, st)) = (mean_se(&walk_delay), mean_se(&transit_delay));
+        assert!(
+            (mw - mt).abs() < 4.0 * (sw * sw + st * st).sqrt(),
+            "walk {mw} ms vs transit {mt} ms"
+        );
+        let (s, d) = (survival / draws as f64, delivered / draws as f64);
+        let se = (d * (1.0 - d) / draws as f64).sqrt().max(1e-3);
+        assert!((s - d).abs() < 4.0 * se, "survival {s} vs delivery {d}");
+        assert!(
+            walk_delay.iter().all(|&w| w > p.prop_delay_ms(&n.topology)),
+            "queuing and processing add to propagation"
+        );
     }
 
     #[test]
@@ -590,16 +644,16 @@ mod tests {
 
     #[test]
     fn path_table_is_shared_not_copied() {
-        // The precomputed table hands every caller the same Arc, as the old
-        // lazy cache handed out the same Rc — resolution work is never
-        // repeated per query.
+        // The precomputed table hands every caller a borrow of the same
+        // path — resolution work is never repeated per query, and no
+        // query clones or counts a reference.
         let n = net();
         let t = SimTime::from_hours(5.0);
         let (s, d) = (n.hosts()[0].id, n.hosts()[4].id);
         let a = n.forward_path(s, d, t).unwrap();
         let b = n.forward_path(s, d, t).unwrap();
         assert!(
-            Arc::ptr_eq(&a, &b),
+            std::ptr::eq(a, b),
             "both queries must share the precomputed path"
         );
     }
@@ -663,8 +717,8 @@ mod tests {
             let mut ra = Xoshiro256pp::seed_from_u64(hour);
             let mut rb = Xoshiro256pp::seed_from_u64(hour);
             assert_eq!(
-                benign.transit(&p, t, &mut ra),
-                faulted.transit(&p, t, &mut rb)
+                benign.transit(p, t, &mut ra),
+                faulted.transit(p, t, &mut rb)
             );
             checked += 1;
         }
@@ -698,9 +752,7 @@ mod tests {
                     if n.faulted_element(&p.routers, &p.links, t) {
                         for k in 0..5u64 {
                             let mut rng = Xoshiro256pp::seed_from_u64(k);
-                            assert!(n.transit(&p, t, &mut rng).lost);
-                            let mut rng = Xoshiro256pp::seed_from_u64(k);
-                            assert!(n.transit_prefix(&p, p.links.len(), t, &mut rng).lost);
+                            assert!(n.transit(p, t, &mut rng).lost);
                         }
                         saw_outage = true;
                         break 'outer;

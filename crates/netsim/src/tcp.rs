@@ -87,8 +87,8 @@ pub fn bulk_transfer(
     let deadline = t.plus_secs(duration_s);
     while now.0 < deadline.0 && sent < 512 {
         sent += 1;
-        let out = net.transit(&fwd, now, rng);
-        let back = net.transit(&rev, now.plus_secs(out.delay_ms / 1000.0), rng);
+        let out = net.transit(fwd, now, rng);
+        let back = net.transit(rev, now.plus_secs(out.delay_ms / 1000.0), rng);
         if out.lost || back.lost {
             lost += 1;
             now = now.plus_secs(0.5); // retransmission timeout territory

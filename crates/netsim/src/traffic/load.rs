@@ -374,11 +374,29 @@ impl LoadModel {
 
     /// [`LoadModel::sample`] at the instant `now`.
     pub fn sample_at(&self, link: LinkId, now: &mut LoadInstant, rng: &mut impl Rng) -> LinkSample {
-        if self.is_down(link, now.t) {
-            return LinkSample {
+        match self.draw_at(link, now, rng) {
+            None => LinkSample {
                 queue_delay_ms: 0.0,
                 lost: true,
-            };
+            },
+            Some((queue_delay_ms, loss_prob)) => LinkSample {
+                queue_delay_ms,
+                lost: rng.gen_bool(loss_prob),
+            },
+        }
+    }
+
+    /// Everything [`LoadModel::sample_at`] draws except the loss itself:
+    /// the queuing delay and the loss probability at that sampled
+    /// utilization. `None` while `link` is in a full outage (no RNG drawn).
+    pub fn draw_at(
+        &self,
+        link: LinkId,
+        now: &mut LoadInstant,
+        rng: &mut impl Rng,
+    ) -> Option<(f64, f64)> {
+        if self.is_down(link, now.t) {
+            return None;
         }
         let rho = (self.utilization_at(link, now) + rng.gen_range(-0.04..0.04f64)).clamp(0.0, 0.97);
         let mean_q = self.mean_queue_delay_ms(link, rho);
@@ -392,11 +410,7 @@ impl LoadModel {
         if rng.gen_bool(Self::SPIKE_PROB) {
             queue_delay_ms += rng.exponential(Self::SPIKE_MEAN_MS);
         }
-        let lost = rng.gen_bool(self.loss_probability(link, rho));
-        LinkSample {
-            queue_delay_ms,
-            lost,
-        }
+        Some((queue_delay_ms, self.loss_probability(link, rho)))
     }
 }
 

@@ -153,7 +153,7 @@ fn transit_outcomes_are_physical() {
         if let Some(path) = net.forward_path(s, d, t) {
             let mut transit_rng = Xoshiro256pp::seed_from_u64(seed);
             for _ in 0..5 {
-                let out = net.transit(&path, t, &mut transit_rng);
+                let out = net.transit(path, t, &mut transit_rng);
                 assert!(out.delay_ms > 0.0);
                 assert!(out.delay_ms >= path.prop_delay_ms(&net.topology));
                 assert!(out.delay_ms < 60_000.0, "minute-scale delay is a bug");

@@ -7,7 +7,9 @@
 # misses its speedup target on a multi-core host, or if its report uses
 # a name scripts/obs_manifest.txt does not list — so `set -e` makes this
 # script fail with it. The report bytes themselves are pinned by the
-# golden suite (tests/golden_reports.rs) in the test run.
+# golden suite (tests/golden_reports.rs) in the test run, and at full
+# scale by the last step: every report regenerated from an empty trace
+# cache must equal the committed results/*.txt.
 #
 # Usage: scripts/verify.sh [--fresh] [--smoke]
 #   --fresh   purge the trace cache under results/cache/ first (the
@@ -27,7 +29,7 @@
 #             chaos + golden suites, the trace_explorer example on its
 #             own .trace2 file and on a non-trace file, benchmark package
 #             build and unit tests) — the fast early signal; skips the
-#             full test run and the baseline
+#             full test run, the baseline and the full-scale report check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,5 +146,12 @@ cargo test -q --offline --workspace
 # Writes results/obs_report.json and prints it as a table on stdout.
 echo "== baseline (artifact store + thread-scaling + byte-identity + obs manifest gates) =="
 cargo run --release --offline -q -p detour-bench --bin baseline
+
+# Full scale: regenerate every dataset from an empty trace cache and every
+# report from those datasets (about 15 s on one core), then fail on any
+# byte that differs from the committed results/*.txt.
+echo "== full scale: figures --fresh all against the committed results =="
+./target/release/figures --threads 1 --fresh all >/dev/null
+git diff --exit-code -- 'results/*.txt'
 
 echo "verify: OK"
