@@ -22,9 +22,6 @@
 //! * [`extras`] — the report functions of the beyond-the-paper registry
 //!   entries: Paxson-phenomenon checks, the routing-policy ablation, and
 //!   the overlay evaluation;
-//! * [`mod@reference`] — the per-pair Dijkstra sweep the source-batched
-//!   kernel replaced, kept as the oracle that pins the kernel's
-//!   tie-breaks bit for bit;
 //! * [`scale`] — the 128-host `scale_sweep` workload: a dataset big enough
 //!   for kernel speedups to show, generated once through the trace cache.
 
@@ -36,7 +33,6 @@ pub mod bundle;
 pub mod cache;
 pub mod experiments;
 pub mod extras;
-pub mod reference;
 pub mod render;
 pub mod scale;
 pub mod study;

@@ -97,13 +97,13 @@ impl PathComparison {
 mod tests {
     use super::*;
     use crate::context::AnalysisContext;
-    use crate::kernel::{self, DijkstraScratch};
+    use crate::kernel;
     use crate::metric::{Loss, MetricKind, Rtt};
     use crate::testkit::rtt_matrix_dataset;
     use detour_measure::Dataset;
 
     /// The best alternate for host `s` → host `d` (host ids equal dense
-    /// indices here) on the dataset's context matrix.
+    /// indices here), read off the sweep of the dataset's context matrix.
     fn search(
         ds: &Dataset,
         s: usize,
@@ -113,13 +113,13 @@ mod tests {
     ) -> Option<PathComparison> {
         let cx = AnalysisContext::from_dataset(ds);
         let m = cx.weights(metric);
-        let mask = m.no_mask();
-        match depth {
-            SearchDepth::Unrestricted => {
-                kernel::best_alternate_masked(m, &mask, s, d, &mut DijkstraScratch::new())
-            }
-            SearchDepth::OneHop => kernel::best_alternate_one_hop_masked(m, &mask, s, d),
-        }
+        let pair = Pair {
+            src: HostId(s as u32),
+            dst: HostId(d as u32),
+        };
+        kernel::sweep(m, &m.no_mask(), depth)
+            .into_iter()
+            .find(|c| c.pair == pair)
     }
 
     const X: f64 = f64::NAN;

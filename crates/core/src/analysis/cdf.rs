@@ -19,11 +19,10 @@ use detour_stats::Cdf;
 /// Borrows the context's cached [`WeightMatrix`] (built at most once per
 /// metric family) and rides the source-batched sweep: one SSSP tree per
 /// source fanned out over [`crate::pool`] (one reusable scratch per
-/// worker), with exclusion re-searches only for pairs whose tree path
-/// starts on the direct edge; the trees and the re-searches run the
-/// kernel's one Dijkstra loop. Results merge in pair order, so the result
-/// is identical at every thread count — and bit-identical to the per-pair
-/// reference kept in `detour_bench::reference`.
+/// worker), re-settling a tree only for pairs whose tree path is the
+/// direct edge. Results merge in pair order, so the result is identical
+/// at every thread count — and bit-identical to one textbook Dijkstra per
+/// pair, which `tests/batched_kernel.rs` checks.
 pub fn compare_all_pairs(
     cx: &AnalysisContext,
     metric: &MetricKind,

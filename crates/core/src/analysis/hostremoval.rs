@@ -129,14 +129,14 @@ pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<Pa
     let (mut current, mut trees) = kernel::sweep_with_trees(m, &mask);
     let full = improvement_cdf(&current);
     let mut removed = Vec::new();
-    let mut scratch = DijkstraScratch::new();
+    let mut scratch = DijkstraScratch::default();
     let rounds = k.min(m.len().saturating_sub(3));
     for round in 0..rounds {
         // Candidates fan out over the pool (each worker reuses one
         // scratch); the argmin below runs on the in-order results, so the
         // pick is identical at any thread count.
         let candidates: Vec<usize> = (0..m.len()).filter(|&h| !mask[h]).collect();
-        let positions = pool::parallel_map_init(&candidates, DijkstraScratch::new, {
+        let positions = pool::parallel_map_init(&candidates, DijkstraScratch::default, {
             let (m, trees, current) = (m, &trees, &current);
             move |scratch, &h| masked_position(m, trees, current, h, scratch)
         });

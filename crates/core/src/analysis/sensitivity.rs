@@ -9,7 +9,8 @@
 
 use crate::altpath::Pair;
 use crate::context::AnalysisContext;
-use crate::kbest::k_best_alternates_in;
+use crate::kbest::k_best;
+use crate::kernel::{DijkstraScratch, Forest};
 use crate::metric::MetricKind;
 use crate::pool;
 use detour_stats::Cdf;
@@ -55,32 +56,35 @@ pub struct SensitivityReport {
 /// Runs the sensitivity analysis for `metric` (lower-is-better metrics).
 ///
 /// Borrows the context's cached weight matrix and fans the per-pair Yen
-/// searches out over [`crate::pool`]; results merge in pair order, so the
-/// report is identical at every thread count.
+/// searches out over [`crate::pool`]; every pair's searches re-settle the
+/// same per-host trees, each grown once. Results merge in pair order, so
+/// the report is identical at every thread count.
 pub fn analyze(cx: &AnalysisContext, metric: &MetricKind) -> SensitivityReport {
     let m = cx.weights(metric);
     let mask = m.no_mask();
     let idx_pairs = m.measured_pairs(&mask);
-    let pairs: Vec<PairSensitivity> = pool::parallel_map(&idx_pairs, |&(s, d)| {
-        let kb = k_best_alternates_in(m, &mask, s, d, 2);
-        if kb.len() < 2 {
-            return None;
-        }
-        let best_set: std::collections::HashSet<_> = kb[0].via.iter().copied().collect();
-        let disjoint_backup = kb[1].via.iter().all(|h| !best_set.contains(h));
-        Some(PairSensitivity {
-            pair: Pair {
-                src: m.hosts()[s],
-                dst: m.hosts()[d],
-            },
-            best: kb[0].alternate_value,
-            second: kb[1].alternate_value,
-            disjoint_backup,
+    let forest = Forest::new(m, &mask);
+    let pairs: Vec<PairSensitivity> =
+        pool::parallel_map_init(&idx_pairs, DijkstraScratch::default, |scratch, &(s, d)| {
+            let kb = k_best(&forest, s, d, 2, scratch);
+            if kb.len() < 2 {
+                return None;
+            }
+            let best_set: std::collections::HashSet<_> = kb[0].via.iter().copied().collect();
+            let disjoint_backup = kb[1].via.iter().all(|h| !best_set.contains(h));
+            Some(PairSensitivity {
+                pair: Pair {
+                    src: m.hosts()[s],
+                    dst: m.hosts()[d],
+                },
+                best: kb[0].alternate_value,
+                second: kb[1].alternate_value,
+                disjoint_backup,
+            })
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        .into_iter()
+        .flatten()
+        .collect();
     let gap_cdf = Cdf::from_samples(pairs.iter().map(|p| p.relative_gap()));
     let disjoint_fraction = if pairs.is_empty() {
         0.0

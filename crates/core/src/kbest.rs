@@ -6,12 +6,17 @@
 //! ranking: the k loopless alternate paths with the best composed metric,
 //! direct edge excluded, via Yen's algorithm over the measurement graph.
 //!
+//! Every search in it is a banned search answered by the kernel's one ban
+//! mechanism: the spur vertex's tree, grown once under the host mask,
+//! re-settled without the root's vertices and the banned edges out of the
+//! spur.
+//!
 //! Downstream uses: richer contribution analyses, overlay route *sets*
 //! (primary + backup), and sensitivity checks ("how much worse is the
 //! second-best detour?").
 
 use crate::altpath::PathComparison;
-use crate::kernel::{self, DijkstraScratch, WeightMatrix};
+use crate::kernel::{self, Ban, DijkstraScratch, Forest, WeightMatrix};
 
 /// The `k` best loopless alternate paths for the dense pair `s → d` on a
 /// prebuilt [`WeightMatrix`] with a host-removal mask (`removed[i]` = host
@@ -28,56 +33,68 @@ pub fn k_best_alternates_in(
     d: usize,
     k: usize,
 ) -> Vec<PathComparison> {
+    k_best(
+        &Forest::new(m, removed),
+        s,
+        d,
+        k,
+        &mut DijkstraScratch::default(),
+    )
+}
+
+/// [`k_best_alternates_in`] on the trees of `forest`, which the searches
+/// of many pairs may share.
+pub(crate) fn k_best(
+    forest: &Forest,
+    s: usize,
+    d: usize,
+    k: usize,
+    scratch: &mut DijkstraScratch,
+) -> Vec<PathComparison> {
+    let m = forest.matrix();
     if m.value(s, d).is_nan() {
         return Vec::new();
     }
-
-    // One generation-stamped scratch serves the initial search and every
-    // Yen spur search below — no per-call allocation or O(n) reset.
-    let mut scratch = DijkstraScratch::new();
-    let direct: std::collections::HashSet<(usize, usize)> = [(s, d)].into();
-    let Some(first) = kernel::shortest_path_restricted(m, s, d, removed, &direct, &mut scratch)
-    else {
+    let direct = Ban {
+        edges: &[d],
+        ..Ban::default()
+    };
+    let Some(first) = forest.path(s, d, direct, scratch) else {
         return Vec::new();
     };
 
     // Yen's algorithm: accepted paths `a`, candidate heap `b` (kept as a
     // sorted vec keyed by weight — k and n are small here).
-    let mut accepted: Vec<(Vec<usize>, f64)> = vec![first];
+    let mut accepted: Vec<Vec<usize>> = vec![first];
     let mut candidates: Vec<(Vec<usize>, f64)> = Vec::new();
+    let mut edges = Vec::new();
     while accepted.len() < k {
-        let last = accepted.last().expect("at least the first path").0.clone();
-        for spur_idx in 0..last.len() - 1 {
-            let spur = last[spur_idx];
-            let root = &last[..=spur_idx];
-            // Ban edges used by any accepted path sharing this root, plus
-            // the direct edge always.
-            let mut banned_edges = direct.clone();
-            for (p, _) in &accepted {
-                if p.len() > spur_idx && p[..=spur_idx] == *root {
-                    banned_edges.insert((p[spur_idx], p[spur_idx + 1]));
-                }
+        let last = accepted.last().expect("at least the first path").clone();
+        for i in 0..last.len() - 1 {
+            // The spur search from `last[i]`: the vertices before it are
+            // banned to keep paths loopless, and so is the next edge of
+            // every accepted path sharing the root — the direct edge too
+            // when the spur is the source.
+            let (root, spur) = (&last[..i], last[i]);
+            edges.clear();
+            edges.extend(
+                accepted
+                    .iter()
+                    .filter(|p| p.starts_with(&last[..=i]))
+                    .map(|p| p[i + 1]),
+            );
+            if i == 0 {
+                edges.push(d);
             }
-            // Ban root vertices (except the spur) to keep paths loopless,
-            // on top of the caller's removal mask.
-            let mut banned_vertices = removed.to_vec();
-            for &v in &root[..spur_idx] {
-                banned_vertices[v] = true;
-            }
-            if let Some((tail, _)) = kernel::shortest_path_restricted(
-                m,
-                spur,
-                d,
-                &banned_vertices,
-                &banned_edges,
-                &mut scratch,
-            ) {
-                let mut total: Vec<usize> = root[..spur_idx].to_vec();
+            let ban = Ban {
+                vertices: root,
+                edges: &edges,
+            };
+            if let Some(tail) = forest.path(spur, d, ban, scratch) {
+                let mut total = root.to_vec();
                 total.extend(tail);
                 let weight: f64 = total.windows(2).map(|w| m.weight(w[0], w[1])).sum();
-                if !accepted.iter().any(|(p, _)| *p == total)
-                    && !candidates.iter().any(|(p, _)| *p == total)
-                {
+                if !accepted.contains(&total) && !candidates.iter().any(|(p, _)| *p == total) {
                     candidates.push((total, weight));
                 }
             }
@@ -86,13 +103,13 @@ pub fn k_best_alternates_in(
         if candidates.is_empty() {
             break;
         }
-        accepted.push(candidates.remove(0));
+        accepted.push(candidates.remove(0).0);
     }
 
     let mut vals = Vec::new();
     accepted
         .into_iter()
-        .map(|(path, _)| kernel::comparison_along(m, &path, &mut vals))
+        .map(|path| kernel::comparison_along(m, &path, &mut vals))
         .collect()
 }
 
@@ -130,13 +147,16 @@ mod tests {
     #[test]
     fn first_result_matches_best_alternate() {
         let g = diamond();
-        let kb = ranked(&g, 0, 3, 3);
         let m = g.weights(&Rtt);
-        let best =
-            kernel::best_alternate_masked(m, &m.no_mask(), 0, 3, &mut DijkstraScratch::new())
-                .unwrap();
-        assert_eq!(kb[0].alternate_value, best.alternate_value);
-        assert_eq!(kb[0].via, best.via);
+        let sweep = kernel::sweep(m, &m.no_mask(), crate::SearchDepth::Unrestricted);
+        // 0→3's shortest path is already a detour; 1→3's is the direct
+        // edge, which the first search must ban.
+        for (s, d) in [(0, 3), (1, 3)] {
+            let kb = ranked(&g, s, d, 3);
+            let best = sweep.iter().find(|c| c.pair == kb[0].pair).unwrap();
+            assert_eq!(kb[0].alternate_value, best.alternate_value);
+            assert_eq!(kb[0].via, best.via);
+        }
     }
 
     #[test]

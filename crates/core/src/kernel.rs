@@ -39,15 +39,17 @@
 //!   `O(n³ + Σ|T|·n)`. A fix-up's `d` is a child of the source, and the
 //!   children's subtrees are disjoint, so `Σ|T| ≤ n − 1` per source and
 //!   the sweep is `O(n³)`.
-//! * [`DijkstraScratch`] — reusable per-worker state for the module's one
-//!   Dijkstra loop, which serves the sweep's trees, the per-pair exclusion
-//!   search and Yen's spur searches alike (threaded
-//!   through [`crate::pool::parallel_map_init`]; the fan-out unit is a
-//!   *source*, so each task is `O(n²)` of real work). Generation-stamped
-//!   `dist`/`prev` buffers make starting a search `O(1)` instead of three
-//!   `O(n)` fills, and extraction scans a compact unvisited-frontier list
-//!   that shrinks as vertices settle instead of re-filtering all `n`
-//!   vertices per iteration.
+//! * **One banned-tree mechanism.** `dijkstra` only grows a source's full
+//!   tree under the host mask; `resettle` is the only code that applies a
+//!   ban — a set of vertices plus a set of direct edges out of the source
+//!   — to a grown tree. The sweep's fix-ups, the Figure-12 greedy loop's
+//!   host bans and Yen's spur searches ([`crate::kbest`]) are all
+//!   re-settles. `dijkstra` and `resettle` share one `(dist, index)`
+//!   extraction scan and one relaxation, so the tie-break rule lives in
+//!   one place. Buffers are
+//!   per pool worker (threaded through
+//!   [`crate::pool::parallel_map_init`]); the fan-out unit is a *source*,
+//!   so each task is `O(n²)` of real work.
 //! * **Masked views** — every kernel entry point takes a `removed: &[bool]`
 //!   host mask. Masking a host is equivalent, value-for-value, to
 //!   rebuilding the table from the dataset restricted to the other hosts
@@ -64,16 +66,17 @@
 //! same `dist[u] + w` sums and the same strict `<`, extracted with the
 //! same lowest-index tie-break, composed by the same [`MetricKind::compose`]
 //! calls. Every report downstream is byte-identical to the pre-kernel
-//! implementation, a property pinned by the determinism integration
-//! tests, the kernel property tests, and the batched-vs-per-pair
-//! equivalence suite (`tests/batched_kernel.rs` against the retained
-//! `detour_bench::reference::per_pair_sweep`).
+//! implementation, a property pinned by the golden report suite, the
+//! determinism integration tests, the kernel property tests, and the
+//! batched-vs-per-pair equivalence suite (`tests/batched_kernel.rs`,
+//! against a textbook per-pair Dijkstra kept there as test code).
 
 use crate::altpath::{Pair, PathComparison, SearchDepth};
 use crate::compose::{synthetic_bandwidth_kbps, LossComposition};
 use crate::metric::MetricKind;
 use crate::pool;
 use detour_measure::{HostId, HostIndex, PairTable};
+use std::sync::OnceLock;
 
 /// Precomputed flat edge weights and values for one `(table, metric)`.
 #[derive(Debug, Clone)]
@@ -258,33 +261,11 @@ impl BandwidthMatrix {
     }
 }
 
-/// Reusable per-worker buffers for the dense Dijkstra, one per pool
-/// worker. Starting a search costs `O(1)` amortized, not `O(n)`:
-///
-/// * **Generation stamps.** `dist[v]`/`prev[v]` are valid only when
-///   `stamp[v]` equals the current generation; `begin` bumps the
-///   generation instead of filling three `O(n)` arrays with `+∞`, `MAX`,
-///   and `false` per search. A stale `dist` reads as `+∞`; `prev` needs no
-///   check of its own because it is only ever followed along chains of
-///   currently-stamped vertices.
-/// * **Compact unvisited frontier.** Extraction scans a dense index list
-///   that shrinks by `swap_remove` as vertices settle, instead of
-///   re-filtering all `n` vertices (done flags and all) per iteration —
-///   and the relaxation loop visits only that same shrinking list. The
-///   scan tracks the strict lexicographic minimum of `(dist, vertex)`, so
-///   whatever order `swap_remove` leaves the list in, the extracted vertex
-///   is the lowest-indexed one among equal minima — exactly the tie-break
-///   `Iterator::min_by` (first wins) gave the old full-range scan.
+/// Reusable per-worker buffers for growing source trees and answering
+/// pairs from them, one per pool worker; they grow to the graph size on
+/// first use.
 #[derive(Debug, Default)]
-pub struct DijkstraScratch {
-    /// Current search generation; entries with `stamp[v] != gen` are stale.
-    gen: u32,
-    stamp: Vec<u32>,
-    dist: Vec<f64>,
-    prev: Vec<usize>,
-    unvisited: Vec<u32>,
-    /// The settled vertices in extraction order.
-    order: Vec<u32>,
+pub(crate) struct DijkstraScratch {
     /// The source tree a group of pairs is answered from: the sweep's
     /// freshly grown one, or a kept one re-settled without a host.
     tree: Tree,
@@ -301,19 +282,18 @@ struct Work {
     vals: Vec<f64>,
 }
 
-/// Reusable buffers for [`resettle`].
+/// Reusable buffers for [`dijkstra`] and [`resettle`].
 #[derive(Debug, Default)]
 struct Subtree {
-    /// `inside[v]` when `v`'s tree path runs through the banned element.
+    /// `inside[v]` when `v`'s tree path runs through a banned element.
     inside: Vec<bool>,
-    /// The subtree's vertices not yet re-settled.
+    /// The vertices not yet settled that a search may still extract.
     open: Vec<u32>,
 }
 
-/// One source's finished SSSP tree — what [`dijkstra`] leaves when it runs
-/// to frontier exhaustion, kept in plain (unstamped) form so that a ban can
-/// re-settle it ([`resettle`]) instead of growing a new one.
-#[derive(Debug, Clone, Default)]
+/// One source's finished SSSP tree — what [`dijkstra`] grows, kept so that
+/// a ban can re-settle it ([`resettle`]) instead of growing a new one.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Tree {
     src: usize,
     /// `dist[v]` for settled `v`, `+∞` for every other vertex.
@@ -324,106 +304,31 @@ pub(crate) struct Tree {
     order: Vec<u32>,
 }
 
-/// What a re-settle takes out of a source's tree.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ban {
-    /// The direct edge from the source to this vertex.
-    Edge(usize),
-    /// This vertex (never the source), as if masked.
-    Vertex(usize),
+/// What a re-settle takes out of a source's tree: vertices, as if masked,
+/// and direct edges out of the source.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Ban<'a> {
+    /// The banned vertices; never the source.
+    pub(crate) vertices: &'a [usize],
+    /// The heads of the banned edges out of the source.
+    pub(crate) edges: &'a [usize],
 }
 
-impl DijkstraScratch {
-    /// An empty scratch; buffers grow to the graph size on first use.
-    pub fn new() -> DijkstraScratch {
-        DijkstraScratch::default()
-    }
-
-    /// Opens a new search generation over `n` vertices. Only a size change
-    /// (or a generation-counter wrap) pays for a real fill.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() != n {
-            self.stamp.clear();
-            self.stamp.resize(n, 0);
-            self.dist.clear();
-            self.dist.resize(n, f64::INFINITY);
-            self.prev.clear();
-            self.prev.resize(n, usize::MAX);
-            self.gen = 0;
-        }
-        if self.gen == u32::MAX {
-            self.stamp.fill(0);
-            self.gen = 0;
-        }
-        self.gen += 1;
-    }
-
-    /// `dist[v]` under the stamp discipline: stale entries are `+∞`.
-    #[inline]
-    fn dist_at(&self, v: usize) -> f64 {
-        if self.stamp[v] == self.gen {
-            self.dist[v]
-        } else {
-            f64::INFINITY
+impl<'a> Ban<'a> {
+    /// The direct edge from the source to `d`.
+    fn edge(d: &'a usize) -> Ban<'a> {
+        Ban {
+            edges: std::slice::from_ref(d),
+            ..Ban::default()
         }
     }
 
-    /// Records `dist[v] = d` reached from `from`, stamping the entry live.
-    #[inline]
-    fn relax_to(&mut self, v: usize, d: f64, from: usize) {
-        self.dist[v] = d;
-        self.prev[v] = from;
-        self.stamp[v] = self.gen;
-    }
-
-    /// Extracts the unvisited vertex minimizing `(dist, index)`, removing
-    /// it from the frontier; `None` once no unvisited vertex is reachable.
-    /// Identical selection to the old `(0..n).filter(...).min_by(...)`
-    /// scan: strictly smaller distance wins, equal distances fall to the
-    /// lower vertex index.
-    fn extract_min(&mut self) -> Option<(usize, f64)> {
-        let mut best_pos = usize::MAX;
-        let mut best_v = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        for (pos, &vu) in self.unvisited.iter().enumerate() {
-            let v = vu as usize;
-            if self.stamp[v] != self.gen {
-                continue;
-            }
-            let dv = self.dist[v];
-            if dv < best_d || (dv == best_d && v < best_v) {
-                best_d = dv;
-                best_v = v;
-                best_pos = pos;
-            }
+    /// Vertex `h`, as if masked.
+    fn vertex(h: &'a usize) -> Ban<'a> {
+        Ban {
+            vertices: std::slice::from_ref(h),
+            ..Ban::default()
         }
-        if best_pos == usize::MAX {
-            return None;
-        }
-        self.unvisited.swap_remove(best_pos);
-        Some((best_v, best_d))
-    }
-
-    /// Walks the current generation's `prev` chain back from `d`, leaving
-    /// the path `s → … → d` in `self.work.path`.
-    fn trace_path(&mut self, s: usize, d: usize) {
-        trace(&self.prev, s, d, &mut self.work.path);
-    }
-
-    /// Copies the full tree the last search from `s` left into `self.tree`.
-    fn keep_tree(&mut self, s: usize) {
-        let live = |v: usize| self.stamp[v] == self.gen;
-        let n = self.stamp.len();
-        let tree = &mut self.tree;
-        tree.src = s;
-        tree.dist.clear();
-        tree.dist
-            .extend((0..n).map(|v| if live(v) { self.dist[v] } else { f64::INFINITY }));
-        tree.prev.clear();
-        tree.prev
-            .extend((0..n).map(|v| if live(v) { self.prev[v] } else { usize::MAX }));
-        tree.order.clone_from(&self.order);
     }
 }
 
@@ -440,56 +345,70 @@ fn trace(prev: &[usize], s: usize, d: usize, path: &mut Vec<usize>) {
     path.reverse();
 }
 
-/// The one Dijkstra loop behind every search on the matrix — the sweep's
-/// full SSSP tree, the per-pair exclusion search and Yen's spur searches —
-/// so all of them relax, extract and break ties identically.
-///
-/// Searches from `s` over the vertices `open` admits (callers keep `s`
-/// open: the source is exempt from any vertex ban) and skips every edge
-/// with `banned(u, v)`. With `target = Some(d)` it stops as soon as `d`
-/// settles and returns its distance, `None` when `d` is unreachable; with
-/// `target = None` it runs to frontier exhaustion, leaving the full tree
-/// in `dist`/`prev`, and returns `None`.
-fn dijkstra(
-    m: &WeightMatrix,
-    s: usize,
-    target: Option<usize>,
-    open: impl Fn(usize) -> bool,
-    banned: impl Fn(usize, usize) -> bool,
-    scratch: &mut DijkstraScratch,
-) -> Option<f64> {
-    let n = m.n;
-    scratch.begin(n);
-    scratch.unvisited.clear();
-    scratch
-        .unvisited
-        .extend((0..n as u32).filter(|&v| open(v as usize)));
-    scratch.relax_to(s, 0.0, usize::MAX);
-    scratch.order.clear();
-    while let Some((u, du)) = scratch.extract_min() {
-        scratch.order.push(u as u32);
-        if target == Some(u) {
-            return Some(du);
-        }
-        let row = u * n;
-        // Relax over the shrinking unvisited list only — settled vertices
-        // cannot improve (weights are non-negative), and the per-vertex
-        // updates within one extraction are independent, so visiting the
-        // survivors in list order leaves dist/prev exactly as a full
-        // `0..n` pass does.
-        for pos in 0..scratch.unvisited.len() {
-            let v = scratch.unvisited[pos] as usize;
-            let w = m.weights[row + v];
-            if w == f64::INFINITY || banned(u, v) {
-                continue;
-            }
-            let nd = du + w;
-            if nd < scratch.dist_at(v) {
-                scratch.relax_to(v, nd, u);
-            }
+/// Extraction order on `(dist, vertex)` keys: the smaller distance first,
+/// equal distances to the lower vertex index — the first of equal minima
+/// an index-order `(0..n).filter(…).min_by(…)` scan selects.
+#[inline]
+fn precedes((da, a): (f64, usize), (db, b): (f64, usize)) -> bool {
+    da < db || (da == db && a < b)
+}
+
+/// The reached vertex of `open` that extraction takes next, by
+/// [`precedes`], and its position in `open`; `None` when no vertex of
+/// `open` is reached. The scan is over the list as it stands, so whatever
+/// order `swap_remove` has left it in, the pick is the same.
+fn nearest(dist: &[f64], open: &[u32]) -> Option<(usize, usize)> {
+    let (mut pos, mut best) = (usize::MAX, (f64::INFINITY, usize::MAX));
+    for (k, &v) in open.iter().enumerate() {
+        let key = (dist[v as usize], v as usize);
+        if key.0 != f64::INFINITY && precedes(key, best) {
+            (pos, best) = (k, key);
         }
     }
-    None
+    (pos != usize::MAX).then_some((pos, best.1))
+}
+
+/// Relaxes the unsettled vertices `open` from the settled `u` — `dist[u] +
+/// w` sums, strict `<` — except into `skip`. A missing edge's `+∞` sum
+/// never passes the `<`.
+fn relax_open(m: &WeightMatrix, tree: &mut Tree, open: &[u32], u: usize, skip: &[usize]) {
+    let du = tree.dist[u];
+    let row = &m.weights[u * m.n..(u + 1) * m.n];
+    for &t in open {
+        let t = t as usize;
+        let nd = du + row[t];
+        if nd < tree.dist[t] && !skip.contains(&t) {
+            tree.dist[t] = nd;
+            tree.prev[t] = u;
+        }
+    }
+}
+
+/// Grows the full SSSP tree from `s` over the hosts `removed` leaves, into
+/// `tree`; `open` is a reusable buffer.
+///
+/// Extraction scans a compact frontier list that shrinks by `swap_remove`
+/// as vertices settle, and relaxation visits only that same list —
+/// settled vertices cannot improve (weights are non-negative), and the
+/// per-vertex updates within one extraction are independent, so visiting
+/// the survivors in list order leaves `dist`/`prev` exactly as a full
+/// `0..n` pass does.
+fn dijkstra(m: &WeightMatrix, s: usize, removed: &[bool], tree: &mut Tree, open: &mut Vec<u32>) {
+    let n = m.n;
+    tree.src = s;
+    tree.dist.clear();
+    tree.dist.resize(n, f64::INFINITY);
+    tree.prev.clear();
+    tree.prev.resize(n, usize::MAX);
+    tree.order.clear();
+    tree.dist[s] = 0.0;
+    open.clear();
+    open.extend((0..n as u32).filter(|&v| !removed[v as usize]));
+    while let Some((pos, u)) = nearest(&tree.dist, open) {
+        open.swap_remove(pos);
+        tree.order.push(u as u32);
+        relax_open(m, tree, open, u, &[]);
+    }
 }
 
 /// The comparison for the alternate `path` (`s → … → d`, at least one
@@ -521,62 +440,6 @@ pub(crate) fn comparison_along(
             .collect(),
         lower_is_better: true,
     }
-}
-
-/// Unrestricted best alternate on the matrix: Dijkstra from `s` to `d`
-/// with the direct edge removed and `removed` hosts masked out.
-///
-/// Identical, comparison for comparison, to the same search on a table
-/// rebuilt without the masked hosts: masked vertices keep infinite distance (nothing relaxes into
-/// them), relative vertex order is unchanged, so the extraction tie-breaks
-/// and every `dist[u] + w` sum match the rebuild bit-for-bit.
-pub fn best_alternate_masked(
-    m: &WeightMatrix,
-    removed: &[bool],
-    s: usize,
-    d: usize,
-    scratch: &mut DijkstraScratch,
-) -> Option<PathComparison> {
-    debug_assert_eq!(removed.len(), m.n);
-    debug_assert!(!removed[s] && !removed[d]);
-    if m.value(s, d).is_nan() {
-        return None;
-    }
-    dijkstra(
-        m,
-        s,
-        Some(d),
-        |v| !removed[v],
-        |u, v| u == s && v == d,
-        scratch,
-    )?;
-    scratch.trace_path(s, d);
-    let work = &mut scratch.work;
-    Some(comparison_along(m, &work.path, &mut work.vals))
-}
-
-/// Shortest path `s → d` with banned vertices and banned edges — the
-/// restricted search behind Yen's algorithm ([`crate::kbest`]). Returns
-/// the vertex sequence and the total search weight. `s` itself is exempt
-/// from the vertex ban.
-pub fn shortest_path_restricted(
-    m: &WeightMatrix,
-    s: usize,
-    d: usize,
-    banned_vertices: &[bool],
-    banned_edges: &std::collections::HashSet<(usize, usize)>,
-    scratch: &mut DijkstraScratch,
-) -> Option<(Vec<usize>, f64)> {
-    let total = dijkstra(
-        m,
-        s,
-        Some(d),
-        |v| v == s || !banned_vertices[v],
-        |u, v| banned_edges.contains(&(u, v)),
-        scratch,
-    )?;
-    scratch.trace_path(s, d);
-    Some((scratch.work.path.clone(), total))
 }
 
 /// The one relay scan behind both one-hop searches: every unmasked relay
@@ -668,10 +531,10 @@ fn group_by_source(pairs: &[(usize, usize)]) -> Vec<(usize, usize, usize)> {
     groups
 }
 
-/// Answers every pair with the per-pair `search`, fanned out over
+/// Answers every pair with the relay `search`, fanned out over
 /// [`crate::pool`] one source group per task and merged in pair order —
 /// the fan-out of both one-hop sweeps.
-fn per_pair_sweep(
+fn relay_sweep(
     pairs: &[(usize, usize)],
     search: impl Fn(usize, usize) -> Option<PathComparison> + Sync,
 ) -> Vec<PathComparison> {
@@ -683,107 +546,83 @@ fn per_pair_sweep(
     })
 }
 
-/// Relaxes the unsettled vertices `open` from the settled `u` exactly as
-/// [`dijkstra`]'s loop does — the same `dist[u] + w` sums, strict `<` —
-/// except into `skip`.
-fn relax_open(m: &WeightMatrix, tree: &mut Tree, open: &[u32], u: usize, skip: usize) {
-    let du = tree.dist[u];
-    let row = &m.weights[u * m.n..(u + 1) * m.n];
-    for &t in open {
-        let t = t as usize;
-        let w = row[t];
-        if w == f64::INFINITY || t == skip {
-            continue;
-        }
-        let nd = du + w;
-        if nd < tree.dist[t] {
-            tree.dist[t] = nd;
-            tree.prev[t] = u;
-        }
-    }
-}
-
 /// Re-settles `base`, the finished tree from `base.src`, for `ban`: leaves
 /// in `out` the very tree (`dist` bits, `prev`, `order`) a fresh
-/// [`dijkstra`] with that ban grows, and returns how many vertices it
-/// unsettled.
+/// [`dijkstra`] on the graph without the banned vertices and edges grows,
+/// and returns how many vertices it unsettled. This is the only code that
+/// applies a ban.
 ///
-/// Only the banned element's subtree `T` — the vertices whose `prev`
-/// chain reaches it — can move. Every other vertex keeps its tree path, and
-/// with it its distance, its `prev` and its place in the extraction order
-/// relative to the other outside vertices, zero and absorbed weights
-/// included (DESIGN.md §6f has the proof). So `T` is unsettled, relaxed
-/// from the vertices settled before it, and re-extracted merged into the
-/// outside order by [`DijkstraScratch::extract_min`]'s rule: the smaller
-/// distance first, equal distances to the lower index. That costs
-/// `O(|T|·n)` where a search costs `O(n²)`.
+/// Only `T` can move: the vertices whose `prev` chain reaches a root — a
+/// settled banned vertex, or the head of a banned edge the tree uses.
+/// Every other vertex keeps its tree path, and with it its distance, its
+/// `prev` and its place in the extraction order relative to the other
+/// outside vertices, zero and absorbed weights included (DESIGN.md §6f has
+/// the proof). So `T` is unsettled, relaxed from the vertices settled
+/// before the earliest root, and re-extracted merged into the outside
+/// order by [`precedes`]. The banned vertices stay out; the source skips
+/// every banned edge. That costs `O(|T|·n)` where a search costs `O(n²)`.
 fn resettle(m: &WeightMatrix, base: &Tree, ban: Ban, out: &mut Tree, sub: &mut Subtree) -> usize {
     let s = base.src;
+    debug_assert!(!ban.vertices.contains(&s), "the source cannot be banned");
     out.src = s;
     out.dist.clone_from(&base.dist);
     out.prev.clone_from(&base.prev);
     out.order.clear();
-    let (Ban::Edge(root) | Ban::Vertex(root)) = ban;
-    debug_assert_ne!(root, s, "the source cannot be banned");
+    let Subtree { inside, open } = sub;
+    inside.clear();
+    inside.resize(m.n, false);
     // An edge is only on a tree path that *is* the edge, and an unsettled
-    // vertex is on none: then the ban moves nothing.
-    let on_tree = !matches!(ban, Ban::Edge(d) if base.prev[d] != s);
-    let at = base.order.iter().position(|&v| v as usize == root);
-    let Some(at) = at.filter(|_| on_tree) else {
+    // vertex is on none.
+    for &v in ban.vertices {
+        inside[v] = base.dist[v] != f64::INFINITY;
+    }
+    for &d in ban.edges {
+        inside[d] |= base.prev[d] == s;
+    }
+    let Some(at) = base.order.iter().position(|&v| inside[v as usize]) else {
         out.order.extend_from_slice(&base.order);
         return 0;
     };
     // A vertex settles after its `prev`, so one pass over the order from
-    // the root marks every vertex whose chain reaches it.
-    let Subtree { inside, open } = sub;
-    inside.clear();
-    inside.resize(m.n, false);
-    inside[root] = true;
+    // the earliest root marks every vertex whose chain reaches a root.
     open.clear();
-    if matches!(ban, Ban::Edge(_)) {
-        open.push(root as u32);
-    }
-    for &v in &base.order[at + 1..] {
-        if inside[base.prev[v as usize]] {
-            inside[v as usize] = true;
-            open.push(v);
+    let mut unsettled = 0;
+    for &v in &base.order[at..] {
+        let v = v as usize;
+        if inside[v] || inside[base.prev[v]] {
+            inside[v] = true;
+            unsettled += 1;
+            out.dist[v] = f64::INFINITY;
+            out.prev[v] = usize::MAX;
+            if !ban.vertices.contains(&v) {
+                open.push(v as u32);
+            }
         }
     }
-    out.dist[root] = f64::INFINITY;
-    out.prev[root] = usize::MAX;
-    for &t in open.iter() {
-        out.dist[t as usize] = f64::INFINITY;
-        out.prev[t as usize] = usize::MAX;
-    }
-    let unsettled = open.len() + matches!(ban, Ban::Vertex(_)) as usize;
-    // Everything settled before the root stays, and relaxes `T` in its
-    // order; only the source's relaxation skips a banned edge.
+    // Everything settled before the earliest root stays, and relaxes `T`
+    // in its order; only the source's relaxation skips the banned edges.
     out.order.extend_from_slice(&base.order[..at]);
     for &u in &base.order[..at] {
-        let skip = if u as usize == s { root } else { usize::MAX };
+        let skip = if u as usize == s { ban.edges } else { &[] };
         relax_open(m, out, open, u as usize, skip);
     }
-    let mut rest = base.order[at + 1..]
+    let mut rest = base.order[at..]
         .iter()
         .copied()
         .filter(|&v| !inside[v as usize])
         .peekable();
     while !open.is_empty() {
-        let (mut pos, mut t, mut dt) = (usize::MAX, usize::MAX, f64::INFINITY);
-        for (k, &v) in open.iter().enumerate() {
-            let v = v as usize;
-            let dv = out.dist[v];
-            if dv != f64::INFINITY && (dv < dt || (dv == dt && v < t)) {
-                (pos, t, dt) = (k, v, dv);
-            }
-        }
-        let outside = rest.peek().map(|&o| (out.dist[o as usize], o as usize));
-        let u = match outside {
-            Some((d_o, o)) if pos == usize::MAX || d_o < dt || (d_o == dt && o < t) => {
+        let next = nearest(&out.dist, open);
+        let u = match (rest.peek(), next) {
+            (Some(&o), _)
+                if next.is_none_or(|(_, t)| {
+                    precedes((out.dist[o as usize], o as usize), (out.dist[t], t))
+                }) =>
+            {
                 rest.next();
-                o
+                o as usize
             }
-            _ if pos != usize::MAX => {
+            (_, Some((pos, t))) => {
                 open.swap_remove(pos);
                 t
             }
@@ -792,7 +631,7 @@ fn resettle(m: &WeightMatrix, base: &Tree, ban: Ban, out: &mut Tree, sub: &mut S
             _ => break,
         };
         out.order.push(u as u32);
-        relax_open(m, out, open, u, usize::MAX);
+        relax_open(m, out, open, u, &[]);
     }
     out.order.extend(rest);
     unsettled
@@ -836,13 +675,13 @@ fn answer_from(
             // is strict, so an equal-weight alternate never displaced it).
             // Only here does the exclusion change the answer.
             fixups += 1;
-            resettled += resettle(m, tree, Ban::Edge(d), &mut work.banned, &mut work.sub) as u64;
+            resettled += resettle(m, tree, Ban::edge(&d), &mut work.banned, &mut work.sub) as u64;
             &work.banned
         } else {
             // The tree path avoids the direct edge — edge (s, d) can only
             // ever appear as the terminal path [s, d] — so it *is* the
-            // exclusion search's answer, tie-breaks and sums included; an
-            // unreachable `d` has no alternate either way.
+            // answer of a search without the edge, tie-breaks and sums
+            // included; an unreachable `d` has no alternate either way.
             tree
         };
         out.push(from.comparison(m, d, &mut work.path, &mut work.vals));
@@ -865,12 +704,13 @@ pub(crate) fn sweep_with_trees(
 ) -> (Vec<PathComparison>, Vec<Tree>) {
     let pairs = m.measured_pairs(removed);
     let groups = group_by_source(&pairs);
-    let answered = pool::parallel_map_init(&groups, DijkstraScratch::new, |scratch, &(s, a, b)| {
-        dijkstra(m, s, None, |v| !removed[v], |_, _| false, scratch);
-        scratch.keep_tree(s);
-        let answers = answer_from(m, &scratch.tree, &pairs[a..b], &mut scratch.work);
-        (answers, std::mem::take(&mut scratch.tree))
-    });
+    let answered =
+        pool::parallel_map_init(&groups, DijkstraScratch::default, |scratch, &(s, a, b)| {
+            let DijkstraScratch { tree, work } = scratch;
+            dijkstra(m, s, removed, tree, &mut work.sub.open);
+            let answers = answer_from(m, tree, &pairs[a..b], work);
+            (answers, std::mem::take(tree))
+        });
     let mut trees = vec![Tree::default(); m.n];
     let mut out = Vec::with_capacity(pairs.len());
     for (&(s, _, _), (answers, tree)) in groups.iter().zip(answered) {
@@ -883,8 +723,8 @@ pub(crate) fn sweep_with_trees(
 /// The best alternates of a `(src, dst)`-sorted list of measured pairs,
 /// in pair order, once host `h` joins the mask `trees` were grown under:
 /// per source, its tree re-settled without `h`, and each pair answered
-/// from that. Each answer equals [`best_alternate_masked`]'s under the
-/// larger mask. Runs on the calling thread.
+/// from that. Each answer equals [`sweep`]'s under the larger mask. Runs
+/// on the calling thread.
 pub(crate) fn best_alternates_without(
     m: &WeightMatrix,
     trees: &[Tree],
@@ -895,8 +735,8 @@ pub(crate) fn best_alternates_without(
     let mut out = Vec::with_capacity(pairs.len());
     let mut resettled = 0;
     for (s, a, b) in group_by_source(pairs) {
-        let DijkstraScratch { tree, work, .. } = scratch;
-        resettled += resettle(m, &trees[s], Ban::Vertex(h), tree, &mut work.sub) as u64;
+        let DijkstraScratch { tree, work } = scratch;
+        resettled += resettle(m, &trees[s], Ban::vertex(&h), tree, &mut work.sub) as u64;
         out.extend(answer_from(m, tree, &pairs[a..b], work));
     }
     detour_obs::current().add("kernel/resettled", resettled);
@@ -920,7 +760,7 @@ pub(crate) fn drop_host(
         resettled += resettle(
             m,
             tree,
-            Ban::Vertex(h),
+            Ban::vertex(&h),
             &mut scratch.tree,
             &mut scratch.work.sub,
         ) as u64;
@@ -929,38 +769,54 @@ pub(crate) fn drop_host(
     detour_obs::current().add("kernel/resettled", resettled);
 }
 
-/// The tree from `s` under `removed` with `ban` applied, as `(dist, prev,
-/// order)`: re-settled from the unbanned tree when `resettled`, grown by a
-/// fresh banned search otherwise. Exposed for the property test that pins
-/// the two equal.
-#[doc(hidden)]
-pub fn banned_tree(
-    m: &WeightMatrix,
-    removed: &[bool],
-    s: usize,
-    ban: Ban,
-    resettled: bool,
-) -> (Vec<f64>, Vec<usize>, Vec<u32>) {
-    let mut scratch = DijkstraScratch::new();
-    let tree = if resettled {
-        dijkstra(m, s, None, |v| !removed[v], |_, _| false, &mut scratch);
-        scratch.keep_tree(s);
-        let mut out = Tree::default();
-        resettle(m, &scratch.tree, ban, &mut out, &mut scratch.work.sub);
-        out
-    } else {
-        dijkstra(
+/// Every vertex's SSSP tree under one host mask, each grown by [`dijkstra`]
+/// the first time a search asks for it and shared by every search after
+/// that, from any pool worker: the trees Yen's spur searches re-settle
+/// ([`crate::kbest`]).
+pub(crate) struct Forest<'a> {
+    m: &'a WeightMatrix,
+    removed: &'a [bool],
+    trees: Vec<OnceLock<Tree>>,
+}
+
+impl<'a> Forest<'a> {
+    /// No tree grown yet.
+    pub(crate) fn new(m: &'a WeightMatrix, removed: &'a [bool]) -> Forest<'a> {
+        debug_assert_eq!(removed.len(), m.n);
+        Forest {
             m,
-            s,
-            None,
-            |v| !removed[v] && ban != Ban::Vertex(v),
-            |u, v| u == s && ban == Ban::Edge(v),
-            &mut scratch,
-        );
-        scratch.keep_tree(s);
-        scratch.tree
-    };
-    (tree.dist, tree.prev, tree.order)
+            removed,
+            trees: (0..m.n).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The matrix the trees are grown on.
+    pub(crate) fn matrix(&self) -> &'a WeightMatrix {
+        self.m
+    }
+
+    /// The shortest path `s → … → d` once `ban` is applied: `s`'s tree
+    /// re-settled for it, walked back from `d`. `None` when the ban cuts
+    /// `d` off.
+    pub(crate) fn path(
+        &self,
+        s: usize,
+        d: usize,
+        ban: Ban,
+        scratch: &mut DijkstraScratch,
+    ) -> Option<Vec<usize>> {
+        let base = self.trees[s].get_or_init(|| {
+            let mut tree = Tree::default();
+            dijkstra(self.m, s, self.removed, &mut tree, &mut Vec::new());
+            tree
+        });
+        let DijkstraScratch { tree, work } = scratch;
+        resettle(self.m, base, ban, tree, &mut work.sub);
+        (tree.dist[d] != f64::INFINITY).then(|| {
+            trace(&tree.prev, s, d, &mut work.path);
+            work.path.clone()
+        })
+    }
 }
 
 /// All-pairs sweep on the matrix with a host mask: the parallel engine
@@ -973,12 +829,12 @@ pub fn banned_tree(
 /// pair whose tree path *is* the excluded direct edge (`prev[d] == s`) —
 /// needs more, and it re-settles the subtree of `d` with the edge banned
 /// instead of searching again.
-/// Fan-out over [`crate::pool`] is by source with one [`DijkstraScratch`]
-/// per worker; per-source results concatenate in source order (pairs are
+/// Fan-out over [`crate::pool`] is by source with one scratch per worker;
+/// per-source results concatenate in source order (pairs are
 /// `(i, j)`-sorted within), so the output is bit-identical at every thread
-/// count — and bit-identical to the retained per-pair reference
-/// (`detour_bench::reference`), which the equivalence property tests and
-/// the `scale_sweep` baseline gate enforce.
+/// count — and bit-identical to one textbook Dijkstra per pair, which the
+/// equivalence property tests (`tests/batched_kernel.rs`) enforce and the
+/// baseline's pinned SCALE digest guards.
 ///
 /// The accounting — how much work the one-SSSP-per-source strategy saved
 /// — goes to the current `detour-obs` recorder: `kernel/sweep_pairs`
@@ -996,7 +852,7 @@ pub fn sweep(m: &WeightMatrix, removed: &[bool], depth: SearchDepth) -> Vec<Path
         SearchDepth::OneHop => {
             let pairs = m.measured_pairs(removed);
             detour_obs::current().add("kernel/sweep_pairs", pairs.len() as u64);
-            per_pair_sweep(&pairs, |s, d| {
+            relay_sweep(&pairs, |s, d| {
                 best_alternate_one_hop_masked(m, removed, s, d)
             })
         }
@@ -1011,7 +867,7 @@ pub fn sweep_bandwidth(
     removed: &[bool],
     mode: LossComposition,
 ) -> Vec<PathComparison> {
-    per_pair_sweep(&bm.measured_pairs(removed), |s, d| {
+    relay_sweep(&bm.measured_pairs(removed), |s, d| {
         best_alternate_bandwidth_masked(bm, removed, s, d, mode)
     })
 }
@@ -1020,8 +876,10 @@ pub fn sweep_bandwidth(
 mod tests {
     use super::*;
     use crate::metric::Rtt;
-    use crate::testkit::rtt_matrix_dataset;
+    use crate::testkit::{random_matrix, rtt_matrix_dataset};
     use detour_measure::Dataset;
+    use detour_prng::check::check;
+    use detour_prng::Rng;
 
     const X: f64 = f64::NAN;
 
@@ -1039,6 +897,31 @@ mod tests {
 
     fn diamond() -> PairTable {
         PairTable::build(&diamond_dataset())
+    }
+
+    /// The unrestricted sweep's answer for `s → d` under `mask`, if any.
+    fn swept(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> Option<PathComparison> {
+        let (src, dst) = (m.hosts()[s], m.hosts()[d]);
+        sweep(m, mask, SearchDepth::Unrestricted)
+            .into_iter()
+            .find(|c| c.pair == Pair { src, dst })
+    }
+
+    /// The tree a fresh [`dijkstra`] from `s` grows on a copy of `m` with
+    /// the banned edges set to `+∞` and the banned vertices added to
+    /// `mask`: the oracle for every re-settle.
+    fn fresh_banned(m: &WeightMatrix, mask: &[bool], s: usize, ban: Ban) -> Tree {
+        let mut cut = m.clone();
+        for &d in ban.edges {
+            cut.weights[s * m.n + d] = f64::INFINITY;
+        }
+        let mut mask = mask.to_vec();
+        for &v in ban.vertices {
+            mask[v] = true;
+        }
+        let mut tree = Tree::default();
+        dijkstra(&cut, s, &mask, &mut tree, &mut Vec::new());
+        tree
     }
 
     #[test]
@@ -1072,9 +955,8 @@ mod tests {
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
-        let mut scratch = DijkstraScratch::new();
 
-        let c = best_alternate_masked(&m, &mask, 0, 3, &mut scratch).unwrap();
+        let c = swept(&m, &mask, 0, 3).unwrap();
         assert_eq!(c.default_value, 100.0);
         assert_eq!(c.alternate_value, 30.0);
         assert_eq!(c.via, vec![HostId(1)]);
@@ -1082,13 +964,13 @@ mod tests {
         assert_eq!(oh.alternate_value, 30.0);
         assert_eq!(oh.via, vec![HostId(1)]);
 
-        let c = best_alternate_masked(&m, &mask, 0, 2, &mut scratch).unwrap();
+        let c = swept(&m, &mask, 0, 2).unwrap();
         assert_eq!((c.default_value, c.alternate_value), (30.0, 15.0));
-        let c = best_alternate_masked(&m, &mask, 1, 3, &mut scratch).unwrap();
+        let c = swept(&m, &mask, 1, 3).unwrap();
         assert_eq!((c.default_value, c.alternate_value), (20.0, 30.0));
         assert!(!c.alternate_wins());
         for (s, d) in [(0, 1), (1, 2), (2, 3)] {
-            assert!(best_alternate_masked(&m, &mask, s, d, &mut scratch).is_none());
+            assert!(swept(&m, &mask, s, d).is_none());
         }
     }
 
@@ -1098,12 +980,11 @@ mod tests {
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.masked(HostId(1));
-        let mut scratch = DijkstraScratch::new();
-        let c = best_alternate_masked(&m, &mask, 0, 3, &mut scratch).unwrap();
+        let c = swept(&m, &mask, 0, 3).unwrap();
         assert_eq!(c.alternate_value, 55.0);
         assert_eq!(c.via, vec![HostId(2)]);
         // And 0→2 loses its only detour entirely.
-        assert!(best_alternate_masked(&m, &mask, 0, 2, &mut scratch).is_none());
+        assert!(swept(&m, &mask, 0, 2).is_none());
     }
 
     #[test]
@@ -1148,12 +1029,15 @@ mod tests {
         PairTable::build(&rtt_matrix_dataset(&refs, 2))
     }
 
-    /// Every measured pair's answer under `mask`, one exclusion search each.
+    /// Every measured pair's answer under `mask`, one fresh search each on
+    /// the graph without the direct edge.
     fn per_pair(m: &WeightMatrix, mask: &[bool]) -> Vec<PathComparison> {
-        let mut scratch = DijkstraScratch::new();
+        let (mut path, mut vals) = (Vec::new(), Vec::new());
         m.measured_pairs(mask)
             .into_iter()
-            .filter_map(|(s, d)| best_alternate_masked(m, mask, s, d, &mut scratch))
+            .filter_map(|(s, d)| {
+                fresh_banned(m, mask, s, Ban::edge(&d)).comparison(m, d, &mut path, &mut vals)
+            })
             .collect()
     }
 
@@ -1184,7 +1068,7 @@ mod tests {
         // fix-up into it re-settles the hub and the hosts behind it: 3 for
         // sources 1 and 2 (the tied neighbour stays direct), 4 for 3 and 4.
         assert_eq!(rec.counter("kernel/resettled"), 6 + 2 * 3 + 2 * 4);
-        // Every answer must match the per-pair exclusion search.
+        // Every answer must match a fresh search without the direct edge.
         assert_eq!(cmps, per_pair(&m, &mask));
         // The tie resolves to the equal-cost hub detour, found by fix-up.
         let tied = cmps
@@ -1296,17 +1180,63 @@ mod tests {
             ],
             2,
         ));
-        let mut scratch = DijkstraScratch::new();
+        let mut reused = DijkstraScratch::default();
         for g in [&big, &small, &big] {
             let m = WeightMatrix::build(g, &Rtt);
             let mask = m.no_mask();
-            for (s, d) in m.measured_pairs(&mask) {
-                assert_eq!(
-                    best_alternate_masked(&m, &mask, s, d, &mut scratch),
-                    best_alternate_masked(&m, &mask, s, d, &mut DijkstraScratch::new()),
-                );
+            let pairs = m.measured_pairs(&mask);
+            for (s, a, b) in group_by_source(&pairs) {
+                let answer = |scratch: &mut DijkstraScratch| {
+                    let DijkstraScratch { tree, work } = scratch;
+                    dijkstra(&m, s, &mask, tree, &mut work.sub.open);
+                    (tree.clone(), answer_from(&m, tree, &pairs[a..b], work))
+                };
+                assert_eq!(answer(&mut reused), answer(&mut DijkstraScratch::default()));
             }
         }
+    }
+
+    #[test]
+    fn resettling_a_ban_equals_a_fresh_banned_search() {
+        check("re-settled tree equals a fresh banned tree", |rng| {
+            let (mut got, mut sub) = (Tree::default(), Subtree::default());
+            for kind in 0..3 {
+                let m = random_matrix(rng, kind);
+                let n = m.len();
+                let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+                for s in (0..n).filter(|&s| !mask[s]) {
+                    let others: Vec<usize> = (0..n).filter(|&v| v != s && !mask[v]).collect();
+                    // Every single ban, then random sets of 0–3 vertices
+                    // and 0–3 source edges, at least one ban in all.
+                    let mut bans: Vec<(Vec<usize>, Vec<usize>)> = others
+                        .iter()
+                        .flat_map(|&v| [(vec![v], vec![]), (vec![], vec![v])])
+                        .collect();
+                    for _ in 0..others.len() {
+                        let nv = rng.gen_range(0..4usize);
+                        let ne = rng.gen_range(usize::from(nv == 0)..4);
+                        let mut pick = |k: usize| -> Vec<usize> {
+                            (0..k)
+                                .map(|_| others[rng.gen_range(0..others.len())])
+                                .collect()
+                        };
+                        bans.push((pick(nv), pick(ne)));
+                    }
+                    let mut base = Tree::default();
+                    dijkstra(&m, s, &mask, &mut base, &mut Vec::new());
+                    for (vertices, edges) in &bans {
+                        let ban = Ban { vertices, edges };
+                        resettle(&m, &base, ban, &mut got, &mut sub);
+                        let fresh = fresh_banned(&m, &mask, s, ban);
+                        let bits =
+                            |t: &Tree| t.dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&fresh), "dist, s={s} {ban:?}");
+                        assert_eq!(got.prev, fresh.prev, "prev, s={s} {ban:?}");
+                        assert_eq!(got.order, fresh.order, "order, s={s} {ban:?}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

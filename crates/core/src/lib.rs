@@ -51,5 +51,5 @@ pub use compose::mathis_bandwidth_kbps;
 pub use compose::LossComposition;
 pub use context::{AnalysisContext, ArtifactKind, Degradation};
 pub use kbest::k_best_alternates_in;
-pub use kernel::{BandwidthMatrix, DijkstraScratch, WeightMatrix};
+pub use kernel::{BandwidthMatrix, WeightMatrix};
 pub use metric::{Loss, MetricKind, PropDelay, Rtt};

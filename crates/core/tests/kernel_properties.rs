@@ -30,8 +30,8 @@ use std::collections::HashMap;
 
 use detour_core::analysis::cdf::{compare_graph, improvement_cdf};
 use detour_core::analysis::hostremoval::greedy_removal_on;
-use detour_core::kernel::{self, Ban, DijkstraScratch, WeightMatrix};
-use detour_core::metric::{Loss, MetricKind, Rtt};
+use detour_core::kernel::{self, WeightMatrix};
+use detour_core::metric::{Loss, Rtt};
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
 use detour_measure::{Dataset, DatasetBuilder, HostId, PairTable};
 use detour_prng::check::check;
@@ -116,9 +116,13 @@ fn kernel_best_alternate_matches_brute_force_oracle() {
         let g = PairTable::build(&random_dataset(rng));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
-        let mut scratch = DijkstraScratch::new();
+        let swept = by_pair(kernel::sweep(&m, &mask, SearchDepth::Unrestricted));
         for (s, d) in m.measured_pairs(&mask) {
-            let got = kernel::best_alternate_masked(&m, &mask, s, d, &mut scratch);
+            let pair = Pair {
+                src: m.hosts()[s],
+                dst: m.hosts()[d],
+            };
+            let got = swept.get(&pair);
             let expect = brute_force_best(&g, s, d);
             match (got, expect) {
                 (None, None) => {}
@@ -198,14 +202,17 @@ fn k_best_first_entry_matches_kernel_best() {
     check("k-best head equals best", |rng| {
         let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
         let mask: Vec<bool> = (0..m.len()).map(|_| rng.gen_bool(0.25)).collect();
-        let mut scratch = DijkstraScratch::new();
+        let swept = by_pair(kernel::sweep(&m, &mask, SearchDepth::Unrestricted));
         for (s, d) in m.measured_pairs(&mask) {
             let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, 3);
-            let best = kernel::best_alternate_masked(&m, &mask, s, d, &mut scratch);
-            // Both searches run the kernel's one Dijkstra loop: the head of
-            // the ranking is the best alternate itself — same detour hosts,
-            // same bits, tie-breaks included.
-            assert_eq!(kb.first(), best.as_ref(), "pair ({s},{d})");
+            let pair = Pair {
+                src: m.hosts()[s],
+                dst: m.hosts()[d],
+            };
+            // Both re-settle a tree the kernel's one Dijkstra grew: the
+            // head of the ranking is the sweep's best alternate itself —
+            // same detour hosts, same bits, tie-breaks included.
+            assert_eq!(kb.first(), swept.get(&pair), "pair ({s},{d})");
             // And the ranking is sorted best-first.
             for w in kb.windows(2) {
                 assert!(w[0].alternate_value <= w[1].alternate_value);
@@ -344,43 +351,6 @@ fn random_absorbing_dataset(rng: &mut Xoshiro256pp) -> Dataset {
         }
     }
     b.build().unwrap()
-}
-
-/// One matrix of each graph kind the batched-kernel suite draws:
-/// whole-ms RTTs, loss with lossless (zero-weight) edges, and absorbing
-/// RTTs.
-fn three_kinds(rng: &mut Xoshiro256pp) -> [WeightMatrix; 3] {
-    let build =
-        |ds: &Dataset, metric: &MetricKind| WeightMatrix::build(&PairTable::build(ds), metric);
-    [
-        build(&random_dataset(rng), &Rtt),
-        build(&random_lossy_dataset(rng), &Loss),
-        build(&random_absorbing_dataset(rng), &Rtt),
-    ]
-}
-
-#[test]
-fn resettling_a_ban_equals_a_fresh_banned_search() {
-    check("re-settled tree equals a fresh banned tree", |rng| {
-        for m in three_kinds(rng) {
-            let n = m.len();
-            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
-            let open = |v: usize| !mask[v];
-            for s in (0..n).filter(|&s| open(s)) {
-                let bans = (0..n)
-                    .filter(|&v| v != s && open(v))
-                    .flat_map(|v| [Ban::Edge(v), Ban::Vertex(v)]);
-                for ban in bans {
-                    let (dist, prev, order) = kernel::banned_tree(&m, &mask, s, ban, true);
-                    let fresh = kernel::banned_tree(&m, &mask, s, ban, false);
-                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&dist), bits(&fresh.0), "dist, s={s} {ban:?}");
-                    assert_eq!(prev, fresh.1, "prev, s={s} {ban:?}");
-                    assert_eq!(order, fresh.2, "order, s={s} {ban:?}");
-                }
-            }
-        }
-    });
 }
 
 /// The incremental greedy loop against the plain one: the same hosts

@@ -32,8 +32,8 @@
 //!   costs are skewed (well-connected pairs terminate early).
 //! * **Per-worker state.** [`parallel_map_init`] hands every worker one
 //!   `init()` value reused across all items it claims — how the
-//!   best-alternate sweeps recycle a `DijkstraScratch` instead of
-//!   allocating dist/prev/done buffers per pair.
+//!   best-alternate sweeps recycle one worker's tree and re-settle
+//!   buffers across its sources instead of allocating them per task.
 //! * **No nested fan-out.** A worker that itself calls [`parallel_map`]
 //!   runs the inner map sequentially (tracked with a thread-local), so
 //!   parallelizing both the per-dataset loop of an experiment and the

@@ -1,12 +1,13 @@
 //! The batched-kernel safety net: the source-batched sweep
 //! (`detour_core::kernel::sweep`) must be a pure performance change over
-//! the per-pair Dijkstra it replaced, which lives on verbatim as
-//! [`detour_bench::reference::per_pair_sweep`]. Every comparison here is
-//! full structural equality — same pairs in the same order, same values
-//! bit for bit, same detour hosts (tie-breaks included) — at 1, 2, and 8
-//! worker threads, under random host masks, for both search depths, on
-//! random graphs and on a pipeline-generated dataset across all three
-//! additive metrics.
+//! one textbook search per pair — the oracle below, test code only: a
+//! Dijkstra with the direct edge skipped that extracts with a full
+//! `(0..n).filter(…).min_by(…)` scan, and a midpoint scan for one hop.
+//! Every comparison here is full structural equality — same pairs in the
+//! same order, same values bit for bit, same detour hosts (tie-breaks
+//! included) — at 1, 2, and 8 worker threads, under random host masks,
+//! for both search depths, on random graphs and on a pipeline-generated
+//! dataset across all three additive metrics.
 //!
 //! The random graphs come in three kinds: whole-millisecond RTTs, where
 //! equal-cost paths and with them tie-breaks are common; loss rates with
@@ -14,21 +15,20 @@
 //! unchanged; and RTTs spanning absorption scale (1e-300 ms beside 1e5 ms),
 //! where adding the smallest weight no longer moves the largest distance,
 //! with the same effect. Every fix-up on all three is answered by
-//! re-settling the banned edge's subtree in the source's tree, never by an
-//! exclusion search of its own.
+//! re-settling the banned edge's subtree in the source's tree, never by a
+//! search of its own.
 //!
 //! Property tests run on the in-tree deterministic harness
 //! (`detour_prng::check`; replay a failing case with
 //! `DETOUR_PROP_SEED=<seed>`).
 
-use detour::core::altpath::SearchDepth;
+use detour::core::altpath::{Pair, PathComparison, SearchDepth};
 use detour::core::kernel::{self, WeightMatrix};
 use detour::core::metric::{Loss, MetricKind, PropDelay, Rtt};
 use detour::core::pool;
 use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
 use detour::measure::{Dataset, DatasetBuilder, PairTable};
-use detour_bench::reference;
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 use std::cell::Cell;
@@ -87,6 +87,75 @@ fn random_mask(rng: &mut Xoshiro256pp, n: usize) -> Vec<bool> {
     (0..n).map(|_| rng.gen_bool(0.33)).collect()
 }
 
+/// The textbook best alternate for `s → d` under `mask`: Dijkstra over
+/// every vertex with the direct edge skipped, the frontier minimum taken
+/// by a full `min_by` scan (the first of equal minima, i.e. the lowest
+/// index), or the first best midpoint for one hop.
+fn oracle(
+    m: &WeightMatrix,
+    mask: &[bool],
+    s: usize,
+    d: usize,
+    depth: SearchDepth,
+) -> Option<PathComparison> {
+    let n = m.len();
+    let default_value = m.value(s, d);
+    let path = match depth {
+        SearchDepth::OneHop => {
+            let mut best: Option<(f64, usize)> = None;
+            for mid in (0..n).filter(|&v| v != s && v != d && !mask[v]) {
+                let (v1, v2) = (m.value(s, mid), m.value(mid, d));
+                if v1.is_nan() || v2.is_nan() {
+                    continue;
+                }
+                let c = m.metric().compose(&[v1, v2]);
+                if best.is_none_or(|(b, _)| c < b) {
+                    best = Some((c, mid));
+                }
+            }
+            vec![s, best?.1, d]
+        }
+        SearchDepth::Unrestricted => {
+            let (mut dist, mut prev, mut done) =
+                (vec![f64::INFINITY; n], vec![s; n], vec![false; n]);
+            dist[s] = 0.0;
+            while let Some(u) = (0..n)
+                .filter(|&u| !done[u] && dist[u].is_finite())
+                .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap())
+            {
+                done[u] = true;
+                for v in (0..n).filter(|&v| !done[v] && !mask[v] && (u, v) != (s, d)) {
+                    if dist[u] + m.weight(u, v) < dist[v] {
+                        dist[v] = dist[u] + m.weight(u, v);
+                        prev[v] = u;
+                    }
+                }
+            }
+            if !dist[d].is_finite() {
+                return None;
+            }
+            let mut path = vec![d];
+            while path[path.len() - 1] != s {
+                path.push(prev[path[path.len() - 1]]);
+            }
+            path.reverse();
+            path
+        }
+    };
+    let vals: Vec<f64> = path.windows(2).map(|w| m.value(w[0], w[1])).collect();
+    let hosts = m.hosts();
+    Some(PathComparison {
+        pair: Pair {
+            src: hosts[s],
+            dst: hosts[d],
+        },
+        default_value,
+        alternate_value: m.metric().compose(&vals),
+        via: path[1..path.len() - 1].iter().map(|&v| hosts[v]).collect(),
+        lower_is_better: true,
+    })
+}
+
 /// The `kernel/*` counters one sweep records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Counts {
@@ -104,7 +173,7 @@ fn sweep_with_counters(
     m: &WeightMatrix,
     mask: &[bool],
     depth: SearchDepth,
-) -> (Vec<detour::core::altpath::PathComparison>, Counts) {
+) -> (Vec<PathComparison>, Counts) {
     let rec = detour_obs::Recorder::new();
     let _g = detour_obs::install(rec.clone());
     let got = kernel::sweep(m, mask, depth);
@@ -121,8 +190,11 @@ fn sweep_with_counters(
 /// and 8 threads, plus the counter bookkeeping invariant; returns the
 /// counters, which every thread count agrees on.
 fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Counts {
-    pool::set_threads(1);
-    let expect = reference::per_pair_sweep(m, mask, depth);
+    let expect: Vec<PathComparison> = m
+        .measured_pairs(mask)
+        .into_iter()
+        .filter_map(|(s, d)| oracle(m, mask, s, d, depth))
+        .collect();
     let mut first: Option<Counts> = None;
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
@@ -131,7 +203,7 @@ fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Cou
         // Pairs whose destination is unreachable under the mask return no
         // comparison but still count in `pairs` (as avoided re-searches).
         assert!(got.len() as u64 <= c.pairs, "threads={threads}");
-        // A fix-up answered by an exclusion search would re-settle nothing.
+        // A fix-up answered by a search of its own would re-settle nothing.
         assert!(
             c.resettled >= c.fixups,
             "threads={threads}: every fix-up re-settles at least its destination"
@@ -142,8 +214,8 @@ fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Cou
                 c.pairs,
                 "threads={threads}: every pair is either fixed up or avoided"
             ),
-            // One-hop scans never run an exclusion search, so the fix-up
-            // counters stay zero by definition.
+            // One-hop scans grow no tree, so the fix-up counters stay zero
+            // by definition.
             SearchDepth::OneHop => {
                 assert_eq!((c.fixups, c.avoided), (0, 0), "one-hop never fixes up")
             }
