@@ -9,38 +9,46 @@
 //! The pipeline records its own spans and counters (`net/*`, `dataset/*`,
 //! `cache/*`, `context/*`, `kernel/*`, `engine/*`, `experiment/*`,
 //! `pool/*`); this binary adds `baseline/*` spans around its phases, and
-//! `baseline/*` gauges for the values no span or counter carries. The run:
+//! `baseline/*` gauges for the values no span or counter carries. The
+//! whole run is at one worker except the extra passes of step 5:
 //!
 //! 1. **Cold start.** The trace cache under `results/cache/` is purged and
-//!    the eight paper datasets are generated once (0 hits, 8 misses). The
-//!    pipeline's `net/build`, `net/routing`, `dataset/campaign` and
+//!    the eight paper datasets are generated once. The pipeline's
+//!    `net/build`, `net/routing`, `dataset/campaign` and
 //!    `dataset/assemble` spans split the generation time.
 //! 2. **SCALE load.** The 128-host [`detour_bench::scale`] dataset is
 //!    generated into the cache (`baseline/scale_load_cold`), then decoded
 //!    warm, best of three (`baseline/scale_load_warm`).
-//! 3. **One pass at one worker** ([`pass`]): a warm engine run (cache load
-//!    with 8 hits and 0 misses, [`Study`] construction, every paper
-//!    experiment through [`run_all`]), a fixed measurement campaign, and
-//!    the batched best-alternate sweep on SCALE.
+//! 3. **One pass** ([`pass`]): a warm engine run (cache load, [`Study`]
+//!    construction, every paper experiment through [`run_all`]), a fixed
+//!    measurement campaign, and the batched best-alternate sweep on SCALE.
 //! 4. **The Figure-12 greedy host removal**, at one worker.
 //! 5. **Multi-core hosts only:** the pass again at 2, 4 and all-cores
 //!    workers, each under its own scoped recorder. The report therefore
 //!    describes exactly one 1-worker pass on any host, and its counters do
 //!    not depend on the core count.
 //!
-//! Every gate is fatal (exit 1):
+//! The committed report is the run's expectation: it is read before the
+//! run starts, and overwritten only by a run that matches it. Every gate
+//! is fatal (exit 1):
 //!
-//! * reports, campaign output and sweep output are identical across worker
-//!   counts (the golden suite pins the report bytes themselves);
+//! * every counter equals the committed one, names and values alike, and
+//!   the span names are the committed ones; each difference is listed as
+//!   `name: committed → now` (timings and gauges are host facts and are
+//!   not compared). A run that differs writes its report to
+//!   `results/obs_report.new.json` and leaves the committed one as it is,
+//!   so the gate fails until the new report is moved into place;
+//! * reports, campaign output, sweep output and the pass's counters are
+//!   identical across worker counts (the golden suite pins the report
+//!   bytes themselves);
 //! * the SCALE RTT and loss sweeps' outputs hash to
-//!   [`SCALE_SWEEP_DIGESTS`], and the RTT sweep's fix-up split and
-//!   re-settled vertices equal [`SCALE_SWEEP_COUNTS`];
+//!   [`SCALE_SWEEP_DIGESTS`], which pin tie-breaks no counter sees;
 //! * on a multi-core host, two workers beat one by ≥ 1.2× end to end and
 //!   ≥ 1.3× on the campaign and the sweep
-//!   (`baseline/speedup_2w_{engine,campaign,scale_sweep}`);
-//! * every report name appears in `scripts/obs_manifest.txt`, so new
-//!   instrumentation cannot land without a manifest (and review) entry.
+//!   (`baseline/speedup_2w_{engine,campaign,scale_sweep}`).
 
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::Path;
 use std::process::exit;
 
@@ -51,6 +59,7 @@ use detour_core::{
     kernel, pool, AnalysisContext, Loss, PathComparison, Rtt, SearchDepth, WeightMatrix,
 };
 use detour_datasets::Scale;
+use detour_faults::FaultConfig;
 use detour_measure::{run_campaign, CampaignConfig, RawMeasurements, Request, Schedule};
 use detour_netsim::Network;
 use detour_obs::{Recorder, RunReport};
@@ -63,8 +72,11 @@ const SCALE: (usize, u32) = (10, 16);
 /// Where the trace cache lives (matches the `figures` binary).
 const CACHE_DIR: &str = "results/cache";
 
-/// Where the report lands.
+/// Where the report lands, and the run's expectation.
 const OBS_REPORT_PATH: &str = "results/obs_report.json";
+
+/// Where a report that differs from the committed one lands instead.
+const NEW_REPORT_PATH: &str = "results/obs_report.new.json";
 
 /// The SCALE RTT and loss sweeps' outputs as [`sweep_digest`] hashes
 /// them; one textbook Dijkstra per pair gives these bytes. The RTT sums
@@ -75,16 +87,6 @@ const SCALE_SWEEP_DIGESTS: [(&str, u64); 2] = [
     ("rtt", 0x720f_a529_49cb_ea59),
     ("loss", 0xa6f9_e951_5dd2_cbd1),
 ];
-
-/// The SCALE RTT sweep's `kernel/sweep_fixups`, `kernel/sweep_avoided`
-/// and `kernel/resettled`: each of the 128 sources re-settles its 127
-/// other hosts over its fix-ups, so a fix-up answered by a search of its
-/// own, which re-settles nothing, shows here.
-const SCALE_SWEEP_COUNTS: (u64, u64, u64) = (5_123, 11_133, 127 * 128);
-
-/// The committed name vocabulary: one kind-prefixed name per line
-/// (`span net/build`, `counter cache/hits`), `#` comments.
-const MANIFEST: &str = include_str!("../../../../scripts/obs_manifest.txt");
 
 fn scale() -> Scale {
     Scale::reduced(SCALE.0, SCALE.1)
@@ -114,18 +116,36 @@ fn sweep_digest(sweep: &[PathComparison]) -> u64 {
     detour_datasets::trace2::checksum(&bytes)
 }
 
-/// The report names that the manifest does not list.
-fn unknown_names(report: &RunReport, manifest: &str) -> Vec<String> {
-    let known: Vec<&str> = manifest
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    report
-        .names()
+/// Each name whose value differs between `was` and `now`, as
+/// `name: was → now`, with `absent` for a side that lacks the name.
+fn diff<V: PartialEq + Display>(
+    was: &BTreeMap<String, V>,
+    now: &BTreeMap<String, V>,
+) -> Vec<String> {
+    let show = |v: Option<&V>| v.map_or("absent".to_string(), V::to_string);
+    let mut names: Vec<&String> = was.keys().chain(now.keys()).collect();
+    names.sort_unstable();
+    names.dedup();
+    names
         .into_iter()
-        .filter(|n| !known.contains(&n.as_str()))
+        .filter(|&n| was.get(n) != now.get(n))
+        .map(|n| format!("{n}: {} → {}", show(was.get(n)), show(now.get(n))))
         .collect()
+}
+
+/// What of the committed report `now` does not reproduce: each counter
+/// that moved, appeared or vanished, then each span recorded on one side
+/// only (`span x: absent → recorded`).
+fn expectation_diff(committed: &RunReport, now: &RunReport) -> Vec<String> {
+    let spans = |r: &RunReport| -> BTreeMap<String, &str> {
+        r.spans
+            .keys()
+            .map(|k| (format!("span {k}"), "recorded"))
+            .collect()
+    };
+    let mut out = diff(&committed.counters, &now.counters);
+    out.extend(diff(&spans(committed), &spans(now)));
+    out
 }
 
 /// A fixed campaign workload: one reduced 1999 network and a
@@ -149,9 +169,8 @@ struct Pass {
     reports: Vec<String>,
     campaign: RawMeasurements,
     sweep: Vec<PathComparison>,
-    /// `kernel/sweep_fixups`, `kernel/sweep_avoided` and
-    /// `kernel/resettled` of the sweep alone.
-    sweep_counts: (u64, u64, u64),
+    /// Every counter the pass moved, by how much.
+    counters: BTreeMap<String, u64>,
     engine_secs: f64,
     campaign_secs: f64,
     sweep_secs: f64,
@@ -159,40 +178,46 @@ struct Pass {
 
 /// One pass at the current worker count, recorded into the current
 /// recorder: a warm engine run (cache load, contexts, every experiment),
-/// the fixed campaign, and the batched sweep on the SCALE matrix.
+/// the fixed campaign, and the batched sweep on the SCALE matrix. It sets
+/// the `baseline/scale_sweep_{fixups,avoided}` gauges to the sweep's
+/// split.
 fn pass(dir: &Path, (net, requests): &(Network, Vec<Request>), m: &WeightMatrix) -> Pass {
     let rec = detour_obs::current();
-    let before = rec.snapshot();
+    let start = rec.snapshot();
     let (bundle, load) = rec.time("baseline/warm_load", || {
         Bundle::generate_cached(scale(), dir).expect("trace cache")
     });
-    let d = rec.snapshot().delta_since(&before);
-    assert_eq!(
-        (d.counter("cache/hits"), d.counter("cache/misses")),
-        (8, 0),
-        "warm run must load all eight datasets from the cache"
-    );
     let (study, context) = rec.time("baseline/warm_context", || Study::from_bundle(bundle));
     let (reports, experiments) = rec.time("baseline/warm_experiments", || {
         run_all(&study, ALL_EXPERIMENTS)
     });
     let (campaign, campaign_secs) = rec.time("baseline/campaign", || {
-        run_campaign(net, requests, &CampaignConfig::traceroute(), 17)
+        run_campaign(
+            net,
+            requests,
+            &CampaignConfig::traceroute(),
+            17,
+            &FaultConfig::none(),
+        )
     });
     let before = rec.snapshot();
     let (sweep, sweep_secs) = rec.time("baseline/scale_sweep", || {
         kernel::sweep(m, &m.no_mask(), SearchDepth::Unrestricted)
     });
     let d = rec.snapshot().delta_since(&before);
+    for split in ["fixups", "avoided"] {
+        let n = d.counter(&format!("kernel/sweep_{split}"));
+        rec.set_gauge(&format!("baseline/scale_sweep_{split}"), n as f64);
+    }
+    // `delta_since` keeps a counter that first appeared at zero and drops
+    // one that stayed there, so zeros say nothing about the pass.
+    let mut counters = rec.snapshot().delta_since(&start).counters;
+    counters.retain(|_, &mut n| n != 0);
     Pass {
         reports,
         campaign,
         sweep,
-        sweep_counts: (
-            d.counter("kernel/sweep_fixups"),
-            d.counter("kernel/sweep_avoided"),
-            d.counter("kernel/resettled"),
-        ),
+        counters,
         engine_secs: load + context + experiments,
         campaign_secs,
         sweep_secs,
@@ -200,27 +225,26 @@ fn pass(dir: &Path, (net, requests): &(Network, Vec<Request>), m: &WeightMatrix)
 }
 
 fn main() {
+    let committed = std::fs::read_to_string(OBS_REPORT_PATH)
+        .map_err(|e| e.to_string())
+        .and_then(|text| RunReport::from_json(&text))
+        .unwrap_or_else(|e| fail(&format!("cannot read {OBS_REPORT_PATH}: {e}")));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cache_dir = Path::new(CACHE_DIR);
 
     // One recorder for the report: installed here and inherited by every
-    // pool worker. Only the extra multi-core passes record elsewhere.
+    // pool worker. Only the extra multi-core passes record elsewhere, and
+    // only they run at more than one worker.
     let rec = Recorder::new();
     let _obs = detour_obs::install(rec.clone());
     rec.set_gauge("baseline/cores", cores as f64);
+    pool::set_threads(1);
 
     // Cold start: purge the trace cache and generate every dataset once.
     cache::purge(cache_dir).expect("purge trace cache");
-    let before = rec.snapshot();
     rec.time("baseline/cold_generate", || {
         Bundle::generate_cached(scale(), cache_dir).expect("cold generate")
     });
-    let d = rec.snapshot().delta_since(&before);
-    assert_eq!(
-        (d.counter("cache/hits"), d.counter("cache/misses")),
-        (0, 8),
-        "cold run must generate all eight datasets"
-    );
 
     // The purge wiped the SCALE entry too, so the first load generates it;
     // the warm row times the `.trace2` decode alone.
@@ -245,10 +269,7 @@ fn main() {
     let scale_m = scale_cx.weights(&Rtt);
     let camp = campaign_workload();
 
-    pool::set_threads(1);
     let one = pass(cache_dir, &camp, scale_m);
-    rec.set_gauge("baseline/scale_sweep_fixups", one.sweep_counts.0 as f64);
-    rec.set_gauge("baseline/scale_sweep_avoided", one.sweep_counts.1 as f64);
     // The loss sweep runs under a scoped recorder, so the report keeps the
     // counters of the one pass.
     let loss = {
@@ -263,12 +284,6 @@ fn main() {
                 "scale_sweep {metric} digest {digest:#018x} != pinned {pinned:#018x}"
             ));
         }
-    }
-    if one.sweep_counts != SCALE_SWEEP_COUNTS {
-        fail(&format!(
-            "scale_sweep (fixups, avoided, resettled) {:?} != pinned {SCALE_SWEEP_COUNTS:?}",
-            one.sweep_counts
-        ));
     }
 
     // The Figure-12 greedy host removal on the masked kernel: five
@@ -301,9 +316,15 @@ fn main() {
                     "campaign output at {n} workers differs from 1 worker"
                 ));
             }
-            if (&p.sweep, p.sweep_counts) != (&one.sweep, one.sweep_counts) {
+            if p.sweep != one.sweep {
                 fail(&format!(
                     "scale_sweep output at {n} workers differs from 1 worker"
+                ));
+            }
+            if p.counters != one.counters {
+                fail(&format!(
+                    "counters at {n} workers differ from 1 worker (1 → {n}): {}",
+                    diff(&one.counters, &p.counters).join(", ")
                 ));
             }
             if n == 2 {
@@ -321,19 +342,27 @@ fn main() {
         rec.set_gauge(&format!("baseline/speedup_2w_{name}"), s);
     }
 
+    // A run that differs from the committed report leaves it untouched,
+    // so the gate keeps failing until the new report is moved into place.
     let report = rec.snapshot();
-    if let Some(dir) = Path::new(OBS_REPORT_PATH).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(OBS_REPORT_PATH, report.to_json()).expect("write obs report");
-    eprintln!("baseline: wrote {OBS_REPORT_PATH}");
+    let moved = expectation_diff(&committed, &report);
+    let path = if moved.is_empty() {
+        OBS_REPORT_PATH
+    } else {
+        NEW_REPORT_PATH
+    };
+    std::fs::write(path, report.to_json()).expect("write obs report");
+    eprintln!("baseline: wrote {path}");
     print!("{}", report.to_table());
-
-    let unknown = unknown_names(&report, MANIFEST);
-    for n in &unknown {
-        eprintln!("baseline: FAIL — report name missing from scripts/obs_manifest.txt: {n}");
-    }
-    if !unknown.is_empty() {
+    if !moved.is_empty() {
+        eprintln!("baseline: FAIL — the run differs from the committed report (committed → now):");
+        for line in &moved {
+            eprintln!("  {line}");
+        }
+        eprintln!(
+            "baseline: review the changes, then `mv {NEW_REPORT_PATH} {OBS_REPORT_PATH}` \
+             and commit it with the change"
+        );
         exit(1);
     }
     for (name, min, s) in speedups {
@@ -350,37 +379,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifest_check_lists_only_unknown_names() {
-        let rec = Recorder::new();
-        rec.record_seconds("net/build", 0.1);
-        rec.add("cache/hits", 1);
-        rec.set_gauge("baseline/cores", 2.0);
-        // A commented-out name does not count as listed; blank lines and
-        // a listed name absent from the run are fine.
-        let manifest = "# gauge baseline/cores\n\nspan net/build\n  counter cache/hits  \n\ncounter cache/misses\n";
+    fn the_expectation_diff_lists_each_moved_counter_and_span() {
+        let committed = Recorder::new();
+        committed.add("cache/hits", 11);
+        committed.add("cache/misses", 9);
+        committed.add("kernel/resettled", 28_188);
+        committed.record_seconds("net/build", 0.1);
+        committed.set_gauge("baseline/cores", 1.0);
+        let committed = committed.snapshot();
+
+        let now = Recorder::new();
+        now.add("cache/hits", 12);
+        now.add("kernel/resettled", 28_188);
+        now.add("x/y", 1);
+        now.record_seconds("net/build", 0.7);
+        now.record_seconds("net/routing", 0.2);
+        now.set_gauge("baseline/cores", 2.0);
         assert_eq!(
-            unknown_names(&rec.snapshot(), manifest),
-            vec!["gauge baseline/cores".to_string()]
+            expectation_diff(&committed, &now.snapshot()),
+            [
+                "cache/hits: 11 → 12",
+                "cache/misses: 9 → absent",
+                "x/y: absent → 1",
+                "span net/routing: absent → recorded",
+            ]
         );
-        assert!(unknown_names(&RunReport::default(), manifest).is_empty());
+        // Timings and gauges never count as a difference.
+        assert!(expectation_diff(&committed, &committed).is_empty());
     }
 
     #[test]
-    fn committed_manifest_lists_the_baseline_gauges() {
-        let rec = Recorder::new();
-        for name in [
-            "cores",
-            "scale_sweep_fixups",
-            "scale_sweep_avoided",
-            "speedup_2w_engine",
-            "speedup_2w_campaign",
-            "speedup_2w_scale_sweep",
-        ] {
-            rec.set_gauge(&format!("baseline/{name}"), 1.0);
-        }
+    fn a_span_missing_from_the_run_is_listed() {
+        let committed = Recorder::new();
+        committed.record_seconds("experiment/fig1", 0.1);
         assert_eq!(
-            unknown_names(&rec.snapshot(), MANIFEST),
-            Vec::<String>::new()
+            expectation_diff(&committed.snapshot(), &RunReport::default()),
+            ["span experiment/fig1: recorded → absent"]
         );
     }
 }

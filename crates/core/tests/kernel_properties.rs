@@ -23,8 +23,10 @@
 //!   alternate, and a one-hop alternate is never better than an
 //!   unrestricted one.
 //!
-//! The random RTTs are whole milliseconds, so equal-cost paths — and with
-//! them tie-breaks — are common.
+//! The random graphs come from `support/random_graphs.rs`. Most tests use
+//! whole-millisecond RTTs, where equal-cost paths, and with them
+//! tie-breaks, are common; the greedy loop also runs on lossy and
+//! absorbing graphs.
 
 use std::collections::HashMap;
 
@@ -33,30 +35,17 @@ use detour_core::analysis::hostremoval::greedy_removal_on;
 use detour_core::kernel::{self, WeightMatrix};
 use detour_core::metric::{Loss, Rtt};
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
-use detour_measure::{Dataset, DatasetBuilder, HostId, PairTable};
+use detour_measure::{Dataset, HostId, PairTable};
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 
-/// Random sparse RTT matrix → dataset (NaN = unmeasured edge).
-fn random_builder(rng: &mut Xoshiro256pp) -> DatasetBuilder {
-    let n = rng.gen_range(4..9usize);
-    let missing = rng.gen_range(0.1..0.5f64);
-    let mut b = Dataset::builder("P");
-    b.hosts(n as u32);
-    for i in 0..n as u32 {
-        for j in 0..n as u32 {
-            if i == j || rng.gen_bool(missing) {
-                continue;
-            }
-            let rtt = rng.gen_range(1.0..100.0f64).round();
-            b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
-        }
-    }
-    b
-}
+#[path = "support/random_graphs.rs"]
+mod random_graphs;
+use random_graphs::{random_graph, GraphKind};
 
-fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
-    random_builder(rng).build().unwrap()
+/// A random sparse graph of `kind` as a dataset.
+fn random_dataset(rng: &mut Xoshiro256pp, kind: GraphKind) -> Dataset {
+    random_graph(rng, kind).build().unwrap()
 }
 
 /// The table rebuilt from `ds` without host `victim`.
@@ -113,7 +102,7 @@ fn brute_force_best(g: &PairTable, s: usize, d: usize) -> Option<f64> {
 #[test]
 fn kernel_best_alternate_matches_brute_force_oracle() {
     check("kernel matches brute force", |rng| {
-        let g = PairTable::build(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng, GraphKind::WholeMs));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         let swept = by_pair(kernel::sweep(&m, &mask, SearchDepth::Unrestricted));
@@ -143,7 +132,7 @@ fn kernel_best_alternate_matches_brute_force_oracle() {
 #[test]
 fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
     check("one-hop matches midpoint scan", |rng| {
-        let g = PairTable::build(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng, GraphKind::WholeMs));
         let m = WeightMatrix::build(&g, &Rtt);
         let mask = m.no_mask();
         for (s, d) in m.measured_pairs(&mask) {
@@ -174,7 +163,7 @@ fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
 #[test]
 fn masked_sweep_equals_rebuilt_table_sweep() {
     check("masked sweep equals rebuilt table", |rng| {
-        let ds = random_dataset(rng);
+        let ds = random_dataset(rng, GraphKind::WholeMs);
         let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
         let victim = HostId(rng.gen_range(0..m.len() as u32));
         let masked = kernel::sweep(&m, &m.masked(victim), SearchDepth::Unrestricted);
@@ -188,7 +177,7 @@ fn masked_sweep_equals_rebuilt_table_sweep() {
 #[test]
 fn masked_one_hop_sweep_equals_rebuilt_table_sweep() {
     check("masked one-hop equals rebuilt table", |rng| {
-        let ds = random_dataset(rng);
+        let ds = random_dataset(rng, GraphKind::WholeMs);
         let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
         let victim = HostId(rng.gen_range(0..m.len() as u32));
         let masked = kernel::sweep(&m, &m.masked(victim), SearchDepth::OneHop);
@@ -200,7 +189,10 @@ fn masked_one_hop_sweep_equals_rebuilt_table_sweep() {
 #[test]
 fn k_best_first_entry_matches_kernel_best() {
     check("k-best head equals best", |rng| {
-        let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
+        let m = WeightMatrix::build(
+            &PairTable::build(&random_dataset(rng, GraphKind::WholeMs)),
+            &Rtt,
+        );
         let mask: Vec<bool> = (0..m.len()).map(|_| rng.gen_bool(0.25)).collect();
         let swept = by_pair(kernel::sweep(&m, &mask, SearchDepth::Unrestricted));
         for (s, d) in m.measured_pairs(&mask) {
@@ -252,7 +244,10 @@ fn all_alternate_costs(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> V
 #[test]
 fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
     check("Yen k-best properties", |rng| {
-        let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng)), &Rtt);
+        let m = WeightMatrix::build(
+            &PairTable::build(&random_dataset(rng, GraphKind::WholeMs)),
+            &Rtt,
+        );
         let mut mask = m.no_mask();
         if rng.gen_bool(0.5) {
             mask[rng.gen_range(0..m.len())] = true;
@@ -307,52 +302,6 @@ fn mean_improvement(m: &WeightMatrix, mask: &[bool]) -> f64 {
     cs.iter().map(|c| c.improvement()).sum::<f64>() / cs.len() as f64
 }
 
-/// Random sparse loss graph → dataset: four probes per measured edge, none
-/// to two of them lost, so loss rates are 0, 0.25 or 0.5 — zero weights
-/// and equal-cost paths are common.
-fn random_lossy_dataset(rng: &mut Xoshiro256pp) -> Dataset {
-    let n = rng.gen_range(4..9usize);
-    let missing = rng.gen_range(0.1..0.5f64);
-    let mut b = Dataset::builder("L");
-    b.hosts(n as u32);
-    for i in 0..n as u32 {
-        for j in 0..n as u32 {
-            if i == j || rng.gen_bool(missing) {
-                continue;
-            }
-            let lost = rng.gen_range(0..3usize);
-            for k in 0..4 {
-                b.probe(i, j, k as f64, (k >= lost).then_some(50.0));
-            }
-        }
-    }
-    b.build().unwrap()
-}
-
-/// Random sparse RTT graph → dataset whose weights span absorption scale:
-/// 1e-300 ms beside whole multiples of 1e4 ms, so adding a tiny weight to
-/// any large distance leaves it unchanged.
-fn random_absorbing_dataset(rng: &mut Xoshiro256pp) -> Dataset {
-    let n = rng.gen_range(4..9usize);
-    let missing = rng.gen_range(0.1..0.5f64);
-    let mut b = Dataset::builder("A");
-    b.hosts(n as u32);
-    for i in 0..n as u32 {
-        for j in 0..n as u32 {
-            if i == j || rng.gen_bool(missing) {
-                continue;
-            }
-            let rtt = if rng.gen_bool(0.4) {
-                1e-300
-            } else {
-                1e4 * rng.gen_range(1.0..10.0f64).round()
-            };
-            b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
-        }
-    }
-    b.build().unwrap()
-}
-
 /// The incremental greedy loop against the plain one: the same hosts
 /// removed, the reduced CDF equal point for point, bit for bit, and the
 /// loop's last view equal to a full sweep under the final mask — detour
@@ -391,11 +340,11 @@ fn assert_greedy_matches_full_sweeps(m: &WeightMatrix) {
 #[test]
 fn greedy_removal_matches_a_full_sweep_per_candidate() {
     check("incremental greedy equals plain greedy", |rng| {
-        let rtt = AnalysisContext::from_dataset(&random_dataset(rng));
+        let rtt = AnalysisContext::from_dataset(&random_dataset(rng, GraphKind::WholeMs));
         assert_greedy_matches_full_sweeps(rtt.weights(&Rtt));
-        let loss = AnalysisContext::from_dataset(&random_lossy_dataset(rng));
+        let loss = AnalysisContext::from_dataset(&random_dataset(rng, GraphKind::Lossy));
         assert_greedy_matches_full_sweeps(loss.weights(&Loss));
-        let absorbing = AnalysisContext::from_dataset(&random_absorbing_dataset(rng));
+        let absorbing = AnalysisContext::from_dataset(&random_dataset(rng, GraphKind::Absorbing));
         assert_greedy_matches_full_sweeps(absorbing.weights(&Rtt));
     });
 }
@@ -412,7 +361,7 @@ fn scaled(ds: &Dataset, c: f64) -> Dataset {
 #[test]
 fn scaling_rtts_by_a_power_of_two_scales_improvements_exactly() {
     check("power-of-two RTT scaling", |rng| {
-        let ds = random_dataset(rng);
+        let ds = random_dataset(rng, GraphKind::WholeMs);
         let c = [0.25, 0.5, 2.0, 8.0][rng.gen_range(0..4usize)];
         let (g, gc) = (PairTable::build(&ds), PairTable::build(&scaled(&ds, c)));
         for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
@@ -440,7 +389,7 @@ fn by_pair(cs: Vec<PathComparison>) -> HashMap<Pair, PathComparison> {
 #[test]
 fn adding_a_measured_edge_never_worsens_a_best_alternate() {
     check("added edge never hurts", |rng| {
-        let mut b = random_builder(rng);
+        let mut b = random_graph(rng, GraphKind::WholeMs);
         let g = PairTable::build(&b.build().unwrap());
         let n = g.len();
         let unmeasured: Vec<(usize, usize)> = (0..n)
@@ -478,7 +427,7 @@ fn adding_a_measured_edge_never_worsens_a_best_alternate() {
 #[test]
 fn one_hop_alternates_never_beat_unrestricted_ones() {
     check("one-hop never beats unrestricted", |rng| {
-        let g = PairTable::build(&random_dataset(rng));
+        let g = PairTable::build(&random_dataset(rng, GraphKind::WholeMs));
         let unrestricted = by_pair(compare_graph(&g, &Rtt, SearchDepth::Unrestricted));
         for one in compare_graph(&g, &Rtt, SearchDepth::OneHop) {
             let any = unrestricted

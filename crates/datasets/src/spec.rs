@@ -8,9 +8,7 @@
 //! dataset.
 
 use detour_faults::FaultConfig;
-use detour_measure::{
-    run_campaign_faulted, CampaignConfig, Dataset, HostMeta, RateLimitPolicy, Schedule,
-};
+use detour_measure::{run_campaign, CampaignConfig, Dataset, HostMeta, RateLimitPolicy, Schedule};
 use detour_netsim::geo::CITIES;
 use detour_netsim::{Era, HostId, Network, NetworkConfig};
 use detour_prng::SliceRandom;
@@ -198,7 +196,7 @@ pub fn generate_on(net: &Network, spec: &DatasetSpec, scale: Scale) -> Dataset {
     let mut rng = Xoshiro256pp::seed_from_u64(campaign_seed);
     let requests = spec.schedule.generate(&hosts, duration_s, &mut rng);
     let campaign_span = rec.span("dataset/campaign");
-    let raw = run_campaign_faulted(net, &requests, &spec.campaign, campaign_seed, &spec.faults);
+    let raw = run_campaign(net, &requests, &spec.campaign, campaign_seed, &spec.faults);
     campaign_span.finish();
     let assemble_span = rec.span("dataset/assemble");
 

@@ -336,28 +336,16 @@ fn merge(batches: Vec<(Vec<Outcome>, Tally)>) -> RawMeasurements {
 }
 
 /// Executes `requests` against the network in simulated-time order, fanned
-/// out over the `detour-pool` workers.
+/// out over the `detour-pool` workers, with the campaign-side faults of
+/// `faults` injected: host outages, probe-timeout storms, and truncation
+/// (the network-side classes are injected by the `Network` itself).
+/// [`FaultConfig::none`] injects nothing.
 ///
 /// Output is byte-identical at every thread count and for every
 /// permutation of `requests`: each request's RNG stream is derived from
-/// `(campaign_seed, canonical index)` alone, and results merge in
-/// canonical order.
+/// `(campaign_seed, canonical index)` alone, results merge in canonical
+/// order, and fault schedules are pure functions of the fault seed.
 pub fn run_campaign(
-    net: &Network,
-    requests: &[Request],
-    cfg: &CampaignConfig,
-    campaign_seed: u64,
-) -> RawMeasurements {
-    run_campaign_faulted(net, requests, cfg, campaign_seed, &FaultConfig::none())
-}
-
-/// [`run_campaign`] with injected campaign-side faults: host outages,
-/// probe-timeout storms, and truncation, per `faults` (the network-side
-/// classes are injected by the `Network` itself). With
-/// [`FaultConfig::none`] this *is* `run_campaign`, byte for byte. All the
-/// order-independence invariants hold: fault schedules are pure functions
-/// of the fault seed, so output is identical at every worker count.
-pub fn run_campaign_faulted(
     net: &Network,
     requests: &[Request],
     cfg: &CampaignConfig,
@@ -394,7 +382,7 @@ pub fn run_campaign_faulted(
     merge(outcomes)
 }
 
-/// Requests per pool task in [`run_campaign_faulted`]. Sized so one task
+/// Requests per pool task in [`run_campaign`]. Sized so one task
 /// is a few hundred microseconds of forwarding work — coarse enough that
 /// claim/merge overhead vanishes, fine enough that `workers ×
 /// CHUNKS_PER_WORKER` chunks still exist at seed scale (thousands of
@@ -421,11 +409,21 @@ mod tests {
         )
     }
 
+    /// A campaign with no injected faults.
+    fn fault_free(
+        net: &Network,
+        reqs: &[Request],
+        cfg: &CampaignConfig,
+        seed: u64,
+    ) -> RawMeasurements {
+        run_campaign(net, reqs, cfg, seed, &FaultConfig::none())
+    }
+
     #[test]
     fn traceroute_campaign_yields_invocations() {
         let n = net();
         let reqs = small_schedule(&n, 8, 120.0);
-        let raw = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 1);
+        let raw = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 1);
         assert!(!raw.invocations.is_empty());
         assert!(raw.invocations.len() + raw.failed_requests + raw.timed_out == reqs.len());
         for inv in &raw.invocations {
@@ -446,7 +444,7 @@ mod tests {
         // hop list showed before the campaign stopped keeping it.
         let n = net();
         let reqs = small_schedule(&n, 8, 120.0);
-        let raw = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 1);
+        let raw = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 1);
         assert!(!raw.invocations.is_empty());
         for inv in &raw.invocations {
             let fwd = n.forward_path(inv.src, inv.dst, SimTime(inv.t_s)).unwrap();
@@ -473,7 +471,7 @@ mod tests {
         ] {
             let rec = detour_obs::Recorder::new();
             let _obs = detour_obs::install(rec.clone());
-            let raw = run_campaign(&n, &reqs, &cfg, 7);
+            let raw = fault_free(&n, &reqs, &cfg, 7);
             let (samples, limited) = (
                 rec.counter("netsim/link_samples"),
                 rec.counter("probe/rate_limited"),
@@ -505,7 +503,7 @@ mod tests {
         let reqs = small_schedule(&n, 8, 60.0);
         let mut cfg = CampaignConfig::traceroute();
         cfg.request_failure_prob = 0.5;
-        let raw = run_campaign(&n, &reqs, &cfg, 2);
+        let raw = fault_free(&n, &reqs, &cfg, 2);
         let frac = raw.failed_requests as f64 / reqs.len() as f64;
         assert!((0.4..0.6).contains(&frac), "failure fraction {frac}");
     }
@@ -514,7 +512,7 @@ mod tests {
     fn tcp_campaign_yields_transfers() {
         let n = net();
         let reqs = small_schedule(&n, 6, 600.0);
-        let raw = run_campaign(&n, &reqs, &CampaignConfig::tcp(), 3);
+        let raw = fault_free(&n, &reqs, &CampaignConfig::tcp(), 3);
         assert!(!raw.transfers.is_empty());
         for t in &raw.transfers {
             assert!(t.rtt_ms > 0.0);
@@ -527,8 +525,8 @@ mod tests {
     fn campaign_is_deterministic() {
         let n = net();
         let reqs = small_schedule(&n, 6, 300.0);
-        let a = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 4);
-        let b = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 4);
+        let a = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 4);
+        let b = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 4);
         assert_eq!(a, b);
     }
 
@@ -536,8 +534,8 @@ mod tests {
     fn campaign_seed_changes_outcomes() {
         let n = net();
         let reqs = small_schedule(&n, 6, 300.0);
-        let a = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 4);
-        let c = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 5);
+        let a = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 4);
+        let c = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 5);
         assert_ne!(a, c, "seed must steer measurement outcomes");
     }
 
@@ -547,7 +545,7 @@ mod tests {
         let reqs = small_schedule(&n, 8, 120.0);
         let mut cfg = CampaignConfig::traceroute();
         cfg.timeout_s = 0.5; // traceroutes take seconds; nearly all time out
-        let raw = run_campaign(&n, &reqs, &cfg, 5);
+        let raw = fault_free(&n, &reqs, &cfg, 5);
         assert!(raw.timed_out > raw.invocations.len());
     }
 
@@ -569,22 +567,7 @@ mod tests {
     fn parallel_campaign_is_worker_count_invariant() {
         let n = net();
         let reqs = small_schedule(&n, 8, 120.0);
-        assert_worker_count_invariant(|| run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7));
-    }
-
-    #[test]
-    fn faulted_campaign_with_no_faults_is_the_plain_campaign() {
-        let n = net();
-        let reqs = small_schedule(&n, 8, 120.0);
-        let plain = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7);
-        let none = run_campaign_faulted(
-            &n,
-            &reqs,
-            &CampaignConfig::traceroute(),
-            7,
-            &FaultConfig::none(),
-        );
-        assert_eq!(plain, none);
+        assert_worker_count_invariant(|| fault_free(&n, &reqs, &CampaignConfig::traceroute(), 7));
     }
 
     #[test]
@@ -601,7 +584,7 @@ mod tests {
             ("tcp", CampaignConfig::tcp()),
         ] {
             for (class, faults) in [("hosts", cranked), ("heavy", FaultConfig::heavy(21))] {
-                let raw = run_campaign_faulted(&n, &reqs, &cfg, 7, &faults);
+                let raw = run_campaign(&n, &reqs, &cfg, 7, &faults);
                 if class == "hosts" {
                     assert!(
                         raw.host_outages > 0,
@@ -638,7 +621,7 @@ mod tests {
         for cfg in [CampaignConfig::traceroute(), CampaignConfig::tcp()] {
             let rec = detour_obs::Recorder::new();
             let _obs = detour_obs::install(rec.clone());
-            let raw = run_campaign_faulted(&n, &reqs, &cfg, 7, &faults);
+            let raw = run_campaign(&n, &reqs, &cfg, 7, &faults);
             let lost = [
                 "measure/timeouts",
                 "measure/contact_failures",
@@ -668,7 +651,7 @@ mod tests {
         let cutoff = 0.05 * n.horizon_s();
         let expected = reqs.iter().filter(|r| r.t_s >= cutoff).count();
         assert!(expected > 0, "some requests must fall past the cutoff");
-        let raw = run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
+        let raw = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
         assert_eq!(raw.truncated, expected);
     }
 
@@ -680,8 +663,8 @@ mod tests {
         faults.storm.mtbf_s = 3600.0; // storms all over the 4 h window
         faults.storm.mttr_s = 1800.0;
         faults.storm_slowdown = 1.0e6; // nothing survives a storm
-        let calm = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7);
-        let stormy = run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
+        let calm = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 7);
+        let stormy = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults);
         assert!(
             stormy.timed_out > calm.timed_out,
             "storms must push probes past the timeout ({} vs {})",
@@ -696,7 +679,7 @@ mod tests {
         let reqs = small_schedule(&n, 8, 120.0);
         let faults = FaultConfig::heavy(21);
         assert_worker_count_invariant(|| {
-            run_campaign_faulted(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults)
+            run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 7, &faults)
         });
     }
 
@@ -707,7 +690,7 @@ mod tests {
         use detour_prng::SliceRandom;
         let n = net();
         let reqs = small_schedule(&n, 6, 200.0);
-        let baseline = run_campaign(&n, &reqs, &CampaignConfig::traceroute(), 11);
+        let baseline = fault_free(&n, &reqs, &CampaignConfig::traceroute(), 11);
         let mut shuffled = reqs.clone();
         shuffled.shuffle(&mut Xoshiro256pp::seed_from_u64(99));
         assert_ne!(
@@ -715,7 +698,7 @@ mod tests {
             reqs.iter().map(|r| r.t_s).collect::<Vec<_>>(),
             "shuffle should actually permute"
         );
-        let got = run_campaign(&n, &shuffled, &CampaignConfig::traceroute(), 11);
+        let got = fault_free(&n, &shuffled, &CampaignConfig::traceroute(), 11);
         assert_eq!(got, baseline);
     }
 }

@@ -27,7 +27,7 @@ pub mod ratelimit;
 pub mod record;
 pub mod schedule;
 
-pub use control::{run_campaign, run_campaign_faulted, CampaignConfig, ProbeKind, RawMeasurements};
+pub use control::{run_campaign, CampaignConfig, ProbeKind, RawMeasurements};
 pub use dataset::{
     Characteristics, Dataset, DatasetBuilder, DatasetError, DatasetField, MAX_RTT_MS,
     MIN_SAMPLES_PER_PATH,

@@ -2,6 +2,7 @@
 //! deterministic harness: schedulers and dataset assembly must be robust
 //! to arbitrary (valid) inputs.
 
+use detour_faults::FaultConfig;
 use detour_measure::dataset::Dataset;
 use detour_measure::record::HostMeta;
 use detour_measure::{run_campaign, CampaignConfig, HostId, Schedule};
@@ -127,7 +128,13 @@ fn campaign_output_is_invariant_under_request_permutation() {
             };
             let reqs = sched.generate(&hosts, 2.0 * 3600.0, rng);
             let campaign_seed = rng.next_u64();
-            let baseline = run_campaign(&net, &reqs, &CampaignConfig::traceroute(), campaign_seed);
+            let baseline = run_campaign(
+                &net,
+                &reqs,
+                &CampaignConfig::traceroute(),
+                campaign_seed,
+                &FaultConfig::none(),
+            );
             let mut shuffled = reqs.clone();
             shuffled.shuffle(rng);
             let got = run_campaign(
@@ -135,6 +142,7 @@ fn campaign_output_is_invariant_under_request_permutation() {
                 &shuffled,
                 &CampaignConfig::traceroute(),
                 campaign_seed,
+                &FaultConfig::none(),
             );
             assert_eq!(
                 got,

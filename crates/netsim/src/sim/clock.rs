@@ -53,16 +53,6 @@ pub enum DayKind {
 pub struct Calendar;
 
 impl Calendar {
-    /// Day index since start (0 = first Monday).
-    pub fn day_index(&self, t: SimTime) -> i64 {
-        (t.0 / 86_400.0).floor() as i64
-    }
-
-    /// Day of week in UTC: 0 = Monday … 6 = Sunday.
-    pub fn weekday_utc(&self, t: SimTime) -> u8 {
-        (self.day_index(t).rem_euclid(7)) as u8
-    }
-
     /// Local hour-of-day (0.0 ..< 24.0) at a site with the given UTC offset.
     pub fn local_hour(&self, t: SimTime, utc_offset_hours: i8) -> f64 {
         let local = t.0 / 3_600.0 + utc_offset_hours as f64;
@@ -88,7 +78,6 @@ mod tests {
     #[test]
     fn trace_starts_monday_midnight() {
         let c = Calendar;
-        assert_eq!(c.weekday_utc(SimTime::ZERO), 0);
         assert_eq!(c.local_hour(SimTime::ZERO, 0), 0.0);
         assert_eq!(c.day_kind(SimTime::ZERO, 0), DayKind::Weekday);
     }

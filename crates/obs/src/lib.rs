@@ -43,8 +43,10 @@
 //! spans, counters, and gauges. It renders as a human table
 //! ([`RunReport::to_table`]) and as stable machine-readable JSON
 //! ([`RunReport::to_json`] — keys sorted, one entry per line, fixed
-//! number formatting). The `baseline` binary gates [`RunReport::names`]
-//! against a committed name manifest so renames are deliberate.
+//! number formatting), which [`RunReport::from_json`] reads back. The
+//! `baseline` binary reads the committed report this way and requires its
+//! counters and span names to recur exactly, so a moved counter or a
+//! renamed span is always a deliberate, reviewed change.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -353,17 +355,6 @@ impl RunReport {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Every name in the report, each prefixed by its kind: `span x`,
-    /// `counter y`, `gauge z` — the vocabulary of the committed manifest
-    /// (`scripts/obs_manifest.txt`).
-    pub fn names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        out.extend(self.spans.keys().map(|k| format!("span {k}")));
-        out.extend(self.counters.keys().map(|k| format!("counter {k}")));
-        out.extend(self.gauges.keys().map(|k| format!("gauge {k}")));
-        out
-    }
-
     /// Renders the report as an aligned human table.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
@@ -446,6 +437,85 @@ impl RunReport {
         });
         out.push_str("}\n");
         out
+    }
+
+    /// Reads back what [`RunReport::to_json`] writes, and only that fixed
+    /// format: the schema line, then the spans, counters and gauges
+    /// sections in that order, one entry per line. The error names the
+    /// first line that breaks the format.
+    pub fn from_json(text: &str) -> Result<RunReport, String> {
+        fn next<'a>(
+            lines: &mut impl Iterator<Item = (usize, &'a str)>,
+        ) -> Result<(usize, &'a str), String> {
+            lines
+                .next()
+                .ok_or_else(|| "the report ends early".to_string())
+        }
+        fn bad((n, line): (usize, &str)) -> String {
+            format!("line {n}: unexpected `{line}`")
+        }
+        let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
+        for want in ["{", "\"schema\": \"detour-obs-v1\","] {
+            let line = next(&mut lines)?;
+            if line.1 != want {
+                return Err(bad(line));
+            }
+        }
+        let mut report = RunReport::default();
+        for (section, close) in [("spans", "},"), ("counters", "},"), ("gauges", "}")] {
+            let head = next(&mut lines)?;
+            if head.1 == format!("\"{section}\": {{{close}") {
+                continue;
+            }
+            if head.1 != format!("\"{section}\": {{") {
+                return Err(bad(head));
+            }
+            loop {
+                let line = next(&mut lines)?;
+                if line.1 == close {
+                    break;
+                }
+                let entry = line.1.strip_suffix(',').unwrap_or(line.1);
+                let (name, value) = entry
+                    .strip_prefix('"')
+                    .and_then(|e| e.split_once("\": "))
+                    .ok_or_else(|| bad(line))?;
+                let name = name.to_string();
+                let fresh = match section {
+                    "spans" => {
+                        let (count, seconds) = value
+                            .strip_prefix("{\"count\": ")
+                            .and_then(|v| v.strip_suffix('}'))
+                            .and_then(|v| v.split_once(", \"seconds\": "))
+                            .ok_or_else(|| bad(line))?;
+                        let stat = SpanStat {
+                            count: count.parse().map_err(|_| bad(line))?,
+                            seconds: seconds.parse().map_err(|_| bad(line))?,
+                        };
+                        report.spans.insert(name, stat).is_none()
+                    }
+                    "counters" => {
+                        let v = value.parse().map_err(|_| bad(line))?;
+                        report.counters.insert(name, v).is_none()
+                    }
+                    _ => {
+                        let v = value.parse().map_err(|_| bad(line))?;
+                        report.gauges.insert(name, v).is_none()
+                    }
+                };
+                if !fresh {
+                    return Err(format!("line {}: a repeated name", line.0));
+                }
+            }
+        }
+        let end = next(&mut lines)?;
+        if end.1 != "}" {
+            return Err(bad(end));
+        }
+        match lines.find(|(_, l)| !l.is_empty()) {
+            Some(extra) => Err(bad(extra)),
+            None => Ok(report),
+        }
     }
 }
 
@@ -574,6 +644,48 @@ mod tests {
              \"counters\": {\n    \"cache/hits\": 8,\n    \"cache/misses\": 0\n  },\n  \
              \"gauges\": {\n    \"baseline/cores\": 8.000000\n  }\n}\n"
         );
+    }
+
+    #[test]
+    fn from_json_reads_back_what_to_json_writes() {
+        let r = Recorder::new();
+        r.add("cache/misses", 0);
+        r.add("kernel/resettled", 28_188);
+        r.record_seconds("net/build", 0.25);
+        r.record_seconds("net/build", 0.5);
+        r.set_gauge("baseline/cores", 2.0);
+        let report = r.snapshot();
+        assert_eq!(RunReport::from_json(&report.to_json()), Ok(report));
+        let empty = RunReport::default();
+        assert_eq!(RunReport::from_json(&empty.to_json()), Ok(empty));
+    }
+
+    #[test]
+    fn from_json_rejects_what_to_json_never_writes() {
+        let r = Recorder::new();
+        r.add("cache/hits", 8);
+        r.record_seconds("net/build", 0.25);
+        let json = r.snapshot().to_json();
+        for (text, line) in [
+            (String::new(), None),
+            ("not json".to_string(), Some(1)),
+            (json.replace("detour-obs-v1", "detour-obs-v0"), Some(2)),
+            (
+                json.replace("\"cache/hits\": 8", "\"cache/hits\": -8"),
+                Some(7),
+            ),
+            (json.replace("\"count\": 1", "\"count\": x"), Some(4)),
+            (json.replace("\"counters\"", "\"gauges\""), Some(6)),
+            (json.replace("8\n", "8,\n    \"cache/hits\": 8\n"), Some(8)),
+            (json.replace("}\n}\n", "}\n"), None),
+            (format!("{json}}}\n"), Some(11)),
+        ] {
+            let err = RunReport::from_json(&text).expect_err(&text);
+            match line {
+                Some(n) => assert!(err.starts_with(&format!("line {n}:")), "{err}"),
+                None => assert_eq!(err, "the report ends early"),
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline: lint, build, test, and regenerate
 # the performance baseline. The baseline binary doubles as the
-# parallelism gate — it exits non-zero if any thread count changes a
-# report byte, if the SCALE sweep's output digest or its fix-up and
-# re-settle counts differ from their pinned values, if a 2-worker run
-# misses its speedup target on a multi-core host, or if its report uses
-# a name scripts/obs_manifest.txt does not list — so `set -e` makes this
+# parallelism and counter gate — it exits non-zero if a counter or a span
+# name differs from the committed results/obs_report.json, if any thread
+# count changes a report byte or a counter, if the SCALE sweep's output
+# digests differ from their pinned values, or if a 2-worker run misses
+# its speedup target on a multi-core host — so `set -e` makes this
 # script fail with it. The report bytes themselves are pinned by the
 # golden suite (tests/golden_reports.rs) in the test run, and at full
 # scale by the last step: every report regenerated from an empty trace
@@ -25,7 +25,8 @@
 #             envelopes,
 #             the fault-schedule unit tests, the netsim unit and
 #             property tests,
-#             the figures CLI input checks,
+#             the figures CLI input checks, the baseline's report
+#             reader and diff tests,
 #             chaos + golden suites, the trace_explorer example on its
 #             own .trace2 file and on a non-trace file, benchmark package
 #             build and unit tests) — the fast early signal; skips the
@@ -82,7 +83,8 @@ cargo build --release --offline --workspace --all-targets
 # draw order; netsim's unit tests pin the load model, among them one
 # shared per-instant state sampling like a fresh one per link, and its
 # property tests cover flap schedules, routing and load), the figures CLI input checks (unknown flags and ids, an unusable cache
-# path), plus the tiny-scale end-to-end suites — the chaos suite (every
+# path), the obs report reader and the baseline's committed-report diff
+# (every moved counter and span named), plus the tiny-scale end-to-end suites — the chaos suite (every
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
 # included). Fails fast before the full test run and baseline.
@@ -114,6 +116,10 @@ cargo test -q --offline -p detour-netsim
 echo "== smoke: figures CLI input handling =="
 cargo test -q --offline -p detour-bench --test figures_cli
 
+echo "== smoke: obs report reader + the baseline's committed-report diff =="
+cargo test -q --offline -p detour-obs
+cargo test -q --offline -p detour-bench --bin baseline
+
 echo "== smoke: chaos + golden report suites =="
 cargo test -q --offline -p detour --test chaos --test golden_reports
 
@@ -144,8 +150,10 @@ fi
 echo "== cargo test --offline =="
 cargo test -q --offline --workspace
 
-# Writes results/obs_report.json and prints it as a table on stdout.
-echo "== baseline (artifact store + thread-scaling + byte-identity + obs manifest gates) =="
+# Reads the committed results/obs_report.json and prints the new report as
+# a table on stdout. A matching run rewrites the file (new timings); one
+# that differs writes results/obs_report.new.json and leaves it untouched.
+echo "== baseline (committed counters + span names, thread-scaling, byte-identity gates) =="
 cargo run --release --offline -q -p detour-bench --bin baseline
 
 # Full scale: regenerate every dataset from an empty trace cache and every

@@ -9,14 +9,14 @@
 //! for both search depths, on random graphs and on a pipeline-generated
 //! dataset across all three additive metrics.
 //!
-//! The random graphs come in three kinds: whole-millisecond RTTs, where
-//! equal-cost paths and with them tie-breaks are common; loss rates with
-//! lossless edges, whose zero weights make a relaxation leave a distance
-//! unchanged; and RTTs spanning absorption scale (1e-300 ms beside 1e5 ms),
-//! where adding the smallest weight no longer moves the largest distance,
-//! with the same effect. Every fix-up on all three is answered by
-//! re-settling the banned edge's subtree in the source's tree, never by a
-//! search of its own.
+//! The random graphs come from `crates/core/tests/support/random_graphs.rs`
+//! in its three kinds: whole-millisecond RTTs, where equal-cost paths and
+//! with them tie-breaks are common; loss rates with lossless edges, whose
+//! zero weights make a relaxation leave a distance unchanged; and RTTs
+//! spanning absorption scale (1e-300 ms beside 1e5 ms), where adding the
+//! smallest weight no longer moves the largest distance, with the same
+//! effect. Every fix-up on all three is answered by re-settling the banned
+//! edge's subtree in the source's tree, never by a search of its own.
 //!
 //! Property tests run on the in-tree deterministic harness
 //! (`detour_prng::check`; replay a failing case with
@@ -28,58 +28,14 @@ use detour::core::metric::{Loss, MetricKind, PropDelay, Rtt};
 use detour::core::pool;
 use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
-use detour::measure::{Dataset, DatasetBuilder, PairTable};
+use detour::measure::PairTable;
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 use std::cell::Cell;
 
-/// Draws the probes of one measured edge `i → j`.
-type Edge = fn(&mut Xoshiro256pp, &mut DatasetBuilder, u32, u32);
-
-/// Random sparse graph → dataset: each ordered pair is measured with
-/// probability `1 - missing`, its probes drawn by `edge`.
-fn random_dataset(rng: &mut Xoshiro256pp, edge: Edge) -> Dataset {
-    let n = rng.gen_range(4..10usize);
-    let missing = rng.gen_range(0.1..0.5f64);
-    let mut b = Dataset::builder("B");
-    b.hosts(n as u32);
-    for i in 0..n as u32 {
-        for j in 0..n as u32 {
-            if i == j || rng.gen_bool(missing) {
-                continue;
-            }
-            edge(rng, &mut b, i, j);
-        }
-    }
-    b.build().unwrap()
-}
-
-/// Whole-millisecond RTTs, the same shape the kernel property tests use
-/// in-crate: equal-cost paths, and with them tie-breaks, are common.
-fn whole_ms_edge(rng: &mut Xoshiro256pp, b: &mut DatasetBuilder, i: u32, j: u32) {
-    let rtt = rng.gen_range(1.0..100.0f64).round();
-    b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
-}
-
-/// Four probes, none to two of them lost: loss rates 0, 0.25 and 0.5, so
-/// about a third of the edges weigh exactly zero.
-fn lossy_edge(rng: &mut Xoshiro256pp, b: &mut DatasetBuilder, i: u32, j: u32) {
-    let lost = rng.gen_range(0..3usize);
-    for k in 0..4 {
-        b.probe(i, j, k as f64, (k >= lost).then_some(50.0));
-    }
-}
-
-/// RTTs of 1e-300 ms or whole multiples of 1e4 ms: every sum of a few
-/// large weights is absorbing for the tiny ones.
-fn absorbing_edge(rng: &mut Xoshiro256pp, b: &mut DatasetBuilder, i: u32, j: u32) {
-    let rtt = if rng.gen_bool(0.4) {
-        1e-300
-    } else {
-        1e4 * rng.gen_range(1.0..10.0f64).round()
-    };
-    b.probe(i, j, 0.0, Some(rtt)).probe(i, j, 1.0, Some(rtt));
-}
+#[path = "../crates/core/tests/support/random_graphs.rs"]
+mod random_graphs;
+use random_graphs::{random_graph, GraphKind};
 
 /// A random host-removal mask: each host masked with probability ~1/3,
 /// sampled independently of the graph.
@@ -233,13 +189,14 @@ fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
     let fixups = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
     let resettled = [Cell::new(0u64), Cell::new(0), Cell::new(0)];
     check("batched sweep equals per-pair reference", |rng| {
-        let edges: [(Edge, MetricKind); 3] = [
-            (whole_ms_edge, Rtt),
-            (lossy_edge, Loss),
-            (absorbing_edge, Rtt),
+        let kinds: [(GraphKind, MetricKind); 3] = [
+            (GraphKind::WholeMs, Rtt),
+            (GraphKind::Lossy, Loss),
+            (GraphKind::Absorbing, Rtt),
         ];
-        for (kind, (edge, metric)) in edges.into_iter().enumerate() {
-            let m = WeightMatrix::build(&PairTable::build(&random_dataset(rng, edge)), &metric);
+        for (kind, (graph, metric)) in kinds.into_iter().enumerate() {
+            let ds = random_graph(rng, graph).build().unwrap();
+            let m = WeightMatrix::build(&PairTable::build(&ds), &metric);
             let mask = random_mask(rng, m.len());
             for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
                 let c = assert_equivalent(&m, &mask, depth);

@@ -45,7 +45,7 @@ fn campaign_and_generation_are_byte_identical_at_1_2_and_8_threads() {
     // bytes they produce at 1.
     use detour::datasets::DatasetId;
     use detour::faults::FaultConfig;
-    use detour::measure::{run_campaign_faulted, CampaignConfig, Schedule};
+    use detour::measure::{run_campaign, CampaignConfig, Schedule};
     use detour::netsim::{Era, Network, NetworkConfig};
     use detour::prng::Xoshiro256pp;
 
@@ -63,7 +63,7 @@ fn campaign_and_generation_are_byte_identical_at_1_2_and_8_threads() {
         pool::set_threads(threads);
         let campaigns: Vec<_> = fault_cases
             .iter()
-            .map(|f| run_campaign_faulted(&net, &reqs, &CampaignConfig::traceroute(), 21, f))
+            .map(|f| run_campaign(&net, &reqs, &CampaignConfig::traceroute(), 21, f))
             .collect();
         runs.push((campaigns, DatasetId::Uw3.generate_scaled(8, 24)));
     }
