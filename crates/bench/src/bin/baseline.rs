@@ -202,7 +202,7 @@ fn pass(dir: &Path, (net, requests): &(Network, Vec<Request>), m: &WeightMatrix)
     });
     let before = rec.snapshot();
     let (sweep, sweep_secs) = rec.time("baseline/scale_sweep", || {
-        kernel::sweep(m, &m.no_mask(), SearchDepth::Unrestricted)
+        kernel::sweep(m, SearchDepth::Unrestricted)
     });
     let d = rec.snapshot().delta_since(&before);
     for split in ["fixups", "avoided"] {
@@ -274,8 +274,7 @@ fn main() {
     // counters of the one pass.
     let loss = {
         let _scope = detour_obs::install(Recorder::new());
-        let m = scale_cx.weights(&Loss);
-        kernel::sweep(m, &m.no_mask(), SearchDepth::Unrestricted)
+        kernel::sweep(scale_cx.weights(&Loss), SearchDepth::Unrestricted)
     };
     for ((metric, pinned), sweep) in SCALE_SWEEP_DIGESTS.into_iter().zip([&one.sweep, &loss]) {
         let digest = sweep_digest(sweep);
@@ -286,8 +285,8 @@ fn main() {
         }
     }
 
-    // The Figure-12 greedy host removal on the masked kernel: five
-    // removals from a 20-host UW3, at one worker.
+    // The Figure-12 greedy host removal, each removal a vertex ban on the
+    // kept trees: five removals from a 20-host UW3, at one worker.
     let fig12_ds = detour_datasets::DatasetId::Uw3.generate_scaled(20, 16);
     let fig12_cx = AnalysisContext::from_dataset(&fig12_ds);
     rec.time("baseline/fig12_masked_kernel", || {

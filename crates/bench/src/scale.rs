@@ -116,7 +116,8 @@ mod tests {
     fn scale_topology_holds_every_host() {
         // Cheap structural check (no campaign): the widened topology must
         // offer at least SCALE_HOSTS eligible NA hosts, or `select_hosts`
-        // would panic in the baseline.
+        // would return fewer and the SCALE dataset come out smaller than
+        // its name says.
         let spec = scale_spec();
         let net = scale_network(&spec, scale_scale());
         let na = net

@@ -117,9 +117,7 @@ mod tests {
             src: HostId(s as u32),
             dst: HostId(d as u32),
         };
-        kernel::sweep(m, &m.no_mask(), depth)
-            .into_iter()
-            .find(|c| c.pair == pair)
+        kernel::sweep(m, depth).into_iter().find(|c| c.pair == pair)
     }
 
     const X: f64 = f64::NAN;

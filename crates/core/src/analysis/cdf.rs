@@ -28,8 +28,7 @@ pub fn compare_all_pairs(
     metric: &MetricKind,
     depth: SearchDepth,
 ) -> Vec<PathComparison> {
-    let m = cx.weights(metric);
-    kernel::sweep(m, &m.no_mask(), depth)
+    kernel::sweep(cx.weights(metric), depth)
 }
 
 /// Per-pair comparisons for an ad-hoc table (a time-of-day slice or an
@@ -41,8 +40,7 @@ pub fn compare_graph(
     metric: &MetricKind,
     depth: SearchDepth,
 ) -> Vec<PathComparison> {
-    let m = WeightMatrix::build(table, metric);
-    kernel::sweep(&m, &m.no_mask(), depth)
+    kernel::sweep(&WeightMatrix::build(table, metric), depth)
 }
 
 /// Per-pair comparisons for the bandwidth metric (one-hop, Mathis model),
@@ -52,8 +50,7 @@ pub fn compare_all_pairs_bandwidth(
     cx: &AnalysisContext,
     mode: LossComposition,
 ) -> Vec<PathComparison> {
-    let bm = cx.bandwidth_matrix();
-    kernel::sweep_bandwidth(bm, &bm.no_mask(), mode)
+    kernel::sweep_bandwidth(cx.bandwidth_matrix(), mode)
 }
 
 /// CDF of signed improvements (positive = alternate better): Figures 1, 3, 4.

@@ -28,8 +28,8 @@ pub struct RemovalAnalysis {
 }
 
 /// The comparisons `current` holds for pairs whose recorded best path runs
-/// through host `h`, re-answered once `h` joins the mask `current` and
-/// `trees` were computed under: `(position in current, new answer)`, in
+/// through host `h`, re-answered once `h` joins the hosts `current` and
+/// `trees` were computed without: `(position in current, new answer)`, in
 /// `current`'s order. `current` is `(src, dst)`-sorted, so each affected
 /// source re-settles its kept tree once ([`kernel::best_alternates_without`]).
 fn reroute_through(
@@ -51,7 +51,7 @@ fn reroute_through(
     at.into_iter().zip(answers).collect()
 }
 
-/// The comparisons under the mask with `h` added, derived from `current`
+/// The comparisons once `h` is removed too, derived from `current`
 /// (the comparisons without it) and `rerouted` ([`reroute_through`]'s
 /// answers): pairs touching `h` drop out, re-routed pairs take their new
 /// answer (or drop out when they lost every alternate), and every other
@@ -75,10 +75,11 @@ fn without_host<'a>(
 }
 
 /// The greedy objective for one candidate: the mean improvement with host
-/// `h` masked out — how far "left" the CDF would sit — over the view
+/// `h` removed — how far "left" the CDF would sit — over the view
 /// [`without_host`] derives, summed in pair order like the mean of a full
-/// masked sweep, and therefore identical to it bit for bit.
-fn masked_position(
+/// sweep of the table rebuilt without it, and therefore identical to it
+/// bit for bit.
+fn position_without(
     m: &WeightMatrix,
     trees: &[Tree],
     current: &[PathComparison],
@@ -100,33 +101,33 @@ fn masked_position(
 
 /// Runs the greedy experiment, removing `k` hosts.
 ///
-/// The matrix comes from the context's artifact cache; each candidate
-/// removal is evaluated through a zero-copy mask over it rather than a
-/// table rebuilt without the candidate — masked sweeps are value-identical
-/// to rebuilt-table sweeps (relative vertex order is preserved, so every
-/// tie-break matches), which the kernel property tests pin down.
+/// The matrix comes from the context's artifact cache, and no table is
+/// rebuilt without a candidate: a removed host is a vertex ban on kept
+/// SSSP trees, value-identical to a table rebuilt without it (relative
+/// vertex order is preserved, so every tie-break matches), which the
+/// kernel tests pin down.
 ///
 /// Only the first view is a full [`kernel::sweep`], and it keeps every
 /// source's SSSP tree. Removing `h` can only affect pairs whose best
 /// alternate routes through `h`, so a candidate is scored on the previous
-/// view with just those pairs re-answered (`masked_position`), from each
+/// view with just those pairs re-answered (`position_without`), from each
 /// affected source's tree re-settled without `h`; and the winner's
 /// re-answered view *is* the next view, so no sweep follows a removal —
-/// the kept trees re-settle without the winner instead. Even weight-tied alternates keep the reuse exact for the
-/// in-tree metrics: a tied path composes to the very sum the relaxation
-/// accumulated, so equal weight-space optima mean equal composed bits.
-/// The kernel property tests check, for RTT and loss, that the loop
-/// removes the hosts a full sweep per candidate would, and that its last
-/// view equals a full sweep under the final mask.
+/// the kept trees re-settle without the winner instead. Even weight-tied
+/// alternates keep the reuse exact for the in-tree metrics: a tied path
+/// composes to the very sum the relaxation accumulated, so equal
+/// weight-space optima mean equal composed bits. The kernel property
+/// tests check, for RTT and loss, that the loop removes the hosts a sweep
+/// of a rebuilt table per candidate would, and that its last view equals
+/// the sweep of the table rebuilt without every removed host.
 pub fn greedy_removal(cx: &AnalysisContext, metric: &MetricKind, k: usize) -> RemovalAnalysis {
     greedy_removal_on(cx.weights(metric), k).0
 }
 
-/// [`greedy_removal`] on a matrix, also returning the comparisons under
-/// the final mask — the view the reduced CDF is built from.
+/// [`greedy_removal`] on a matrix, also returning the comparisons after
+/// the last removal — the view the reduced CDF is built from.
 pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<PathComparison>) {
-    let mut mask = m.no_mask();
-    let (mut current, mut trees) = kernel::sweep_with_trees(m, &mask);
+    let (mut current, mut trees) = kernel::sweep_with_trees(m);
     let full = improvement_cdf(&current);
     let mut removed = Vec::new();
     let mut scratch = DijkstraScratch::default();
@@ -135,10 +136,12 @@ pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<Pa
         // Candidates fan out over the pool (each worker reuses one
         // scratch); the argmin below runs on the in-order results, so the
         // pick is identical at any thread count.
-        let candidates: Vec<usize> = (0..m.len()).filter(|&h| !mask[h]).collect();
+        let candidates: Vec<usize> = (0..m.len())
+            .filter(|&h| !removed.contains(&m.hosts()[h]))
+            .collect();
         let positions = pool::parallel_map_init(&candidates, DijkstraScratch::default, {
             let (m, trees, current) = (m, &trees, &current);
-            move |scratch, &h| masked_position(m, trees, current, h, scratch)
+            move |scratch, &h| position_without(m, trees, current, h, scratch)
         });
         let mut best: Option<(f64, usize)> = None;
         for (&h, &pos) in candidates.iter().zip(&positions) {
@@ -149,7 +152,6 @@ pub fn greedy_removal_on(m: &WeightMatrix, k: usize) -> (RemovalAnalysis, Vec<Pa
             }
         }
         let Some((_, h)) = best else { break };
-        mask[h] = true;
         removed.push(m.hosts()[h]);
         let rerouted = reroute_through(m, &trees, &current, h, &mut scratch);
         current = without_host(&current, m.hosts()[h], &rerouted)

@@ -61,9 +61,8 @@ pub struct SensitivityReport {
 /// the report is identical at every thread count.
 pub fn analyze(cx: &AnalysisContext, metric: &MetricKind) -> SensitivityReport {
     let m = cx.weights(metric);
-    let mask = m.no_mask();
-    let idx_pairs = m.measured_pairs(&mask);
-    let forest = Forest::new(m, &mask);
+    let idx_pairs = m.measured_pairs();
+    let forest = Forest::new(m);
     let pairs: Vec<PairSensitivity> =
         pool::parallel_map_init(&idx_pairs, DijkstraScratch::default, |scratch, &(s, d)| {
             let kb = k_best(&forest, s, d, 2, scratch);

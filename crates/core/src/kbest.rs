@@ -7,9 +7,8 @@
 //! direct edge excluded, via Yen's algorithm over the measurement graph.
 //!
 //! Every search in it is a banned search answered by the kernel's one ban
-//! mechanism: the spur vertex's tree, grown once under the host mask,
-//! re-settled without the root's vertices and the banned edges out of the
-//! spur.
+//! mechanism: the spur vertex's full tree, grown once, re-settled without
+//! the root's vertices and the banned edges out of the spur.
 //!
 //! Downstream uses: richer contribution analyses, overlay route *sets*
 //! (primary + backup), and sensitivity checks ("how much worse is the
@@ -19,27 +18,14 @@ use crate::altpath::PathComparison;
 use crate::kernel::{self, Ban, DijkstraScratch, Forest, WeightMatrix};
 
 /// The `k` best loopless alternate paths for the dense pair `s → d` on a
-/// prebuilt [`WeightMatrix`] with a host-removal mask (`removed[i]` = host
-/// masked out), best first, with the direct edge excluded throughout (it
-/// is never a candidate): Yen's algorithm.
+/// prebuilt [`WeightMatrix`], best first, with the direct edge excluded
+/// throughout (it is never a candidate): Yen's algorithm.
 ///
 /// Returns fewer than `k` entries when the graph runs out of distinct
 /// loopless alternates, and an empty vector when the pair has no measured
 /// direct edge (nothing to compare against).
-pub fn k_best_alternates_in(
-    m: &WeightMatrix,
-    removed: &[bool],
-    s: usize,
-    d: usize,
-    k: usize,
-) -> Vec<PathComparison> {
-    k_best(
-        &Forest::new(m, removed),
-        s,
-        d,
-        k,
-        &mut DijkstraScratch::default(),
-    )
+pub fn k_best_alternates_in(m: &WeightMatrix, s: usize, d: usize, k: usize) -> Vec<PathComparison> {
+    k_best(&Forest::new(m), s, d, k, &mut DijkstraScratch::default())
 }
 
 /// [`k_best_alternates_in`] on the trees of `forest`, which the searches
@@ -138,17 +124,16 @@ mod tests {
     }
 
     /// The RTT ranking for `s → d` (host ids equal dense indices) on the
-    /// context's unmasked matrix.
+    /// context's matrix.
     fn ranked(cx: &AnalysisContext, s: usize, d: usize, k: usize) -> Vec<PathComparison> {
-        let m = cx.weights(&Rtt);
-        k_best_alternates_in(m, &m.no_mask(), s, d, k)
+        k_best_alternates_in(cx.weights(&Rtt), s, d, k)
     }
 
     #[test]
     fn first_result_matches_best_alternate() {
         let g = diamond();
         let m = g.weights(&Rtt);
-        let sweep = kernel::sweep(m, &m.no_mask(), crate::SearchDepth::Unrestricted);
+        let sweep = kernel::sweep(m, crate::SearchDepth::Unrestricted);
         // 0→3's shortest path is already a detour; 1→3's is the direct
         // edge, which the first search must ban.
         for (s, d) in [(0, 3), (1, 3)] {

@@ -24,7 +24,7 @@
 //! * **The source-batched sweep** ([`sweep`]) — the paper's
 //!   all-pairs question ("best alternate with the direct edge excluded")
 //!   does not need one Dijkstra per *pair*. For each source `s` the sweep
-//!   runs **one** full SSSP tree over the masked matrix (no exclusions)
+//!   runs **one** full SSSP tree over the matrix (no exclusions)
 //!   and answers all of `s`'s pairs from it: the tree path to `d` can only
 //!   contain the excluded edge `(s, d)` as the terminal path `[s, d]`
 //!   itself, so the exclusion changes a pair's answer only when
@@ -40,7 +40,7 @@
 //!   children's subtrees are disjoint, so `Σ|T| ≤ n − 1` per source and
 //!   the sweep is `O(n³)`.
 //! * **One banned-tree mechanism.** `dijkstra` only grows a source's full
-//!   tree under the host mask; `resettle` is the only code that applies a
+//!   tree over every host; `resettle` is the only code that applies a
 //!   ban — a set of vertices plus a set of direct edges out of the source
 //!   — to a grown tree. The sweep's fix-ups, the Figure-12 greedy loop's
 //!   host bans and Yen's spur searches ([`crate::kbest`]) are all
@@ -50,14 +50,13 @@
 //!   per pool worker (threaded through
 //!   [`crate::pool::parallel_map_init`]); the fan-out unit is a *source*,
 //!   so each task is `O(n²)` of real work.
-//! * **Masked views** — every kernel entry point takes a `removed: &[bool]`
-//!   host mask. Masking a host is equivalent, value-for-value, to
-//!   rebuilding the table from the dataset restricted to the other hosts
+//! * **A removed host is a vertex ban on kept trees.** Every sweep runs
+//!   over the whole matrix. The Figure-12 greedy removal loop keeps the
+//!   unrestricted sweep's trees and removes host `h` by re-settling `h`'s
+//!   subtree in each of them — value for value the trees of a table
+//!   rebuilt from the dataset restricted to the other hosts
 //!   (`Dataset::restrict_to_hosts`; relative vertex order is preserved, so
-//!   tie-breaks resolve identically) but costs nothing. Masking one more
-//!   host `h` is a ban like the fix-up's: the sweep's kept trees re-settle
-//!   `h`'s subtree, which turns the Figure-12 greedy removal loop from
-//!   rebuild-per-candidate into re-settling what each candidate touches
+//!   tie-breaks resolve identically), at the cost of what `h` touches
 //!   ([`crate::analysis::hostremoval`]).
 //!
 //! **The invariant: same arithmetic, same bytes.** The kernel changes
@@ -153,52 +152,25 @@ impl WeightMatrix {
         self.values[i * self.n + j]
     }
 
-    /// An all-hosts-present mask sized for this matrix.
-    pub fn no_mask(&self) -> Vec<bool> {
-        vec![false; self.n]
-    }
-
-    /// A removal mask with `host` masked out — the zero-copy analogue of
-    /// rebuilding the table without it. Unknown hosts yield [`no_mask`].
-    ///
-    /// [`no_mask`]: WeightMatrix::no_mask
-    pub fn masked(&self, host: HostId) -> Vec<bool> {
-        let mut mask = self.no_mask();
-        if let Some(i) = self.host_index(host) {
-            mask[i] = true;
-        }
-        mask
-    }
-
     /// Directed index pairs with a measured metric value, in the same
-    /// row-major order as [`PairTable::measured_pairs`], with masked hosts
-    /// excluded.
+    /// row-major order as [`PairTable::measured_pairs`].
     ///
     /// Pairs whose edge exists but lacks this metric's value are omitted:
     /// the search returns `None` for them anyway (nothing to compare
     /// against), so the surviving comparison stream is identical.
-    pub fn measured_pairs(&self, removed: &[bool]) -> Vec<(usize, usize)> {
-        measured_cells(&self.values, removed)
+    pub fn measured_pairs(&self) -> Vec<(usize, usize)> {
+        measured_cells(&self.values, self.n)
     }
 }
 
-/// Directed index pairs `(i, j)`, `i != j`, neither host masked, whose cell
-/// in the row-major `n × n` column `col` is not `NaN` — in row-major order.
-fn measured_cells(col: &[f64], removed: &[bool]) -> Vec<(usize, usize)> {
-    let n = removed.len();
+/// Directed index pairs `(i, j)`, `i != j`, whose cell in the row-major
+/// `n × n` column `col` is not `NaN` — in row-major order.
+fn measured_cells(col: &[f64], n: usize) -> Vec<(usize, usize)> {
     debug_assert_eq!(col.len(), n * n);
-    let mut out = Vec::new();
-    for i in 0..n {
-        if removed[i] {
-            continue;
-        }
-        for (j, &gone) in removed.iter().enumerate() {
-            if i != j && !gone && !col[i * n + j].is_nan() {
-                out.push((i, j));
-            }
-        }
-    }
-    out
+    (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| i != j && !col[i * n + j].is_nan())
+        .collect()
 }
 
 /// Precomputed flat per-edge bandwidth inputs for the N2 search (§5):
@@ -249,15 +221,9 @@ impl BandwidthMatrix {
         self.n == 0
     }
 
-    /// An all-hosts-present mask sized for this matrix.
-    pub fn no_mask(&self) -> Vec<bool> {
-        vec![false; self.n]
-    }
-
-    /// Directed index pairs with a measured bandwidth, `(i, j)` order,
-    /// masked hosts excluded.
-    pub fn measured_pairs(&self, removed: &[bool]) -> Vec<(usize, usize)> {
-        measured_cells(&self.bw, removed)
+    /// Directed index pairs with a measured bandwidth, `(i, j)` order.
+    pub fn measured_pairs(&self) -> Vec<(usize, usize)> {
+        measured_cells(&self.bw, self.n)
     }
 }
 
@@ -304,8 +270,8 @@ pub(crate) struct Tree {
     order: Vec<u32>,
 }
 
-/// What a re-settle takes out of a source's tree: vertices, as if masked,
-/// and direct edges out of the source.
+/// What a re-settle takes out of a source's tree: vertices, as if removed
+/// from the table, and direct edges out of the source.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Ban<'a> {
     /// The banned vertices; never the source.
@@ -323,7 +289,7 @@ impl<'a> Ban<'a> {
         }
     }
 
-    /// Vertex `h`, as if masked.
+    /// Vertex `h`, as if removed from the table.
     fn vertex(h: &'a usize) -> Ban<'a> {
         Ban {
             vertices: std::slice::from_ref(h),
@@ -384,8 +350,8 @@ fn relax_open(m: &WeightMatrix, tree: &mut Tree, open: &[u32], u: usize, skip: &
     }
 }
 
-/// Grows the full SSSP tree from `s` over the hosts `removed` leaves, into
-/// `tree`; `open` is a reusable buffer.
+/// Grows the full SSSP tree from `s` over every host, into `tree`; `open`
+/// is a reusable buffer.
 ///
 /// Extraction scans a compact frontier list that shrinks by `swap_remove`
 /// as vertices settle, and relaxation visits only that same list —
@@ -393,7 +359,7 @@ fn relax_open(m: &WeightMatrix, tree: &mut Tree, open: &[u32], u: usize, skip: &
 /// per-vertex updates within one extraction are independent, so visiting
 /// the survivors in list order leaves `dist`/`prev` exactly as a full
 /// `0..n` pass does.
-fn dijkstra(m: &WeightMatrix, s: usize, removed: &[bool], tree: &mut Tree, open: &mut Vec<u32>) {
+fn dijkstra(m: &WeightMatrix, s: usize, tree: &mut Tree, open: &mut Vec<u32>) {
     let n = m.n;
     tree.src = s;
     tree.dist.clear();
@@ -403,7 +369,7 @@ fn dijkstra(m: &WeightMatrix, s: usize, removed: &[bool], tree: &mut Tree, open:
     tree.order.clear();
     tree.dist[s] = 0.0;
     open.clear();
-    open.extend((0..n as u32).filter(|&v| !removed[v as usize]));
+    open.extend(0..n as u32);
     while let Some((pos, u)) = nearest(&tree.dist, open) {
         open.swap_remove(pos);
         tree.order.push(u as u32);
@@ -442,15 +408,14 @@ pub(crate) fn comparison_along(
     }
 }
 
-/// The one relay scan behind both one-hop searches: every unmasked relay
-/// `mid` for which `via(mid)` composes a two-leg value competes, and the
+/// The one relay scan behind both one-hop searches: every relay `mid` for
+/// which `via(mid)` composes a two-leg value competes, and the
 /// first strictly better one wins (`<` when `lower_is_better`, else `>`),
 /// so equal values resolve to the lowest-index relay. `None` when the
 /// direct edge is unmeasured (`default_value` is `NaN`) or no relay has
 /// both legs.
 fn best_relay(
     hosts: &[HostId],
-    removed: &[bool],
     s: usize,
     d: usize,
     default_value: f64,
@@ -461,10 +426,7 @@ fn best_relay(
         return None;
     }
     let mut best: Option<(f64, usize)> = None;
-    for (mid, &gone) in removed.iter().enumerate() {
-        if mid == s || mid == d || gone {
-            continue;
-        }
+    for mid in (0..hosts.len()).filter(|&mid| mid != s && mid != d) {
         let Some(v) = via(mid) else { continue };
         if best.is_none_or(|(b, _)| if lower_is_better { v < b } else { v > b }) {
             best = Some((v, mid));
@@ -483,15 +445,9 @@ fn best_relay(
     })
 }
 
-/// Best alternate through exactly one unmasked intermediate host.
-pub fn best_alternate_one_hop_masked(
-    m: &WeightMatrix,
-    removed: &[bool],
-    s: usize,
-    d: usize,
-) -> Option<PathComparison> {
-    debug_assert_eq!(removed.len(), m.n);
-    best_relay(m.hosts(), removed, s, d, m.value(s, d), true, |mid| {
+/// Best alternate through exactly one intermediate host.
+fn best_alternate_one_hop(m: &WeightMatrix, s: usize, d: usize) -> Option<PathComparison> {
+    best_relay(m.hosts(), s, d, m.value(s, d), true, |mid| {
         let (v1, v2) = (m.value(s, mid), m.value(mid, d));
         (!v1.is_nan() && !v2.is_nan()).then(|| m.metric.compose(&[v1, v2]))
     })
@@ -499,16 +455,14 @@ pub fn best_alternate_one_hop_masked(
 
 /// The N2 bandwidth search (§5) on the flat matrix: one-hop alternates,
 /// Mathis-model composition of transfer RTT/loss means.
-pub fn best_alternate_bandwidth_masked(
+fn best_alternate_bandwidth(
     bm: &BandwidthMatrix,
-    removed: &[bool],
     s: usize,
     d: usize,
     mode: LossComposition,
 ) -> Option<PathComparison> {
     let n = bm.n;
-    debug_assert_eq!(removed.len(), n);
-    best_relay(&bm.hosts, removed, s, d, bm.bw[s * n + d], false, |mid| {
+    best_relay(&bm.hosts, s, d, bm.bw[s * n + d], false, |mid| {
         let (r1, r2) = (bm.t_rtt[s * n + mid], bm.t_rtt[mid * n + d]);
         let (p1, p2) = (bm.t_loss[s * n + mid], bm.t_loss[mid * n + d]);
         let complete = !(r1.is_nan() || r2.is_nan() || p1.is_nan() || p2.is_nan());
@@ -698,16 +652,13 @@ fn answer_from(
 /// in pair order, and every source's SSSP tree, indexed by source (empty
 /// for a source without measured pairs) — the trees the Figure-12 greedy
 /// loop re-settles ([`best_alternates_without`], [`drop_host`]).
-pub(crate) fn sweep_with_trees(
-    m: &WeightMatrix,
-    removed: &[bool],
-) -> (Vec<PathComparison>, Vec<Tree>) {
-    let pairs = m.measured_pairs(removed);
+pub(crate) fn sweep_with_trees(m: &WeightMatrix) -> (Vec<PathComparison>, Vec<Tree>) {
+    let pairs = m.measured_pairs();
     let groups = group_by_source(&pairs);
     let answered =
         pool::parallel_map_init(&groups, DijkstraScratch::default, |scratch, &(s, a, b)| {
             let DijkstraScratch { tree, work } = scratch;
-            dijkstra(m, s, removed, tree, &mut work.sub.open);
+            dijkstra(m, s, tree, &mut work.sub.open);
             let answers = answer_from(m, tree, &pairs[a..b], work);
             (answers, std::mem::take(tree))
         });
@@ -721,10 +672,10 @@ pub(crate) fn sweep_with_trees(
 }
 
 /// The best alternates of a `(src, dst)`-sorted list of measured pairs,
-/// in pair order, once host `h` joins the mask `trees` were grown under:
-/// per source, its tree re-settled without `h`, and each pair answered
-/// from that. Each answer equals [`sweep`]'s under the larger mask. Runs
-/// on the calling thread.
+/// in pair order, once host `h` joins the hosts banned from `trees`: per
+/// source, its tree re-settled without `h`, and each pair answered from
+/// that. Each answer equals [`sweep`]'s on the table rebuilt without every
+/// banned host. Runs on the calling thread.
 pub(crate) fn best_alternates_without(
     m: &WeightMatrix,
     trees: &[Tree],
@@ -744,7 +695,7 @@ pub(crate) fn best_alternates_without(
 }
 
 /// Re-settles every tree in `trees` without host `h` and drops `h`'s own:
-/// afterwards they are the trees under the mask with `h` added.
+/// afterwards `h` is one more host banned from them.
 pub(crate) fn drop_host(
     m: &WeightMatrix,
     trees: &mut [Tree],
@@ -769,23 +720,20 @@ pub(crate) fn drop_host(
     detour_obs::current().add("kernel/resettled", resettled);
 }
 
-/// Every vertex's SSSP tree under one host mask, each grown by [`dijkstra`]
-/// the first time a search asks for it and shared by every search after
-/// that, from any pool worker: the trees Yen's spur searches re-settle
+/// Every vertex's SSSP tree, each grown by [`dijkstra`] the first time a
+/// search asks for it and shared by every search after that, from any
+/// pool worker: the trees Yen's spur searches re-settle
 /// ([`crate::kbest`]).
 pub(crate) struct Forest<'a> {
     m: &'a WeightMatrix,
-    removed: &'a [bool],
     trees: Vec<OnceLock<Tree>>,
 }
 
 impl<'a> Forest<'a> {
     /// No tree grown yet.
-    pub(crate) fn new(m: &'a WeightMatrix, removed: &'a [bool]) -> Forest<'a> {
-        debug_assert_eq!(removed.len(), m.n);
+    pub(crate) fn new(m: &'a WeightMatrix) -> Forest<'a> {
         Forest {
             m,
-            removed,
             trees: (0..m.n).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -807,7 +755,7 @@ impl<'a> Forest<'a> {
     ) -> Option<Vec<usize>> {
         let base = self.trees[s].get_or_init(|| {
             let mut tree = Tree::default();
-            dijkstra(self.m, s, self.removed, &mut tree, &mut Vec::new());
+            dijkstra(self.m, s, &mut tree, &mut Vec::new());
             tree
         });
         let DijkstraScratch { tree, work } = scratch;
@@ -819,13 +767,13 @@ impl<'a> Forest<'a> {
     }
 }
 
-/// All-pairs sweep on the matrix with a host mask: the parallel engine
+/// All-pairs sweep on the matrix: the parallel engine
 /// behind [`crate::analysis::cdf::compare_all_pairs`] and the first view
 /// of the Figure-12 greedy loop.
 ///
 /// For [`SearchDepth::Unrestricted`] it runs **one** dense Dijkstra per
-/// source — not per pair — producing the full SSSP tree over the masked
-/// matrix, and answers every `(s, d)` from that tree. Only a fix-up — a
+/// source — not per pair — producing the full SSSP tree over the matrix,
+/// and answers every `(s, d)` from that tree. Only a fix-up — a
 /// pair whose tree path *is* the excluded direct edge (`prev[d] == s`) —
 /// needs more, and it re-settles the subtree of `d` with the edge banned
 /// instead of searching again.
@@ -844,39 +792,34 @@ impl<'a> Forest<'a> {
 /// fix-ups re-settled, at least one each). The Figure-12 greedy loop
 /// records the same four for the pairs it re-answers, and adds the
 /// vertices its host bans re-settle. The split is a pure function of the
-/// matrix + mask, so the counters are thread-count-invariant; the one-hop
+/// matrix, so the counters are thread-count-invariant; the one-hop
 /// scan has no tree to read from, so it contributes pairs only.
-pub fn sweep(m: &WeightMatrix, removed: &[bool], depth: SearchDepth) -> Vec<PathComparison> {
+pub fn sweep(m: &WeightMatrix, depth: SearchDepth) -> Vec<PathComparison> {
     match depth {
-        SearchDepth::Unrestricted => sweep_with_trees(m, removed).0,
+        SearchDepth::Unrestricted => sweep_with_trees(m).0,
         SearchDepth::OneHop => {
-            let pairs = m.measured_pairs(removed);
+            let pairs = m.measured_pairs();
             detour_obs::current().add("kernel/sweep_pairs", pairs.len() as u64);
-            relay_sweep(&pairs, |s, d| {
-                best_alternate_one_hop_masked(m, removed, s, d)
-            })
+            relay_sweep(&pairs, |s, d| best_alternate_one_hop(m, s, d))
         }
     }
 }
 
-/// All-pairs bandwidth sweep on the matrix with a host mask; parallel and
-/// order-deterministic like [`sweep`], fanned out by source so each task
-/// carries a full row of pairs.
-pub fn sweep_bandwidth(
-    bm: &BandwidthMatrix,
-    removed: &[bool],
-    mode: LossComposition,
-) -> Vec<PathComparison> {
-    relay_sweep(&bm.measured_pairs(removed), |s, d| {
-        best_alternate_bandwidth_masked(bm, removed, s, d, mode)
+/// All-pairs bandwidth sweep on the matrix; parallel and order-deterministic
+/// like [`sweep`], fanned out by source so each task carries a full row of
+/// pairs.
+pub fn sweep_bandwidth(bm: &BandwidthMatrix, mode: LossComposition) -> Vec<PathComparison> {
+    relay_sweep(&bm.measured_pairs(), |s, d| {
+        best_alternate_bandwidth(bm, s, d, mode)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::cdf::compare_graph;
     use crate::metric::Rtt;
-    use crate::testkit::{random_matrix, rtt_matrix_dataset, GraphKind};
+    use crate::testkit::{random_dataset, random_matrix, rtt_matrix_dataset, GraphKind};
     use detour_measure::Dataset;
     use detour_prng::check::check;
     use detour_prng::Rng;
@@ -899,20 +842,20 @@ mod tests {
         PairTable::build(&diamond_dataset())
     }
 
-    /// The unrestricted sweep's answer for `s → d` under `mask`, if any.
-    fn swept(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> Option<PathComparison> {
+    /// The unrestricted sweep's answer for `s → d`, if any.
+    fn swept(m: &WeightMatrix, s: usize, d: usize) -> Option<PathComparison> {
         let (src, dst) = (m.hosts()[s], m.hosts()[d]);
-        sweep(m, mask, SearchDepth::Unrestricted)
+        sweep(m, SearchDepth::Unrestricted)
             .into_iter()
             .find(|c| c.pair == Pair { src, dst })
     }
 
     /// The banned tree by a textbook search that shares no code with
-    /// [`dijkstra`]: the banned vertices added to `mask`, the banned edges
+    /// [`dijkstra`]: the banned vertices never extracted, the banned edges
     /// weighed `+∞`, and the frontier minimum taken by a full `min_by`
     /// scan, which keeps the first of equal minima (the lowest index). The
     /// oracle for every re-settle, tie-breaks included.
-    fn fresh_banned(m: &WeightMatrix, mask: &[bool], s: usize, ban: Ban) -> Tree {
+    fn fresh_banned(m: &WeightMatrix, s: usize, ban: Ban) -> Tree {
         let n = m.n;
         let weight = |u: usize, v: usize| {
             if u == s && ban.edges.contains(&v) {
@@ -922,7 +865,7 @@ mod tests {
             }
         };
         let (mut dist, mut prev, mut order) = (vec![f64::INFINITY; n], vec![usize::MAX; n], vec![]);
-        let mut done = mask.to_vec();
+        let mut done = vec![false; n];
         for &v in ban.vertices {
             done[v] = true;
         }
@@ -964,10 +907,7 @@ mod tests {
     fn measured_pairs_match_table_pairs() {
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
-        assert_eq!(
-            m.measured_pairs(&m.no_mask()),
-            g.measured_pairs().collect::<Vec<_>>()
-        );
+        assert_eq!(m.measured_pairs(), g.measured_pairs().collect::<Vec<_>>());
     }
 
     #[test]
@@ -978,57 +918,90 @@ mod tests {
         // 20: only 1-2-3 = 30. 0→1, 1→2, 2→3 have no alternate at all.
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
-        let mask = m.no_mask();
 
-        let c = swept(&m, &mask, 0, 3).unwrap();
+        let c = swept(&m, 0, 3).unwrap();
         assert_eq!(c.default_value, 100.0);
         assert_eq!(c.alternate_value, 30.0);
         assert_eq!(c.via, vec![HostId(1)]);
-        let oh = best_alternate_one_hop_masked(&m, &mask, 0, 3).unwrap();
+        let oh = best_alternate_one_hop(&m, 0, 3).unwrap();
         assert_eq!(oh.alternate_value, 30.0);
         assert_eq!(oh.via, vec![HostId(1)]);
 
-        let c = swept(&m, &mask, 0, 2).unwrap();
+        let c = swept(&m, 0, 2).unwrap();
         assert_eq!((c.default_value, c.alternate_value), (30.0, 15.0));
-        let c = swept(&m, &mask, 1, 3).unwrap();
+        let c = swept(&m, 1, 3).unwrap();
         assert_eq!((c.default_value, c.alternate_value), (20.0, 30.0));
         assert!(!c.alternate_wins());
         for (s, d) in [(0, 1), (1, 2), (2, 3)] {
-            assert!(swept(&m, &mask, s, d).is_none());
+            assert!(swept(&m, s, d).is_none());
         }
     }
 
     #[test]
     fn masking_reroutes_around_the_removed_host() {
-        // With host 1 masked, 0→3's best alternate degrades to 0-2-3 = 55.
+        // With host 1 banned from the kept trees, 0→3's best alternate
+        // degrades to 0-2-3 = 55.
         let g = diamond();
         let m = WeightMatrix::build(&g, &Rtt);
-        let mask = m.masked(HostId(1));
-        let c = swept(&m, &mask, 0, 3).unwrap();
+        let (_, trees) = sweep_with_trees(&m);
+        let pairs = [(0, 2), (0, 3)];
+        let got = best_alternates_without(&m, &trees, 1, &pairs, &mut DijkstraScratch::default());
+        let c = got[1].as_ref().unwrap();
         assert_eq!(c.alternate_value, 55.0);
         assert_eq!(c.via, vec![HostId(2)]);
         // And 0→2 loses its only detour entirely.
-        assert!(swept(&m, &mask, 0, 2).is_none());
+        assert!(got[0].is_none());
+    }
+
+    /// Answers every measured pair that avoids the `removed` hosts from
+    /// `trees`, in pair order.
+    fn answer_all(m: &WeightMatrix, trees: &[Tree], removed: &[usize]) -> Vec<PathComparison> {
+        let pairs: Vec<(usize, usize)> = m
+            .measured_pairs()
+            .into_iter()
+            .filter(|(s, d)| !removed.contains(s) && !removed.contains(d))
+            .collect();
+        let mut work = Work::default();
+        group_by_source(&pairs)
+            .into_iter()
+            .flat_map(|(s, a, b)| answer_from(m, &trees[s], &pairs[a..b], &mut work))
+            .flatten()
+            .collect()
     }
 
     #[test]
-    fn masking_equals_rebuilding_without_the_host() {
-        let ds = diamond_dataset();
-        let g = PairTable::build(&ds);
-        let m = WeightMatrix::build(&g, &Rtt);
-        for victim in 0..g.len() {
-            let mut mask = m.no_mask();
-            mask[victim] = true;
-            let others: Vec<HostId> = (0..g.len())
-                .filter(|&i| i != victim)
-                .map(|i| g.hosts()[i])
-                .collect();
-            let rebuilt = PairTable::build(&ds.restrict_to_hosts(&others));
-            let masked = sweep(&m, &mask, SearchDepth::Unrestricted);
-            let reference =
-                crate::analysis::cdf::compare_graph(&rebuilt, &Rtt, SearchDepth::Unrestricted);
-            assert_eq!(masked, reference, "victim {victim}");
-        }
+    fn masked_sweep_equals_rebuilt_table_sweep() {
+        // The production removal: drop 1–3 hosts from the kept trees, one
+        // `drop_host` each, then answer every surviving pair from them.
+        check("banned trees answer like a rebuilt table", |rng| {
+            for kind in [GraphKind::WholeMs, GraphKind::Lossy, GraphKind::Absorbing] {
+                let (ds, metric) = random_dataset(rng, kind);
+                let m = WeightMatrix::build(&PairTable::build(&ds), &metric);
+                let (_, mut trees) = sweep_with_trees(&m);
+                let mut removed: Vec<usize> = Vec::new();
+                let mut scratch = DijkstraScratch::default();
+                for _ in 0..rng.gen_range(1..4usize).min(m.len()) {
+                    let left: Vec<usize> = (0..m.len()).filter(|h| !removed.contains(h)).collect();
+                    let h = left[rng.gen_range(0..left.len())];
+                    drop_host(&m, &mut trees, h, &mut scratch);
+                    removed.push(h);
+                }
+                let others: Vec<HostId> = (0..m.len())
+                    .filter(|h| !removed.contains(h))
+                    .map(|h| m.hosts()[h])
+                    .collect();
+                let rebuilt = PairTable::build(&ds.restrict_to_hosts(&others));
+                let reference = compare_graph(&rebuilt, &metric, SearchDepth::Unrestricted);
+                // Full structural equality: same pairs in the same order,
+                // same values bit for bit, same detour hosts (tie-breaks
+                // included).
+                assert_eq!(
+                    answer_all(&m, &trees, &removed),
+                    reference,
+                    "{kind:?} {removed:?}"
+                );
+            }
+        });
     }
 
     /// Hand-built 5-host hub fixture, every ordered pair measured: legs
@@ -1053,14 +1026,14 @@ mod tests {
         PairTable::build(&rtt_matrix_dataset(&refs, 2))
     }
 
-    /// Every measured pair's answer under `mask`, one fresh search each on
-    /// the graph without the direct edge.
-    fn per_pair(m: &WeightMatrix, mask: &[bool]) -> Vec<PathComparison> {
+    /// Every measured pair's answer, one fresh search each on the graph
+    /// without the direct edge.
+    fn per_pair(m: &WeightMatrix) -> Vec<PathComparison> {
         let (mut path, mut vals) = (Vec::new(), Vec::new());
-        m.measured_pairs(mask)
+        m.measured_pairs()
             .into_iter()
             .filter_map(|(s, d)| {
-                fresh_banned(m, mask, s, Ban::edge(&d)).comparison(m, d, &mut path, &mut vals)
+                fresh_banned(m, s, Ban::edge(&d)).comparison(m, d, &mut path, &mut vals)
             })
             .collect()
     }
@@ -1069,10 +1042,9 @@ mod tests {
     fn fixup_triggers_exactly_when_direct_edge_is_first_hop() {
         let g = hub_five();
         let m = WeightMatrix::build(&g, &Rtt);
-        let mask = m.no_mask();
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
-        let cmps = sweep(&m, &mask, SearchDepth::Unrestricted);
+        let cmps = sweep(&m, SearchDepth::Unrestricted);
         let (pairs, fixups, avoided) = (
             rec.counter("kernel/sweep_pairs"),
             rec.counter("kernel/sweep_fixups"),
@@ -1093,7 +1065,7 @@ mod tests {
         // sources 1 and 2 (the tied neighbour stays direct), 4 for 3 and 4.
         assert_eq!(rec.counter("kernel/resettled"), 6 + 2 * 3 + 2 * 4);
         // Every answer must match a fresh search without the direct edge.
-        assert_eq!(cmps, per_pair(&m, &mask));
+        assert_eq!(cmps, per_pair(&m));
         // The tie resolves to the equal-cost hub detour, found by fix-up.
         let tied = cmps
             .iter()
@@ -1121,17 +1093,16 @@ mod tests {
         // banned search does.
         let g = hub_five_with(|rows| rows[3][4] = 1e-300);
         let m = WeightMatrix::build(&g, &Rtt);
-        let mask = m.no_mask();
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
-        let cmps = sweep(&m, &mask, SearchDepth::Unrestricted);
+        let cmps = sweep(&m, SearchDepth::Unrestricted);
         let fixups = rec.counter("kernel/sweep_fixups");
         assert!(fixups > 0);
         assert!(
             rec.counter("kernel/resettled") > fixups,
             "no fix-up searches"
         );
-        assert_eq!(cmps, per_pair(&m, &mask));
+        assert_eq!(cmps, per_pair(&m));
     }
 
     #[test]
@@ -1140,7 +1111,7 @@ mod tests {
         let m = WeightMatrix::build(&g, &Rtt);
         let rec = detour_obs::Recorder::new();
         let _obs = detour_obs::install(rec.clone());
-        let cmps = sweep(&m, &m.no_mask(), SearchDepth::OneHop);
+        let cmps = sweep(&m, SearchDepth::OneHop);
         assert_eq!(rec.counter("kernel/sweep_pairs"), 20);
         // The one-hop scan has no SSSP tree, so it contributes neither
         // fix-ups nor avoided re-searches.
@@ -1150,7 +1121,7 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_scan_picks_the_first_best_unmasked_complete_relay() {
+    fn bandwidth_scan_picks_the_first_best_complete_relay() {
         // 0→3 direct at 50 kB/s; relays 1 and 2 have identical transfer
         // legs (20 ms, 1 % loss), so their synthetic bandwidths are equal.
         let mut b = Dataset::builder("T");
@@ -1167,28 +1138,22 @@ mod tests {
         let ds = b.build().unwrap();
         let bm = BandwidthMatrix::build(&PairTable::build(&ds));
         let mode = LossComposition::Optimistic;
-        let search = |bm: &BandwidthMatrix, mask: &[bool]| {
-            best_alternate_bandwidth_masked(bm, mask, 0, 3, mode).map(|c| c.via)
-        };
+        let search = |bm: &BandwidthMatrix| best_alternate_bandwidth(bm, 0, 3, mode).map(|c| c.via);
 
-        let c = best_alternate_bandwidth_masked(&bm, &bm.no_mask(), 0, 3, mode).unwrap();
+        let c = best_alternate_bandwidth(&bm, 0, 3, mode).unwrap();
         assert!(!c.lower_is_better);
         assert_eq!(c.default_value, 50.0);
         let legs = synthetic_bandwidth_kbps(&[20.0, 20.0], &[0.01, 0.01], mode);
         assert_eq!(c.alternate_value, legs);
         assert_eq!(c.via, vec![HostId(1)], "a tie goes to the lower index");
 
-        let mut mask = bm.no_mask();
-        mask[1] = true;
-        assert_eq!(search(&bm, &mask), Some(vec![HostId(2)]), "masked relay");
-
         let mut lossless = bm.clone();
         lossless.t_loss[1] = f64::NAN; // relay 1's 0→1 transfer-loss leg
-        assert_eq!(search(&lossless, &bm.no_mask()), Some(vec![HostId(2)]));
+        assert_eq!(search(&lossless), Some(vec![HostId(2)]));
 
         let mut no_direct = bm.clone();
         no_direct.bw[3] = f64::NAN; // the direct edge 0→3
-        assert_eq!(search(&no_direct, &bm.no_mask()), None);
+        assert_eq!(search(&no_direct), None);
     }
 
     #[test]
@@ -1207,12 +1172,11 @@ mod tests {
         let mut reused = DijkstraScratch::default();
         for g in [&big, &small, &big] {
             let m = WeightMatrix::build(g, &Rtt);
-            let mask = m.no_mask();
-            let pairs = m.measured_pairs(&mask);
+            let pairs = m.measured_pairs();
             for (s, a, b) in group_by_source(&pairs) {
                 let answer = |scratch: &mut DijkstraScratch| {
                     let DijkstraScratch { tree, work } = scratch;
-                    dijkstra(&m, s, &mask, tree, &mut work.sub.open);
+                    dijkstra(&m, s, tree, &mut work.sub.open);
                     (tree.clone(), answer_from(&m, tree, &pairs[a..b], work))
                 };
                 assert_eq!(answer(&mut reused), answer(&mut DijkstraScratch::default()));
@@ -1227,9 +1191,20 @@ mod tests {
             for kind in [GraphKind::WholeMs, GraphKind::Lossy, GraphKind::Absorbing] {
                 let m = random_matrix(rng, kind);
                 let n = m.len();
-                let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
-                for s in (0..n).filter(|&s| !mask[s]) {
-                    let others: Vec<usize> = (0..n).filter(|&v| v != s && !mask[v]).collect();
+                for s in 0..n {
+                    // The base is what `drop_host` hands to a later round:
+                    // the full tree re-settled for each earlier removal.
+                    let earlier: Vec<usize> =
+                        (0..n).filter(|&v| v != s && rng.gen_bool(0.2)).collect();
+                    let mut base = Tree::default();
+                    dijkstra(&m, s, &mut base, &mut Vec::new());
+                    for h in &earlier {
+                        resettle(&m, &base, Ban::vertex(h), &mut got, &mut sub);
+                        std::mem::swap(&mut base, &mut got);
+                    }
+                    let others: Vec<usize> = (0..n)
+                        .filter(|&v| v != s && !earlier.contains(&v))
+                        .collect();
                     // Every single ban, then random sets of 0–3 vertices
                     // and 0–3 source edges, at least one ban in all.
                     let mut bans: Vec<(Vec<usize>, Vec<usize>)> = others
@@ -1246,12 +1221,18 @@ mod tests {
                         };
                         bans.push((pick(nv), pick(ne)));
                     }
-                    let mut base = Tree::default();
-                    dijkstra(&m, s, &mask, &mut base, &mut Vec::new());
                     for (vertices, edges) in &bans {
                         let ban = Ban { vertices, edges };
                         resettle(&m, &base, ban, &mut got, &mut sub);
-                        let fresh = fresh_banned(&m, &mask, s, ban);
+                        let all = [&earlier[..], vertices].concat();
+                        let fresh = fresh_banned(
+                            &m,
+                            s,
+                            Ban {
+                                vertices: &all,
+                                edges,
+                            },
+                        );
                         let bits =
                             |t: &Tree| t.dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(&got), bits(&fresh), "dist, s={s} {ban:?}");
@@ -1268,7 +1249,7 @@ mod tests {
         let g = PairTable::build(&rtt_matrix_dataset(&[], 2));
         let m = WeightMatrix::build(&g, &Rtt);
         assert!(m.is_empty());
-        assert!(m.measured_pairs(&m.no_mask()).is_empty());
-        assert!(sweep(&m, &m.no_mask(), SearchDepth::Unrestricted).is_empty());
+        assert!(m.measured_pairs().is_empty());
+        assert!(sweep(&m, SearchDepth::Unrestricted).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Shared unit-test fixtures.
 
 use crate::kernel::WeightMatrix;
-use crate::metric::{Loss, Rtt};
+use crate::metric::{Loss, MetricKind, Rtt};
 use detour_measure::{Dataset, PairTable};
 use detour_prng::Xoshiro256pp;
 
@@ -29,10 +29,15 @@ pub(crate) fn rtt_matrix_dataset(matrix: &[&[f64]], reps: usize) -> Dataset {
     b.build().expect("a finite positive RTT matrix")
 }
 
-/// A random sparse matrix of `kind`, weighed by loss for lossy graphs and
-/// by RTT otherwise.
-pub(crate) fn random_matrix(rng: &mut Xoshiro256pp, kind: GraphKind) -> WeightMatrix {
+/// A random sparse graph of `kind` as a dataset, and the metric it is
+/// weighed by: loss for lossy graphs, RTT otherwise.
+pub(crate) fn random_dataset(rng: &mut Xoshiro256pp, kind: GraphKind) -> (Dataset, MetricKind) {
     let ds = random_graphs::random_graph(rng, kind).build().unwrap();
-    let metric = if kind == GraphKind::Lossy { Loss } else { Rtt };
+    (ds, if kind == GraphKind::Lossy { Loss } else { Rtt })
+}
+
+/// [`random_dataset`]'s weight matrix.
+pub(crate) fn random_matrix(rng: &mut Xoshiro256pp, kind: GraphKind) -> WeightMatrix {
+    let (ds, metric) = random_dataset(rng, kind);
     WeightMatrix::build(&PairTable::build(&ds), &metric)
 }

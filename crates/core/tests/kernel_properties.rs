@@ -2,20 +2,19 @@
 //! deterministic harness (`detour_prng::check`; replay a failing case with
 //! `DETOUR_PROP_SEED=<seed>`).
 //!
-//! Four families of invariants:
+//! Three families of invariants:
 //!
 //! * **Correctness**: the kernel's Dijkstra agrees with an exhaustive
 //!   brute-force search over simple paths on random graphs — an oracle
 //!   that shares no code with the kernel.
-//! * **Mask = rebuild**: sweeping with `masked(host)` must equal sweeping
-//!   a table rebuilt from the dataset without that host, value for value —
-//!   the invariant that lets the Figure-12 greedy loop drop its
-//!   rebuild-per-candidate.
-//! * **Incremental greedy = plain greedy**: `greedy_removal` reuses the
-//!   previous view for pairs whose best path avoids a candidate; for RTT
-//!   and loss alike it must pick the hosts a full sweep per candidate
-//!   picks, reach the same reduced CDF bit for bit, and end on the view a
-//!   full sweep under the final mask gives.
+//! * **Incremental greedy = plain greedy**: `greedy_removal` removes a
+//!   host by banning it from kept trees and reuses the previous view for
+//!   pairs whose best path avoids a candidate; for RTT and loss alike it
+//!   must pick the hosts a sweep of the table rebuilt without each
+//!   candidate picks, reach the same reduced CDF bit for bit, and end on
+//!   the view of the table rebuilt without every removed host. (That the
+//!   kept trees answer like the rebuilt table after each `drop_host` is a
+//!   `kernel` unit test, on the crate-private trees.)
 //! * **Metamorphic properties the paper's method implies** (§4.1: drop
 //!   the direct edge, take the best path through the measured graph):
 //!   scaling every RTT by a power of two scales every improvement by
@@ -33,7 +32,7 @@ use std::collections::HashMap;
 use detour_core::analysis::cdf::{compare_graph, improvement_cdf};
 use detour_core::analysis::hostremoval::greedy_removal_on;
 use detour_core::kernel::{self, WeightMatrix};
-use detour_core::metric::{Loss, Rtt};
+use detour_core::metric::{Loss, MetricKind, Rtt};
 use detour_core::{AnalysisContext, Pair, PathComparison, SearchDepth};
 use detour_measure::{Dataset, HostId, PairTable};
 use detour_prng::check::check;
@@ -48,15 +47,21 @@ fn random_dataset(rng: &mut Xoshiro256pp, kind: GraphKind) -> Dataset {
     random_graph(rng, kind).build().unwrap()
 }
 
-/// The table rebuilt from `ds` without host `victim`.
-fn without(ds: &Dataset, victim: HostId) -> PairTable {
-    let others: Vec<HostId> = ds
+/// `ds` without the hosts `drop` picks.
+fn without(ds: &Dataset, mut drop: impl FnMut(HostId) -> bool) -> Dataset {
+    let keep: Vec<HostId> = ds
         .hosts
         .iter()
         .map(|h| h.id)
-        .filter(|&h| h != victim)
+        .filter(|&h| !drop(h))
         .collect();
-    PairTable::build(&ds.restrict_to_hosts(&others))
+    ds.restrict_to_hosts(&keep)
+}
+
+/// The weight matrix of `ds` without a random subset of its hosts, each
+/// dropped with probability `p`.
+fn random_restriction(rng: &mut Xoshiro256pp, ds: &Dataset, p: f64) -> WeightMatrix {
+    WeightMatrix::build(&PairTable::build(&without(ds, |_| rng.gen_bool(p))), &Rtt)
 }
 
 /// Exhaustive best alternate (cheapest simple path, direct edge excluded)
@@ -104,9 +109,8 @@ fn kernel_best_alternate_matches_brute_force_oracle() {
     check("kernel matches brute force", |rng| {
         let g = PairTable::build(&random_dataset(rng, GraphKind::WholeMs));
         let m = WeightMatrix::build(&g, &Rtt);
-        let mask = m.no_mask();
-        let swept = by_pair(kernel::sweep(&m, &mask, SearchDepth::Unrestricted));
-        for (s, d) in m.measured_pairs(&mask) {
+        let swept = by_pair(kernel::sweep(&m, SearchDepth::Unrestricted));
+        for (s, d) in m.measured_pairs() {
             let pair = Pair {
                 src: m.hosts()[s],
                 dst: m.hosts()[d],
@@ -134,9 +138,13 @@ fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
     check("one-hop matches midpoint scan", |rng| {
         let g = PairTable::build(&random_dataset(rng, GraphKind::WholeMs));
         let m = WeightMatrix::build(&g, &Rtt);
-        let mask = m.no_mask();
-        for (s, d) in m.measured_pairs(&mask) {
-            let got = kernel::best_alternate_one_hop_masked(&m, &mask, s, d);
+        let swept = by_pair(kernel::sweep(&m, SearchDepth::OneHop));
+        for (s, d) in m.measured_pairs() {
+            let pair = Pair {
+                src: m.hosts()[s],
+                dst: m.hosts()[d],
+            };
+            let got = swept.get(&pair);
             // Oracle: scan midpoints on the table directly.
             let mut best: Option<f64> = None;
             for mid in 0..g.len() {
@@ -161,42 +169,13 @@ fn one_hop_kernel_matches_exhaustive_midpoint_scan() {
 }
 
 #[test]
-fn masked_sweep_equals_rebuilt_table_sweep() {
-    check("masked sweep equals rebuilt table", |rng| {
-        let ds = random_dataset(rng, GraphKind::WholeMs);
-        let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
-        let victim = HostId(rng.gen_range(0..m.len() as u32));
-        let masked = kernel::sweep(&m, &m.masked(victim), SearchDepth::Unrestricted);
-        let rebuilt = compare_graph(&without(&ds, victim), &Rtt, SearchDepth::Unrestricted);
-        // Full structural equality: same pairs in the same order, same
-        // values bit for bit, same detour hosts (tie-breaks included).
-        assert_eq!(masked, rebuilt);
-    });
-}
-
-#[test]
-fn masked_one_hop_sweep_equals_rebuilt_table_sweep() {
-    check("masked one-hop equals rebuilt table", |rng| {
-        let ds = random_dataset(rng, GraphKind::WholeMs);
-        let m = WeightMatrix::build(&PairTable::build(&ds), &Rtt);
-        let victim = HostId(rng.gen_range(0..m.len() as u32));
-        let masked = kernel::sweep(&m, &m.masked(victim), SearchDepth::OneHop);
-        let rebuilt = compare_graph(&without(&ds, victim), &Rtt, SearchDepth::OneHop);
-        assert_eq!(masked, rebuilt);
-    });
-}
-
-#[test]
 fn k_best_first_entry_matches_kernel_best() {
     check("k-best head equals best", |rng| {
-        let m = WeightMatrix::build(
-            &PairTable::build(&random_dataset(rng, GraphKind::WholeMs)),
-            &Rtt,
-        );
-        let mask: Vec<bool> = (0..m.len()).map(|_| rng.gen_bool(0.25)).collect();
-        let swept = by_pair(kernel::sweep(&m, &mask, SearchDepth::Unrestricted));
-        for (s, d) in m.measured_pairs(&mask) {
-            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, 3);
+        let ds = random_dataset(rng, GraphKind::WholeMs);
+        let m = random_restriction(rng, &ds, 0.25);
+        let swept = by_pair(kernel::sweep(&m, SearchDepth::Unrestricted));
+        for (s, d) in m.measured_pairs() {
+            let kb = detour_core::k_best_alternates_in(&m, s, d, 3);
             let pair = Pair {
                 src: m.hosts()[s],
                 dst: m.hosts()[d],
@@ -213,9 +192,9 @@ fn k_best_first_entry_matches_kernel_best() {
     });
 }
 
-/// Every simple-path cost from `s` to `d` (direct edge excluded, masked
-/// hosts avoided), ascending: the ranking Yen's algorithm must reproduce.
-fn all_alternate_costs(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> Vec<f64> {
+/// Every simple-path cost from `s` to `d` (direct edge excluded),
+/// ascending: the ranking Yen's algorithm must reproduce.
+fn all_alternate_costs(m: &WeightMatrix, s: usize, d: usize) -> Vec<f64> {
     fn dfs(m: &WeightMatrix, path: &mut Vec<usize>, d: usize, on: &mut [bool], out: &mut Vec<f64>) {
         let cur = *path.last().expect("non-empty path");
         if cur == d {
@@ -233,7 +212,7 @@ fn all_alternate_costs(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> V
             on[v] = false;
         }
     }
-    let mut on = mask.to_vec();
+    let mut on = vec![false; m.len()];
     on[s] = true;
     let mut out = Vec::new();
     dfs(m, &mut vec![s], d, &mut on, &mut out);
@@ -244,16 +223,15 @@ fn all_alternate_costs(m: &WeightMatrix, mask: &[bool], s: usize, d: usize) -> V
 #[test]
 fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
     check("Yen k-best properties", |rng| {
-        let m = WeightMatrix::build(
-            &PairTable::build(&random_dataset(rng, GraphKind::WholeMs)),
-            &Rtt,
-        );
-        let mut mask = m.no_mask();
-        if rng.gen_bool(0.5) {
-            mask[rng.gen_range(0..m.len())] = true;
-        }
-        for (s, d) in m.measured_pairs(&mask) {
-            let kb = detour_core::k_best_alternates_in(&m, &mask, s, d, 6);
+        let ds = random_dataset(rng, GraphKind::WholeMs);
+        let m = if rng.gen_bool(0.5) {
+            let victim = ds.hosts[rng.gen_range(0..ds.hosts.len())].id;
+            WeightMatrix::build(&PairTable::build(&without(&ds, |h| h == victim)), &Rtt)
+        } else {
+            WeightMatrix::build(&PairTable::build(&ds), &Rtt)
+        };
+        for (s, d) in m.measured_pairs() {
+            let kb = detour_core::k_best_alternates_in(&m, s, d, 6);
             let (src, dst) = (m.hosts()[s], m.hosts()[d]);
             for (i, a) in kb.iter().enumerate() {
                 // A detour: at least one via host, so never the direct edge.
@@ -266,8 +244,6 @@ fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
                 seen.sort();
                 seen.dedup();
                 assert_eq!(seen.len(), hops.len(), "({s},{d}) #{i} loops: {hops:?}");
-                // Masked hosts stay out.
-                assert!(a.via.iter().all(|h| !mask[m.host_index(*h).unwrap()]));
                 // Distinct from every better-ranked alternate.
                 assert!(
                     kb[..i].iter().all(|b| b.via != a.via),
@@ -281,54 +257,56 @@ fn k_best_alternates_are_ranked_distinct_loop_free_detours() {
                 costs.windows(2).all(|w| w[0] <= w[1]),
                 "({s},{d}) {costs:?}"
             );
-            let all = all_alternate_costs(&m, &mask, s, d);
+            let all = all_alternate_costs(&m, s, d);
             assert_eq!(costs, all[..all.len().min(6)], "({s},{d})");
             // A smaller k returns a prefix of the larger ranking.
             for k in 1..kb.len() {
-                let fewer = detour_core::k_best_alternates_in(&m, &mask, s, d, k);
+                let fewer = detour_core::k_best_alternates_in(&m, s, d, k);
                 assert_eq!(fewer, kb[..k], "({s},{d}) k={k}");
             }
         }
     });
 }
 
-/// Mean improvement of a full sweep under `mask`: the greedy objective,
-/// computed with no reuse.
-fn mean_improvement(m: &WeightMatrix, mask: &[bool]) -> f64 {
-    let cs = kernel::sweep(m, mask, SearchDepth::Unrestricted);
-    if cs.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    cs.iter().map(|c| c.improvement()).sum::<f64>() / cs.len() as f64
+/// The sweep of `ds`'s table rebuilt without the `removed` hosts, by
+/// `metric`.
+fn rebuilt_sweep(ds: &Dataset, removed: &[HostId], metric: &MetricKind) -> Vec<PathComparison> {
+    let table = PairTable::build(&without(ds, |h| removed.contains(&h)));
+    compare_graph(&table, metric, SearchDepth::Unrestricted)
 }
 
-/// The incremental greedy loop against the plain one: the same hosts
-/// removed, the reduced CDF equal point for point, bit for bit, and the
-/// loop's last view equal to a full sweep under the final mask — detour
-/// hosts and tie-breaks included.
-fn assert_greedy_matches_full_sweeps(m: &WeightMatrix) {
+/// The incremental greedy loop on `ds`'s context matrix against the plain
+/// one: the same hosts removed, the reduced CDF equal point for point,
+/// bit for bit, and the loop's last view equal to the sweep of the table
+/// rebuilt without every removed host — detour hosts and tie-breaks
+/// included.
+fn assert_greedy_matches_full_sweeps(ds: &Dataset, metric: &MetricKind) {
+    let cx = AnalysisContext::from_dataset(ds);
+    let m = cx.weights(metric);
     let k = m.len();
     let (got, view) = greedy_removal_on(m, k);
 
-    // The plain greedy: score every surviving candidate by a full
-    // masked sweep; the lowest mean wins, ties go to the lowest id.
-    let mut mask = m.no_mask();
+    // The plain greedy: score every surviving candidate by the mean
+    // improvement of the table rebuilt without it; the lowest mean wins,
+    // ties go to the lowest id.
     let mut removed = Vec::new();
     for _ in 0..k.min(m.len().saturating_sub(3)) {
-        let mut best: Option<(f64, usize)> = None;
-        for h in (0..m.len()).filter(|&h| !mask[h]) {
-            let mut mask_h = mask.clone();
-            mask_h[h] = true;
-            let pos = mean_improvement(m, &mask_h);
-            if best.is_none_or(|(b, bh)| pos < b || (pos == b && m.hosts()[h] < m.hosts()[bh])) {
+        let mut best: Option<(f64, HostId)> = None;
+        for &h in m.hosts().iter().filter(|h| !removed.contains(*h)) {
+            let cs = rebuilt_sweep(ds, &[&removed[..], &[h]].concat(), metric);
+            let pos = if cs.is_empty() {
+                f64::NEG_INFINITY
+            } else {
+                cs.iter().map(|c| c.improvement()).sum::<f64>() / cs.len() as f64
+            };
+            if best.is_none_or(|(b, bh)| pos < b || (pos == b && h < bh)) {
                 best = Some((pos, h));
             }
         }
         let Some((_, h)) = best else { break };
-        mask[h] = true;
-        removed.push(m.hosts()[h]);
+        removed.push(h);
     }
-    let swept = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
+    let swept = rebuilt_sweep(ds, &removed, metric);
     let reduced = improvement_cdf(&swept);
 
     assert_eq!(got.removed, removed);
@@ -340,12 +318,9 @@ fn assert_greedy_matches_full_sweeps(m: &WeightMatrix) {
 #[test]
 fn greedy_removal_matches_a_full_sweep_per_candidate() {
     check("incremental greedy equals plain greedy", |rng| {
-        let rtt = AnalysisContext::from_dataset(&random_dataset(rng, GraphKind::WholeMs));
-        assert_greedy_matches_full_sweeps(rtt.weights(&Rtt));
-        let loss = AnalysisContext::from_dataset(&random_dataset(rng, GraphKind::Lossy));
-        assert_greedy_matches_full_sweeps(loss.weights(&Loss));
-        let absorbing = AnalysisContext::from_dataset(&random_dataset(rng, GraphKind::Absorbing));
-        assert_greedy_matches_full_sweeps(absorbing.weights(&Rtt));
+        assert_greedy_matches_full_sweeps(&random_dataset(rng, GraphKind::WholeMs), &Rtt);
+        assert_greedy_matches_full_sweeps(&random_dataset(rng, GraphKind::Lossy), &Loss);
+        assert_greedy_matches_full_sweeps(&random_dataset(rng, GraphKind::Absorbing), &Rtt);
     });
 }
 

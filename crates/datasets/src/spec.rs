@@ -120,7 +120,9 @@ fn network_config(spec: &DatasetSpec, scale: Scale) -> NetworkConfig {
 /// Selects the measurement hosts: `n_na` North American plus the remainder
 /// from elsewhere, deterministically in `seed`. With `prescreened`, hosts
 /// known to rate-limit are excluded up front (the UW4 pools were validated
-/// during earlier campaigns).
+/// during earlier campaigns). A topology that offers fewer eligible hosts
+/// in a region than asked for contributes all it has, so the dataset comes
+/// out smaller (Table 1's host column shows it) instead of failing.
 pub fn select_hosts(
     net: &Network,
     n_total: usize,
@@ -147,13 +149,6 @@ pub fn select_hosts(
         .collect();
     na.shuffle(&mut rng);
     world.shuffle(&mut rng);
-    assert!(
-        na.len() >= n_na && world.len() >= n_total - n_na,
-        "topology has too few hosts: need {n_na} NA + {} world, have {} + {}",
-        n_total - n_na,
-        na.len(),
-        world.len()
-    );
     let mut out: Vec<HostId> = na.into_iter().take(n_na).collect();
     out.extend(world.into_iter().take(n_total - n_na));
     out.sort();
@@ -257,6 +252,27 @@ mod tests {
             prescreened: false,
             faults: FaultConfig::none(),
         }
+    }
+
+    #[test]
+    fn a_topology_short_of_hosts_yields_every_eligible_one() {
+        // At seed offset 8 the D2 topology has fewer eligible world hosts
+        // than the spec's 11: the selection takes all of them.
+        let spec = crate::d2::spec();
+        let scale = Scale::full().with_seed_offset(8);
+        let net = build_network(&spec, scale);
+        let world = net
+            .hosts()
+            .iter()
+            .filter(|h| !CITIES[h.city].region.is_north_america())
+            .count();
+        let (n, n_na) = (spec.n_hosts, spec.n_hosts_na);
+        assert!(world < n - n_na, "{world} world hosts");
+        let seed = scale.mixed_seed(spec.campaign_seed);
+        let hosts = select_hosts(&net, n, n_na, seed, spec.prescreened);
+        let na = |h: &&HostId| CITIES[net.host(**h).city].region.is_north_america();
+        assert_eq!(hosts.iter().filter(na).count(), n_na);
+        assert_eq!(hosts.len(), n_na + world);
     }
 
     #[test]

@@ -67,6 +67,13 @@ pub struct CampaignConfig {
 impl CampaignConfig {
     /// The paper's UW-style traceroute campaign: 5-minute timeout, a small
     /// request-failure probability.
+    ///
+    /// The timeout never fires on an unfaulted campaign. An invocation over
+    /// `h` forward links sends about `3h` probes, each answered or given up
+    /// within about 5 s, so it ends within about `15·h` s: under 300 s for
+    /// every path shorter than 20 links. Only injected timeout storms push
+    /// invocations past it, so `measure/timeouts` counts storm timeouts
+    /// only.
     pub fn traceroute() -> CampaignConfig {
         CampaignConfig {
             kind: ProbeKind::Traceroute,

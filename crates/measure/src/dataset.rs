@@ -395,7 +395,8 @@ impl Dataset {
     }
 
     /// Restricts the dataset to a host subset (used to derive the `-NA`
-    /// variants from the world datasets, and by the host-removal analysis).
+    /// variants from the world datasets, and by tests as the independent
+    /// oracle for the kernel's host removal).
     ///
     /// `keep` need not be sorted or deduplicated; membership is resolved
     /// against a normalized copy, so callers can pass slices in any order

@@ -21,8 +21,9 @@
 #             the detour-core unit tests,
 #             batched-kernel equivalence,
 #             the kernel property tests, the determinism tests (greedy
-#             removal and campaigns at 1/2/8 workers), the paper-shape
-#             envelopes,
+#             removal and campaigns at 1/2/8 workers), the obs counters
+#             at 1/2/8 workers, the dataset-level properties, the
+#             paper-shape envelopes,
 #             the fault-schedule unit tests, the netsim unit and
 #             property tests,
 #             the figures CLI input checks, the baseline's report
@@ -72,12 +73,15 @@ cargo build --release --offline --workspace --all-targets
 # every edge value loads and runs the registered experiments), the
 # detour-core unit tests (metric laws, the context's build-once artifact
 # slots, confidence intervals, hand-worked kernel cases, the Figure-11
-# probe-visit bound, a re-settled tree == a fresh banned search), the
+# probe-visit bound, a re-settled tree == a fresh banned search, host
+# bans on kept trees == a table rebuilt without the hosts), the
 # batched-kernel equivalence suite (source-batched sweep byte-identical to
 # a textbook per-pair Dijkstra kept in the test), the kernel property
-# tests (brute-force DFS oracle, masked == rebuilt, the Yen ranking and its
-# head == the sweep's best alternate, incremental greedy == full-sweep
-# greedy),
+# tests (brute-force DFS oracle, the Yen ranking and its head == the
+# sweep's best alternate, incremental greedy == a greedy that sweeps a
+# rebuilt table per candidate), the pipeline's counters at 1/2/8 workers
+# (obs_determinism), the dataset-level properties (among them: removing
+# hosts never invents a better alternate),
 # the paper-shape envelopes (each qualitative finding of the paper on
 # reduced datasets), the renewal-process tests (detour-faults' unit tests pin the episode
 # draw order; netsim's unit tests pin the load model, among them one
@@ -105,6 +109,10 @@ cargo test -q --offline -p detour-core --test kernel_properties
 
 echo "== smoke: greedy removal + campaign determinism at 1/2/8 workers =="
 cargo test -q --offline -p detour --test determinism
+
+echo "== smoke: pipeline counters at 1/2/8 workers + dataset-level properties =="
+cargo test -q --offline -p detour --test obs_determinism
+cargo test -q --offline -p detour --test properties
 
 echo "== smoke: paper-shape envelopes =="
 cargo test -q --offline -p detour --test paper_shapes

@@ -5,9 +5,10 @@
 //! `(0..n).filter(…).min_by(…)` scan, and a midpoint scan for one hop.
 //! Every comparison here is full structural equality — same pairs in the
 //! same order, same values bit for bit, same detour hosts (tie-breaks
-//! included) — at 1, 2, and 8 worker threads, under random host masks,
-//! for both search depths, on random graphs and on a pipeline-generated
-//! dataset across all three additive metrics.
+//! included) — at 1, 2, and 8 worker threads, on graphs restricted to a
+//! random host subset (`Dataset::restrict_to_hosts`), for both search
+//! depths, on random graphs and on a pipeline-generated dataset across all
+//! three additive metrics.
 //!
 //! The random graphs come from `crates/core/tests/support/random_graphs.rs`
 //! in its three kinds: whole-millisecond RTTs, where equal-cost paths and
@@ -28,7 +29,7 @@ use detour::core::metric::{Loss, MetricKind, PropDelay, Rtt};
 use detour::core::pool;
 use detour::core::AnalysisContext;
 use detour::datasets::DatasetId;
-use detour::measure::PairTable;
+use detour::measure::{Dataset, HostId, PairTable};
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 use std::cell::Cell;
@@ -37,29 +38,29 @@ use std::cell::Cell;
 mod random_graphs;
 use random_graphs::{random_graph, GraphKind};
 
-/// A random host-removal mask: each host masked with probability ~1/3,
-/// sampled independently of the graph.
-fn random_mask(rng: &mut Xoshiro256pp, n: usize) -> Vec<bool> {
-    (0..n).map(|_| rng.gen_bool(0.33)).collect()
+/// `ds` restricted to a random host subset: each host dropped with
+/// probability ~1/3, sampled independently of the graph.
+fn random_restriction(rng: &mut Xoshiro256pp, ds: &Dataset) -> Dataset {
+    let keep: Vec<HostId> = ds
+        .hosts
+        .iter()
+        .map(|h| h.id)
+        .filter(|_| !rng.gen_bool(0.33))
+        .collect();
+    ds.restrict_to_hosts(&keep)
 }
 
-/// The textbook best alternate for `s → d` under `mask`: Dijkstra over
-/// every vertex with the direct edge skipped, the frontier minimum taken
-/// by a full `min_by` scan (the first of equal minima, i.e. the lowest
-/// index), or the first best midpoint for one hop.
-fn oracle(
-    m: &WeightMatrix,
-    mask: &[bool],
-    s: usize,
-    d: usize,
-    depth: SearchDepth,
-) -> Option<PathComparison> {
+/// The textbook best alternate for `s → d`: Dijkstra over every vertex
+/// with the direct edge skipped, the frontier minimum taken by a full
+/// `min_by` scan (the first of equal minima, i.e. the lowest index), or
+/// the first best midpoint for one hop.
+fn oracle(m: &WeightMatrix, s: usize, d: usize, depth: SearchDepth) -> Option<PathComparison> {
     let n = m.len();
     let default_value = m.value(s, d);
     let path = match depth {
         SearchDepth::OneHop => {
             let mut best: Option<(f64, usize)> = None;
-            for mid in (0..n).filter(|&v| v != s && v != d && !mask[v]) {
+            for mid in (0..n).filter(|&v| v != s && v != d) {
                 let (v1, v2) = (m.value(s, mid), m.value(mid, d));
                 if v1.is_nan() || v2.is_nan() {
                     continue;
@@ -80,7 +81,7 @@ fn oracle(
                 .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap())
             {
                 done[u] = true;
-                for v in (0..n).filter(|&v| !done[v] && !mask[v] && (u, v) != (s, d)) {
+                for v in (0..n).filter(|&v| !done[v] && (u, v) != (s, d)) {
                     if dist[u] + m.weight(u, v) < dist[v] {
                         dist[v] = dist[u] + m.weight(u, v);
                         prev[v] = u;
@@ -125,14 +126,10 @@ struct Counts {
 
 /// Runs one batched sweep under a fresh scoped recorder and returns the
 /// comparisons plus the `kernel/*` counters it recorded.
-fn sweep_with_counters(
-    m: &WeightMatrix,
-    mask: &[bool],
-    depth: SearchDepth,
-) -> (Vec<PathComparison>, Counts) {
+fn sweep_with_counters(m: &WeightMatrix, depth: SearchDepth) -> (Vec<PathComparison>, Counts) {
     let rec = detour_obs::Recorder::new();
     let _g = detour_obs::install(rec.clone());
-    let got = kernel::sweep(m, mask, depth);
+    let got = kernel::sweep(m, depth);
     let counts = Counts {
         pairs: rec.counter("kernel/sweep_pairs"),
         fixups: rec.counter("kernel/sweep_fixups"),
@@ -142,22 +139,22 @@ fn sweep_with_counters(
     (got, counts)
 }
 
-/// Asserts batched == per-pair on one (matrix, mask, depth) cell at 1, 2,
-/// and 8 threads, plus the counter bookkeeping invariant; returns the
-/// counters, which every thread count agrees on.
-fn assert_equivalent(m: &WeightMatrix, mask: &[bool], depth: SearchDepth) -> Counts {
+/// Asserts batched == per-pair on one (matrix, depth) cell at 1, 2, and 8
+/// threads, plus the counter bookkeeping invariant; returns the counters,
+/// which every thread count agrees on.
+fn assert_equivalent(m: &WeightMatrix, depth: SearchDepth) -> Counts {
     let expect: Vec<PathComparison> = m
-        .measured_pairs(mask)
+        .measured_pairs()
         .into_iter()
-        .filter_map(|(s, d)| oracle(m, mask, s, d, depth))
+        .filter_map(|(s, d)| oracle(m, s, d, depth))
         .collect();
     let mut first: Option<Counts> = None;
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let (got, c) = sweep_with_counters(m, mask, depth);
+        let (got, c) = sweep_with_counters(m, depth);
         assert_eq!(got, expect, "threads={threads}");
-        // Pairs whose destination is unreachable under the mask return no
-        // comparison but still count in `pairs` (as avoided re-searches).
+        // Pairs whose destination is unreachable return no comparison but
+        // still count in `pairs` (as avoided re-searches).
         assert!(got.len() as u64 <= c.pairs, "threads={threads}");
         // A fix-up answered by a search of its own would re-settle nothing.
         assert!(
@@ -195,11 +192,11 @@ fn batched_sweep_matches_per_pair_reference_on_random_masked_graphs() {
             (GraphKind::Absorbing, Rtt),
         ];
         for (kind, (graph, metric)) in kinds.into_iter().enumerate() {
-            let ds = random_graph(rng, graph).build().unwrap();
+            let whole = random_graph(rng, graph).build().unwrap();
+            let ds = random_restriction(rng, &whole);
             let m = WeightMatrix::build(&PairTable::build(&ds), &metric);
-            let mask = random_mask(rng, m.len());
             for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
-                let c = assert_equivalent(&m, &mask, depth);
+                let c = assert_equivalent(&m, depth);
                 fixups[kind].set(fixups[kind].get() + c.fixups);
                 resettled[kind].set(resettled[kind].get() + c.resettled);
             }
@@ -229,14 +226,13 @@ fn batched_sweep_matches_reference_on_a_generated_dataset_for_every_metric() {
     // RTT matrices never touch (log-space loss weights can be exactly 0).
     let ds = DatasetId::Uw3.generate_scaled(12, 24);
     let cx = AnalysisContext::from_dataset(&ds);
-    let no_mask = cx.weights(&Rtt).no_mask();
     let mut rng = Xoshiro256pp::seed_from_u64(0xba7c4ed);
-    let mask = random_mask(&mut rng, no_mask.len());
+    let part = AnalysisContext::from_dataset(&random_restriction(&mut rng, &ds));
     for depth in [SearchDepth::Unrestricted, SearchDepth::OneHop] {
-        assert_equivalent(cx.weights(&Rtt), &no_mask, depth);
-        assert_equivalent(cx.weights(&Rtt), &mask, depth);
-        assert_equivalent(cx.weights(&Loss), &no_mask, depth);
-        assert_equivalent(cx.weights(&PropDelay), &mask, depth);
+        assert_equivalent(cx.weights(&Rtt), depth);
+        assert_equivalent(part.weights(&Rtt), depth);
+        assert_equivalent(cx.weights(&Loss), depth);
+        assert_equivalent(part.weights(&PropDelay), depth);
     }
 }
 
@@ -245,11 +241,10 @@ fn fixup_counting_is_thread_count_invariant() {
     let ds = DatasetId::Uw3.generate_scaled(10, 24);
     let cx = AnalysisContext::from_dataset(&ds);
     let m = cx.weights(&Rtt);
-    let mask = m.no_mask();
     let mut baseline: Option<Counts> = None;
     for threads in [1usize, 2, 8] {
         pool::set_threads(threads);
-        let (_, counts) = sweep_with_counters(m, &mask, SearchDepth::Unrestricted);
+        let (_, counts) = sweep_with_counters(m, SearchDepth::Unrestricted);
         assert!(
             counts.pairs > 0,
             "the scaled dataset must have measured pairs"

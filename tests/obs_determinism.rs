@@ -28,9 +28,7 @@ fn counters_at(threads: usize) -> BTreeMap<String, u64> {
 
     // Analysis: ticks context/* and kernel/*.
     let cx = AnalysisContext::from_dataset(&ds);
-    let m = cx.weights(&Rtt);
-    let mask = m.no_mask();
-    let swept = kernel::sweep(m, &mask, SearchDepth::Unrestricted);
+    let swept = kernel::sweep(cx.weights(&Rtt), SearchDepth::Unrestricted);
     assert!(!swept.is_empty(), "workload must do real kernel work");
 
     pool::set_threads(0);
