@@ -25,10 +25,11 @@
 //! lossless, so reports are byte-identical either way). `--fresh` purges
 //! the cache first.
 //!
-//! Reports go to stdout and, per experiment, to `results/<id>.txt`. A cache
-//! directory or results path the run cannot use (unreadable, or a regular
-//! file where a directory belongs) is reported with its I/O error and exits
-//! with status 1.
+//! Reports go to stdout. The canonical run (full scale, seed 0) also writes
+//! each to `results/<id>.txt`, the committed reports; any other run leaves
+//! `results/` alone and says so on stderr. A cache directory or results
+//! path the run cannot use (unreadable, or a regular file where a directory
+//! belongs) is reported with its I/O error and exits with status 1.
 
 use std::fs;
 use std::path::Path;
@@ -133,10 +134,18 @@ fn main() {
     let (reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &ids));
     eprintln!("[{} experiment(s) done in {engine_secs:.1}s]", ids.len());
 
+    for report in &reports {
+        println!("{report}");
+    }
+    if scaled || seed != 0 {
+        eprintln!(
+            "results/ left alone: only the full-scale seed-0 run writes the committed reports"
+        );
+        return;
+    }
     let results = Path::new("results");
     fs::create_dir_all(results).unwrap_or_else(|e| fail("create", results, e));
     for (id, report) in ids.iter().zip(reports) {
-        println!("{report}");
         let path = results.join(format!("{id}.txt"));
         fs::write(&path, &report).unwrap_or_else(|e| fail("write", &path, e));
     }

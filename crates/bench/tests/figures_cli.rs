@@ -1,7 +1,8 @@
 //! The `figures` binary treats its arguments and its cache directory as
 //! untrusted input: an unknown flag or id ends the run with status 2 before
 //! any work, and a cache path it cannot use ends it with the I/O error and
-//! status 1, never a panic.
+//! status 1, never a panic. Only the canonical run (full scale, seed 0)
+//! writes `results/<id>.txt`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -65,5 +66,30 @@ fn unknown_flags_and_ids_exit_2_before_any_work() {
         stderr.contains("figures: --seed given more than once"),
         "{stderr}"
     );
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+#[test]
+fn a_non_canonical_run_prints_its_reports_but_writes_no_results() {
+    let cwd = std::env::temp_dir().join(format!("detour-figures-seed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let Output {
+        status,
+        stdout,
+        stderr,
+    } = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--scaled", "--seed", "1", "table1"])
+        .current_dir(&cwd)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert!(
+        String::from_utf8_lossy(&stdout).contains("Table 1"),
+        "the report still goes to stdout"
+    );
+    assert!(stderr.contains("results/ left alone"), "{stderr}");
+    assert!(!cwd.join("results/table1.txt").exists());
     std::fs::remove_dir_all(&cwd).unwrap();
 }

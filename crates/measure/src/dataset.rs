@@ -431,15 +431,27 @@ impl Dataset {
     /// Directed pairs with at least one probe (or transfer) present,
     /// sorted ascending (deterministic regardless of sample order).
     pub fn measured_pairs(&self) -> Vec<(HostId, HostId)> {
-        let set: HashSet<(HostId, HostId)> = self
-            .probes
-            .iter()
-            .map(|p| (p.src, p.dst))
-            .chain(self.transfers.iter().map(|t| (t.src, t.dst)))
-            .collect();
-        let mut pairs: Vec<(HostId, HostId)> = set.into_iter().collect();
-        pairs.sort_unstable();
-        pairs
+        // Hosts ranked by id: the seen-grid's row-major order is then the
+        // sorted pair order.
+        let mut ids: Vec<HostId> = self.hosts.iter().map(|h| h.id).collect();
+        ids.sort_unstable();
+        let n = ids.len();
+        let rank = |h: HostId| ids.partition_point(|&id| id < h);
+        let mut seen = vec![false; n * n];
+        let mut last = None;
+        let pairs = self.probes.iter().map(|p| (p.src, p.dst));
+        for pair in pairs.chain(self.transfers.iter().map(|t| (t.src, t.dst))) {
+            // An invocation's probes are consecutive rows on one pair.
+            if last != Some(pair) {
+                seen[rank(pair.0) * n + rank(pair.1)] = true;
+                last = Some(pair);
+            }
+        }
+        seen.iter()
+            .enumerate()
+            .filter(|&(_, &s)| s)
+            .map(|(cell, _)| (ids[cell / n], ids[cell % n]))
+            .collect()
     }
 
     /// The Table-1 row for this dataset.
@@ -823,6 +835,54 @@ mod tests {
             "sorted and deduplicated"
         );
         assert_eq!(pairs.len(), 6);
+    }
+
+    #[test]
+    fn measured_pairs_match_a_hash_set_of_every_sample_pair() {
+        detour_prng::check::check("measured pairs", |rng| {
+            use detour_prng::{Rng, SliceRandom};
+            // Sparse ids in shuffled order, so position, rank and id differ.
+            let n = rng.gen_range(2..9u32);
+            let mut ids: Vec<u32> = (0..n).map(|i| i * 7 + rng.gen_range(0..7u32)).collect();
+            ids.shuffle(rng);
+            let mut b = Dataset::builder("random");
+            for &id in &ids {
+                b.host(id);
+            }
+            let pair = |rng: &mut detour_prng::Xoshiro256pp| {
+                let s = ids[rng.gen_range(0..ids.len())];
+                let d = loop {
+                    let d = ids[rng.gen_range(0..ids.len())];
+                    if d != s {
+                        break d;
+                    }
+                };
+                (s, d)
+            };
+            for _ in 0..rng.gen_range(0..40usize) {
+                let (s, d) = pair(rng);
+                // Runs of one to three rows, as an invocation's probes are.
+                for _ in 0..rng.gen_range(1..4usize) {
+                    b.probe(s, d, 1.0, Some(10.0));
+                }
+            }
+            if rng.gen_bool(0.5) {
+                for _ in 0..rng.gen_range(1..20usize) {
+                    let (s, d) = pair(rng);
+                    b.transfer(s, d, 1.0, 50.0, 0.01, 800.0);
+                }
+            }
+            let ds = b.build().unwrap();
+            let reference: HashSet<(HostId, HostId)> = ds
+                .probes
+                .iter()
+                .map(|p| (p.src, p.dst))
+                .chain(ds.transfers.iter().map(|t| (t.src, t.dst)))
+                .collect();
+            let mut reference: Vec<(HostId, HostId)> = reference.into_iter().collect();
+            reference.sort_unstable();
+            assert_eq!(ds.measured_pairs(), reference);
+        });
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! `x̄ − ȳ ± t[.975; ν] · s` following Jain \[Jai91\] (§6.2). That requires the
 //! `(1 − α/2)`-quantile of the t distribution with ν degrees of freedom.
 //! We implement the t CDF through the regularized incomplete beta function
-//! (Lanczos log-gamma + Lentz continued fraction) and invert it by bisection
-//! — no lookup tables, valid for any ν ≥ 1.
+//! (Lanczos log-gamma + Lentz continued fraction) and invert it by
+//! safeguarded Newton steps from Hill's closed-form start — no lookup tables,
+//! valid for any ν ≥ 1, and about three CDF evaluations per quantile.
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
 ///
@@ -136,36 +137,116 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
 ///
 /// `t_quantile(0.975, v)` is the paper's `t[.975; v]`.
 pub fn t_quantile(p: f64, df: f64) -> f64 {
+    solve_quantile(p, df).0
+}
+
+/// [`t_quantile`] and the number of [`t_cdf`] evaluations it took.
+///
+/// By symmetry it solves for `q ≥ 0` with `t_cdf(−q) = min(p, 1 − p)`: the
+/// lower tail is what [`t_cdf`] computes directly, and `1 − p` is exact for
+/// `p ≥ ½`. Hill's closed form starts the search; each step is Newton's with
+/// the second-order Taylor term (the t density is the derivative, and its log
+/// derivative is `−(ν + 1) q / (ν + q²)`), and must land inside the bracket
+/// that the evaluations so far have established, or the bracket is bisected
+/// instead (the `rtsafe` shape). Once a step moves `q` by less than
+/// `1e-9 · q`, the third-order convergence leaves nothing but the rounding
+/// of [`t_cdf`] itself, so that step is the last. A bracket that narrow
+/// also ends the search: at ν near 1e6, `t_cdf`'s own rounding can keep
+/// the steps from ever getting that small.
+fn solve_quantile(p: f64, df: f64) -> (f64, u32) {
+    const TOL: f64 = 1e-9;
     assert!(
         (0.0..1.0).contains(&p) && p > 0.0,
         "p must be in (0, 1), got {p}"
     );
     assert!(df > 0.0);
     if (p - 0.5).abs() < 1e-15 {
-        return 0.0;
+        return (0.0, 0);
     }
-    // Bracket then bisect; the t CDF is strictly increasing.
-    let (mut lo, mut hi) = (-1.0f64, 1.0f64);
-    while t_cdf(lo, df) > p {
-        lo *= 2.0;
-        assert!(lo > -1e12, "failed to bracket t quantile");
-    }
-    while t_cdf(hi, df) < p {
-        hi *= 2.0;
-        assert!(hi < 1e12, "failed to bracket t quantile");
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if t_cdf(mid, df) < p {
-            lo = mid;
-        } else {
-            hi = mid;
+    let tail = p.min(1.0 - p);
+    let ln_norm =
+        ln_gamma((df + 1.0) / 2.0) - ln_gamma(df / 2.0) - 0.5 * (df * std::f64::consts::PI).ln();
+    let start = hill_start(2.0 * tail, df);
+    let mut q = if start.is_finite() && start > 0.0 {
+        start
+    } else {
+        1.0
+    };
+    // The root lies in (lo, hi): t_cdf(−q) falls as q grows.
+    let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+    let mut evals = 0;
+    loop {
+        let excess = t_cdf(-q, df) - tail;
+        evals += 1;
+        if excess == 0.0 {
+            break;
         }
-        if hi - lo < 1e-12 {
+        if excess > 0.0 {
+            lo = q;
+        } else {
+            hi = q;
+        }
+        let density = (ln_norm - 0.5 * (df + 1.0) * (q * q / df).ln_1p()).exp();
+        let x = excess / density;
+        let step = x * (1.0 + x * q * (df + 1.0) / (2.0 * (df + q * q)));
+        if step.abs() <= TOL * q {
+            q += step;
+            break;
+        }
+        let next = q + step;
+        q = if next > lo && next < hi {
+            next
+        } else if hi.is_finite() {
+            0.5 * (lo + hi)
+        } else {
+            2.0 * q
+        };
+        if hi.is_finite() && hi - lo <= TOL * hi {
             break;
         }
     }
-    0.5 * (lo + hi)
+    (if p < 0.5 { -q } else { q }, evals)
+}
+
+/// Hill's (1970, CACM Algorithm 396) closed-form approximation to the upper
+/// point `q > 0` with two-sided tail probability `P(|T| > q) = two_sided`:
+/// an expansion about the normal quantile for moderate tails, and one in
+/// powers of `two_sided^(2/ν)` for the far tail. It is within a few parts in
+/// 10³ of the root for ν ≥ 1.7 (often 10⁻⁵), and within 30 % down to ν = 1,
+/// which leaves [`solve_quantile`] one to three steps.
+fn hill_start(two_sided: f64, df: f64) -> f64 {
+    let a = 1.0 / (df - 0.5);
+    let b = 48.0 / (a * a);
+    let mut c = ((20_700.0 * a / b - 98.0) * a - 16.0) * a + 96.36;
+    let d = ((94.5 / (b + c) - 3.0) / b + 1.0) * (a * std::f64::consts::FRAC_PI_2).sqrt() * df;
+    let y = (d * two_sided).powf(2.0 / df);
+    let y = if (df < 2.1 && two_sided > 0.5) || y > 0.05 + a {
+        let x = -normal_upper_quantile(0.5 * two_sided);
+        let x2 = x * x;
+        if df < 5.0 {
+            c += 0.3 * (df - 4.5) * (x + 0.6);
+        }
+        c += (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b;
+        let y = (((((0.4 * x2 + 6.3) * x2 + 36.0) * x2 + 94.5) / c - x2 - 3.0) / b + 1.0) * x;
+        (a * y * y).exp_m1()
+    } else {
+        ((1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+            + 0.5 / (df + 4.0))
+            * y
+            - 1.0)
+            * (df + 1.0)
+            / (df + 2.0)
+            + 1.0 / y
+    };
+    (df * y).sqrt()
+}
+
+/// The standard normal's upper-tail point `z` with `P(Z > z) = tail`, for
+/// `tail ≤ ½` (Abramowitz & Stegun 26.2.23; absolute error below 4.5e-4).
+fn normal_upper_quantile(tail: f64) -> f64 {
+    let t = (-2.0 * tail.ln()).sqrt();
+    t - (2.515_517 + (0.802_853 + 0.010_328 * t) * t)
+        / (1.0 + (1.432_788 + (0.189_269 + 0.001_308 * t) * t) * t)
 }
 
 #[cfg(test)]
@@ -246,6 +327,122 @@ mod tests {
     fn t_quantile_approaches_normal_for_large_df() {
         let got = t_quantile(0.975, 1e6);
         assert!((got - 1.959_96).abs() < 1e-3, "got {got}");
+    }
+
+    /// The reference quantile: bracket by doubling, then halve `[lo, hi]`
+    /// until it is narrower than 1e-12 (or 200 halvings). About 50 `t_cdf`
+    /// evaluations, but it assumes nothing about `t_cdf` beyond
+    /// monotonicity.
+    fn bisection_quantile(p: f64, df: f64) -> f64 {
+        let (mut lo, mut hi) = (-1.0f64, 1.0f64);
+        while t_cdf(lo, df) > p {
+            lo *= 2.0;
+        }
+        while t_cdf(hi, df) < p {
+            hi *= 2.0;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if t_cdf(mid, df) < p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if hi - lo < 1e-12 {
+                break;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    const GRID_P: [f64; 6] = [1e-6, 0.01, 0.25, 0.6, 0.975, 0.999_999];
+    const GRID_DF: [f64; 9] = [1.0, 1.0001, 1.7, 2.37, 5.0, 29.6, 279.0, 1e4, 1e6];
+
+    /// Probabilities from 1e-6 to 1 − 1e-6: log-spaced in both tails, in
+    /// steps of 0.05 between 0.1 and 0.9.
+    fn probability_sweep() -> Vec<f64> {
+        let lower: Vec<f64> = (0..20).map(|j| 1e-6 * 10f64.powf(j as f64 / 4.0)).collect();
+        let mut ps = lower.clone();
+        ps.extend((2..=18).map(|k| k as f64 / 20.0));
+        ps.extend(lower.iter().rev().map(|&p| 1.0 - p));
+        ps
+    }
+
+    #[test]
+    fn quantile_matches_the_closed_forms_at_one_and_two_df() {
+        let pi = std::f64::consts::PI;
+        for p in probability_sweep() {
+            let cauchy = (pi * (p - 0.5)).tan();
+            let two = (2.0 * p - 1.0) / (2.0 * p * (1.0 - p)).sqrt();
+            // Near the pole, tan magnifies the rounding of π(p − ½) by about
+            // 1 / min(p, 1 − p): that is the oracle's precision, not ours.
+            let tol = 1e-13 + 1e-16 / p.min(1.0 - p);
+            let got = t_quantile(p, 1.0);
+            assert!(
+                (got - cauchy).abs() <= tol * cauchy.abs().max(1.0),
+                "df=1 p={p}: got {got}, want {cauchy}"
+            );
+            let got = t_quantile(p, 2.0);
+            assert!(
+                (got - two).abs() <= 1e-13 * two.abs().max(1.0),
+                "df=2 p={p}: got {got}, want {two}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantile_inverts_the_cdf_and_agrees_with_bisection_on_a_grid() {
+        for &df in &GRID_DF {
+            // At ν = 1e6, x = ν / (ν + t²) lies within 1e-4 of 1, and its
+            // rounding alone moves t_cdf by a few 1e-11: no solver can do
+            // better against it.
+            let resid_tol = if df > 1e5 { 1e-10 } else { 1e-12 };
+            for &p in &GRID_P {
+                let q = t_quantile(p, df);
+                let resid = (t_cdf(q, df) - p).abs();
+                assert!(
+                    resid <= resid_tol,
+                    "df={df} p={p}: |t_cdf(q) − p| = {resid:e}"
+                );
+                // Near p = 1, t_cdf(t) − p steps in ulps of 1, so bisection
+                // resolves t only to about 1e-16 / density; 1e-10 covers it.
+                let oracle = bisection_quantile(p, df);
+                let dist = (q - oracle).abs() / q.abs().max(1.0);
+                assert!(dist <= 1e-10, "df={df} p={p}: {q} vs bisection {oracle}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_converges_below_one_df_where_hill_gives_no_start() {
+        for df in [0.1, 0.3, 0.7] {
+            for &p in &GRID_P {
+                let q = t_quantile(p, df);
+                let resid = (t_cdf(q, df) - p).abs();
+                assert!(resid <= 1e-12, "df={df} p={p}: |t_cdf(q) − p| = {resid:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn quantile_needs_few_cdf_evaluations() {
+        let mut dfs = GRID_DF.to_vec();
+        dfs.extend([2.0, 7.5, 63.2]);
+        for &df in &dfs {
+            // Near ν = 1e6, t_cdf moves in steps of about 1e-9 · t around its
+            // centre (the rounding of x = ν / (ν + t²)), so the last digits
+            // cost a bisection or two of the bracket.
+            let bound = if df > 1e5 { 6 } else { 4 };
+            for p in probability_sweep().into_iter().chain(GRID_P) {
+                let (_, evals) = solve_quantile(p, df);
+                assert!(evals <= bound, "df={df} p={p}: {evals} t_cdf evaluations");
+            }
+        }
+        // The paper's t[.975; ν] at its usual Welch degrees of freedom.
+        for df in [5.0, 17.3, 41.0, 280.0] {
+            let (_, evals) = solve_quantile(0.975, df);
+            assert!(evals <= 3, "df={df}: {evals} t_cdf evaluations");
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 #             .trace2 entries and .quarantined corpses), so the
 #             baseline's cold-start timing starts from an empty disk
 #   --smoke   stop after the smoke tier (fmt, lint, rustdoc, build,
+#             the detour-stats unit and property tests (the t quantile
+#             against closed forms, bisection and its evaluation count),
 #             the detour-measure tests, the detour-datasets tests (the
 #             .trace2 decoder, where untrusted bytes enter the program),
 #             the detour-core unit tests,
@@ -64,7 +66,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
-# Smoke tier: the detour-measure tests (the dataset rules, pair-table
+# Smoke tier: the detour-stats tests (the t quantile against the exact
+# forms at 1 and 2 df and a bisection oracle, its t_cdf evaluation count,
+# the inverts-the-CDF property, intervals and t-tests), the
+# detour-measure tests (the dataset rules, pair-table
 # aggregates, the host index, and the partition property: each part of a
 # partitioned build equals the table of a dataset holding only that
 # part's probes), the detour-datasets tests (the .trace2 codec, its
@@ -92,6 +97,9 @@ cargo build --release --offline --workspace --all-targets
 # fault scenario through the whole pipeline) and the golden snapshots
 # (byte-level replay of every registered experiment's report, fault sweep
 # included). Fails fast before the full test run and baseline.
+echo "== smoke: detour-stats unit and property tests (t quantile, intervals) =="
+cargo test -q --offline -p detour-stats
+
 echo "== smoke: detour-measure tests (dataset rules, pair tables, partition property) =="
 cargo test -q --offline -p detour-measure
 
