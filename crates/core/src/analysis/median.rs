@@ -7,13 +7,20 @@
 //! computational costs reasonable we limit the length of alternate paths
 //! for both means and medians to one hop." The finding: the difference is
 //! negligible.
+//!
+//! Each directed pair's RTT histogram is built once per analysis, as
+//! integer prefix counts ([`BinCounts`]), and every relay's two-leg median
+//! comes from bisecting those counts ([`BinCounts::median_of_sum`]) rather
+//! than from a materialized convolution. The current `detour-obs` recorder
+//! gets the work: `median/relay_medians` (two-leg medians computed) and
+//! `median/cdf_steps` (prefix counts the bisections evaluated).
 
 use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, improvement_cdf};
 use crate::context::AnalysisContext;
 use crate::metric::Rtt;
 use detour_measure::PairTable;
-use detour_stats::convolve::SampleDist;
+use detour_stats::convolve::BinCounts;
 use detour_stats::quantile::median;
 use detour_stats::Cdf;
 
@@ -30,24 +37,46 @@ pub struct MeanMedianComparison {
     pub median_based: Cdf,
 }
 
+/// Every directed pair's RTT histogram on the convolution grid, per
+/// `i * n + j` cell; `None` for a pair without samples.
+fn histograms(t: &PairTable) -> Vec<Option<BinCounts>> {
+    let n = t.len();
+    (0..n * n)
+        .map(|c| BinCounts::from_samples(t.rtt_samples(c / n, c % n), CONVOLUTION_BIN_MS))
+        .collect()
+}
+
+/// Two-leg medians computed and prefix counts evaluated, for the
+/// `median/*` counters.
+#[derive(Default)]
+struct Work {
+    relay_medians: u64,
+    cdf_steps: u64,
+}
+
 /// Best one-hop alternate for `s → d` judged by median (via convolution);
 /// returns the improvement `default_median − best_alternate_median`.
 /// Unmeasured legs have no samples and drop out.
-fn median_improvement(t: &PairTable, s: usize, d: usize) -> Option<f64> {
+fn median_improvement(
+    t: &PairTable,
+    hist: &[Option<BinCounts>],
+    s: usize,
+    d: usize,
+    work: &mut Work,
+) -> Option<f64> {
     let default_median = median(t.rtt_samples(s, d))?;
-
+    let n = t.len();
     let mut best: Option<f64> = None;
-    for m in 0..t.len() {
+    for m in 0..n {
         if m == s || m == d {
             continue;
         }
-        let (Some(d1), Some(d2)) = (
-            SampleDist::from_samples(t.rtt_samples(s, m), CONVOLUTION_BIN_MS),
-            SampleDist::from_samples(t.rtt_samples(m, d), CONVOLUTION_BIN_MS),
-        ) else {
+        let (Some(d1), Some(d2)) = (&hist[s * n + m], &hist[m * n + d]) else {
             continue;
         };
-        let med = d1.convolve(&d2).median();
+        let (med, steps) = d1.median_of_sum(d2);
+        work.relay_medians += 1;
+        work.cdf_steps += u64::from(steps);
         if best.is_none_or(|b| med < b) {
             best = Some(med);
         }
@@ -59,10 +88,15 @@ fn median_improvement(t: &PairTable, s: usize, d: usize) -> Option<f64> {
 pub fn analyze(cx: &AnalysisContext) -> MeanMedianComparison {
     let mean_based = improvement_cdf(&compare_all_pairs(cx, &Rtt, SearchDepth::OneHop));
     let t = cx.table();
+    let hist = histograms(t);
+    let mut work = Work::default();
     let median_based = Cdf::from_samples(
         t.measured_pairs()
-            .filter_map(|(s, d)| median_improvement(t, s, d)),
+            .filter_map(|(s, d)| median_improvement(t, &hist, s, d, &mut work)),
     );
+    let rec = detour_obs::current();
+    rec.add("median/relay_medians", work.relay_medians);
+    rec.add("median/cdf_steps", work.cdf_steps);
     MeanMedianComparison {
         mean_based,
         median_based,

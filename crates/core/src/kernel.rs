@@ -653,6 +653,23 @@ fn answer_from(
 /// for a source without measured pairs) — the trees the Figure-12 greedy
 /// loop re-settles ([`best_alternates_without`], [`drop_host`]).
 pub(crate) fn sweep_with_trees(m: &WeightMatrix) -> (Vec<PathComparison>, Vec<Tree>) {
+    let mut trees = vec![Tree::default(); m.n];
+    let out = sweep_sources(m, std::mem::take, |s, tree| trees[s] = tree);
+    (out, trees)
+}
+
+/// The one fan-out behind [`sweep`] and [`sweep_with_trees`]: per source
+/// with measured pairs, a tree grown by [`dijkstra`] in the worker's
+/// scratch and the source's pairs answered from it. `keep` takes what the
+/// caller wants of each tree out of the scratch (the answer-only sweep
+/// takes nothing, so a worker's tree buffers serve every source), and
+/// `kept` receives it with the source, in source order. Returns the
+/// answers in pair order.
+fn sweep_sources<K: Send>(
+    m: &WeightMatrix,
+    keep: impl Fn(&mut Tree) -> K + Sync,
+    mut kept: impl FnMut(usize, K),
+) -> Vec<PathComparison> {
     let pairs = m.measured_pairs();
     let groups = group_by_source(&pairs);
     let answered =
@@ -660,15 +677,14 @@ pub(crate) fn sweep_with_trees(m: &WeightMatrix) -> (Vec<PathComparison>, Vec<Tr
             let DijkstraScratch { tree, work } = scratch;
             dijkstra(m, s, tree, &mut work.sub.open);
             let answers = answer_from(m, tree, &pairs[a..b], work);
-            (answers, std::mem::take(tree))
+            (answers, keep(tree))
         });
-    let mut trees = vec![Tree::default(); m.n];
     let mut out = Vec::with_capacity(pairs.len());
-    for (&(s, _, _), (answers, tree)) in groups.iter().zip(answered) {
+    for (&(s, _, _), (answers, k)) in groups.iter().zip(answered) {
         out.extend(answers.into_iter().flatten());
-        trees[s] = tree;
+        kept(s, k);
     }
-    (out, trees)
+    out
 }
 
 /// The best alternates of a `(src, dst)`-sorted list of measured pairs,
@@ -777,7 +793,9 @@ impl<'a> Forest<'a> {
 /// pair whose tree path *is* the excluded direct edge (`prev[d] == s`) —
 /// needs more, and it re-settles the subtree of `d` with the edge banned
 /// instead of searching again.
-/// Fan-out over [`crate::pool`] is by source with one scratch per worker;
+/// Fan-out over [`crate::pool`] is by source with one scratch per worker,
+/// and a worker grows each of its sources' trees in that scratch's
+/// buffers, so the sweep allocates no tree per source;
 /// per-source results concatenate in source order (pairs are
 /// `(i, j)`-sorted within), so the output is bit-identical at every thread
 /// count — and bit-identical to one textbook Dijkstra per pair, which the
@@ -796,7 +814,7 @@ impl<'a> Forest<'a> {
 /// scan has no tree to read from, so it contributes pairs only.
 pub fn sweep(m: &WeightMatrix, depth: SearchDepth) -> Vec<PathComparison> {
     match depth {
-        SearchDepth::Unrestricted => sweep_with_trees(m).0,
+        SearchDepth::Unrestricted => sweep_sources(m, |_| (), |_, ()| {}),
         SearchDepth::OneHop => {
             let pairs = m.measured_pairs();
             detour_obs::current().add("kernel/sweep_pairs", pairs.len() as u64);

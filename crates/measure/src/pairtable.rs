@@ -15,6 +15,14 @@
 //! pairs at a time, and equality/round-trip checks compare column by
 //! column.
 //!
+//! A build is two passes over its probes. The first looks each probe's
+//! cell up once (the only host-index lookup) and counts the returned
+//! probes per cell, which sizes the shared RTT-sample blob exactly; the
+//! second pushes into dense per-column [`OnlineStats`] arrays and tallies
+//! modal-path votes in one arena. The transfer columns get accumulators
+//! only when the dataset has transfers. So a build allocates per column,
+//! never per cell, however many parts a partitioned build makes.
+//!
 //! Determinism contract: every summary comes from incremental
 //! [`OnlineStats`] pushes in probe order. Welford means are floating-point
 //! push-order-dependent, so a table built from a host-restricted copy of a
@@ -107,20 +115,23 @@ pub struct PairTable {
     rtt_samples: Vec<f64>,
 }
 
-/// Intermediate per-cell accumulator (probe order preserved). Raw RTT
-/// samples live outside the accumulator, in one blob shared by every
-/// cell — a counting pre-pass sizes it exactly, so the build performs no
-/// per-cell sample allocation.
-#[derive(Default)]
-struct CellAcc {
-    rtt: OnlineStats,
-    loss: OnlineStats,
-    bw: OnlineStats,
-    t_rtt: OnlineStats,
-    t_loss: OnlineStats,
-    /// `(path index, votes)`, in first-seen order: a pair sees only a
-    /// handful of distinct routes, so a linear scan beats hashing.
-    path_votes: Vec<(u32, u32)>,
+/// One modal-path tally in a build's arena: `votes` probes of one cell
+/// took AS path `path`; `next` is the cell's previous tally (or [`NIL`]).
+/// A pair sees only a handful of distinct routes, so walking its list
+/// beats hashing.
+struct Tally {
+    path: u32,
+    votes: u32,
+    next: u32,
+}
+
+/// The end of a cell's tally list.
+const NIL: u32 = u32::MAX;
+
+/// The arena indices of the tally list that starts at `first`.
+fn tally_list(tallies: &[Tally], first: u32) -> impl Iterator<Item = usize> + '_ {
+    let index = |k: u32| (k != NIL).then_some(k as usize);
+    std::iter::successors(index(first), move |&k| index(tallies[k].next))
 }
 
 impl PairTable {
@@ -191,8 +202,12 @@ impl PairTable {
 
     /// The shared build: `probes` (a subset of `ds.probes`, in probe order)
     /// plus every transfer of `ds`, over the hosts of `index`. Two passes
-    /// over `probes`: a counting pre-pass sizes the shared RTT-sample blob
-    /// exactly, so the build never grows a per-cell sample vector.
+    /// over `probes`: the first looks each probe's cell up (the only
+    /// lookup) and counts the returned ones, which sizes the shared
+    /// RTT-sample blob exactly; the second accumulates. Accumulators are
+    /// dense per-column [`OnlineStats`] arrays, the modal-path votes share
+    /// one arena, and the three transfer columns get accumulators only when
+    /// `ds` has transfers, so a build allocates per column, never per cell.
     fn build_from<'p>(
         ds: &Dataset,
         index: HostIndex,
@@ -200,102 +215,102 @@ impl PairTable {
     ) -> PairTable {
         let n = index.hosts.len();
         let cell = |src: HostId, dst: HostId| index.position(src) * n + index.position(dst);
-        let mut visits = 0u64; // probes read by pass 1, and again by pass 2
 
-        // Pass 1: count returned probes per cell, then prefix-sum the
-        // counts in place into the blob offsets. A cell with any RTT
-        // sample always materializes an RTT summary and is therefore
-        // always kept below, so these offsets are exactly the kept-cell
-        // cumulative lengths the old grow-and-append build produced.
+        // Pass 1: each probe's cell, and the returned probes per cell,
+        // prefix-summed in place into the blob offsets.
+        let mut cells: Vec<u32> = Vec::with_capacity(probes.size_hint().0);
         let mut rtt_off: Vec<u32> = vec![0; n * n + 1];
         for p in probes.clone() {
-            visits += 1;
+            let c = cell(p.src, p.dst);
+            cells.push(c as u32);
             if p.rtt_ms.is_some() {
-                rtt_off[cell(p.src, p.dst) + 1] += 1;
+                rtt_off[c + 1] += 1;
             }
         }
+        detour_obs::current().add("pairtable/probe_visits", 2 * cells.len() as u64);
         for c in 0..n * n {
             rtt_off[c + 1] += rtt_off[c];
         }
         let mut rtt_samples: Vec<f64> = vec![0.0; rtt_off[n * n] as usize];
         let mut cursor: Vec<u32> = rtt_off[..n * n].to_vec();
 
-        // Pass 2: accumulate the online stats and write each sample
-        // straight into its cell's region of the shared blob. Probe order
-        // is preserved within each cell, so the Welford summaries and the
-        // sample slices stay bit-identical to the per-cell-vector build.
-        let mut accs: Vec<Option<CellAcc>> = (0..n * n).map(|_| None).collect();
-        for p in probes {
-            let c = cell(p.src, p.dst);
-            let acc = accs[c].get_or_insert_with(CellAcc::default);
-            if let Some(rtt) = p.rtt_ms {
-                acc.rtt.push(rtt);
-                rtt_samples[cursor[c] as usize] = rtt;
+        // Pass 2: accumulate in probe order, writing each sample straight
+        // into its cell's region of the blob, so every Welford summary and
+        // sample slice follows probe order within its cell.
+        let mut rtt = vec![OnlineStats::new(); n * n];
+        let mut loss = vec![OnlineStats::new(); n * n];
+        let mut tallies: Vec<Tally> = Vec::new();
+        let mut last_tally: Vec<u32> = vec![NIL; n * n];
+        for (p, &c) in probes.zip(&cells) {
+            let c = c as usize;
+            if let Some(ms) = p.rtt_ms {
+                rtt[c].push(ms);
+                rtt_samples[cursor[c] as usize] = ms;
                 cursor[c] += 1;
             }
             if p.loss_eligible {
-                acc.loss.push(if p.lost() { 1.0 } else { 0.0 });
+                loss[c].push(if p.lost() { 1.0 } else { 0.0 });
             }
-            match acc
-                .path_votes
-                .iter_mut()
-                .find(|(idx, _)| *idx == p.path_idx)
-            {
-                Some((_, votes)) => *votes += 1,
-                None => acc.path_votes.push((p.path_idx, 1)),
+            let seen = tally_list(&tallies, last_tally[c]).find(|&k| tallies[k].path == p.path_idx);
+            match seen {
+                Some(k) => tallies[k].votes += 1,
+                None => {
+                    tallies.push(Tally {
+                        path: p.path_idx,
+                        votes: 1,
+                        next: last_tally[c],
+                    });
+                    last_tally[c] = (tallies.len() - 1) as u32;
+                }
             }
         }
         debug_assert_eq!(&cursor[..], &rtt_off[1..], "blob regions exactly filled");
-        detour_obs::current().add("pairtable/probe_visits", 2 * visits);
-        for t in &ds.transfers {
-            let acc = accs[cell(t.src, t.dst)].get_or_insert_with(CellAcc::default);
-            acc.bw.push(t.bandwidth_kbps);
-            acc.t_rtt.push(t.rtt_ms);
-            acc.t_loss.push(t.loss_rate);
-        }
 
-        let mut table = PairTable {
-            index,
-            rtt: Vec::with_capacity(n * n),
-            loss: Vec::with_capacity(n * n),
-            bandwidth: Vec::with_capacity(n * n),
-            transfer_rtt: Vec::with_capacity(n * n),
-            transfer_loss: Vec::with_capacity(n * n),
-            modal_path: Vec::with_capacity(n * n),
-            rtt_off,
-            rtt_samples,
-        };
-        for cell in accs {
-            // A cell counts as measured (an edge of the graph) only when at
-            // least one summary materialized.
-            let keep = cell.as_ref().is_some_and(|a| {
-                a.rtt.summary().is_some() || a.loss.summary().is_some() || a.bw.summary().is_some()
-            });
-            match cell {
-                Some(a) if keep => {
-                    table.rtt.push(a.rtt.summary());
-                    table.loss.push(a.loss.summary());
-                    table.bandwidth.push(a.bw.summary());
-                    table.transfer_rtt.push(a.t_rtt.summary());
-                    table.transfer_loss.push(a.t_loss.summary());
-                    table.modal_path.push(
-                        a.path_votes
-                            .iter()
-                            .max_by_key(|&&(idx, c)| (c, std::cmp::Reverse(idx)))
-                            .map(|&(idx, _)| idx),
-                    );
-                }
-                _ => {
-                    table.rtt.push(None);
-                    table.loss.push(None);
-                    table.bandwidth.push(None);
-                    table.transfer_rtt.push(None);
-                    table.transfer_loss.push(None);
-                    table.modal_path.push(None);
-                }
+        let (mut bw, mut t_rtt, mut t_loss) = (Vec::new(), Vec::new(), Vec::new());
+        if !ds.transfers.is_empty() {
+            for acc in [&mut bw, &mut t_rtt, &mut t_loss] {
+                *acc = vec![OnlineStats::new(); n * n];
+            }
+            for t in &ds.transfers {
+                let c = cell(t.src, t.dst);
+                bw[c].push(t.bandwidth_kbps);
+                t_rtt[c].push(t.rtt_ms);
+                t_loss[c].push(t.loss_rate);
             }
         }
-        table
+
+        // A cell counts as measured (an edge of the graph) only when an RTT,
+        // loss or bandwidth summary materialized; an unmeasured cell has no
+        // summary in any column, and no modal path either.
+        let measured = |c: usize| {
+            rtt[c].count() > 0 || loss[c].count() > 0 || bw.get(c).is_some_and(|b| b.count() > 0)
+        };
+        let modal_path = (0..n * n)
+            .map(|c| {
+                let modal = tally_list(&tallies, last_tally[c])
+                    .map(|k| &tallies[k])
+                    .max_by_key(|t| (t.votes, std::cmp::Reverse(t.path)));
+                modal.filter(|_| measured(c)).map(|t| t.path)
+            })
+            .collect();
+        let column = |acc: &[OnlineStats]| -> Vec<Option<Summary>> {
+            if acc.is_empty() {
+                vec![None; n * n]
+            } else {
+                acc.iter().map(OnlineStats::summary).collect()
+            }
+        };
+        PairTable {
+            rtt: column(&rtt),
+            loss: column(&loss),
+            bandwidth: column(&bw),
+            transfer_rtt: column(&t_rtt),
+            transfer_loss: column(&t_loss),
+            modal_path,
+            index,
+            rtt_off,
+            rtt_samples,
+        }
     }
 
     /// Hosts covered, in `Dataset::hosts` order (the table's dense axis).
@@ -592,6 +607,167 @@ mod tests {
                 );
             }
         });
+    }
+
+    /// A summary's fields as bits, so that equality is bit for bit.
+    type SummaryBits = Option<(u64, [u64; 4])>;
+
+    fn summary_bits(s: Option<Summary>) -> SummaryBits {
+        s.map(|s| {
+            let f = [s.mean, s.variance, s.min, s.max].map(f64::to_bits);
+            (s.n, f)
+        })
+    }
+
+    /// One cell of a table, every column as bits: RTT, loss, bandwidth,
+    /// transfer RTT and transfer loss summaries, modal path, RTT samples.
+    type CellBits = ([SummaryBits; 5], Option<u32>, Vec<u64>);
+
+    fn table_bits(t: &PairTable) -> Vec<CellBits> {
+        let n = t.len();
+        (0..n * n)
+            .map(|c| {
+                let (i, j) = (c / n, c % n);
+                let columns = [
+                    t.rtt(i, j),
+                    t.loss(i, j),
+                    t.bandwidth(i, j),
+                    t.transfer_rtt(i, j),
+                    t.transfer_loss(i, j),
+                ];
+                (
+                    columns.map(summary_bits),
+                    t.modal_path_idx(i, j),
+                    t.rtt_samples(i, j).iter().map(|x| x.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// The table of `probes` (a subset of `ds.probes`, in probe order) plus
+    /// every transfer of `ds`, built the obvious way: per cell, filter the
+    /// records, push each statistic, and count the modal path in a
+    /// `HashMap`.
+    fn naive_table_bits(ds: &Dataset, probes: &[&ProbeSample]) -> Vec<CellBits> {
+        let hosts: Vec<HostId> = ds.hosts.iter().map(|h| h.id).collect();
+        let stats = |xs: &mut dyn Iterator<Item = f64>| {
+            let mut acc = OnlineStats::new();
+            xs.for_each(|x| acc.push(x));
+            acc.summary()
+        };
+        let mut out = Vec::new();
+        for &src in &hosts {
+            for &dst in &hosts {
+                let here: Vec<&ProbeSample> = probes
+                    .iter()
+                    .copied()
+                    .filter(|p| (p.src, p.dst) == (src, dst))
+                    .collect();
+                let moved: Vec<_> = ds
+                    .transfers
+                    .iter()
+                    .filter(|t| (t.src, t.dst) == (src, dst))
+                    .collect();
+                let samples: Vec<f64> = here.iter().filter_map(|p| p.rtt_ms).collect();
+                let columns = [
+                    stats(&mut samples.iter().copied()),
+                    stats(&mut here.iter().filter(|p| p.loss_eligible).map(|p| {
+                        if p.lost() {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    })),
+                    stats(&mut moved.iter().map(|t| t.bandwidth_kbps)),
+                    stats(&mut moved.iter().map(|t| t.rtt_ms)),
+                    stats(&mut moved.iter().map(|t| t.loss_rate)),
+                ];
+                let measured = columns[..3].iter().any(Option::is_some);
+                let mut votes: std::collections::HashMap<u32, u32> = Default::default();
+                for p in &here {
+                    *votes.entry(p.path_idx).or_default() += 1;
+                }
+                let modal = votes
+                    .into_iter()
+                    .max_by_key(|&(path, n)| (n, std::cmp::Reverse(path)))
+                    .map(|(path, _)| path)
+                    .filter(|_| measured);
+                out.push((
+                    columns.map(summary_bits),
+                    modal,
+                    samples.iter().map(|x| x.to_bits()).collect(),
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn builds_equal_a_naive_per_cell_build_bit_for_bit() {
+        use detour_prng::Rng;
+        use std::cell::Cell;
+        // How often each shape the build must get right came up.
+        let seen = [(); 6].map(|_| Cell::new(0u32));
+        let [sparse_ids, ineligible, ties, transfer_only, empty_part, no_transfers] = &seen;
+        let bump = |c: &Cell<u32>, hit: bool| c.set(c.get() + u32::from(hit));
+        detour_prng::check::check("naive pair tables", |rng| {
+            let parts = rng.gen_range(1..5u32);
+            let ds = random_dataset(rng, parts);
+            let all: Vec<&ProbeSample> = ds.probes.iter().collect();
+            let full = PairTable::build(&ds);
+            assert_eq!(
+                table_bits(&full),
+                naive_table_bits(&ds, &all),
+                "whole dataset"
+            );
+            for (k, table) in
+                PairTable::build_partitioned(&ds, parts as usize, |p| p.episode.map(|e| e as usize))
+                    .enumerate()
+            {
+                let only: Vec<&ProbeSample> = all
+                    .iter()
+                    .copied()
+                    .filter(|p| p.episode == Some(k as u32))
+                    .collect();
+                assert_eq!(table_bits(&table), naive_table_bits(&ds, &only), "part {k}");
+                bump(empty_part, only.is_empty());
+            }
+
+            let n = full.len();
+            bump(sparse_ids, ds.hosts.iter().any(|h| h.id.0 as usize >= n));
+            bump(ineligible, ds.probes.iter().any(|p| !p.loss_eligible));
+            bump(no_transfers, ds.transfers.is_empty());
+            bump(
+                transfer_only,
+                ds.transfers
+                    .iter()
+                    .any(|t| !ds.probes.iter().any(|p| (p.src, p.dst) == (t.src, t.dst))),
+            );
+            let tied = full.measured_pairs().any(|(i, j)| {
+                let mut votes = [0u32; 3];
+                for p in &ds.probes {
+                    if (full.host_index(p.src), full.host_index(p.dst)) == (Some(i), Some(j)) {
+                        votes[p.path_idx as usize] += 1;
+                    }
+                }
+                let top = *votes.iter().max().unwrap();
+                top > 0 && votes.iter().filter(|&&v| v == top).count() > 1
+            });
+            bump(ties, tied);
+        });
+        for (name, c) in [
+            "sparse ids",
+            "ineligible",
+            "ties",
+            "transfer-only",
+            "empty part",
+            "no transfers",
+        ]
+        .iter()
+        .zip(&seen)
+        {
+            assert!(c.get() > 0, "no case had {name}");
+        }
     }
 
     #[test]

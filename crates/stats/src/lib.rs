@@ -38,7 +38,7 @@ pub mod ttest;
 
 pub use autocorr::{autocorrelation, effective_sample_size};
 pub use ci::ConfidenceInterval;
-pub use convolve::SampleDist;
+pub use convolve::BinCounts;
 pub use edf::Cdf;
 pub use quantile::{percentile, quantile};
 pub use summary::{OnlineStats, Summary};

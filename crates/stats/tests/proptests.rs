@@ -4,10 +4,15 @@
 use detour_prng::check::check;
 use detour_prng::{Rng, Xoshiro256pp};
 use detour_stats::ci::MeanEstimate;
-use detour_stats::convolve::SampleDist;
+use detour_stats::convolve::BinCounts;
 use detour_stats::quantile::{median, quantile};
 use detour_stats::tdist::{t_cdf, t_quantile};
 use detour_stats::{Cdf, OnlineStats, Summary};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+#[path = "support/float_convolution.rs"]
+mod float_convolution;
+use float_convolution::SampleDist;
 
 fn samples(rng: &mut Xoshiro256pp) -> Vec<f64> {
     let n = rng.gen_range(1..60usize);
@@ -97,27 +102,65 @@ fn cdf_fraction_above_complements() {
     });
 }
 
+/// One leg of a two-hop path: 1–40 samples spread over `0..500`, or a
+/// single sample, or every sample in one bin, or whole numbers from a small
+/// range (so that running counts often land exactly on half the total).
+fn leg(rng: &mut Xoshiro256pp, width: f64) -> Vec<f64> {
+    let n = rng.gen_range(1..40usize);
+    match rng.gen_range(0..4u32) {
+        0 => (0..n).map(|_| rng.gen_range(0.0..500.0f64)).collect(),
+        1 => vec![rng.gen_range(0.0..500.0f64)],
+        2 => {
+            let bin = rng.gen_range(0..100u32) as f64 * width;
+            (0..n).map(|_| bin + rng.gen_range(0.0..width)).collect()
+        }
+        _ => (0..n)
+            .map(|_| rng.gen_range(0..6u32) as f64 * 4.0)
+            .collect(),
+    }
+}
+
 #[test]
-fn convolution_conserves_mass_and_adds_means() {
-    check("convolution_conserves_mass_and_adds_means", |rng| {
-        let gen_vec = |rng: &mut Xoshiro256pp| {
-            let n = rng.gen_range(1..40usize);
-            (0..n)
-                .map(|_| rng.gen_range(0.0..500.0f64))
-                .collect::<Vec<_>>()
-        };
-        let (xs, ys) = (gen_vec(rng), gen_vec(rng));
-        let a = SampleDist::from_samples(&xs, 2.0).unwrap();
-        let b = SampleDist::from_samples(&ys, 2.0).unwrap();
-        let c = a.convolve(&b);
-        assert!((c.total_mass() - 1.0).abs() < 1e-6);
-        // Means add within discretization slack (two bin widths).
-        assert!((c.mean() - (a.mean() + b.mean())).abs() < 4.0);
-        // Median of the sum is within the supports' sum.
-        let max_sum =
-            xs.iter().fold(0.0f64, |m, &v| m.max(v)) + ys.iter().fold(0.0f64, |m, &v| m.max(v));
-        assert!(c.median() <= max_sum + 4.0);
+fn prefix_count_median_is_exact() {
+    let exact_halves = AtomicUsize::new(0);
+    check("prefix_count_median_is_exact", |rng| {
+        let width = [0.5, 1.0, 2.0, 4.0][rng.gen_range(0..4usize)];
+        let (xs, ys) = (leg(rng, width), leg(rng, width));
+        let (a, b) = (
+            BinCounts::from_samples(&xs, width).unwrap(),
+            BinCounts::from_samples(&ys, width).unwrap(),
+        );
+        let (got, _) = a.median_of_sum(&b);
+
+        let oracle = SampleDist::from_samples(&xs, width)
+            .unwrap()
+            .convolve(&SampleDist::from_samples(&ys, width).unwrap())
+            .median();
+        assert_eq!(got.to_bits(), oracle.to_bits(), "float convolution");
+
+        // Every binned pairwise sum, sorted: the median bin is the first
+        // whose running count reaches half of them.
+        let origin =
+            |v: &[f64]| (v.iter().copied().fold(f64::INFINITY, f64::min) / width).floor() * width;
+        let bin = |x: f64, o: f64| ((x - o) / width).floor() as usize;
+        let (oa, ob) = (origin(&xs), origin(&ys));
+        let mut sums: Vec<usize> = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| (x, y)))
+            .map(|(x, y)| bin(x, oa) + bin(y, ob))
+            .collect();
+        sums.sort_unstable();
+        let k = sums[sums.len().div_ceil(2) - 1];
+        if sums.len().is_multiple_of(2) && sums[sums.len() / 2] != k {
+            exact_halves.fetch_add(1, Ordering::Relaxed);
+        }
+        let brute = oa + ob + (k as f64 + 0.5) * width;
+        assert_eq!(got.to_bits(), brute.to_bits(), "brute force");
     });
+    assert!(
+        exact_halves.into_inner() > 0,
+        "no case put exactly half of the sums at or below the median bin"
+    );
 }
 
 #[test]
@@ -126,12 +169,8 @@ fn t_quantile_inverts_cdf() {
         let p = rng.gen_range(0.01..0.99f64);
         let df = rng.gen_range(1.0..1e4f64);
         let t = t_quantile(p, df);
-        // Near the centre t_cdf itself resolves p no finer than about
-        // 5e-17 · ν / |t|: it rounds x = ν / (ν + t²), which sits within
-        // t² / ν of 1. Elsewhere the bound is 1e-12.
-        let tol = 1e-12 + 1e-16 * df / t.abs();
         let resid = (t_cdf(t, df) - p).abs();
-        assert!(resid < tol, "df={df} p={p}: |t_cdf(t) − p| = {resid:e}");
+        assert!(resid < 1e-12, "df={df} p={p}: |t_cdf(t) − p| = {resid:e}");
     });
 }
 
