@@ -9,24 +9,26 @@
 //! The pipeline records its own spans and counters (`net/*`, `dataset/*`,
 //! `cache/*`, `context/*`, `kernel/*`, `engine/*`, `experiment/*`,
 //! `pool/*`); this binary adds `baseline/*` spans around its phases, and
-//! `baseline/*` gauges for the values no span or counter carries. The
-//! whole run is at one worker except the extra passes of step 5:
+//! `baseline/*` gauges for the values no span or counter carries. Its
+//! workload is the canonical run ([`canonical::run`] at full scale over
+//! every registry entry, as `figures all` makes it), at one worker except
+//! in the extra passes of step 5:
 //!
-//! 1. **Cold start.** The trace cache under `results/cache/` is purged and
-//!    the eight paper datasets are generated once. The pipeline's
-//!    `net/build`, `net/routing`, `dataset/campaign` and
-//!    `dataset/assemble` spans split the generation time.
+//! 1. **Cold phase.** The trace cache under `results/cache/` is purged and
+//!    the canonical run generates the eight paper datasets, runs every
+//!    experiment and writes every `results/<id>.txt`
+//!    (`baseline/canonical_cold`).
 //! 2. **SCALE load.** The 128-host [`detour_bench::scale`] dataset is
 //!    generated into the cache (`baseline/scale_load_cold`), then decoded
 //!    warm, best of three (`baseline/scale_load_warm`).
-//! 3. **One pass** ([`pass`]): a warm engine run (cache load, [`Study`]
-//!    construction, every paper experiment through [`run_all`]), a fixed
-//!    measurement campaign, and the batched best-alternate sweep on SCALE.
-//! 4. **The Figure-12 greedy host removal**, at one worker.
+//! 3. **One pass** ([`pass`]): the canonical run again on the primed cache
+//!    (`baseline/canonical_warm`), a fixed measurement campaign, and the
+//!    batched best-alternate sweep on SCALE.
+//! 4. **The SCALE digests.** The pass's RTT sweep and a loss sweep, under a
+//!    scoped recorder, hash to pinned values.
 //! 5. **Multi-core hosts only:** the pass again at 2, 4 and all-cores
-//!    workers, each under its own scoped recorder. The report therefore
-//!    describes exactly one 1-worker pass on any host, and its counters do
-//!    not depend on the core count.
+//!    workers, each under its own scoped recorder, so the report's
+//!    counters do not depend on the core count.
 //!
 //! The committed report is the run's expectation: it is read before the
 //! run starts, and overwritten only by a run that matches it. Every gate
@@ -38,9 +40,11 @@
 //!   not compared). A run that differs writes its report to
 //!   `results/obs_report.new.json` and leaves the committed one as it is,
 //!   so the gate fails until the new report is moved into place;
-//! * reports, campaign output, sweep output and the pass's counters are
-//!   identical across worker counts (the golden suite pins the report
-//!   bytes themselves);
+//! * the warm reports equal the cold ones byte for byte (the trace cache's
+//!   round trip at full scale), and reports, campaign output, sweep output
+//!   and the pass's counters are identical across worker counts
+//!   (`scripts/verify.sh` then diffs `results/*.txt` with the committed
+//!   reports);
 //! * the SCALE RTT and loss sweeps' outputs hash to
 //!   [`SCALE_SWEEP_DIGESTS`], which pin tie-breaks no counter sees;
 //! * on a multi-core host, two workers beat one by ≥ 1.2× end to end and
@@ -52,9 +56,9 @@ use std::fmt::Display;
 use std::path::Path;
 use std::process::exit;
 
-use detour_bench::experiments::{run_all, ALL_EXPERIMENTS};
-use detour_bench::{cache, scale as scale_workload, Bundle, Study};
-use detour_core::analysis::hostremoval::greedy_removal;
+use detour_bench::canonical::{self, CACHE_DIR};
+use detour_bench::experiments::REGISTRY;
+use detour_bench::{cache, scale as scale_workload};
 use detour_core::{
     kernel, pool, AnalysisContext, Loss, PathComparison, Rtt, SearchDepth, WeightMatrix,
 };
@@ -64,13 +68,6 @@ use detour_measure::{run_campaign, CampaignConfig, RawMeasurements, Request, Sch
 use detour_netsim::Network;
 use detour_obs::{Recorder, RunReport};
 use detour_prng::Xoshiro256pp;
-
-/// The benchmark scale: big enough that stage timings dominate the timer
-/// granularity, small enough to keep the baseline quick.
-const SCALE: (usize, u32) = (10, 16);
-
-/// Where the trace cache lives (matches the `figures` binary).
-const CACHE_DIR: &str = "results/cache";
 
 /// Where the report lands, and the run's expectation.
 const OBS_REPORT_PATH: &str = "results/obs_report.json";
@@ -87,10 +84,6 @@ const SCALE_SWEEP_DIGESTS: [(&str, u64); 2] = [
     ("rtt", 0x720f_a529_49cb_ea59),
     ("loss", 0xa6f9_e951_5dd2_cbd1),
 ];
-
-fn scale() -> Scale {
-    Scale::reduced(SCALE.0, SCALE.1)
-}
 
 /// Prints a gate failure and exits 1.
 fn fail(msg: &str) -> ! {
@@ -148,12 +141,12 @@ fn expectation_diff(committed: &RunReport, now: &RunReport) -> Vec<String> {
     out
 }
 
-/// A fixed campaign workload: one reduced 1999 network and a
-/// pairwise-exponential request list, both independent of the worker
-/// count.
+/// A fixed campaign workload: one reduced 1999 network (UW3's at 10
+/// hosts and 1/16 of its time) and a pairwise-exponential request list,
+/// both independent of the worker count.
 fn campaign_workload() -> (Network, Vec<Request>) {
     let spec = detour_datasets::uw3::spec();
-    let net = detour_datasets::build_network(&spec, scale());
+    let net = detour_datasets::build_network(&spec, Scale::reduced(10, 16));
     let hosts: Vec<_> = net.hosts().iter().take(10).map(|h| h.id).collect();
     let requests = Schedule::PairwiseExponential { mean_s: 6.0 }.generate(
         &hosts,
@@ -176,21 +169,23 @@ struct Pass {
     sweep_secs: f64,
 }
 
+/// The canonical run over every registry entry, timed under `span`.
+fn canonical_run(span: &str) -> (Vec<String>, f64) {
+    let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+    detour_obs::current().time(span, || {
+        canonical::run(Scale::full(), &ids).unwrap_or_else(|e| fail(&e.to_string()))
+    })
+}
+
 /// One pass at the current worker count, recorded into the current
-/// recorder: a warm engine run (cache load, contexts, every experiment),
-/// the fixed campaign, and the batched sweep on the SCALE matrix. It sets
-/// the `baseline/scale_sweep_{fixups,avoided}` gauges to the sweep's
-/// split.
-fn pass(dir: &Path, (net, requests): &(Network, Vec<Request>), m: &WeightMatrix) -> Pass {
+/// recorder: the warm canonical run (cache load, contexts, every
+/// experiment, the written reports), the fixed campaign, and the batched
+/// sweep on the SCALE matrix. It sets the
+/// `baseline/scale_sweep_{fixups,avoided}` gauges to the sweep's split.
+fn pass((net, requests): &(Network, Vec<Request>), m: &WeightMatrix) -> Pass {
     let rec = detour_obs::current();
     let start = rec.snapshot();
-    let (bundle, load) = rec.time("baseline/warm_load", || {
-        Bundle::generate_cached(scale(), dir).expect("trace cache")
-    });
-    let (study, context) = rec.time("baseline/warm_context", || Study::from_bundle(bundle));
-    let (reports, experiments) = rec.time("baseline/warm_experiments", || {
-        run_all(&study, ALL_EXPERIMENTS)
-    });
+    let (reports, engine_secs) = canonical_run("baseline/canonical_warm");
     let (campaign, campaign_secs) = rec.time("baseline/campaign", || {
         run_campaign(
             net,
@@ -218,7 +213,7 @@ fn pass(dir: &Path, (net, requests): &(Network, Vec<Request>), m: &WeightMatrix)
         campaign,
         sweep,
         counters,
-        engine_secs: load + context + experiments,
+        engine_secs,
         campaign_secs,
         sweep_secs,
     }
@@ -240,11 +235,10 @@ fn main() {
     rec.set_gauge("baseline/cores", cores as f64);
     pool::set_threads(1);
 
-    // Cold start: purge the trace cache and generate every dataset once.
+    // Cold phase: purge the trace cache, then the canonical run generates
+    // every dataset and writes every report.
     cache::purge(cache_dir).expect("purge trace cache");
-    rec.time("baseline/cold_generate", || {
-        Bundle::generate_cached(scale(), cache_dir).expect("cold generate")
-    });
+    let (cold, _) = canonical_run("baseline/canonical_cold");
 
     // The purge wiped the SCALE entry too, so the first load generates it;
     // the warm row times the `.trace2` decode alone.
@@ -269,7 +263,10 @@ fn main() {
     let scale_m = scale_cx.weights(&Rtt);
     let camp = campaign_workload();
 
-    let one = pass(cache_dir, &camp, scale_m);
+    let one = pass(&camp, scale_m);
+    if one.reports != cold {
+        fail("warm reports differ from the cold run's");
+    }
     // The loss sweep runs under a scoped recorder, so the report keeps the
     // counters of the one pass.
     let loss = {
@@ -285,14 +282,6 @@ fn main() {
         }
     }
 
-    // The Figure-12 greedy host removal, each removal a vertex ban on the
-    // kept trees: five removals from a 20-host UW3, at one worker.
-    let fig12_ds = detour_datasets::DatasetId::Uw3.generate_scaled(20, 16);
-    let fig12_cx = AnalysisContext::from_dataset(&fig12_ds);
-    rec.time("baseline/fig12_masked_kernel", || {
-        greedy_removal(&fig12_cx, &Rtt, 5)
-    });
-
     // On a multi-core host, repeat the pass at more workers, each under a
     // scoped recorder so the report keeps exactly one 1-worker pass. The
     // 2-worker speedups: (gauge suffix, minimum, measured).
@@ -305,20 +294,16 @@ fn main() {
             pool::set_threads(n);
             let p = {
                 let _scope = detour_obs::install(Recorder::new());
-                pass(cache_dir, &camp, scale_m)
+                pass(&camp, scale_m)
             };
-            if p.reports != one.reports {
-                fail(&format!("reports at {n} workers differ from 1 worker"));
-            }
-            if p.campaign != one.campaign {
-                fail(&format!(
-                    "campaign output at {n} workers differs from 1 worker"
-                ));
-            }
-            if p.sweep != one.sweep {
-                fail(&format!(
-                    "scale_sweep output at {n} workers differs from 1 worker"
-                ));
+            for (what, same) in [
+                ("reports", p.reports == one.reports),
+                ("campaign output", p.campaign == one.campaign),
+                ("scale_sweep output", p.sweep == one.sweep),
+            ] {
+                if !same {
+                    fail(&format!("{what} at {n} workers differ from 1 worker"));
+                }
             }
             if p.counters != one.counters {
                 fail(&format!(

@@ -9,37 +9,31 @@
 //! cargo run -p detour-bench --release --bin figures -- --fresh --scaled all
 //! ```
 //!
-//! Ids are the entries of [`REGISTRY`]; `all` (or no id) runs
-//! every entry in registry order. Every requested id goes through one
-//! engine call ([`run_all`]).
+//! Ids are the entries of [`REGISTRY`]; `all` (or no id) runs every entry
+//! in registry order. `--threads N` sets the engine's worker count (0 or
+//! absent = one per core); output is bit-identical at any setting. `--seed
+//! S` regenerates the whole study on a different simulated Internet (S = 0
+//! is the canonical run). An unknown id or flag, or a value flag given
+//! twice, exits with status 2.
 //!
-//! `--threads N` sets the experiment engine's worker count (0 or absent =
-//! one worker per core); output is bit-identical at any setting. `--seed S`
-//! regenerates the whole study on a different simulated Internet (S = 0 is
-//! the canonical run). An unknown id or flag, or a value flag given twice,
-//! exits with status 2.
-//!
-//! Datasets come from the trace cache under `results/cache/`: the first
-//! run at a given (seed, scale) simulates and saves, later runs load the
-//! saved traces and skip the simulator entirely (the round-trip is
-//! lossless, so reports are byte-identical either way). `--fresh` purges
-//! the cache first.
-//!
-//! Reports go to stdout. The canonical run (full scale, seed 0) also writes
-//! each to `results/<id>.txt`, the committed reports; any other run leaves
-//! `results/` alone and says so on stderr. A cache directory or results
-//! path the run cannot use (unreadable, or a regular file where a directory
-//! belongs) is reported with its I/O error and exits with status 1.
+//! Every run goes through [`canonical::run`]: the datasets come from the
+//! trace cache under `results/cache/` (the first run at a given seed and
+//! scale simulates and saves, later runs load the lossless traces;
+//! `--fresh` purges the cache first), and the reports go to stdout. The
+//! canonical run (full scale, seed 0), the one the `baseline` binary times,
+//! also writes each to `results/<id>.txt`, the committed reports; any other
+//! run leaves `results/` alone and says so on stderr. A cache or results
+//! path the run cannot use is reported with its I/O error and exits with
+//! status 1.
 
-use std::fs;
 use std::path::Path;
 use std::process::exit;
 
-use detour_bench::experiments::{run_all, REGISTRY};
-use detour_bench::{cache, Bundle, Study};
+use detour_bench::cache;
+use detour_bench::canonical::{self, CACHE_DIR};
+use detour_bench::experiments::REGISTRY;
 use detour_core::pool;
 use detour_datasets::Scale;
-use detour_obs::Recorder;
 
 fn parse_flag(args: &mut Vec<String>, name: &str) -> Option<u64> {
     let i = args.iter().position(|a| a == name)?;
@@ -60,9 +54,9 @@ fn parse_flag(args: &mut Vec<String>, name: &str) -> Option<u64> {
 }
 
 /// Reports an I/O failure on the cache or results path and exits 1.
-fn fail(what: &str, path: &Path, e: std::io::Error) -> ! {
-    eprintln!("figures: cannot {what} {}: {e}", path.display());
-    exit(1);
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("figures: {msg}");
+    exit(1)
 }
 
 fn main() {
@@ -94,59 +88,44 @@ fn main() {
         exit(2);
     }
 
-    let cache_dir = Path::new("results/cache");
     if fresh {
-        let removed = cache::purge(cache_dir).unwrap_or_else(|e| fail("purge", cache_dir, e));
-        eprintln!(
-            "purged {removed} cached trace(s) from {}",
-            cache_dir.display()
-        );
+        let removed = cache::purge(Path::new(CACHE_DIR))
+            .unwrap_or_else(|e| fail(format!("cannot purge {CACHE_DIR}: {e}")));
+        eprintln!("purged {removed} cached trace(s) from {CACHE_DIR}");
     }
 
+    let scale = if scaled {
+        Scale::reduced(12, 8)
+    } else {
+        Scale::full()
+    }
+    .with_seed_offset(seed);
     eprintln!(
         "loading the eight datasets at {} scale (seed offset {seed}, {} worker{})...",
         if scaled { "reduced" } else { "full paper" },
         pool::threads(),
         if pool::threads() == 1 { "" } else { "s" },
     );
-    // One recorder for the whole run: pool workers inherit it, and the
-    // cache/engine layers report their counters through it.
-    let rec = Recorder::new();
-    let _obs = detour_obs::install(rec.clone());
-    let (bundle, load_secs) = rec.time("figures/load", || {
-        let scale = if scaled {
-            Scale::reduced(12, 8)
-        } else {
-            Scale::full()
-        };
-        Bundle::generate_cached(scale.with_seed_offset(seed), cache_dir)
-            .unwrap_or_else(|e| fail("use the trace cache", cache_dir, e))
-    });
+    // Pool workers inherit the recorder; the cache and engine layers report
+    // through it.
+    let rec = detour_obs::current();
+    let (reports, secs) = rec.time("figures/run", || canonical::run(scale, &ids));
+    let reports = reports.unwrap_or_else(|e| fail(e));
+    let load_secs = rec.snapshot().spans["cache/load"].seconds;
     eprintln!(
-        "datasets ready in {load_secs:.1}s ({} cached, {} generated)",
+        "datasets ready in {load_secs:.1}s ({} cached, {} generated); \
+         {} experiment(s) done in {:.1}s",
         rec.counter("cache/hits"),
         rec.counter("cache/misses"),
+        ids.len(),
+        secs - load_secs,
     );
-    let study = Study::from_bundle(bundle);
-
-    // Every id runs through the parallel engine: prebuilt shared
-    // artifacts, one `experiment/<id>` span each, request-ordered reports.
-    let (reports, engine_secs) = rec.time("figures/engine", || run_all(&study, &ids));
-    eprintln!("[{} experiment(s) done in {engine_secs:.1}s]", ids.len());
-
     for report in &reports {
         println!("{report}");
     }
-    if scaled || seed != 0 {
+    if scale != Scale::full() {
         eprintln!(
             "results/ left alone: only the full-scale seed-0 run writes the committed reports"
         );
-        return;
-    }
-    let results = Path::new("results");
-    fs::create_dir_all(results).unwrap_or_else(|e| fail("create", results, e));
-    for (id, report) in ids.iter().zip(reports) {
-        let path = results.join(format!("{id}.txt"));
-        fs::write(&path, &report).unwrap_or_else(|e| fail("write", &path, e));
     }
 }

@@ -95,16 +95,10 @@ pub(crate) fn probe_cached(dir: &Path, name: &str, scale: Scale) -> std::io::Res
 
 /// The quarantine destination for a corrupt cache file: the original path
 /// with `.quarantined` appended.
-pub fn quarantined_path(original: &Path) -> PathBuf {
+fn quarantined_path(original: &Path) -> PathBuf {
     let mut p = original.as_os_str().to_os_string();
     p.push(".quarantined");
     PathBuf::from(p)
-}
-
-/// The quarantine destination for the binary cache entry of one dataset:
-/// `{key}.trace2.quarantined`, next to the original.
-pub fn quarantine_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
-    quarantined_path(&cache_path(dir, name, scale))
 }
 
 impl Bundle {
@@ -250,7 +244,7 @@ mod tests {
             again.uw3, reference.uw3,
             "regeneration restores the dataset"
         );
-        let corpse = quarantine_path(&dir, "UW3", scale);
+        let corpse = quarantined_path(&cache_path(&dir, "UW3", scale));
         assert_eq!(
             std::fs::read(&corpse).unwrap(),
             bad,
@@ -282,7 +276,7 @@ mod tests {
             again.uw3, reference.uw3,
             "regeneration restores the dataset"
         );
-        assert!(quarantine_path(&dir, "UW3", scale).exists());
+        assert!(quarantined_path(&cache_path(&dir, "UW3", scale)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -331,7 +325,7 @@ mod tests {
         let scale = Scale::reduced(8, 24);
         run_cached(scale, &dir);
         // A quarantined corpse must go too; a foreign file stays.
-        std::fs::write(quarantine_path(&dir, "UW1", scale), b"corpse").unwrap();
+        std::fs::write(quarantined_path(&cache_path(&dir, "UW1", scale)), b"corpse").unwrap();
         std::fs::write(dir.join("notes.txt"), b"not a cache entry").unwrap();
         assert_eq!(purge(&dir).unwrap(), 9);
         assert!(dir.join("notes.txt").exists());

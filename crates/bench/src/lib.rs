@@ -1,9 +1,11 @@
 //! # detour-bench
 //!
 //! The benchmark crate: regenerates every table and figure of the paper
-//! (the `figures` binary) and times the pipeline (the `baseline` binary,
-//! whose only output is its `detour-obs` report).
+//! (the `figures` binary) and times and gates that same run (the
+//! `baseline` binary, which adds its `detour-obs` report).
 //!
+//! * [`canonical`] — the one run both binaries make: trace cache, study,
+//!   engine, and at full scale the committed `results/<id>.txt`;
 //! * [`bundle`] — generates the eight Table-1 datasets, sharing simulations
 //!   between siblings (D2/D2-NA, N2/N2-NA, UW4-A/UW4-B);
 //! * [`cache`] — the on-disk trace cache: generated datasets round-trip
@@ -31,6 +33,7 @@
 
 pub mod bundle;
 pub mod cache;
+pub mod canonical;
 pub mod experiments;
 pub mod extras;
 pub mod render;

@@ -42,11 +42,6 @@ impl Study {
         Study { contexts }
     }
 
-    /// Builds the study from a borrowed bundle (clones each dataset once).
-    pub fn new(bundle: &Bundle) -> Study {
-        Study::from_bundle(bundle.clone())
-    }
-
     /// The context for one dataset.
     pub fn ctx(&self, id: DatasetId) -> &AnalysisContext {
         // `DatasetId` declares its variants in `DatasetId::all()` order.
@@ -65,7 +60,7 @@ mod tests {
     use detour_datasets::Scale;
 
     #[test]
-    fn table_order_matches_bundle_order() {
+    fn ctx_and_table_order_match_the_bundle() {
         let b = Bundle::generate(Scale::reduced(8, 24));
         let names: Vec<String> = b
             .in_table_order()
@@ -73,17 +68,12 @@ mod tests {
             .map(|ds| ds.name.clone())
             .collect();
         let s = Study::from_bundle(b);
-        let ctx_names: Vec<String> = s
+        let ctx_names: Vec<&str> = s
             .in_table_order()
             .iter()
-            .map(|cx| cx.dataset().name.clone())
+            .map(|cx| cx.dataset().name.as_str())
             .collect();
         assert_eq!(names, ctx_names);
-    }
-
-    #[test]
-    fn ctx_returns_the_named_dataset() {
-        let s = Study::from_bundle(Bundle::generate(Scale::reduced(8, 24)));
         for id in DatasetId::all() {
             assert_eq!(s.ctx(id).dataset().name, id.name(), "{id:?}");
         }

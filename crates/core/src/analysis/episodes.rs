@@ -32,12 +32,31 @@ pub struct EpisodeAnalysis {
     pub episodes: usize,
 }
 
-/// Distinct episode indices in a dataset, ascending.
+/// Distinct episode indices in a dataset, ascending. Probes arrive in
+/// episode runs, so each run contributes one id before the sort.
 pub fn episode_ids(ds: &Dataset) -> Vec<u32> {
-    let mut ids: Vec<u32> = ds.probes.iter().filter_map(|p| p.episode).collect();
+    let mut ids: Vec<u32> = ds
+        .probes
+        .chunk_by(|a, b| a.episode == b.episode)
+        .filter_map(|run| run[0].episode)
+        .collect();
     ids.sort_unstable();
     ids.dedup();
     ids
+}
+
+/// A probe's slot in `ids` (ascending, from [`episode_ids`]). The last
+/// episode's slot is remembered, so the search runs only when the episode
+/// changes.
+fn episode_slot(ids: &[u32]) -> impl FnMut(&ProbeSample) -> Option<usize> + '_ {
+    let mut last = None;
+    move |p| {
+        let e = p.episode?;
+        if last.map(|(was, _)| was) != Some(e) {
+            last = Some((e, ids.binary_search(&e).ok()?));
+        }
+        last.map(|(_, slot)| slot)
+    }
 }
 
 /// Runs the Figure-11 analysis: `episodic` must be the UW4-A-style
@@ -63,8 +82,7 @@ pub fn analyze(
     let n = episodic.table().len();
     // Each pair's improvements, in episode order, per `i * n + j` cell.
     let mut per_pair: Vec<Vec<f64>> = vec![Vec::new(); n * n];
-    let part = |p: &ProbeSample| ids.binary_search(&p.episode?).ok();
-    for t in PairTable::build_partitioned(ds, ids.len(), part) {
+    for t in PairTable::build_partitioned(ds, ids.len(), episode_slot(&ids)) {
         for cmp in compare_graph(&t, metric, SearchDepth::Unrestricted) {
             let i = t.host_index(cmp.pair.src).expect("pair host");
             let j = t.host_index(cmp.pair.dst).expect("pair host");
@@ -117,6 +135,26 @@ mod tests {
         assert_eq!(ids.len(), 40);
         assert_eq!(ids[0], 0);
         assert_eq!(*ids.last().unwrap(), 39);
+    }
+
+    #[test]
+    fn interleaved_episodes_find_their_own_slots() {
+        // Episodes 3, 1, 3, 2: a slot cached from the first 3 must not
+        // answer for the 1, nor the 1's for the second 3.
+        let mut b = Dataset::builder("E");
+        b.hosts(2).duration(1_000.0);
+        for (i, ep) in [3u32, 3, 1, 3, 2, 2].into_iter().enumerate() {
+            b.probe_with(0, 1, i as f64, Some(10.0), |p| p.episode = Some(ep));
+        }
+        b.probe(0, 1, 9.0, Some(10.0));
+        let ds = b.build().unwrap();
+        let ids = episode_ids(&ds);
+        assert_eq!(ids, [1, 2, 3]);
+        let slots: Vec<Option<usize>> = ds.probes.iter().map(episode_slot(&ids)).collect();
+        assert_eq!(
+            slots,
+            [Some(2), Some(2), Some(0), Some(2), Some(1), Some(1), None]
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub struct DatasetSpec {
 }
 
 /// Scaling for fast tests/examples: fewer hosts, shorter trace.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Override host count (`None` keeps the spec's).
     pub n_hosts: Option<usize>,

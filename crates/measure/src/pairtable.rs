@@ -150,9 +150,9 @@ impl PairTable {
     /// [`PairTable::build`] of a copy of `ds` holding only that part's
     /// probes.
     ///
-    /// `key` runs once per probe: a counting pass sizes one shared
-    /// index array (each part's probe indices, in probe order), and a
-    /// scatter pass fills it. The split reads each probe once and each
+    /// `key` runs once per probe, in probe order: a counting pass sizes
+    /// one shared index array (each part's probe indices, in probe order),
+    /// and a scatter pass fills it. The split reads each probe once and each
     /// part's build reads its own probes twice, so the whole partition
     /// reads at most three probes per probe of `ds`, however many parts
     /// there are.
@@ -162,7 +162,7 @@ impl PairTable {
     pub fn build_partitioned<'a>(
         ds: &'a Dataset,
         parts: usize,
-        key: impl Fn(&ProbeSample) -> Option<usize>,
+        mut key: impl FnMut(&ProbeSample) -> Option<usize>,
     ) -> impl ExactSizeIterator<Item = PairTable> + 'a {
         const NONE: u32 = u32::MAX;
         let mut keys: Vec<u32> = Vec::with_capacity(ds.probes.len());

@@ -258,20 +258,6 @@ impl Network {
             .map(|f| &f.withdrawals[src.0 as usize * self.n_as + dst.0 as usize])
     }
 
-    /// Total injected (link, router, withdrawal) episodes across all
-    /// entities — `(0, 0, 0)` without faults. Diagnostics for chaos tests
-    /// and degraded reports.
-    pub fn fault_episode_counts(&self) -> (usize, usize, usize) {
-        match &self.faults {
-            None => (0, 0, 0),
-            Some(f) => (
-                f.link_down.iter().map(|s| s.episode_count()).sum(),
-                f.router_down.iter().map(|s| s.episode_count()).sum(),
-                f.withdrawals.iter().map(|s| s.episode_count()).sum(),
-            ),
-        }
-    }
-
     /// Resolves the forward router path from `src` to `dst` hosts at time
     /// `t`, honoring any active flap episode at the source AS.
     ///
@@ -461,6 +447,19 @@ mod tests {
 
     fn net() -> Network {
         Network::generate(&NetworkConfig::for_era(Era::Y1999, 77, 7.0))
+    }
+
+    /// Total injected (link, router, withdrawal) episodes across all
+    /// entities — `(0, 0, 0)` without faults.
+    fn fault_episode_counts(n: &Network) -> (usize, usize, usize) {
+        match &n.faults {
+            None => (0, 0, 0),
+            Some(f) => (
+                f.link_down.iter().map(|s| s.episode_count()).sum(),
+                f.router_down.iter().map(|s| s.episode_count()).sum(),
+                f.withdrawals.iter().map(|s| s.episode_count()).sum(),
+            ),
+        }
     }
 
     #[test]
@@ -694,7 +693,7 @@ mod tests {
     #[test]
     fn benign_config_builds_no_fault_tables() {
         let n = net();
-        assert_eq!(n.fault_episode_counts(), (0, 0, 0));
+        assert_eq!(fault_episode_counts(&n), (0, 0, 0));
         assert!(n.withdrawal_schedule(AsId(0), AsId(1)).is_none());
     }
 
@@ -733,7 +732,7 @@ mod tests {
         cfg.faults.link.mtbf_s = 6.0 * 3600.0;
         cfg.faults.link.mttr_s = 3600.0;
         let n = Network::generate(&cfg);
-        let (l, r, w) = n.fault_episode_counts();
+        let (l, r, w) = fault_episode_counts(&n);
         assert!(l > 0, "high link failure rate must produce episodes");
         assert_eq!((r, w), (0, 0), "only links were enabled");
 
@@ -770,7 +769,7 @@ mod tests {
         cfg.faults.withdraw.mtbf_s = 12.0 * 3600.0;
         cfg.faults.withdraw.mttr_s = 1800.0;
         let n = Network::generate(&cfg);
-        let (_, _, w) = n.fault_episode_counts();
+        let (_, _, w) = fault_episode_counts(&n);
         assert!(w > 0);
 
         let hosts: Vec<HostId> = n.hosts().iter().map(|h| h.id).collect();
@@ -809,7 +808,7 @@ mod tests {
         detour_pool::set_threads(8);
         let b = Network::generate(&cfg);
         detour_pool::set_threads(0);
-        assert_eq!(a.fault_episode_counts(), b.fault_episode_counts());
+        assert_eq!(fault_episode_counts(&a), fault_episode_counts(&b));
         let (s, d) = (a.hosts()[0].id, a.hosts()[9].id);
         for hour in 0..(7 * 24) {
             let t = SimTime::from_hours(hour as f64);

@@ -17,19 +17,9 @@ impl SimTime {
     /// Trace start.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// Builds from whole days.
-    pub fn from_days(days: f64) -> SimTime {
-        SimTime(days * 86_400.0)
-    }
-
     /// Builds from hours.
     pub fn from_hours(hours: f64) -> SimTime {
         SimTime(hours * 3_600.0)
-    }
-
-    /// Seconds since trace start.
-    pub fn as_secs(&self) -> f64 {
-        self.0
     }
 
     /// Time advanced by `secs`.
@@ -85,11 +75,11 @@ mod tests {
     #[test]
     fn saturday_is_weekend() {
         let c = Calendar;
-        let saturday_noon = SimTime::from_days(5.5);
+        let saturday_noon = SimTime::from_hours(5.5 * 24.0);
         assert_eq!(c.day_kind(saturday_noon, 0), DayKind::Weekend);
-        let sunday = SimTime::from_days(6.1);
+        let sunday = SimTime::from_hours(6.1 * 24.0);
         assert_eq!(c.day_kind(sunday, 0), DayKind::Weekend);
-        let monday2 = SimTime::from_days(7.2);
+        let monday2 = SimTime::from_hours(7.2 * 24.0);
         assert_eq!(c.day_kind(monday2, 0), DayKind::Weekday);
     }
 
@@ -108,7 +98,7 @@ mod tests {
     fn local_weekend_shifts_with_offset() {
         let c = Calendar;
         // 02:00 UTC Saturday is still 18:00 Friday in Seattle.
-        let t = SimTime::from_days(5.0).plus_secs(2.0 * 3600.0);
+        let t = SimTime::from_hours(5.0 * 24.0).plus_secs(2.0 * 3600.0);
         assert_eq!(c.day_kind(t, 0), DayKind::Weekend);
         assert_eq!(c.day_kind(t, -8), DayKind::Weekday);
     }
@@ -116,15 +106,9 @@ mod tests {
     #[test]
     fn hours_wrap_across_weeks() {
         let c = Calendar;
-        let t = SimTime::from_days(13.0).plus_secs(3600.0 * 25.0);
+        let t = SimTime::from_hours(13.0 * 24.0).plus_secs(3600.0 * 25.0);
         let h = c.local_hour(t, 0);
         assert!((0.0..24.0).contains(&h));
         assert!((h - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn constructors_agree() {
-        assert_eq!(SimTime::from_days(1.0).as_secs(), 86_400.0);
-        assert_eq!(SimTime::from_hours(24.0).as_secs(), 86_400.0);
     }
 }

@@ -38,12 +38,6 @@ impl ConfidenceInterval {
         self.center + self.half_width
     }
 
-    /// True when the interval contains zero — the paper's "indeterminate"
-    /// band in Tables 2 and 3.
-    pub fn contains_zero(&self) -> bool {
-        self.lo() <= 0.0 && self.hi() >= 0.0
-    }
-
     /// True when the whole interval is strictly above zero.
     pub fn above_zero(&self) -> bool {
         self.lo() > 0.0
@@ -174,7 +168,7 @@ mod tests {
         let est = MeanEstimate::from_summary(&summary(&[5.0, 5.0, 5.0]));
         let ci = est.ci(0.95);
         assert_eq!(ci.half_width, 0.0);
-        assert!(!ci.contains_zero());
+        assert!(ci.above_zero());
     }
 
     #[test]
@@ -235,7 +229,8 @@ mod tests {
             var_of_mean: 1.0,
             df: 30.0,
         };
-        assert!(small.diff(&close).ci(0.95).contains_zero());
+        let ci = small.diff(&close).ci(0.95);
+        assert!(!ci.above_zero() && !ci.below_zero());
     }
 
     #[test]
@@ -258,6 +253,6 @@ mod tests {
         };
         assert_eq!(ci.lo(), 1.0);
         assert_eq!(ci.hi(), 5.0);
-        assert!(!ci.contains_zero());
+        assert!(ci.above_zero());
     }
 }
