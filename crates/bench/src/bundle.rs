@@ -1,7 +1,11 @@
-//! Generation and caching of the eight Table-1 datasets.
+//! The eight Table-1 datasets, generated together so siblings share
+//! simulations. Which datasets share one is [`Family`]'s decision; the
+//! bundle runs the five families on the pool and files each dataset under
+//! its [`DatasetId`](detour_datasets::DatasetId). The trace-cache path, [`Bundle::generate_cached`],
+//! lives in [`crate::cache`].
 
 use detour_core::pool;
-use detour_datasets::{d2, n2, uw1, uw3, uw4, Scale};
+use detour_datasets::{Family, Scale};
 use detour_measure::Dataset;
 
 /// All eight datasets, generated together so siblings share simulations.
@@ -25,74 +29,61 @@ pub struct Bundle {
     pub uw4_b: Dataset,
 }
 
-/// The five independent dataset families, each generating one or two
-/// sibling datasets on a shared simulated network.
-pub(crate) const FAMILIES: usize = 5;
-
-/// The dataset names family `i` produces, in production order.
-pub(crate) fn family_names(family: usize) -> &'static [&'static str] {
-    match family {
-        0 => &["D2", "D2-NA"],
-        1 => &["N2", "N2-NA"],
-        2 => &["UW1"],
-        3 => &["UW3"],
-        _ => &["UW4-A", "UW4-B"],
-    }
-}
-
-/// Generates one family from scratch.
-pub(crate) fn generate_family(family: usize, scale: Scale) -> Vec<Dataset> {
-    match family {
-        0 => {
-            let (a, b) = d2::generate_with_na(scale);
-            vec![a, b]
-        }
-        1 => {
-            let (a, b) = n2::generate_with_na(scale);
-            vec![a, b]
-        }
-        2 => vec![detour_datasets::generate(&uw1::spec(), scale)],
-        3 => vec![detour_datasets::generate(&uw3::spec(), scale)],
-        _ => {
-            let (a, b) = uw4::generate_both(scale);
-            vec![a, b]
-        }
-    }
-}
-
 impl Bundle {
-    /// Assembles a bundle from the per-family outputs, in family order.
-    pub(crate) fn from_families(built: Vec<Vec<Dataset>>) -> Bundle {
-        let mut built = built.into_iter();
-        let mut next = || built.next().expect("five families");
-        let (mut d2s, mut n2s, mut uw1s, mut uw3s, mut uw4s) =
-            (next(), next(), next(), next(), next());
-        Bundle {
-            d2: d2s.remove(0),
-            d2_na: d2s.remove(0),
-            n2: n2s.remove(0),
-            n2_na: n2s.remove(0),
-            uw1: uw1s.remove(0),
-            uw3: uw3s.remove(0),
-            uw4_a: uw4s.remove(0),
-            uw4_b: uw4s.remove(0),
-        }
-    }
-
     /// Generates every dataset at the given scale.
     ///
-    /// The five dataset *families* (D2, N2, UW1, UW3, UW4) are independent
-    /// simulations, so they generate on the [`pool`] — sibling pairs stay
-    /// together because they share one simulated network. The merge is
-    /// index-ordered, so the bundle is bit-identical at any thread count.
+    /// The five dataset [`Family`]s are independent simulations, so they
+    /// generate on the [`pool`] — sibling datasets stay together because
+    /// they share one simulated network. The merge is index-ordered, so the
+    /// bundle is bit-identical at any thread count.
     pub fn generate(scale: Scale) -> Bundle {
-        let families: [usize; FAMILIES] = [0, 1, 2, 3, 4];
-        Bundle::from_families(pool::parallel_map(&families, |&family| {
-            generate_family(family, scale)
-        }))
+        Bundle::assemble(pool::parallel_map(&Family::ALL, |f| f.generate(scale)))
     }
 
-    /// Table-1 ordering of the probe/transfer datasets.
+    /// Assembles the bundle from each family's datasets, given in
+    /// [`Family::ALL`] order and each in [`Family::members`] order. Every
+    /// dataset lands in its [`DatasetId`](detour_datasets::DatasetId)'s slot, and the eight slots,
+    /// in [`DatasetId::all`](detour_datasets::DatasetId::all) order, are the order
+    /// [`Bundle::into_table_order`] and [`Bundle::in_table_order`] give
+    /// back.
+    pub(crate) fn assemble(families: Vec<Vec<Dataset>>) -> Bundle {
+        let mut slots: [Option<Dataset>; 8] = Default::default();
+        for (family, datasets) in Family::ALL.iter().zip(families) {
+            for (&id, ds) in family.members().iter().zip(datasets) {
+                slots[id as usize] = Some(ds);
+            }
+        }
+        let [d2_na, d2, n2_na, n2, uw1, uw3, uw4_a, uw4_b] =
+            slots.map(|ds| ds.expect("every family yields each of its members"));
+        Bundle {
+            d2,
+            d2_na,
+            n2,
+            n2_na,
+            uw1,
+            uw3,
+            uw4_a,
+            uw4_b,
+        }
+    }
+
+    /// The eight datasets in [`DatasetId::all`](detour_datasets::DatasetId::all) order, moved out of the
+    /// bundle.
+    pub(crate) fn into_table_order(self) -> [Dataset; 8] {
+        let Bundle {
+            d2,
+            d2_na,
+            n2,
+            n2_na,
+            uw1,
+            uw3,
+            uw4_a,
+            uw4_b,
+        } = self;
+        [d2_na, d2, n2_na, n2, uw1, uw3, uw4_a, uw4_b]
+    }
+
+    /// The datasets in [`DatasetId::all`](detour_datasets::DatasetId::all) (Table-1) order.
     pub fn in_table_order(&self) -> [&Dataset; 8] {
         [
             &self.d2_na,

@@ -18,27 +18,31 @@
 //! chosen directory (the binaries use `results/cache/`); a missing file is
 //! simply a miss, and the family regenerates and re-saves. Loads and
 //! misses are decided per *family* — sibling datasets (D2/D2-NA,
-//! N2/N2-NA, UW4-A/UW4-B) share a simulated network, so a partial hit
-//! would split one simulation across two runs; instead, a family with any
-//! missing member regenerates whole.
+//! N2/N2-NA, UW4-A/UW4-B: [`detour_datasets::Family`]) share a simulated
+//! network, so a partial hit would split one simulation across two runs;
+//! instead, a family with any missing member regenerates whole.
 //!
 //! `.trace2` is the only format the cache reads; any other file in the
 //! directory is ignored. A corrupt, truncated, or mismatched `.trace2` is
 //! renamed `{file}.quarantined` (evidence preserved) and its family
 //! regenerated.
 //!
-//! Cache accounting goes through the current `detour-obs` recorder: the
-//! `cache/hits` / `cache/misses` / `cache/quarantined` counters (per
-//! dataset, deterministic in the on-disk state, so thread-count-invariant)
-//! and a `cache/load` span around the whole probe-or-regenerate pass.
+//! One private function probes, quarantines, loads or regenerates, saves
+//! and counts for every entry: [`Bundle::generate_cached`] calls it once
+//! per family, and [`crate::scale::load_or_generate`] once for the
+//! one-member SCALE family. Cache accounting goes through the current
+//! `detour-obs` recorder: the `cache/hits` / `cache/misses` /
+//! `cache/quarantined` counters (per dataset, deterministic in the on-disk
+//! state, so thread-count-invariant), and each of the two callers opens
+//! one `cache/load` span around its whole pass.
 
 use std::path::{Path, PathBuf};
 
 use detour_core::pool;
-use detour_datasets::{trace2, Scale};
+use detour_datasets::{trace2, Family, Scale};
 use detour_measure::Dataset;
 
-use crate::bundle::{family_names, generate_family, Bundle, FAMILIES};
+use crate::bundle::Bundle;
 
 /// The generation of the simulator's sampling code. Bump it with every
 /// declared RNG stream break: traces cached under an older epoch then miss
@@ -64,35 +68,6 @@ pub fn cache_path(dir: &Path, name: &str, scale: Scale) -> PathBuf {
     dir.join(format!("{}.trace2", cache_stem(name, scale)))
 }
 
-/// What probing one cache key found.
-pub(crate) enum CacheProbe {
-    /// A healthy entry.
-    Loaded(Dataset),
-    /// No file: a plain miss.
-    Missing,
-    /// The file was truncated, unparseable, or held the wrong dataset. It
-    /// has been renamed `{file}.quarantined` rather than overwritten, so
-    /// the evidence survives; the caller counts a quarantine and a miss.
-    Quarantined,
-}
-
-/// Probes the cache for one dataset, quarantining a bad entry. The one
-/// entry probe behind both [`Bundle::generate_cached`] and the SCALE
-/// workload's cache.
-pub(crate) fn probe_cached(dir: &Path, name: &str, scale: Scale) -> std::io::Result<CacheProbe> {
-    let path = cache_path(dir, name, scale);
-    if !path.exists() {
-        return Ok(CacheProbe::Missing);
-    }
-    match trace2::load(&path) {
-        Ok(ds) if ds.name == name => Ok(CacheProbe::Loaded(ds)),
-        Ok(_) | Err(_) => {
-            std::fs::rename(&path, quarantined_path(&path))?;
-            Ok(CacheProbe::Quarantined)
-        }
-    }
-}
-
 /// The quarantine destination for a corrupt cache file: the original path
 /// with `.quarantined` appended.
 fn quarantined_path(original: &Path) -> PathBuf {
@@ -101,11 +76,63 @@ fn quarantined_path(original: &Path) -> PathBuf {
     PathBuf::from(p)
 }
 
+/// Loads one family's datasets from the cache in `dir`, or regenerates and
+/// saves them: the one probe-or-regenerate path behind
+/// [`Bundle::generate_cached`] and the SCALE workload's
+/// [`crate::scale::load_or_generate`].
+///
+/// `names` are the family's members, in the order `generate` returns
+/// them. Every member is probed: a missing file is a miss, and a
+/// truncated, unparseable or mismatched one is renamed `{file}.quarantined`
+/// (evidence preserved) and counts as a miss too. The family loads only
+/// when every member hits — members share one simulation, so a partial hit
+/// regenerates the whole family and saves each member. Counts
+/// `cache/hits` and `cache/misses` (one per member) and
+/// `cache/quarantined` on the current `detour-obs` recorder. Returns the
+/// datasets in `names` order and whether they loaded from disk.
+pub(crate) fn load_or_regenerate(
+    dir: &Path,
+    names: &[&str],
+    scale: Scale,
+    generate: impl FnOnce() -> Vec<Dataset>,
+) -> std::io::Result<(Vec<Dataset>, bool)> {
+    std::fs::create_dir_all(dir)?;
+    let mut loaded = Vec::with_capacity(names.len());
+    let mut quarantined = 0;
+    for &name in names {
+        let path = cache_path(dir, name, scale);
+        if !path.exists() {
+            continue;
+        }
+        match trace2::load(&path) {
+            Ok(ds) if ds.name == name => loaded.push(ds),
+            Ok(_) | Err(_) => {
+                std::fs::rename(&path, quarantined_path(&path))?;
+                quarantined += 1;
+            }
+        }
+    }
+    let hit = loaded.len() == names.len();
+    let rec = detour_obs::current();
+    let members = names.len() as u64;
+    rec.add("cache/hits", if hit { members } else { 0 });
+    rec.add("cache/misses", if hit { 0 } else { members });
+    rec.add("cache/quarantined", quarantined);
+    if hit {
+        return Ok((loaded, true));
+    }
+    let generated = generate();
+    for (name, ds) in names.iter().zip(&generated) {
+        trace2::save(ds, &cache_path(dir, name, scale))?;
+    }
+    Ok((generated, false))
+}
+
 impl Bundle {
     /// Like [`Bundle::generate`], but backed by the trace cache in `dir`.
     ///
-    /// Families whose members are all cached load from disk; the rest
-    /// regenerate and save as `.trace2`. Both paths yield byte-identical
+    /// Each [`Family`] loads or regenerates through one
+    /// `load_or_regenerate` call. Both paths yield byte-identical
     /// datasets (the binary round-trip preserves raw `f64` bits), and the
     /// per-family fan-out merges index-ordered, so the bundle is the same
     /// at any thread count whether it came from simulation or disk.
@@ -113,45 +140,15 @@ impl Bundle {
     /// Per-dataset accounting lands on the current `detour-obs` recorder:
     /// `cache/hits`, `cache/misses` and `cache/quarantined` (corrupt files
     /// renamed `.quarantined`; every quarantine is also a miss), all under
-    /// a `cache/load` span.
+    /// one `cache/load` span.
     pub fn generate_cached(scale: Scale, dir: &Path) -> std::io::Result<Bundle> {
-        let rec = detour_obs::current();
-        let _load = rec.span("cache/load");
-        std::fs::create_dir_all(dir)?;
-        let families: [usize; FAMILIES] = [0, 1, 2, 3, 4];
-        let outcomes = pool::parallel_map(&families, |&family| -> std::io::Result<_> {
-            let names = family_names(family);
-            let mut loaded = Vec::with_capacity(names.len());
-            let mut quarantined = 0;
-            for n in names {
-                match probe_cached(dir, n, scale)? {
-                    CacheProbe::Loaded(ds) => loaded.push(ds),
-                    CacheProbe::Missing => {}
-                    CacheProbe::Quarantined => quarantined += 1,
-                }
-            }
-            if loaded.len() == names.len() && quarantined == 0 {
-                return Ok((loaded, names.len(), 0, 0));
-            }
-            let dss = generate_family(family, scale);
-            for ds in &dss {
-                trace2::save(ds, &cache_path(dir, &ds.name, scale))?;
-            }
-            Ok((dss, 0, names.len(), quarantined))
+        let _load = detour_obs::current().span("cache/load");
+        let families = pool::parallel_map(&Family::ALL, |&family| {
+            let names: Vec<&str> = family.members().iter().map(|id| id.name()).collect();
+            load_or_regenerate(dir, &names, scale, || family.generate(scale)).map(|(dss, _)| dss)
         });
-        let (mut hits, mut misses, mut quarantined) = (0u64, 0u64, 0u64);
-        let mut built = Vec::with_capacity(FAMILIES);
-        for outcome in outcomes {
-            let (dss, h, m, q): (Vec<Dataset>, usize, usize, usize) = outcome?;
-            hits += h as u64;
-            misses += m as u64;
-            quarantined += q as u64;
-            built.push(dss);
-        }
-        rec.add("cache/hits", hits);
-        rec.add("cache/misses", misses);
-        rec.add("cache/quarantined", quarantined);
-        Ok(Bundle::from_families(built))
+        let families = families.into_iter().collect::<std::io::Result<Vec<_>>>()?;
+        Ok(Bundle::assemble(families))
     }
 }
 
@@ -181,20 +178,27 @@ pub fn purge(dir: &Path) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::{scale_network, scale_spec};
+    use detour_datasets::generate_on;
 
-    /// Runs one cached generation under a fresh scoped recorder and
-    /// returns the bundle with the `(hits, misses, quarantined)` counter
-    /// readings for that call alone.
-    fn run_cached(scale: Scale, dir: &Path) -> (Bundle, (u64, u64, u64)) {
+    /// Runs `f` under a fresh scoped recorder and returns its result with
+    /// the `(hits, misses, quarantined)` counter readings for that call
+    /// alone.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64, u64)) {
         let rec = detour_obs::Recorder::new();
         let _g = detour_obs::install(rec.clone());
-        let bundle = Bundle::generate_cached(scale, dir).unwrap();
+        let out = f();
         let stats = (
             rec.counter("cache/hits"),
             rec.counter("cache/misses"),
             rec.counter("cache/quarantined"),
         );
-        (bundle, stats)
+        (out, stats)
+    }
+
+    /// One cached bundle generation, counted.
+    fn run_cached(scale: Scale, dir: &Path) -> (Bundle, (u64, u64, u64)) {
+        counted(|| Bundle::generate_cached(scale, dir).unwrap())
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -222,12 +226,39 @@ mod tests {
     }
 
     #[test]
-    fn family_names_match_generated_names() {
-        for family in 0..FAMILIES {
-            let dss = generate_family(family, Scale::reduced(6, 48));
-            let names: Vec<&str> = dss.iter().map(|d| d.name.as_str()).collect();
-            assert_eq!(names, family_names(family), "family {family}");
-        }
+    fn a_one_member_family_misses_hits_then_quarantines_and_regenerates() {
+        // SCALE's spec and network at a tiny scale, through the path
+        // `scale::load_or_generate` takes, with the counter deltas the
+        // bundle tests assert, per member.
+        let dir = tmp_dir("one-member");
+        let spec = scale_spec();
+        let scale = Scale {
+            n_hosts: Some(8),
+            time_divisor: 2000,
+            seed_offset: 0,
+        };
+        let generate = || vec![generate_on(&scale_network(&spec, scale), &spec, scale)];
+        let run = || counted(|| load_or_regenerate(&dir, &[spec.name], scale, generate).unwrap());
+        let ((cold, hit), stats) = run();
+        assert!(!hit);
+        assert_eq!(stats, (0, 1, 0), "empty dir: a miss");
+        let ((warm, hit), stats) = run();
+        assert!(hit);
+        assert_eq!(stats, (1, 0, 0), "second run: a hit");
+        assert_eq!(
+            trace2::to_bytes(&warm[0]),
+            trace2::to_bytes(&cold[0]),
+            "the cache round trip is lossless"
+        );
+        let path = cache_path(&dir, spec.name, scale);
+        std::fs::write(&path, b"DTRACE2\n but not really").unwrap();
+        let ((again, hit), stats) = run();
+        assert!(!hit);
+        assert_eq!(stats, (0, 1, 1), "the corrupt file is quarantined");
+        assert_eq!(again, cold, "regeneration restores the dataset");
+        assert!(quarantined_path(&path).exists());
+        assert_eq!(run().1, (1, 0, 0), "the rewritten entry is healthy");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

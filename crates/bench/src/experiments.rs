@@ -234,17 +234,17 @@ fn rtt_comparisons(cx: &AnalysisContext) -> Vec<detour_core::PathComparison> {
 // Table 1 — dataset characteristics
 // ---------------------------------------------------------------------------
 
-/// Paper Table-1 reference rows: (name, method, days, hosts, measurements,
-/// coverage %).
-const TABLE1_PAPER: &[(&str, &str, f64, usize, usize, f64)] = &[
-    ("D2-NA", "traceroute", 48.0, 22, 14_896, 95.0),
-    ("D2", "traceroute", 48.0, 33, 35_109, 97.0),
-    ("N2-NA", "tcpanaly", 44.0, 20, 7_582, 86.0),
-    ("N2", "tcpanaly", 44.0, 31, 18_274, 88.0),
-    ("UW1", "traceroute", 34.0, 36, 54_034, 88.0),
-    ("UW3", "traceroute", 7.0, 39, 94_420, 87.0),
-    ("UW4-A", "traceroute", 14.0, 15, 216_928, 100.0),
-    ("UW4-B", "traceroute", 14.0, 15, 9_169, 100.0),
+/// Paper Table-1 reference rows: (dataset, method, days, hosts,
+/// measurements, coverage %).
+const TABLE1_PAPER: [(DatasetId, &str, f64, usize, usize, f64); 8] = [
+    (DatasetId::D2Na, "traceroute", 48.0, 22, 14_896, 95.0),
+    (DatasetId::D2, "traceroute", 48.0, 33, 35_109, 97.0),
+    (DatasetId::N2Na, "tcpanaly", 44.0, 20, 7_582, 86.0),
+    (DatasetId::N2, "tcpanaly", 44.0, 31, 18_274, 88.0),
+    (DatasetId::Uw1, "traceroute", 34.0, 36, 54_034, 88.0),
+    (DatasetId::Uw3, "traceroute", 7.0, 39, 94_420, 87.0),
+    (DatasetId::Uw4A, "traceroute", 14.0, 15, 216_928, 100.0),
+    (DatasetId::Uw4B, "traceroute", 14.0, 15, 9_169, 100.0),
 ];
 
 /// Table 1: characteristics of the regenerated datasets vs. the paper's.
@@ -258,10 +258,8 @@ pub fn table1(s: &Study) -> String {
         "{:<8} {:<11} {:>30} | {:>30}\n",
         "", "", "——— paper ———", "—— measured ——"
     ));
-    for (cx, &(name, method, _days, p_hosts, p_meas, p_cov)) in
-        s.in_table_order().iter().zip(TABLE1_PAPER)
-    {
-        let c = cx.dataset().characteristics();
+    for (id, method, _days, p_hosts, p_meas, p_cov) in TABLE1_PAPER {
+        let (name, c) = (id.name(), s.ctx(id).dataset().characteristics());
         out.push_str(&format!(
             "{:<8} {:<11} {:>6} {:>12} {:>9.0}% | {:>6} {:>12} {:>9.1}%\n",
             name, method, p_hosts, p_meas, p_cov, c.hosts, c.measurements, c.coverage_pct
@@ -296,9 +294,7 @@ pub fn fig1(s: &Study) -> String {
         ));
         curves.push((name.clone(), cdf::improvement_cdf(cs)));
     }
-    let refs: Vec<(&str, &detour_stats::Cdf)> =
-        curves.iter().map(|(n, c)| (n.as_str(), c)).collect();
-    out.push_str(&cdf_grid(&refs, -50.0, 150.0, 20));
+    out.push_str(&cdf_grid(&curves, -50.0, 150.0, 20));
     out
 }
 
@@ -319,9 +315,7 @@ pub fn fig2(s: &Study) -> String {
     }
     // The paper notes the D2 vs D2-NA imbalance "largely disappears" in
     // relative terms — visible in the grid below.
-    let refs: Vec<(&str, &detour_stats::Cdf)> =
-        curves.iter().map(|(n, c)| (n.as_str(), c)).collect();
-    out.push_str(&cdf_grid(&refs, 0.0, 3.0, 20));
+    out.push_str(&cdf_grid(&curves, 0.0, 3.0, 20));
     out
 }
 
@@ -347,9 +341,7 @@ pub fn fig3(s: &Study) -> String {
         ));
         curves.push((name.clone(), cdf::improvement_cdf(cs)));
     }
-    let refs: Vec<(&str, &detour_stats::Cdf)> =
-        curves.iter().map(|(n, c)| (n.as_str(), c)).collect();
-    out.push_str(&cdf_grid(&refs, -0.05, 0.15, 20));
+    out.push_str(&cdf_grid(&curves, -0.05, 0.15, 20));
     out
 }
 
@@ -376,9 +368,7 @@ pub fn fig4(s: &Study) -> String {
             curves.push((format!("{name} {}", mode.label()), c));
         }
     }
-    let refs: Vec<(&str, &detour_stats::Cdf)> =
-        curves.iter().map(|(n, c)| (n.as_str(), c)).collect();
-    out.push_str(&cdf_grid(&refs, -100.0, 200.0, 20));
+    out.push_str(&cdf_grid(&curves, -100.0, 200.0, 20));
     out
 }
 
@@ -400,9 +390,7 @@ pub fn fig5(s: &Study) -> String {
             curves.push((format!("{name} {}", mode.label()), ratios));
         }
     }
-    let refs: Vec<(&str, &detour_stats::Cdf)> =
-        curves.iter().map(|(n, c)| (n.as_str(), c)).collect();
-    out.push_str(&cdf_grid(&refs, 0.0, 6.0, 20));
+    out.push_str(&cdf_grid(&curves, 0.0, 6.0, 20));
     out
 }
 

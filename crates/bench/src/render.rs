@@ -4,24 +4,32 @@
 //! curve (the same series a plotting tool would consume), plus the headline
 //! numbers the paper's prose quotes.
 
+use std::borrow::Borrow;
+
 use detour_stats::Cdf;
 
-/// Renders a family of CDFs sampled on a common grid, one column per curve.
+/// Renders a family of labelled CDFs sampled on a common grid, one column
+/// per curve. The series may own or borrow their labels and curves.
 ///
 /// The output mirrors the paper's figures: x in metric units, columns in
 /// cumulative fraction.
-pub fn cdf_grid(series: &[(&str, &Cdf)], lo: f64, hi: f64, rows: usize) -> String {
+pub fn cdf_grid<S: AsRef<str>, C: Borrow<Cdf>>(
+    series: &[(S, C)],
+    lo: f64,
+    hi: f64,
+    rows: usize,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:>12}", "x"));
     for (label, _) in series {
-        out.push_str(&format!(" {label:>14}"));
+        out.push_str(&format!(" {:>14}", label.as_ref()));
     }
     out.push('\n');
     for i in 0..=rows {
         let x = lo + (hi - lo) * i as f64 / rows as f64;
         out.push_str(&format!("{x:>12.3}"));
         for (_, cdf) in series {
-            out.push_str(&format!(" {:>14.4}", cdf.eval(x)));
+            out.push_str(&format!(" {:>14.4}", cdf.borrow().eval(x)));
         }
         out.push('\n');
     }

@@ -7,8 +7,9 @@
 //! workload where the O(n³) sweep does real work: this module defines a
 //! 128-host synthetic dataset ("SCALE") generated through the same
 //! pipeline as the paper datasets and cached through the same trace cache
-//! (`results/cache/SCALE-o0-h128-t120-g1.trace2`), so only the first baseline
-//! run pays for the simulation.
+//! path, as a one-member family
+//! (`results/cache/SCALE-o0-h128-t120-g1.trace2`), so only the first
+//! baseline run pays for the simulation.
 //!
 //! The stock Y1999 topology tops out at 85 stub hosts, so the workload
 //! carries its own topology: more stub ASes, one host each, all North
@@ -20,13 +21,12 @@
 use std::path::Path;
 
 use detour_datasets::spec::{self, DatasetSpec, Scale};
-use detour_datasets::trace2;
 use detour_faults::FaultConfig;
 use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
 use detour_netsim::topology::generator::TopologyConfig;
 use detour_netsim::{Era, Network, NetworkConfig};
 
-use crate::cache::{cache_path, probe_cached, CacheProbe};
+use crate::cache::load_or_regenerate;
 
 /// Measurement hosts in the SCALE dataset (the gate requires ≥ 120).
 pub const SCALE_HOSTS: usize = 128;
@@ -68,7 +68,7 @@ pub fn scale_scale() -> Scale {
 /// The network the SCALE spec measures: era defaults except the topology,
 /// which is widened to hold 200 stub hosts (the era default is 85), pinned
 /// to North America, and stripped of ICMP rate limiters.
-fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
+pub(crate) fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
     let horizon_days = spec.duration_days / scale.time_divisor as f64;
     let mut cfg =
         NetworkConfig::for_era(spec.era, scale.mixed_seed(spec.network_seed), horizon_days);
@@ -82,30 +82,20 @@ fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
 }
 
 /// Loads the SCALE dataset from the trace cache in `dir`, or generates and
-/// saves it. Returns the dataset and whether it was a cache hit. The entry
-/// goes through the bundle cache's own probe, so a corrupt or mismatched
-/// file is renamed `*.quarantined` and the dataset regenerated. Reports
-/// through the same `cache/*` counters (and `cache/load` span) as the
-/// bundle cache.
+/// saves it. Returns the dataset and whether it was a cache hit. SCALE is
+/// a one-member family on its own network, so it goes through the same
+/// probe-or-regenerate path as the bundle's families: a corrupt or
+/// mismatched file is renamed `*.quarantined` and the dataset regenerated,
+/// and the same `cache/*` counters (under a `cache/load` span) report it.
 pub fn load_or_generate(dir: &Path) -> std::io::Result<(Dataset, bool)> {
-    let rec = detour_obs::current();
-    let _load = rec.span("cache/load");
-    let spec = scale_spec();
-    let scale = scale_scale();
-    match probe_cached(dir, spec.name, scale)? {
-        CacheProbe::Loaded(ds) => {
-            rec.add("cache/hits", 1);
-            return Ok((ds, true));
-        }
-        CacheProbe::Quarantined => rec.add("cache/quarantined", 1),
-        CacheProbe::Missing => {}
-    }
-    rec.add("cache/misses", 1);
-    std::fs::create_dir_all(dir)?;
-    let net = scale_network(&spec, scale);
-    let ds = spec::generate_on(&net, &spec, scale);
-    trace2::save(&ds, &cache_path(dir, spec.name, scale))?;
-    Ok((ds, false))
+    let _load = detour_obs::current().span("cache/load");
+    let (spec, scale) = (scale_spec(), scale_scale());
+    let generate = || {
+        let net = scale_network(&spec, scale);
+        vec![spec::generate_on(&net, &spec, scale)]
+    };
+    let (mut datasets, hit) = load_or_regenerate(dir, &[spec.name], scale, generate)?;
+    Ok((datasets.pop().expect("SCALE is one dataset"), hit))
 }
 
 #[cfg(test)]
@@ -128,26 +118,5 @@ mod tests {
             })
             .count();
         assert!(na >= SCALE_HOSTS, "only {na} eligible NA hosts");
-    }
-
-    #[test]
-    fn cache_round_trip_is_lossless() {
-        let dir = std::env::temp_dir().join(format!("detour-scale-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Shrink the workload for the test: same spec, tiny scale.
-        let spec = scale_spec();
-        let scale = Scale {
-            n_hosts: Some(8),
-            time_divisor: 2000,
-            seed_offset: 0,
-        };
-        let net = scale_network(&spec, scale);
-        let ds = spec::generate_on(&net, &spec, scale);
-        let path = cache_path(&dir, spec.name, scale);
-        std::fs::create_dir_all(&dir).unwrap();
-        trace2::save(&ds, &path).unwrap();
-        let back = trace2::load(&path).unwrap();
-        assert_eq!(ds, back);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

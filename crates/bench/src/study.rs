@@ -27,17 +27,8 @@ impl Study {
     /// Builds the study by taking ownership of a bundle — the datasets move
     /// into `Arc`s without cloning.
     pub fn from_bundle(bundle: Bundle) -> Study {
-        let Bundle {
-            d2,
-            d2_na,
-            n2,
-            n2_na,
-            uw1,
-            uw3,
-            uw4_a,
-            uw4_b,
-        } = bundle;
-        let contexts = [d2_na, d2, n2_na, n2, uw1, uw3, uw4_a, uw4_b]
+        let contexts = bundle
+            .into_table_order()
             .map(|ds| AnalysisContext::new(Arc::new(ds)));
         Study { contexts }
     }

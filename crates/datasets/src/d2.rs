@@ -5,11 +5,14 @@
 //! measurements, 97 % path coverage. Rate-limiting hosts can no longer be
 //! identified after the fact, so the paper counts "only the first
 //! traceroute sample … against losses" — [`RateLimitPolicy::FirstSampleOnly`].
+//!
+//! D2-NA is D2 restricted to its North-American hosts, so
+//! [`crate::Family::D2`] derives it from the same simulation.
 
-use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
-use detour_netsim::{Era, Network};
+use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
+use detour_netsim::Era;
 
-use crate::spec::{self, DatasetSpec, Scale};
+use crate::spec::DatasetSpec;
 
 /// Network seed shared by everything Paxson measured in 1995 (D2 and N2
 /// saw the same Internet).
@@ -35,23 +38,17 @@ pub fn spec() -> DatasetSpec {
     }
 }
 
-/// Generates D2 and its North-American restriction D2-NA in one pass
-/// (one simulation, two datasets — as in the paper).
-pub fn generate_with_na(scale: Scale) -> (Dataset, Dataset) {
-    let s = spec();
-    let net: Network = spec::build_network(&s, scale);
-    let d2 = spec::generate_on(&net, &s, scale);
-    let d2_na = spec::restrict_na(&net, &d2, "D2-NA");
-    (d2, d2_na)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{DatasetId, Family, Scale};
+    use detour_measure::Dataset;
 
     #[test]
     fn d2_na_is_a_strict_subset() {
-        let (d2, d2_na) = generate_with_na(Scale::reduced(12, 24));
+        let [d2, d2_na]: [Dataset; 2] = Family::D2
+            .generate(Scale::reduced(12, 24))
+            .try_into()
+            .unwrap();
         assert!(d2_na.hosts.len() < d2.hosts.len());
         assert!(d2_na.probes.len() < d2.probes.len());
         let parent: std::collections::HashSet<_> = d2.hosts.iter().map(|h| h.id).collect();
@@ -62,7 +59,7 @@ mod tests {
 
     #[test]
     fn first_sample_only_policy_is_applied() {
-        let (d2, _) = generate_with_na(Scale::reduced(10, 24));
+        let d2 = DatasetId::D2.generate(Scale::reduced(10, 24));
         assert!(d2
             .probes
             .iter()
@@ -79,7 +76,7 @@ mod tests {
     fn d2_keeps_rate_limited_hosts() {
         // FirstSampleOnly cannot filter hosts (detection is "no longer
         // possible") — every selected host must survive assembly.
-        let (d2, _) = generate_with_na(Scale::reduced(12, 24));
+        let d2 = DatasetId::D2.generate(Scale::reduced(12, 24));
         assert_eq!(d2.hosts.len(), 12);
     }
 }

@@ -15,8 +15,8 @@
 //! | UW4-A  | 1999 | 14   | 15    | simultaneous episodes, 1000 s  | filter hosts |
 //! | UW4-B  | 1999 | 14   | 15    | pairwise exp, 150 s mean       | filter hosts |
 //!
-//! Start from [`DatasetId`]; use the family modules' pair generators when
-//! you need siblings that share a simulation.
+//! Start from [`DatasetId`]; generate a [`Family`] when you need siblings
+//! that share a simulation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,5 +31,5 @@ pub mod uw1;
 pub mod uw3;
 pub mod uw4;
 
-pub use registry::DatasetId;
+pub use registry::{DatasetId, Family};
 pub use spec::{build_network, generate, generate_on, restrict_na, DatasetSpec, Scale};

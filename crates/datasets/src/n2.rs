@@ -5,12 +5,15 @@
 //! *within TCP sessions*, so the paper uses it only for the bandwidth
 //! analysis (Figures 4–5) via the Mathis model — its RTT/loss samples are
 //! not unbiased and are never fed to the RTT/loss figures.
+//!
+//! N2-NA is N2 restricted to its North-American hosts, so
+//! [`crate::Family::N2`] derives it from the same simulation.
 
-use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
-use detour_netsim::{Era, Network};
+use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
+use detour_netsim::Era;
 
 use crate::d2::NPD_1995_NETWORK_SEED;
-use crate::spec::{self, DatasetSpec, Scale};
+use crate::spec::DatasetSpec;
 
 /// The N2 specification.
 pub fn spec() -> DatasetSpec {
@@ -34,22 +37,18 @@ pub fn spec() -> DatasetSpec {
     }
 }
 
-/// Generates N2 and N2-NA in one pass.
-pub fn generate_with_na(scale: Scale) -> (Dataset, Dataset) {
-    let s = spec();
-    let net: Network = spec::build_network(&s, scale);
-    let n2 = spec::generate_on(&net, &s, scale);
-    let n2_na = spec::restrict_na(&net, &n2, "N2-NA");
-    (n2, n2_na)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DatasetId, Family, Scale};
+    use detour_measure::Dataset;
 
     #[test]
     fn n2_contains_transfers_not_probes() {
-        let (n2, n2_na) = generate_with_na(Scale::reduced(10, 24));
+        let [n2, n2_na]: [Dataset; 2] = Family::N2
+            .generate(Scale::reduced(10, 24))
+            .try_into()
+            .unwrap();
         assert!(!n2.transfers.is_empty());
         assert!(n2.probes.is_empty());
         assert!(!n2_na.transfers.is_empty());
@@ -57,7 +56,7 @@ mod tests {
 
     #[test]
     fn transfer_fields_are_physical() {
-        let (n2, _) = generate_with_na(Scale::reduced(10, 24));
+        let n2 = DatasetId::N2.generate(Scale::reduced(10, 24));
         for t in &n2.transfers {
             assert!(t.rtt_ms > 0.0 && t.rtt_ms < 5_000.0);
             assert!((0.0..=1.0).contains(&t.loss_rate));

@@ -1,8 +1,14 @@
-//! The dataset registry: one identifier per Table-1 row.
+//! The dataset registry: one identifier per Table-1 row, and the five
+//! families that generate them.
+//!
+//! Eight rows come from five simulations. D2-NA and N2-NA are the
+//! North-American restrictions of D2 and N2 (§4.2), and UW4-A and UW4-B
+//! measured the same 15 hosts over the same network (§6.4). [`Family`]
+//! is the one place that says which rows share a simulation.
 
 use detour_measure::Dataset;
 
-use crate::spec::{self, Scale};
+use crate::spec::{self, DatasetSpec, Scale};
 use crate::{d2, n2, uw1, uw3, uw4};
 
 /// Identifier of one of the paper's eight dataset rows (Table 1).
@@ -55,28 +61,105 @@ impl DatasetId {
         }
     }
 
+    /// The family whose simulation produces this dataset.
+    pub fn family(self) -> Family {
+        Family::ALL
+            .into_iter()
+            .find(|f| f.members().contains(&self))
+            .expect("every dataset belongs to a family")
+    }
+
     /// Generates the dataset at the given scale.
     ///
-    /// The `-NA` variants and the UW4 pair regenerate their parent
-    /// simulation; callers that need siblings together should use
-    /// [`d2::generate_with_na`], [`n2::generate_with_na`], or
-    /// [`uw4::generate_both`] to share the work.
+    /// This runs the dataset's whole [`Family`] and keeps one member;
+    /// callers that need siblings together should call
+    /// [`Family::generate`] to share the work.
     pub fn generate(self, scale: Scale) -> Dataset {
-        match self {
-            DatasetId::D2 => d2::generate_with_na(scale).0,
-            DatasetId::D2Na => d2::generate_with_na(scale).1,
-            DatasetId::N2 => n2::generate_with_na(scale).0,
-            DatasetId::N2Na => n2::generate_with_na(scale).1,
-            DatasetId::Uw1 => spec::generate(&uw1::spec(), scale),
-            DatasetId::Uw3 => spec::generate(&uw3::spec(), scale),
-            DatasetId::Uw4A => uw4::generate_both(scale).0,
-            DatasetId::Uw4B => uw4::generate_both(scale).1,
-        }
+        let family = self.family();
+        let at = family
+            .members()
+            .iter()
+            .position(|&m| m == self)
+            .expect("a dataset is a member of its family");
+        family.generate(scale).swap_remove(at)
     }
 
     /// Generates a reduced instance for tests, docs and examples.
     pub fn generate_scaled(self, n_hosts: usize, time_divisor: u32) -> Dataset {
         self.generate(Scale::reduced(n_hosts, time_divisor))
+    }
+}
+
+/// One simulation: a network build and the Table-1 datasets measured on it
+/// or derived from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Family {
+    /// D2 and its North-American restriction D2-NA.
+    D2,
+    /// N2 and its North-American restriction N2-NA (the same 1995
+    /// Internet as D2, simulated separately).
+    N2,
+    /// UW1 alone.
+    Uw1,
+    /// UW3 alone.
+    Uw3,
+    /// UW4-A and UW4-B: two campaigns over one network and host set.
+    Uw4,
+}
+
+impl Family {
+    /// The five families, in generation order.
+    pub const ALL: [Family; 5] = [
+        Family::D2,
+        Family::N2,
+        Family::Uw1,
+        Family::Uw3,
+        Family::Uw4,
+    ];
+
+    /// The family's datasets, in the order [`Family::generate`] returns
+    /// them.
+    pub fn members(self) -> &'static [DatasetId] {
+        match self {
+            Family::D2 => &[DatasetId::D2, DatasetId::D2Na],
+            Family::N2 => &[DatasetId::N2, DatasetId::N2Na],
+            Family::Uw1 => &[DatasetId::Uw1],
+            Family::Uw3 => &[DatasetId::Uw3],
+            Family::Uw4 => &[DatasetId::Uw4A, DatasetId::Uw4B],
+        }
+    }
+
+    /// Generates every member at `scale` over one network, built from the
+    /// first member's spec: each member is either its own campaign
+    /// ([`spec::generate_on`]) or the North-American restriction of the
+    /// first member ([`spec::restrict_na`]).
+    pub fn generate(self, scale: Scale) -> Vec<Dataset> {
+        let members = self.members();
+        let first = campaign(members[0]).expect("a family starts with a campaign");
+        let net = spec::build_network(&first, scale);
+        let mut out: Vec<Dataset> = Vec::with_capacity(members.len());
+        for &id in members {
+            let ds = match campaign(id) {
+                Some(s) => spec::generate_on(&net, &s, scale),
+                None => spec::restrict_na(&net, &out[0], id.name()),
+            };
+            out.push(ds);
+        }
+        out
+    }
+}
+
+/// The campaign that measures `id`, or `None` for the North-American
+/// restrictions, which are derived from their family's first member.
+fn campaign(id: DatasetId) -> Option<DatasetSpec> {
+    match id {
+        DatasetId::D2 => Some(d2::spec()),
+        DatasetId::N2 => Some(n2::spec()),
+        DatasetId::Uw1 => Some(uw1::spec()),
+        DatasetId::Uw3 => Some(uw3::spec()),
+        DatasetId::Uw4A => Some(uw4::spec_a()),
+        DatasetId::Uw4B => Some(uw4::spec_b()),
+        DatasetId::D2Na | DatasetId::N2Na => None,
     }
 }
 
@@ -99,6 +182,29 @@ mod tests {
         assert_eq!(ds.name, "UW3");
         let ds = DatasetId::D2Na.generate_scaled(10, 24);
         assert_eq!(ds.name, "D2-NA");
+    }
+
+    #[test]
+    fn every_family_generates_its_members_and_each_id_its_own_member() {
+        let scale = Scale::reduced(6, 48);
+        let mut seen = Vec::new();
+        for family in Family::ALL {
+            let generated = family.generate(scale);
+            let names: Vec<&str> = generated.iter().map(|d| d.name.as_str()).collect();
+            let members: Vec<&str> = family.members().iter().map(|id| id.name()).collect();
+            assert_eq!(names, members, "{family:?}");
+            for (&id, ds) in family.members().iter().zip(&generated) {
+                assert_eq!(id.family(), family, "{id:?}");
+                assert_eq!(
+                    crate::trace2::to_bytes(&id.generate(scale)),
+                    crate::trace2::to_bytes(ds),
+                    "{id:?} alone differs from its family's member"
+                );
+                seen.push(id);
+            }
+        }
+        seen.sort_by_key(|&id| id as usize);
+        assert_eq!(seen, DatasetId::all(), "each id in exactly one family");
     }
 
     #[test]

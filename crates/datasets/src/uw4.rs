@@ -11,12 +11,13 @@
 //!   exponential with mean 150 s: 9,169 measurements, 100 % coverage.
 //!
 //! Both must use the *same* hosts over the *same* network, so
-//! [`generate_both`] shares one network instance and one host selection.
+//! [`crate::Family::Uw4`] generates them over one network instance, and
+//! the shared campaign seed gives them one host selection.
 
-use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
+use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
 use detour_netsim::Era;
 
-use crate::spec::{self, DatasetSpec, Scale};
+use crate::spec::DatasetSpec;
 use crate::uw1::UW_NETWORK_SEED;
 
 /// Shared host-selection seed so A and B measure identical hosts.
@@ -60,22 +61,19 @@ pub fn spec_b() -> DatasetSpec {
     }
 }
 
-/// Generates UW4-A and UW4-B over one shared network and host set.
-pub fn generate_both(scale: Scale) -> (Dataset, Dataset) {
-    let sa = spec_a();
-    let net = spec::build_network(&sa, scale);
-    let a = spec::generate_on(&net, &sa, scale);
-    let b = spec::generate_on(&net, &spec_b(), scale);
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Family, Scale};
+    use detour_measure::Dataset;
+
+    fn uw4_pair(scale: Scale) -> (Dataset, Dataset) {
+        let [a, b]: [Dataset; 2] = Family::Uw4.generate(scale).try_into().unwrap();
+        (a, b)
+    }
 
     #[test]
     fn a_and_b_share_hosts() {
-        let (a, b) = generate_both(Scale::reduced(8, 24));
+        let (a, b) = uw4_pair(Scale::reduced(8, 24));
         let ha: Vec<_> = a.hosts.iter().map(|h| h.id).collect();
         let hb: Vec<_> = b.hosts.iter().map(|h| h.id).collect();
         assert_eq!(ha, hb, "UW4-A and UW4-B must measure the same hosts");
@@ -83,7 +81,7 @@ mod tests {
 
     #[test]
     fn a_has_episodes_b_does_not() {
-        let (a, b) = generate_both(Scale::reduced(8, 24));
+        let (a, b) = uw4_pair(Scale::reduced(8, 24));
         assert!(a.probes.iter().all(|p| p.episode.is_some()));
         assert!(b.probes.iter().all(|p| p.episode.is_none()));
     }
@@ -92,7 +90,7 @@ mod tests {
     fn a_vastly_outmeasures_b() {
         // Table 1: 216,928 vs 9,169 — a ~24× ratio. Scaled runs keep the
         // same order of imbalance.
-        let (a, b) = generate_both(Scale::reduced(8, 24));
+        let (a, b) = uw4_pair(Scale::reduced(8, 24));
         assert!(
             a.probes.len() > 4 * b.probes.len(),
             "{} vs {}",
@@ -103,7 +101,7 @@ mod tests {
 
     #[test]
     fn episodes_measure_every_ordered_pair() {
-        let (a, _) = generate_both(Scale::reduced(6, 24));
+        let (a, _) = uw4_pair(Scale::reduced(6, 24));
         let n = a.hosts.len();
         // Full coverage is the UW4 design point (Table 1: 100 %).
         let c = a.characteristics();

@@ -43,6 +43,7 @@
 use detour_prng::Rng;
 
 use crate::net::{Network, Prefix};
+use crate::routing::path::ResolvedPath;
 use crate::sim::clock::SimTime;
 use crate::topology::HostId;
 
@@ -87,25 +88,37 @@ const INTER_PROBE_GAP_S: f64 = 0.05;
 /// One echo exchange between hosts: forward transit, destination
 /// processing, reverse transit over the *reverse-routed* path.
 pub fn ping(net: &Network, src: HostId, dst: HostId, t: SimTime, rng: &mut impl Rng) -> PingResult {
-    let Some(fwd) = net.forward_path(src, dst, t) else {
-        return PingResult { rtt_ms: None };
+    let rtt_ms = match (net.forward_path(src, dst, t), net.forward_path(dst, src, t)) {
+        (Some(fwd), Some(rev)) => echo(net, fwd, Some(rev), t, rng).0,
+        _ => None,
     };
-    let Some(rev) = net.forward_path(dst, src, t) else {
-        return PingResult { rtt_ms: None };
-    };
+    PingResult { rtt_ms }
+}
+
+/// One echo exchange starting at `t`: a forward transit, then — only when
+/// a reverse path resolved and the forward packet survived — a transit
+/// back over `rev`, then the ICMP generation delay. Returns the RTT
+/// (`None` when either packet was lost or there is no way back) and the
+/// link samples drawn.
+fn echo(
+    net: &Network,
+    fwd: &ResolvedPath,
+    rev: Option<&ResolvedPath>,
+    t: SimTime,
+    rng: &mut impl Rng,
+) -> (Option<f64>, u32) {
     let out = net.transit(fwd, t, rng);
-    if out.lost {
-        return PingResult { rtt_ms: None };
-    }
-    let t_reply = t.plus_secs(out.delay_ms / 1000.0);
-    let back = net.transit(rev, t_reply, rng);
+    let mut samples = fwd.links.len() as u32;
+    let Some(rev) = rev.filter(|_| !out.lost) else {
+        return (None, samples);
+    };
+    samples += rev.links.len() as u32;
+    let back = net.transit(rev, t.plus_secs(out.delay_ms / 1000.0), rng);
     if back.lost {
-        return PingResult { rtt_ms: None };
+        return (None, samples);
     }
     let icmp = rng.gen_range(ICMP_GEN_DELAY_RANGE_MS.0..ICMP_GEN_DELAY_RANGE_MS.1);
-    PingResult {
-        rtt_ms: Some(out.delay_ms + icmp + back.delay_ms),
-    }
+    (Some(out.delay_ms + icmp + back.delay_ms), samples)
 }
 
 /// One probe to an intermediate router whose forward prefix is `prefix`:
@@ -166,8 +179,6 @@ pub fn traceroute(
         }
     }
 
-    let fwd_links = n_hops as u32;
-    let rev_links = rev.map_or(0, |r| r.links.len() as u32);
     for (k, slot) in result.rtts.iter_mut().enumerate() {
         // Rate limiting: the first probe of the burst is answered;
         // follow-ups to a limiting destination usually are not.
@@ -178,26 +189,13 @@ pub fn traceroute(
             now = now.plus_secs(PROBE_TIMEOUT_S);
             continue;
         }
-        let out = net.transit(fwd, now, rng);
-        result.link_samples += fwd_links;
-        let back = match rev {
-            Some(rev) if !out.lost => {
-                result.link_samples += rev_links;
-                net.transit(rev, now.plus_secs(out.delay_ms / 1000.0), rng)
-            }
-            _ => {
-                now = now.plus_secs(PROBE_TIMEOUT_S);
-                continue;
-            }
+        let (rtt, samples) = echo(net, fwd, rev, now, rng);
+        result.link_samples += samples;
+        *slot = rtt;
+        now = match rtt {
+            Some(rtt) => now.plus_secs(rtt / 1000.0 + INTER_PROBE_GAP_S),
+            None => now.plus_secs(PROBE_TIMEOUT_S),
         };
-        if back.lost {
-            now = now.plus_secs(PROBE_TIMEOUT_S);
-            continue;
-        }
-        let icmp = rng.gen_range(ICMP_GEN_DELAY_RANGE_MS.0..ICMP_GEN_DELAY_RANGE_MS.1);
-        let rtt = out.delay_ms + icmp + back.delay_ms;
-        *slot = Some(rtt);
-        now = now.plus_secs(rtt / 1000.0 + INTER_PROBE_GAP_S);
     }
     result.reached = result.rtts.iter().any(Option::is_some);
     result.elapsed_s = now.0 - t.0;

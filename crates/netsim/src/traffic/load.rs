@@ -309,12 +309,7 @@ impl LoadModel {
         }
     }
 
-    /// Instantaneous utilization of `link` at time `t`, in `[0, 0.97]`.
-    pub fn utilization(&self, link: LinkId, t: SimTime) -> f64 {
-        self.utilization_at(link, &mut self.at(t))
-    }
-
-    /// [`LoadModel::utilization`] at the instant `now`.
+    /// Utilization of `link` at the instant `now`, in `[0, 0.97]`.
     pub fn utilization_at(&self, link: LinkId, now: &mut LoadInstant) -> f64 {
         let ll = &self.links[link.0 as usize];
         let t = now.t;
@@ -338,7 +333,7 @@ impl LoadModel {
     }
 
     /// True when `link` is in a full-outage window at `t`.
-    pub fn is_down(&self, link: LinkId, t: SimTime) -> bool {
+    fn is_down(&self, link: LinkId, t: SimTime) -> bool {
         self.links[link.0 as usize].outages.down_at(t.0)
     }
 
@@ -365,14 +360,9 @@ impl LoadModel {
     /// Mean extra delay of a burst, milliseconds.
     pub const SPIKE_MEAN_MS: f64 = 300.0;
 
-    /// Samples one packet's traversal of `link` at time `t`: Gamma(2)
-    /// queuing delay around the M/M/1 mean, a rare heavy-tail delay spike,
-    /// and Bernoulli loss.
-    pub fn sample(&self, link: LinkId, t: SimTime, rng: &mut impl Rng) -> LinkSample {
-        self.sample_at(link, &mut self.at(t), rng)
-    }
-
-    /// [`LoadModel::sample`] at the instant `now`.
+    /// Samples one packet's traversal of `link` at the instant `now`:
+    /// Gamma(4) queuing delay around the M/M/1 mean, a rare heavy-tail
+    /// delay spike, and Bernoulli loss.
     pub fn sample_at(&self, link: LinkId, now: &mut LoadInstant, rng: &mut impl Rng) -> LinkSample {
         match self.draw_at(link, now, rng) {
             None => LinkSample {
@@ -434,7 +424,7 @@ mod tests {
         let (topo, lm) = model();
         for l in topo.links.iter().step_by(7) {
             for h in (0..336).step_by(13) {
-                let rho = lm.utilization(l.id, SimTime::from_hours(h as f64));
+                let rho = lm.utilization_at(l.id, &mut lm.at(SimTime::from_hours(h as f64)));
                 assert!((0.0..=0.97).contains(&rho), "rho = {rho}");
             }
         }
@@ -451,8 +441,8 @@ mod tests {
             let tz = CITIES[topo.router(l.from).city].utc_offset_hours as f64;
             let day_t = SimTime::from_hours(24.0 + 11.0 - tz);
             let night_t = SimTime::from_hours(24.0 + 3.0 - tz);
-            day += lm.utilization(l.id, day_t);
-            night += lm.utilization(l.id, night_t);
+            day += lm.utilization_at(l.id, &mut lm.at(day_t));
+            night += lm.utilization_at(l.id, &mut lm.at(night_t));
             n += 1.0;
         }
         assert!(day / n > 1.4 * (night / n), "day {day} vs night {night}");
@@ -466,7 +456,7 @@ mod tests {
             let ls: Vec<_> = topo.links.iter().filter(|l| l.kind == kind).collect();
             let sum: f64 = ls
                 .iter()
-                .map(|l| lm.utilization(l.id, SimTime::from_hours(44.0)))
+                .map(|l| lm.utilization_at(l.id, &mut lm.at(SimTime::from_hours(44.0))))
                 .sum();
             sum / ls.len().max(1) as f64
         };
@@ -506,7 +496,10 @@ mod tests {
         let mut r1 = Xoshiro256pp::seed_from_u64(1);
         let mut r2 = Xoshiro256pp::seed_from_u64(1);
         for _ in 0..100 {
-            assert_eq!(lm.sample(l, t, &mut r1), lm.sample(l, t, &mut r2));
+            assert_eq!(
+                lm.sample_at(l, &mut lm.at(t), &mut r1),
+                lm.sample_at(l, &mut lm.at(t), &mut r2)
+            );
         }
     }
 
@@ -527,7 +520,7 @@ mod tests {
                 assert_eq!(a.lost, b.lost);
                 assert_eq!(
                     lm.utilization_at(l.id, &mut shared).to_bits(),
-                    lm.utilization(l.id, t).to_bits()
+                    lm.utilization_at(l.id, &mut lm.at(t)).to_bits()
                 );
             }
             assert_eq!(r1, r2, "the same draws, in the same order");
@@ -546,8 +539,8 @@ mod tests {
                 if m < 0.15 || e - s < 120.0 {
                     continue;
                 }
-                let during = lm.utilization(l.id, SimTime(s + 30.0));
-                let after = lm.utilization(l.id, SimTime(e + 1.0));
+                let during = lm.utilization_at(l.id, &mut lm.at(SimTime(s + 30.0)));
+                let after = lm.utilization_at(l.id, &mut lm.at(SimTime(e + 1.0)));
                 if during > after + 0.1 {
                     saw_spike = true;
                     break 'outer;
@@ -572,7 +565,7 @@ mod tests {
                     assert!(!lm.is_down(l.id, SimTime(end + 1.0)));
                     let mut rng = Xoshiro256pp::seed_from_u64(3);
                     for _ in 0..20 {
-                        assert!(lm.sample(l.id, mid, &mut rng).lost);
+                        assert!(lm.sample_at(l.id, &mut lm.at(mid), &mut rng).lost);
                     }
                     break;
                 }
@@ -606,10 +599,10 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(9);
         let n = 4000;
         let mean: f64 = (0..n)
-            .map(|_| lm.sample(l, t, &mut rng).queue_delay_ms)
+            .map(|_| lm.sample_at(l, &mut lm.at(t), &mut rng).queue_delay_ms)
             .sum::<f64>()
             / n as f64;
-        let rho = lm.utilization(l, t);
+        let rho = lm.utilization_at(l, &mut lm.at(t));
         // The sampled mean sits near the model mean plus the small constant
         // contribution of delay spikes (SPIKE_PROB × SPIKE_MEAN_MS ≈ 0.5 ms).
         let model_mean =

@@ -131,7 +131,7 @@ fn utilization_stays_in_bounds_for_all_seeds() {
         let net = Network::generate(&NetworkConfig::for_era(Era::Y1999, seed, 14.0));
         let t = SimTime::from_hours(hour);
         for l in net.topology.links.iter().step_by(11) {
-            let rho = net.load().utilization(l.id, t);
+            let rho = net.load().utilization_at(l.id, &mut net.load().at(t));
             assert!((0.0..=0.97).contains(&rho), "rho {rho}");
             let p = net.load().loss_probability(l.id, rho);
             assert!((0.0..=0.5).contains(&p));

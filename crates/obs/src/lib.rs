@@ -195,14 +195,6 @@ impl Recorder {
             gauges: s.gauges.clone(),
         }
     }
-
-    /// Clears every span, counter, and gauge.
-    pub fn reset(&self) {
-        let mut s = self.lock();
-        s.spans.clear();
-        s.counters.clear();
-        s.gauges.clear();
-    }
 }
 
 /// An open span: RAII wall-clock measurement that records into its
@@ -706,15 +698,5 @@ mod tests {
         r.set_gauge("k/gauge", 1.5);
         let t = r.snapshot().to_table();
         assert!(t.contains("k/count") && t.contains("k/span") && t.contains("k/gauge"));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let r = Recorder::new();
-        r.add("a", 1);
-        r.record_seconds("b", 1.0);
-        r.set_gauge("c", 2.0);
-        r.reset();
-        assert_eq!(r.snapshot(), RunReport::default());
     }
 }

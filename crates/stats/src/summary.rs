@@ -67,16 +67,6 @@ impl OnlineStats {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Standard error of the mean, `s / sqrt(n)`.
-    pub fn std_error(&self) -> Option<f64> {
-        self.std_dev().map(|s| s / (self.n as f64).sqrt())
-    }
-
     /// Smallest observation seen.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -85,26 +75,6 @@ impl OnlineStats {
     /// Largest observation seen.
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford / Chan).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Snapshots the accumulator into an immutable [`Summary`].
@@ -151,16 +121,6 @@ impl Summary {
         }
         acc.summary()
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        self.std_dev() / (self.n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -206,49 +166,5 @@ mod tests {
         let naive_mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((s.mean - naive_mean).abs() < 1e-3);
         assert!(s.variance > 0.0 && s.variance < 10.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (a, b) = xs.split_at(17);
-        let mut left = OnlineStats::new();
-        for &x in a {
-            left.push(x);
-        }
-        let mut right = OnlineStats::new();
-        for &x in b {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-12);
-        assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn std_error_shrinks_with_n() {
-        let few = Summary::from_slice(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let many: Vec<f64> = [1.0, 2.0, 3.0, 4.0].repeat(25);
-        let many = Summary::from_slice(&many).unwrap();
-        assert!(many.std_error() < few.std_error());
     }
 }

@@ -7,7 +7,7 @@ use detour_stats::ci::MeanEstimate;
 use detour_stats::convolve::BinCounts;
 use detour_stats::quantile::{median, quantile};
 use detour_stats::tdist::{t_cdf, t_quantile};
-use detour_stats::{Cdf, OnlineStats, Summary};
+use detour_stats::{Cdf, Summary};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[path = "support/float_convolution.rs"]
@@ -28,29 +28,6 @@ fn welford_matches_naive_mean() {
         assert!((s.mean - naive).abs() < 1e-6 * (1.0 + naive.abs()));
         assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
         assert!(s.variance >= 0.0);
-    });
-}
-
-#[test]
-fn merge_is_order_independent() {
-    check("merge_is_order_independent", |rng| {
-        let (xs, ys) = (samples(rng), samples(rng));
-        let feed = |v: &[f64]| {
-            let mut acc = OnlineStats::new();
-            for &x in v {
-                acc.push(x);
-            }
-            acc
-        };
-        let mut ab = feed(&xs);
-        ab.merge(&feed(&ys));
-        let mut ba = feed(&ys);
-        ba.merge(&feed(&xs));
-        assert_eq!(ab.count(), ba.count());
-        assert!((ab.mean().unwrap() - ba.mean().unwrap()).abs() < 1e-6);
-        if let (Some(va), Some(vb)) = (ab.variance(), ba.variance()) {
-            assert!((va - vb).abs() < 1e-3 * (1.0 + va.abs()));
-        }
     });
 }
 

@@ -49,8 +49,8 @@ cargo build --release --offline --workspace --all-targets
 # quantiles, a naive pair-table builder, the .trace2 round trip and its
 # hostile values, a textbook per-pair Dijkstra, brute-force kernel
 # properties, counters and bytes at 1/2/8 workers, the paper-shape
-# envelopes, the golden snapshots). Fails fast before the full test run
-# and the baseline.
+# envelopes, the golden snapshots, the trace cache's miss/hit/quarantine
+# counts). Fails fast before the full test run and the baseline.
 echo "== smoke: detour-stats unit and property tests (t quantile, intervals) =="
 cargo test -q --offline -p detour-stats
 
@@ -82,6 +82,9 @@ cargo test -q --offline -p detour --test paper_shapes
 echo "== smoke: renewal schedules (detour-faults) + netsim unit and property tests =="
 cargo test -q --offline -p detour-faults
 cargo test -q --offline -p detour-netsim
+
+echo "== smoke: detour-bench unit tests (trace cache, registry, study order, report writer) =="
+cargo test -q --offline -p detour-bench --lib
 
 echo "== smoke: figures CLI input handling =="
 cargo test -q --offline -p detour-bench --test figures_cli

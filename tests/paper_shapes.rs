@@ -10,7 +10,7 @@ use detour::core::analysis::cdf::{
 };
 use detour::core::analysis::propagation;
 use detour::core::{AnalysisContext, Loss, LossComposition, MetricKind, Rtt, SearchDepth};
-use detour::datasets::{d2, n2, uw3, DatasetId, Scale};
+use detour::datasets::{uw3, DatasetId, Scale};
 
 fn frac_better(ds: &detour::measure::Dataset, metric: MetricKind) -> f64 {
     let g = AnalysisContext::from_dataset(ds);
@@ -43,7 +43,7 @@ fn loss_alternates_are_common() {
 fn d2_era_shows_more_loss_improvement_than_uw_era() {
     // Paper: "D2 demonstrating substantially more improvement" (Fig. 3) —
     // the 1995 Internet was lossier. Compare ≥5-percentage-point wins.
-    let (d2, _) = d2::generate_with_na(Scale::reduced(14, 12));
+    let d2 = DatasetId::D2.generate(Scale::reduced(14, 12));
     let uw3 = detour::datasets::generate(&uw3::spec(), Scale::reduced(14, 8));
     let sig = |ds: &detour::measure::Dataset| {
         let g = AnalysisContext::from_dataset(ds);
@@ -62,7 +62,7 @@ fn d2_era_shows_more_loss_improvement_than_uw_era() {
 fn bandwidth_bounds_bracket() {
     // Paper Fig. 4: optimistic and pessimistic compositions bound each
     // other — optimistic alternates are always at least as fast.
-    let (n2, _) = n2::generate_with_na(Scale::reduced(12, 12));
+    let n2 = DatasetId::N2.generate(Scale::reduced(12, 12));
     let g = AnalysisContext::from_dataset(&n2);
     let opt = compare_all_pairs_bandwidth(&g, LossComposition::Optimistic);
     let pes = compare_all_pairs_bandwidth(&g, LossComposition::Pessimistic);
@@ -83,7 +83,7 @@ fn bandwidth_bounds_bracket() {
 #[test]
 fn bandwidth_alternates_exist() {
     // Paper: 70-80 % with improved bandwidth; reduced scale: demand > 35 %.
-    let (n2, _) = n2::generate_with_na(Scale::reduced(12, 12));
+    let n2 = DatasetId::N2.generate(Scale::reduced(12, 12));
     let g = AnalysisContext::from_dataset(&n2);
     let cs = compare_all_pairs_bandwidth(&g, LossComposition::Optimistic);
     assert!(!cs.is_empty());

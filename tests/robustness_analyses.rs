@@ -3,7 +3,7 @@
 
 use detour::core::analysis::{confidence, contribution, episodes, hostremoval, median, timeofday};
 use detour::core::{AnalysisContext, Rtt, SearchDepth};
-use detour::datasets::{uw4, DatasetId, Scale};
+use detour::datasets::{DatasetId, Family, Scale};
 use detour::stats::ttest::TTestVerdict;
 
 #[test]
@@ -59,7 +59,10 @@ fn time_slices_cover_all_probes_and_effect_persists() {
 
 #[test]
 fn episode_analysis_runs_on_real_uw4() {
-    let (a, b) = uw4::generate_both(Scale::reduced(8, 16));
+    let [a, b]: [detour::measure::Dataset; 2] = Family::Uw4
+        .generate(Scale::reduced(8, 16))
+        .try_into()
+        .unwrap();
     let (ca, cb) = (
         AnalysisContext::from_dataset(&a),
         AnalysisContext::from_dataset(&b),
