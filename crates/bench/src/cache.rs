@@ -49,8 +49,9 @@ use crate::bundle::Bundle;
 /// and regenerate instead of loading pre-break data. Epoch 0 is every
 /// stem written before the field existed (`{name}-o…-h…-t…` with no
 /// `-g`); epoch 1 samples each traceroute's forward links once per
-/// invocation.
-pub const GENERATOR_EPOCH: u32 = 1;
+/// invocation; epoch 2 summarises each TCP transfer in closed form from 16
+/// sampled round trips.
+pub const GENERATOR_EPOCH: u32 = 2;
 
 /// The cache key stem for one dataset at one scale (no extension).
 fn cache_stem(name: &str, scale: Scale) -> String {

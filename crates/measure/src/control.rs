@@ -122,13 +122,15 @@ enum Outcome {
 }
 
 /// The sampling work requests did, whatever their outcome: traceroute
-/// link samples and rate-limit-suppressed destination follow-ups. Summed
-/// per request batch and then in [`merge`], so the counters it feeds are
-/// thread-count-invariant.
+/// link samples and rate-limit-suppressed destination follow-ups, and
+/// which ceiling bound each completed TCP transfer (indexed by
+/// [`tcp::Ceiling`]). Summed per request batch and then in [`merge`], so
+/// the counters it feeds are thread-count-invariant.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     link_samples: u64,
     rate_limited: u64,
+    ceilings: [u64; 3],
 }
 
 /// Precomputed campaign-side fault state: per-host outage schedules for
@@ -258,14 +260,17 @@ fn execute(
                 return Outcome::TimedOut;
             }
             match tcp::bulk_transfer(net, req.src, req.dst, t, duration_s, rng) {
-                Some(ts) => Outcome::Transfer(TransferSample {
-                    src: req.src,
-                    dst: req.dst,
-                    t_s: req.t_s,
-                    rtt_ms: ts.rtt_ms,
-                    loss_rate: ts.loss_rate,
-                    bandwidth_kbps: ts.bandwidth_kbps,
-                }),
+                Some(ts) => {
+                    tally.ceilings[ts.ceiling as usize] += 1;
+                    Outcome::Transfer(TransferSample {
+                        src: req.src,
+                        dst: req.dst,
+                        t_s: req.t_s,
+                        rtt_ms: ts.rtt_ms,
+                        loss_rate: ts.loss_rate,
+                        bandwidth_kbps: ts.bandwidth_kbps,
+                    })
+                }
                 None => Outcome::ContactFailed,
             }
         }
@@ -317,6 +322,9 @@ fn merge(batches: Vec<(Vec<Outcome>, Tally)>) -> RawMeasurements {
         requests += outcomes.len() as u64;
         sampled.link_samples += tally.link_samples;
         sampled.rate_limited += tally.rate_limited;
+        for (sum, n) in sampled.ceilings.iter_mut().zip(tally.ceilings) {
+            *sum += n;
+        }
         for o in outcomes {
             match o {
                 Outcome::ContactFailed => out.failed_requests += 1,
@@ -339,6 +347,10 @@ fn merge(batches: Vec<(Vec<Outcome>, Tally)>) -> RawMeasurements {
     rec.add("faults/truncated_requests", out.truncated as u64);
     rec.add("netsim/link_samples", sampled.link_samples);
     rec.add("probe/rate_limited", sampled.rate_limited);
+    let [loss, window, capacity] = sampled.ceilings;
+    rec.add("tcp/binding_loss", loss);
+    rec.add("tcp/binding_window", window);
+    rec.add("tcp/binding_capacity", capacity);
     out
 }
 
@@ -517,10 +529,19 @@ mod tests {
 
     #[test]
     fn tcp_campaign_yields_transfers() {
+        // Every completed transfer is tallied under exactly one binding
+        // ceiling.
         let n = net();
         let reqs = small_schedule(&n, 6, 600.0);
+        let rec = detour_obs::Recorder::new();
+        let _obs = detour_obs::install(rec.clone());
         let raw = fault_free(&n, &reqs, &CampaignConfig::tcp(), 3);
         assert!(!raw.transfers.is_empty());
+        let bound: u64 = ["loss", "window", "capacity"]
+            .iter()
+            .map(|c| rec.counter(&format!("tcp/binding_{c}")))
+            .sum();
+        assert_eq!(bound, raw.transfers.len() as u64);
         for t in &raw.transfers {
             assert!(t.rtt_ms > 0.0);
             assert!((0.0..=1.0).contains(&t.loss_rate));

@@ -45,12 +45,17 @@ echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
 # Smoke tier: each suite below, named by its echo line, checks one layer
-# against an independent oracle or a pinned invariant (closed-form t
-# quantiles, a naive pair-table builder, the .trace2 round trip and its
-# hostile values, a textbook per-pair Dijkstra, brute-force kernel
-# properties, counters and bytes at 1/2/8 workers, the paper-shape
-# envelopes, the golden snapshots, the trace cache's miss/hit/quarantine
-# counts). Fails fast before the full test run and the baseline.
+# against an independent oracle or a pinned invariant (the generators'
+# reference vectors and the binomial's exact edge cases, mean and
+# variance, closed-form t quantiles, a naive pair-table builder, the
+# .trace2 round trip and its hostile values, a textbook per-pair Dijkstra,
+# brute-force kernel properties, counters and bytes at 1/2/8 workers, the
+# paper-shape envelopes, the per-round-trip TCP oracle, the golden
+# snapshots, the trace cache's miss/hit/quarantine counts). Fails fast
+# before the full test run and the baseline.
+echo "== smoke: detour-prng tests (generators, binomial, property harness) =="
+cargo test -q --offline -p detour-prng
+
 echo "== smoke: detour-stats unit and property tests (t quantile, intervals) =="
 cargo test -q --offline -p detour-stats
 
@@ -79,7 +84,7 @@ cargo test -q --offline -p detour --test properties
 echo "== smoke: paper-shape envelopes =="
 cargo test -q --offline -p detour --test paper_shapes
 
-echo "== smoke: renewal schedules (detour-faults) + netsim unit and property tests =="
+echo "== smoke: renewal schedules (detour-faults) + netsim unit and property tests (TCP closed form vs its oracle) =="
 cargo test -q --offline -p detour-faults
 cargo test -q --offline -p detour-netsim
 
