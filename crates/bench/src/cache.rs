@@ -23,9 +23,9 @@
 //! instead, a family with any missing member regenerates whole.
 //!
 //! `.trace2` is the only format the cache reads; any other file in the
-//! directory is ignored. A corrupt, truncated, or mismatched `.trace2` is
-//! renamed `{file}.quarantined` (evidence preserved) and its family
-//! regenerated.
+//! directory is ignored. A corrupt, truncated, or mismatched `.trace2`,
+//! or one in a layout version the reader no longer decodes, is renamed
+//! `{file}.quarantined` (evidence preserved) and its family regenerated.
 //!
 //! One private function probes, quarantines, loads or regenerates, saves
 //! and counts for every entry: [`Bundle::generate_cached`] calls it once
@@ -309,6 +309,31 @@ mod tests {
             "regeneration restores the dataset"
         );
         assert!(quarantined_path(&cache_path(&dir, "UW3", scale)).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_trace_under_a_current_stem_is_quarantined_and_regenerated() {
+        // A file in the per-probe layout of trace version 1 under today's
+        // stem (a cache written before the invocation layout): it must not
+        // load, and its family regenerates in the current layout.
+        let dir = tmp_dir("v1");
+        let scale = Scale::reduced(8, 24);
+        let (reference, _) = run_cached(scale, &dir);
+        let path = cache_path(&dir, "UW4-B", scale);
+        let mut old = std::fs::read(&path).unwrap();
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            trace2::from_bytes(&old).unwrap_err(),
+            trace2::Trace2Error::UnsupportedVersion(1)
+        );
+        std::fs::write(&path, &old).unwrap();
+        let (again, stats) = run_cached(scale, &dir);
+        assert_eq!(stats, (6, 2, 1), "UW4-A and UW4-B regenerate");
+        assert_eq!(again.uw4_b, reference.uw4_b);
+        assert_eq!(std::fs::read(quarantined_path(&path)).unwrap(), old);
+        let current = std::fs::read(&path).unwrap();
+        assert_eq!(current[8..12], trace2::VERSION.to_le_bytes());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

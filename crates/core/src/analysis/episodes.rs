@@ -16,7 +16,7 @@ use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_all_pairs, compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
 use crate::metric::MetricKind;
-use detour_measure::{Dataset, PairTable, ProbeSample};
+use detour_measure::{Dataset, PairTable, ProbeRow};
 use detour_stats::Cdf;
 
 /// The three Figure-11 curves.
@@ -32,26 +32,27 @@ pub struct EpisodeAnalysis {
     pub episodes: usize,
 }
 
-/// Distinct episode indices in a dataset, ascending. Probes arrive in
-/// episode runs, so each run contributes one id before the sort.
+/// Distinct episode indices in a dataset, ascending. Invocations arrive
+/// in episode runs, so each run contributes one id before the sort.
 pub fn episode_ids(ds: &Dataset) -> Vec<u32> {
     let mut ids: Vec<u32> = ds
         .probes
-        .chunk_by(|a, b| a.episode == b.episode)
-        .filter_map(|run| run[0].episode)
+        .rows()
+        .chunk_by(|a, b| a.episode() == b.episode())
+        .filter_map(|run| run[0].episode())
         .collect();
     ids.sort_unstable();
     ids.dedup();
     ids
 }
 
-/// A probe's slot in `ids` (ascending, from [`episode_ids`]). The last
-/// episode's slot is remembered, so the search runs only when the episode
-/// changes.
-fn episode_slot(ids: &[u32]) -> impl FnMut(&ProbeSample) -> Option<usize> + '_ {
+/// An invocation's slot in `ids` (ascending, from [`episode_ids`]). The
+/// last episode's slot is remembered, so the search runs only when the
+/// episode changes.
+fn episode_slot(ids: &[u32]) -> impl FnMut(&ProbeRow) -> Option<usize> + '_ {
     let mut last = None;
-    move |p| {
-        let e = p.episode?;
+    move |r| {
+        let e = r.episode()?;
         if last.map(|(was, _)| was) != Some(e) {
             last = Some((e, ids.binary_search(&e).ok()?));
         }
@@ -150,7 +151,7 @@ mod tests {
         let ds = b.build().unwrap();
         let ids = episode_ids(&ds);
         assert_eq!(ids, [1, 2, 3]);
-        let slots: Vec<Option<usize>> = ds.probes.iter().map(episode_slot(&ids)).collect();
+        let slots: Vec<Option<usize>> = ds.probes.rows().iter().map(episode_slot(&ids)).collect();
         assert_eq!(
             slots,
             [Some(2), Some(2), Some(0), Some(2), Some(1), Some(1), None]

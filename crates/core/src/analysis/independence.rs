@@ -43,10 +43,9 @@ impl IndependenceReport {
 pub fn analyze(cx: &AnalysisContext) -> IndependenceReport {
     let ds = cx.dataset();
     let mut series: HashMap<(HostId, HostId), Vec<(f64, f64)>> = HashMap::new();
-    for p in &ds.probes {
-        if let Some(rtt) = p.rtt_ms {
-            series.entry((p.src, p.dst)).or_default().push((p.t_s, rtt));
-        }
+    for r in ds.probes.rows() {
+        let samples = series.entry((r.src, r.dst)).or_default();
+        samples.extend((0..3).filter_map(|k| r.rtt(k)).map(|rtt| (r.t_s, rtt)));
     }
     let mut lag1 = HashMap::new();
     let mut ess_ratio = HashMap::new();

@@ -169,13 +169,18 @@ mod tests {
         // When every sample on each leg is constant, the convolved median
         // must equal the sum of the constants.
         let mut ds = dataset(false);
-        for p in ds.probes.iter_mut() {
-            let base = match (p.src.0, p.dst.0) {
-                (0, 2) => 100.0,
-                _ => 25.0,
-            };
-            p.rtt_ms = Some(base);
-        }
+        ds.probes = ds
+            .probes
+            .iter()
+            .map(|mut p| {
+                let base = match (p.src.0, p.dst.0) {
+                    (0, 2) => 100.0,
+                    _ => 25.0,
+                };
+                p.rtt_ms = Some(base);
+                p
+            })
+            .collect();
         let cx = AnalysisContext::from_dataset(&ds);
         let cmp = analyze(&cx);
         let med_impr = cmp.median_based.inverse(0.5).unwrap();

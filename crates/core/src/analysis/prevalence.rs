@@ -42,17 +42,18 @@ impl PrevalenceReport {
     }
 }
 
-/// Computes route prevalence from per-probe AS-path observations.
+/// Computes route prevalence from per-invocation AS-path observations.
 pub fn analyze(cx: &AnalysisContext) -> PrevalenceReport {
     let ds = cx.dataset();
-    // Count path observations per pair (per invocation: use probe 0 so the
-    // three probes of one traceroute don't triple-count one observation).
+    // Count path observations per pair (per invocation: use the row's
+    // first probe so the three probes of one traceroute don't
+    // triple-count one observation).
     let mut votes: HashMap<(HostId, HostId), HashMap<u32, usize>> = HashMap::new();
-    for p in ds.probes.iter().filter(|p| p.probe_index == 0) {
+    for r in ds.probes.rows().iter().filter(|r| r.has_slot(0)) {
         *votes
-            .entry((p.src, p.dst))
+            .entry((r.src, r.dst))
             .or_default()
-            .entry(p.path_idx)
+            .entry(r.path_idx)
             .or_default() += 1;
     }
     let mut dominance = HashMap::new();

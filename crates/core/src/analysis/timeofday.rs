@@ -11,7 +11,7 @@ use crate::altpath::SearchDepth;
 use crate::analysis::cdf::{compare_graph, improvement_cdf};
 use crate::context::AnalysisContext;
 use crate::metric::MetricKind;
-use detour_measure::{PairTable, ProbeSample};
+use detour_measure::{PairTable, ProbeRow};
 use detour_stats::Cdf;
 
 /// PST offset from UTC, hours (the paper's clock).
@@ -84,8 +84,8 @@ pub fn improvement_by_slice(
     depth: SearchDepth,
 ) -> Vec<(TimeSlice, Cdf)> {
     let slices = TimeSlice::all();
-    let slice_of = |p: &ProbeSample| {
-        let slice = TimeSlice::classify(p.t_s);
+    let slice_of = |r: &ProbeRow| {
+        let slice = TimeSlice::classify(r.t_s);
         slices.iter().position(|&s| s == slice)
     };
     slices

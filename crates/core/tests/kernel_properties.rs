@@ -327,9 +327,14 @@ fn greedy_removal_matches_a_full_sweep_per_candidate() {
 /// `ds` with every RTT sample multiplied by `c`.
 fn scaled(ds: &Dataset, c: f64) -> Dataset {
     let mut out = ds.clone();
-    for p in &mut out.probes {
-        p.rtt_ms = p.rtt_ms.map(|r| r * c);
-    }
+    out.probes = ds
+        .probes
+        .iter()
+        .map(|mut p| {
+            p.rtt_ms = p.rtt_ms.map(|r| r * c);
+            p
+        })
+        .collect();
     out
 }
 

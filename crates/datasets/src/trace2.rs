@@ -6,8 +6,9 @@
 //! loading is one `fs::read` into a single `Vec<u8>` followed by
 //! fixed-stride `from_le_bytes` scans over borrowed slices (no unsafe, no
 //! external crates, no per-record allocation beyond the output structs
-//! themselves), with the dominant probe section decoded in parallel on
-//! [`detour_pool`].
+//! themselves). The dominant invocation section decodes sequentially,
+//! each row straight into the dataset's [`Probes`] store, allocated once
+//! at its final size: the load's peak is the file buffer plus the dataset.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -24,17 +25,26 @@
 //! | 1  | meta        | duration_s f64, starved_pairs u64, name_len u32, name bytes     |
 //! | 2  | hosts       | n u32; id u32×n; asn u16×n; flags u8×n; name_off u32×(n+1); blob|
 //! | 3  | aspaths     | n u32; off u32×(n+1) (u16 units); asns u16×off\[n\]             |
-//! | 4  | probes      | n u32; src u32×n; dst u32×n; t_s f64×n; probe_index u8×n;       |
-//! |    |             | flags u8×n; rtt f64×n; episode u32×n; path_idx u32×n            |
+//! | 4  | invocations | n u32; src u32×n; dst u32×n; t_s f64×n; first_index u8×n;       |
+//! |    |             | mask u16×n; rtt f64×3n; episode u32×n; path_idx u32×n           |
 //! | 5  | transfers   | n u32; src u32×n; dst u32×n; t_s f64×n; rtt f64×n;              |
 //! |    |             | loss f64×n; bandwidth f64×n                                     |
 //! | 6  | ratelimited | n u32; id u32×n                                                 |
 //!
-//! Probe `flags`: bit 0 = loss-eligible, bit 1 = rtt present, bit 2 =
-//! episode present; all other bits must be zero. Absent rtt/episode cells
-//! are written as zero and ignored on read, so `Option` round-trips
-//! exactly and every column keeps a fixed stride (which is what makes the
-//! chunked parallel decode trivial).
+//! Each invocation row is one [`ProbeRow`]: the probes of one traceroute
+//! invocation, which share `src`, `dst`, `t_s`, `episode` and `path_idx`,
+//! with three RTT cells (slot `k` holds probe index `first_index + k`;
+//! `first_index` is 0 in every trace a campaign writes). Invocation
+//! `mask` (the in-memory [`ProbeRow::mask`]): bit `k` = slot `k` holds a
+//! probe, bit `3 + k` = its RTT is present, bit `6 + k` = it is
+//! loss-eligible, bit 9 = episode present. Bits 10–15 are reserved, and a
+//! row whose mask sets one, holds no slot, marks an RTT or eligibility on
+//! an empty slot, or whose slots run past probe index 255 is a
+//! [`Trace2Error::BadValue`] at its mask. Absent rtt/episode cells are
+//! written as zero and ignored on read, so `Option` round-trips exactly
+//! and every column keeps a fixed stride. Rows are read back through
+//! [`Probes::push_row`], so the store is packed canonically whatever the
+//! writer did.
 //!
 //! The decoder checks structure only: section extents, counts, offsets,
 //! flag bits and UTF-8 names, each fault a [`Trace2Error::BadValue`] or
@@ -63,16 +73,17 @@
 
 use std::path::Path;
 
-use detour_measure::{Dataset, DatasetError, HostMeta, ProbeSample, TransferSample};
+use detour_measure::{Dataset, DatasetError, HostMeta, ProbeRow, Probes, TransferSample};
 use detour_netsim::HostId;
 
 /// The 8-byte magic at offset 0.
 pub const MAGIC: [u8; 8] = *b"DTRACE2\n";
 
-/// Current format version. Bump on *any* layout change.
-pub const VERSION: u32 = 1;
+/// Current format version. Bump on *any* layout change. Version 1 stored
+/// one row per probe; version 2 stores one row per invocation.
+pub const VERSION: u32 = 2;
 
-/// Number of sections a v1 file carries.
+/// Number of sections a file carries.
 const SECTIONS: usize = 6;
 
 /// Header length: magic + version + section count.
@@ -85,18 +96,9 @@ const TABLE_ENTRY_LEN: usize = 32;
 const SEC_META: u32 = 1;
 const SEC_HOSTS: u32 = 2;
 const SEC_ASPATHS: u32 = 3;
-const SEC_PROBES: u32 = 4;
+const SEC_INVOCATIONS: u32 = 4;
 const SEC_TRANSFERS: u32 = 5;
 const SEC_RATELIMITED: u32 = 6;
-
-/// Probe flag bits.
-const FLAG_LOSS_ELIGIBLE: u8 = 1 << 0;
-const FLAG_RTT_PRESENT: u8 = 1 << 1;
-const FLAG_EPISODE_PRESENT: u8 = 1 << 2;
-
-/// Probe rows per parallel decode chunk: large enough that the fan-out
-/// cost disappears, small enough to balance across workers.
-const PROBE_CHUNK: usize = 16 * 1024;
 
 /// What went wrong loading a `.trace2` file. Every variant carries only
 /// `Copy` context — section ids and byte offsets — so constructing an
@@ -231,7 +233,7 @@ impl std::error::Error for Trace2Error {}
 /// Section checksum: FNV-1a 64 folded over little-endian 8-byte words,
 /// then the byte tail, then the total length. Word-at-a-time keeps the
 /// verify pass an order of magnitude cheaper than byte-wise FNV on the
-/// multi-megabyte probe section while still catching every single-bit
+/// multi-megabyte invocation section while still catching every single-bit
 /// flip and truncation the corruption corpus throws at it.
 pub fn checksum(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -332,12 +334,13 @@ impl Writer {
     }
 }
 
-/// Serializes a dataset to the v1 binary format.
+/// Serializes a dataset to the binary format.
 pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
-    let np = ds.probes.len();
+    let rows = ds.probes.rows();
     let nt = ds.transfers.len();
-    // Strides: probes 34 B/row, transfers 40 B/row, plus small sections.
-    let hint = np * 34 + nt * 40 + ds.hosts.len() * 64 + ds.as_paths.len() * 16 + 256;
+    // Strides: invocations 51 B/row, transfers 40 B/row, plus small
+    // sections.
+    let hint = rows.len() * 51 + nt * 40 + ds.hosts.len() * 64 + ds.as_paths.len() * 16 + 256;
     let mut w = Writer::new(SECTIONS, hint);
 
     w.begin(SEC_META);
@@ -384,41 +387,33 @@ pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
     }
     w.end();
 
-    w.begin(SEC_PROBES);
-    w.u32(np as u32);
-    for p in &ds.probes {
-        w.u32(p.src.0);
+    w.begin(SEC_INVOCATIONS);
+    w.u32(rows.len() as u32);
+    for r in rows {
+        w.u32(r.src.0);
     }
-    for p in &ds.probes {
-        w.u32(p.dst.0);
+    for r in rows {
+        w.u32(r.dst.0);
     }
-    for p in &ds.probes {
-        w.f64(p.t_s);
+    for r in rows {
+        w.f64(r.t_s);
     }
-    for p in &ds.probes {
-        w.u8(p.probe_index);
+    for r in rows {
+        w.u8(r.first_index());
     }
-    for p in &ds.probes {
-        let mut flags = 0u8;
-        if p.loss_eligible {
-            flags |= FLAG_LOSS_ELIGIBLE;
+    for r in rows {
+        w.u16(r.mask());
+    }
+    for r in rows {
+        for k in 0..3 {
+            w.f64(r.rtt(k).unwrap_or(0.0));
         }
-        if p.rtt_ms.is_some() {
-            flags |= FLAG_RTT_PRESENT;
-        }
-        if p.episode.is_some() {
-            flags |= FLAG_EPISODE_PRESENT;
-        }
-        w.u8(flags);
     }
-    for p in &ds.probes {
-        w.f64(p.rtt_ms.unwrap_or(0.0));
+    for r in rows {
+        w.u32(r.episode().unwrap_or(0));
     }
-    for p in &ds.probes {
-        w.u32(p.episode.unwrap_or(0));
-    }
-    for p in &ds.probes {
-        w.u32(p.path_idx);
+    for r in rows {
+        w.u32(r.path_idx);
     }
     w.end();
 
@@ -610,56 +605,39 @@ fn section_table(buf: &[u8]) -> Result<[&[u8]; SECTIONS], Trace2Error> {
     Ok(out)
 }
 
-/// Decodes the probe section. The eight columns are validated and sliced
-/// up front; row materialization — the bulk of a big trace's load time —
-/// fans out over [`detour_pool`] in fixed-size chunks with an
-/// index-ordered merge, so the decoded vector is identical at any worker
-/// count.
-fn decode_probes(sec: &[u8]) -> Result<Vec<ProbeSample>, Trace2Error> {
-    let mut cur = Cur::new(SEC_PROBES, sec);
+/// Decodes the invocation section straight into a store allocated once
+/// at its row count, after every column's extent is checked.
+fn decode_invocations(sec: &[u8]) -> Result<Probes, Trace2Error> {
+    let mut cur = Cur::new(SEC_INVOCATIONS, sec);
     let n = cur.u32()? as usize;
     let src = cur.column(n, 4)?;
     let dst = cur.column(n, 4)?;
     let t_s = cur.column(n, 8)?;
-    let probe_index = cur.column(n, 1)?;
-    let flags_off = cur.pos;
-    let flags = cur.column(n, 1)?;
-    let rtt = cur.column(n, 8)?;
+    let first_index = cur.column(n, 1)?;
+    let mask_at = cur.pos;
+    let mask = cur.column(n, 2)?;
+    let rtt = cur.column(n, 24)?;
     let episode = cur.column(n, 4)?;
     let path_idx = cur.column(n, 4)?;
     cur.done()?;
-    // Reserved flag bits must be zero — a future writer that sets one is a
-    // layout change this reader cannot decode.
-    if let Some(bad) = flags
-        .iter()
-        .position(|&f| f & !(FLAG_LOSS_ELIGIBLE | FLAG_RTT_PRESENT | FLAG_EPISODE_PRESENT) != 0)
-    {
-        return Err(Trace2Error::BadValue {
-            id: SEC_PROBES,
-            offset: flags_off + bad,
-        });
+    let mut probes = Probes::with_capacity(n);
+    for (i, &first_index) in first_index.iter().enumerate() {
+        let row = ProbeRow::from_cells(
+            (HostId(col_u32(src, i)), HostId(col_u32(dst, i))),
+            col_f64(t_s, i),
+            col_u32(path_idx, i),
+            col_u32(episode, i),
+            first_index,
+            col_u16(mask, i),
+            std::array::from_fn(|k| col_f64(rtt, 3 * i + k)),
+        )
+        .ok_or(Trace2Error::BadValue {
+            id: SEC_INVOCATIONS,
+            offset: mask_at + 2 * i,
+        })?;
+        probes.push_row(row);
     }
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(PROBE_CHUNK)
-        .map(|a| (a, (a + PROBE_CHUNK).min(n)))
-        .collect();
-    Ok(detour_pool::parallel_flat_map(&ranges, |&(a, b)| {
-        let mut out = Vec::with_capacity(b - a);
-        for i in a..b {
-            let f = flags[i];
-            out.push(ProbeSample {
-                src: HostId(col_u32(src, i)),
-                dst: HostId(col_u32(dst, i)),
-                t_s: col_f64(t_s, i),
-                probe_index: probe_index[i],
-                rtt_ms: (f & FLAG_RTT_PRESENT != 0).then(|| col_f64(rtt, i)),
-                loss_eligible: f & FLAG_LOSS_ELIGIBLE != 0,
-                episode: (f & FLAG_EPISODE_PRESENT != 0).then(|| col_u32(episode, i)),
-                path_idx: col_u32(path_idx, i),
-            });
-        }
-        out
-    }))
+    Ok(probes)
 }
 
 /// Decodes a `(count, offsets, blob)` section pair into per-item slices,
@@ -683,9 +661,9 @@ fn decode_offsets(cur: &mut Cur<'_>, n: usize) -> Result<Vec<u32>, Trace2Error> 
     Ok(offs)
 }
 
-/// Parses the v1 binary format from one borrowed buffer.
+/// Parses the binary format from one borrowed buffer.
 pub fn from_bytes(buf: &[u8]) -> Result<Dataset, Trace2Error> {
-    let [meta, hosts, aspaths, probes, transfers, ratelimited] = section_table(buf)?;
+    let [meta, hosts, aspaths, invocations, transfers, ratelimited] = section_table(buf)?;
 
     // meta
     let mut cur = Cur::new(SEC_META, meta);
@@ -752,7 +730,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<Dataset, Trace2Error> {
         as_paths.push((a..b).map(|k| col_u16(asns, k)).collect::<Vec<u16>>());
     }
 
-    let probes = decode_probes(probes)?;
+    let probes = decode_invocations(invocations)?;
 
     // transfers
     let mut cur = Cur::new(SEC_TRANSFERS, transfers);
@@ -846,6 +824,7 @@ mod tests {
                 truly_rate_limited: true,
             })
             .probe(3, 5, 12.5, Some(88.25))
+            .probe_with(3, 5, 12.5, Some(90.0), |p| p.probe_index = 1)
             .probe_with(3, 5, 12.6, None, |p| {
                 p.probe_index = 1;
                 p.loss_eligible = false;
@@ -879,13 +858,25 @@ mod tests {
         let mut ds = sample_dataset();
         // Values with no short exact decimal form: the format must carry
         // the raw bits, not a rounded value.
-        ds.probes[0].rtt_ms = Some(0.1 + 0.2);
+        let first = |d: &Dataset| d.probes.iter().next().expect("a probe");
+        ds.probes = ds
+            .probes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match i {
+                0 => detour_measure::ProbeSample {
+                    rtt_ms: Some(0.1 + 0.2),
+                    ..p
+                },
+                _ => p,
+            })
+            .collect();
         ds.transfers[0].loss_rate = f64::MIN_POSITIVE;
         ds.duration_s = 1000.0 / 3.0;
         let back = from_bytes(&to_bytes(&ds)).unwrap();
         assert_eq!(
-            back.probes[0].rtt_ms.map(f64::to_bits),
-            ds.probes[0].rtt_ms.map(f64::to_bits)
+            first(&back).rtt_ms.map(f64::to_bits),
+            first(&ds).rtt_ms.map(f64::to_bits)
         );
         assert_eq!(
             back.transfers[0].loss_rate.to_bits(),
@@ -902,10 +893,13 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut b = to_bytes(&sample_dataset());
-        b[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(from_bytes(&b), Err(Trace2Error::UnsupportedVersion(2)));
+    fn other_versions_are_rejected() {
+        // Version 1 (one row per probe) and any future version.
+        for v in [1, VERSION + 1] {
+            let mut b = to_bytes(&sample_dataset());
+            b[8..12].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(from_bytes(&b), Err(Trace2Error::UnsupportedVersion(v)));
+        }
     }
 
     #[test]
@@ -935,32 +929,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reserved_probe_flag_bits_are_rejected() {
-        let ds = sample_dataset();
-        let mut b = to_bytes(&ds);
-        // Entry 3 (0-based) of the table is the probes section; read its
-        // extent so the flag byte can be located and the checksum re-fixed
-        // (so the flag validation, not the checksum, fires).
+    /// `bytes` with bits set in one byte of the invocation section —
+    /// `edit` maps the row count to the byte's offset in the section and
+    /// the bits — and the checksum re-fixed, so that the value validation,
+    /// not the checksum, fires.
+    fn edit_invocations(bytes: &[u8], edit: impl Fn(usize) -> (usize, u8)) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        // Entry 3 (0-based) of the table is the invocation section.
         let entry = HEADER_LEN + 3 * TABLE_ENTRY_LEN;
         assert_eq!(
             u32::from_le_bytes(b[entry..entry + 4].try_into().unwrap()),
-            SEC_PROBES
+            SEC_INVOCATIONS
         );
         let sec_off = u64::from_le_bytes(b[entry + 8..entry + 16].try_into().unwrap()) as usize;
         let sec_len = u64::from_le_bytes(b[entry + 16..entry + 24].try_into().unwrap()) as usize;
         let n = u32::from_le_bytes(b[sec_off..sec_off + 4].try_into().unwrap()) as usize;
-        // Flags column sits after count + src + dst + t_s + probe_index.
-        let flags_in_sec = 4 + n * 4 + n * 4 + n * 8 + n;
-        b[sec_off + flags_in_sec] |= 0x80;
+        let (at, bits) = edit(n);
+        b[sec_off + at] |= bits;
         let sum = checksum(&b[sec_off..sec_off + sec_len]);
         b[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn invalid_invocation_masks_are_rejected() {
+        let ds = sample_dataset();
+        assert_eq!(ds.probes.rows().len(), 2, "probes 0 and 1, then probe 1");
+        let good = to_bytes(&ds);
+        // The mask column sits after count + src + dst + t_s + first_index.
+        let mask_at = |n: usize| 4 + n * 4 + n * 4 + n * 8 + n;
+        let n = 2;
+        // A reserved bit (15), and an RTT marked on row 0's empty slot 2.
+        for (byte, bits) in [(1, 0x80), (0, 1 << 5)] {
+            let b = edit_invocations(&good, |n| (mask_at(n) + byte, bits));
+            assert_eq!(
+                from_bytes(&b),
+                Err(Trace2Error::BadValue {
+                    id: SEC_INVOCATIONS,
+                    offset: mask_at(n),
+                })
+            );
+        }
+        // A first index of 1 moves the row's probes to indices 1 and 2:
+        // it decodes, and the row's second probe breaks no rule yet.
+        let b = edit_invocations(&good, |n| (4 + n * 16, 1));
+        let shifted = from_bytes(&b).expect("indices 1 and 2 are valid");
+        let indices: Vec<u8> = shifted.probes.iter().map(|p| p.probe_index).collect();
+        assert_eq!(indices, [1, 2, 1]);
+        // Past index 2, the dataset rules name the probe.
+        let b = edit_invocations(&good, |n| (4 + n * 16, 2));
         assert_eq!(
             from_bytes(&b),
-            Err(Trace2Error::BadValue {
-                id: SEC_PROBES,
-                offset: flags_in_sec,
-            })
+            Err(Trace2Error::Dataset(DatasetError {
+                field: detour_measure::DatasetField::ProbeIndex,
+                row: 1,
+            }))
         );
     }
 
@@ -986,22 +1009,6 @@ mod tests {
             from_bytes(&dup),
             Err(Trace2Error::DuplicateSection { id: SEC_HOSTS })
         );
-    }
-
-    #[test]
-    fn decode_is_identical_across_worker_counts() {
-        let ds = sample_dataset();
-        let bytes = to_bytes(&ds);
-        let mut reference = None;
-        for t in [1usize, 2, 8] {
-            detour_pool::set_threads(t);
-            let got = from_bytes(&bytes).unwrap();
-            match &reference {
-                None => reference = Some(got),
-                Some(r) => assert_eq!(r, &got, "decode diverged at {t} workers"),
-            }
-        }
-        detour_pool::set_threads(0);
     }
 
     #[test]

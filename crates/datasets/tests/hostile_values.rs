@@ -3,10 +3,12 @@
 //! analyses have no meaning for (NaN, ±inf, negative, zero and
 //! longer-than-any-timeout RTTs,
 //! unlisted and duplicate hosts, a probe from a host to itself, AS-path
-//! indices past the pool, loss rates outside `[0, 1]`, times outside the
-//! trace) or to a value on the edge of a rule. Each edit is re-encoded
-//! with valid checksums, so only the value rules stand between it and
-//! the analyses. A hostile value must come back as the
+//! indices past the pool, probe indices past 2, loss rates outside
+//! `[0, 1]`, times outside the trace) or to a value on the edge of a rule.
+//! A probe edit changes one sample of the store's `iter()` sequence and
+//! packs the sequence again, as any producer of a store would. Each edit
+//! is re-encoded with valid checksums, so only the value rules stand
+//! between it and the analyses. A hostile value must come back as the
 //! [`DatasetError`] that names its field and row; an edge value must load
 //! unchanged, and every registered experiment must then run on it.
 
@@ -14,7 +16,7 @@ use detour_bench::experiments::{run_all, REGISTRY};
 use detour_bench::{Bundle, Study};
 use detour_datasets::trace2::{self, Trace2Error};
 use detour_datasets::{DatasetId, Scale};
-use detour_measure::{Dataset, DatasetError, DatasetField, HostId};
+use detour_measure::{Dataset, DatasetError, DatasetField, HostId, ProbeSample};
 use detour_prng::{check, Rng};
 
 use DatasetField::*;
@@ -29,8 +31,8 @@ enum Target {
 }
 
 /// One menu entry: where it lands, what it does to row `r` (the row the
-/// error must name), and the field it breaks (`None`: an edge value the
-/// rules accept).
+/// error must name; for probes, the sample's position in `iter()`), and
+/// the field it breaks (`None`: an edge value the rules accept).
 type Edit = (Target, fn(&mut Dataset, usize), Option<DatasetField>);
 
 /// A host id no generated dataset lists.
@@ -45,26 +47,29 @@ const MENU: &[Edit] = &[
     (Target::Meta, |d, _| d.detected_rate_limited = vec![UNLISTED], None),
     (Target::Meta, |d, _| d.name = String::new(), None),
     (Target::Hosts, duplicate_host, Some(Host)),
-    (Target::Probes, |d, r| d.probes[r].src = UNLISTED, Some(ProbeSrc)),
-    (Target::Probes, |d, r| d.probes[r].dst = UNLISTED, Some(ProbeDst)),
-    (Target::Probes, |d, r| d.probes[r].dst = d.probes[r].src, Some(ProbeDst)),
-    (Target::Probes, |d, r| d.probes[r].t_s = f64::NAN, Some(ProbeTime)),
-    (Target::Probes, |d, r| d.probes[r].t_s = f64::NEG_INFINITY, Some(ProbeTime)),
-    (Target::Probes, |d, r| d.probes[r].t_s = -1.0, Some(ProbeTime)),
-    (Target::Probes, |d, r| d.probes[r].t_s = d.duration_s + 1.0, Some(ProbeTime)),
-    (Target::Probes, |d, r| d.probes[r].t_s = d.duration_s, None),
-    (Target::Probes, |d, r| d.probes[r].t_s = 0.0, None),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(f64::NAN), Some(ProbeRtt)),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(f64::INFINITY), Some(ProbeRtt)),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(0.0), Some(ProbeRtt)),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(-20.0), Some(ProbeRtt)),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(1e300), Some(ProbeRtt)),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(600_001.0), Some(ProbeRtt)),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = Some(600_000.0), None),
-    (Target::Probes, |d, r| d.probes[r].rtt_ms = None, None),
-    (Target::Probes, |d, r| d.probes[r].path_idx = u32::MAX, Some(ProbePath)),
-    (Target::Probes, |d, r| d.probes[r].path_idx = d.as_paths.len() as u32, Some(ProbePath)),
-    (Target::Probes, |d, r| d.probes[r].episode = Some(u32::MAX), None),
+    (Target::Probes, |d, r| probe(d, r, |p| p.src = UNLISTED), Some(ProbeSrc)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.dst = UNLISTED), Some(ProbeDst)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.dst = p.src), Some(ProbeDst)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.t_s = f64::NAN), Some(ProbeTime)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.t_s = f64::NEG_INFINITY), Some(ProbeTime)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.t_s = -1.0), Some(ProbeTime)),
+    (Target::Probes, |d, r| { let end = d.duration_s; probe(d, r, |p| p.t_s = end + 1.0) }, Some(ProbeTime)),
+    (Target::Probes, |d, r| { let end = d.duration_s; probe(d, r, |p| p.t_s = end) }, None),
+    (Target::Probes, |d, r| probe(d, r, |p| p.t_s = 0.0), None),
+    (Target::Probes, |d, r| probe(d, r, |p| p.probe_index = 3), Some(ProbeIndex)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.probe_index = u8::MAX), Some(ProbeIndex)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.probe_index = 2), None),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(f64::NAN)), Some(ProbeRtt)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(f64::INFINITY)), Some(ProbeRtt)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(0.0)), Some(ProbeRtt)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(-20.0)), Some(ProbeRtt)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(1e300)), Some(ProbeRtt)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(600_001.0)), Some(ProbeRtt)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(600_000.0)), None),
+    (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = None), None),
+    (Target::Probes, |d, r| probe(d, r, |p| p.path_idx = u32::MAX), Some(ProbePath)),
+    (Target::Probes, |d, r| { let n = d.as_paths.len() as u32; probe(d, r, |p| p.path_idx = n) }, Some(ProbePath)),
+    (Target::Probes, |d, r| probe(d, r, |p| p.episode = Some(u32::MAX)), None),
     (Target::Transfers, |d, r| d.transfers[r].src = UNLISTED, Some(TransferSrc)),
     (Target::Transfers, |d, r| d.transfers[r].dst = d.transfers[r].src, Some(TransferDst)),
     (Target::Transfers, |d, r| d.transfers[r].t_s = f64::NAN, Some(TransferTime)),
@@ -85,6 +90,13 @@ const MENU: &[Edit] = &[
     (Target::Transfers, |d, r| d.transfers[r].bandwidth_kbps = -1.0, Some(TransferBandwidth)),
     (Target::Transfers, |d, r| d.transfers[r].bandwidth_kbps = 0.0, None),
 ];
+
+/// Edits sample `r` of `d`'s probes and packs the sequence again.
+fn probe(d: &mut Dataset, r: usize, edit: impl FnOnce(&mut ProbeSample)) {
+    let mut samples: Vec<ProbeSample> = d.probes.iter().collect();
+    edit(&mut samples[r]);
+    d.probes = samples.into_iter().collect();
+}
 
 /// Gives host `r` (never the first) the id of the host before it.
 fn duplicate_host(d: &mut Dataset, r: usize) {

@@ -76,16 +76,29 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
         (ids[s], ids[(s + rng.gen_range(1..ids.len())) % ids.len()])
     };
     if ids.len() >= 2 && n_paths > 0 {
-        for _ in 0..rng.gen_range(0..40usize) {
+        // Invocations of zero to three probes, with repeated and
+        // out-of-order indices, interleaved mirrored pairs, episodes
+        // present and absent, and first-sample-only eligibility.
+        for _ in 0..rng.gen_range(0..16usize) {
             let (s, d) = pair(rng);
             let t = within(rng, duration);
-            let rtt = rng.gen_bool(0.8).then(|| rtt_ms(rng));
-            b.probe_with(s, d, t, rtt, |p| {
-                p.probe_index = rng.gen_range(0..3u32) as u8;
-                p.loss_eligible = rng.gen_bool(0.9);
-                p.episode = rng.gen_bool(0.4).then(|| rng.next_u64() as u32);
-                p.path_idx = rng.gen_range(0..n_paths);
-            });
+            let episode = rng.gen_bool(0.4).then(|| rng.next_u64() as u32);
+            let path_idx = rng.gen_range(0..n_paths);
+            let first_only = rng.gen_bool(0.3);
+            let ways = if rng.gen_bool(0.2) { 2 } else { 1 };
+            for _ in 0..rng.gen_range(0..4usize) {
+                let index = rng.gen_range(0..3u32) as u8;
+                let rtt = rng.gen_bool(0.8).then(|| rtt_ms(rng));
+                let eligible = !first_only || index == 0;
+                for (x, y) in [(s, d), (d, s)].into_iter().take(ways) {
+                    b.probe_with(x, y, t, rtt, |p| {
+                        p.probe_index = index;
+                        p.loss_eligible = eligible;
+                        p.episode = episode;
+                        p.path_idx = path_idx;
+                    });
+                }
+            }
         }
     }
     if ids.len() >= 2 {
@@ -123,10 +136,11 @@ fn random_datasets_roundtrip_bit_identically() {
         let bits = |d: &Dataset| {
             d.probes
                 .iter()
-                .map(|p| (p.rtt_ms.map(f64::to_bits), p.episode))
+                .map(|p| (p.t_s.to_bits(), p.rtt_ms.map(f64::to_bits), p))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(bits(&back), bits(&ds), "RTT bits or episodes drifted");
+        assert_eq!(bits(&back), bits(&ds), "a probe sample drifted");
+        assert_eq!(back.probes.rows(), ds.probes.rows(), "rows repacked");
     });
 }
 
@@ -173,10 +187,15 @@ fn a_trace_naming_the_largest_host_id_loads_and_indexes() {
         }
     };
     ds.hosts[last].id = HostId(u32::MAX);
-    for p in &mut ds.probes {
-        rename(&mut p.src);
-        rename(&mut p.dst);
-    }
+    ds.probes = ds
+        .probes
+        .iter()
+        .map(|mut p| {
+            rename(&mut p.src);
+            rename(&mut p.dst);
+            p
+        })
+        .collect();
     ds.detected_rate_limited.iter_mut().for_each(rename);
     let back = trace2::from_bytes(&trace2::to_bytes(&ds)).expect("binary decodes");
     assert_eq!(back, ds);
@@ -198,13 +217,16 @@ fn file_roundtrip_and_unknown_versions_fail_loudly() {
     trace2::save(&ds, &path).unwrap();
     assert_eq!(trace2::load(&path).unwrap(), ds);
 
-    // Bump the version field (bytes 8..12 little-endian): the loader must
-    // refuse rather than guess at a future layout.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    assert!(matches!(
-        trace2::from_bytes(&bytes),
-        Err(trace2::Trace2Error::UnsupportedVersion(2))
-    ));
+    // Restamp the version field (bytes 8..12 little-endian): the loader
+    // must refuse the past per-probe layout and a future one rather than
+    // guess at either.
+    for version in [1, trace2::VERSION + 1] {
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            trace2::from_bytes(&bytes),
+            Err(trace2::Trace2Error::UnsupportedVersion(version))
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. empirically detect ICMP rate-limiting hosts and apply the dataset's
 //!    correction policy ([`crate::ratelimit`]);
-//! 2. flatten traceroute invocations into per-probe samples;
+//! 2. store each surviving traceroute invocation as one [`ProbeRow`];
 //! 3. "we removed paths for which there were fewer than 30 measurements so
 //!    as to increase our confidence in the results";
 //! 4. compute the Table-1 characteristics (hosts, measurement count,
@@ -16,7 +16,7 @@ use detour_netsim::HostId;
 
 use crate::control::RawMeasurements;
 use crate::ratelimit::{detect_rate_limited, RateLimitPolicy};
-use crate::record::{HostMeta, ProbeSample, TransferSample};
+use crate::record::{HostMeta, ProbeRow, ProbeSample, Probes, TransferSample};
 
 /// Default minimum probe count per directed path (paper: 30).
 pub const MIN_SAMPLES_PER_PATH: usize = 30;
@@ -41,8 +41,8 @@ pub struct Dataset {
     pub name: String,
     /// Hosts remaining after filtering; no id appears twice.
     pub hosts: Vec<HostMeta>,
-    /// Flattened per-probe samples (traceroute datasets).
-    pub probes: Vec<ProbeSample>,
+    /// Traceroute probes, one row per invocation (traceroute datasets).
+    pub probes: Probes,
     /// TCP transfer samples (N2 datasets).
     pub transfers: Vec<TransferSample>,
     /// Pool of distinct AS paths; probes reference entries by index.
@@ -77,6 +77,8 @@ pub enum DatasetField {
     ProbeDst,
     /// `probes[row].t_s`: not in `[0, duration_s]`.
     ProbeTime,
+    /// `probes[row].probe_index`: past 2 (an invocation sends three).
+    ProbeIndex,
     /// `probes[row].rtt_ms`: present but not in `(0, MAX_RTT_MS]`.
     ProbeRtt,
     /// `probes[row].path_idx`: past the end of `as_paths`.
@@ -105,6 +107,7 @@ impl DatasetField {
             ProbeSrc => ("probes.src", "names an unlisted host"),
             ProbeDst => ("probes.dst", "names an unlisted host or the source"),
             ProbeTime => ("probes.t_s", "lies outside [0, duration_s]"),
+            ProbeIndex => ("probes.probe_index", "lies outside 0..=2"),
             ProbeRtt => ("probes.rtt_ms", "lies outside (0, 600000] ms"),
             ProbePath => ("probes.path_idx", "is past the AS-path pool"),
             TransferSrc => ("transfers.src", "names an unlisted host"),
@@ -124,7 +127,8 @@ impl DatasetField {
 pub struct DatasetError {
     /// The offending field.
     pub field: DatasetField,
-    /// Its row in `hosts`, `probes` or `transfers` (0 for `duration_s`).
+    /// Its row in `hosts` or `transfers`, or its sample's position in
+    /// `probes.iter()` (0 for `duration_s`).
     pub row: usize,
 }
 
@@ -152,22 +156,40 @@ pub struct Characteristics {
     pub duration_days: f64,
 }
 
+/// Where [`Dataset::assemble`]'s probe samples went, besides into the
+/// dataset: every raw sample (three per invocation) plus every mirrored
+/// copy is kept or dropped exactly once.
+#[derive(Debug, Default)]
+struct SampleFlow {
+    /// Copies made for UW1's mirrored paths.
+    mirrored: usize,
+    /// Dropped by the rate-limit policy: invocations touching a filtered
+    /// or unlisted host or aimed at a detected one, and lost follow-ups
+    /// under first-sample-only.
+    policy_dropped: usize,
+    /// Dropped by the ≥30-samples-per-path filter.
+    filter_dropped: usize,
+}
+
 impl Dataset {
     /// Builds a dataset from its parts, checking every rule the analyses
     /// rely on: host ids are unique; every probe and transfer runs between
     /// two different listed hosts; sample times are finite and lie in
-    /// `[0, duration_s]`; a present probe RTT and every transfer RTT are
-    /// positive and at most [`MAX_RTT_MS`] (they become shortest-path
-    /// weights, Mathis divisors and sample grids); transfer loss is a probability; bandwidth is finite and
+    /// `[0, duration_s]`; probe indices are 0, 1 or 2; a present probe RTT
+    /// and every transfer RTT are positive and at most [`MAX_RTT_MS`]
+    /// (they become shortest-path weights, Mathis divisors and sample
+    /// grids); transfer loss is a probability; bandwidth is finite and
     /// non-negative; and every `path_idx` names an entry of `as_paths`.
-    /// The first row that breaks a rule is the error.
+    /// The first row (for probes, the first sample in `probes.iter()`
+    /// order) that breaks a rule is the error. Each probe row's shared
+    /// fields are checked once, and each of its present RTTs once.
     ///
     /// `detected_rate_limited` starts empty and `starved_pairs` at 0; they
     /// carry no rule, so callers set them on the result.
     pub fn new(
         name: String,
         hosts: Vec<HostMeta>,
-        probes: Vec<ProbeSample>,
+        probes: Probes,
         transfers: Vec<TransferSample>,
         as_paths: Vec<Vec<u16>>,
         duration_s: f64,
@@ -191,21 +213,30 @@ impl Dataset {
         let listed = |h: HostId| ids.binary_search_by_key(&h, |&(id, _)| id).is_ok();
         let in_window = |t: f64| (0.0..=duration_s).contains(&t);
         let rtt_ok = |v: f64| v > 0.0 && v <= MAX_RTT_MS;
-        for (row, p) in probes.iter().enumerate() {
-            let fault = if !listed(p.src) {
-                ProbeSrc
-            } else if p.dst == p.src || !listed(p.dst) {
-                ProbeDst
-            } else if !in_window(p.t_s) {
-                ProbeTime
-            } else if p.rtt_ms.is_some_and(|v| !rtt_ok(v)) {
-                ProbeRtt
-            } else if p.path_idx as usize >= as_paths.len() {
-                ProbePath
-            } else {
-                continue;
-            };
-            return fail(fault, row);
+        // A row's samples share its key: a fault there is its first
+        // sample's, ranked as a sample's own fields would rank it.
+        let mut at = 0;
+        for r in probes.rows() {
+            if !listed(r.src) {
+                return fail(ProbeSrc, at);
+            } else if r.dst == r.src || !listed(r.dst) {
+                return fail(ProbeDst, at);
+            } else if !in_window(r.t_s) {
+                return fail(ProbeTime, at);
+            }
+            for (k, p) in r.samples().enumerate() {
+                let fault = if p.probe_index > 2 {
+                    ProbeIndex
+                } else if p.rtt_ms.is_some_and(|v| !rtt_ok(v)) {
+                    ProbeRtt
+                } else if k == 0 && r.path_idx as usize >= as_paths.len() {
+                    ProbePath
+                } else {
+                    continue;
+                };
+                return fail(fault, at + k);
+            }
+            at += r.len();
         }
         for (row, t) in transfers.iter().enumerate() {
             let fault = if !listed(t.src) {
@@ -243,7 +274,7 @@ impl Dataset {
         DatasetBuilder {
             name: name.to_string(),
             hosts: Vec::new(),
-            probes: Vec::new(),
+            probes: Probes::new(),
             transfers: Vec::new(),
             as_paths: vec![vec![0]],
             duration_s: None,
@@ -263,6 +294,18 @@ impl Dataset {
         min_samples: usize,
         duration_s: f64,
     ) -> Dataset {
+        Self::assemble_counted(name, hosts, raw, policy, min_samples, duration_s).0
+    }
+
+    /// [`Dataset::assemble`], with where the probe samples went.
+    fn assemble_counted(
+        name: &str,
+        hosts: Vec<HostMeta>,
+        raw: &RawMeasurements,
+        policy: RateLimitPolicy,
+        min_samples: usize,
+        duration_s: f64,
+    ) -> (Dataset, SampleFlow) {
         let detected = detect_rate_limited(&raw.invocations);
 
         // Apply the rate-limit policy at invocation granularity.
@@ -288,20 +331,25 @@ impl Dataset {
             path_pool.insert(p.to_vec(), i);
             i
         };
+        let mut flow = SampleFlow::default();
         let mut reversed: Vec<u16> = Vec::new();
-        let mut probes = Vec::new();
+        let mut rows: Vec<ProbeRow> = Vec::with_capacity(raw.invocations.len());
+        // Probe samples per directed pair, for the ≥30 filter.
+        let mut probe_counts: HashMap<(HostId, HostId), usize> = HashMap::new();
         for inv in &raw.invocations {
-            if !kept.contains(&inv.src) || !kept.contains(&inv.dst) {
-                continue;
-            }
-            if policy == RateLimitPolicy::ReverseDirection && detected.contains(&inv.dst) {
+            if !kept.contains(&inv.src)
+                || !kept.contains(&inv.dst)
+                || (policy == RateLimitPolicy::ReverseDirection && detected.contains(&inv.dst))
+            {
+                flow.policy_dropped += inv.rtts.len();
                 continue;
             }
             // UW1's substitution: measurements *toward* a rate limiter are
             // untrustworthy, so the study "use[d] the round-trip
             // measurements from traceroutes initiated in the opposite
             // direction". A clean invocation *from* a detected host doubles
-            // as the mirrored path's record (with the AS path reversed).
+            // as the mirrored path's record (with the AS path reversed),
+            // a row of its own right after the invocation's.
             let mirror = policy == RateLimitPolicy::ReverseDirection && detected.contains(&inv.src);
             let path_idx = intern_path(&inv.as_path);
             let mirror_path_idx = mirror.then(|| {
@@ -309,6 +357,7 @@ impl Dataset {
                 reversed.extend(inv.as_path.iter().rev());
                 intern_path(&reversed)
             });
+            let mut row = ProbeRow::new(inv.src, inv.dst, inv.t_s, inv.episode, path_idx);
             for (k, &rtt) in inv.rtts.iter().enumerate() {
                 let loss_eligible = match policy {
                     RateLimitPolicy::FirstSampleOnly => k == 0,
@@ -317,30 +366,20 @@ impl Dataset {
                 // Follow-up probes that never returned carry no information
                 // under first-sample-only; drop them entirely.
                 if !loss_eligible && rtt.is_none() {
+                    flow.policy_dropped += 1;
                     continue;
                 }
-                probes.push(ProbeSample {
-                    src: inv.src,
-                    dst: inv.dst,
-                    t_s: inv.t_s,
-                    probe_index: k as u8,
-                    rtt_ms: rtt,
-                    loss_eligible,
-                    episode: inv.episode,
-                    path_idx,
-                });
-                if let Some(mpi) = mirror_path_idx {
-                    probes.push(ProbeSample {
-                        src: inv.dst,
-                        dst: inv.src,
-                        t_s: inv.t_s,
-                        probe_index: k as u8,
-                        rtt_ms: rtt,
-                        loss_eligible,
-                        episode: inv.episode,
-                        path_idx: mpi,
-                    });
-                }
+                row.fill_slot(k, rtt, loss_eligible);
+            }
+            let mirrored = mirror_path_idx.map(|path_idx| {
+                let mut m = row;
+                (m.src, m.dst, m.path_idx) = (inv.dst, inv.src, path_idx);
+                m
+            });
+            flow.mirrored += mirrored.map_or(0, |m| m.len());
+            for r in std::iter::once(row).chain(mirrored) {
+                *probe_counts.entry((r.src, r.dst)).or_default() += r.len();
+                rows.push(r);
             }
         }
 
@@ -351,15 +390,12 @@ impl Dataset {
             .copied()
             .collect();
 
-        // Per-path sample-count filter.
-        let mut probe_counts: HashMap<(HostId, HostId), usize> = HashMap::new();
-        for p in &probes {
-            *probe_counts.entry((p.src, p.dst)).or_default() += 1;
-        }
-        let probes: Vec<ProbeSample> = probes
-            .into_iter()
-            .filter(|p| probe_counts[&(p.src, p.dst)] >= min_samples)
-            .collect();
+        // Per-path sample-count filter: it counts probes, not rows. Every
+        // row holds its invocation's first probe, so no row can continue
+        // the one before it and the kept rows are already packed.
+        rows.retain(|r| probe_counts[&(r.src, r.dst)] >= min_samples);
+        let probes: Probes = rows.into_iter().collect();
+        flow.filter_dropped = probe_counts.values().filter(|&&c| c < min_samples).sum();
 
         let min_transfers = (min_samples / 3).max(2);
         let mut transfer_counts: HashMap<(HostId, HostId), usize> = HashMap::new();
@@ -391,7 +427,7 @@ impl Dataset {
         .unwrap_or_else(|e| panic!("the campaign assembled an invalid dataset: {e}"));
         ds.detected_rate_limited = detected;
         ds.starved_pairs = starved_pairs;
-        ds
+        (ds, flow)
     }
 
     /// Restricts the dataset to a host subset (used to derive the `-NA`
@@ -410,8 +446,9 @@ impl Dataset {
             self.name.clone(),
             self.hosts.iter().filter(|h| kept(h.id)).cloned().collect(),
             self.probes
+                .rows()
                 .iter()
-                .filter(|p| kept(p.src) && kept(p.dst))
+                .filter(|r| kept(r.src) && kept(r.dst))
                 .copied()
                 .collect(),
             self.transfers
@@ -439,9 +476,9 @@ impl Dataset {
         let rank = |h: HostId| ids.partition_point(|&id| id < h);
         let mut seen = vec![false; n * n];
         let mut last = None;
-        let pairs = self.probes.iter().map(|p| (p.src, p.dst));
+        let pairs = self.probes.rows().iter().map(|r| (r.src, r.dst));
         for pair in pairs.chain(self.transfers.iter().map(|t| (t.src, t.dst))) {
-            // An invocation's probes are consecutive rows on one pair.
+            // Consecutive records often share a pair.
             if last != Some(pair) {
                 seen[rank(pair.0) * n + rank(pair.1)] = true;
                 last = Some(pair);
@@ -457,13 +494,13 @@ impl Dataset {
     /// The Table-1 row for this dataset.
     ///
     /// "Measurements" counts traceroute *invocations* (not the three probes
-    /// each one takes), matching the paper's accounting; for transfer
-    /// datasets it counts transfers.
+    /// each one takes), matching the paper's accounting — the rows that
+    /// hold a first probe; for transfer datasets it counts transfers.
     pub fn characteristics(&self) -> Characteristics {
         let n = self.hosts.len();
         let potential = (n * n.saturating_sub(1)).max(1);
         let measurements = if self.transfers.is_empty() {
-            self.probes.iter().filter(|p| p.probe_index == 0).count()
+            self.probes.rows().iter().filter(|r| r.has_slot(0)).count()
         } else {
             self.transfers.len()
         };
@@ -488,7 +525,7 @@ impl Dataset {
 pub struct DatasetBuilder {
     name: String,
     hosts: Vec<HostMeta>,
-    probes: Vec<ProbeSample>,
+    probes: Probes,
     transfers: Vec<TransferSample>,
     as_paths: Vec<Vec<u16>>,
     duration_s: Option<f64>,
@@ -587,8 +624,9 @@ impl DatasetBuilder {
     pub fn build(&self) -> Result<Dataset, DatasetError> {
         let latest = self
             .probes
+            .rows()
             .iter()
-            .map(|p| p.t_s)
+            .map(|r| r.t_s)
             .chain(self.transfers.iter().map(|t| t.t_s))
             .fold(0.0, f64::max);
         Dataset::new(
@@ -640,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn assembly_flattens_probes() {
+    fn assembly_stores_one_row_per_invocation() {
         let raw = clean_raw(&[0, 1, 2], 12);
         let ds = Dataset::assemble(
             "T",
@@ -652,6 +690,7 @@ mod tests {
         );
         // 6 ordered pairs * 12 invocations * 3 probes = 216, all ≥ 30/path.
         assert_eq!(ds.probes.len(), 216);
+        assert_eq!(ds.probes.rows().len(), 6 * 12);
         assert_eq!(ds.hosts.len(), 3);
         assert_eq!(ds.measured_pairs().len(), 6);
     }
@@ -748,6 +787,9 @@ mod tests {
         );
         assert!(toward.iter().all(|p| p.src == HostId(0)));
         assert!(toward.iter().all(|p| p.rtt_ms.is_some()));
+        // Each mirrored record is a row of its own, all three probes.
+        let mut mirrored = ds.probes.rows().iter().filter(|r| r.dst == HostId(2));
+        assert!(mirrored.clone().count() > 0 && mirrored.all(|r| r.len() == 3));
         assert!(ds.probes.iter().any(|p| p.src == HostId(2)));
     }
 
@@ -886,6 +928,61 @@ mod tests {
     }
 
     #[test]
+    fn assembly_conserves_every_probe_sample() {
+        use std::cell::Cell;
+        // How often each way out of the raw samples came up.
+        let seen = [(); 3].map(|_| Cell::new(0u32));
+        let bump = |c: &Cell<u32>, n: usize| c.set(c.get() + u32::from(n > 0));
+        detour_prng::check::check("assembly conservation", |rng| {
+            use detour_prng::Rng;
+            let n = rng.gen_range(2..6u32);
+            let mut raw = RawMeasurements::default();
+            for i in 0..rng.gen_range(0..400usize) {
+                let src = rng.gen_range(0..n);
+                let dst = (src + rng.gen_range(1..n)) % n;
+                // Host 0 answers only first probes: a rate limiter.
+                let rtts = std::array::from_fn(|k| {
+                    let answered = rng.gen_bool(0.9) && !(dst == 0 && k > 0);
+                    answered.then_some(40.0 + k as f64)
+                });
+                raw.invocations.push(Invocation {
+                    src: HostId(src),
+                    dst: HostId(dst),
+                    t_s: i as f64,
+                    episode: rng.gen_bool(0.3).then_some(i as u32 / 10),
+                    rtts,
+                    as_path: vec![src as u16, rng.gen_range(0..3u32) as u16, dst as u16],
+                });
+            }
+            for policy in [
+                RateLimitPolicy::FilterHosts,
+                RateLimitPolicy::ReverseDirection,
+                RateLimitPolicy::FirstSampleOnly,
+            ] {
+                let hosts = (0..n).map(meta).collect();
+                let min = rng.gen_range(1..40usize);
+                let (ds, flow) = Dataset::assemble_counted("C", hosts, &raw, policy, min, 1e6);
+                assert_eq!(
+                    3 * raw.invocations.len() + flow.mirrored,
+                    ds.probes.len() + flow.policy_dropped + flow.filter_dropped,
+                    "{policy:?}: {flow:?}"
+                );
+                let rows: usize = ds.probes.rows().iter().map(ProbeRow::len).sum();
+                assert_eq!(rows, ds.probes.len());
+                bump(&seen[0], flow.mirrored);
+                bump(&seen[1], flow.policy_dropped);
+                bump(&seen[2], flow.filter_dropped);
+            }
+        });
+        for (name, c) in ["mirrored", "policy-dropped", "filter-dropped"]
+            .iter()
+            .zip(&seen)
+        {
+            assert!(c.get() > 0, "no case had {name} samples");
+        }
+    }
+
+    #[test]
     fn as_path_pool_deduplicates() {
         let raw = clean_raw(&[0, 1], 15);
         let ds = Dataset::assemble(
@@ -917,7 +1014,7 @@ mod tests {
     fn new_names_the_field_and_row_of_the_first_broken_rule() {
         use DatasetField::*;
         type Edit = for<'a> fn(&'a mut DatasetBuilder) -> &'a mut DatasetBuilder;
-        let cases: [(Edit, DatasetField, usize); 15] = [
+        let cases: [(Edit, DatasetField, usize); 18] = [
             (|b| b.duration(f64::NAN), Duration, 0),
             (|b| b.host(1).host(1), Host, 2),
             (|b| b.probe(7, 1, 0.0, None), ProbeSrc, 1),
@@ -925,6 +1022,25 @@ mod tests {
             (|b| b.probe(1, 0, 10.5, None), ProbeTime, 1),
             (|b| b.probe(1, 0, 0.0, Some(0.0)), ProbeRtt, 1),
             (|b| b.probe(1, 0, 0.0, Some(600_000.5)), ProbeRtt, 1),
+            (
+                |b| b.probe_with(1, 0, 0.0, None, |p| p.probe_index = 3),
+                ProbeIndex,
+                1,
+            ),
+            (
+                |b| b.probe_with(1, 0, 0.0, None, |p| p.probe_index = u8::MAX),
+                ProbeIndex,
+                1,
+            ),
+            // The third probe of the first invocation: its row's position.
+            (
+                |b| {
+                    b.probe_with(0, 1, 1.0, None, |p| p.probe_index = 1)
+                        .probe_with(0, 1, 1.0, Some(0.0), |p| p.probe_index = 2)
+                },
+                ProbeRtt,
+                2,
+            ),
             (
                 |b| b.probe_with(1, 0, 0.0, None, |p| p.path_idx = 1),
                 ProbePath,

@@ -10,11 +10,12 @@
 //! * [`ratelimit`] — empirical ICMP rate-limit detection and the three
 //!   per-dataset correction policies;
 //! * [`dataset`] — the checked [`dataset::Dataset`] constructor and its
-//!   rules, and assembly into it (probe flattening,
+//!   rules, and assembly into it (one probe row per invocation,
 //!   ≥30-samples-per-path filtering, Table-1 characteristics);
 //! * [`pairtable`] — columnar per-pair aggregates, built once per dataset
 //!   and shared by every downstream analysis;
-//! * [`record`] — the sample records every downstream analysis consumes.
+//! * [`record`] — the records every downstream analysis consumes, and
+//!   [`record::Probes`], the store of one row per traceroute invocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ pub use dataset::{
 };
 pub use pairtable::{HostIndex, PairTable};
 pub use ratelimit::RateLimitPolicy;
-pub use record::{HostMeta, Invocation, ProbeSample, TransferSample};
+pub use record::{HostMeta, Invocation, ProbeRow, ProbeSample, Probes, Samples, TransferSample};
 pub use schedule::{Request, Schedule};
 
 // Re-export so `detour-core` can name hosts without depending on the

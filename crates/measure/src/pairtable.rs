@@ -15,11 +15,12 @@
 //! pairs at a time, and equality/round-trip checks compare column by
 //! column.
 //!
-//! A build is two passes over its probes. The first looks each probe's
-//! cell up once (the only host-index lookup) and counts the returned
-//! probes per cell, which sizes the shared RTT-sample blob exactly; the
-//! second pushes into dense per-column [`OnlineStats`] arrays and tallies
-//! modal-path votes in one arena. The transfer columns get accumulators
+//! A build is two passes over its probe rows (one per traceroute
+//! invocation). The first looks each row's cell up once (the only
+//! host-index lookup) and counts the returned probes per cell, which sizes
+//! the shared RTT-sample blob exactly; the second pushes each row's probes
+//! into dense per-column [`OnlineStats`] arrays and tallies its modal-path
+//! votes in one arena. The transfer columns get accumulators
 //! only when the dataset has transfers. So a build allocates per column,
 //! never per cell, however many parts a partitioned build makes.
 //!
@@ -31,15 +32,15 @@
 //! [`PairTable::build_partitioned`] is bit-identical to the table of a
 //! dataset holding only that part's probes.
 //!
-//! Every build records the probes it reads on the `pairtable/probe_visits`
-//! counter of the current `detour-obs` recorder (one `add` per build), so a
+//! Every build records the probes (not rows) it reads on the
+//! `pairtable/probe_visits` counter of the current `detour-obs` recorder (one `add` per build), so a
 //! run shows whether a per-part analysis stays linear in the probe count.
 
 use detour_netsim::HostId;
 use detour_stats::{OnlineStats, Summary};
 
 use crate::dataset::Dataset;
-use crate::record::ProbeSample;
+use crate::record::ProbeRow;
 
 /// Dense index of a dataset's hosts: the hosts in `Dataset::hosts` order
 /// (the tables' dense axis) plus `(id, index)` pairs sorted by id, so a
@@ -138,39 +139,39 @@ impl PairTable {
     /// Builds the table from every sample in `ds`.
     pub fn build(ds: &Dataset) -> PairTable {
         let index = HostIndex::new(ds.hosts.iter().map(|h| h.id).collect());
-        Self::build_from(ds, index, ds.probes.iter())
+        Self::build_from(ds, index, ds.probes.rows().iter())
     }
 
-    /// Splits `ds`'s probes into `parts` disjoint subsets by `key` and
+    /// Splits `ds`'s probe rows into `parts` disjoint subsets by `key` and
     /// yields one table per part, in part order, each built when the
     /// iterator reaches it — so only one part's table need be alive at a
-    /// time. A probe keyed `None` belongs to no part. Every table covers
+    /// time. A row keyed `None` belongs to no part. Every table covers
     /// all of `ds`'s hosts and all of its transfers (the time-of-day and
     /// episode analyses only slice probes), and equals
     /// [`PairTable::build`] of a copy of `ds` holding only that part's
-    /// probes.
+    /// rows.
     ///
-    /// `key` runs once per probe, in probe order: a counting pass sizes
-    /// one shared index array (each part's probe indices, in probe order),
-    /// and a scatter pass fills it. The split reads each probe once and each
-    /// part's build reads its own probes twice, so the whole partition
-    /// reads at most three probes per probe of `ds`, however many parts
-    /// there are.
+    /// `key` runs once per row, in row order: a counting pass sizes one
+    /// shared index array (each part's row indices, in row order), and a
+    /// scatter pass fills it. The split reads each row once and each part's
+    /// build reads its own rows twice, so the whole partition reads at most
+    /// three rows per row of `ds`, however many parts there are.
     ///
     /// # Panics
     /// When `key` returns a part `>= parts`.
     pub fn build_partitioned<'a>(
         ds: &'a Dataset,
         parts: usize,
-        mut key: impl FnMut(&ProbeSample) -> Option<usize>,
+        mut key: impl FnMut(&ProbeRow) -> Option<usize>,
     ) -> impl ExactSizeIterator<Item = PairTable> + 'a {
         const NONE: u32 = u32::MAX;
-        let mut keys: Vec<u32> = Vec::with_capacity(ds.probes.len());
+        let rows = ds.probes.rows();
+        let mut keys: Vec<u32> = Vec::with_capacity(rows.len());
         let mut off: Vec<u32> = vec![0; parts + 1];
-        for p in &ds.probes {
-            let k = match key(p) {
+        for r in rows {
+            let k = match key(r) {
                 Some(k) => {
-                    assert!(k < parts, "probe keyed to part {k} of {parts}");
+                    assert!(k < parts, "row keyed to part {k} of {parts}");
                     off[k + 1] += 1;
                     k as u32
                 }
@@ -195,69 +196,75 @@ impl PairTable {
         let index = HostIndex::new(ds.hosts.iter().map(|h| h.id).collect());
         (0..parts).map(move |k| {
             let part = &members[off[k] as usize..off[k + 1] as usize];
-            let probes = part.iter().map(|&i| &ds.probes[i as usize]);
-            Self::build_from(ds, index.clone(), probes)
+            let part_rows = part.iter().map(|&i| &rows[i as usize]);
+            Self::build_from(ds, index.clone(), part_rows)
         })
     }
 
-    /// The shared build: `probes` (a subset of `ds.probes`, in probe order)
-    /// plus every transfer of `ds`, over the hosts of `index`. Two passes
-    /// over `probes`: the first looks each probe's cell up (the only
-    /// lookup) and counts the returned ones, which sizes the shared
-    /// RTT-sample blob exactly; the second accumulates. Accumulators are
-    /// dense per-column [`OnlineStats`] arrays, the modal-path votes share
-    /// one arena, and the three transfer columns get accumulators only when
-    /// `ds` has transfers, so a build allocates per column, never per cell.
+    /// The shared build: `rows` (a subset of `ds.probes.rows()`, in row
+    /// order) plus every transfer of `ds`, over the hosts of `index`. Two
+    /// passes over `rows`: the first looks each row's cell up (the only
+    /// lookup) and counts its returned probes, which sizes the shared
+    /// RTT-sample blob exactly; the second accumulates each row's probes in
+    /// slot order, so every cell sees its samples in sample order.
+    /// Accumulators are dense per-column [`OnlineStats`] arrays, the
+    /// modal-path votes share one arena, and the three transfer columns get
+    /// accumulators only when `ds` has transfers, so a build allocates per
+    /// column, never per cell.
     fn build_from<'p>(
         ds: &Dataset,
         index: HostIndex,
-        probes: impl Iterator<Item = &'p ProbeSample> + Clone,
+        rows: impl Iterator<Item = &'p ProbeRow> + Clone,
     ) -> PairTable {
         let n = index.hosts.len();
         let cell = |src: HostId, dst: HostId| index.position(src) * n + index.position(dst);
 
-        // Pass 1: each probe's cell, and the returned probes per cell,
+        // Pass 1: each row's cell, and the returned probes per cell,
         // prefix-summed in place into the blob offsets.
-        let mut cells: Vec<u32> = Vec::with_capacity(probes.size_hint().0);
+        let mut cells: Vec<u32> = Vec::with_capacity(rows.size_hint().0);
         let mut rtt_off: Vec<u32> = vec![0; n * n + 1];
-        for p in probes.clone() {
-            let c = cell(p.src, p.dst);
+        let mut probes = 0;
+        for r in rows.clone() {
+            let c = cell(r.src, r.dst);
             cells.push(c as u32);
-            if p.rtt_ms.is_some() {
-                rtt_off[c + 1] += 1;
-            }
+            rtt_off[c + 1] += r.returned() as u32;
+            probes += r.len();
         }
-        detour_obs::current().add("pairtable/probe_visits", 2 * cells.len() as u64);
+        detour_obs::current().add("pairtable/probe_visits", 2 * probes as u64);
         for c in 0..n * n {
             rtt_off[c + 1] += rtt_off[c];
         }
         let mut rtt_samples: Vec<f64> = vec![0.0; rtt_off[n * n] as usize];
         let mut cursor: Vec<u32> = rtt_off[..n * n].to_vec();
 
-        // Pass 2: accumulate in probe order, writing each sample straight
+        // Pass 2: accumulate in sample order, writing each sample straight
         // into its cell's region of the blob, so every Welford summary and
-        // sample slice follows probe order within its cell.
+        // sample slice follows sample order within its cell.
         let mut rtt = vec![OnlineStats::new(); n * n];
         let mut loss = vec![OnlineStats::new(); n * n];
         let mut tallies: Vec<Tally> = Vec::new();
         let mut last_tally: Vec<u32> = vec![NIL; n * n];
-        for (p, &c) in probes.zip(&cells) {
+        for (r, &c) in rows.zip(&cells) {
             let c = c as usize;
-            if let Some(ms) = p.rtt_ms {
-                rtt[c].push(ms);
-                rtt_samples[cursor[c] as usize] = ms;
-                cursor[c] += 1;
+            for (rtt_ms, loss_eligible) in r.slots() {
+                if let Some(ms) = rtt_ms {
+                    rtt[c].push(ms);
+                    rtt_samples[cursor[c] as usize] = ms;
+                    cursor[c] += 1;
+                }
+                if loss_eligible {
+                    loss[c].push(if rtt_ms.is_none() { 1.0 } else { 0.0 });
+                }
             }
-            if p.loss_eligible {
-                loss[c].push(if p.lost() { 1.0 } else { 0.0 });
-            }
-            let seen = tally_list(&tallies, last_tally[c]).find(|&k| tallies[k].path == p.path_idx);
+            // Each of the row's probes votes for the row's path.
+            let votes = r.len() as u32;
+            let seen = tally_list(&tallies, last_tally[c]).find(|&k| tallies[k].path == r.path_idx);
             match seen {
-                Some(k) => tallies[k].votes += 1,
+                Some(k) => tallies[k].votes += votes,
                 None => {
                     tallies.push(Tally {
-                        path: p.path_idx,
-                        votes: 1,
+                        path: r.path_idx,
+                        votes,
                         next: last_tally[c],
                     });
                     last_tally[c] = (tallies.len() - 1) as u32;
@@ -408,6 +415,7 @@ impl PairTable {
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
+    use crate::record::ProbeSample;
 
     /// Three hosts: two returned probes and a lost one on 0→1, two on 1→2,
     /// and one transfer on 0→2.
@@ -523,9 +531,10 @@ mod tests {
         assert!((t.bandwidth(0, 2).unwrap().mean - 200.0).abs() < 1e-12);
     }
 
-    /// A random dataset: up to six hosts with arbitrary ids, probes between
-    /// two different hosts, each keyed to one of `parts` parts through its
-    /// `episode` or to none, and a few transfers.
+    /// A random dataset: up to six hosts with arbitrary ids, invocations of
+    /// one to three probes between two different hosts, each keyed to one
+    /// of `parts` parts through its `episode` or to none, and a few
+    /// transfers.
     fn random_dataset(rng: &mut detour_prng::Xoshiro256pp, parts: u32) -> Dataset {
         use detour_prng::Rng;
         let n = rng.gen_range(1..=6usize);
@@ -550,14 +559,19 @@ mod tests {
             let d = (s + rng.gen_range(1..ids.len())) % ids.len();
             (ids[s], ids[d])
         };
-        for k in 0..rng.gen_range(0..80usize) {
+        for k in 0..rng.gen_range(0..40usize) {
             let (s, d) = pair(rng);
-            let rtt = rng.gen_bool(0.8).then(|| rng.gen_range(1.0..200.0));
-            b.probe_with(s, d, k as f64, rtt, |p| {
-                p.loss_eligible = rng.gen_bool(0.9);
-                p.episode = rng.gen_bool(0.8).then(|| rng.gen_range(0..parts));
-                p.path_idx = rng.gen_range(0..3u32);
-            });
+            let episode = rng.gen_bool(0.8).then(|| rng.gen_range(0..parts));
+            let path_idx = rng.gen_range(0..3u32);
+            for index in 0..rng.gen_range(1..=3u8) {
+                let rtt = rng.gen_bool(0.8).then(|| rng.gen_range(1.0..200.0));
+                b.probe_with(s, d, k as f64, rtt, |p| {
+                    p.probe_index = index;
+                    p.loss_eligible = rng.gen_bool(0.9);
+                    p.episode = episode;
+                    p.path_idx = path_idx;
+                });
+            }
         }
         for k in 0..rng.gen_range(0..6usize) {
             let (s, d) = pair(rng);
@@ -578,14 +592,18 @@ mod tests {
             let parts = rng.gen_range(1..5u32);
             let ds = random_dataset(rng, parts);
             let full = PairTable::build(&ds);
-            let tables: Vec<PairTable> = PairTable::build_partitioned(&ds, parts as usize, |p| {
-                p.episode.map(|e| e as usize)
+            let tables: Vec<PairTable> = PairTable::build_partitioned(&ds, parts as usize, |r| {
+                r.episode().map(|e| e as usize)
             })
             .collect();
             assert_eq!(tables.len(), parts as usize);
             for (k, table) in tables.iter().enumerate() {
                 let mut only = ds.clone();
-                only.probes.retain(|p| p.episode == Some(k as u32));
+                only.probes = ds
+                    .probes
+                    .iter()
+                    .filter(|p| p.episode == Some(k as u32))
+                    .collect();
                 assert_eq!(table, &PairTable::build(&only), "part {k}");
             }
             // The parts cover every keyed probe exactly once, cell by cell.
@@ -644,11 +662,11 @@ mod tests {
             .collect()
     }
 
-    /// The table of `probes` (a subset of `ds.probes`, in probe order) plus
-    /// every transfer of `ds`, built the obvious way: per cell, filter the
-    /// records, push each statistic, and count the modal path in a
+    /// The table of `probes` (a subset of `ds.probes`, in sample order)
+    /// plus every transfer of `ds`, built the obvious way: per cell, filter
+    /// the records, push each statistic, and count the modal path in a
     /// `HashMap`.
-    fn naive_table_bits(ds: &Dataset, probes: &[&ProbeSample]) -> Vec<CellBits> {
+    fn naive_table_bits(ds: &Dataset, probes: &[ProbeSample]) -> Vec<CellBits> {
         let hosts: Vec<HostId> = ds.hosts.iter().map(|h| h.id).collect();
         let stats = |xs: &mut dyn Iterator<Item = f64>| {
             let mut acc = OnlineStats::new();
@@ -660,7 +678,6 @@ mod tests {
             for &dst in &hosts {
                 let here: Vec<&ProbeSample> = probes
                     .iter()
-                    .copied()
                     .filter(|p| (p.src, p.dst) == (src, dst))
                     .collect();
                 let moved: Vec<_> = ds
@@ -713,18 +730,19 @@ mod tests {
         detour_prng::check::check("naive pair tables", |rng| {
             let parts = rng.gen_range(1..5u32);
             let ds = random_dataset(rng, parts);
-            let all: Vec<&ProbeSample> = ds.probes.iter().collect();
+            let all: Vec<ProbeSample> = ds.probes.iter().collect();
             let full = PairTable::build(&ds);
             assert_eq!(
                 table_bits(&full),
                 naive_table_bits(&ds, &all),
                 "whole dataset"
             );
-            for (k, table) in
-                PairTable::build_partitioned(&ds, parts as usize, |p| p.episode.map(|e| e as usize))
-                    .enumerate()
+            for (k, table) in PairTable::build_partitioned(&ds, parts as usize, |r| {
+                r.episode().map(|e| e as usize)
+            })
+            .enumerate()
             {
-                let only: Vec<&ProbeSample> = all
+                let only: Vec<ProbeSample> = all
                     .iter()
                     .copied()
                     .filter(|p| p.episode == Some(k as u32))
@@ -784,7 +802,7 @@ mod tests {
             .build()
             .unwrap();
         let tables: Vec<PairTable> =
-            PairTable::build_partitioned(&ds, 2, |p| p.episode.map(|e| e as usize)).collect();
+            PairTable::build_partitioned(&ds, 2, |r| r.episode().map(|e| e as usize)).collect();
         // One keying pass over all five probes, then two passes over each
         // part's one probe.
         assert_eq!(rec.counter("pairtable/probe_visits"), 5 + 2 * 2);
@@ -798,7 +816,21 @@ mod tests {
         let ds = tiny_dataset();
         assert_eq!(PairTable::build(&ds), PairTable::build(&ds));
         let mut other = ds.clone();
-        other.probes[0].rtt_ms = Some(51.0);
+        other.probes = ds
+            .probes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                if i == 0 {
+                    ProbeSample {
+                        rtt_ms: Some(51.0),
+                        ..p
+                    }
+                } else {
+                    p
+                }
+            })
+            .collect();
         assert_ne!(PairTable::build(&ds), PairTable::build(&other));
     }
 

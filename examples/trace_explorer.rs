@@ -48,8 +48,9 @@ fn main() {
         c.hosts, c.measurements, c.duration_days, c.coverage_pct
     );
     println!(
-        "  {} probes, {} transfers, {} distinct AS paths, {} detected rate limiters",
+        "  {} probes in {} invocation rows, {} transfers, {} distinct AS paths, {} detected rate limiters",
         ds.probes.len(),
+        ds.probes.rows().len(),
         ds.transfers.len(),
         ds.as_paths.len(),
         ds.detected_rate_limited.len()
