@@ -179,8 +179,8 @@ pub fn purge(dir: &Path) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::{scale_network, scale_spec};
-    use detour_datasets::generate_on;
+    use crate::scale::scale_spec;
+    use detour_datasets::generate;
 
     /// Runs `f` under a fresh scoped recorder and returns its result with
     /// the `(hits, misses, quarantined)` counter readings for that call
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn a_one_member_family_misses_hits_then_quarantines_and_regenerates() {
-        // SCALE's spec and network at a tiny scale, through the path
+        // SCALE's spec at a tiny scale, through the path
         // `scale::load_or_generate` takes, with the counter deltas the
         // bundle tests assert, per member.
         let dir = tmp_dir("one-member");
@@ -238,11 +238,16 @@ mod tests {
             time_divisor: 2000,
             seed_offset: 0,
         };
-        let generate = || vec![generate_on(&scale_network(&spec, scale), &spec, scale)];
-        let run = || counted(|| load_or_regenerate(&dir, &[spec.name], scale, generate).unwrap());
+        let regenerate = || vec![generate(&spec, scale)];
+        let run = || counted(|| load_or_regenerate(&dir, &[spec.name], scale, regenerate).unwrap());
         let ((cold, hit), stats) = run();
         assert!(!hit);
         assert_eq!(stats, (0, 1, 0), "empty dir: a miss");
+        let path = cache_path(&dir, spec.name, scale);
+        assert!(
+            trace2::load(&path).unwrap() == generate(&scale_spec(), scale),
+            "the spec and the scale are the whole input of the saved dataset"
+        );
         let ((warm, hit), stats) = run();
         assert!(hit);
         assert_eq!(stats, (1, 0, 0), "second run: a hit");
@@ -251,7 +256,6 @@ mod tests {
             trace2::to_bytes(&cold[0]),
             "the cache round trip is lossless"
         );
-        let path = cache_path(&dir, spec.name, scale);
         std::fs::write(&path, b"DTRACE2\n but not really").unwrap();
         let ((again, hit), stats) = run();
         assert!(!hit);

@@ -156,8 +156,9 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment::new("fig15", UW3_PROP_RTT, fig15),
     Experiment::new("fig16", UW3_RTT, fig16),
     // Beyond the paper (DESIGN.md §5/§5b): the Paxson-phenomenon checks,
-    // then the routing-policy ablation and the overlay evaluation, which
-    // build their own networks and touch no study artifact.
+    // then the routing-policy ablation, which generates spec-built
+    // datasets, and the overlay evaluation, which builds its own networks;
+    // neither touches a study artifact.
     Experiment::new("asymmetry", &[], extras::asymmetry_report),
     Experiment::new("prevalence", &[], extras::prevalence_report),
     Experiment::new("independence", &[], extras::independence_report),
@@ -764,26 +765,22 @@ const SWEEP_SEED: u64 = 0x6f75_7467; // "outg"
 /// A small UW3-like collection the sweep regenerates per intensity: one
 /// simulated day, a dozen NA traceroute hosts, paired exponential
 /// requests. Small enough that four generations stay test-affordable,
-/// long enough that ~1/day failure processes actually fire.
+/// long enough that ~1/day failure processes actually fire. It keeps
+/// UW3's host filter and the paper's 30-sample minimum: the schedule
+/// budgets ~2x that per directed pair, so the fault-free control passes
+/// comfortably while heavy host downtime pushes pairs below it — which is
+/// the effect the sweep exists to surface.
 fn sweep_spec(faults: detour_faults::FaultConfig) -> detour_datasets::DatasetSpec {
     detour_datasets::DatasetSpec {
         name: "SWEEP",
-        era: detour_netsim::Era::Y1999,
         network_seed: SWEEP_SEED,
         campaign_seed: SWEEP_SEED ^ 1,
         duration_days: 1.0,
         n_hosts: 12,
         n_hosts_na: 12,
         schedule: detour_measure::Schedule::PairwiseExponentialPaired { mean_s: 20.0 },
-        campaign: detour_measure::CampaignConfig::traceroute(),
-        policy: detour_measure::RateLimitPolicy::FilterHosts,
-        // The paper's filter. The schedule budgets ~2x this per directed
-        // pair, so the fault-free control passes comfortably while heavy
-        // host downtime pushes pairs below it — which is the effect the
-        // sweep exists to surface.
-        min_samples: 30,
-        prescreened: false,
         faults,
+        ..detour_datasets::uw3::spec()
     }
 }
 

@@ -2,13 +2,13 @@
 //! its methodology leans on, the routing-policy ablation, and the overlay
 //! evaluation (DESIGN.md §5/§5b). Each is a [`crate::experiments::REGISTRY`]
 //! entry and runs through the same engine as the paper set; the ablation
-//! and the overlay evaluation build their own networks and ignore the
-//! study.
+//! generates spec-built datasets (UW3 once per routing mode) and the
+//! overlay evaluation builds its own networks, and both ignore the study.
 
 use detour_core::analysis::cdf::{compare_all_pairs, improvement_cdf, ratio_cdf};
 use detour_core::analysis::{asymmetry, prevalence};
 use detour_core::{AnalysisContext, Rtt, SearchDepth};
-use detour_datasets::{generate_on, uw3, DatasetId, Scale};
+use detour_datasets::{generate, uw3, DatasetId, DatasetSpec, Scale};
 use detour_netsim::sim::clock::SimTime;
 use detour_netsim::{Era, HostId, Network, NetworkConfig, RoutingMode};
 use detour_overlay::{evaluate, EvalConfig, Overlay, OverlayConfig};
@@ -123,12 +123,11 @@ pub fn ablation_report(_s: &Study) -> String {
         ("policy+best-exit", RoutingMode::PolicyBestExit),
         ("ideal shortest-delay", RoutingMode::GlobalShortestDelay),
     ] {
-        let spec = uw3::spec();
-        let mut cfg =
-            NetworkConfig::for_era(Era::Y1999, spec.network_seed, spec.duration_days / 4.0);
-        cfg.mode = mode;
-        let net = Network::generate(&cfg);
-        let ds = generate_on(&net, &spec, Scale::reduced(22, 4));
+        let spec = DatasetSpec {
+            routing: mode,
+            ..uw3::spec()
+        };
+        let ds = generate(&spec, Scale::reduced(22, 4));
         let cx = AnalysisContext::from_dataset(&ds);
         let cs = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
         let cdf = improvement_cdf(&cs);

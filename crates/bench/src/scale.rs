@@ -11,8 +11,8 @@
 //! (`results/cache/SCALE-o0-h128-t120-g1.trace2`), so only the first
 //! baseline run pays for the simulation.
 //!
-//! The stock Y1999 topology tops out at 85 stub hosts, so the workload
-//! carries its own topology: more stub ASes, one host each, all North
+//! The stock Y1999 topology tops out at 85 stub hosts, so SCALE's spec
+//! overrides the topology: more stub ASes, one host each, all North
 //! American, and **no ICMP rate limiters** — paired with
 //! [`RateLimitPolicy::FirstSampleOnly`] this guarantees the assembled
 //! dataset keeps all 128 hosts, which the baseline asserts (the
@@ -21,36 +21,39 @@
 use std::path::Path;
 
 use detour_datasets::spec::{self, DatasetSpec, Scale};
-use detour_faults::FaultConfig;
-use detour_measure::{CampaignConfig, Dataset, RateLimitPolicy, Schedule};
+use detour_datasets::uw4;
+use detour_measure::{Dataset, RateLimitPolicy, Schedule};
 use detour_netsim::topology::generator::TopologyConfig;
-use detour_netsim::{Era, Network, NetworkConfig};
+use detour_netsim::Era;
 
 use crate::cache::load_or_regenerate;
 
 /// Measurement hosts in the SCALE dataset (the gate requires ≥ 120).
 pub const SCALE_HOSTS: usize = 128;
 
-/// The SCALE dataset's collection spec: UW4-A-style full-mesh episodes
-/// (each episode measures every ordered pair, so request volume scales
-/// with n² — the pairwise Poisson schedules would thin out instead), a
-/// 14-day nominal trace run through the time divisor below, and a
-/// first-sample-only rate-limit policy so no host is ever dropped.
+/// The SCALE dataset's collection spec: UW4-A's (full-mesh episodes, so
+/// request volume scales with n² where the pairwise Poisson schedules would
+/// thin out, over a 14-day nominal trace run through the time divisor
+/// below) with its own seeds and 128 hosts, a first-sample-only rate-limit
+/// policy so no host is ever dropped, and the era topology widened to 200
+/// stub hosts (the era default is 85), pinned to North America and
+/// stripped of ICMP rate limiters.
 pub fn scale_spec() -> DatasetSpec {
     DatasetSpec {
         name: "SCALE",
-        era: Era::Y1999,
         network_seed: 9101,
         campaign_seed: 9102,
-        duration_days: 14.0,
         n_hosts: SCALE_HOSTS,
         n_hosts_na: SCALE_HOSTS,
         schedule: Schedule::Episodes { mean_gap_s: 700.0 },
-        campaign: CampaignConfig::traceroute(),
         policy: RateLimitPolicy::FirstSampleOnly,
-        min_samples: 30,
-        prescreened: true,
-        faults: FaultConfig::none(),
+        topology: Some(TopologyConfig {
+            n_stub: 200,
+            stubs_na_only: true,
+            rate_limited_fraction: 0.0,
+            ..TopologyConfig::for_era(Era::Y1999)
+        }),
+        ..uw4::spec_a()
     }
 }
 
@@ -65,22 +68,6 @@ pub fn scale_scale() -> Scale {
     }
 }
 
-/// The network the SCALE spec measures: era defaults except the topology,
-/// which is widened to hold 200 stub hosts (the era default is 85), pinned
-/// to North America, and stripped of ICMP rate limiters.
-pub(crate) fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
-    let horizon_days = spec.duration_days / scale.time_divisor as f64;
-    let mut cfg =
-        NetworkConfig::for_era(spec.era, scale.mixed_seed(spec.network_seed), horizon_days);
-    cfg.topology = TopologyConfig {
-        n_stub: 200,
-        stubs_na_only: true,
-        rate_limited_fraction: 0.0,
-        ..cfg.topology
-    };
-    Network::generate(&cfg)
-}
-
 /// Loads the SCALE dataset from the trace cache in `dir`, or generates and
 /// saves it. Returns the dataset and whether it was a cache hit. SCALE is
 /// a one-member family on its own network, so it goes through the same
@@ -90,10 +77,7 @@ pub(crate) fn scale_network(spec: &DatasetSpec, scale: Scale) -> Network {
 pub fn load_or_generate(dir: &Path) -> std::io::Result<(Dataset, bool)> {
     let _load = detour_obs::current().span("cache/load");
     let (spec, scale) = (scale_spec(), scale_scale());
-    let generate = || {
-        let net = scale_network(&spec, scale);
-        vec![spec::generate_on(&net, &spec, scale)]
-    };
+    let generate = || vec![spec::generate(&spec, scale)];
     let (mut datasets, hit) = load_or_regenerate(dir, &[spec.name], scale, generate)?;
     Ok((datasets.pop().expect("SCALE is one dataset"), hit))
 }
@@ -104,12 +88,11 @@ mod tests {
 
     #[test]
     fn scale_topology_holds_every_host() {
-        // Cheap structural check (no campaign): the widened topology must
-        // offer at least SCALE_HOSTS eligible NA hosts, or `select_hosts`
-        // would return fewer and the SCALE dataset come out smaller than
-        // its name says.
-        let spec = scale_spec();
-        let net = scale_network(&spec, scale_scale());
+        // Cheap structural check (no campaign): the network SCALE's spec
+        // implies must offer at least SCALE_HOSTS eligible NA hosts, or
+        // `select_hosts` would return fewer and the SCALE dataset come out
+        // smaller than its name says.
+        let net = detour_datasets::build_network(&scale_spec(), scale_scale());
         let na = net
             .hosts()
             .iter()

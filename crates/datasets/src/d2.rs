@@ -10,7 +10,7 @@
 //! [`crate::Family::D2`] derives it from the same simulation.
 
 use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
-use detour_netsim::Era;
+use detour_netsim::{Era, RoutingMode};
 
 use crate::spec::DatasetSpec;
 
@@ -35,6 +35,8 @@ pub fn spec() -> DatasetSpec {
         min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
+        routing: RoutingMode::PolicyHotPotato,
+        topology: None,
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`crate::Family::N2`] derives it from the same simulation.
 
 use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
-use detour_netsim::Era;
+use detour_netsim::{Era, RoutingMode};
 
 use crate::d2::NPD_1995_NETWORK_SEED;
 use crate::spec::DatasetSpec;
@@ -34,6 +34,8 @@ pub fn spec() -> DatasetSpec {
         min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
+        routing: RoutingMode::PolicyHotPotato,
+        topology: None,
     }
 }
 

@@ -208,6 +208,23 @@ mod tests {
     }
 
     #[test]
+    fn every_campaign_member_derives_its_familys_network() {
+        // `Family::generate` builds one network from the first member's
+        // spec, so each sibling's spec must imply that same network.
+        for scale in [Scale::full(), Scale::reduced(6, 48).with_seed_offset(3)] {
+            for family in Family::ALL {
+                let configs: Vec<String> = family
+                    .members()
+                    .iter()
+                    .filter_map(|&id| campaign(id))
+                    .map(|s| format!("{:?}", spec::network_config(&s, scale)))
+                    .collect();
+                assert!(configs.iter().all(|c| *c == configs[0]), "{family:?}");
+            }
+        }
+    }
+
+    #[test]
     fn scaled_generation_is_deterministic_across_calls() {
         let a = DatasetId::Uw4B.generate_scaled(8, 24);
         let b = DatasetId::Uw4B.generate_scaled(8, 24);

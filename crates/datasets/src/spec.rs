@@ -2,15 +2,18 @@
 //!
 //! A [`DatasetSpec`] captures everything Table 1 and §4.2 say about one
 //! dataset: era, duration, host counts and geography, request schedule,
-//! probe kind, and rate-limit correction policy. [`generate`] runs the
-//! full pipeline: build the era's network → select hosts → generate the
+//! probe kind, and rate-limit correction policy, plus the network it is
+//! measured on (routing mode and topology), so that a spec and a [`Scale`]
+//! determine their dataset. [`generate`] runs the
+//! full pipeline: build the spec's network → select hosts → generate the
 //! request schedule → run the measurement campaign → assemble and clean the
 //! dataset.
 
 use detour_faults::FaultConfig;
 use detour_measure::{run_campaign, CampaignConfig, Dataset, HostMeta, RateLimitPolicy, Schedule};
 use detour_netsim::geo::CITIES;
-use detour_netsim::{Era, HostId, Network, NetworkConfig};
+use detour_netsim::topology::generator::TopologyConfig;
+use detour_netsim::{Era, HostId, Network, NetworkConfig, RoutingMode};
 use detour_prng::SliceRandom;
 use detour_prng::Xoshiro256pp;
 
@@ -50,6 +53,12 @@ pub struct DatasetSpec {
     /// network build; the campaign-side classes (host outages, storms,
     /// truncation) into the measurement run — one knob drives both.
     pub faults: FaultConfig,
+    /// Path-selection rule of the network ([`RoutingMode::PolicyHotPotato`]
+    /// for every paper dataset; the routing-policy ablation varies it).
+    pub routing: RoutingMode,
+    /// Topology of the network; `None` is [`TopologyConfig::for_era`] of
+    /// `era`.
+    pub topology: Option<TopologyConfig>,
 }
 
 /// Scaling for fast tests/examples: fewer hosts, shorter trace.
@@ -101,18 +110,22 @@ impl Scale {
     }
 }
 
-/// Builds the network a spec measures. Exposed so examples can drive the
-/// same network the dataset came from (e.g. the overlay-router example).
+/// Builds the network a spec measures. [`crate::Family::generate`] calls it
+/// once per family; the baseline's campaign workload and `benchmark/` call
+/// it to drive a network beside a campaign of their own.
 pub fn build_network(spec: &DatasetSpec, scale: Scale) -> Network {
     Network::generate(&network_config(spec, scale))
 }
 
-/// The network config a spec implies: era defaults plus the spec's
-/// injected network faults.
-fn network_config(spec: &DatasetSpec, scale: Scale) -> NetworkConfig {
+/// The network config a spec implies: era defaults with the spec's
+/// topology, routing mode and injected network faults — the only place a
+/// spec becomes a [`NetworkConfig`].
+pub(crate) fn network_config(spec: &DatasetSpec, scale: Scale) -> NetworkConfig {
     let horizon_days = spec.duration_days / scale.time_divisor as f64;
     let mut cfg =
         NetworkConfig::for_era(spec.era, scale.mixed_seed(spec.network_seed), horizon_days);
+    cfg.topology = spec.topology.unwrap_or(cfg.topology);
+    cfg.mode = spec.routing;
     cfg.faults = spec.faults;
     cfg
 }
@@ -251,6 +264,8 @@ mod tests {
             min_samples: 12,
             prescreened: false,
             faults: FaultConfig::none(),
+            routing: RoutingMode::PolicyHotPotato,
+            topology: None,
         }
     }
 
@@ -273,6 +288,44 @@ mod tests {
         let na = |h: &&HostId| CITIES[net.host(**h).city].region.is_north_america();
         assert_eq!(hosts.iter().filter(na).count(), n_na);
         assert_eq!(hosts.len(), n_na + world);
+    }
+
+    #[test]
+    fn a_spec_derives_the_network_the_hand_recipe_built() {
+        // The oracle: the era's config with the one field set by hand.
+        let scale = Scale::reduced(6, 2);
+        let by_hand = |spec: &DatasetSpec, edit: &dyn Fn(&mut NetworkConfig)| {
+            let mut cfg =
+                NetworkConfig::for_era(spec.era, spec.network_seed, spec.duration_days / 2.0);
+            edit(&mut cfg);
+            crate::trace2::to_bytes(&generate_on(&Network::generate(&cfg), spec, scale))
+        };
+        let via_spec = |spec: &DatasetSpec| crate::trace2::to_bytes(&generate(spec, scale));
+        for mode in [
+            RoutingMode::PolicyHotPotato,
+            RoutingMode::PolicyBestExit,
+            RoutingMode::GlobalShortestDelay,
+        ] {
+            let spec = DatasetSpec {
+                routing: mode,
+                ..tiny_spec()
+            };
+            let hand = by_hand(&spec, &|cfg| cfg.mode = mode);
+            assert!(via_spec(&spec) == hand, "{mode:?}");
+        }
+        let wide = TopologyConfig {
+            n_stub: 40,
+            stubs_na_only: true,
+            rate_limited_fraction: 0.0,
+            ..TopologyConfig::for_era(Era::Y1999)
+        };
+        let spec = DatasetSpec {
+            topology: Some(wide),
+            ..tiny_spec()
+        };
+        let hand = by_hand(&spec, &|cfg| cfg.topology = wide);
+        assert!(via_spec(&spec) == hand, "topology override");
+        assert!(via_spec(&tiny_spec()) != hand, "the override applies");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! count rather than the schedule's theoretical maximum.
 
 use detour_measure::{CampaignConfig, ProbeKind, RateLimitPolicy, Schedule};
-use detour_netsim::Era;
+use detour_netsim::{Era, RoutingMode};
 
 use crate::spec::DatasetSpec;
 
@@ -44,6 +44,8 @@ pub fn spec() -> DatasetSpec {
         min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
+        routing: RoutingMode::PolicyHotPotato,
+        topology: None,
     }
 }
 

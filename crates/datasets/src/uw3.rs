@@ -8,7 +8,7 @@
 //! ([`RateLimitPolicy::FilterHosts`]).
 
 use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
-use detour_netsim::Era;
+use detour_netsim::{Era, RoutingMode};
 
 use crate::spec::DatasetSpec;
 use crate::uw1::UW_NETWORK_SEED;
@@ -31,6 +31,8 @@ pub fn spec() -> DatasetSpec {
         min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
+        routing: RoutingMode::PolicyHotPotato,
+        topology: None,
     }
 }
 

@@ -15,7 +15,7 @@
 //! the shared campaign seed gives them one host selection.
 
 use detour_measure::{CampaignConfig, RateLimitPolicy, Schedule};
-use detour_netsim::Era;
+use detour_netsim::{Era, RoutingMode};
 
 use crate::spec::DatasetSpec;
 use crate::uw1::UW_NETWORK_SEED;
@@ -39,25 +39,18 @@ pub fn spec_a() -> DatasetSpec {
         min_samples: 30,
         prescreened: true,
         faults: detour_faults::FaultConfig::none(),
+        routing: RoutingMode::PolicyHotPotato,
+        topology: None,
     }
 }
 
-/// The UW4-B (long-term average) specification.
+/// The UW4-B (long-term average) specification: UW4-A with its own
+/// schedule, so the two agree on every network and host-selection input.
 pub fn spec_b() -> DatasetSpec {
     DatasetSpec {
         name: "UW4-B",
-        era: Era::Y1999,
-        network_seed: UW_NETWORK_SEED,
-        campaign_seed: UW4_CAMPAIGN_SEED,
-        duration_days: 14.0,
-        n_hosts: 15,
-        n_hosts_na: 15,
         schedule: Schedule::PairwiseExponential { mean_s: 150.0 },
-        campaign: CampaignConfig::traceroute(),
-        policy: RateLimitPolicy::FilterHosts,
-        min_samples: 30,
-        prescreened: true,
-        faults: detour_faults::FaultConfig::none(),
+        ..spec_a()
     }
 }
 

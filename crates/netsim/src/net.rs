@@ -44,7 +44,7 @@ pub struct NetworkConfig {
     pub load: LoadConfig,
     /// Route-flap process of each ordered AS pair.
     pub flaps: Renewal,
-    /// Path-selection mode (the ablation knob).
+    /// Path-selection mode (a dataset's is its spec's `routing`).
     pub mode: RoutingMode,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,

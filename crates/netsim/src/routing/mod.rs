@@ -19,8 +19,9 @@ pub mod flaps;
 pub mod igp;
 pub mod path;
 
-/// How end-to-end paths are selected — the policy knob the `whatif_policy`
-/// ablation (DESIGN.md §5) turns.
+/// How end-to-end paths are selected. A dataset takes it from its spec's
+/// `routing` field; the routing-policy ablation (DESIGN.md §5) generates
+/// UW3 once per mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingMode {
     /// BGP policy routing with early-exit (hot-potato) egress selection —

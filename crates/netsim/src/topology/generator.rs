@@ -29,7 +29,7 @@ pub enum Era {
 }
 
 /// Tuning knobs for topology generation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TopologyConfig {
     /// Infrastructure era.
     pub era: Era,

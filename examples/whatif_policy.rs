@@ -16,11 +16,10 @@
 
 use detour::core::analysis::cdf::{compare_all_pairs, improvement_cdf, ratio_cdf};
 use detour::core::{AnalysisContext, Rtt, SearchDepth};
-use detour::datasets::{generate_on, uw3, Scale};
-use detour::netsim::{Era, Network, NetworkConfig, RoutingMode};
+use detour::datasets::{generate, uw3, DatasetSpec, Scale};
+use detour::netsim::RoutingMode;
 
 fn main() {
-    let spec = uw3::spec();
     let scale = Scale::reduced(22, 4);
 
     println!(
@@ -34,11 +33,11 @@ fn main() {
     ] {
         // Same era, same seed, same measurement campaign — only the
         // path-selection rule differs.
-        let mut cfg =
-            NetworkConfig::for_era(Era::Y1999, spec.network_seed, spec.duration_days / 4.0);
-        cfg.mode = mode;
-        let net = Network::generate(&cfg);
-        let ds = generate_on(&net, &spec, scale);
+        let spec = DatasetSpec {
+            routing: mode,
+            ..uw3::spec()
+        };
+        let ds = generate(&spec, scale);
         let cx = AnalysisContext::from_dataset(&ds);
         let cs = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
         let cdf = improvement_cdf(&cs);

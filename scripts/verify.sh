@@ -50,9 +50,10 @@ cargo build --release --offline --workspace --all-targets
 # variance, closed-form t quantiles, a naive pair-table builder, the
 # .trace2 round trip and its hostile values, a textbook per-pair Dijkstra,
 # brute-force kernel properties, counters and bytes at 1/2/8 workers, the
-# paper-shape envelopes, the per-round-trip TCP oracle, the golden
-# snapshots, the trace cache's miss/hit/quarantine counts). Fails fast
-# before the full test run and the baseline.
+# paper-shape envelopes, the routing-policy ablation's causal claim, the
+# per-round-trip TCP oracle, the golden snapshots, the trace cache's
+# miss/hit/quarantine counts). Fails fast before the full test run and
+# the baseline.
 echo "== smoke: detour-prng tests (generators, binomial, property harness) =="
 cargo test -q --offline -p detour-prng
 
@@ -83,6 +84,9 @@ cargo test -q --offline -p detour --test properties
 
 echo "== smoke: paper-shape envelopes =="
 cargo test -q --offline -p detour --test paper_shapes
+
+echo "== smoke: routing-policy ablation (ideal routing strips the big wins) =="
+cargo test -q --offline -p detour --test policy_ablation
 
 echo "== smoke: renewal schedules (detour-faults) + netsim unit and property tests (TCP closed form vs its oracle) =="
 cargo test -q --offline -p detour-faults

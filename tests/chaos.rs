@@ -14,7 +14,7 @@ use detour::core::{pool, AnalysisContext, Degradation};
 use detour::datasets::{generate, trace2, DatasetSpec, Scale};
 use detour::faults::FaultConfig;
 use detour::measure::{CampaignConfig, RateLimitPolicy, Schedule};
-use detour::netsim::Era;
+use detour::netsim::{Era, RoutingMode};
 use detour::prng::Xoshiro256pp;
 
 /// A small half-day collection: big enough that the fault-free control is
@@ -35,6 +35,8 @@ fn chaos_spec(faults: FaultConfig) -> DatasetSpec {
         min_samples: 12,
         prescreened: false,
         faults,
+        routing: RoutingMode::PolicyHotPotato,
+        topology: None,
     }
 }
 

@@ -1,20 +1,27 @@
 //! The causal claim, tested: policy routing manufactures alternate paths;
 //! idealized routing removes most of them.
 
+use std::sync::OnceLock;
+
 use detour::core::analysis::cdf::{compare_all_pairs, improvement_cdf, ratio_cdf};
 use detour::core::{AnalysisContext, PropDelay, Rtt, SearchDepth};
-use detour::datasets::{generate_on, uw3, Scale};
-use detour::netsim::{Era, Network, NetworkConfig, RoutingMode};
+use detour::datasets::{generate, uw3, DatasetSpec, Scale};
+use detour::measure::Dataset;
+use detour::netsim::RoutingMode;
 
-fn dataset_under(mode: RoutingMode) -> detour::measure::Dataset {
-    let spec = uw3::spec();
-    let mut cfg = NetworkConfig::for_era(Era::Y1999, spec.network_seed, 7.0 / 16.0);
-    cfg.mode = mode;
-    let net = Network::generate(&cfg);
-    generate_on(&net, &spec, Scale::reduced(14, 16))
+/// Reduced UW3 under `mode`, generated once per mode for the whole binary.
+fn dataset_under(mode: RoutingMode) -> &'static Dataset {
+    static DATASETS: [OnceLock<Dataset>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    DATASETS[mode as usize].get_or_init(|| {
+        let spec = DatasetSpec {
+            routing: mode,
+            ..uw3::spec()
+        };
+        generate(&spec, Scale::reduced(14, 16))
+    })
 }
 
-fn big_win_fraction(ds: &detour::measure::Dataset) -> f64 {
+fn big_win_fraction(ds: &Dataset) -> f64 {
     let cx = AnalysisContext::from_dataset(ds);
     let cs = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
     ratio_cdf(&cs).fraction_above(1.5)
@@ -22,8 +29,8 @@ fn big_win_fraction(ds: &detour::measure::Dataset) -> f64 {
 
 #[test]
 fn ideal_routing_strips_away_most_large_wins() {
-    let policy = big_win_fraction(&dataset_under(RoutingMode::PolicyHotPotato));
-    let ideal = big_win_fraction(&dataset_under(RoutingMode::GlobalShortestDelay));
+    let policy = big_win_fraction(dataset_under(RoutingMode::PolicyHotPotato));
+    let ideal = big_win_fraction(dataset_under(RoutingMode::GlobalShortestDelay));
     assert!(
         ideal < policy,
         "ideal routing ({ideal}) should beat policy routing ({policy}) at suppressing 1.5x wins"
@@ -37,7 +44,7 @@ fn propagation_delay_is_near_optimal_under_ideal_routing() {
     // whatever improvement remains is queue avoidance plus estimator noise
     // (the 10th percentile still carries some queuing).
     let ds = dataset_under(RoutingMode::GlobalShortestDelay);
-    let cx = AnalysisContext::from_dataset(&ds);
+    let cx = AnalysisContext::from_dataset(ds);
     let cs = compare_all_pairs(&cx, &PropDelay, SearchDepth::Unrestricted);
     let cdf = improvement_cdf(&cs);
     let big = cdf.fraction_above(25.0);
@@ -53,7 +60,7 @@ fn policy_routing_does_leave_propagation_on_the_table() {
     // The mirror assertion: under hot-potato policy, substantial
     // propagation-delay improvements exist (paper Fig. 15).
     let ds = dataset_under(RoutingMode::PolicyHotPotato);
-    let cx = AnalysisContext::from_dataset(&ds);
+    let cx = AnalysisContext::from_dataset(ds);
     let cs = compare_all_pairs(&cx, &PropDelay, SearchDepth::Unrestricted);
     let cdf = improvement_cdf(&cs);
     assert!(
