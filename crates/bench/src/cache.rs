@@ -50,8 +50,10 @@ use crate::bundle::Bundle;
 /// stem written before the field existed (`{name}-o…-h…-t…` with no
 /// `-g`); epoch 1 samples each traceroute's forward links once per
 /// invocation; epoch 2 summarises each TCP transfer in closed form from 16
-/// sampled round trips.
-pub const GENERATOR_EPOCH: u32 = 2;
+/// sampled round trips; epoch 3 takes each link sample's Gamma(4) queuing
+/// delay from one logarithm and its wander from `sin_cos` values, which
+/// moves queuing delays in their last bits.
+pub const GENERATOR_EPOCH: u32 = 3;
 
 /// The cache key stem for one dataset at one scale (no extension).
 fn cache_stem(name: &str, scale: Scale) -> String {

@@ -111,18 +111,33 @@ pub fn prevalence_report(s: &Study) -> String {
     out
 }
 
-/// The DESIGN.md §5 routing-policy ablation at reduced scale.
-pub fn ablation_report(_s: &Study) -> String {
-    let mut out = header("Extra: routing-policy ablation (reduced scale)");
-    out.push_str(&format!(
-        "  {:<22} {:>13} {:>13} {:>15}\n",
-        "mode", "pairs better", ">=20ms", ">=50% better"
-    ));
-    for (label, mode) in [
+/// One routing mode's row of the routing-policy ablation: the fractions
+/// of UW3's measured pairs whose best alternate path beats the default
+/// RTT at all, by at least 20 ms, and by at least 50 %.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AblationRow {
+    /// The routing mode, as the report names it.
+    pub label: &'static str,
+    /// Pairs with any RTT improvement.
+    pub better: f64,
+    /// Pairs improved by at least 20 ms.
+    pub better_by_20ms: f64,
+    /// Pairs whose default RTT is at least 1.5× the alternate's.
+    pub better_by_half: f64,
+}
+
+/// The DESIGN.md §5 routing-policy ablation: UW3's spec generated at
+/// reduced scale once per routing mode — same era, seed and campaign,
+/// only the path-selection rule differs — in the order policy with hot
+/// potato (the measured Internet), policy with best exit, and ideal
+/// shortest-delay routing (the negative control).
+pub fn ablation() -> [AblationRow; 3] {
+    [
         ("policy+hot-potato", RoutingMode::PolicyHotPotato),
         ("policy+best-exit", RoutingMode::PolicyBestExit),
         ("ideal shortest-delay", RoutingMode::GlobalShortestDelay),
-    ] {
+    ]
+    .map(|(label, mode)| {
         let spec = DatasetSpec {
             routing: mode,
             ..uw3::spec()
@@ -131,12 +146,29 @@ pub fn ablation_report(_s: &Study) -> String {
         let cx = AnalysisContext::from_dataset(&ds);
         let cs = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
         let cdf = improvement_cdf(&cs);
-        let ratios = ratio_cdf(&cs);
+        AblationRow {
+            label,
+            better: cdf.fraction_above(0.0),
+            better_by_20ms: cdf.fraction_above(20.0),
+            better_by_half: ratio_cdf(&cs).fraction_above(1.5),
+        }
+    })
+}
+
+/// The routing-policy ablation's report ([`ablation`]).
+pub fn ablation_report(_s: &Study) -> String {
+    let mut out = header("Extra: routing-policy ablation (reduced scale)");
+    out.push_str(&format!(
+        "  {:<22} {:>13} {:>13} {:>15}\n",
+        "mode", "pairs better", ">=20ms", ">=50% better"
+    ));
+    for r in ablation() {
         out.push_str(&format!(
-            "  {label:<22} {:>12.1}% {:>12.1}% {:>14.1}%\n",
-            100.0 * cdf.fraction_above(0.0),
-            100.0 * cdf.fraction_above(20.0),
-            100.0 * ratios.fraction_above(1.5),
+            "  {:<22} {:>12.1}% {:>12.1}% {:>14.1}%\n",
+            r.label,
+            100.0 * r.better,
+            100.0 * r.better_by_20ms,
+            100.0 * r.better_by_half,
         ));
     }
     out.push_str(&check(

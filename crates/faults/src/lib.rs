@@ -422,7 +422,24 @@ impl OutageSchedule {
 
     /// True when the entity is down at time `t` (seconds).
     pub fn down_at(&self, t: f64) -> bool {
-        self.last_started(t).is_some_and(|(_, end)| t < end)
+        self.state_at(t).0
+    }
+
+    /// Whether the entity is down at `t`, and the first instant at which
+    /// that can change: the state holds on `[t, until)`. Down, `until` is
+    /// the episode's end; up, the next episode's start, or `+∞` after the
+    /// last. One binary search, as [`OutageSchedule::down_at`] makes.
+    pub fn state_at(&self, t: f64) -> (bool, f64) {
+        let i = self.episodes.partition_point(|&(start, _)| start <= t);
+        match i.checked_sub(1).map(|i| self.episodes[i]) {
+            Some((_, end)) if t < end => (true, end),
+            _ => (
+                false,
+                self.episodes
+                    .get(i)
+                    .map_or(f64::INFINITY, |&(start, _)| start),
+            ),
+        }
     }
 
     /// Number of down-time episodes in the horizon.
@@ -571,6 +588,62 @@ mod tests {
             assert!(!s.down_at(end));
         }
         assert!(!s.down_at(-1.0));
+    }
+
+    /// `down_at`'s rule before [`OutageSchedule::state_at`]: down inside
+    /// the latest episode started at or before `t`.
+    fn last_started_rule(s: &OutageSchedule, t: f64) -> bool {
+        s.last_started(t).is_some_and(|(_, end)| t < end)
+    }
+
+    #[test]
+    fn state_at_follows_the_last_started_rule_and_holds_until_its_bound() {
+        detour_prng::check::check("state_at_holds_until_its_bound", |rng| {
+            let horizon = rng.gen_range(1_000.0..30.0 * DAY);
+            let process = Renewal {
+                mtbf_s: rng.gen_range(10.0..DAY),
+                mttr_s: rng.gen_range(1.0..7_200.0),
+            };
+            let min_down = rng.gen_range(0.0..60.0);
+            let s = process.schedule(rng, min_down, horizon);
+            // Every episode's start and end and the float just below each,
+            // then random instants on both sides of the horizon.
+            let mut instants: Vec<f64> = s
+                .episodes()
+                .iter()
+                .flat_map(|&(a, b)| [a, a.next_down(), b, b.next_down()])
+                .collect();
+            instants.extend((0..40).map(|_| rng.gen_range(-100.0..horizon + 100.0)));
+            for t in instants {
+                let (down, until) = s.state_at(t);
+                assert_eq!(down, last_started_rule(&s, t), "state at {t}");
+                assert_eq!(down, s.down_at(t));
+                assert!(until > t, "bound {until} not after {t}");
+                // The state holds on [t, until): at its ends and inside.
+                let span = if until.is_finite() {
+                    until - t
+                } else {
+                    horizon
+                };
+                let mut inside: Vec<f64> =
+                    (0..8).map(|_| t + span * rng.gen_range(0.0..1.0)).collect();
+                inside.push(t);
+                if until.is_finite() {
+                    inside.push(until.next_down());
+                }
+                for u in inside.into_iter().filter(|&u| u >= t && u < until) {
+                    assert_eq!(last_started_rule(&s, u), down, "from {t}, at {u} < {until}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn an_empty_schedule_is_up_forever() {
+        let s = OutageSchedule::empty();
+        for t in [-1.0, 0.0, 1.0e9] {
+            assert_eq!(s.state_at(t), (false, f64::INFINITY));
+        }
     }
 
     #[test]

@@ -293,12 +293,29 @@ impl Network {
     /// Sends one packet across `path` at time `t`, sampling queuing delay
     /// and loss on each link.
     pub fn transit(&self, path: &ResolvedPath, t: SimTime, rng: &mut impl Rng) -> TransitOutcome {
+        self.transit_watched(&mut self.fault_watch(path, path.links.len()), t, rng)
+    }
+
+    /// [`Network::transit`] over the whole path `faults` watches, its
+    /// injected outages looked up through the watch.
+    pub(crate) fn transit_watched(
+        &self,
+        faults: &mut FaultWatch<'_>,
+        t: SimTime,
+        rng: &mut impl Rng,
+    ) -> TransitOutcome {
+        let path = faults.path;
+        debug_assert_eq!(
+            faults.hop,
+            path.links.len(),
+            "a transit crosses the whole path"
+        );
         let mut delay = PER_HOP_PROCESSING_MS * path.routers.len() as f64;
         // Injected outages drop the packet deterministically (no RNG
         // draw), so the load-sampling stream below is unperturbed: a
         // faulted run differs from the benign run only where a fault is
         // actually active.
-        let mut lost = self.faulted_element(&path.routers, &path.links, t);
+        let mut lost = faults.down_at(t);
         let mut now = self.load.at(t);
         for &l in &path.links {
             let link = self.topology.link(l);
@@ -339,6 +356,24 @@ impl Network {
         }
     }
 
+    /// A [`FaultWatch`] over `path`'s first `hops` links and the routers
+    /// they join; it looks nothing up until first asked.
+    pub(crate) fn fault_watch<'a>(&'a self, path: &'a ResolvedPath, hops: usize) -> FaultWatch<'a> {
+        let tables = self.faults.as_ref();
+        FaultWatch {
+            tables,
+            path,
+            hop: hops,
+            down: false,
+            from: f64::NEG_INFINITY,
+            until: if tables.is_some() {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            },
+        }
+    }
+
     /// True when any router or link on the (sub)path is inside an injected
     /// outage episode at `t`. Pure schedule lookups — no RNG.
     pub(crate) fn faulted_element(
@@ -354,6 +389,76 @@ impl Network {
             .iter()
             .any(|r| f.router_down[r.0 as usize].down_at(t.0))
             || links.iter().any(|l| f.link_down[l.0 as usize].down_at(t.0))
+    }
+}
+
+/// [`Network::faulted_element`] over a prefix of one path —
+/// `routers[..=hop]` and `links[..hop]` — that grows hop by hop, as one
+/// traceroute invocation asks it. The watch caches whether any element
+/// is down and the window `[from, until)` that answer holds on: from the
+/// instant it was looked up to the earliest [`OutageSchedule::state_at`]
+/// bound among the elements. A new hop looks up its link and router only,
+/// and the prefix is rescanned only when asked outside the window: as an
+/// invocation's instants advance, once one reaches `until`. Asked at an
+/// earlier instant (a reverse transit after a forward delay longer than
+/// the probe timeout), it rescans too, so it is exact in any order.
+/// Without injected network faults the answer is `false` on `(-∞, ∞)`
+/// and nothing is looked up.
+pub(crate) struct FaultWatch<'a> {
+    tables: Option<&'a NetworkFaultTables>,
+    path: &'a ResolvedPath,
+    hop: usize,
+    down: bool,
+    from: f64,
+    until: f64,
+}
+
+impl<'a> FaultWatch<'a> {
+    /// The watched path.
+    pub(crate) fn path(&self) -> &'a ResolvedPath {
+        self.path
+    }
+
+    /// Extends the prefix by one hop, the next link and the router it
+    /// reaches, looked up at `now`.
+    pub(crate) fn extend(&mut self, now: SimTime) {
+        self.hop += 1;
+        if let Some(f) = self.tables {
+            let link = self.path.links[self.hop - 1];
+            let router = self.path.routers[self.hop];
+            self.from = self.from.max(now.0);
+            self.fold(f.link_down[link.0 as usize].state_at(now.0));
+            self.fold(f.router_down[router.0 as usize].state_at(now.0));
+        }
+    }
+
+    /// True when any element of the prefix is down at `now`.
+    pub(crate) fn down_at(&mut self, now: SimTime) -> bool {
+        if now.0 < self.from || now.0 >= self.until {
+            self.rescan(now.0);
+        }
+        self.down
+    }
+
+    /// Folds one element's `(down, until)` into the prefix's answer: down
+    /// if either is, up to the earlier bound. Folded into an answer whose
+    /// window had closed, it keeps the window closed.
+    fn fold(&mut self, (down, until): (bool, f64)) {
+        self.down |= down;
+        self.until = self.until.min(until);
+    }
+
+    fn rescan(&mut self, t: f64) {
+        let Some(f) = self.tables else {
+            return;
+        };
+        (self.down, self.from, self.until) = (false, t, f64::INFINITY);
+        for r in &self.path.routers[..=self.hop] {
+            self.fold(f.router_down[r.0 as usize].state_at(t));
+        }
+        for l in &self.path.links[..self.hop] {
+            self.fold(f.link_down[l.0 as usize].state_at(t));
+        }
     }
 }
 
@@ -797,6 +902,76 @@ mod tests {
             }
         }
         assert!(saw_blackhole, "no withdrawal hit a measured pair");
+    }
+
+    #[test]
+    fn a_fault_watch_answers_as_faulted_element_over_a_growing_prefix() {
+        // On a heavily faulted network, random host pairs and start times:
+        // the watch grows hop by hop and is asked at instants that mostly
+        // advance, many of them an element's episode start or end or the
+        // float just below one, and answers as a full prefix rescan does.
+        let mut cfg = NetworkConfig::for_era(Era::Y1999, 91, 7.0);
+        cfg.faults = FaultConfig::heavy(5);
+        let n = Network::generate(&cfg);
+        let f = n.faults.as_ref().expect("heavy faults build tables");
+        let hosts: Vec<HostId> = n.hosts().iter().map(|h| h.id).collect();
+        // (answered down, rescanned) over every case.
+        let seen = std::cell::Cell::new((0, 0));
+        detour_prng::check::check("fault_watch_matches_faulted_element", |rng| {
+            let s = hosts[rng.gen_range(0..hosts.len())];
+            let d = hosts[rng.gen_range(0..hosts.len())];
+            let mut now = SimTime(rng.gen_range(0.0..n.horizon_s()));
+            let Some(p) = n.forward_path(s, d, now).filter(|p| !p.links.is_empty()) else {
+                return;
+            };
+            let mut edges: Vec<f64> = p
+                .routers
+                .iter()
+                .map(|r| &f.router_down[r.0 as usize])
+                .chain(p.links.iter().map(|l| &f.link_down[l.0 as usize]))
+                .flat_map(|sched| sched.episodes().iter().flat_map(|&(a, b)| [a, b]))
+                .flat_map(|e| [e, e.next_down()])
+                .collect();
+            edges.sort_by(f64::total_cmp);
+            let mut watch = n.fault_watch(p, 0);
+            for hop in 0..=p.links.len() {
+                if hop > 0 {
+                    watch.extend(now);
+                }
+                for _ in 0..rng.gen_range(1..6) {
+                    let rescans = (now.0 >= watch.until) as u32;
+                    let down = watch.down_at(now);
+                    assert_eq!(
+                        down,
+                        n.faulted_element(&p.routers[..=hop], &p.links[..hop], now),
+                        "{s:?}→{d:?} over {hop} hops at {now:?}"
+                    );
+                    let (downs, scans) = seen.get();
+                    seen.set((downs + down as u32, scans + rescans));
+                    // Mostly forward, onto the next boundaries; now and
+                    // then back, as a reverse transit after a forward
+                    // delay longer than the probe timeout steps back.
+                    let next = edges.partition_point(|&e| e <= now.0);
+                    now = match rng.gen_range(0..8u32) {
+                        0 => now,
+                        1 => now.plus_secs(rng.gen_range(0.0..30.0)),
+                        2 => now.plus_secs(-rng.gen_range(0.0..30.0f64)),
+                        3 => next
+                            .checked_sub(rng.gen_range(1..3usize))
+                            .map_or(now, |i| SimTime(edges[i])),
+                        _ => {
+                            let skip = rng.gen_range(0..3usize);
+                            edges.get(next + skip).map_or(now, |&e| SimTime(e))
+                        }
+                    };
+                }
+            }
+        });
+        let (downs, scans) = seen.get();
+        assert!(
+            downs > 0 && scans > 0,
+            "{downs} down answers, {scans} rescans"
+        );
     }
 
     #[test]

@@ -39,11 +39,26 @@
 //! routers are modeled as retracing the forward prefix; real reverse paths
 //! from transit routers could differ, but computing them would require
 //! per-router routing state that traceroute itself cannot observe either.)
+//!
+//! ## How injected faults are looked up
+//!
+//! Whether a probe meets an injected router or link outage is a pure
+//! schedule lookup, drawing no RNG. An invocation asks it of a growing
+//! prefix at advancing instants, three times per hop, so it keeps one
+//! `FaultWatch` per path instead of rescanning the prefix per probe:
+//! whether any element is down, and until when that answer holds (the
+//! earliest next episode start or end among the elements, from
+//! `OutageSchedule::state_at`). Each hop looks up only the link and router
+//! it adds, and the prefix is rescanned only once a probe's instant
+//! reaches that bound. An invocation over `h` links thus makes about
+//! `2h` lookups where a rescan per probe made about `3h²`. The forward
+//! watch, grown to the whole path, and a second one over the reverse
+//! path serve the destination probes' transits. Without injected network
+//! faults no lookup is made at all.
 
 use detour_prng::Rng;
 
-use crate::net::{Network, Prefix};
-use crate::routing::path::ResolvedPath;
+use crate::net::{FaultWatch, Network, Prefix};
 use crate::sim::clock::SimTime;
 use crate::topology::HostId;
 
@@ -89,7 +104,11 @@ const INTER_PROBE_GAP_S: f64 = 0.05;
 /// processing, reverse transit over the *reverse-routed* path.
 pub fn ping(net: &Network, src: HostId, dst: HostId, t: SimTime, rng: &mut impl Rng) -> PingResult {
     let rtt_ms = match (net.forward_path(src, dst, t), net.forward_path(dst, src, t)) {
-        (Some(fwd), Some(rev)) => echo(net, fwd, Some(rev), t, rng).0,
+        (Some(fwd), Some(rev)) => {
+            let mut fwd = net.fault_watch(fwd, fwd.links.len());
+            let mut rev = net.fault_watch(rev, rev.links.len());
+            echo(net, &mut fwd, Some(&mut rev), t, rng).0
+        }
         _ => None,
     };
     PingResult { rtt_ms }
@@ -97,23 +116,23 @@ pub fn ping(net: &Network, src: HostId, dst: HostId, t: SimTime, rng: &mut impl 
 
 /// One echo exchange starting at `t`: a forward transit, then — only when
 /// a reverse path resolved and the forward packet survived — a transit
-/// back over `rev`, then the ICMP generation delay. Returns the RTT
-/// (`None` when either packet was lost or there is no way back) and the
-/// link samples drawn.
+/// back over `rev`, then the ICMP generation delay. Each path comes as the
+/// [`FaultWatch`] over the whole of it. Returns the RTT (`None` when either
+/// packet was lost or there is no way back) and the link samples drawn.
 fn echo(
     net: &Network,
-    fwd: &ResolvedPath,
-    rev: Option<&ResolvedPath>,
+    fwd: &mut FaultWatch<'_>,
+    rev: Option<&mut FaultWatch<'_>>,
     t: SimTime,
     rng: &mut impl Rng,
 ) -> (Option<f64>, u32) {
-    let out = net.transit(fwd, t, rng);
-    let mut samples = fwd.links.len() as u32;
+    let out = net.transit_watched(fwd, t, rng);
+    let mut samples = fwd.path().links.len() as u32;
     let Some(rev) = rev.filter(|_| !out.lost) else {
         return (None, samples);
     };
-    samples += rev.links.len() as u32;
-    let back = net.transit(rev, t.plus_secs(out.delay_ms / 1000.0), rng);
+    samples += rev.path().links.len() as u32;
+    let back = net.transit_watched(rev, t.plus_secs(out.delay_ms / 1000.0), rng);
     if back.lost {
         return (None, samples);
     }
@@ -167,18 +186,23 @@ pub fn traceroute(
 
     let mut now = t;
     let mut prefix = Prefix::SOURCE;
+    let mut faults = net.fault_watch(fwd, 0);
     for hop in 1..n_hops {
         prefix = net.extend_prefix(prefix, fwd.links[hop - 1], now, rng);
+        faults.extend(now);
         result.link_samples += 1;
         for _ in 0..3 {
-            let faulted = net.faulted_element(&fwd.routers[..=hop], &fwd.links[..hop], now);
-            now = match intermediate_probe(prefix, faulted, rng) {
+            now = match intermediate_probe(prefix, faults.down_at(now), rng) {
                 Some(rtt) => now.plus_secs(rtt / 1000.0 + INTER_PROBE_GAP_S),
                 None => now.plus_secs(PROBE_TIMEOUT_S),
             };
         }
     }
 
+    // The destination probes cross the whole forward path, and the whole
+    // reverse one.
+    faults.extend(now);
+    let mut rev_faults = rev.map(|rev| net.fault_watch(rev, rev.links.len()));
     for (k, slot) in result.rtts.iter_mut().enumerate() {
         // Rate limiting: the first probe of the burst is answered;
         // follow-ups to a limiting destination usually are not.
@@ -189,7 +213,7 @@ pub fn traceroute(
             now = now.plus_secs(PROBE_TIMEOUT_S);
             continue;
         }
-        let (rtt, samples) = echo(net, fwd, rev, now, rng);
+        let (rtt, samples) = echo(net, &mut faults, rev_faults.as_mut(), now, rng);
         result.link_samples += samples;
         *slot = rtt;
         now = match rtt {

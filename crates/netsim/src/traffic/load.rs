@@ -149,8 +149,8 @@ impl LoadConfig {
 #[derive(Debug, Clone)]
 struct LinkLoad {
     base: f64,
-    /// Phases and amplitudes of the two wander sinusoids.
-    wander: [(f64, f64); 2],
+    /// The two wander sinusoids.
+    wander: [Wander; 2],
     /// Sorted congestion events `(start_s, end_s, magnitude)`.
     events: Vec<(f64, f64, f64)>,
     /// Full-outage windows.
@@ -163,6 +163,32 @@ struct LinkLoad {
     loss_base: f64,
     loss_scale: f64,
     tz: i8,
+}
+
+/// One background-wander sinusoid of a link, `amp · sin(a + phase)` at
+/// argument `a`, with the sine and cosine of its phase taken once at
+/// generation: the term is `amp · (sin a · cos phase + cos a · sin phase)`.
+#[derive(Debug, Clone, Copy)]
+struct Wander {
+    amp: f64,
+    sin_phase: f64,
+    cos_phase: f64,
+    /// The phase itself, for the `sin(a + phase)` oracle in the tests.
+    #[cfg(test)]
+    phase: f64,
+}
+
+impl Wander {
+    fn new(phase: f64, amp: f64) -> Wander {
+        let (sin_phase, cos_phase) = phase.sin_cos();
+        Wander {
+            amp,
+            sin_phase,
+            cos_phase,
+            #[cfg(test)]
+            phase,
+        }
+    }
 }
 
 /// One sampled traversal of one link.
@@ -183,17 +209,16 @@ pub struct LoadModel {
     links: Vec<LinkLoad>,
 }
 
-/// What every link's load shares at one instant `t`: the wander
-/// sinusoids' time arguments, and the diurnal factor of each UTC offset
-/// (`-12..=14`) once a link there asks for it. A path samples all of its
-/// links at one `t`, so [`LoadModel::at`] computes these once per
-/// traversal instead of once per link; the values are the very `f64`s the
-/// per-link form computed.
+/// What every link's load shares at one instant `t`: the sine and cosine
+/// of the wander sinusoids' time arguments, and the diurnal factor of each
+/// UTC offset (`-12..=14`) once a link there asks for it. A path samples
+/// all of its links at one `t`, so [`LoadModel::at`] computes these once
+/// per traversal instead of once per link.
 #[derive(Debug, Clone)]
 pub struct LoadInstant {
     t: SimTime,
-    /// `TAU · t / WANDER_PERIODS_S[i]`.
-    wander: [f64; 2],
+    /// `sin_cos` of `TAU · t / WANDER_PERIODS_S[i]`.
+    wander: [(f64, f64); 2],
     /// The diurnal factor at UTC offset `k - 12`; `NaN` until first asked.
     diurnal: [f64; 27],
 }
@@ -253,16 +278,10 @@ impl LoadModel {
                 if l.kind != LinkKind::PublicExchange && rng.gen_bool(cfg.hot_fraction) {
                     base = rng.gen_range(cfg.base_hot.0..cfg.base_hot.1);
                 }
-                let wander = [
-                    (
-                        rng.gen_range(0.0..std::f64::consts::TAU),
-                        rng.gen_range(0.04..0.14),
-                    ),
-                    (
-                        rng.gen_range(0.0..std::f64::consts::TAU),
-                        rng.gen_range(0.03..0.10),
-                    ),
-                ];
+                let wander = [(0.04, 0.14), (0.03, 0.10)].map(|(lo, hi)| {
+                    let phase = rng.gen_range(0.0..std::f64::consts::TAU);
+                    Wander::new(phase, rng.gen_range(lo..hi))
+                });
                 // Log-uniform per-link loss multiplier over [0.1, 10]: some
                 // links are nearly lossless, some chronically flaky.
                 let loss_mult = (rng.gen_range(-1.0f64..1.0) * 10.0f64.ln()).exp();
@@ -304,7 +323,7 @@ impl LoadModel {
     pub fn at(&self, t: SimTime) -> LoadInstant {
         LoadInstant {
             t,
-            wander: WANDER_PERIODS_S.map(|period| std::f64::consts::TAU * t.0 / period),
+            wander: WANDER_PERIODS_S.map(|period| (std::f64::consts::TAU * t.0 / period).sin_cos()),
             diurnal: [f64::NAN; 27],
         }
     }
@@ -318,8 +337,8 @@ impl LoadModel {
             *slot = self.profile.factor(&self.cal, t, ll.tz);
         }
         let mut rho = ll.base * *slot;
-        for (&arg, &(phase, amp)) in now.wander.iter().zip(&ll.wander) {
-            rho += amp * (arg + phase).sin();
+        for (&(sin_a, cos_a), w) in now.wander.iter().zip(&ll.wander) {
+            rho += w.amp * (sin_a * w.cos_phase + cos_a * w.sin_phase);
         }
         // Congestion events: binary-search the sorted starts, then scan the
         // handful of potentially overlapping predecessors.
@@ -379,6 +398,14 @@ impl LoadModel {
     /// Everything [`LoadModel::sample_at`] draws except the loss itself:
     /// the queuing delay and the loss probability at that sampled
     /// utilization. `None` while `link` is in a full outage (no RNG drawn).
+    ///
+    /// The Gamma(4) queuing delay is `−mean/4 · ln(u₁·u₂·u₃·u₄)` over four
+    /// uniforms from `[f64::MIN_POSITIVE, 1)`: one logarithm of their
+    /// product in place of four. Each uniform is at least 2⁻⁵³ unless its
+    /// raw draw was exactly 0, so the product underflows only then; below
+    /// `f64::MIN_POSITIVE` the sum of the four logarithms is taken
+    /// instead, which stays finite. The two forms agree to the last few
+    /// bits.
     pub fn draw_at(
         &self,
         link: LinkId,
@@ -393,14 +420,23 @@ impl LoadModel {
         // Gamma(k=4): the sum of four exponentials at mean/4 — right-skewed
         // like a real queue, but mild enough that path means track medians
         // (the paper's §6.1 finding).
-        let ln_prod: f64 = (0..4)
-            .map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0f64).ln())
-            .sum();
-        let mut queue_delay_ms = (-mean_q / 4.0 * ln_prod).min(self.cfg.queue_cap_ms * 4.0);
+        let u: [f64; 4] = std::array::from_fn(|_| rng.gen_range(f64::MIN_POSITIVE..1.0f64));
+        let mut queue_delay_ms = (-mean_q / 4.0 * ln_product(u)).min(self.cfg.queue_cap_ms * 4.0);
         if rng.gen_bool(Self::SPIKE_PROB) {
             queue_delay_ms += rng.exponential(Self::SPIKE_MEAN_MS);
         }
         Some((queue_delay_ms, self.loss_probability(link, rho)))
+    }
+}
+
+/// `ln(u₁·u₂·u₃·u₄)`, or `Σ ln uᵢ` when the product is below
+/// `f64::MIN_POSITIVE` (see [`LoadModel::draw_at`]).
+fn ln_product(u: [f64; 4]) -> f64 {
+    let product = u[0] * u[1] * u[2] * u[3];
+    if product >= f64::MIN_POSITIVE {
+        product.ln()
+    } else {
+        u.iter().map(|x| x.ln()).sum()
     }
 }
 
@@ -525,6 +561,134 @@ mod tests {
             }
             assert_eq!(r1, r2, "the same draws, in the same order");
         }
+    }
+
+    /// `utilization_at` before the `sin_cos` form: one `sin` of the summed
+    /// argument and phase per wander term. The test oracle.
+    fn utilization_by_sine(lm: &LoadModel, link: LinkId, t: SimTime) -> f64 {
+        let ll = &lm.links[link.0 as usize];
+        let mut rho = ll.base * lm.profile.factor(&lm.cal, t, ll.tz);
+        for (period, w) in WANDER_PERIODS_S.iter().zip(&ll.wander) {
+            rho += w.amp * (std::f64::consts::TAU * t.0 / period + w.phase).sin();
+        }
+        let i = ll.events.partition_point(|&(s, _, _)| s <= t.0);
+        for &(s, e, m) in ll.events[..i].iter().rev().take(4) {
+            if t.0 >= s && t.0 < e {
+                rho += m;
+            }
+        }
+        rho.clamp(0.0, 0.97)
+    }
+
+    /// `draw_at` before the product form: the oracle's utilization and one
+    /// `ln` per Gamma(4) uniform, over the same draws in the same order.
+    fn draw_by_sum_of_logs(
+        lm: &LoadModel,
+        link: LinkId,
+        t: SimTime,
+        rng: &mut impl Rng,
+    ) -> Option<(f64, f64)> {
+        if lm.is_down(link, t) {
+            return None;
+        }
+        let rho =
+            (utilization_by_sine(lm, link, t) + rng.gen_range(-0.04..0.04f64)).clamp(0.0, 0.97);
+        let mean_q = lm.mean_queue_delay_ms(link, rho);
+        let ln_prod: f64 = (0..4)
+            .map(|_| rng.gen_range(f64::MIN_POSITIVE..1.0f64).ln())
+            .sum();
+        let mut queue_delay_ms = (-mean_q / 4.0 * ln_prod).min(lm.cfg.queue_cap_ms * 4.0);
+        if rng.gen_bool(LoadModel::SPIKE_PROB) {
+            queue_delay_ms += rng.exponential(LoadModel::SPIKE_MEAN_MS);
+        }
+        Some((queue_delay_ms, lm.loss_probability(link, rho)))
+    }
+
+    #[test]
+    fn link_samples_agree_with_the_sine_and_sum_of_logs_arithmetic() {
+        // 100,000 random (link, instant, draw) triples over the two-week
+        // model: utilization and queuing delay within a relative 1e-12 of
+        // the old arithmetic, the same draws consumed, and no loss draw
+        // on the other side of its threshold. Values below 1 (ρ is a
+        // fraction, delays are in ms) are held to 1e-12 absolute: where
+        // the wander terms all but cancel the base load, ρ is near 0 and
+        // the old form's rounding of `a + phase` (about 1e-14 absolute)
+        // is no longer small against it.
+        const SAMPLES: usize = 100_000;
+        let (topo, lm) = model();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
+        let mut pick = Xoshiro256pp::seed_from_u64(0x5a3);
+        let (mut outages, mut flips) = (0, 0);
+        for _ in 0..SAMPLES {
+            let link = topo.links[pick.gen_range(0..topo.links.len())].id;
+            let t = SimTime(pick.gen_range(0.0..14.0 * 86_400.0));
+            let (u_new, u_old) = (
+                lm.utilization_at(link, &mut lm.at(t)),
+                utilization_by_sine(&lm, link, t),
+            );
+            assert!(
+                close(u_new, u_old),
+                "{link:?} at {t:?}: ρ {u_new} vs {u_old}"
+            );
+            let mut new_rng = Xoshiro256pp::seed_from_u64(pick.next_u64());
+            let mut old_rng = new_rng.clone();
+            match (
+                lm.draw_at(link, &mut lm.at(t), &mut new_rng),
+                draw_by_sum_of_logs(&lm, link, t, &mut old_rng),
+            ) {
+                (None, None) => outages += 1,
+                (Some((q_new, p_new)), Some((q_old, p_old))) => {
+                    assert!(
+                        close(q_new, q_old),
+                        "{link:?} at {t:?}: {q_new} vs {q_old} ms"
+                    );
+                    flips += usize::from(new_rng.gen_bool(p_new) != old_rng.gen_bool(p_old));
+                }
+                (new, old) => panic!("{link:?} at {t:?}: outage disagrees, {new:?} vs {old:?}"),
+            }
+            assert_eq!(new_rng, old_rng, "the same draws, in the same order");
+        }
+        assert_eq!(flips, 0, "loss draws flipped over {SAMPLES} samples");
+        assert!(outages < SAMPLES / 100, "{outages} samples in an outage");
+    }
+
+    /// A generator whose every raw draw is 0: each Gamma(4) uniform is
+    /// then `f64::MIN_POSITIVE`, and their product underflows to 0.
+    struct Zeros;
+
+    impl Rng for Zeros {
+        fn next_u64(&mut self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn an_underflowing_product_takes_the_sum_of_logarithms() {
+        let m = f64::MIN_POSITIVE;
+        let sum_of_logs = |u: [f64; 4]| u.iter().map(|x| x.ln()).sum::<f64>();
+        for u in [
+            [m; 4],
+            [m, 0.5, 0.25, 0.999],
+            [1e-100, 1e-100, 1e-100, 1e-30],
+            [m, 1.0, 1.0, 1.0 - f64::EPSILON],
+        ] {
+            assert!(u[0] * u[1] * u[2] * u[3] < m, "{u:?} underflows");
+            let got = ln_product(u);
+            assert!(got.is_finite(), "{u:?}: {got}");
+            assert_eq!(got.to_bits(), sum_of_logs(u).to_bits(), "{u:?}");
+        }
+        // The smallest product of uniforms from nonzero raw draws is far
+        // above the guard, and there the one logarithm is taken.
+        let tiny = [2f64.powi(-53); 4];
+        assert_eq!(ln_product(tiny), (2f64.powi(-212)).ln());
+        // Through a whole draw: all four uniforms at MIN_POSITIVE.
+        let (topo, lm) = model();
+        let t = SimTime::from_hours(20.0);
+        let link = topo.links.iter().find(|l| !lm.is_down(l.id, t)).unwrap().id;
+        let (q, _) = lm.draw_at(link, &mut lm.at(t), &mut Zeros).unwrap();
+        let (q_old, _) = draw_by_sum_of_logs(&lm, link, t, &mut Zeros).unwrap();
+        assert!(q.is_finite() && q > 0.0, "queue delay {q} ms");
+        assert!((q - q_old).abs() <= 1e-12 * q_old, "{q} vs {q_old} ms");
     }
 
     #[test]

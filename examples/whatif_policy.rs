@@ -10,43 +10,29 @@
 //! * **ideal**: global shortest-propagation-delay routing, no policy at
 //!   all — the negative control, where alternate paths should buy little.
 //!
+//! The rows are `detour_bench::extras::ablation`'s, the numbers of
+//! `figures ablation` (`results/ablation.txt`) in a wider layout.
+//!
 //! ```text
 //! cargo run --release --example whatif_policy
 //! ```
 
-use detour::core::analysis::cdf::{compare_all_pairs, improvement_cdf, ratio_cdf};
-use detour::core::{AnalysisContext, Rtt, SearchDepth};
-use detour::datasets::{generate, uw3, DatasetSpec, Scale};
-use detour::netsim::RoutingMode;
+use detour_bench::extras::ablation;
 
 fn main() {
-    let scale = Scale::reduced(22, 4);
-
     println!(
         "{:<22} {:>14} {:>14} {:>16}",
         "routing mode", "pairs better", ">=20ms better", ">=50% better"
     );
-    for (label, mode) in [
-        ("policy + hot potato", RoutingMode::PolicyHotPotato),
-        ("policy + best exit", RoutingMode::PolicyBestExit),
-        ("ideal shortest-delay", RoutingMode::GlobalShortestDelay),
-    ] {
-        // Same era, same seed, same measurement campaign — only the
-        // path-selection rule differs.
-        let spec = DatasetSpec {
-            routing: mode,
-            ..uw3::spec()
-        };
-        let ds = generate(&spec, scale);
-        let cx = AnalysisContext::from_dataset(&ds);
-        let cs = compare_all_pairs(&cx, &Rtt, SearchDepth::Unrestricted);
-        let cdf = improvement_cdf(&cs);
-        let ratios = ratio_cdf(&cs);
+    // Same era, same seed, same measurement campaign — only the
+    // path-selection rule differs.
+    for r in ablation() {
         println!(
-            "{label:<22} {:>13.1}% {:>13.1}% {:>15.1}%",
-            100.0 * cdf.fraction_above(0.0),
-            100.0 * cdf.fraction_above(20.0),
-            100.0 * ratios.fraction_above(1.5),
+            "{:<22} {:>13.1}% {:>13.1}% {:>15.1}%",
+            r.label,
+            100.0 * r.better,
+            100.0 * r.better_by_20ms,
+            100.0 * r.better_by_half,
         );
     }
 

@@ -88,7 +88,7 @@ cargo test -q --offline -p detour --test paper_shapes
 echo "== smoke: routing-policy ablation (ideal routing strips the big wins) =="
 cargo test -q --offline -p detour --test policy_ablation
 
-echo "== smoke: renewal schedules (detour-faults) + netsim unit and property tests (TCP closed form vs its oracle) =="
+echo "== smoke: renewal schedules and state_at bounds (detour-faults) + netsim unit and property tests (TCP closed form, fault watch and link-sample arithmetic vs their oracles) =="
 cargo test -q --offline -p detour-faults
 cargo test -q --offline -p detour-netsim
 
