@@ -59,7 +59,7 @@ pub fn scale_spec() -> DatasetSpec {
 
 /// The scale knobs: all 128 hosts, duration divided down so the cold
 /// generation stays in seconds (≈ 10 000 simulated seconds ≈ 14 full-mesh
-/// episodes; `min_samples` scales down to 6 alongside it).
+/// episodes; the 30-sample filter scales down to 6 alongside it).
 pub fn scale_scale() -> Scale {
     Scale {
         n_hosts: Some(SCALE_HOSTS),

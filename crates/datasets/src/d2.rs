@@ -32,7 +32,6 @@ pub fn spec() -> DatasetSpec {
         schedule: Schedule::PairwiseExponential { mean_s: 118.0 },
         campaign: CampaignConfig::traceroute(),
         policy: RateLimitPolicy::FirstSampleOnly,
-        min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
         routing: RoutingMode::PolicyHotPotato,

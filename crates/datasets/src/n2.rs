@@ -31,7 +31,6 @@ pub fn spec() -> DatasetSpec {
         // TCP transfers don't involve ICMP; the policy is moot but
         // FirstSampleOnly matches the era's machinery.
         policy: RateLimitPolicy::FirstSampleOnly,
-        min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
         routing: RoutingMode::PolicyHotPotato,

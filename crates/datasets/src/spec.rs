@@ -10,7 +10,10 @@
 //! dataset.
 
 use detour_faults::FaultConfig;
-use detour_measure::{run_campaign, CampaignConfig, Dataset, HostMeta, RateLimitPolicy, Schedule};
+use detour_measure::{
+    run_campaign, CampaignConfig, Dataset, HostMeta, RateLimitPolicy, Schedule,
+    MIN_SAMPLES_PER_PATH,
+};
 use detour_netsim::geo::CITIES;
 use detour_netsim::topology::generator::TopologyConfig;
 use detour_netsim::{Era, HostId, Network, NetworkConfig, RoutingMode};
@@ -43,8 +46,6 @@ pub struct DatasetSpec {
     pub campaign: CampaignConfig,
     /// Rate-limit correction policy (§4.2).
     pub policy: RateLimitPolicy,
-    /// Minimum probes per directed path (paper: 30).
-    pub min_samples: usize,
     /// Whether the host pool was pre-screened to exclude ICMP rate
     /// limiters (UW4 drew from hosts already validated during UW3).
     pub prescreened: bool,
@@ -221,10 +222,11 @@ pub fn generate_on(net: &Network, spec: &DatasetSpec, scale: Scale) -> Dataset {
         })
         .collect();
 
+    // The paper's 30 samples per path, scaled down with the duration.
     let min_samples = if scale.time_divisor > 1 {
-        (spec.min_samples / scale.time_divisor as usize).max(6)
+        (MIN_SAMPLES_PER_PATH / scale.time_divisor as usize).max(6)
     } else {
-        spec.min_samples
+        MIN_SAMPLES_PER_PATH
     };
     let ds = Dataset::assemble(spec.name, metas, &raw, spec.policy, min_samples, duration_s);
     assemble_span.finish();
@@ -249,19 +251,21 @@ pub fn restrict_na(net: &Network, parent: &Dataset, name: &str) -> Dataset {
 mod tests {
     use super::*;
 
+    /// Fifteen hours of a mean-30 s schedule over eight hosts: about 32
+    /// invocations (96 probes) per directed pair against the paper's
+    /// 30-sample filter.
     fn tiny_spec() -> DatasetSpec {
         DatasetSpec {
             name: "TINY",
             era: Era::Y1999,
             network_seed: 11,
             campaign_seed: 12,
-            duration_days: 0.25,
+            duration_days: 0.625,
             n_hosts: 8,
             n_hosts_na: 8,
             schedule: Schedule::PairwiseExponential { mean_s: 30.0 },
             campaign: CampaignConfig::traceroute(),
             policy: RateLimitPolicy::FilterHosts,
-            min_samples: 12,
             prescreened: false,
             faults: FaultConfig::none(),
             routing: RoutingMode::PolicyHotPotato,
@@ -406,7 +410,8 @@ mod tests {
         let mut spec = tiny_spec();
         spec.campaign = CampaignConfig::tcp();
         spec.schedule = Schedule::PairwiseExponential { mean_s: 120.0 };
-        spec.min_samples = 6;
+        // About 16 transfers per directed pair against the filter's 10.
+        spec.duration_days = 1.25;
         let ds = generate(&spec, Scale::full());
         assert!(!ds.transfers.is_empty());
         assert!(ds.probes.is_empty());

@@ -25,26 +25,23 @@
 //! | 1  | meta        | duration_s f64, starved_pairs u64, name_len u32, name bytes     |
 //! | 2  | hosts       | n u32; id u32×n; asn u16×n; flags u8×n; name_off u32×(n+1); blob|
 //! | 3  | aspaths     | n u32; off u32×(n+1) (u16 units); asns u16×off\[n\]             |
-//! | 4  | invocations | n u32; src u32×n; dst u32×n; t_s f64×n; first_index u8×n;       |
-//! |    |             | mask u16×n; rtt f64×3n; episode u32×n; path_idx u32×n           |
+//! | 4  | invocations | n u32; src u32×n; dst u32×n; t_s f64×n; mask u16×n;             |
+//! |    |             | rtt f64×3n; episode u32×n; path_idx u32×n                       |
 //! | 5  | transfers   | n u32; src u32×n; dst u32×n; t_s f64×n; rtt f64×n;              |
 //! |    |             | loss f64×n; bandwidth f64×n                                     |
 //! | 6  | ratelimited | n u32; id u32×n                                                 |
 //!
 //! Each invocation row is one [`ProbeRow`]: the probes of one traceroute
 //! invocation, which share `src`, `dst`, `t_s`, `episode` and `path_idx`,
-//! with three RTT cells (slot `k` holds probe index `first_index + k`;
-//! `first_index` is 0 in every trace a campaign writes). Invocation
-//! `mask` (the in-memory [`ProbeRow::mask`]): bit `k` = slot `k` holds a
-//! probe, bit `3 + k` = its RTT is present, bit `6 + k` = it is
-//! loss-eligible, bit 9 = episode present. Bits 10–15 are reserved, and a
-//! row whose mask sets one, holds no slot, marks an RTT or eligibility on
-//! an empty slot, or whose slots run past probe index 255 is a
-//! [`Trace2Error::BadValue`] at its mask. Absent rtt/episode cells are
-//! written as zero and ignored on read, so `Option` round-trips exactly
-//! and every column keeps a fixed stride. Rows are read back through
-//! [`Probes::push_row`], so the store is packed canonically whatever the
-//! writer did.
+//! with three RTT cells (slot `k` holds probe index `k`), 50 bytes in
+//! all. Invocation `mask` (the in-memory [`ProbeRow::mask`]): bit `k` =
+//! slot `k` holds a probe, bit `3 + k` = its RTT is present, bit `6 + k` =
+//! it is loss-eligible, bit 9 = episode present. Bits 10–15 are reserved,
+//! and a row whose mask sets one, holds no slot, or marks an RTT or
+//! eligibility on an empty slot is a [`Trace2Error::BadValue`] at its
+//! mask. Absent rtt/episode cells are written as zero and ignored on read,
+//! so `Option` round-trips exactly and every column keeps a fixed stride.
+//! Rows are read back as written, one [`ProbeRow`] each.
 //!
 //! The decoder checks structure only: section extents, counts, offsets,
 //! flag bits and UTF-8 names, each fault a [`Trace2Error::BadValue`] or
@@ -80,8 +77,9 @@ use detour_netsim::HostId;
 pub const MAGIC: [u8; 8] = *b"DTRACE2\n";
 
 /// Current format version. Bump on *any* layout change. Version 1 stored
-/// one row per probe; version 2 stores one row per invocation.
-pub const VERSION: u32 = 2;
+/// one row per probe; version 2 one row per invocation with a first-index
+/// column; version 3 drops that column, slot `k` being probe index `k`.
+pub const VERSION: u32 = 3;
 
 /// Number of sections a file carries.
 const SECTIONS: usize = 6;
@@ -338,9 +336,9 @@ impl Writer {
 pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
     let rows = ds.probes.rows();
     let nt = ds.transfers.len();
-    // Strides: invocations 51 B/row, transfers 40 B/row, plus small
+    // Strides: invocations 50 B/row, transfers 40 B/row, plus small
     // sections.
-    let hint = rows.len() * 51 + nt * 40 + ds.hosts.len() * 64 + ds.as_paths.len() * 16 + 256;
+    let hint = rows.len() * 50 + nt * 40 + ds.hosts.len() * 64 + ds.as_paths.len() * 16 + 256;
     let mut w = Writer::new(SECTIONS, hint);
 
     w.begin(SEC_META);
@@ -397,9 +395,6 @@ pub fn to_bytes(ds: &Dataset) -> Vec<u8> {
     }
     for r in rows {
         w.f64(r.t_s);
-    }
-    for r in rows {
-        w.u8(r.first_index());
     }
     for r in rows {
         w.u16(r.mask());
@@ -613,7 +608,6 @@ fn decode_invocations(sec: &[u8]) -> Result<Probes, Trace2Error> {
     let src = cur.column(n, 4)?;
     let dst = cur.column(n, 4)?;
     let t_s = cur.column(n, 8)?;
-    let first_index = cur.column(n, 1)?;
     let mask_at = cur.pos;
     let mask = cur.column(n, 2)?;
     let rtt = cur.column(n, 24)?;
@@ -621,13 +615,12 @@ fn decode_invocations(sec: &[u8]) -> Result<Probes, Trace2Error> {
     let path_idx = cur.column(n, 4)?;
     cur.done()?;
     let mut probes = Probes::with_capacity(n);
-    for (i, &first_index) in first_index.iter().enumerate() {
+    for i in 0..n {
         let row = ProbeRow::from_cells(
             (HostId(col_u32(src, i)), HostId(col_u32(dst, i))),
             col_f64(t_s, i),
             col_u32(path_idx, i),
             col_u32(episode, i),
-            first_index,
             col_u16(mask, i),
             std::array::from_fn(|k| col_f64(rtt, 3 * i + k)),
         )
@@ -894,8 +887,9 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected() {
-        // Version 1 (one row per probe) and any future version.
-        for v in [1, VERSION + 1] {
+        // Version 1 (one row per probe), version 2 (a first-index column)
+        // and any future version.
+        for v in [1, 2, VERSION + 1] {
             let mut b = to_bytes(&sample_dataset());
             b[8..12].copy_from_slice(&v.to_le_bytes());
             assert_eq!(from_bytes(&b), Err(Trace2Error::UnsupportedVersion(v)));
@@ -954,11 +948,11 @@ mod tests {
     #[test]
     fn invalid_invocation_masks_are_rejected() {
         let ds = sample_dataset();
-        assert_eq!(ds.probes.rows().len(), 2, "probes 0 and 1, then probe 1");
+        assert_eq!(ds.probes.rows().len(), 3, "a row per probe written");
         let good = to_bytes(&ds);
-        // The mask column sits after count + src + dst + t_s + first_index.
-        let mask_at = |n: usize| 4 + n * 4 + n * 4 + n * 8 + n;
-        let n = 2;
+        // The mask column sits after count + src + dst + t_s.
+        let mask_at = |n: usize| 4 + n * 4 + n * 4 + n * 8;
+        let n = 3;
         // A reserved bit (15), and an RTT marked on row 0's empty slot 2.
         for (byte, bits) in [(1, 0x80), (0, 1 << 5)] {
             let b = edit_invocations(&good, |n| (mask_at(n) + byte, bits));
@@ -970,21 +964,6 @@ mod tests {
                 })
             );
         }
-        // A first index of 1 moves the row's probes to indices 1 and 2:
-        // it decodes, and the row's second probe breaks no rule yet.
-        let b = edit_invocations(&good, |n| (4 + n * 16, 1));
-        let shifted = from_bytes(&b).expect("indices 1 and 2 are valid");
-        let indices: Vec<u8> = shifted.probes.iter().map(|p| p.probe_index).collect();
-        assert_eq!(indices, [1, 2, 1]);
-        // Past index 2, the dataset rules name the probe.
-        let b = edit_invocations(&good, |n| (4 + n * 16, 2));
-        assert_eq!(
-            from_bytes(&b),
-            Err(Trace2Error::Dataset(DatasetError {
-                field: detour_measure::DatasetField::ProbeIndex,
-                row: 1,
-            }))
-        );
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub fn spec() -> DatasetSpec {
             timeout_s: 300.0,
         },
         policy: RateLimitPolicy::ReverseDirection,
-        min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
         routing: RoutingMode::PolicyHotPotato,

@@ -28,7 +28,6 @@ pub fn spec() -> DatasetSpec {
         schedule: Schedule::PairwiseExponentialPaired { mean_s: 9.0 },
         campaign: CampaignConfig::traceroute(),
         policy: RateLimitPolicy::FilterHosts,
-        min_samples: 30,
         prescreened: false,
         faults: detour_faults::FaultConfig::none(),
         routing: RoutingMode::PolicyHotPotato,

@@ -36,7 +36,6 @@ pub fn spec_a() -> DatasetSpec {
         schedule: Schedule::Episodes { mean_gap_s: 1000.0 },
         campaign: CampaignConfig::traceroute(),
         policy: RateLimitPolicy::FilterHosts,
-        min_samples: 30,
         prescreened: true,
         faults: detour_faults::FaultConfig::none(),
         routing: RoutingMode::PolicyHotPotato,

@@ -3,10 +3,10 @@
 //! analyses have no meaning for (NaN, ±inf, negative, zero and
 //! longer-than-any-timeout RTTs,
 //! unlisted and duplicate hosts, a probe from a host to itself, AS-path
-//! indices past the pool, probe indices past 2, loss rates outside
-//! `[0, 1]`, times outside the trace) or to a value on the edge of a rule.
-//! A probe edit changes one sample of the store's `iter()` sequence and
-//! packs the sequence again, as any producer of a store would. Each edit
+//! indices past the pool, loss rates outside `[0, 1]`, times outside the
+//! trace) or to a value on the edge of a rule. A probe edit changes one
+//! sample of the store's `iter()` sequence and stores the sequence again,
+//! one row per probe in the slot of its index. Each edit
 //! is re-encoded with valid checksums, so only the value rules stand
 //! between it and the analyses. A hostile value must come back as the
 //! [`DatasetError`] that names its field and row; an edge value must load
@@ -56,8 +56,6 @@ const MENU: &[Edit] = &[
     (Target::Probes, |d, r| { let end = d.duration_s; probe(d, r, |p| p.t_s = end + 1.0) }, Some(ProbeTime)),
     (Target::Probes, |d, r| { let end = d.duration_s; probe(d, r, |p| p.t_s = end) }, None),
     (Target::Probes, |d, r| probe(d, r, |p| p.t_s = 0.0), None),
-    (Target::Probes, |d, r| probe(d, r, |p| p.probe_index = 3), Some(ProbeIndex)),
-    (Target::Probes, |d, r| probe(d, r, |p| p.probe_index = u8::MAX), Some(ProbeIndex)),
     (Target::Probes, |d, r| probe(d, r, |p| p.probe_index = 2), None),
     (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(f64::NAN)), Some(ProbeRtt)),
     (Target::Probes, |d, r| probe(d, r, |p| p.rtt_ms = Some(f64::INFINITY)), Some(ProbeRtt)),
@@ -91,7 +89,8 @@ const MENU: &[Edit] = &[
     (Target::Transfers, |d, r| d.transfers[r].bandwidth_kbps = 0.0, None),
 ];
 
-/// Edits sample `r` of `d`'s probes and packs the sequence again.
+/// Edits sample `r` of `d`'s probes and stores the sequence again, one row
+/// per probe.
 fn probe(d: &mut Dataset, r: usize, edit: impl FnOnce(&mut ProbeSample)) {
     let mut samples: Vec<ProbeSample> = d.probes.iter().collect();
     edit(&mut samples[r]);

@@ -1,10 +1,10 @@
 //! The `.trace2` binary format's round-trip properties: any dataset —
 //! random or pipeline-generated — must survive `to_bytes` → `from_bytes`
 //! bit-identically, and the binary encoding must be a fixed point (so
-//! cache re-writes never churn bytes).
+//! cache re-writes never churn bytes). Probe rows come back as written.
 
 use detour_datasets::{trace2, DatasetId};
-use detour_measure::{Dataset, HostMeta, PairTable, MAX_RTT_MS};
+use detour_measure::{Dataset, HostMeta, PairTable, ProbeRow, ProbeSample, MAX_RTT_MS};
 use detour_netsim::HostId;
 use detour_prng::{check, Rng, Xoshiro256pp};
 
@@ -76,9 +76,10 @@ fn random_dataset(rng: &mut Xoshiro256pp) -> Dataset {
         (ids[s], ids[(s + rng.gen_range(1..ids.len())) % ids.len()])
     };
     if ids.len() >= 2 && n_paths > 0 {
-        // Invocations of zero to three probes, with repeated and
-        // out-of-order indices, interleaved mirrored pairs, episodes
-        // present and absent, and first-sample-only eligibility.
+        // Runs of zero to three probes sharing a key, each probe a row of
+        // its own, with repeated and out-of-order indices, interleaved
+        // mirrored pairs, episodes present and absent, and
+        // first-sample-only eligibility.
         for _ in 0..rng.gen_range(0..16usize) {
             let (s, d) = pair(rng);
             let t = within(rng, duration);
@@ -140,7 +141,92 @@ fn random_datasets_roundtrip_bit_identically() {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(&back), bits(&ds), "a probe sample drifted");
-        assert_eq!(back.probes.rows(), ds.probes.rows(), "rows repacked");
+        assert_eq!(back.probes.rows(), ds.probes.rows(), "rows changed");
+    });
+}
+
+#[test]
+fn any_store_of_valid_rows_roundtrips_as_written() {
+    check::check("trace2 keeps rows as written", |rng| {
+        let n = rng.gen_range(2..6u32);
+        let n_paths = rng.gen_range(1..4u32);
+        let duration = within(rng, f64::MAX);
+        // Rows of any valid mask, and each row's samples spelled out from
+        // its cells. A row often repeats the previous row's key, so rows
+        // a packing rule could merge sit side by side.
+        let (mut rows, mut expected) = (Vec::new(), Vec::new());
+        let mut key = (HostId(0), HostId(1), 0.0, 0, None);
+        for _ in 0..rng.gen_range(0..40usize) {
+            if rng.gen_bool(0.6) {
+                let src = rng.gen_range(0..n);
+                let dst = (src + rng.gen_range(1..n)) % n;
+                let episode = rng.gen_bool(0.4).then(|| rng.next_u64() as u32);
+                let (t, path) = (within(rng, duration), rng.gen_range(0..n_paths));
+                key = (HostId(src), HostId(dst), t, path, episode);
+            }
+            let (src, dst, t_s, path_idx, episode) = key;
+            let slots = rng.gen_range(1..8u16);
+            let returned = slots & rng.gen_range(0..8u16);
+            let eligible = slots & rng.gen_range(0..8u16);
+            let mask = slots | returned << 3 | eligible << 6 | u16::from(episode.is_some()) << 9;
+            let rtt: [f64; 3] = std::array::from_fn(|_| rtt_ms(rng));
+            let row =
+                ProbeRow::from_cells((src, dst), t_s, path_idx, episode.unwrap_or(0), mask, rtt);
+            rows.push(row.expect("the mask is valid"));
+            let held = (0..3).filter(|k| slots >> k & 1 != 0);
+            expected.extend(held.map(|k| ProbeSample {
+                src,
+                dst,
+                t_s,
+                probe_index: k as u8,
+                rtt_ms: (returned >> k & 1 != 0).then_some(rtt[k]),
+                loss_eligible: eligible >> k & 1 != 0,
+                episode,
+                path_idx,
+            }));
+        }
+        let hosts = (0..n)
+            .map(|id| HostMeta {
+                id: HostId(id),
+                name: format!("h{id}"),
+                asn: id as u16,
+                truly_rate_limited: false,
+            })
+            .collect();
+        let as_paths = (0..n_paths).map(|p| vec![p as u16]).collect();
+        let probes = rows.iter().copied().collect();
+        let ds = Dataset::new("ROWS".into(), hosts, probes, vec![], as_paths, duration)
+            .expect("valid rows make a valid dataset");
+        let bytes = trace2::to_bytes(&ds);
+        let back = trace2::from_bytes(&bytes).expect("valid rows decode");
+        assert_eq!(trace2::to_bytes(&back), bytes, "not a fixed point");
+        let cells = |r: &ProbeRow| {
+            let rtt = [0, 1, 2].map(|k| r.rtt(k).map(f64::to_bits));
+            (
+                r.src,
+                r.dst,
+                r.t_s.to_bits(),
+                r.path_idx,
+                r.episode(),
+                r.mask(),
+                rtt,
+            )
+        };
+        assert!(
+            back.probes
+                .rows()
+                .iter()
+                .map(cells)
+                .eq(rows.iter().map(cells)),
+            "a row changed"
+        );
+        let bits = |p: ProbeSample| (p.t_s.to_bits(), p.rtt_ms.map(f64::to_bits), p);
+        assert!(back
+            .probes
+            .iter()
+            .map(bits)
+            .eq(expected.iter().copied().map(bits)));
+        assert_eq!(back.probes.len(), expected.len());
     });
 }
 
@@ -218,9 +304,9 @@ fn file_roundtrip_and_unknown_versions_fail_loudly() {
     assert_eq!(trace2::load(&path).unwrap(), ds);
 
     // Restamp the version field (bytes 8..12 little-endian): the loader
-    // must refuse the past per-probe layout and a future one rather than
-    // guess at either.
-    for version in [1, trace2::VERSION + 1] {
+    // must refuse the past per-probe and first-index layouts and a future
+    // one rather than guess at any.
+    for version in [1, 2, trace2::VERSION + 1] {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(

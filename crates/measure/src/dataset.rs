@@ -18,7 +18,8 @@ use crate::control::RawMeasurements;
 use crate::ratelimit::{detect_rate_limited, RateLimitPolicy};
 use crate::record::{HostMeta, ProbeRow, ProbeSample, Probes, TransferSample};
 
-/// Default minimum probe count per directed path (paper: 30).
+/// Minimum probe count per directed path: the paper's 30. Every dataset
+/// spec filters with it, scaled down with a reduced scale's duration.
 pub const MIN_SAMPLES_PER_PATH: usize = 30;
 
 /// The largest probe or transfer RTT a dataset may hold, in ms: the
@@ -77,8 +78,6 @@ pub enum DatasetField {
     ProbeDst,
     /// `probes[row].t_s`: not in `[0, duration_s]`.
     ProbeTime,
-    /// `probes[row].probe_index`: past 2 (an invocation sends three).
-    ProbeIndex,
     /// `probes[row].rtt_ms`: present but not in `(0, MAX_RTT_MS]`.
     ProbeRtt,
     /// `probes[row].path_idx`: past the end of `as_paths`.
@@ -107,7 +106,6 @@ impl DatasetField {
             ProbeSrc => ("probes.src", "names an unlisted host"),
             ProbeDst => ("probes.dst", "names an unlisted host or the source"),
             ProbeTime => ("probes.t_s", "lies outside [0, duration_s]"),
-            ProbeIndex => ("probes.probe_index", "lies outside 0..=2"),
             ProbeRtt => ("probes.rtt_ms", "lies outside (0, 600000] ms"),
             ProbePath => ("probes.path_idx", "is past the AS-path pool"),
             TransferSrc => ("transfers.src", "names an unlisted host"),
@@ -175,11 +173,11 @@ impl Dataset {
     /// Builds a dataset from its parts, checking every rule the analyses
     /// rely on: host ids are unique; every probe and transfer runs between
     /// two different listed hosts; sample times are finite and lie in
-    /// `[0, duration_s]`; probe indices are 0, 1 or 2; a present probe RTT
-    /// and every transfer RTT are positive and at most [`MAX_RTT_MS`]
-    /// (they become shortest-path weights, Mathis divisors and sample
-    /// grids); transfer loss is a probability; bandwidth is finite and
-    /// non-negative; and every `path_idx` names an entry of `as_paths`.
+    /// `[0, duration_s]`; a present probe RTT and every transfer RTT are
+    /// positive and at most [`MAX_RTT_MS`] (they become shortest-path
+    /// weights, Mathis divisors and sample grids); transfer loss is a
+    /// probability; bandwidth is finite and non-negative; and every
+    /// `path_idx` names an entry of `as_paths`.
     /// The first row (for probes, the first sample in `probes.iter()`
     /// order) that breaks a rule is the error. Each probe row's shared
     /// fields are checked once, and each of its present RTTs once.
@@ -224,10 +222,8 @@ impl Dataset {
             } else if !in_window(r.t_s) {
                 return fail(ProbeTime, at);
             }
-            for (k, p) in r.samples().enumerate() {
-                let fault = if p.probe_index > 2 {
-                    ProbeIndex
-                } else if p.rtt_ms.is_some_and(|v| !rtt_ok(v)) {
+            for (k, (rtt, _)) in r.slots().enumerate() {
+                let fault = if rtt.is_some_and(|v| !rtt_ok(v)) {
                     ProbeRtt
                 } else if k == 0 && r.path_idx as usize >= as_paths.len() {
                     ProbePath
@@ -390,9 +386,7 @@ impl Dataset {
             .copied()
             .collect();
 
-        // Per-path sample-count filter: it counts probes, not rows. Every
-        // row holds its invocation's first probe, so no row can continue
-        // the one before it and the kept rows are already packed.
+        // Per-path sample-count filter: it counts probes, not rows.
         rows.retain(|r| probe_counts[&(r.src, r.dst)] >= min_samples);
         let probes: Probes = rows.into_iter().collect();
         flow.filter_dropped = probe_counts.values().filter(|&&c| c < min_samples).sum();
@@ -519,8 +513,8 @@ impl Dataset {
 /// Hosts added by [`hosts`](Self::hosts) and [`host`](Self::host) are
 /// named `h{id}` and sit in AS `id`. A probe added by
 /// [`probe`](Self::probe) is a first, loss-eligible, non-episodic probe on
-/// AS path 0. The AS-path pool starts as the single path `[0]`, and the
-/// duration defaults to the latest sample time.
+/// AS path 0, stored as a row of its own. The AS-path pool starts as the
+/// single path `[0]`, and the duration defaults to the latest sample time.
 #[derive(Debug)]
 pub struct DatasetBuilder {
     name: String,
@@ -563,7 +557,11 @@ impl DatasetBuilder {
     }
 
     /// Adds a probe like [`probe`](Self::probe), then lets `edit` set its
-    /// other fields (probe index, loss eligibility, episode, AS path).
+    /// other fields (probe index, loss eligibility, episode, AS path). The
+    /// probe is a row of its own, in the slot of its probe index.
+    ///
+    /// # Panics
+    /// When `edit` sets a probe index past 2.
     pub fn probe_with(
         &mut self,
         src: u32,
@@ -583,7 +581,7 @@ impl DatasetBuilder {
             path_idx: 0,
         };
         edit(&mut p);
-        self.probes.push(p);
+        self.probes.push_row(p.into());
         self
     }
 
@@ -969,6 +967,10 @@ mod tests {
                 );
                 let rows: usize = ds.probes.rows().iter().map(ProbeRow::len).sum();
                 assert_eq!(rows, ds.probes.len());
+                // Every row holds its invocation's first probe, so Table 1
+                // counts each stored row as one measurement.
+                assert!(ds.probes.rows().iter().all(|r| r.has_slot(0)), "{policy:?}");
+                assert_eq!(ds.characteristics().measurements, ds.probes.rows().len());
                 bump(&seen[0], flow.mirrored);
                 bump(&seen[1], flow.policy_dropped);
                 bump(&seen[2], flow.filter_dropped);
@@ -1014,7 +1016,7 @@ mod tests {
     fn new_names_the_field_and_row_of_the_first_broken_rule() {
         use DatasetField::*;
         type Edit = for<'a> fn(&'a mut DatasetBuilder) -> &'a mut DatasetBuilder;
-        let cases: [(Edit, DatasetField, usize); 18] = [
+        let cases: [(Edit, DatasetField, usize); 16] = [
             (|b| b.duration(f64::NAN), Duration, 0),
             (|b| b.host(1).host(1), Host, 2),
             (|b| b.probe(7, 1, 0.0, None), ProbeSrc, 1),
@@ -1022,17 +1024,7 @@ mod tests {
             (|b| b.probe(1, 0, 10.5, None), ProbeTime, 1),
             (|b| b.probe(1, 0, 0.0, Some(0.0)), ProbeRtt, 1),
             (|b| b.probe(1, 0, 0.0, Some(600_000.5)), ProbeRtt, 1),
-            (
-                |b| b.probe_with(1, 0, 0.0, None, |p| p.probe_index = 3),
-                ProbeIndex,
-                1,
-            ),
-            (
-                |b| b.probe_with(1, 0, 0.0, None, |p| p.probe_index = u8::MAX),
-                ProbeIndex,
-                1,
-            ),
-            // The third probe of the first invocation: its row's position.
+            // The third probe written: its position in `probes.iter()`.
             (
                 |b| {
                     b.probe_with(0, 1, 1.0, None, |p| p.probe_index = 1)

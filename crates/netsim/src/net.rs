@@ -375,7 +375,9 @@ impl Network {
     }
 
     /// True when any router or link on the (sub)path is inside an injected
-    /// outage episode at `t`. Pure schedule lookups — no RNG.
+    /// outage episode at `t`. Pure schedule lookups — no RNG. The oracle
+    /// for [`FaultWatch`], which answers the same question in production.
+    #[cfg(test)]
     pub(crate) fn faulted_element(
         &self,
         routers: &[RouterId],
@@ -392,9 +394,10 @@ impl Network {
     }
 }
 
-/// [`Network::faulted_element`] over a prefix of one path —
+/// Whether an injected outage is active on a prefix of one path —
 /// `routers[..=hop]` and `links[..hop]` — that grows hop by hop, as one
-/// traceroute invocation asks it. The watch caches whether any element
+/// traceroute invocation asks it, or on a whole path asked at rising
+/// instants, as a TCP transfer asks it. The watch caches whether any element
 /// is down and the window `[from, until)` that answer holds on: from the
 /// instant it was looked up to the earliest [`OutageSchedule::state_at`]
 /// bound among the elements. A new hop looks up its link and router only,

@@ -26,7 +26,7 @@
 
 use detour_prng::Rng;
 
-use crate::net::{Network, PER_HOP_PROCESSING_MS};
+use crate::net::{FaultWatch, Network, PER_HOP_PROCESSING_MS};
 use crate::routing::path::ResolvedPath;
 use crate::sim::clock::SimTime;
 use crate::topology::HostId;
@@ -131,6 +131,10 @@ pub fn bulk_transfer(
 ) -> Option<TransferStats> {
     let fwd = net.forward_path(src, dst, t)?;
     let rev = net.forward_path(dst, src, t)?;
+    // One whole-path fault watch per direction: the instants rise, so a
+    // watch's lookups hold until an element's state can change.
+    let mut fwd_faults = net.fault_watch(fwd, fwd.links.len());
+    let mut rev_faults = net.fault_watch(rev, rev.links.len());
 
     // Segments per second at each instant, and the share of them lost,
     // summed over instants: a dead stretch of the window sends few
@@ -139,7 +143,7 @@ pub fn bulk_transfer(
     let (mut rtt_sum, mut alive) = (0.0, 0u32);
     for k in 0..INSTANTS {
         let at = t.plus_secs(duration_s * (k as f64 + 0.5) / INSTANTS as f64);
-        let (rtt_ms, survival) = round_trip(net, fwd, rev, at, rng);
+        let (rtt_ms, survival) = round_trip(net, &mut fwd_faults, &mut rev_faults, at, rng);
         if survival > 0.0 {
             rtt_sum += rtt_ms;
             alive += 1;
@@ -167,21 +171,23 @@ pub fn bulk_transfer(
     ))
 }
 
-/// One round trip over `fwd` then `rev` at instant `at`, each link drawn
-/// once: the RTT in ms and the probability a segment and its ACK both
-/// survive.
+/// One round trip over the path `fwd` watches, then the one `rev` watches,
+/// at instant `at`, each link drawn once: the RTT in ms and the
+/// probability a segment and its ACK both survive.
 fn round_trip(
     net: &Network,
-    fwd: &ResolvedPath,
-    rev: &ResolvedPath,
+    fwd: &mut FaultWatch<'_>,
+    rev: &mut FaultWatch<'_>,
     at: SimTime,
     rng: &mut impl Rng,
 ) -> (f64, f64) {
+    let (fwd_path, rev_path) = (fwd.path(), rev.path());
     let load = net.load();
     let mut now = load.at(at);
-    let mut rtt_ms = PER_HOP_PROCESSING_MS * (fwd.routers.len() + rev.routers.len()) as f64;
+    let mut rtt_ms =
+        PER_HOP_PROCESSING_MS * (fwd_path.routers.len() + rev_path.routers.len()) as f64;
     let mut survival = 1.0;
-    for &l in fwd.links.iter().chain(&rev.links) {
+    for &l in fwd_path.links.iter().chain(&rev_path.links) {
         match load.draw_at(l, &mut now, rng) {
             Some((queue_delay_ms, loss_prob)) => {
                 rtt_ms += net.topology.link(l).prop_delay_ms + queue_delay_ms;
@@ -191,9 +197,7 @@ fn round_trip(
         }
     }
     // Injected outages draw no RNG, like `Network::transit`'s.
-    if net.faulted_element(&fwd.routers, &fwd.links, at)
-        || net.faulted_element(&rev.routers, &rev.links, at)
-    {
+    if fwd.down_at(at) || rev.down_at(at) {
         survival = 0.0;
     }
     (rtt_ms, survival)

@@ -63,7 +63,7 @@ cargo test -q --offline -p detour-stats
 echo "== smoke: detour-measure tests (dataset rules, pair tables, partition property) =="
 cargo test -q --offline -p detour-measure
 
-echo "== smoke: detour-datasets tests (trace2 codec, round-trip + hostile-value properties) =="
+echo "== smoke: detour-datasets tests (trace2 v3 codec, round-trip + hostile-value properties, v2 refused) =="
 cargo test -q --offline -p detour-datasets
 
 echo "== smoke: detour-core unit tests =="
@@ -92,7 +92,7 @@ echo "== smoke: renewal schedules and state_at bounds (detour-faults) + netsim u
 cargo test -q --offline -p detour-faults
 cargo test -q --offline -p detour-netsim
 
-echo "== smoke: detour-bench unit tests (trace cache, registry, study order, report writer) =="
+echo "== smoke: detour-bench unit tests (trace cache, v2 quarantine, registry, study order, report writer) =="
 cargo test -q --offline -p detour-bench --lib
 
 echo "== smoke: figures CLI input handling =="

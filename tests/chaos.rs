@@ -32,7 +32,6 @@ fn chaos_spec(faults: FaultConfig) -> DatasetSpec {
         schedule: Schedule::PairwiseExponentialPaired { mean_s: 25.0 },
         campaign: CampaignConfig::traceroute(),
         policy: RateLimitPolicy::FilterHosts,
-        min_samples: 12,
         prescreened: false,
         faults,
         routing: RoutingMode::PolicyHotPotato,
